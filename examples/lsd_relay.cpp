@@ -175,6 +175,7 @@ int run_daemon(std::uint16_t port, std::size_t buffer,
               "resume grace %lld ms)\n",
               daemon.port(), buffer,
               static_cast<long long>(resume_grace.count()));
+  std::fflush(stdout);  // scripts and tests read the port from a pipe
   std::signal(SIGTERM, on_terminate_signal);
   std::signal(SIGINT, on_terminate_signal);
   // Bounded waits instead of loop.run(): the fault driver's timed events,
@@ -296,6 +297,7 @@ int run_sharded(std::uint16_t port, std::size_t buffer,
               "(%d shards, buffer %zu bytes, resume grace %lld ms)\n",
               daemon.port(), daemon.shard_count(), buffer,
               static_cast<long long>(resume_grace.count()));
+  std::fflush(stdout);  // scripts and tests read the port from a pipe
   std::signal(SIGTERM, on_terminate_signal);
   std::signal(SIGINT, on_terminate_signal);
   while (true) {

@@ -49,6 +49,21 @@ build_and_test() {  # <tree> <extra cmake args...>
         --timeout "$test_timeout"
 }
 
+label_tier() {  # <label> [tsan]: one ctest label, plain tree then optionally tsan
+  local label="$1" tsan="${2:-}"
+  cmake -B build-check -S . -DLSL_WERROR=ON >/dev/null
+  cmake --build build-check -j "$jobs"
+  ctest --test-dir build-check --output-on-failure -L "$label" \
+        --timeout "$test_timeout"
+  if [[ "$tsan" == tsan ]]; then
+    cmake -B build-check-tsan -S . -DLSL_WERROR=ON \
+          -DLSL_SANITIZE=thread >/dev/null
+    cmake --build build-check-tsan -j "$jobs"
+    ctest --test-dir build-check-tsan --output-on-failure -L "$label" \
+          --timeout "$test_timeout"
+  fi
+}
+
 for config in "${configs[@]}"; do
   echo "== $config =="
   case "$config" in
@@ -58,59 +73,13 @@ for config in "${configs[@]}"; do
     tsan)  build_and_test build-check-tsan  -DLSL_SANITIZE=thread ;;
     lint)  scripts/lint.sh ;;
     tidy)  scripts/tidy.sh ;;
-    mcheck) # the deterministic model-checker tier, by ctest label, reusing
-            # (or creating) the plain tree; covers the lsl_mc scenario suite
-            # plus the explorer's own unit tests
-       cmake -B build-check -S . -DLSL_WERROR=ON >/dev/null
-       cmake --build build-check -j "$jobs"
-       ctest --test-dir build-check --output-on-failure -L mcheck \
-             --timeout "$test_timeout" ;;
-    chaos) # the scripted fault-injection tier, by ctest label, reusing
-           # (or creating) the plain tree
-       cmake -B build-check -S . -DLSL_WERROR=ON >/dev/null
-       cmake --build build-check -j "$jobs"
-       ctest --test-dir build-check --output-on-failure -L chaos \
-             --timeout "$test_timeout" ;;
-    shard) # the sharded-runtime tier, by ctest label: once on the plain
-           # tree, once under tsan — real shard threads are the one place
-           # the repo runs production code across cores, so the label gets
-           # a dedicated pass under the race detector
-       cmake -B build-check -S . -DLSL_WERROR=ON >/dev/null
-       cmake --build build-check -j "$jobs"
-       ctest --test-dir build-check --output-on-failure -L shard \
-             --timeout "$test_timeout"
-       cmake -B build-check-tsan -S . -DLSL_WERROR=ON \
-             -DLSL_SANITIZE=thread >/dev/null
-       cmake --build build-check-tsan -j "$jobs"
-       ctest --test-dir build-check-tsan --output-on-failure -L shard \
-             --timeout "$test_timeout" ;;
-    stripe) # the striped multipath tier, by ctest label: sim determinism
-            # plus real-socket stripe-kill chaos, once plain and once under
-            # tsan — the reassembling sink and the re-striping source meet
-            # the race detector with real lanes in flight
-       cmake -B build-check -S . -DLSL_WERROR=ON >/dev/null
-       cmake --build build-check -j "$jobs"
-       ctest --test-dir build-check --output-on-failure -L stripe \
-             --timeout "$test_timeout"
-       cmake -B build-check-tsan -S . -DLSL_WERROR=ON \
-             -DLSL_SANITIZE=thread >/dev/null
-       cmake --build build-check-tsan -j "$jobs"
-       ctest --test-dir build-check-tsan --output-on-failure -L stripe \
-             --timeout "$test_timeout" ;;
-    health) # the depot-health-plane tier, by ctest label: sim determinism
-            # (scorecard hysteresis, gossip codec, mid-transfer migration)
-            # plus the real-socket admin/gossip/migration suite, once plain
-            # and once under tsan — the board's one mutex is contended by
-            # shard threads, the gossip poller, and admin snapshots
-       cmake -B build-check -S . -DLSL_WERROR=ON >/dev/null
-       cmake --build build-check -j "$jobs"
-       ctest --test-dir build-check --output-on-failure -L health \
-             --timeout "$test_timeout"
-       cmake -B build-check-tsan -S . -DLSL_WERROR=ON \
-             -DLSL_SANITIZE=thread >/dev/null
-       cmake --build build-check-tsan -j "$jobs"
-       ctest --test-dir build-check-tsan --output-on-failure -L health \
-             --timeout "$test_timeout" ;;
+    # Label tiers reuse (or create) the plain tree; the cross-thread ones
+    # run again under tsan.
+    mcheck) label_tier mcheck ;;      # deterministic model checker + lsl_mc suite
+    chaos)  label_tier chaos ;;       # scripted fault injection
+    shard)  label_tier shard tsan ;;  # SO_REUSEPORT shard threads
+    stripe) label_tier stripe tsan ;; # striped lanes: reassembly + re-striping
+    health) label_tier health tsan ;; # HealthBoard shared by shards, gossip, admin
     *) echo "check.sh: unknown config '$config'" >&2; exit 2 ;;
   esac
 done

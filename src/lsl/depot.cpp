@@ -13,66 +13,31 @@ DepotApp::DepotApp(tcp::TcpStack& stack, DepotConfig config,
       config_(config),
       dir_(dir),
       budget_(config.pool_budget_bytes, config.pool_low_watermark,
-              config.pool_high_watermark) {
+              config.pool_high_watermark),
+      core_("depot", *this, stats_, config_.liveness, config_.resume_grace,
+            config_.max_sessions) {
   stack_.listen(config_.port,
                 [this](tcp::TcpSocket* s) { on_accept(s); });
 }
 
-std::size_t DepotApp::live_sessions() const {
-  std::size_t n = 0;
-  for (const auto& r : relays_) {
-    if (!r->done) ++n;
-  }
-  return n;
-}
-
 void DepotApp::on_accept(tcp::TcpSocket* up) {
-  if (draining_) {
-    // A draining depot finishes what it has but adopts nothing new; the
-    // RST sends the source to its retry policy (and another depot).
-    ++stats_.sessions_refused_drain;
-    ++drain_report_.refused;
+  const RelayCore::Admission verdict = core_.admit(budget_.under_pressure());
+  if (verdict != RelayCore::Admission::kAccept) {
+    if (verdict == RelayCore::Admission::kPressure) {
+      ++stats_.sessions_refused_memory;
+    } else if (verdict != RelayCore::Admission::kDrain) {
+      ++stats_.sessions_refused;
+    }
     up->abort();
     return;
   }
-  if (accept_drops_ > 0) {
-    --accept_drops_;
-    ++stats_.sessions_refused;
-    up->abort();
-    return;
-  }
-  if (config_.max_sessions > 0 && live_sessions() >= config_.max_sessions) {
-    ++stats_.sessions_refused;
-    up->abort();
-    return;
-  }
-  if (budget_.under_pressure()) {
-    // Memory admission control, mirroring the real daemon: refuse (RST)
-    // while buffered bytes sit over the high watermark, so the source's
-    // RetryPolicy backs off instead of the depot overcommitting.
-    ++stats_.sessions_refused_memory;
-    up->abort();
-    return;
-  }
-  ++stats_.sessions_accepted;
   auto relay = std::make_unique<Relay>();
   Relay* r = relay.get();
   r->up = up;
-  r->accept_time = stack_.sim().now();
   relays_.push_back(std::move(relay));
+  core_.accept(*r);
 
-  r->live.attach(&wheel_, &config_.liveness,
-                 [this, r](live::DeadlineKind k) { on_deadline(*r, k); });
-  if (live_metrics_) {
-    r->live.set_rate_hook([this](double bps) {
-      live_metrics_->slowest_relay_bps->set(bps);
-    });
-  }
-  r->live.on_accepted(stack_.sim().now());
-  arm_live_timer();
-
-  const bool real = up->config().carry_data;
-  if (!real) {
+  if (!up->config().carry_data) {
     // peek/consume split: only erase the directory entry once this relay
     // actually adopts the session, so a failed adoption leaves the entry
     // for the client's republish-and-reconnect cycle (resume).
@@ -84,7 +49,7 @@ void DepotApp::on_accept(tcp::TcpSocket* up) {
     }
     dir_->consume(up->remote());
     r->header = std::move(*h);
-    r->header_virtual_left = r->header->encoded_size();
+    r->header_virtual_left = r->header.encoded_size();
   }
 
   up->on_readable = [this, r] { pull_upstream(*r); };
@@ -92,88 +57,56 @@ void DepotApp::on_accept(tcp::TcpSocket* up) {
   if (up->readable() > 0 || up->eof()) pull_upstream(*r);
 }
 
+bool DepotApp::ingest_header(Relay& r) {
+  if (!r.up->config().carry_data) {
+    // Virtual mode: the header came from the directory at accept; only
+    // its byte count travels.
+    r.header_virtual_left -= r.up->recv_virtual(r.header_virtual_left);
+    return r.header_virtual_left == 0;
+  }
+  std::uint8_t buf[kMaxHeaderBytes];
+  while (r.up->readable() > 0) {
+    const std::size_t got =
+        r.up->recv(std::span<std::uint8_t>(buf, r.reader.need()));
+    if (got == 0) break;
+    const auto status =
+        r.reader.feed(std::span<const std::uint8_t>(buf, got), &r.header);
+    if (status == HeaderReader::Status::kDone) return true;
+    if (status == HeaderReader::Status::kReject) {
+      LSL_LOG_ERROR("depot: malformed LSL header");
+      fail_relay(r);
+      return false;
+    }
+  }
+  return false;
+}
+
 void DepotApp::pull_upstream(Relay& r) {
-  if (r.done) return;
-  const bool real = r.up->config().carry_data;
+  if (r.done()) return;
 
   // Phase 1: ingest the LSL header.
-  if (!r.header_done) {
-    if (real) {
-      std::uint8_t buf[512];
-      while (!r.header_done && r.up->readable() > 0) {
-        std::size_t want = kHeaderPrefixBytes > r.header_buf.size()
-                               ? kHeaderPrefixBytes - r.header_buf.size()
-                               : 0;
-        if (want == 0) {
-          const auto len = header_length(r.header_buf);
-          if (!len) {
-            LSL_LOG_ERROR("depot: malformed LSL header");
-            fail_relay(r);
-            return;
-          }
-          if (r.header_buf.size() >= *len) {
-            r.header = decode_header(r.header_buf);
-            r.header_done = true;
-            break;
-          }
-          want = *len - r.header_buf.size();
-        }
-        const std::size_t got = r.up->recv(std::span<std::uint8_t>(
-            buf, std::min(want, sizeof(buf))));
-        if (got == 0) break;
-        r.header_buf.insert(r.header_buf.end(), buf, buf + got);
-      }
-    } else {
-      const std::uint64_t got = r.up->recv_virtual(r.header_virtual_left);
-      r.header_virtual_left -= got;
-      if (r.header_virtual_left == 0) r.header_done = true;
-    }
-    if (!r.header_done) {
-      if (r.up->eof()) fail_relay(r);  // truncated header
+  if (r.state == RelayState::kHeader) {
+    if (!ingest_header(r)) {
+      if (!r.done() && r.up->eof()) fail_relay(r);  // truncated header
       return;
     }
-  }
+    core_.header_done(r);
 
-  if (r.stripe_lane < 0 && r.header && r.header->stripe) {
-    r.stripe_lane = r.header->stripe->stripe_id;
-  }
-  // The header is in: adopt its trace id (once — trace_id goes non-zero)
-  // and backfill the accept/header-read spans, whose interval opened at
-  // accept but whose join key only exists now.
-  if (r.trace_id == 0 && r.header && r.header->trace_id != 0) {
-    r.trace_id = r.header->trace_id;
-    if (tracer_ != nullptr) {
-      tracer_->mark(r.trace_id, span::kSpanAccept,
-                    util::to_seconds(r.accept_time));
-      tracer_->emit(r.trace_id, span::kSpanHeaderRead,
-                    util::to_seconds(r.accept_time),
-                    util::to_seconds(stack_.sim().now()));
+    // Phase 2a: a resume header re-binds an existing parked session
+    // instead of dialing a new downstream path.
+    if (r.header.is_resume()) {
+      if (!try_resume(r)) fail_relay(r);
+      return;  // `r` is a husk either way; the merged relay carries on
     }
-  }
 
-  // Phase 2a: a resume header re-binds an existing parked session instead
-  // of dialing a new downstream path.
-  if (r.header->is_resume() && !r.downstream_dialed) {
-    if (!try_resume(r)) fail_relay(r);
-    return;  // `r` is a husk either way; the merged relay carries on
-  }
-
-  // Phase 2b: dial the next hop as soon as the header is known, after the
-  // daemon's per-session processing delay.
-  if (!r.downstream_dialed) {
-    r.downstream_dialed = true;
-    r.dial_start = stack_.sim().now();
-    // The dial deadline covers setup latency + handshake in one span.
-    r.live.on_header_done(stack_.sim().now());
-    arm_live_timer();
-    if (config_.resume_grace > 0) {
-      sessions_[r.header->session] = &r;
-    }
+    // Phase 2b: dial the next hop as soon as the header is known, after
+    // the daemon's per-session processing delay.
+    core_.dialing(r);
     if (config_.session_setup_latency > 0) {
       Relay* rp = &r;
       stack_.sim().events().schedule_in(config_.session_setup_latency,
                                         [this, rp] {
-                                          if (!rp->done) dial_downstream(*rp);
+                                          if (!rp->done()) dial_downstream(*rp);
                                         });
     } else {
       dial_downstream(r);
@@ -183,7 +116,6 @@ void DepotApp::pull_upstream(Relay& r) {
   // Phase 3: relay payload through the bounded buffer with the copy model.
   pull_payload(r, /*ignore_space=*/false);
   sync_liveness(r);
-  arm_live_timer();
 
   if (r.up->eof()) {
     r.up_eof = true;
@@ -222,19 +154,16 @@ void DepotApp::pull_payload(Relay& r, bool ignore_space) {
       got = r.up->recv_virtual(want);
     }
     if (got == 0) break;
-    r.payload_pulled += got;
     r.live.note_activity(stack_.sim().now());
 
     // Drop the duplicated prefix of a resumed session.
-    if (r.discard_left > 0) {
-      const std::uint64_t drop = std::min(r.discard_left, got);
-      r.discard_left -= drop;
-      stats_.bytes_discarded += drop;
-      got -= drop;
+    const std::uint64_t kept = core_.ingest(r, got);
+    if (kept < got) {
       if (real) {
         chunk.erase(chunk.begin(),
-                    chunk.begin() + static_cast<long>(drop));
+                    chunk.begin() + static_cast<long>(got - kept));
       }
+      got = kept;
       if (got == 0) continue;
     }
 
@@ -275,11 +204,10 @@ void DepotApp::pull_payload(Relay& r, bool ignore_space) {
 }
 
 void DepotApp::dial_downstream(Relay& r) {
-  assert(r.header);
   const bool real = r.up->config().carry_data;
 
-  const SessionHeader fwd = r.header->popped();
-  const HopAddress next = r.header->next_hop();
+  const SessionHeader fwd = r.header.popped();
+  const HopAddress next = r.header.next_hop();
   const sim::Endpoint next_ep{static_cast<sim::NodeId>(next.addr), next.port};
 
   r.down = stack_.connect(next_ep);
@@ -294,15 +222,8 @@ void DepotApp::dial_downstream(Relay& r) {
 
   Relay* rp = &r;
   r.down->on_established = [this, rp] {
-    rp->downstream_up = true;
-    rp->live.on_connected(stack_.sim().now());
-    if (tracer_ != nullptr && rp->trace_id != 0) {
-      // Covers session_setup_latency + the downstream handshake, the same
-      // interval the dial liveness deadline bounds.
-      tracer_->emit(rp->trace_id, span::kSpanDial,
-                    util::to_seconds(rp->dial_start),
-                    util::to_seconds(stack_.sim().now()));
-    }
+    if (rp->done()) return;
+    core_.connected(*rp);
     pump_downstream(*rp);
   };
   r.down->on_writable = [this, rp] { pump_downstream(*rp); };
@@ -312,7 +233,7 @@ void DepotApp::dial_downstream(Relay& r) {
 
 void DepotApp::copy_complete(Relay& r, std::uint64_t bytes,
                              std::vector<std::uint8_t> chunk) {
-  if (r.done) return;
+  if (r.done()) return;
   r.in_copy_bytes -= bytes;
   r.ready_bytes += bytes;
   if (!chunk.empty()) r.ready_chunks.push_back(std::move(chunk));
@@ -321,11 +242,9 @@ void DepotApp::copy_complete(Relay& r, std::uint64_t bytes,
 }
 
 void DepotApp::pump_downstream(Relay& r) {
-  if (r.done || r.down == nullptr || !r.downstream_up || stalled_) {
-    if (!r.done) {
-      sync_liveness(r);
-      arm_live_timer();
-    }
+  if (r.done()) return;
+  if (r.state != RelayState::kStream || stalled_) {
+    sync_liveness(r);
     return;
   }
   const bool real = r.down->config().carry_data;
@@ -354,11 +273,7 @@ void DepotApp::pump_downstream(Relay& r) {
           front.data() + r.ready_consumed, remaining));
       if (took == 0) break;
       r.ready_consumed += took;
-      r.ready_bytes -= took;
-      budget_.release(took);
-      stats_.bytes_relayed += took;
-      if (metrics_) metrics_->bytes_relayed->inc(took);
-      note_stream(r, took);
+      relayed(r, took);
       freed = true;
       if (r.ready_consumed == front.size()) {
         r.ready_chunks.pop_front();
@@ -369,11 +284,7 @@ void DepotApp::pump_downstream(Relay& r) {
     while (r.ready_bytes > 0) {
       const std::uint64_t took = r.down->send_virtual(r.ready_bytes);
       if (took == 0) break;
-      r.ready_bytes -= took;
-      budget_.release(took);
-      stats_.bytes_relayed += took;
-      if (metrics_) metrics_->bytes_relayed->inc(took);
-      note_stream(r, took);
+      relayed(r, took);
       freed = true;
     }
   }
@@ -391,32 +302,16 @@ void DepotApp::pump_downstream(Relay& r) {
     r.live.note_activity(stack_.sim().now());
   }
   sync_liveness(r);
-  arm_live_timer();
 
   maybe_complete(r);
 }
 
-void DepotApp::note_stream(Relay& r, std::uint64_t took) {
-  r.relayed += took;
-  if (tracer_ == nullptr || r.trace_id == 0 || took == 0) return;
-  if (r.window_open < 0) {
-    r.window_open = stack_.sim().now();
-    r.window_base = r.relayed - took;
-  }
-  if (r.relayed - r.window_base >= span::kStreamWindowBytes) {
-    tracer_->emit(r.trace_id, span::stream_window_name(r.stripe_lane),
-                  util::to_seconds(r.window_open),
-                  util::to_seconds(stack_.sim().now()), r.relayed);
-    r.window_open = -1;
-  }
-}
-
-void DepotApp::flush_stream_window(Relay& r) {
-  if (tracer_ == nullptr || r.trace_id == 0 || r.window_open < 0) return;
-  tracer_->emit(r.trace_id, span::stream_window_name(r.stripe_lane),
-                util::to_seconds(r.window_open),
-                util::to_seconds(stack_.sim().now()), r.relayed);
-  r.window_open = -1;
+void DepotApp::relayed(Relay& r, std::uint64_t took) {
+  r.ready_bytes -= took;
+  budget_.release(took);
+  stats_.bytes_relayed += took;
+  if (metrics_) metrics_->bytes_relayed->inc(took);
+  core_.note_stream(r, took);
 }
 
 void DepotApp::schedule_progress() {
@@ -432,11 +327,11 @@ void DepotApp::crash() {
   if (crashed_) return;
   crashed_ = true;
   stack_.close_listener(config_.port);
-  // fail_relay() unparks, cancels expiry timers and erases the sessions_
-  // entry per relay; afterwards nothing resumable is left.
+  // fail_relay() unparks and cancels expiry per relay; afterwards nothing
+  // resumable is left.
   for (std::size_t i = 0; i < relays_.size(); ++i) {
     Relay* r = relays_[i].get();
-    if (!r->done) fail_relay(*r);
+    if (!r->done()) fail_relay(*r);
   }
 }
 
@@ -449,34 +344,31 @@ void DepotApp::restart() {
 void DepotApp::set_stalled(bool stalled) {
   if (stalled_ == stalled) return;
   stalled_ = stalled;
-  if (stalled_) {
-    // A stalled depot should be moving bytes and is not — exactly what the
-    // progress watchdog exists to catch; re-sync so it starts counting.
-    for (std::size_t i = 0; i < relays_.size(); ++i) {
-      Relay* r = relays_[i].get();
-      if (r->done || r->parked) continue;
-      sync_liveness(*r);
-    }
-    arm_live_timer();
-    return;
-  }
-  // Un-stall: kick every live relay; pending ready bytes flow again and
-  // upstream reads that were declined resume.
   for (std::size_t i = 0; i < relays_.size(); ++i) {
     Relay* r = relays_[i].get();
-    if (r->done || r->parked) continue;
+    if (r->done() || r->parked) continue;
+    if (stalled_) {
+      // A stalled depot should be moving bytes and is not — exactly what
+      // the progress watchdog exists to catch; re-sync so it counts.
+      sync_liveness(*r);
+      continue;
+    }
+    // Un-stall: pending ready bytes flow again and upstream reads that
+    // were declined resume.
     pump_downstream(*r);
-    if (!r->done && r->up != nullptr && r->up->readable() > 0) {
+    if (!r->done() && r->up != nullptr && r->up->readable() > 0) {
       pull_upstream(*r);
     }
   }
-  arm_live_timer();
 }
 
 void DepotApp::inject_upstream_reset() {
   for (std::size_t i = 0; i < relays_.size(); ++i) {
     Relay* r = relays_[i].get();
-    if (r->done || r->parked || !r->header_done || r->up == nullptr) continue;
+    if (r->done() || r->parked || r->state == RelayState::kHeader ||
+        r->up == nullptr) {
+      continue;
+    }
     // Enter the error path while the socket's receive buffer is intact so
     // park_relay() can salvage acked bytes, then RST the peer. The abort's
     // own error callback is harmless afterwards: parked and failed relays
@@ -488,15 +380,12 @@ void DepotApp::inject_upstream_reset() {
 }
 
 void DepotApp::on_upstream_error(Relay& r) {
-  if (r.done || r.parked) return;
-  // Park only sessions whose downstream path is (or is becoming) live and
-  // whose operator enabled resumption; everything else aborts.
-  if (config_.resume_grace > 0 && r.header_done && r.downstream_dialed &&
-      !r.up_eof) {
+  if (r.done() || r.parked) return;
+  if (core_.parkable(r, r.up_eof)) {
     park_relay(r);
-    return;
+  } else {
+    fail_relay(r);
   }
-  fail_relay(r);
 }
 
 void DepotApp::park_relay(Relay& r) {
@@ -506,107 +395,41 @@ void DepotApp::park_relay(Relay& r) {
   // its configured bound here; that is the price of not losing acked data.
   pull_payload(r, /*ignore_space=*/true);
   end_stall(r);  // a parked relay is waiting for resume, not for ring space
-  r.parked = true;
-  flush_stream_window(r);
-  if (tracer_ != nullptr && r.trace_id != 0) {
-    tracer_->mark(r.trace_id, span::kSpanPark,
-                  util::to_seconds(stack_.sim().now()), r.payload_pulled);
-  }
-  // A parked relay is deliberately dormant: its clock is the resume grace,
-  // not the liveness deadlines.
-  r.live.cancel_all();
-  arm_live_timer();
-  Relay* rp = &r;
-  r.park_expiry = stack_.sim().events().schedule_in(
-      config_.resume_grace, [this, rp] {
-        rp->park_expiry = sim::kInvalidEvent;
-        if (rp->parked && !rp->done) fail_relay(*rp);
-      });
+  core_.park(r);
   pump_downstream(r);
-  maybe_finish_drain();
+  core_.maybe_finish_drain();
 }
 
 bool DepotApp::try_resume(Relay& fresh) {
-  const auto it = sessions_.find(fresh.header->session);
-  if (it == sessions_.end()) return false;
-  Relay* old = it->second;
-  if (!old->parked || old->done) return false;
-  // Invariant: payload_pulled is the stream position of the next byte the
-  // (dead) upstream would have delivered; discard_left counts duplicated
-  // positions below the distinct high-water mark still awaiting re-receipt
-  // from an earlier resume. Their sum is the highest distinct byte secured.
-  const std::uint64_t high_water = old->payload_pulled + old->discard_left;
-  if (fresh.header->resume_offset > old->payload_pulled) {
-    // The reconnecting sender claims bytes we never received: a gap we
-    // cannot paper over. Refuse; the whole session fails.
-    fail_relay(*old);
-    return false;
-  }
-
-  // Re-bind the fresh upstream connection to the parked relay.
-  old->discard_left = high_water - fresh.header->resume_offset;
-  old->payload_pulled = fresh.header->resume_offset;  // re-counts from here
+  auto* old = static_cast<Relay*>(core_.resume(fresh));
+  if (old == nullptr) return false;
+  // Re-bind the fresh upstream connection to the parked relay; the husk
+  // never pulled payload, so it holds no buffered bytes.
   old->up = fresh.up;
-  old->parked = false;
-  if (old->park_expiry != sim::kInvalidEvent) {
-    stack_.sim().events().cancel(old->park_expiry);
-    old->park_expiry = sim::kInvalidEvent;
-  }
-  ++stats_.sessions_resumed;
-
+  fresh.up = nullptr;
   old->up->on_readable = [this, old] { pull_upstream(*old); };
   old->up->on_error = [this, old](tcp::TcpError) { on_upstream_error(*old); };
-
-  // Neutralize the husk so its callbacks never fire again; any bytes it
-  // buffered die with it.
-  budget_.release(buffered(fresh));
-  fresh.done = true;
-  fresh.up = nullptr;
-  fresh.live.cancel_all();
-
-  // The merged relay is streaming again: restart the idle/stall watchdog
-  // from the resume instant.
-  old->live.on_connected(stack_.sim().now());
-  arm_live_timer();
-  if (tracer_ != nullptr && old->trace_id != 0) {
-    tracer_->mark(old->trace_id, span::kSpanResume,
-                  util::to_seconds(stack_.sim().now()),
-                  fresh.header->resume_offset);
-  }
-
   pull_upstream(*old);
   return true;
 }
 
 void DepotApp::maybe_complete(Relay& r) {
-  if (r.done || r.parked) return;
-  if (r.up_eof && r.in_copy_bytes == 0 && r.ready_bytes == 0 &&
-      r.fwd_virtual_left == 0 &&
-      (r.fwd_header.empty() || r.fwd_off == r.fwd_header.size())) {
-    if (r.down == nullptr || !r.downstream_up) {
-      // EOF before the downstream is up. If the dial is pending (setup
-      // latency or handshake in flight), wait — pump_downstream() re-invokes
-      // us on establishment. Only an undialed relay (truncated session) is
-      // a failure.
-      if (!r.downstream_dialed) fail_relay(r);
-      return;
-    }
-    r.done = true;
-    end_stall(r);
-    flush_stream_window(r);
-    ++stats_.sessions_completed;
-    if (draining_ && !drain_done_) ++drain_report_.completed;
-    r.live.cancel_all();
-    arm_live_timer();
-    if (metrics_) {
-      metrics_->relay_latency_ms->observe(
-          util::to_millis(stack_.sim().now() - r.accept_time));
-    }
-    if (r.header) sessions_.erase(r.header->session);
-    r.down->close();
-    r.up->close();  // completes the upstream FIN handshake from our side
-    maybe_finish_drain();
+  // EOF before the downstream is up waits: pump_downstream() re-invokes
+  // this on establishment.
+  if (r.state != RelayState::kStream || r.parked || !r.up_eof ||
+      r.in_copy_bytes != 0 || r.ready_bytes != 0 || r.fwd_virtual_left != 0 ||
+      r.fwd_off != r.fwd_header.size()) {
+    return;
   }
+  core_.finish(r, /*ok=*/true);
+  end_stall(r);
+  if (metrics_) {
+    metrics_->relay_latency_ms->observe(
+        util::to_millis(stack_.sim().now() - r.accept_ns));
+  }
+  r.down->close();
+  r.up->close();  // completes the upstream FIN handshake from our side
+  core_.maybe_finish_drain();
 }
 
 void DepotApp::begin_stall(Relay& r) {
@@ -633,72 +456,32 @@ void DepotApp::note_occupancy(const Relay& r) {
 }
 
 void DepotApp::fail_relay(Relay& r) {
-  if (r.done) return;
-  r.done = true;
+  if (r.done()) return;
+  core_.finish(r, /*ok=*/false);
   // The relay's buffered bytes are dead; hand their budget back now so
   // live sessions (and new admissions) see the space immediately. Late
   // copy_complete events on this relay return without touching accounts.
   budget_.release(buffered(r));
   end_stall(r);
-  flush_stream_window(r);
-  r.live.cancel_all();
-  arm_live_timer();
-  ++stats_.sessions_failed;
-  if (r.park_expiry != sim::kInvalidEvent) {
-    stack_.sim().events().cancel(r.park_expiry);
-    r.park_expiry = sim::kInvalidEvent;
-  }
-  if (r.header) {
-    const auto it = sessions_.find(r.header->session);
-    if (it != sessions_.end() && it->second == &r) sessions_.erase(it);
-  }
   if (r.up != nullptr && r.up->state() != tcp::TcpState::kClosed) {
     r.up->abort();
   }
   if (r.down != nullptr && r.down->state() != tcp::TcpState::kClosed) {
     r.down->abort();
   }
-  maybe_finish_drain();
-}
-
-void DepotApp::on_deadline(Relay& r, live::DeadlineKind kind) {
-  if (r.done || r.parked) return;
-  LSL_LOG_WARN("depot: %s deadline expired; failing relay",
-               live::to_string(kind));
-  switch (kind) {
-    case live::DeadlineKind::kHeader:
-      ++stats_.timeouts_header;
-      break;
-    case live::DeadlineKind::kDial:
-      ++stats_.timeouts_dial;
-      break;
-    case live::DeadlineKind::kIdle:
-      ++stats_.timeouts_idle;
-      break;
-    case live::DeadlineKind::kStall:
-      ++stats_.timeouts_stall;
-      break;
-    case live::DeadlineKind::kDrain:
-      return;  // daemon-wide, handled by on_drain_deadline
-  }
-  if (live_metrics_) live_metrics_->on_timeout(kind);
-  fail_relay(r);
+  core_.maybe_finish_drain();
 }
 
 void DepotApp::sync_liveness(Relay& r) {
-  if (r.done || r.parked) return;
-  // "Should be progressing" = there are bytes the downstream ought to be
-  // absorbing. A stalled (slow-fault) depot also ought to be progressing —
-  // that is precisely the condition the watchdog exists to expose.
-  const bool staged =
-      r.downstream_up && (stalled_ || buffered(r) > 0 ||
-                          r.fwd_virtual_left > 0 ||
+  core_.sync_liveness(r, stalled_,
+                      buffered(r) > 0 || r.fwd_virtual_left > 0 ||
                           r.fwd_off < r.fwd_header.size());
-  r.live.set_should_progress(staged, stack_.sim().now());
+  rearm();
 }
 
-void DepotApp::arm_live_timer() {
-  if (wheel_.empty()) {
+void DepotApp::rearm() {
+  const live::DeadlineWheel& wheel = core_.wheel();
+  if (wheel.empty()) {
     if (live_event_ != sim::kInvalidEvent) {
       stack_.sim().events().cancel(live_event_);
       live_event_ = sim::kInvalidEvent;
@@ -706,7 +489,7 @@ void DepotApp::arm_live_timer() {
     return;
   }
   const util::SimTime due =
-      std::max<util::SimTime>(wheel_.next_due(), stack_.sim().now());
+      std::max<util::SimTime>(wheel.next_due(), stack_.sim().now());
   if (live_event_ != sim::kInvalidEvent) {
     if (live_event_due_ == due) return;
     stack_.sim().events().cancel(live_event_);
@@ -714,76 +497,18 @@ void DepotApp::arm_live_timer() {
   live_event_due_ = due;
   live_event_ = stack_.sim().events().schedule_at(due, [this] {
     live_event_ = sim::kInvalidEvent;
-    wheel_.fire_due(stack_.sim().now());
-    arm_live_timer();
+    core_.fire_due();
+    rearm();
   });
 }
 
-void DepotApp::begin_drain() {
-  if (draining_) return;
-  draining_ = true;
-  drain_start_ = stack_.sim().now();
-  drain_report_ = {};
-  std::uint64_t parked = 0;
-  for (const auto& r : relays_) {
-    if (!r->done && r->parked) ++parked;
-  }
-  drain_report_.in_flight_at_start = live_sessions() - parked;
-  LSL_LOG_INFO("depot: drain started with %llu in-flight session(s)",
-               static_cast<unsigned long long>(
-                   drain_report_.in_flight_at_start));
-  if (live_metrics_) live_metrics_->drains_started->inc();
-  if (config_.liveness.drain_deadline > 0) {
-    drain_token_ = wheel_.schedule(
-        stack_.sim().now() + config_.liveness.drain_deadline, [this] {
-          drain_token_ = live::DeadlineWheel::kInvalidToken;
-          on_drain_deadline();
-        });
-    arm_live_timer();
-  }
-  maybe_finish_drain();
-}
+void DepotApp::begin_drain() { core_.begin_drain(); }
 
-void DepotApp::maybe_finish_drain() {
-  if (!draining_ || drain_done_) return;
-  std::uint64_t parked = 0;
-  for (const auto& r : relays_) {
-    if (r->done) continue;
-    if (!r->parked) return;  // still in flight
-    ++parked;
+void DepotApp::abort_stragglers() {
+  for (std::size_t i = 0; i < relays_.size(); ++i) {
+    Relay* r = relays_[i].get();
+    if (!r->done() && !r->parked) fail_relay(*r);
   }
-  drain_done_ = true;
-  drain_report_.parked = parked;
-  if (drain_token_ != live::DeadlineWheel::kInvalidToken) {
-    wheel_.cancel(drain_token_);
-    drain_token_ = live::DeadlineWheel::kInvalidToken;
-    arm_live_timer();
-  }
-  if (live_metrics_ && !drain_report_.expired) {
-    live_metrics_->drains_completed->inc();
-  }
-  if (tracer_ != nullptr) {
-    // Daemon-wide lifecycle span: trace id 0 marks node scope, not a flow.
-    tracer_->emit(0, span::kSpanDrain, util::to_seconds(drain_start_),
-                  util::to_seconds(stack_.sim().now()),
-                  drain_report_.completed);
-  }
-  LSL_LOG_INFO("depot: drain resolved: %s", drain_report_.summary().c_str());
-  if (on_drain_done) on_drain_done(drain_report_);
-}
-
-void DepotApp::on_drain_deadline() {
-  drain_report_.expired = true;
-  if (live_metrics_) live_metrics_->on_timeout(live::DeadlineKind::kDrain);
-  std::vector<Relay*> stragglers;
-  for (const auto& r : relays_) {
-    if (!r->done && !r->parked) stragglers.push_back(r.get());
-  }
-  drain_report_.aborted = stragglers.size();
-  LSL_LOG_WARN("depot: drain deadline expired; aborting %zu straggler(s)",
-               stragglers.size());
-  for (Relay* r : stragglers) fail_relay(*r);
-  maybe_finish_drain();
 }
 
 }  // namespace lsl::core

@@ -19,18 +19,13 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "buf/budget.hpp"
-#include "live/live_metrics.hpp"
-#include "live/liveness.hpp"
 #include "lsl/directory.hpp"
-#include "lsl/wire.hpp"
+#include "lsl/relay_core.hpp"
 #include "metrics/instruments.hpp"
-#include "span/span.hpp"
 #include "tcp/stack.hpp"
 #include "util/units.hpp"
 
@@ -72,28 +67,14 @@ struct DepotConfig {
   live::LivenessConfig liveness = {};
 };
 
-/// Aggregate depot counters.
-struct DepotStats {
-  std::uint64_t sessions_accepted = 0;
-  std::uint64_t sessions_completed = 0;
-  std::uint64_t sessions_failed = 0;
-  std::uint64_t sessions_refused = 0;  ///< admission-control rejections
+/// Aggregate depot counters. sessions_refused counts admission-control
+/// rejections: the session cap and injected accept drops.
+struct DepotStats : RelayStats {
   /// Rejections specifically because the memory budget was under pressure
   /// (disjoint from sessions_refused, so capacity sweeps can tell the
   /// operator's session cap from memory backpressure; the source-side
   /// fault::RetryPolicy backs off on both the same way).
   std::uint64_t sessions_refused_memory = 0;
-  std::uint64_t sessions_resumed = 0;  ///< successful kFlagResume rebinds
-  /// New connections turned away (RST) while the depot was draining.
-  std::uint64_t sessions_refused_drain = 0;
-  /// Liveness deadline expiries by class (each also fails the relay, so
-  /// these partition a subset of sessions_failed).
-  std::uint64_t timeouts_header = 0;
-  std::uint64_t timeouts_dial = 0;
-  std::uint64_t timeouts_idle = 0;
-  std::uint64_t timeouts_stall = 0;
-  std::uint64_t bytes_relayed = 0;
-  std::uint64_t bytes_discarded = 0;   ///< duplicate prefix on resume
   std::uint64_t max_buffered = 0;  ///< relay-buffer high-water mark
   /// Times a relay's ring filled and the depot stopped reading upstream
   /// (each one is a hop-by-hop backpressure episode).
@@ -102,8 +83,9 @@ struct DepotStats {
   util::SimDuration backpressure_stall_time = 0;
 };
 
-/// The depot application on one simulated host.
-class DepotApp {
+/// The depot application on one simulated host: the simulated-socket
+/// adapter around the shared RelayCore.
+class DepotApp : private RelayHost {
  public:
   /// Binds the listener immediately. `dir` may be null when the stack's
   /// sockets carry real data (headers are then parsed from the stream).
@@ -142,7 +124,7 @@ class DepotApp {
   void restart();
   bool crashed() const { return crashed_; }
   /// Refuse (abort) the next `n` accepted connections — a SYN/accept drop.
-  void set_accept_drops(std::uint32_t n) { accept_drops_ += n; }
+  void set_accept_drops(std::uint32_t n) { core_.add_accept_drops(n); }
   /// Stall the relay: stop pulling upstream and pushing downstream until
   /// un-stalled (the "slow depot" fault). Parked-session salvage still
   /// runs — acked bytes are never dropped.
@@ -162,13 +144,13 @@ class DepotApp {
   /// Attach the `live.*` instrument bundle (timeouts by class, drains,
   /// slowest-relay gauge); null detaches. Off by default so metric exports
   /// only change when a run opts in.
-  void set_live_metrics(live::LiveMetrics* m) { live_metrics_ = m; }
+  void set_live_metrics(live::LiveMetrics* m) { core_.set_live_metrics(m); }
 
   /// Attach a span tracer (must outlive the depot's traffic); null
   /// detaches. Off by default — with no tracer, no span code path touches
   /// any state, so same-seed metric exports stay byte-identical. Spans are
   /// only emitted for sessions whose header carries a trace id.
-  void set_tracer(span::Tracer* t) { tracer_ = t; }
+  void set_tracer(span::Tracer* t) { core_.set_tracer(t); }
 
   // --- Graceful drain (mirrors posix::Lsd::begin_drain) -----------------
 
@@ -176,28 +158,24 @@ class DepotApp {
   /// finish or park. With config().liveness.drain_deadline > 0 the wait is
   /// bounded: stragglers are aborted at the deadline. Idempotent.
   void begin_drain();
-  bool draining() const { return draining_; }
+  bool draining() const { return core_.draining(); }
   /// True once every in-flight session has finished, parked, or been
   /// aborted by the drain deadline.
-  bool drain_done() const { return drain_done_; }
+  bool drain_done() const { return core_.drain_done(); }
   /// Meaningful once draining() (final once drain_done()).
-  const live::DrainReport& drain_report() const { return drain_report_; }
+  const live::DrainReport& drain_report() const {
+    return core_.drain_report();
+  }
   /// Fires exactly once, when the drain resolves.
   std::function<void(const live::DrainReport&)> on_drain_done;
 
  private:
-  /// One relayed session (upstream + downstream sockets and the buffer).
-  struct Relay {
+  /// One relayed session: the core's per-session state plus the simulated
+  /// sockets and the relay buffer.
+  struct Relay : RelaySession {
     tcp::TcpSocket* up = nullptr;
     tcp::TcpSocket* down = nullptr;
-    std::optional<SessionHeader> header;
-
-    // Header ingest.
-    std::vector<std::uint8_t> header_buf;   // real mode
-    std::uint64_t header_virtual_left = 0;  // virtual mode
-    bool header_done = false;
-    bool downstream_dialed = false;
-    bool downstream_up = false;
+    std::uint64_t header_virtual_left = 0;  // virtual-mode header ingest
 
     // Forwarded header staged for downstream (real mode).
     std::vector<std::uint8_t> fwd_header;
@@ -211,48 +189,41 @@ class DepotApp {
     std::size_t ready_consumed = 0;  ///< bytes consumed of front chunk
 
     bool up_eof = false;
-    bool done = false;
-
-    // Resumption state.
-    std::uint64_t payload_pulled = 0;   ///< payload bytes taken upstream
-    std::uint64_t discard_left = 0;     ///< duplicate prefix still to drop
-    bool parked = false;                ///< upstream gone, awaiting resume
-    sim::EventId park_expiry = sim::kInvalidEvent;
-
-    // Observability.
-    util::SimTime accept_time = 0;   ///< when the upstream was accepted
     util::SimTime stall_since = -1;  ///< ring-full stall start (-1 = none)
-
-    // Span tracing (inert unless the header carried a trace id AND a
-    // tracer is attached — trace_id stays 0 otherwise).
-    std::uint64_t trace_id = 0;
-    util::SimTime dial_start = 0;    ///< header done; span.dial opens here
-    std::uint64_t relayed = 0;       ///< payload bytes this relay pushed
-    std::uint64_t window_base = 0;   ///< `relayed` at stream-window open
-    util::SimTime window_open = -1;  ///< -1 = no open stream window
-    /// Stripe lane of a striped (wire v3) session, -1 otherwise: selects
-    /// the lane-indexed stream-window span name and feeds the daemon's
-    /// striped-relay census (admin `health` "stripes").
-    int stripe_lane = -1;
-
-    /// Per-relay liveness deadlines (inert while DepotConfig::liveness is
-    /// all zeros).
-    live::RelayLiveness live;
   };
+
+  // RelayHost.
+  std::int64_t now() const override { return stack_.sim().now(); }
+  /// Keep exactly one simulator event armed at the wheel's next deadline —
+  /// the sim-time analogue of the daemon's timerfd.
+  void rearm() override;
+  void on_deadline(RelaySession& s, live::DeadlineKind) override {
+    fail_relay(static_cast<Relay&>(s));
+  }
+  void fail_parked(RelaySession& s) override {
+    fail_relay(static_cast<Relay&>(s));
+  }
+  void abort_stragglers() override;
+  void on_drain_resolved(const live::DrainReport& report) override {
+    if (on_drain_done) on_drain_done(report);
+  }
 
   void on_accept(tcp::TcpSocket* up);
   void pull_upstream(Relay& r);
+  /// Read header bytes; true once the header is complete (may fail `r`).
+  bool ingest_header(Relay& r);
   void pull_payload(Relay& r, bool ignore_space);
   void dial_downstream(Relay& r);
   void on_upstream_error(Relay& r);
   void park_relay(Relay& r);
-  /// Re-bind a parked session to the fresh relay's upstream connection.
-  /// Returns false when the session is unknown or the offsets are
-  /// inconsistent (the fresh relay is then failed).
+  /// Re-bind the parked session the fresh relay's resume header names.
+  /// Returns false when the core refuses (the fresh relay is then failed).
   bool try_resume(Relay& fresh);
   void copy_complete(Relay& r, std::uint64_t bytes,
                      std::vector<std::uint8_t> chunk);
   void pump_downstream(Relay& r);
+  /// Account `took` ready bytes sent downstream.
+  void relayed(Relay& r, std::uint64_t took);
   void maybe_complete(Relay& r);
   void fail_relay(Relay& r);
   /// Backpressure accounting: a stall begins when the ring refuses an
@@ -263,30 +234,11 @@ class DepotApp {
   void note_occupancy(const Relay& r);
   /// Coalesce on_progress dispatch into one zero-delay event.
   void schedule_progress();
-  /// Span bookkeeping after `took` payload bytes went downstream: opens a
-  /// stream window at the first byte, closes one per kStreamWindowBytes.
-  void note_stream(Relay& r, std::uint64_t took);
-  /// Close a dangling stream window (session end/park/fail).
-  void flush_stream_window(Relay& r);
+  /// Tell the watchdog whether `r` has bytes staged for downstream.
+  void sync_liveness(Relay& r);
   std::uint64_t buffered(const Relay& r) const {
     return r.ready_bytes + r.in_copy_bytes;
   }
-
-  // --- Liveness plumbing (src/live) -------------------------------------
-  /// A liveness deadline expired for `r`: count it by class and fail the
-  /// relay.
-  void on_deadline(Relay& r, live::DeadlineKind kind);
-  /// Tell the watchdog whether `r` has bytes staged for downstream (stall
-  /// watch) or is quiescent (idle watch).
-  void sync_liveness(Relay& r);
-  /// Keep exactly one simulator event armed at the wheel's next deadline —
-  /// the sim-time analogue of the daemon's timerfd.
-  void arm_live_timer();
-  void maybe_finish_drain();
-  void on_drain_deadline();
-
-  /// Number of relays that are neither done nor husks (admission control).
-  std::size_t live_sessions() const;
 
   tcp::TcpStack& stack_;
   DepotConfig config_;
@@ -296,27 +248,17 @@ class DepotApp {
   metrics::DepotMetrics* metrics_ = nullptr;
   bool crashed_ = false;
   bool stalled_ = false;
-  std::uint32_t accept_drops_ = 0;
   bool progress_scheduled_ = false;
   /// The daemon's single copy resource, shared by every relay: one
   /// user-level process has one CPU, so concurrent sessions contend for
   /// copy bandwidth (paper §VII's scalability concern).
   util::SimTime copy_busy_until_ = 0;
-  /// Declared before relays_ so relay RelayLiveness destructors (which
-  /// cancel wheel tokens) run while the wheel is still alive.
-  live::DeadlineWheel wheel_;
-  live::LiveMetrics* live_metrics_ = nullptr;
-  span::Tracer* tracer_ = nullptr;
-  util::SimTime drain_start_ = 0;  ///< span.drain opens at begin_drain
   sim::EventId live_event_ = sim::kInvalidEvent;
   util::SimTime live_event_due_ = -1;
-  bool draining_ = false;
-  bool drain_done_ = false;
-  live::DrainReport drain_report_;
-  live::DeadlineWheel::Token drain_token_ = live::DeadlineWheel::kInvalidToken;
+  /// Declared before relays_ so relay destructors (which cancel wheel
+  /// tokens) run while the core's wheel is still alive.
+  RelayCore core_;
   std::vector<std::unique_ptr<Relay>> relays_;
-  /// Live sessions by id (only maintained when resume_grace > 0).
-  std::map<SessionId, Relay*> sessions_;
 };
 
 }  // namespace lsl::core

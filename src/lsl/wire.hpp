@@ -4,9 +4,10 @@
 // depots the flow should cascade through (§III). The header travels as the
 // first bytes of every sublink's byte stream: each depot parses it, pops the
 // next hop, dials onward, and forwards the header with the remaining route
-// before relaying payload. The same codec is used by the simulated depot
-// (src/lsl/depot.*) and the real-socket lsd daemon (src/posix), so the two
-// implementations are wire compatible by construction.
+// before relaying payload. Both depots — the simulated one (src/lsl/depot.*)
+// and the real-socket lsd daemon (src/posix) — parse it through the relay
+// core's HeaderReader (src/lsl/relay_core.*), so the two are wire
+// compatible by construction.
 //
 // Layout (big-endian):
 //   0   4  magic "LSL1"

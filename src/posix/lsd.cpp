@@ -8,57 +8,20 @@
 #include <chrono>
 #include <cstring>
 #include <system_error>
+#include <type_traits>
 
 #include "util/log.hpp"
 
 namespace lsl::posix {
 
-const char* to_string(RelayState s) {
-  switch (s) {
-    case RelayState::kHeader: return "HEADER";
-    case RelayState::kDial: return "DIAL";
-    case RelayState::kStream: return "STREAM";
-    case RelayState::kDone: return "DONE";
-  }
-  return "?";
-}
-
-const util::TransitionTable<RelayState, kRelayStateCount>&
-relay_transition_table() {
-  using S = RelayState;
-  static const util::TransitionTable<RelayState, kRelayStateCount> table{
-      "lsd-relay", to_string, {
-          {S::kHeader, S::kDial},    // header parsed, dialing downstream
-          {S::kDial, S::kStream},    // downstream connect completed
-          // finish() is legal from every live state; kDone is terminal —
-          // there is deliberately no edge out of it.
-          {S::kHeader, S::kDone},
-          {S::kDial, S::kDone},
-          {S::kStream, S::kDone},
-      }};
-  return table;
-}
-
-/// Per-session relay state machine.
-struct Lsd::Relay {
+/// Per-session relay: the core's session state plus the sockets, the
+/// splice pipe and the pooled buffers.
+struct Lsd::Relay : core::RelaySession {
   Relay(buf::ChunkPool& pool, std::size_t buffer_bytes)
       : ring(pool, buffer_bytes) {}
 
   Fd up;
   Fd down;
-
-  /// Lifecycle; every change goes through the checked transition table.
-  util::CheckedState<RelayState, kRelayStateCount> state{
-      relay_transition_table(), RelayState::kHeader};
-
-  // Header ingest.
-  std::vector<std::uint8_t> header_buf;
-  core::SessionHeader header;
-  bool header_done = false;
-
-  // Downstream connection.
-  bool down_connecting = false;
-  bool down_connected = false;
 
   // Forwarded header.
   std::vector<std::uint8_t> fwd;
@@ -95,23 +58,6 @@ struct Lsd::Relay {
   std::uint32_t up_events = 0;
   std::uint32_t down_events = 0;
 
-  /// Wall-clock accept time, for the accept-to-dial latency metric.
-  std::chrono::steady_clock::time_point accepted_at;
-
-  // Span tracing (inert unless the header carried a trace id AND the
-  // daemon has a tracer attached — trace_id stays 0 otherwise). Times are
-  // CLOCK_MONOTONIC nanoseconds (TimerFd::now_ns).
-  std::uint64_t trace_id = 0;
-  std::int64_t accept_ns = 0;
-  std::int64_t dial_start_ns = 0;   ///< header done; span.dial opens here
-  std::uint64_t relayed = 0;        ///< payload bytes this relay pushed
-  std::uint64_t window_base = 0;    ///< `relayed` at stream-window open
-  std::int64_t window_open_ns = -1; ///< -1 = no open stream window
-  /// Stripe lane of a striped (wire v3) session, -1 otherwise: selects the
-  /// lane-indexed stream-window span name and feeds the striped-relay
-  /// census the admin `health` endpoint reports as "stripes".
-  int stripe_lane = -1;
-
   // Health-plane attribution (populated only while a HealthBoard is
   // attached). next_hop_name scores the depot this relay dialed;
   // peer_name (the upstream's IP, ephemeral port dropped) takes the
@@ -119,26 +65,11 @@ struct Lsd::Relay {
   std::string next_hop_name;
   std::string peer_name;
 
-  // Resume machinery. payload_pulled counts unique payload bytes taken
-  // from the upstream (the high-water mark a resume offset is checked
-  // against); spill holds bytes salvaged from a dying upstream's kernel
-  // buffer — older than anything read after the resume, so it drains
-  // downstream after the ring's pre-park contents and blocks new ring
-  // fills until empty. discard_left is the duplicated prefix of a resumed
-  // connection still to be dropped.
-  std::uint64_t payload_pulled = 0;
-  std::uint64_t discard_left = 0;
+  // Bytes salvaged from a dying upstream's kernel buffer — older than
+  // anything read after the resume, so the spill drains downstream after
+  // the ring's pre-park contents and blocks new ring fills until empty.
   std::vector<std::uint8_t> spill;
   std::size_t spill_off = 0;
-  bool parked = false;
-  std::chrono::steady_clock::time_point park_deadline;
-  /// Wheel entry mirroring park_deadline, so expiry fires from the
-  /// daemon's timerfd instead of waiting for the next lazy sweep.
-  live::DeadlineWheel::Token park_token = live::DeadlineWheel::kInvalidToken;
-
-  /// Lifecycle deadlines + progress watchdog (inert unless the daemon's
-  /// LivenessConfig arms any class).
-  live::RelayLiveness live;
 
   bool spill_empty() const { return spill_off >= spill.size(); }
   /// Total payload bytes buffered anywhere in user space or the pipe.
@@ -162,15 +93,6 @@ std::string peer_ip_of(int fd) {
   return buf;
 }
 
-double ms_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-/// Monotonic nanoseconds → span seconds (the tracer's timebase).
-double span_sec(std::int64_t ns) { return static_cast<double>(ns) * 1e-9; }
-
 /// Arrange for close() to emit RST instead of an orderly FIN.
 void arm_reset(int fd) {
   struct linger lg {1, 0};
@@ -180,32 +102,26 @@ void arm_reset(int fd) {
 }  // namespace
 
 LsdStats operator+(const LsdStats& a, const LsdStats& b) {
+  // Every field is a 64-bit counter — the layout StatsBoard publishes word
+  // by word — so the element-wise sum is a word-wise sum.
+  static_assert(std::is_trivially_copyable_v<LsdStats> &&
+                sizeof(LsdStats) % sizeof(std::uint64_t) == 0);
+  constexpr std::size_t kWords = sizeof(LsdStats) / sizeof(std::uint64_t);
+  std::uint64_t sum[kWords];
+  std::uint64_t add[kWords];
+  std::memcpy(sum, &a, sizeof a);
+  std::memcpy(add, &b, sizeof b);
+  for (std::size_t i = 0; i < kWords; ++i) sum[i] += add[i];
   LsdStats s;
-  s.sessions_accepted = a.sessions_accepted + b.sessions_accepted;
-  s.sessions_completed = a.sessions_completed + b.sessions_completed;
-  s.sessions_failed = a.sessions_failed + b.sessions_failed;
-  s.sessions_refused = a.sessions_refused + b.sessions_refused;
-  s.bytes_relayed = a.bytes_relayed + b.bytes_relayed;
-  s.bytes_spliced = a.bytes_spliced + b.bytes_spliced;
-  s.fail_dial = a.fail_dial + b.fail_dial;
-  s.fail_header = a.fail_header + b.fail_header;
-  s.fail_peer_reset = a.fail_peer_reset + b.fail_peer_reset;
-  s.fail_timeout = a.fail_timeout + b.fail_timeout;
-  s.fail_other = a.fail_other + b.fail_other;
-  s.sessions_parked = a.sessions_parked + b.sessions_parked;
-  s.sessions_resumed = a.sessions_resumed + b.sessions_resumed;
-  s.accepts_dropped = a.accepts_dropped + b.accepts_dropped;
-  s.timeouts_header = a.timeouts_header + b.timeouts_header;
-  s.timeouts_dial = a.timeouts_dial + b.timeouts_dial;
-  s.timeouts_idle = a.timeouts_idle + b.timeouts_idle;
-  s.timeouts_stall = a.timeouts_stall + b.timeouts_stall;
-  s.sessions_refused_drain =
-      a.sessions_refused_drain + b.sessions_refused_drain;
+  std::memcpy(&s, sum, sizeof s);
   return s;
 }
 
 Lsd::Lsd(engine::EventEngine& loop, const LsdConfig& config)
-    : loop_(loop), config_(config) {
+    : loop_(loop),
+      config_(config),
+      core_("lsd", *this, stats_, config_.liveness,
+            std::chrono::nanoseconds(config_.resume_grace).count()) {
   pool_ = config_.shared_pool;
   if (pool_ == nullptr) {
     owned_pool_ = std::make_unique<buf::ChunkPool>(config_.pool);
@@ -231,10 +147,9 @@ void Lsd::shutdown() {
     finish(relays_.begin()->first, false);
   }
   reap_finished();
-  // Every relay deadline is gone with its relay; drop the drain bound too
-  // and release the timerfd so an otherwise-empty loop can run() to exit.
-  wheel_.cancel(drain_token_);
-  drain_token_ = live::DeadlineWheel::kInvalidToken;
+  // Every relay deadline is gone with its relay, and finishing the last
+  // one resolved any drain; release the timerfd so an otherwise-empty loop
+  // can run() to exit.
   timer_.reset();
 }
 
@@ -242,69 +157,45 @@ void Lsd::reap_finished() { graveyard_.clear(); }
 
 void Lsd::on_accept() {
   reap_finished();
-  expire_parked();
+  core_.expire_parked();
   for (;;) {
     Fd conn = accept_connection(listener_.get());
     if (!conn.valid()) break;
-    if (draining_) {
-      // Graceful drain: existing sessions run to completion, but the door
-      // is closed — a hard reset tells the source to go elsewhere now
-      // rather than time out against a daemon that is leaving.
-      ++stats_.sessions_refused_drain;
-      ++drain_report_.refused;
+    const auto verdict = core_.admit(pool_->under_pressure());
+    if (verdict != core::RelayCore::Admission::kAccept) {
+      // A hard reset, not a slow header timeout: the source goes elsewhere
+      // (drain), sees the injected SYN/accept failure (drop), or backs off
+      // until the pool's low watermark re-opens the door (pressure).
+      if (verdict == core::RelayCore::Admission::kDrop) {
+        ++stats_.accepts_dropped;
+      } else if (verdict == core::RelayCore::Admission::kPressure) {
+        ++stats_.sessions_refused;
+      }
       arm_reset(conn.get());
-      conn.reset();
       continue;
     }
-    if (accept_drops_ > 0) {
-      // Injected SYN/accept failure: the peer sees a hard reset where the
-      // session handshake should have been.
-      --accept_drops_;
-      ++stats_.accepts_dropped;
-      arm_reset(conn.get());
-      conn.reset();
-      continue;
-    }
-    if (pool_->under_pressure()) {
-      // Admission control: the pool crossed its high watermark. Refusing
-      // with a hard reset (not a slow header timeout) lets the source's
-      // RetryPolicy back off immediately; existing sessions keep draining
-      // until the low watermark re-opens the door.
-      ++stats_.sessions_refused;
-      arm_reset(conn.get());
-      conn.reset();
-      continue;
-    }
-    ++stats_.sessions_accepted;
     auto owned = std::make_unique<Relay>(*pool_, config_.buffer_bytes);
     Relay* r = owned.get();
     r->up = std::move(conn);
-    r->accepted_at = std::chrono::steady_clock::now();
-    r->accept_ns = now_ns();
     if (health_ != nullptr) r->peer_name = peer_ip_of(r->up.get());
     relays_.emplace(r, std::move(owned));
     r->up_events = EPOLLIN;
-    // Each top-level event turn ends by re-pumping relays that stopped
-    // reading on an empty pool — any turn may have released chunks — and
-    // re-aiming the timerfd at whatever the wheel now holds.
-    loop_.add(r->up.get(), EPOLLIN, [this, r](std::uint32_t ev) {
-      on_upstream(r, ev);
-      service_pool_waiters();
-      arm_timer();
-    });
-    r->live.attach(&wheel_, &config_.liveness,
-                   [this, r](live::DeadlineKind k) { on_deadline(r, k); });
-    if (live_metrics_ != nullptr) {
-      r->live.set_rate_hook([this](double bps) {
-        // Gauge min-tracking makes this the slowest-relay figure: every
-        // watchdog window reports its rate, and `min` keeps the floor.
-        live_metrics_->slowest_relay_bps->set(bps);
-      });
-    }
-    r->live.on_accepted(now_ns());
+    watch_upstream(r);
+    core_.accept(*r);
   }
   service_pool_waiters();  // expire_parked() may have released chunks
-  arm_timer();
+  rearm();
+}
+
+void Lsd::watch_upstream(Relay* r) {
+  // Each top-level event turn ends by re-pumping relays that stopped
+  // reading on an empty pool — any turn may have released chunks — and
+  // re-aiming the timerfd at whatever the wheel now holds.
+  loop_.add(r->up.get(), EPOLLIN, [this, r](std::uint32_t ev) {
+    on_upstream(r, ev);
+    service_pool_waiters();
+    rearm();
+  });
 }
 
 void Lsd::on_upstream(Relay* r, std::uint32_t events) {
@@ -336,7 +227,7 @@ bool Lsd::flush_reverse(Relay* r) {
     if (n == 0) break;  // upstream send buffer full; EPOLLOUT re-arms
     if (metrics_) metrics_->bytes_reverse->inc(static_cast<std::uint64_t>(n));
     r->rev_off += static_cast<std::size_t>(n);
-    r->live.note_activity(now_ns());
+    r->live.note_activity(now());
   }
   if (r->rev_off == r->rev.size()) {
     r->rev.clear();
@@ -349,22 +240,14 @@ bool Lsd::flush_reverse(Relay* r) {
 void Lsd::on_downstream(Relay* r, std::uint32_t events) {
   LSL_PRECONDITION(r->state != RelayState::kDone,
                    "downstream event on a finished relay");
-  if (r->down_connecting) {
+  if (r->state == RelayState::kDial) {
     const int err = connect_result(r->down.get());
     if (err != 0) {
       LSL_LOG_WARN("lsd: downstream connect failed: %s", std::strerror(err));
       finish(r, false, LsdFailReason::kDial);
       return;
     }
-    r->down_connecting = false;
-    r->down_connected = true;
-    r->state.transition(RelayState::kStream);
-    r->live.on_connected(now_ns());
-    if (tracer_ != nullptr && r->trace_id != 0) {
-      // The same interval the dial liveness deadline bounds.
-      tracer_->emit(r->trace_id, span::kSpanDial,
-                    span_sec(r->dial_start_ns), span_sec(now_ns()));
-    }
+    core_.connected(*r);
   }
   if (events & EPOLLERR) {
     finish(r, false, LsdFailReason::kPeerReset);
@@ -384,7 +267,7 @@ void Lsd::on_downstream(Relay* r, std::uint32_t events) {
       }
       if (n < 0) break;  // EAGAIN (-1) or error (-2: treat on next event)
       r->rev.insert(r->rev.end(), buf, buf + n);
-      r->live.note_activity(now_ns());
+      r->live.note_activity(now());
     }
     if (!flush_reverse(r)) return;
   }
@@ -394,93 +277,27 @@ void Lsd::on_downstream(Relay* r, std::uint32_t events) {
 bool Lsd::pump_upstream(Relay* r) {
   LSL_PRECONDITION(r->state != RelayState::kDone,
                    "upstream pump on a finished relay");
-  // Phase 1: header bytes.
-  while (!r->header_done) {
-    std::uint8_t tmp[512];
-    std::size_t want = core::kHeaderPrefixBytes > r->header_buf.size()
-                           ? core::kHeaderPrefixBytes - r->header_buf.size()
-                           : 0;
-    if (want == 0) {
-      const auto len = core::header_length(r->header_buf);
-      if (!len) {
-        LSL_LOG_WARN("lsd: malformed session header");
-        finish(r, false, LsdFailReason::kHeader);
-        return false;
-      }
-      if (r->header_buf.size() >= *len) {
-        const auto h = core::decode_header(r->header_buf);
-        if (!h) {
-          finish(r, false, LsdFailReason::kHeader);
-          return false;
-        }
-        r->header = *h;
-        r->header_done = true;
-        r->trace_id = r->header.trace_id;
-        if (r->header.stripe) r->stripe_lane = r->header.stripe->stripe_id;
-        if (tracer_ != nullptr && r->trace_id != 0) {
-          // Backfilled: the interval opened at accept, but the join key
-          // only exists once the header is parsed.
-          tracer_->mark(r->trace_id, span::kSpanAccept,
-                        span_sec(r->accept_ns));
-          tracer_->emit(r->trace_id, span::kSpanHeaderRead,
-                        span_sec(r->accept_ns), span_sec(now_ns()));
-        }
-        if (r->header.is_resume()) {
-          // This connection re-binds a parked session rather than opening
-          // a new relay; `r` is retired either way (its socket adopted on
-          // success, the connection refused on failure).
-          try_resume(r);
-          return false;
-        }
-        if (metrics_) {
-          metrics_->accept_to_dial_ms->observe(ms_since(r->accepted_at));
-        }
-
-        // Dial onward and stage the popped header.
-        const core::HopAddress next = r->header.next_hop();
-        if (health_ != nullptr) {
-          r->next_hop_name = InetAddress{next.addr, next.port}.to_string();
-        }
-        core::encode_header(r->header.popped(), r->fwd);
-        r->down = connect_tcp(InetAddress{next.addr, next.port});
-        if (!r->down.valid()) {
-          finish(r, false, LsdFailReason::kDial);
-          return false;
-        }
-        r->down_connecting = true;
-        r->dial_start_ns = now_ns();
-        r->state.transition(RelayState::kDial);
-        // Under an injected dial blackhole the connect's completion is
-        // never observed (no EPOLLOUT interest), exactly like a SYN into
-        // the void; only the dial deadline can resolve the relay.
-        r->down_events =
-            dial_blackhole_ ? 0u
-                            : static_cast<std::uint32_t>(EPOLLOUT | EPOLLIN);
-        loop_.add(r->down.get(), r->down_events,
-                  [this, rp = r](std::uint32_t ev) {
-                    on_downstream(rp, ev);
-                    service_pool_waiters();
-                    arm_timer();
-                  });
-        r->live.on_header_done(now_ns());
-        break;
-      }
-      want = *len - r->header_buf.size();
-    }
-    const long n = read_some(r->up.get(), tmp, std::min(want, sizeof(tmp)));
+  // Phase 1: header bytes, never reading past the header's last byte.
+  while (r->state == RelayState::kHeader) {
+    std::uint8_t tmp[core::kMaxHeaderBytes];
+    const long n = read_some(r->up.get(), tmp, r->reader.need());
     if (n == 0) {
       finish(r, false, LsdFailReason::kHeader);  // EOF mid-header: truncated
       return false;
     }
-    if (n < 0) {
-      if (n == -2) {
-        if (metrics_) metrics_->read_errors->inc();
-        finish(r, false, LsdFailReason::kPeerReset);
-        return false;
-      }
-      return true;  // EAGAIN
+    if (n == -2) return read_failed(r);
+    if (n < 0) return true;  // EAGAIN
+    const auto status = r->reader.feed(
+        std::span<const std::uint8_t>(tmp, static_cast<std::size_t>(n)),
+        &r->header);
+    if (status == core::HeaderReader::Status::kReject) {
+      LSL_LOG_WARN("lsd: malformed session header");
+      finish(r, false, LsdFailReason::kHeader);
+      return false;
     }
-    r->header_buf.insert(r->header_buf.end(), tmp, tmp + n);
+    if (status == core::HeaderReader::Status::kDone && !start_relay(r)) {
+      return false;
+    }
   }
 
   const std::uint64_t pulled_before = r->payload_pulled;
@@ -492,7 +309,7 @@ bool Lsd::pump_upstream(Relay* r) {
   // land in pooled chunks.
   while (!r->up_eof && !stalled_ && r->spill_empty()) {
     // A resumed connection first retransmits bytes the relay already has;
-    // drop the duplicated prefix without counting it.
+    // drop the duplicated prefix (the ledger counts it as discarded).
     if (r->discard_left > 0) {
       std::uint8_t dump[4096];
       const std::size_t want = static_cast<std::size_t>(
@@ -502,15 +319,9 @@ bool Lsd::pump_upstream(Relay* r) {
         r->up_eof = true;
         break;
       }
-      if (n < 0) {
-        if (n == -2) {
-          if (metrics_) metrics_->read_errors->inc();
-          handle_upstream_failure(r);
-          return false;
-        }
-        break;  // EAGAIN
-      }
-      r->discard_left -= static_cast<std::uint64_t>(n);
+      if (n == -2) return read_failed(r);
+      if (n < 0) break;  // EAGAIN
+      core_.ingest(*r, static_cast<std::uint64_t>(n));  // all duplicates
       continue;
     }
     if (splice_eligible(r)) {
@@ -539,13 +350,9 @@ bool Lsd::pump_upstream(Relay* r) {
         r->splice_ok = false;
         continue;
       }
-      if (n == -2) {
-        if (metrics_) metrics_->read_errors->inc();
-        handle_upstream_failure(r);
-        return false;
-      }
+      if (n == -2) return read_failed(r);
       r->pipe_bytes += static_cast<std::size_t>(n);
-      r->payload_pulled += static_cast<std::uint64_t>(n);
+      core_.ingest(*r, static_cast<std::uint64_t>(n));
       continue;
     }
     // Chunk path. Never start filling the ring while pipe bytes are
@@ -564,18 +371,12 @@ bool Lsd::pump_upstream(Relay* r) {
       r->up_eof = true;
       break;
     }
-    if (n < 0) {
-      if (n == -2) {
-        if (metrics_) metrics_->read_errors->inc();
-        handle_upstream_failure(r);
-        return false;
-      }
-      break;  // EAGAIN
-    }
+    if (n == -2) return read_failed(r);
+    if (n < 0) break;  // EAGAIN
     r->ring.commit(static_cast<std::size_t>(n));
-    r->payload_pulled += static_cast<std::uint64_t>(n);
+    core_.ingest(*r, static_cast<std::uint64_t>(n));
   }
-  if (r->payload_pulled != pulled_before) r->live.note_activity(now_ns());
+  if (r->payload_pulled != pulled_before) r->live.note_activity(now());
   if (metrics_) {
     metrics_->ring_occupancy_bytes->set(static_cast<double>(r->buffered()));
   }
@@ -586,10 +387,47 @@ bool Lsd::pump_upstream(Relay* r) {
   return true;
 }
 
+bool Lsd::start_relay(Relay* r) {
+  core_.header_done(*r);
+  if (r->header.is_resume()) {
+    // This connection re-binds a parked session rather than opening a new
+    // relay; `r` is retired either way (its socket adopted on success, the
+    // connection refused on failure).
+    try_resume(r);
+    return false;
+  }
+  if (metrics_) {
+    metrics_->accept_to_dial_ms->observe(
+        static_cast<double>(now() - r->accept_ns) / 1e6);
+  }
+  // Dial onward and stage the popped header.
+  const core::HopAddress hop = r->header.next_hop();
+  const InetAddress next{hop.addr, hop.port};
+  if (health_ != nullptr) r->next_hop_name = next.to_string();
+  core::encode_header(r->header.popped(), r->fwd);
+  core_.dialing(*r);
+  r->down = connect_tcp(next);
+  if (!r->down.valid()) {
+    finish(r, false, LsdFailReason::kDial);
+    return false;
+  }
+  // Under an injected dial blackhole the connect's completion is never
+  // observed (no EPOLLOUT interest), exactly like a SYN into the void;
+  // only the dial deadline can resolve the relay.
+  r->down_events =
+      dial_blackhole_ ? 0u : static_cast<std::uint32_t>(EPOLLOUT | EPOLLIN);
+  loop_.add(r->down.get(), r->down_events, [this, r](std::uint32_t ev) {
+    on_downstream(r, ev);
+    service_pool_waiters();
+    rearm();
+  });
+  return true;
+}
+
 bool Lsd::pump_downstream(Relay* r) {
   LSL_PRECONDITION(r->state != RelayState::kDone,
                    "downstream pump on a finished relay");
-  if (!r->down_connected || stalled_) return true;
+  if (r->state != RelayState::kStream || stalled_) return true;
   const std::uint64_t relayed_before = stats_.bytes_relayed;
 
   // Forwarded header first, gathered with the first buffered payload so a
@@ -606,11 +444,7 @@ bool Lsd::pump_downstream(Relay* r) {
       iovcnt = 2;
     }
     const long n = writev_some(r->down.get(), iov, iovcnt);
-    if (n < 0) {
-      if (metrics_) metrics_->write_errors->inc();
-      finish(r, false, LsdFailReason::kPeerReset);
-      return false;
-    }
+    if (n < 0) return write_failed(r);
     if (n == 0) {
       update_interest(r);
       return true;
@@ -621,9 +455,7 @@ bool Lsd::pump_downstream(Relay* r) {
     took -= hdr;
     if (took > 0) {
       r->ring.consume(took);
-      stats_.bytes_relayed += took;
-      if (metrics_) metrics_->bytes_relayed->inc(took);
-      note_stream(r, took);
+      relayed(r, took);
     }
   }
 
@@ -631,16 +463,10 @@ bool Lsd::pump_downstream(Relay* r) {
   while (!r->ring.empty()) {
     const std::span<const std::uint8_t> win = r->ring.read_window();
     const long n = write_some(r->down.get(), win.data(), win.size());
-    if (n < 0) {
-      if (metrics_) metrics_->write_errors->inc();
-      finish(r, false, LsdFailReason::kPeerReset);
-      return false;
-    }
+    if (n < 0) return write_failed(r);
     if (n == 0) break;  // downstream full
     r->ring.consume(static_cast<std::size_t>(n));
-    stats_.bytes_relayed += static_cast<std::uint64_t>(n);
-    if (metrics_) metrics_->bytes_relayed->inc(static_cast<std::uint64_t>(n));
-    note_stream(r, static_cast<std::uint64_t>(n));
+    relayed(r, static_cast<std::uint64_t>(n));
   }
 
   // Then the pipe (fast path; mutually exclusive with ring contents).
@@ -648,11 +474,7 @@ bool Lsd::pump_downstream(Relay* r) {
     const long n =
         splice_some(r->pipe_r.get(), r->down.get(), r->pipe_bytes);
     if (n == -1) break;  // downstream full
-    if (n == -2) {
-      if (metrics_) metrics_->write_errors->inc();
-      finish(r, false, LsdFailReason::kPeerReset);
-      return false;
-    }
+    if (n == -2) return write_failed(r);
     if (n == -3 || n == 0) {
       // The outbound splice is refused (or the pipe misbehaved): rescue
       // the in-flight bytes into the spill and stay on the copy path.
@@ -665,29 +487,19 @@ bool Lsd::pump_downstream(Relay* r) {
       break;
     }
     r->pipe_bytes -= static_cast<std::size_t>(n);
-    stats_.bytes_relayed += static_cast<std::uint64_t>(n);
     stats_.bytes_spliced += static_cast<std::uint64_t>(n);
-    if (metrics_) {
-      metrics_->bytes_relayed->inc(static_cast<std::uint64_t>(n));
-      metrics_->bytes_spliced->inc(static_cast<std::uint64_t>(n));
-    }
-    note_stream(r, static_cast<std::uint64_t>(n));
+    if (metrics_) metrics_->bytes_spliced->inc(static_cast<std::uint64_t>(n));
+    relayed(r, static_cast<std::uint64_t>(n));
   }
 
   // Then bytes salvaged from a dead upstream.
   while (r->buffered() == 0 && !r->spill_empty()) {
     const long n = write_some(r->down.get(), r->spill.data() + r->spill_off,
                               r->spill.size() - r->spill_off);
-    if (n < 0) {
-      if (metrics_) metrics_->write_errors->inc();
-      finish(r, false, LsdFailReason::kPeerReset);
-      return false;
-    }
+    if (n < 0) return write_failed(r);
     if (n == 0) break;
     r->spill_off += static_cast<std::size_t>(n);
-    stats_.bytes_relayed += static_cast<std::uint64_t>(n);
-    if (metrics_) metrics_->bytes_relayed->inc(static_cast<std::uint64_t>(n));
-    note_stream(r, static_cast<std::uint64_t>(n));
+    relayed(r, static_cast<std::uint64_t>(n));
   }
   if (r->spill_empty() && !r->spill.empty()) {
     r->spill.clear();
@@ -708,7 +520,7 @@ bool Lsd::pump_downstream(Relay* r) {
   update_interest(r);
   if (stats_.bytes_relayed != relayed_before) {
     r->live.note_progress(stats_.bytes_relayed - relayed_before);
-    r->live.note_activity(now_ns());
+    r->live.note_activity(now());
   }
   sync_liveness(r);
   // Byte-keyed fault triggers; the hook may crash/stall/reset this very
@@ -720,6 +532,24 @@ bool Lsd::pump_downstream(Relay* r) {
   return true;
 }
 
+bool Lsd::read_failed(Relay* r) {
+  if (metrics_) metrics_->read_errors->inc();
+  handle_upstream_failure(r);
+  return false;
+}
+
+bool Lsd::write_failed(Relay* r) {
+  if (metrics_) metrics_->write_errors->inc();
+  finish(r, false, LsdFailReason::kPeerReset);
+  return false;
+}
+
+void Lsd::relayed(Relay* r, std::uint64_t n) {
+  stats_.bytes_relayed += n;
+  if (metrics_) metrics_->bytes_relayed->inc(n);
+  core_.note_stream(*r, n);
+}
+
 std::size_t Lsd::striped_relays() const {
   std::size_t n = 0;
   for (const auto& [_, r] : relays_) {
@@ -728,33 +558,9 @@ std::size_t Lsd::striped_relays() const {
   return n;
 }
 
-void Lsd::note_stream(Relay* r, std::uint64_t took) {
-  r->relayed += took;
-  if (!tracer_ || r->trace_id == 0) return;
-  // One stream-window span per MiB of relayed payload; the window opens at
-  // the first byte after the previous close so idle gaps between windows
-  // stay visible in the timeline.
-  if (r->window_open_ns < 0) {
-    r->window_open_ns = now_ns();
-    r->window_base = r->relayed - took;
-  }
-  if (r->relayed - r->window_base >= span::kStreamWindowBytes) {
-    tracer_->emit(r->trace_id, span::stream_window_name(r->stripe_lane),
-                  span_sec(r->window_open_ns), span_sec(now_ns()), r->relayed);
-    r->window_open_ns = -1;
-  }
-}
-
-void Lsd::flush_stream_window(Relay* r) {
-  if (!tracer_ || r->trace_id == 0 || r->window_open_ns < 0) return;
-  tracer_->emit(r->trace_id, span::stream_window_name(r->stripe_lane),
-                span_sec(r->window_open_ns), span_sec(now_ns()), r->relayed);
-  r->window_open_ns = -1;
-}
-
 bool Lsd::splice_eligible(const Relay* r) const {
   return config_.use_splice && splice_usable_ && r->splice_ok &&
-         r->header_done && r->down_connected && r->ring.empty() &&
+         r->state == RelayState::kStream && r->ring.empty() &&
          r->spill_empty() && r->discard_left == 0 &&
          r->fwd_off == r->fwd.size();
 }
@@ -776,7 +582,8 @@ void Lsd::update_interest(Relay* r) {
   // data we refuse to consume.
   std::uint32_t up_want =
       (!r->up_eof && !stalled_ && r->spill_empty() &&
-       (!r->header_done || r->discard_left > 0 || can_ingest(r)))
+       (r->state == RelayState::kHeader || r->discard_left > 0 ||
+        can_ingest(r)))
           ? static_cast<std::uint32_t>(EPOLLIN)
           : 0u;
   if (r->rev_off < r->rev.size()) up_want |= EPOLLOUT;
@@ -785,7 +592,7 @@ void Lsd::update_interest(Relay* r) {
     r->up_events = up_want;
   }
   // Downstream: write while anything is staged; always watch for EOF/err.
-  if (r->down.valid() && r->down_connected) {
+  if (r->down.valid() && r->state == RelayState::kStream) {
     std::uint32_t down_want = EPOLLIN;
     if (!stalled_ &&
         (r->buffered() > 0 || !r->spill_empty() ||
@@ -800,20 +607,9 @@ void Lsd::update_interest(Relay* r) {
 }
 
 void Lsd::finish(Relay* r, bool ok, LsdFailReason reason) {
-  const auto it = relays_.find(r);
-  if (it == relays_.end()) return;  // already finished
-  flush_stream_window(r);
-  r->state.transition(RelayState::kDone);
-  if (r->parked) {
-    const auto pit = parked_.find(r->header.session);
-    if (pit != parked_.end() && pit->second == r) parked_.erase(pit);
-    r->parked = false;
-  }
-  if (ok) {
-    ++stats_.sessions_completed;
-    if (draining_ && !drain_done_) ++drain_report_.completed;
-  } else {
-    ++stats_.sessions_failed;
+  if (r->done()) return;  // already finished
+  core_.finish(*r, ok);
+  if (!ok) {
     switch (reason) {
       case LsdFailReason::kDial: ++stats_.fail_dial; break;
       case LsdFailReason::kHeader: ++stats_.fail_header; break;
@@ -828,12 +624,10 @@ void Lsd::finish(Relay* r, bool ok, LsdFailReason reason) {
   // liveness timeout demotes it. Header/reset failures stay neutral —
   // they indict the upstream, not the next hop.
   if (health_ != nullptr && !r->next_hop_name.empty()) {
-    const std::uint64_t now_ms =
-        static_cast<std::uint64_t>(now_ns() / 1'000'000);
+    const std::uint64_t now_ms = static_cast<std::uint64_t>(now() / 1'000'000);
     if (ok) {
       health_->observe_success(r->next_hop_name, now_ms);
-      const double secs =
-          static_cast<double>(now_ns() - r->dial_start_ns) / 1e9;
+      const double secs = static_cast<double>(now() - r->dial_start_ns) / 1e9;
       if (r->dial_start_ns > 0 && secs > 0.0 && r->payload_pulled > 0) {
         health_->observe_bps(
             r->next_hop_name,
@@ -845,9 +639,11 @@ void Lsd::finish(Relay* r, bool ok, LsdFailReason reason) {
       health_->observe_timeout(r->next_hop_name, now_ms);
     }
   }
-  r->live.cancel_all();
-  wheel_.cancel(r->park_token);
-  r->park_token = live::DeadlineWheel::kInvalidToken;
+  bury(r);
+  core_.maybe_finish_drain();
+}
+
+void Lsd::bury(Relay* r) {
   // Sockets close now (peers must observe the teardown immediately), and
   // buffers go back to the pool now (live sessions must see the freed
   // memory immediately, not after the deferred delete) ...
@@ -855,17 +651,6 @@ void Lsd::finish(Relay* r, bool ok, LsdFailReason reason) {
   if (r->down.valid()) loop_.remove(r->down.get());
   r->up.reset();
   r->down.reset();
-  release_buffers(r);
-  // ... but deletion is deferred: `r` may still be on the call stack
-  // (finish() is reached from inside its own pump helpers), and keeping
-  // the memory alive until the next safe point turns any late touch into
-  // a checked kDone-contract failure instead of a use-after-free.
-  graveyard_.push_back(std::move(it->second));
-  relays_.erase(it);
-  maybe_finish_drain();
-}
-
-void Lsd::release_buffers(Relay* r) {
   r->ring.clear();  // every chunk returns to the pool freelist here
   r->pipe_r.reset();
   r->pipe_w.reset();
@@ -876,7 +661,13 @@ void Lsd::release_buffers(Relay* r) {
   r->spill_off = 0;
   std::vector<std::uint8_t>().swap(r->rev);
   r->rev_off = 0;
-  std::vector<std::uint8_t>().swap(r->header_buf);
+  // ... but deletion is deferred: `r` may still be on the call stack
+  // (finish() is reached from inside its own pump helpers), and keeping
+  // the memory alive until the next safe point turns any late touch into
+  // a checked kDone-contract failure instead of a use-after-free.
+  const auto it = relays_.find(r);
+  graveyard_.push_back(std::move(it->second));
+  relays_.erase(it);
 }
 
 bool Lsd::drain_pipe_to_spill(Relay* r) {
@@ -902,24 +693,20 @@ void Lsd::service_pool_waiters() {
   servicing_waiters_ = true;
   std::vector<Relay*> blocked;
   for (const auto& [r, owned] : relays_) {
-    if (r->pool_blocked && !r->parked && r->state != RelayState::kDone) {
+    if (r->pool_blocked && !r->parked) {
       blocked.push_back(r);
     }
   }
   for (Relay* r : blocked) {
     if (!pool_->can_acquire()) break;
-    if (relays_.find(r) == relays_.end()) continue;  // finished meanwhile
-    if (r->state == RelayState::kDone || !r->up.valid()) continue;
+    if (r->done() || !r->up.valid()) continue;  // finished meanwhile
     pump_upstream(r);
   }
   servicing_waiters_ = false;
 }
 
 void Lsd::handle_upstream_failure(Relay* r) {
-  // A session is parkable once its header is parsed and until its
-  // upstream EOF — after EOF the source has nothing left to resume.
-  if (config_.resume_grace.count() > 0 && r->header_done && !r->up_eof &&
-      r->header.session.valid()) {
+  if (core_.parkable(*r, r->up_eof)) {
     park_relay(r);
   } else {
     finish(r, false, LsdFailReason::kPeerReset);
@@ -930,164 +717,71 @@ void Lsd::salvage_upstream(Relay* r) {
   // Bytes already spliced into the pipe are older than anything still in
   // the socket's receive queue; they lead the spill.
   if (r->pipe_bytes > 0) drain_pipe_to_spill(r);
-  if (!r->up.valid() || !r->header_done || r->up_eof) return;
+  if (!r->up.valid() || r->state == RelayState::kHeader || r->up_eof) return;
   std::uint8_t buf[16 * 1024];
   for (;;) {
     const long n = read_some(r->up.get(), buf, sizeof(buf));
     if (n <= 0) break;  // EAGAIN, EOF or error: nothing more to save
-    std::size_t off = 0;
-    std::size_t len = static_cast<std::size_t>(n);
-    if (r->discard_left > 0) {
-      const std::size_t d = static_cast<std::size_t>(
-          std::min<std::uint64_t>(r->discard_left, len));
-      r->discard_left -= d;
-      off = d;
-      len -= d;
-    }
-    r->spill.insert(r->spill.end(), buf + off, buf + off + len);
-    r->payload_pulled += len;
+    const std::uint64_t kept = core_.ingest(*r, static_cast<std::uint64_t>(n));
+    r->spill.insert(r->spill.end(), buf + n - kept, buf + n);
   }
 }
 
 void Lsd::park_relay(Relay* r) {
   // Everything the kernel already acknowledged on the source's behalf must
   // survive the fd: the resuming source will not retransmit acked bytes.
-  flush_stream_window(r);
-  const std::int64_t salvage_start = now_ns();
+  core_.flush_stream_window(*r);
+  const std::int64_t salvage_start = now();
   salvage_upstream(r);
-  if (tracer_ && r->trace_id != 0) {
-    tracer_->emit(r->trace_id, span::kSpanSalvage, span_sec(salvage_start),
-                  span_sec(now_ns()), r->spill.size());
-    tracer_->mark(r->trace_id, span::kSpanPark, span_sec(now_ns()),
-                  r->payload_pulled);
+  span::Tracer* tracer = core_.tracer();
+  if (tracer != nullptr && r->trace_id != 0) {
+    tracer->emit(r->trace_id, span::kSpanSalvage,
+                 core::RelayCore::span_sec(salvage_start),
+                 core::RelayCore::span_sec(now()), r->spill.size());
   }
   if (r->up.valid()) {
     loop_.remove(r->up.get());
     r->up.reset();
   }
-  r->parked = true;
-  r->park_deadline = std::chrono::steady_clock::now() + config_.resume_grace;
-  // A parked relay has no live connection to watch; only the park expiry
-  // (a wheel entry, so the timerfd fires it without waiting for the next
-  // lazy expire_parked() sweep) can end it now.
-  r->live.cancel_all();
-  wheel_.cancel(r->park_token);
-  r->park_token = wheel_.schedule(
-      now_ns() + std::chrono::nanoseconds(config_.resume_grace).count(),
-      [this, r] {
-        r->park_token = live::DeadlineWheel::kInvalidToken;
-        if (!r->parked) return;
-        LSL_LOG_WARN("lsd: parked session %s expired unresumed",
-                     r->header.session.hex().c_str());
-        finish(r, false, LsdFailReason::kPeerReset);
-      });
-  // Last writer wins: a re-parked session replaces its stale index entry.
-  parked_[r->header.session] = r;
-  ++stats_.sessions_parked;
+  core_.park(*r);
   // The park indicts the peer whose connection died under the session,
   // not the depot we dialed onward.
   if (health_ != nullptr && !r->peer_name.empty()) {
-    const std::uint64_t now_ms =
-        static_cast<std::uint64_t>(now_ns() / 1'000'000);
+    const std::uint64_t now_ms = static_cast<std::uint64_t>(now() / 1'000'000);
     health_->observe_park(r->peer_name, now_ms);
     if (!r->spill.empty()) health_->observe_salvage(r->peer_name, now_ms);
   }
-  LSL_LOG_INFO("lsd: parked session %s at offset %llu (salvaged %zu bytes)",
-               r->header.session.hex().c_str(),
-               static_cast<unsigned long long>(r->payload_pulled),
-               r->spill.size());
   // Keep draining what we hold toward the downstream meanwhile.
   pump_downstream(r);
   // A drain treats parking as resolution: the session's fate now rests
   // with a future resume against whoever replaces this daemon.
-  maybe_finish_drain();
+  core_.maybe_finish_drain();
 }
 
 void Lsd::try_resume(Relay* fresh) {
-  expire_parked();
-  const auto it = parked_.find(fresh->header.session);
-  if (it == parked_.end()) {
-    LSL_LOG_WARN("lsd: resume refused: unknown or expired session %s",
-                 fresh->header.session.hex().c_str());
+  auto* p = static_cast<Relay*>(core_.resume(*fresh));
+  if (p == nullptr) {
     finish(fresh, false, LsdFailReason::kHeader);
     return;
   }
-  Relay* p = it->second;
-  const std::uint64_t offset = fresh->header.resume_offset;
-  if (offset > p->payload_pulled) {
-    // The source believes more was delivered than we hold — bytes lost in
-    // flight when the old connection died. Refusing keeps the stream
-    // gap-free; the source must fall back to a fresh transfer.
-    LSL_LOG_WARN("lsd: resume refused: offset %llu beyond pulled %llu",
-                 static_cast<unsigned long long>(offset),
-                 static_cast<unsigned long long>(p->payload_pulled));
-    finish(fresh, false, LsdFailReason::kHeader);
-    return;
-  }
-  p->discard_left = p->payload_pulled - offset;
   // The fd is still registered under the husk's callback from accept time;
   // re-register it under the adopting relay.
   loop_.remove(fresh->up.get());
   p->up = std::move(fresh->up);
-  p->parked = false;
-  wheel_.cancel(p->park_token);
-  p->park_token = live::DeadlineWheel::kInvalidToken;
-  parked_.erase(it);
-  ++stats_.sessions_resumed;
-  LSL_LOG_INFO("lsd: resumed session %s from offset %llu (discarding %llu)",
-               p->header.session.hex().c_str(),
-               static_cast<unsigned long long>(offset),
-               static_cast<unsigned long long>(p->discard_left));
   p->up_events = EPOLLIN;
-  loop_.add(p->up.get(), EPOLLIN, [this, p](std::uint32_t ev) {
-    on_upstream(p, ev);
-    service_pool_waiters();
-    arm_timer();
-  });
-  // Back in the stream phase: the idle/stall watchdog resumes.
-  p->live.on_connected(now_ns());
-  if (tracer_ && p->trace_id != 0) {
-    tracer_->mark(p->trace_id, span::kSpanResume, span_sec(now_ns()), offset);
-  }
-  // The husk that carried the resume header is done; it must not count as
-  // a completed or failed session.
-  discard_relay(fresh);
+  watch_upstream(p);
+  // The husk that carried the resume header is retired; it counts as
+  // neither a completed nor a failed session.
+  bury(fresh);
   // Reverse bytes that queued while parked flow on the new connection,
   // then normal pumping takes over.
   if (!flush_reverse(p)) return;
   pump_upstream(p);
 }
 
-void Lsd::discard_relay(Relay* r) {
-  const auto it = relays_.find(r);
-  if (it == relays_.end()) return;
-  r->state.transition(RelayState::kDone);
-  r->live.cancel_all();
-  wheel_.cancel(r->park_token);
-  r->park_token = live::DeadlineWheel::kInvalidToken;
-  if (r->up.valid()) loop_.remove(r->up.get());
-  if (r->down.valid()) loop_.remove(r->down.get());
-  r->up.reset();
-  r->down.reset();
-  release_buffers(r);
-  graveyard_.push_back(std::move(it->second));
-  relays_.erase(it);
-  maybe_finish_drain();
-}
-
 void Lsd::expire_parked() {
-  if (parked_.empty()) return;
-  const auto now = std::chrono::steady_clock::now();
-  std::vector<Relay*> expired;
-  for (const auto& [id, r] : parked_) {
-    if (r->park_deadline <= now) expired.push_back(r);
-  }
-  for (Relay* r : expired) {
-    LSL_LOG_WARN("lsd: parked session %s expired unresumed",
-                 r->header.session.hex().c_str());
-    finish(r, false, LsdFailReason::kPeerReset);
-  }
-  arm_timer();
+  core_.expire_parked();
+  rearm();
 }
 
 void Lsd::crash() {
@@ -1103,7 +797,7 @@ void Lsd::crash() {
     if (r->down.valid()) arm_reset(r->down.get());
     finish(r, false, LsdFailReason::kOther);
   }
-  arm_timer();
+  rearm();
 }
 
 void Lsd::restart() {
@@ -1134,13 +828,11 @@ void Lsd::set_stalled(bool stalled) {
       // `slow` injection that outlives its window.
       sync_liveness(r);
     }
-    arm_timer();
+    rearm();
     return;
   }
   for (Relay* r : live) {  // kick everything that waited out the stall
-    if (r->state == RelayState::kDone) continue;
-    if (!pump_downstream(r)) continue;
-    if (r->state == RelayState::kDone) continue;
+    if (r->done() || !pump_downstream(r) || r->done()) continue;
     if (r->up.valid()) {
       pump_upstream(r);
     } else {
@@ -1149,17 +841,15 @@ void Lsd::set_stalled(bool stalled) {
     }
   }
   service_pool_waiters();
-  arm_timer();
+  rearm();
 }
 
 void Lsd::inject_upstream_reset() {
   std::vector<Relay*> targets;
   for (const auto& [r, owned] : relays_) {
-    if (r->state == RelayState::kDone || r->parked || !r->header_done ||
-        !r->up.valid()) {
-      continue;
+    if (!r->parked && r->state != RelayState::kHeader && r->up.valid()) {
+      targets.push_back(r);
     }
-    targets.push_back(r);
   }
   for (Relay* r : targets) {
     // park/finish salvages the recv queue first, then the armed close
@@ -1167,65 +857,46 @@ void Lsd::inject_upstream_reset() {
     arm_reset(r->up.get());
     handle_upstream_failure(r);
   }
-  arm_timer();
+  rearm();
 }
 
 // --- Liveness / drain --------------------------------------------------------
 
-std::int64_t Lsd::now_ns() const { return TimerFd::now_ns(); }
-
 int Lsd::next_timeout_ms() const {
-  return wheel_.next_timeout_ms(TimerFd::now_ns());
+  return core_.wheel().next_timeout_ms(now());
 }
 
-void Lsd::arm_timer() {
-  if (wheel_.empty()) {
+void Lsd::rearm() {
+  if (core_.wheel().empty()) {
     if (timer_) timer_->disarm();
     return;
   }
   if (!timer_) {
     timer_ = std::make_unique<TimerFd>(loop_, [this] {
-      wheel_.fire_due(TimerFd::now_ns());
+      core_.fire_due();
       reap_finished();  // deadline callbacks finish relays
-      arm_timer();
+      rearm();
     });
   }
-  timer_->arm(wheel_.next_due());
+  timer_->arm(core_.wheel().next_due());
 }
 
 void Lsd::sync_liveness(Relay* r) {
-  if (r->state == RelayState::kDone || r->parked) return;
-  // "Should be making progress" = bytes are staged for downstream, or the
-  // daemon itself is stalled by an injected `slow` fault (the failure the
-  // watchdog exists to surface). Otherwise the quiet stream is the idle
-  // deadline's problem.
-  const bool staged =
-      r->down_connected &&
-      (stalled_ || r->buffered() > 0 || !r->spill_empty() ||
-       r->fwd_off < r->fwd.size());
-  r->live.set_should_progress(staged, now_ns());
+  core_.sync_liveness(*r, stalled_,
+                      r->buffered() > 0 || !r->spill_empty() ||
+                          r->fwd_off < r->fwd.size());
 }
 
-void Lsd::on_deadline(Relay* r, live::DeadlineKind kind) {
-  if (relays_.find(r) == relays_.end() || r->state == RelayState::kDone) {
-    return;
-  }
-  LSL_LOG_WARN("lsd: %s deadline expired for session %s",
-               live::to_string(kind),
-               r->header_done ? r->header.session.hex().c_str() : "<none>");
-  switch (kind) {
-    case live::DeadlineKind::kHeader: ++stats_.timeouts_header; break;
-    case live::DeadlineKind::kDial: ++stats_.timeouts_dial; break;
-    case live::DeadlineKind::kIdle: ++stats_.timeouts_idle; break;
-    case live::DeadlineKind::kStall: ++stats_.timeouts_stall; break;
-    case live::DeadlineKind::kDrain:
-      return;  // daemon-wide; handled by on_drain_deadline
-  }
-  if (live_metrics_) live_metrics_->on_timeout(kind);
+void Lsd::on_deadline(core::RelaySession& s, live::DeadlineKind) {
+  auto* r = static_cast<Relay*>(&s);
   // A timed-out peer gets a hard reset: it is by definition not reading
   // in an orderly way, so there is no FIN handshake worth waiting for.
   if (r->up.valid()) arm_reset(r->up.get());
   finish(r, false, LsdFailReason::kTimeout);
+}
+
+void Lsd::fail_parked(core::RelaySession& s) {
+  finish(static_cast<Relay*>(&s), false, LsdFailReason::kPeerReset);
 }
 
 void Lsd::set_dial_blackhole(bool on) {
@@ -1235,72 +906,26 @@ void Lsd::set_dial_blackhole(bool on) {
   // Repair: surface the connects that silently completed (or failed)
   // while the hole was open.
   for (const auto& [r, owned] : relays_) {
-    if (r->down_connecting && r->down.valid() && r->down_events == 0) {
+    if (r->state == RelayState::kDial && r->down.valid() &&
+        r->down_events == 0) {
       r->down_events = EPOLLOUT | EPOLLIN;
       loop_.modify(r->down.get(), r->down_events);
     }
   }
 }
 
-void Lsd::begin_drain() {
-  if (draining_) return;
-  draining_ = true;
-  drain_done_ = false;
-  drain_start_ns_ = now_ns();
-  drain_report_ = {};
-  drain_report_.in_flight_at_start = relays_.size() - parked_.size();
-  if (live_metrics_) live_metrics_->drains_started->inc();
-  LSL_LOG_INFO("lsd: drain started, %llu sessions in flight",
-               static_cast<unsigned long long>(
-                   drain_report_.in_flight_at_start));
-  if (config_.liveness.drain_deadline > 0) {
-    drain_token_ =
-        wheel_.schedule(now_ns() + config_.liveness.drain_deadline, [this] {
-          drain_token_ = live::DeadlineWheel::kInvalidToken;
-          on_drain_deadline();
-        });
-  }
-  arm_timer();
-  maybe_finish_drain();
-}
+void Lsd::begin_drain() { core_.begin_drain(); }
 
-void Lsd::maybe_finish_drain() {
-  if (!draining_ || drain_done_) return;
-  if (relays_.size() > parked_.size()) return;  // live sessions remain
-  drain_done_ = true;
-  drain_report_.parked = parked_.size();
-  wheel_.cancel(drain_token_);
-  drain_token_ = live::DeadlineWheel::kInvalidToken;
-  if (live_metrics_ && !drain_report_.expired) {
-    live_metrics_->drains_completed->inc();
-  }
-  if (tracer_) {
-    // Trace id 0 = node scope: the drain belongs to the daemon, not to any
-    // one session flowing through it.
-    tracer_->emit(0, span::kSpanDrain, span_sec(drain_start_ns_),
-                  span_sec(now_ns()), drain_report_.completed);
-  }
-  LSL_LOG_INFO("lsd: %s", drain_report_.summary().c_str());
-  if (on_drain_done) on_drain_done(drain_report_);
-}
-
-void Lsd::on_drain_deadline() {
-  if (!draining_ || drain_done_) return;
-  drain_report_.expired = true;
-  if (live_metrics_) live_metrics_->on_timeout(live::DeadlineKind::kDrain);
-  // Sessions that neither finished nor parked in time are torn down the
-  // hard way — the drain's whole point is a bounded exit.
+void Lsd::abort_stragglers() {
   std::vector<Relay*> stragglers;
   for (const auto& [r, owned] : relays_) {
     if (!r->parked) stragglers.push_back(r);
   }
-  drain_report_.aborted = stragglers.size();
   for (Relay* r : stragglers) {
     if (r->up.valid()) arm_reset(r->up.get());
     if (r->down.valid()) arm_reset(r->down.get());
     finish(r, false, LsdFailReason::kOther);
   }
-  maybe_finish_drain();
 }
 
 }  // namespace lsl::posix

@@ -19,7 +19,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -27,17 +26,11 @@
 #include "buf/chunk_ring.hpp"
 #include "buf/pool.hpp"
 #include "health/board.hpp"
-#include "live/deadline_wheel.hpp"
-#include "live/live_metrics.hpp"
-#include "live/liveness.hpp"
-#include "lsl/session_id.hpp"
-#include "lsl/wire.hpp"
+#include "lsl/relay_core.hpp"
 #include "metrics/instruments.hpp"
 #include "posix/epoll_loop.hpp"
 #include "posix/socket_util.hpp"
 #include "posix/timer_fd.hpp"
-#include "span/span.hpp"
-#include "util/contract.hpp"
 
 namespace lsl::posix {
 
@@ -91,60 +84,28 @@ enum class LsdFailReason {
   kOther,      ///< shutdown teardown, premature downstream EOF, ...
 };
 
-/// Lifecycle of one relay session, validated by relay_transition_table().
-///
-/// kDone is terminal: a finished relay's sockets are out of the loop and
-/// its buffers are dead — any attempt to pump it again is the PR 1
-/// use-after-free class, and now aborts as a forbidden kDone edge instead
-/// of corrupting the heap.
-enum class RelayState {
-  kHeader,  ///< reading the upstream session header
-  kDial,    ///< header parsed, downstream connect in progress
-  kStream,  ///< relaying payload / reverse-path bytes
-  kDone,    ///< finished (success or failure); terminal
-};
+// The relay lifecycle lives in the shared relay core; these names stay
+// here for the daemon's users.
+using core::kRelayStateCount;
+using core::relay_transition_table;
+using core::RelayState;
 
-/// Human-readable relay state name (diagnostics).
-const char* to_string(RelayState s);
-
-/// Number of RelayState values (TransitionTable dimension).
-inline constexpr std::size_t kRelayStateCount = 4;
-
-/// Legal edges of the relay lifecycle; see RelayState.
-const util::TransitionTable<RelayState, kRelayStateCount>&
-relay_transition_table();
-
-/// Daemon counters.
-struct LsdStats {
-  std::uint64_t sessions_accepted = 0;
-  std::uint64_t sessions_completed = 0;
-  std::uint64_t sessions_failed = 0;
-  /// Connections refused at accept because the pool crossed its high
-  /// watermark (admission control; distinct from injected accepts_dropped
-  /// so callers can tell backpressure from chaos).
-  std::uint64_t sessions_refused = 0;
-  std::uint64_t bytes_relayed = 0;
+/// Daemon counters. sessions_refused counts connections refused at accept
+/// because the pool crossed its high watermark (admission control;
+/// distinct from injected accepts_dropped so callers can tell
+/// backpressure from chaos).
+struct LsdStats : core::RelayStats {
   /// Of bytes_relayed, bytes that moved through the splice fast path
   /// without crossing user space.
   std::uint64_t bytes_spliced = 0;
   // Failure-reason breakdown; the five reasons sum to sessions_failed.
+  // The four timeouts_* classes sum to fail_timeout.
   std::uint64_t fail_dial = 0;
   std::uint64_t fail_header = 0;
   std::uint64_t fail_peer_reset = 0;
   std::uint64_t fail_timeout = 0;
   std::uint64_t fail_other = 0;
-  // Resume / fault-injection activity.
-  std::uint64_t sessions_parked = 0;   ///< upstream died, session kept
-  std::uint64_t sessions_resumed = 0;  ///< kFlagResume rebinds completed
-  std::uint64_t accepts_dropped = 0;   ///< injected accept refusals
-  // Liveness-deadline breakdown; the four classes sum to fail_timeout.
-  std::uint64_t timeouts_header = 0;
-  std::uint64_t timeouts_dial = 0;
-  std::uint64_t timeouts_idle = 0;
-  std::uint64_t timeouts_stall = 0;
-  /// Connections refused at accept because a graceful drain is in
-  /// progress (distinct from pool-pressure sessions_refused).
-  std::uint64_t sessions_refused_drain = 0;
+  std::uint64_t accepts_dropped = 0;  ///< injected accept refusals
 };
 
 /// Element-wise sum (aggregating per-shard counters at export).
@@ -183,8 +144,9 @@ class AdminSource {
   virtual AdminHealth admin_health() const = 0;
 };
 
-/// One forwarding daemon instance.
-class Lsd : public AdminSource {
+/// One forwarding daemon instance: the real-socket adapter around the
+/// shared RelayCore.
+class Lsd : public AdminSource, private core::RelayHost {
  public:
   /// Binds and starts listening immediately; throws std::system_error if
   /// the socket cannot be bound. The daemon is written against the
@@ -208,8 +170,8 @@ class Lsd : public AdminSource {
     h.port = port_;
     h.live_relays = live_relays();
     h.parked_relays = parked_relays();
-    h.draining = draining_;
-    h.drain_done = drain_done_;
+    h.draining = draining();
+    h.drain_done = drain_done();
     h.stripes = striped_relays();
     h.stats = stats_;
     if (health_ != nullptr) h.depots = health_->rows();
@@ -224,7 +186,7 @@ class Lsd : public AdminSource {
   void set_metrics(metrics::LsdMetrics* m) { metrics_ = m; }
 
   /// Attach the liveness instruments (`live.*`); null detaches.
-  void set_live_metrics(live::LiveMetrics* m) { live_metrics_ = m; }
+  void set_live_metrics(live::LiveMetrics* m) { core_.set_live_metrics(m); }
 
   /// Attach a depot health board (must outlive the daemon); null detaches.
   /// With a board attached the daemon scores the next hops it dials —
@@ -243,12 +205,12 @@ class Lsd : public AdminSource {
   /// one branch per lifecycle edge. Times are CLOCK_MONOTONIC seconds —
   /// one machine-wide timebase, so per-daemon dumps from a multi-process
   /// cascade merge directly (tools/lsl_spans).
-  void set_tracer(span::Tracer* t) { tracer_ = t; }
+  void set_tracer(span::Tracer* t) { core_.set_tracer(t); }
 
   /// Live (unfinished) relays, parked ones included — the admin-socket
   /// health snapshot.
   std::size_t live_relays() const { return relays_.size(); }
-  std::size_t parked_relays() const { return parked_.size(); }
+  std::size_t parked_relays() const { return core_.parked(); }
   /// Live relays carrying striped (wire v3) sessions — the admin `health`
   /// "stripes" field on a striped daemon.
   std::size_t striped_relays() const;
@@ -270,10 +232,12 @@ class Lsd : public AdminSource {
   /// and the stragglers are torn down — on_drain_done fires with the
   /// report. Idempotent.
   void begin_drain();
-  bool draining() const { return draining_; }
+  bool draining() const { return core_.draining(); }
   /// True once a started drain has resolved (report final).
-  bool drain_done() const { return drain_done_; }
-  const live::DrainReport& drain_report() const { return drain_report_; }
+  bool drain_done() const { return core_.drain_done(); }
+  const live::DrainReport& drain_report() const {
+    return core_.drain_report();
+  }
   /// Fires exactly once per drain, when it resolves; the daemon is still
   /// alive (the host decides whether to exit).
   std::function<void(const live::DrainReport&)> on_drain_done;
@@ -293,7 +257,7 @@ class Lsd : public AdminSource {
   void restart();
   bool crashed() const { return crashed_; }
   /// Refuse (RST-close) the next `n` accepted connections.
-  void set_accept_drops(std::uint32_t n) { accept_drops_ += n; }
+  void set_accept_drops(std::uint32_t n) { core_.add_accept_drops(n); }
   /// Stall/unstall relaying: a stalled daemon keeps its connections but
   /// stops moving bytes (the "slow depot" fault).
   void set_stalled(bool stalled);
@@ -323,7 +287,22 @@ class Lsd : public AdminSource {
  private:
   struct Relay;
 
+  // RelayHost.
+  /// Monotonic nanoseconds — the wheel's timebase (TimerFd::now_ns).
+  std::int64_t now() const override { return TimerFd::now_ns(); }
+  /// Point the timerfd at the wheel's earliest deadline (created lazily;
+  /// disarmed when the wheel empties).
+  void rearm() override;
+  void on_deadline(core::RelaySession& s, live::DeadlineKind kind) override;
+  void fail_parked(core::RelaySession& s) override;
+  void abort_stragglers() override;
+  void on_drain_resolved(const live::DrainReport& report) override {
+    if (on_drain_done) on_drain_done(report);
+  }
+
   void on_accept();
+  /// Register the relay's upstream fd with the loop.
+  void watch_upstream(Relay* r);
   void on_upstream(Relay* r, std::uint32_t events);
   void on_downstream(Relay* r, std::uint32_t events);
   // The pump/flush helpers may finish() the relay on error; they return
@@ -332,8 +311,17 @@ class Lsd : public AdminSource {
   // point, so a buggy late touch trips the kDone contract instead of
   // reading freed memory.
   bool pump_upstream(Relay* r);
+  /// The header is in: resume a parked session, or dial the next hop.
+  /// Returns false when `r` left service.
+  bool start_relay(Relay* r);
   bool pump_downstream(Relay* r);
   bool flush_reverse(Relay* r);
+  /// A hard upstream read / downstream write error: count it, then park or
+  /// fail the relay. Both return false (`r` left service).
+  bool read_failed(Relay* r);
+  bool write_failed(Relay* r);
+  /// Account `n` payload bytes written downstream.
+  void relayed(Relay* r, std::uint64_t n);
   void update_interest(Relay* r);
   /// Whether the splice fast path may ingest right now: nothing buffered in
   /// user space (ring, spill, discard), header forwarded, downstream up.
@@ -348,17 +336,13 @@ class Lsd : public AdminSource {
   /// Re-pump relays that stopped reading because the pool was dry; called
   /// after event turns that may have released chunks.
   void service_pool_waiters();
-  /// Span bookkeeping after `took` relayed bytes: opens a stream window at
-  /// the first byte, closes one per span::kStreamWindowBytes.
-  void note_stream(Relay* r, std::uint64_t took);
-  /// Close a dangling stream window (finish/park).
-  void flush_stream_window(Relay* r);
-  /// Return every buffer a relay holds to the pool / allocator the moment
-  /// it leaves service (graveyard entry) — freed memory must be available
-  /// to live sessions immediately, not after the deferred delete.
-  void release_buffers(Relay* r);
   void finish(Relay* r, bool ok,
               LsdFailReason reason = LsdFailReason::kOther);
+  /// Take a finished relay out of service: close its sockets, return its
+  /// buffers to the pool / allocator at once (live sessions must see the
+  /// freed memory now, not after the deferred delete), and move it to the
+  /// graveyard.
+  void bury(Relay* r);
   /// Free relays finished on earlier event-loop turns. Never called with a
   /// graveyard relay on the call stack.
   void reap_finished();
@@ -372,27 +356,11 @@ class Lsd : public AdminSource {
   void salvage_upstream(Relay* r);
   void park_relay(Relay* r);
   /// Adopt `fresh`'s connection into the parked relay its resume header
-  /// names; refuses (and fails `fresh`) on unknown session or offset gap.
+  /// names; on refusal `fresh` fails (and, on a gap, the parked session).
   void try_resume(Relay* fresh);
-  /// Retire a relay without touching the completion/failure counters
-  /// (used for the husk left behind after a resume adoption).
-  void discard_relay(Relay* r);
-
-  // --- Liveness plumbing ---------------------------------------------------
-  /// Monotonic nanoseconds — the wheel's timebase (TimerFd::now_ns).
-  std::int64_t now_ns() const;
-  /// A per-relay liveness deadline fired: count it and fail the relay.
-  void on_deadline(Relay* r, live::DeadlineKind kind);
   /// Tell the relay's watchdog whether bytes are staged for downstream
   /// (stall watchdog) or not (idle deadline); call after any pump.
   void sync_liveness(Relay* r);
-  /// Point the timerfd at the wheel's earliest deadline (created lazily;
-  /// disarmed when the wheel empties). Call after any wheel mutation.
-  void arm_timer();
-  /// Complete the drain if no live (non-parked) relay remains.
-  void maybe_finish_drain();
-  /// The bounded drain expired: abort the stragglers and resolve.
-  void on_drain_deadline();
 
   engine::EventEngine& loop_;
   LsdConfig config_;
@@ -406,28 +374,18 @@ class Lsd : public AdminSource {
   /// later relay skips the doomed pipe setup.
   bool splice_usable_ = true;
   bool servicing_waiters_ = false;
+  bool crashed_ = false;
+  bool stalled_ = false;
+  bool dial_blackhole_ = false;
+  health::HealthBoard* health_ = nullptr;
+  std::unique_ptr<TimerFd> timer_;  ///< lazily created on first deadline
+  /// Declared before the relay containers so relay destructors (which
+  /// cancel wheel tokens) run while the core's wheel is still alive.
+  core::RelayCore core_;
   /// Live relays, keyed by identity for O(1) finish().
   std::unordered_map<Relay*, std::unique_ptr<Relay>> relays_;
   /// Finished relays awaiting reap_finished() (deferred deletion).
   std::vector<std::unique_ptr<Relay>> graveyard_;
-  /// Parked relays (still owned by relays_), keyed by session id.
-  std::map<core::SessionId, Relay*> parked_;
-  bool crashed_ = false;
-  bool stalled_ = false;
-  std::uint32_t accept_drops_ = 0;
-
-  // Liveness / drain state.
-  live::DeadlineWheel wheel_;
-  std::unique_ptr<TimerFd> timer_;  ///< lazily created on first deadline
-  live::LiveMetrics* live_metrics_ = nullptr;
-  health::HealthBoard* health_ = nullptr;
-  span::Tracer* tracer_ = nullptr;
-  std::int64_t drain_start_ns_ = 0;  ///< span.drain opens at begin_drain
-  bool dial_blackhole_ = false;
-  bool draining_ = false;
-  bool drain_done_ = false;
-  live::DrainReport drain_report_;
-  live::DeadlineWheel::Token drain_token_ = live::DeadlineWheel::kInvalidToken;
 };
 
 }  // namespace lsl::posix

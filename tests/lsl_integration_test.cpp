@@ -3,7 +3,10 @@
 // consistency, backpressure from bounded depot buffers, and failure modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "lsl/apps.hpp"
 #include "lsl/depot.hpp"
@@ -278,6 +281,88 @@ TEST(LslIntegration, ZeroByteSessionCompletes) {
   EXPECT_EQ(out.bytes, 0u);
 }
 
+
+/// Drive a real-data depot with hand-written upstream bytes (no SourceApp):
+/// the harness for header-ingest edge cases. `wire` builds the bytes from
+/// a valid header routed straight to the sink; `fin` closes after them.
+struct RawOutcome {
+  core::DepotStats depot;
+  int dials = 0;
+  bool sink_complete = false;
+};
+
+RawOutcome run_raw(
+    const std::function<std::vector<std::uint8_t>(core::SessionHeader)>& wire,
+    bool fin) {
+  tcp::TcpConfig tcp;
+  tcp.carry_data = true;
+  auto t = make_topology(tcp);
+  RawOutcome out;
+  core::DepotConfig dcfg;
+  dcfg.port = kDepot;
+  core::DepotApp depot(*t.depot_stack, dcfg, nullptr);
+  depot.on_downstream_open = [&](tcp::TcpSocket*) { ++out.dials; };
+  core::SinkConfig sink_cfg;
+  sink_cfg.expect_header = true;
+  core::SinkServer sink(*t.dst_stack, kSink, sink_cfg, nullptr);
+  sink.on_complete = [&](core::SinkApp&) { out.sink_complete = true; };
+
+  core::SessionHeader h;
+  util::Rng rng(21);
+  h.session = core::SessionId::generate(rng);
+  h.destination = {t.dst->id(), kSink};
+  const std::vector<std::uint8_t> bytes = wire(h);
+  tcp::TcpSocket* up = t.src_stack->connect({t.depot->id(), kDepot});
+  up->on_established = [&] {
+    ASSERT_EQ(up->send(bytes), bytes.size());
+    if (fin) up->close();
+  };
+  t.net->sim().events().run_until(30 * util::kSecond);
+  out.depot = depot.stats();
+  return out;
+}
+
+TEST(LslIntegration, UndecodableHeaderFailsWithoutDialing) {
+  // A v2 header whose trace id is zero has a valid length but does not
+  // decode; the depot must fail the session, not dereference a header it
+  // never parsed.
+  const auto out = run_raw(
+      [](core::SessionHeader h) {
+        h.trace_id = 1;  // encodes as version 2 ...
+        std::vector<std::uint8_t> wire;
+        core::encode_header(h, wire);
+        std::fill_n(wire.begin() + 40, core::kTraceIdBytes, 0);  // ... id 0
+        wire.insert(wire.end(), 10, 0xab);  // payload behind the header
+        return wire;
+      },
+      /*fin=*/false);
+  EXPECT_EQ(out.depot.sessions_failed, 1u);
+  EXPECT_EQ(out.depot.sessions_completed, 0u);
+  EXPECT_EQ(out.dials, 0);
+}
+
+std::vector<std::uint8_t> bare_header(core::SessionHeader h) {
+  h.payload_length = 0;
+  std::vector<std::uint8_t> wire;
+  core::encode_header(h, wire);
+  return wire;
+}
+
+TEST(LslIntegration, HeaderAsLastReadableBytesIsDialed) {
+  // The header alone, nothing behind it: the depot must still parse it
+  // and dial onward without waiting for more bytes.
+  const auto out = run_raw(bare_header, /*fin=*/false);
+  EXPECT_EQ(out.dials, 1);
+  EXPECT_EQ(out.depot.sessions_failed, 0u);
+}
+
+TEST(LslIntegration, HeaderThenFinCompletesEmptySession) {
+  const auto out = run_raw(bare_header, /*fin=*/true);
+  EXPECT_EQ(out.dials, 1);
+  EXPECT_EQ(out.depot.sessions_completed, 1u);
+  EXPECT_EQ(out.depot.sessions_failed, 0u);
+  EXPECT_TRUE(out.sink_complete);
+}
 
 TEST(LslIntegration, SharedCopyResourceLimitsConcurrentSessions) {
   // Two concurrent sessions through one depot whose copy resource sustains

@@ -296,6 +296,67 @@ TEST(PosixChaos, UnresumedParkedSessionExpires) {
   EXPECT_EQ(lsd.stats().sessions_resumed, 0u);
 }
 
+// PROTOCOL.md §6: a resume offset beyond what the depot pulled is a gap.
+// The resuming connection and the parked session both fail at once —
+// no wait for the grace period — and the parked session's memory goes
+// back to the pool.
+TEST(PosixChaos, ResumeGapFailsParkedSessionAtOnce) {
+  REQUIRE_LOOPBACK();
+  EpollLoop loop;
+  PosixSinkServer sink(loop, InetAddress::loopback(0), true, 53,
+                       /*verify_content=*/false);
+  LsdConfig dcfg;
+  dcfg.resume_grace = std::chrono::milliseconds(30000);
+  dcfg.use_splice = false;  // payload goes through pooled chunks
+  Lsd lsd(loop, dcfg);
+
+  util::Rng rng(53);
+  core::SessionHeader h;
+  h.session = core::SessionId::generate(rng);
+  h.payload_length = util::kMiB;
+  const InetAddress dst = InetAddress::loopback(sink.port());
+  h.destination = {dst.addr, dst.port};
+  std::vector<std::uint8_t> wire;
+  core::encode_header(h, wire);
+  const std::size_t sent_payload = 64 * util::kKiB;
+  wire.resize(wire.size() + sent_payload, 0x5a);
+
+  posix::Fd client = posix::connect_tcp(InetAddress::loopback(lsd.port()));
+  ASSERT_TRUE(client.valid());
+  std::size_t off = 0;
+  ASSERT_TRUE(wait_until(loop, [&] {
+    const long n = posix::write_some(client.get(), wire.data() + off,
+                                     wire.size() - off);
+    if (n > 0) off += static_cast<std::size_t>(n);
+    return off == wire.size();
+  }));
+  ASSERT_TRUE(wait_until(loop, [&lsd, sent_payload] {
+    return lsd.stats().bytes_relayed == sent_payload;
+  }));
+  lsd.inject_upstream_reset();
+  ASSERT_EQ(lsd.parked_relays(), 1u);
+
+  core::SessionHeader rh = h;
+  rh.flags |= core::kFlagResume;
+  rh.resume_offset = 8 * sent_payload;  // more than the depot ever pulled
+  wire.clear();
+  core::encode_header(rh, wire);
+  posix::Fd again = posix::connect_tcp(InetAddress::loopback(lsd.port()));
+  ASSERT_TRUE(again.valid());
+  ASSERT_TRUE(wait_until(
+      loop, [&lsd] { return lsd.stats().sessions_accepted == 2; }));
+  ASSERT_EQ(posix::write_some(again.get(), wire.data(), wire.size()),
+            static_cast<long>(wire.size()));
+
+  // Well inside the 30 s grace.
+  EXPECT_TRUE(wait_until(
+      loop, [&lsd] { return lsd.stats().sessions_failed == 2; }, 5.0));
+  EXPECT_EQ(lsd.parked_relays(), 0u);
+  EXPECT_EQ(lsd.live_relays(), 0u);
+  EXPECT_EQ(lsd.stats().sessions_resumed, 0u);
+  EXPECT_EQ(lsd.pool().stats().in_use_bytes, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Liveness: each deadline class (header, dial, idle, stall) tripped
 // deterministically, plus graceful drain. docs/FAULTS.md "Liveness" section
@@ -612,24 +673,13 @@ struct DaemonRun {
   std::string output;      ///< captured stdout (banner + drain report)
 };
 
-DaemonRun sigterm_daemon(std::uint16_t port,
-                         const std::string& drain_deadline,
+DaemonRun sigterm_daemon(const std::string& drain_deadline,
                          bool hold_silent_session) {
   DaemonRun run;
-  int fds[2];
-  if (::pipe(fds) != 0) return run;
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    ::dup2(fds[1], STDOUT_FILENO);
-    ::close(fds[0]);
-    ::close(fds[1]);
-    const std::string port_arg = std::to_string(port);
-    const std::string deadline_arg = "--drain-deadline=" + drain_deadline;
-    ::execl(LSD_RELAY_BIN, "lsd_relay", "--daemon", port_arg.c_str(),
-            deadline_arg.c_str(), static_cast<char*>(nullptr));
-    _exit(127);
-  }
-  ::close(fds[1]);
+  SpawnedDaemon d =
+      spawn_daemon(LSD_RELAY_BIN, {"--drain-deadline=" + drain_deadline});
+  EXPECT_NE(d.port, 0) << d.output;
+  const std::uint16_t port = d.port;
 
   // Wait for the daemon to accept, proving the listener is up. connect_tcp
   // is non-blocking (EINPROGRESS), so a valid fd alone proves nothing —
@@ -654,26 +704,14 @@ DaemonRun sigterm_daemon(std::uint16_t port,
   // Give the daemon a beat to install its signal handlers and reap the
   // probe hangup, then deliver the signal mid-epoll_wait.
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  ::kill(pid, SIGTERM);
-
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  if (WIFEXITED(status)) run.exit_code = WEXITSTATUS(status);
-
-  char buf[4096];
-  long n;
-  while ((n = ::read(fds[0], buf, sizeof buf)) > 0) {
-    run.output.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fds[0]);
+  run.exit_code = reap_daemon(d, SIGTERM);
+  run.output = d.output;
   return run;
 }
 
 TEST(PosixChaos, SigtermDrainsDaemonProcessCleanly) {
   REQUIRE_LOOPBACK();
-  const auto port =
-      static_cast<std::uint16_t>(23000 + (::getpid() * 2) % 20000);
-  const DaemonRun run = sigterm_daemon(port, "5s",
+  const DaemonRun run = sigterm_daemon("5s",
                                        /*hold_silent_session=*/false);
   EXPECT_EQ(run.exit_code, 0);
   EXPECT_NE(run.output.find("draining"), std::string::npos) << run.output;
@@ -683,9 +721,7 @@ TEST(PosixChaos, SigtermDrainsDaemonProcessCleanly) {
 
 TEST(PosixChaos, SigtermDrainDeadlineAbortsAndExitsNonZero) {
   REQUIRE_LOOPBACK();
-  const auto port =
-      static_cast<std::uint16_t>(23001 + (::getpid() * 2) % 20000);
-  const DaemonRun run = sigterm_daemon(port, "200ms",
+  const DaemonRun run = sigterm_daemon("200ms",
                                        /*hold_silent_session=*/true);
   EXPECT_EQ(run.exit_code, 1);
   EXPECT_NE(run.output.find("drain expired"), std::string::npos)

@@ -207,5 +207,54 @@ TEST(Resume, UnknownSessionResumeRefused) {
   EXPECT_FALSE(w->sink_complete);
 }
 
+TEST(Resume, GapFailsResumeAndParkedSessionAtOnce) {
+  // PROTOCOL.md §6: a resume offset beyond what the depot pulled is a gap.
+  // The resuming connection and the parked session both fail at once,
+  // without waiting out the grace period.
+  auto w = make_world(false, 8 * util::kMiB, /*grace=*/60 * util::kSecond, 13);
+  // A source that does not resume by itself: the reset below strands the
+  // session parked at the depot.
+  core::SourceConfig scfg;
+  scfg.payload_bytes = 8 * util::kMiB;
+  scfg.use_header = true;
+  util::Rng rng(13);
+  scfg.header.session = core::SessionId::generate(rng);
+  scfg.header.payload_length = scfg.payload_bytes;
+  scfg.header.hops = {{w->depot->id(), kDepot}};
+  scfg.header.destination = {w->dst->id(), kSink};
+  w->source = std::make_unique<core::SourceApp>(
+      *w->src_stack, sim::Endpoint{w->depot->id(), kDepot}, scfg, &w->dir);
+  w->source->start();
+
+  // Scripted as events: each check reads the depot at its exact instant.
+  auto& ev = w->net->sim().events();
+  const core::DepotStats& st = w->depot_app->stats();
+  std::uint64_t parked = 0;
+  std::uint64_t failed_before = 0;
+  std::uint64_t failed_after = 0;
+  std::unique_ptr<core::SourceApp> rogue;
+  ev.schedule_at(util::seconds(1.0),
+                 [&] { w->depot_app->inject_upstream_reset(); });
+  ev.schedule_at(util::seconds(1.5), [&] {
+    parked = st.sessions_parked;
+    failed_before = st.sessions_failed;
+    // Claim the whole payload was delivered: far beyond what was pulled.
+    scfg.header.flags |= core::kFlagResume;
+    scfg.header.resume_offset = scfg.payload_bytes;
+    rogue = std::make_unique<core::SourceApp>(
+        *w->src_stack, sim::Endpoint{w->depot->id(), kDepot}, scfg, &w->dir);
+    rogue->start();
+  });
+  // Far inside the 60 s grace.
+  ev.schedule_at(util::seconds(3.0),
+                 [&] { failed_after = st.sessions_failed; });
+  ev.run_until(util::seconds(3.0));
+  EXPECT_EQ(parked, 1u);
+  EXPECT_EQ(failed_before, 0u);
+  EXPECT_EQ(failed_after, 2u);
+  EXPECT_EQ(st.sessions_resumed, 0u);
+  EXPECT_FALSE(w->sink_complete);
+}
+
 }  // namespace
 }  // namespace lsl::test

@@ -358,22 +358,10 @@ TEST(ShardTest, SharedBudgetCeilingHoldsAcrossShards) {
 // PostQueue, and the process must print the merged report and exit 0.
 TEST(ShardTest, SigtermDrainsShardedDaemonProcessCleanly) {
   REQUIRE_LOOPBACK();
-  const auto port =
-      static_cast<std::uint16_t>(24000 + (::getpid() * 2) % 18000);
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    ::dup2(fds[1], STDOUT_FILENO);
-    ::close(fds[0]);
-    ::close(fds[1]);
-    const std::string port_arg = std::to_string(port);
-    ::execl(LSD_RELAY_BIN, "lsd_relay", "--daemon", port_arg.c_str(),
-            "--drain-deadline=5s", "--shards=2",
-            static_cast<char*>(nullptr));
-    _exit(127);
-  }
-  ::close(fds[1]);
+  SpawnedDaemon d =
+      spawn_daemon(LSD_RELAY_BIN, {"--drain-deadline=5s", "--shards=2"});
+  ASSERT_NE(d.port, 0) << d.output;
+  const std::uint16_t port = d.port;
 
   // Prove a listener is up before signalling (connect_tcp is nonblocking,
   // so poll for the handshake result).
@@ -395,20 +383,9 @@ TEST(ShardTest, SigtermDrainsShardedDaemonProcessCleanly) {
   ASSERT_TRUE(probe.valid());
   probe = posix::Fd();  // hang up; nothing in flight, drain is instant
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  ASSERT_EQ(::kill(pid, SIGTERM), 0);
-
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
-
-  std::string output;
-  char buf[4096];
-  long n;
-  while ((n = ::read(fds[0], buf, sizeof buf)) > 0) {
-    output.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(fds[0]);
+  const int exit_code = reap_daemon(d, SIGTERM);
+  EXPECT_EQ(exit_code, 0);
+  const std::string& output = d.output;
   EXPECT_NE(output.find("draining 2 shards"), std::string::npos) << output;
   EXPECT_NE(output.find("drain complete"), std::string::npos) << output;
 }

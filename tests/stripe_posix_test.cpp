@@ -292,25 +292,6 @@ TEST(StripePosix, AdminHealthReportsLiveStripeLanes) {
 // and the session must still complete with the MD5 intact by re-striping
 // the dead lane onto a spare daemon.
 
-struct Daemon {
-  pid_t pid = -1;
-  std::uint16_t port = 0;
-};
-
-Daemon spawn_daemon(std::uint16_t port) {
-  Daemon d;
-  d.port = port;
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    const std::string port_arg = std::to_string(port);
-    ::execl(LSD_RELAY_BIN, "lsd_relay", "--daemon", port_arg.c_str(),
-            static_cast<char*>(nullptr));
-    _exit(127);
-  }
-  d.pid = pid;
-  return d;
-}
-
 /// Wait until the daemon's listener completes a TCP handshake.
 bool daemon_ready(std::uint16_t port) {
   const auto deadline =
@@ -329,23 +310,13 @@ bool daemon_ready(std::uint16_t port) {
   return false;
 }
 
-void reap(Daemon& d, int sig) {
-  if (d.pid <= 0) return;
-  ::kill(d.pid, sig);
-  int status = 0;
-  ::waitpid(d.pid, &status, 0);
-  d.pid = -1;
-}
-
 TEST(StripePosix, SigkilledDaemonLaneRecoversViaSpareProcess) {
   REQUIRE_LOOPBACK();
-  const auto base =
-      static_cast<std::uint16_t>(24000 + (::getpid() * 5) % 18000);
-  std::vector<Daemon> daemons;
+  std::vector<SpawnedDaemon> daemons;
   for (int i = 0; i < 4; ++i) {  // 3 lanes + 1 spare
-    daemons.push_back(spawn_daemon(static_cast<std::uint16_t>(base + i)));
+    daemons.push_back(spawn_daemon(LSD_RELAY_BIN));
   }
-  for (const Daemon& d : daemons) {
+  for (const SpawnedDaemon& d : daemons) {
     ASSERT_TRUE(daemon_ready(d.port)) << "port " << d.port;
   }
 
@@ -368,7 +339,7 @@ TEST(StripePosix, SigkilledDaemonLaneRecoversViaSpareProcess) {
   ASSERT_TRUE(wait_until(
       loop, [&] { return h.sink.bytes_received() > 4 * util::kMiB; }, 30.0));
   ASSERT_FALSE(h.src_done);  // the kill lands mid-transfer, not after
-  reap(daemons[1], SIGKILL);
+  reap_daemon(daemons[1], SIGKILL);
 
   ASSERT_TRUE(wait_until(
       loop, [&] { return h.sink_done && h.src_done; }, 120.0));
@@ -379,7 +350,7 @@ TEST(StripePosix, SigkilledDaemonLaneRecoversViaSpareProcess) {
   EXPECT_EQ(h.source->stripes_recovered(), 1u);
   EXPECT_GT(h.source->retransmitted_bytes(), 0u);
 
-  for (Daemon& d : daemons) reap(d, SIGTERM);
+  for (SpawnedDaemon& d : daemons) reap_daemon(d, SIGTERM);
 }
 #endif  // LSD_RELAY_BIN
 

@@ -619,187 +619,60 @@ void rule_metrics_docs(const std::vector<SourceFile>& files,
 }
 
 // ---------------------------------------------------------------------------
-// Rule: fault-metrics-docs
+// Rules: fault-, pool-, live-, stripe-, health-metrics-docs, span-names-docs
 // ---------------------------------------------------------------------------
 
-// The fault subsystem registers its instruments by name wherever a fault is
-// injected or a recovery decided, not through one registration site — so
-// the net is wider than metrics-docs: any `fault.*` / `recovery.*` string
-// literal anywhere under src/fault must be catalogued.
-void rule_fault_metrics_docs(const std::vector<SourceFile>& files,
-                             const std::string& observability_md,
-                             std::vector<Violation>* out) {
-  for (const SourceFile& f : files) {
-    if (f.rel.rfind("src/fault/", 0) != 0) continue;
-    for (const StringLit& lit : f.strings) {
-      if (lit.value.rfind("fault.", 0) != 0 &&
-          lit.value.rfind("recovery.", 0) != 0) {
-        continue;
-      }
-      if (lit.value.find_first_not_of(
-              "abcdefghijklmnopqrstuvwxyz0123456789_.") !=
-          std::string::npos) {
-        continue;  // prose mentioning the prefix, not an instrument name
-      }
-      if (observability_md.find(lit.value) == std::string::npos &&
-          !f.suppressed(lit.line, "fault-metrics-docs")) {
-        out->push_back({f.rel, lit.line, "fault-metrics-docs",
-                        "fault/recovery metric '" + lit.value +
-                            "' is not catalogued in docs/OBSERVABILITY.md"});
-      }
-    }
-  }
+// Subsystems that register instruments (or spans) by literal name wherever
+// they attach, not through one registration site — so the net is wider than
+// metrics-docs: every literal under `dir` that starts with one of the
+// prefixes and looks like a dotted name must be catalogued in
+// docs/OBSERVABILITY.md. The span vocabulary is shared verbatim between the
+// simulator and the posix daemon and tools/lsl_spans keys its per-hop
+// rollups on the exact strings, so its net spans all of src/.
+struct PrefixDocsRule {
+  const char* rule;
+  const char* dir;
+  std::vector<std::string> prefixes;
+  const char* noun;  ///< message subject, e.g. "pool metric"
+};
+
+const std::vector<PrefixDocsRule>& prefix_docs_rules() {
+  static const std::vector<PrefixDocsRule> kRules = {
+      {"fault-metrics-docs", "src/fault/", {"fault.", "recovery."},
+       "fault/recovery metric"},
+      {"pool-metrics-docs", "src/buf/", {"pool."}, "pool metric"},
+      {"live-metrics-docs", "src/live/", {"live."}, "live metric"},
+      {"stripe-metrics-docs", "src/stripe/", {"stripe."}, "stripe metric"},
+      {"health-metrics-docs", "src/health/", {"health."}, "health metric"},
+      {"span-names-docs", "src/", {"span."}, "span name"},
+  };
+  return kRules;
 }
 
-// ---------------------------------------------------------------------------
-// Rule: pool-metrics-docs
-// ---------------------------------------------------------------------------
-
-// Like fault-metrics-docs for the pooled-memory subsystem: src/buf registers
-// its gauges/counters with un-instanced `pool.*` literals at the PoolMetrics
-// attach site, so every such literal anywhere under src/buf must be
-// catalogued in docs/OBSERVABILITY.md.
-void rule_pool_metrics_docs(const std::vector<SourceFile>& files,
-                            const std::string& observability_md,
-                            std::vector<Violation>* out) {
-  for (const SourceFile& f : files) {
-    if (f.rel.rfind("src/buf/", 0) != 0) continue;
-    for (const StringLit& lit : f.strings) {
-      if (lit.value.rfind("pool.", 0) != 0) continue;
-      if (lit.value.find_first_not_of(
-              "abcdefghijklmnopqrstuvwxyz0123456789_.") !=
-          std::string::npos) {
-        continue;  // prose mentioning the prefix, not an instrument name
-      }
-      if (observability_md.find(lit.value) == std::string::npos &&
-          !f.suppressed(lit.line, "pool-metrics-docs")) {
-        out->push_back({f.rel, lit.line, "pool-metrics-docs",
-                        "pool metric '" + lit.value +
-                            "' is not catalogued in docs/OBSERVABILITY.md"});
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: live-metrics-docs
-// ---------------------------------------------------------------------------
-
-// Same contract again for the liveness subsystem: src/live registers its
-// deadline/drain instruments with un-instanced `live.*` literals at the
-// LiveMetrics attach site, so every such literal anywhere under src/live
-// must be catalogued in docs/OBSERVABILITY.md.
-void rule_live_metrics_docs(const std::vector<SourceFile>& files,
-                            const std::string& observability_md,
-                            std::vector<Violation>* out) {
-  for (const SourceFile& f : files) {
-    if (f.rel.rfind("src/live/", 0) != 0) continue;
-    for (const StringLit& lit : f.strings) {
-      if (lit.value.rfind("live.", 0) != 0) continue;
-      if (lit.value.find_first_not_of(
-              "abcdefghijklmnopqrstuvwxyz0123456789_.") !=
-          std::string::npos) {
-        continue;  // prose mentioning the prefix, not an instrument name
-      }
-      if (observability_md.find(lit.value) == std::string::npos &&
-          !f.suppressed(lit.line, "live-metrics-docs")) {
-        out->push_back({f.rel, lit.line, "live-metrics-docs",
-                        "live metric '" + lit.value +
-                            "' is not catalogued in docs/OBSERVABILITY.md"});
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: stripe-metrics-docs
-// ---------------------------------------------------------------------------
-
-// Same contract for the striping subsystem: src/stripe registers its
-// reassembly/lane instruments with un-instanced `stripe.*` literals at the
-// StripeMetrics attach site (including the sixteen per-lane rate gauges),
-// so every such literal anywhere under src/stripe must be catalogued in
-// docs/OBSERVABILITY.md.
-void rule_stripe_metrics_docs(const std::vector<SourceFile>& files,
-                              const std::string& observability_md,
-                              std::vector<Violation>* out) {
-  for (const SourceFile& f : files) {
-    if (f.rel.rfind("src/stripe/", 0) != 0) continue;
-    for (const StringLit& lit : f.strings) {
-      if (lit.value.rfind("stripe.", 0) != 0) continue;
-      if (lit.value.find_first_not_of(
-              "abcdefghijklmnopqrstuvwxyz0123456789_.") !=
-          std::string::npos) {
-        continue;  // prose mentioning the prefix, not an instrument name
-      }
-      if (observability_md.find(lit.value) == std::string::npos &&
-          !f.suppressed(lit.line, "stripe-metrics-docs")) {
-        out->push_back({f.rel, lit.line, "stripe-metrics-docs",
-                        "stripe metric '" + lit.value +
-                            "' is not catalogued in docs/OBSERVABILITY.md"});
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: health-metrics-docs
-// ---------------------------------------------------------------------------
-
-// Same contract for the depot health plane: src/health registers its
-// transition/admission/gossip instruments with un-instanced `health.*`
-// literals at the HealthMetrics attach site, and the admin socket's
-// per-depot rows are keyed on the same vocabulary — so every such literal
-// anywhere under src/health must be catalogued in docs/OBSERVABILITY.md.
-void rule_health_metrics_docs(const std::vector<SourceFile>& files,
-                              const std::string& observability_md,
-                              std::vector<Violation>* out) {
-  for (const SourceFile& f : files) {
-    if (f.rel.rfind("src/health/", 0) != 0) continue;
-    for (const StringLit& lit : f.strings) {
-      if (lit.value.rfind("health.", 0) != 0) continue;
-      if (lit.value.find_first_not_of(
-              "abcdefghijklmnopqrstuvwxyz0123456789_.") !=
-          std::string::npos) {
-        continue;  // prose mentioning the prefix, not an instrument name
-      }
-      if (observability_md.find(lit.value) == std::string::npos &&
-          !f.suppressed(lit.line, "health-metrics-docs")) {
-        out->push_back({f.rel, lit.line, "health-metrics-docs",
-                        "health metric '" + lit.value +
-                            "' is not catalogued in docs/OBSERVABILITY.md"});
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: span-names-docs
-// ---------------------------------------------------------------------------
-
-// The tracing vocabulary is shared verbatim between the simulator and the
-// posix daemon (src/span/span.hpp defines the kSpan* literals both attach
-// to), and tools/lsl_spans keys its per-hop rollups on the exact strings —
-// so a span name that drifts from the docs/OBSERVABILITY.md catalogue
-// breaks merged timelines silently. The net spans all of src/ because any
-// subsystem may emit spans.
-void rule_span_names_docs(const std::vector<SourceFile>& files,
-                          const std::string& observability_md,
-                          std::vector<Violation>* out) {
-  for (const SourceFile& f : files) {
-    if (f.rel.rfind("src/", 0) != 0) continue;
-    for (const StringLit& lit : f.strings) {
-      if (lit.value.rfind("span.", 0) != 0) continue;
-      if (lit.value.find_first_not_of(
-              "abcdefghijklmnopqrstuvwxyz0123456789_.") !=
-          std::string::npos) {
-        continue;  // prose mentioning the prefix, not a span name
-      }
-      if (observability_md.find(lit.value) == std::string::npos &&
-          !f.suppressed(lit.line, "span-names-docs")) {
-        out->push_back({f.rel, lit.line, "span-names-docs",
-                        "span name '" + lit.value +
-                            "' is not catalogued in docs/OBSERVABILITY.md"});
+void rule_prefix_docs(const std::vector<SourceFile>& files,
+                      const std::string& observability_md,
+                      std::vector<Violation>* out) {
+  for (const PrefixDocsRule& rule : prefix_docs_rules()) {
+    for (const SourceFile& f : files) {
+      if (f.rel.rfind(rule.dir, 0) != 0) continue;
+      for (const StringLit& lit : f.strings) {
+        if (std::none_of(rule.prefixes.begin(), rule.prefixes.end(),
+                         [&](const std::string& p) {
+                           return lit.value.rfind(p, 0) == 0;
+                         })) {
+          continue;
+        }
+        if (lit.value.find_first_not_of(
+                "abcdefghijklmnopqrstuvwxyz0123456789_.") !=
+            std::string::npos) {
+          continue;  // prose mentioning the prefix, not a name
+        }
+        if (observability_md.find(lit.value) == std::string::npos &&
+            !f.suppressed(lit.line, rule.rule)) {
+          out->push_back({f.rel, lit.line, rule.rule,
+                          std::string(rule.noun) + " '" + lit.value +
+                              "' is not catalogued in docs/OBSERVABILITY.md"});
+        }
       }
     }
   }
@@ -1042,12 +915,7 @@ std::vector<Violation> run_lint(const fs::path& root) {
   rule_lock_order(files, &vs);
   rule_wire_docs(files, protocol_md, &vs);
   rule_metrics_docs(files, observability_md, &vs);
-  rule_fault_metrics_docs(files, observability_md, &vs);
-  rule_pool_metrics_docs(files, observability_md, &vs);
-  rule_live_metrics_docs(files, observability_md, &vs);
-  rule_stripe_metrics_docs(files, observability_md, &vs);
-  rule_health_metrics_docs(files, observability_md, &vs);
-  rule_span_names_docs(files, observability_md, &vs);
+  rule_prefix_docs(files, observability_md, &vs);
 
   std::sort(vs.begin(), vs.end(), [](const Violation& a, const Violation& b) {
     if (a.file != b.file) return a.file < b.file;
