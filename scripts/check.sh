@@ -10,13 +10,15 @@
 # plain and under tsan, and finish with the health (depot health plane)
 # label, also plain + tsan: the HealthBoard is shared between shard
 # threads, the gossip poller, and admin snapshots, so its lock discipline
-# earns a dedicated pass under the race detector. Usage:
+# earns a dedicated pass under the race detector. The bench configuration
+# runs the benchmark's gate self-test (perfbench/run.py --selftest): its
+# `corrupt` case is the gate that rejects a wrong sink verdict. Usage:
 #
 #   scripts/check.sh [--quick] [--only CONFIG]
 #
 #   --quick         plain + lint only (the pre-push subset)
 #   --only CONFIG   run a single configuration:
-#                   plain|asan|ubsan|tsan|lint|tidy|mcheck|chaos|shard|stripe|health
+#                   plain|asan|ubsan|tsan|lint|tidy|mcheck|chaos|shard|stripe|health|bench
 #
 # Build trees go to build-check-<config>/ so the default build/ directory
 # is left untouched. Every configuration keeps LSL_WERROR=ON: a warning
@@ -27,12 +29,12 @@ cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-configs=(plain asan ubsan tsan lint tidy mcheck chaos shard stripe health)
+configs=(plain asan ubsan tsan lint tidy mcheck chaos shard stripe health bench)
 case "${1:-}" in
   --quick) configs=(plain lint) ;;
   --only)  configs=("${2:?--only needs a config}") ;;
   "")      ;;
-  *) echo "usage: scripts/check.sh [--quick] [--only plain|asan|ubsan|tsan|lint|tidy|mcheck|chaos|shard|stripe|health]" >&2
+  *) echo "usage: scripts/check.sh [--quick] [--only plain|asan|ubsan|tsan|lint|tidy|mcheck|chaos|shard|stripe|health|bench]" >&2
      exit 2 ;;
 esac
 
@@ -80,6 +82,7 @@ for config in "${configs[@]}"; do
     shard)  label_tier shard tsan ;;  # SO_REUSEPORT shard threads
     stripe) label_tier stripe tsan ;; # striped lanes: reassembly + re-striping
     health) label_tier health tsan ;; # HealthBoard shared by shards, gossip, admin
+    bench)  python3 perfbench/run.py --selftest ;;  # benchmark gate self-test
     *) echo "check.sh: unknown config '$config'" >&2; exit 2 ;;
   esac
 done

@@ -1,7 +1,6 @@
 #include "exp/striped.hpp"
 
 #include <algorithm>
-#include <array>
 #include <memory>
 #include <optional>
 #include <set>
@@ -16,7 +15,6 @@
 #include "lsl/session_id.hpp"
 #include "sim/network.hpp"
 #include "stripe/plan.hpp"
-#include "stripe/reassemble.hpp"
 #include "stripe/stripe_metrics.hpp"
 #include "tcp/stack.hpp"
 #include "util/contract.hpp"
@@ -33,43 +31,6 @@ constexpr sim::PortNum kDepotPort = 4000;
 std::string depot_name(std::size_t path) {
   return "depot" + std::to_string(path + 1);
 }
-
-/// Random-access lane-order payload filler: maps a connection-relative lane
-/// offset through a LaneCursor onto merged-stream offsets and generates the
-/// seeded content there. SourceApp offsets are monotonic per connection,
-/// but the filler tolerates a rewind by rebuilding its cursor.
-struct LaneFiller {
-  core::StripeInfo info;
-  std::uint64_t lane_total;
-  std::uint64_t base;  ///< lane offset this connection starts at
-  core::PayloadGenerator gen;
-  stripe::LaneCursor cursor;
-  std::uint64_t conn_off = 0;
-
-  LaneFiller(const core::StripeInfo& i, std::uint64_t total,
-             std::uint64_t base_off, std::uint64_t seed)
-      : info(i), lane_total(total), base(base_off), gen(seed),
-        cursor(i, total) {
-    cursor.skip(base);
-  }
-
-  void fill(std::uint64_t offset, std::span<std::uint8_t> out) {
-    if (offset != conn_off) {
-      cursor = stripe::LaneCursor(info, lane_total);
-      cursor.skip(base + offset);
-      conn_off = offset;
-    }
-    std::size_t done = 0;
-    while (done < out.size()) {
-      const auto r = cursor.next(out.size() - done);
-      if (r.length == 0) break;  // lane exhausted (caller sized the transfer)
-      gen.seek(r.global);
-      gen.generate(out.subspan(done, static_cast<std::size_t>(r.length)));
-      done += static_cast<std::size_t>(r.length);
-      conn_off += r.length;
-    }
-  }
-};
 
 /// The whole striped run: braid topology, lane sources, reassembling sink,
 /// and the death/restripe driver. One instance per run_striped call.
@@ -90,30 +51,14 @@ class StripedRun {
     bool dead = false;       ///< lost; absorbed or awaiting a restripe
   };
 
-  /// One accepted sink-side connection (a lane, or its replacement).
-  struct Conn {
-    tcp::TcpSocket* sock = nullptr;
-    std::vector<std::uint8_t> buf;  ///< header accumulation
-    bool header_done = false;
-    std::uint16_t lane_id = 0;
-    std::optional<stripe::LaneCursor> cursor;  ///< striped placement
-    std::uint64_t direct_pos = 0;              ///< unstriped placement
-    std::uint64_t payload_left = 0;
-    bool want_trailer = false;
-    std::vector<std::uint8_t> trailer;
-    bool closed = false;  ///< finished or dead; callbacks disarmed
-  };
-
   void build_topology();
   void seed_database(core::PathDatabase& db) const;
   void make_plan();
   void launch_lane(std::size_t li, std::uint64_t resume_at);
-  void on_accept(tcp::TcpSocket* sock);
-  void on_conn_readable(Conn* c);
-  void feed_payload(Conn* c, std::span<const std::uint8_t> data);
-  void conn_dead(Conn* c);
+  void on_lane(const core::LaneReport& r);
   void lane_death(std::size_t li);
-  bool coverage_without_dead() const;
+  /// Bit j set: lane j is lost and not (yet) replaced.
+  std::uint32_t dead_mask() const;
   void schedule_restripe(std::size_t li);
   void scan_dead_depots();
   double path_rate_mbps(std::size_t path) const;
@@ -147,12 +92,11 @@ class StripedRun {
   md5::Digest session_digest_;
 
   std::optional<stripe::StripeMetrics> stripe_metrics_;
-  std::unique_ptr<stripe::Reassembler> reasm_;
-  std::optional<core::PayloadVerifier> verifier_;
+  std::unique_ptr<core::SinkServer> sink_;
   std::vector<std::unique_ptr<core::SourceApp>> sources_;
-  std::vector<std::unique_ptr<Conn>> conns_;
 
-  std::optional<md5::Digest> wire_trailer_;
+  /// The sink's verdict on the merged stream, once it has one.
+  std::optional<bool> verdict_;
   util::SimTime first_start_ = -1;
   util::SimTime merge_time_ = -1;
   bool restripe_failed_ = false;
@@ -311,8 +255,8 @@ void StripedRun::launch_lane(std::size_t li, std::uint64_t resume_at) {
   // the whole session after another lane died.
   scfg.trailer_digest = session_digest_;
   if (lane.info) {
-    auto filler = std::make_shared<LaneFiller>(*lane.info, lane.total,
-                                               resume_at, p_.seed);
+    auto filler = std::make_shared<stripe::LaneFiller>(
+        *lane.info, lane.total, resume_at, p_.seed);
     scfg.payload_fill = [filler](std::uint64_t off,
                                  std::span<std::uint8_t> out) {
       filler->fill(off, out);
@@ -328,91 +272,28 @@ void StripedRun::launch_lane(std::size_t li, std::uint64_t resume_at) {
   if (first_start_ < 0) first_start_ = app->start_time();
 }
 
-void StripedRun::on_accept(tcp::TcpSocket* sock) {
-  conns_.push_back(std::make_unique<Conn>());
-  Conn* c = conns_.back().get();
-  c->sock = sock;
-  sock->on_readable = [this, c] { on_conn_readable(c); };
-  sock->on_error = [this, c](tcp::TcpError) { conn_dead(c); };
-}
-
-void StripedRun::on_conn_readable(Conn* c) {
-  if (c->closed) return;
-  std::array<std::uint8_t, 64 * 1024> buf;
-  for (;;) {
-    const std::size_t n = c->sock->recv(buf);
-    if (n == 0) break;
-    std::span<const std::uint8_t> data(buf.data(), n);
-
-    if (!c->header_done) {
-      c->buf.insert(c->buf.end(), data.begin(), data.end());
-      const auto need = core::header_length(c->buf);
-      if (!need || c->buf.size() < *need) continue;
-      const auto header =
-          core::decode_header({c->buf.data(), *need});
-      if (!header) {
-        conn_dead(c);
-        return;
-      }
-      c->header_done = true;
-      c->payload_left = header->payload_length;
-      c->want_trailer = header->has_digest();
-      if (header->stripe) {
-        c->lane_id = header->stripe->stripe_id;
-        c->cursor.emplace(*header->stripe,
-                          header->resume_offset + header->payload_length);
-        c->cursor->skip(header->resume_offset);
-      } else {
-        c->lane_id = 0;
-        c->direct_pos = header->resume_offset;
-      }
-      const std::vector<std::uint8_t> rest(c->buf.begin() +
-                                               static_cast<long>(*need),
-                                           c->buf.end());
-      c->buf.clear();
-      if (!rest.empty()) feed_payload(c, rest);
-      if (c->closed) return;
-      continue;
-    }
-    feed_payload(c, data);
-    if (c->closed) return;
+void StripedRun::on_lane(const core::LaneReport& r) {
+  if (r.lane >= lanes_.size()) return;
+  Lane& lane = lanes_[r.lane];
+  switch (r.event) {
+    case core::LaneReport::Event::kDone:
+      lane.completed = true;
+      return;
+    case core::LaneReport::Event::kDead:
+      lane_death(r.lane);
+      return;
+    case core::LaneReport::Event::kProgress:
+      break;
   }
-
-  if (c->sock->eof()) {
-    if (c->payload_left == 0 &&
-        (!c->want_trailer || c->trailer.size() == md5::Digest{}.bytes.size())) {
-      c->closed = true;
-      if (c->lane_id < lanes_.size()) lanes_[c->lane_id].completed = true;
-    } else {
-      conn_dead(c);
-    }
-  }
-}
-
-void StripedRun::feed_payload(Conn* c, std::span<const std::uint8_t> data) {
-  Lane& lane = lanes_[c->lane_id];
-  while (!data.empty() && c->payload_left > 0) {
-    std::uint64_t global;
-    std::uint64_t len;
-    if (c->cursor) {
-      const auto r =
-          c->cursor->next(std::min<std::uint64_t>(data.size(),
-                                                  c->payload_left));
-      if (r.length == 0) break;  // malformed lane: longer than its plan
-      global = r.global;
-      len = r.length;
-    } else {
-      global = c->direct_pos;
-      len = std::min<std::uint64_t>(data.size(), c->payload_left);
-      c->direct_pos += len;
-    }
-    reasm_->offer(c->lane_id, global,
-                  data.first(static_cast<std::size_t>(len)));
-    lane.delivered += len;
-    c->payload_left -= len;
-    data = data.subspan(static_cast<std::size_t>(len));
-
-    if (stripe_metrics_ && lane.start >= 0) {
+  lane.delivered = r.position;
+  res_.duplicate_bytes += r.bytes - r.fresh;
+  if (stripe_metrics_) {
+    stripe_metrics_->bytes_merged->inc(r.fresh);
+    stripe_metrics_->bytes_duplicate->inc(r.bytes - r.fresh);
+    stripe_metrics_->reassembly_buffer_bytes->set(
+        static_cast<double>(r.buffered));
+    stripe_metrics_->holes_outstanding->set(static_cast<double>(r.holes));
+    if (lane.start >= 0) {
       const double elapsed = util::to_seconds(ev().now() - lane.start);
       if (elapsed > 0.0) {
         stripe_metrics_->on_lane_rate(
@@ -420,30 +301,10 @@ void StripedRun::feed_payload(Conn* c, std::span<const std::uint8_t> data) {
       }
     }
   }
-  if (c->payload_left == 0 && c->want_trailer && !data.empty()) {
-    const std::size_t take = std::min<std::size_t>(
-        data.size(), md5::Digest{}.bytes.size() - c->trailer.size());
-    c->trailer.insert(c->trailer.end(), data.begin(),
-                      data.begin() + static_cast<long>(take));
-    if (c->trailer.size() == md5::Digest{}.bytes.size() && !wire_trailer_) {
-      md5::Digest d;
-      std::copy(c->trailer.begin(), c->trailer.end(), d.bytes.begin());
-      wire_trailer_ = d;
-    }
-  }
-  if (reasm_->complete() && merge_time_ < 0) {
+  if (r.merged && merge_time_ < 0) {
     merge_time_ = ev().now();
     if (stripe_metrics_) stripe_metrics_->sessions_completed->inc();
   }
-}
-
-void StripedRun::conn_dead(Conn* c) {
-  if (c->closed) return;
-  c->closed = true;
-  // A pre-header death cannot name its lane; the dead-depot scan in the
-  // driver loop attributes it instead.
-  if (!c->header_done) return;
-  lane_death(c->lane_id);
 }
 
 void StripedRun::lane_death(std::size_t li) {
@@ -462,7 +323,7 @@ void StripedRun::lane_death(std::size_t li) {
                static_cast<unsigned>(lane.id), lane.depot.c_str(),
                static_cast<unsigned long long>(lane.delivered),
                static_cast<unsigned long long>(lane.total));
-  if (coverage_without_dead()) {
+  if (stripe::survivors_cover(plan_, dead_mask())) {
     LSL_LOG_INFO("striped: redundancy covers lane %u, no restripe",
                  static_cast<unsigned>(lane.id));
     return;
@@ -470,22 +331,12 @@ void StripedRun::lane_death(std::size_t li) {
   schedule_restripe(li);
 }
 
-bool StripedRun::coverage_without_dead() const {
-  if (p_.stripes < 2) return false;
-  const std::uint16_t count = plan_.stripe_count();
-  std::vector<bool> covered(count, false);
-  for (const Lane& l : lanes_) {
-    if (l.dead || !l.info) continue;
-    if (l.info->mode == core::StripeMode::kContiguous) {
-      covered[l.id] = true;
-    } else {
-      for (std::uint16_t k = 0; k <= l.info->redundancy; ++k) {
-        covered[(l.id + k) % count] = true;
-      }
-    }
+std::uint32_t StripedRun::dead_mask() const {
+  std::uint32_t mask = 0;
+  for (std::size_t j = 0; j < lanes_.size(); ++j) {
+    if (lanes_[j].dead) mask |= 1u << j;
   }
-  return std::all_of(covered.begin(), covered.end(),
-                     [](bool b) { return b; });
+  return mask;
 }
 
 void StripedRun::schedule_restripe(std::size_t li) {
@@ -517,11 +368,14 @@ void StripedRun::schedule_restripe(std::size_t li) {
     lane.dead = false;
     ++res_.stripes_recovered;
     if (stripe_metrics_) stripe_metrics_->stripes_recovered->inc();
-    res_.retransmitted_bytes += lane.total - lane.delivered;
+    // A striped lane resumes where the merge stopped; an unstriped one is
+    // verified per connection, so its replacement resends from byte 0.
+    const std::uint64_t resume = lane.info ? lane.delivered : 0;
+    res_.retransmitted_bytes += lane.total - resume;
     LSL_LOG_INFO("striped: lane %u re-striped onto %s (resume %llu)",
                  static_cast<unsigned>(lane.id), lane.depot.c_str(),
-                 static_cast<unsigned long long>(lane.delivered));
-    launch_lane(li, lane.delivered);
+                 static_cast<unsigned long long>(resume));
+    launch_lane(li, resume);
   });
 }
 
@@ -553,43 +407,39 @@ StripedResult StripedRun::run() {
   if (p_.metrics != nullptr) {
     stripe_metrics_.emplace(*p_.metrics, p_.stripes);
   }
-  stripe::Reassembler::Config rc;
-  rc.session_bytes = p_.bytes;
-  rc.stripe_count = p_.stripes;
-  rc.metrics = stripe_metrics_ ? &*stripe_metrics_ : nullptr;
-  reasm_ = std::make_unique<stripe::Reassembler>(rc);
-  if (p_.verify_content) {
-    verifier_.emplace(p_.seed);
-    reasm_->on_frontier = [this](std::uint64_t,
-                                 std::span<const std::uint8_t> data) {
-      verifier_->feed(data);
-    };
-  }
-
-  dst_stack_->listen(kSinkPort,
-                     [this](tcp::TcpSocket* s) { on_accept(s); });
+  core::SinkConfig scfg;
+  scfg.expect_header = true;
+  scfg.verify_payload = true;
+  scfg.payload_seed = p_.seed;
+  sink_ = std::make_unique<core::SinkServer>(*dst_stack_, kSinkPort, scfg,
+                                             nullptr);
+  sink_->core().on_lane = [this](const core::LaneReport& r) { on_lane(r); };
+  // Lanes merge into one group verdict; an unstriped lane is verified as an
+  // ordinary session.
+  sink_->on_verdict = [this](const core::SinkVerdict& v) { verdict_ = v.ok; };
+  sink_->on_complete = [this](core::SinkApp& app) {
+    if (!lanes_[0].info && app.payload_received() == p_.bytes) {
+      verdict_ = app.verified();
+    }
+  };
 
   injector_->arm();
   for (std::size_t li = 0; li < lanes_.size(); ++li) launch_lane(li, 0);
 
-  // Drive until the merge completes and a trailer arrived to check it
-  // against, a restripe ran out of budget, or nothing is left to simulate.
-  while (!(reasm_->complete() && wire_trailer_) && !restripe_failed_ &&
-         ev().now() <= p_.deadline && ev().step()) {
+  // Drive until the sink verdicts the merged stream, a restripe ran out of
+  // budget, or nothing is left to simulate.
+  while (!verdict_ && !restripe_failed_ && ev().now() <= p_.deadline &&
+         ev().step()) {
     scan_dead_depots();
   }
 
   res_.attempts = policy_->attempts_made();
   res_.faults_injected = injector_->injected();
-  res_.duplicate_bytes = reasm_->duplicate_bytes();
   for (const Lane& lane : lanes_) res_.lane_routes.push_back(lane.depot);
 
-  if (reasm_->complete()) {
+  if (merge_time_ >= 0) {
     res_.completed = true;
-    const bool content_ok = !verifier_ || verifier_->ok();
-    const bool digest_ok =
-        wire_trailer_ && reasm_->digest() == *wire_trailer_;
-    res_.verified = content_ok && digest_ok;
+    res_.verified = verdict_.value_or(false);
     const util::SimDuration elapsed = merge_time_ - first_start_;
     res_.seconds = util::to_seconds(elapsed);
     res_.mbps = util::throughput_mbps(p_.bytes, elapsed);

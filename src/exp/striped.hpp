@@ -5,10 +5,10 @@
 // `stripes` of them at once: a stripe::StripePlan splits the byte stream
 // into lanes, each lane rides the depot chain stripe::disjoint_routes
 // picked for it, every lane connection carries a version-3 wire header
-// (src/lsl/wire.hpp) mapping its bytes back into the merged stream, and a
-// sink-side stripe::Reassembler merges the lanes, verifies content against
-// the seeded generator, and checks the shipped MD5 trailer against the
-// digest of the reassembled stream.
+// (src/lsl/wire.hpp) mapping its bytes back into the merged stream, and the
+// sink core (src/lsl/sink_core.hpp) merges the lanes, verifies content
+// against the seeded generator, and checks the shipped MD5 trailer against
+// the digest of the reassembled stream.
 //
 // Faults compose with the existing policy machinery: a scripted depot
 // crash (fault::FaultPlan) kills one lane mid-transfer; with stripe
@@ -77,10 +77,6 @@ struct StripedParams {
   /// Scripted faults (depot crashes kill lanes) and the restripe backoff.
   fault::FaultPlan plan;
   fault::RetryConfig retry;
-
-  /// Check merged-stream content against the seeded generator as the
-  /// reassembly frontier advances (the MD5 trailer is always checked).
-  bool verify_content = true;
 };
 
 /// Outcome of one striped run.

@@ -7,76 +7,6 @@
 
 namespace lsl::core {
 
-// --- SessionLedger -----------------------------------------------------------
-
-void SessionLedger::open(const SessionId& id, std::uint64_t total,
-                         util::SimTime now) {
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) {
-    it = sessions_.emplace(id, State(seed_)).first;
-    it->second.s.total = total;
-    it->second.s.first_accept = now;
-  }
-  ++it->second.s.connections;
-}
-
-void SessionLedger::feed(const SessionId& id, std::uint64_t offset,
-                         std::span<const std::uint8_t> data,
-                         util::SimTime now) {
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return;  // never opened: nothing to stitch
-  State& st = it->second;
-  if (st.s.completed || st.s.gap_refused) return;
-  if (offset > st.s.frontier) {
-    // The connection claims bytes past everything we hold: acked data was
-    // lost in a dead chain. Refuse the session rather than paper over it.
-    st.s.gap_refused = true;
-    LSL_LOG_WARN("ledger: gap at %llu (frontier %llu), session refused",
-                 static_cast<unsigned long long>(offset),
-                 static_cast<unsigned long long>(st.s.frontier));
-    return;
-  }
-  // Discard the duplicated prefix; feed only frontier-advancing bytes so
-  // the verifier's MD5 covers each stream byte exactly once.
-  const std::uint64_t skip = st.s.frontier - offset;
-  if (skip >= data.size()) return;
-  const auto fresh = data.subspan(static_cast<std::size_t>(skip));
-  st.verifier.feed(fresh);
-  st.s.frontier += fresh.size();
-  if (st.s.frontier >= st.s.total) {
-    st.s.completed = true;
-    st.s.complete_time = now;
-    if (on_session_complete) on_session_complete(id, st.s);
-  }
-}
-
-const SessionLedger::Session* SessionLedger::find(const SessionId& id) const {
-  const auto it = sessions_.find(id);
-  return it == sessions_.end() ? nullptr : &it->second.s;
-}
-
-std::uint64_t SessionLedger::frontier(const SessionId& id) const {
-  const Session* s = find(id);
-  return s == nullptr ? 0 : s->frontier;
-}
-
-bool SessionLedger::completed(const SessionId& id) const {
-  const Session* s = find(id);
-  return s != nullptr && s->completed;
-}
-
-bool SessionLedger::content_ok(const SessionId& id) const {
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return false;
-  return !it->second.s.gap_refused && it->second.verifier.ok();
-}
-
-md5::Digest SessionLedger::digest(const SessionId& id) {
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return {};
-  return it->second.verifier.digest();
-}
-
 // --- SourceApp ---------------------------------------------------------------
 
 SourceApp::SourceApp(tcp::TcpStack& stack, sim::Endpoint first_hop,
@@ -337,36 +267,26 @@ void SourceApp::pump() {
 
 // --- SinkApp -----------------------------------------------------------------
 
-SinkApp::SinkApp(tcp::TcpSocket* socket, SinkConfig config,
+SinkApp::SinkApp(tcp::TcpSocket* socket, SinkCore& core, bool expect_header,
                  SessionDirectory* dir)
-    : socket_(socket), config_(config), dir_(dir) {
-  const bool real = socket_->config().carry_data;
-
-  if (config_.expect_header && !real) {
+    : socket_(socket), core_(core) {
+  core_.open(stream_, socket_->now());
+  if (expect_header && !socket_->config().carry_data) {
     // Virtual mode: header contents come from the directory; the bytes are
     // still consumed from the stream below.
-    auto h = dir_ != nullptr ? dir_->consume(socket_->remote()) : std::nullopt;
+    auto h = dir != nullptr ? dir->consume(socket_->remote()) : std::nullopt;
     if (h) {
-      header_ = std::move(*h);
-      header_virtual_left_ = header_->encoded_size();
+      stream_.header = std::move(*h);
+      header_virtual_left_ = stream_.header->encoded_size();
     } else {
       LSL_LOG_WARN("sink: no published header for incoming session");
-      header_virtual_left_ = 0;
-      header_done_ = true;
     }
-  }
-  if (!config_.expect_header) header_done_ = true;
-
-  if (config_.verify_payload && real && config_.ledger == nullptr) {
-    // With a ledger, stream-level verification happens there: a migrate
-    // connection is only a fragment, so checking it against offset 0 of
-    // the generator would be meaningless.
-    verifier_.emplace(config_.payload_seed);
   }
 
   socket_->on_readable = [this] { on_readable(); };
   socket_->on_error = [this](tcp::TcpError err) {
     LSL_LOG_WARN("sink: connection error %s", tcp::to_string(err));
+    if (socket_->config().carry_data) core_.end(stream_, true);
   };
   // Data may already be buffered (header piggybacked on the establishing
   // segment exchange).
@@ -374,132 +294,48 @@ SinkApp::SinkApp(tcp::TcpSocket* socket, SinkConfig config,
 }
 
 void SinkApp::on_readable() {
-  if (complete_) return;
+  if (complete_ || stream_.refused) return;
   if (socket_->config().carry_data) {
     consume_real();
+    if (stream_.refused) return;
   } else {
     consume_virtual();
   }
-  if (socket_->eof() && socket_->readable() == 0 && !complete_) finish();
+  if (socket_->eof() && socket_->readable() == 0) finish();
 }
 
 void SinkApp::consume_virtual() {
-  if (!header_done_) {
-    const std::uint64_t took = socket_->recv_virtual(header_virtual_left_);
-    header_virtual_left_ -= took;
+  if (header_virtual_left_ > 0) {
+    header_virtual_left_ -= socket_->recv_virtual(header_virtual_left_);
     if (header_virtual_left_ > 0) return;
-    header_done_ = true;
   }
-  payload_received_ += socket_->recv_virtual(~std::uint64_t{0});
+  stream_.payload_received += socket_->recv_virtual(~std::uint64_t{0});
 }
 
 void SinkApp::consume_real() {
-  std::vector<std::uint8_t> buf(config_.read_chunk);
+  std::uint8_t buf[kSinkReadBytes];
   while (socket_->readable() > 0) {
-    // Header phase: accumulate until decodable.
-    if (!header_done_) {
-      // Read the prefix first, then exactly the remainder.
-      std::size_t want = kHeaderPrefixBytes > header_buf_.size()
-                             ? kHeaderPrefixBytes - header_buf_.size()
-                             : 0;
-      if (want == 0) {
-        const auto len = header_length(header_buf_);
-        if (!len) {
-          LSL_LOG_ERROR("sink: malformed LSL header");
-          socket_->abort();
-          return;
-        }
-        if (header_buf_.size() >= *len) {
-          header_ = decode_header(header_buf_);
-          header_done_ = true;
-          header_buf_.clear();
-          if (config_.ledger != nullptr &&
-              (header_->flags & kFlagUnboundedStream) == 0) {
-            // Register with the stream ledger: a migrate header's
-            // (resume_offset, payload_length) pair is (floor, remaining),
-            // so the logical total is their sum.
-            const std::uint64_t total =
-                header_->is_migrate()
-                    ? header_->resume_offset + header_->payload_length
-                    : header_->payload_length;
-            config_.ledger->open(header_->session, total, socket_->now());
-          }
-          continue;
-        }
-        want = *len - header_buf_.size();
-      }
-      const std::size_t got = socket_->recv(std::span<std::uint8_t>(
-          buf.data(), std::min(want, buf.size())));
-      if (got == 0) return;
-      header_buf_.insert(header_buf_.end(), buf.data(), buf.data() + got);
-      continue;
-    }
-
-    // Payload phase: everything except a possible 16-byte trailer. With a
-    // header, payload_length is exact unless the unbounded flag is set.
-    const bool digest = header_ && header_->has_digest();
-    const bool bounded =
-        header_ && (header_->flags & kFlagUnboundedStream) == 0;
-    const std::uint64_t payload_total =
-        bounded ? header_->payload_length : ~std::uint64_t{0};
-    if (payload_received_ < payload_total) {
-      const std::size_t want = static_cast<std::size_t>(
-          std::min<std::uint64_t>(payload_total - payload_received_,
-                                  buf.size()));
-      const std::size_t got =
-          socket_->recv(std::span<std::uint8_t>(buf.data(), want));
-      if (got == 0) return;
-      if (verifier_) {
-        if (!verifier_->feed(std::span<const std::uint8_t>(buf.data(), got))) {
-          content_ok_ = false;
-        }
-      }
-      if (config_.ledger != nullptr && header_) {
-        const std::uint64_t base =
-            header_->is_migrate() ? header_->resume_offset : 0;
-        config_.ledger->feed(header_->session, base + payload_received_,
-                             std::span<const std::uint8_t>(buf.data(), got),
-                             socket_->now());
-      }
-      payload_received_ += got;
-      continue;
-    }
-
-    // Trailer phase.
-    if (digest && trailer_.size() < kDigestTrailerBytes) {
-      const std::size_t want = kDigestTrailerBytes - trailer_.size();
-      const std::size_t got = socket_->recv(std::span<std::uint8_t>(
-          buf.data(), std::min(want, buf.size())));
-      if (got == 0) return;
-      trailer_.insert(trailer_.end(), buf.data(), buf.data() + got);
-      continue;
-    }
-
-    // Unexpected surplus bytes: drain (defensive).
     const std::size_t got =
-        socket_->recv(std::span<std::uint8_t>(buf.data(), buf.size()));
+        socket_->recv(std::span<std::uint8_t>(buf, core_.want(stream_)));
     if (got == 0) return;
-    LSL_LOG_WARN("sink: %zu unexpected trailing bytes", got);
+    core_.ingest(stream_, std::span<const std::uint8_t>(buf, got));
+    // The simulator carries no status byte: a refused stream is aborted,
+    // and every other verdict is read at EOF.
+    if (stream_.refused) {
+      socket_->abort();
+      return;
+    }
   }
 }
 
 void SinkApp::finish() {
   complete_ = true;
   complete_time_ = socket_->now();
-
-  if (verifier_) {
-    content_ok_ = content_ok_ && verifier_->ok();
-    if (header_ && header_->has_digest()) {
-      if (trailer_.size() == kDigestTrailerBytes) {
-        md5::Digest expect;
-        std::copy(trailer_.begin(), trailer_.end(), expect.bytes.begin());
-        digest_ok_ = (verifier_->digest() == expect);
-      } else {
-        digest_ok_ = false;
-      }
-    }
+  if (socket_->config().carry_data) {
+    core_.end(stream_, false);
+  } else {
+    stream_.ok = true;
   }
-
   socket_->close();  // complete the FIN handshake from our side
   if (on_complete) on_complete(*this);
 }
@@ -508,9 +344,12 @@ void SinkApp::finish() {
 
 SinkServer::SinkServer(tcp::TcpStack& stack, sim::PortNum port,
                        SinkConfig config, SessionDirectory* dir)
-    : stack_(stack), config_(config), dir_(dir) {
-  stack_.listen(port, [this](tcp::TcpSocket* s) {
-    auto sink = std::make_unique<SinkApp>(s, config_, dir_);
+    : stack_(stack),
+      core_(*this, config.expect_header, config.verify_payload,
+            /*check_content=*/true, config.payload_seed, config.ledger) {
+  stack_.listen(port, [this, expect = config.expect_header,
+                       dir](tcp::TcpSocket* s) {
+    auto sink = std::make_unique<SinkApp>(s, core_, expect, dir);
     sink->on_complete = [this](SinkApp& app) {
       if (on_complete) on_complete(app);
     };

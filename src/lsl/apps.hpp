@@ -5,8 +5,9 @@
 //    optionally emits the LSL header, streams the payload, appends the MD5
 //    digest trailer in real-payload mode, and closes.
 //  * SinkApp / SinkServer — the receiving end system: accepts connections,
-//    optionally parses the LSL header, consumes and (in real mode) verifies
-//    the payload and digest, and timestamps completion. Transfer throughput
+//    feeds their bytes to the sink core (src/lsl/sink_core.hpp), which
+//    parses the header and, in real mode, verifies payload and digest, and
+//    timestamps completion. Transfer throughput
 //    in every reproduced figure is (payload bytes) / (sink completion time -
 //    source start time), matching the paper's host-to-host wall-clock
 //    measurement that includes connection setup and depot overheads.
@@ -17,78 +18,18 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "lsl/directory.hpp"
 #include "lsl/payload.hpp"
+#include "lsl/sink_core.hpp"
 #include "lsl/wire.hpp"
 #include "tcp/stack.hpp"
 #include "util/units.hpp"
 
 namespace lsl::core {
-
-/// Cross-connection session reassembly (sink side).
-///
-/// Mid-transfer migration (docs/HEALTH.md) splits one logical session
-/// across connections arriving through *different* depot chains: the
-/// original carries bytes [0, k) before being abandoned, the kFlagMigrate
-/// replacement [floor, total) with floor <= k. No single connection sees
-/// the whole stream, so per-connection verification cannot vouch for it.
-/// The ledger stitches the pieces: per session id it tracks the contiguous
-/// frontier from byte 0, silently discards re-sent prefix bytes, refuses
-/// gaps (a migrate connection claiming bytes past the frontier means
-/// acked data was lost — the session is failed, never papered over), and
-/// feeds only frontier-advancing bytes to one PayloadVerifier, keeping the
-/// whole-stream MD5 checkable end to end.
-class SessionLedger {
- public:
-  explicit SessionLedger(std::uint64_t payload_seed)
-      : seed_(payload_seed) {}
-
-  struct Session {
-    std::uint64_t total = 0;     ///< logical session bytes
-    std::uint64_t frontier = 0;  ///< contiguous bytes secured from 0
-    bool gap_refused = false;    ///< a connection claimed bytes we lack
-    bool completed = false;      ///< frontier reached total
-    std::size_t connections = 0; ///< connections that carried the session
-    util::SimTime first_accept = 0;
-    util::SimTime complete_time = 0;
-  };
-
-  /// Note a connection joining `id` (the first one creates the session).
-  /// `total` must agree across connections (resume_offset + payload_length
-  /// for migrate headers, payload_length for the original).
-  void open(const SessionId& id, std::uint64_t total, util::SimTime now);
-
-  /// Feed payload bytes at absolute stream offset `offset`. Duplicated
-  /// prefix bytes (offset + data below the frontier) are discarded; a gap
-  /// (offset above the frontier) refuses the session.
-  void feed(const SessionId& id, std::uint64_t offset,
-            std::span<const std::uint8_t> data, util::SimTime now);
-
-  /// Fires once per session, when its frontier reaches its total.
-  std::function<void(const SessionId&, const Session&)> on_session_complete;
-
-  const Session* find(const SessionId& id) const;
-  std::uint64_t frontier(const SessionId& id) const;
-  bool completed(const SessionId& id) const;
-  /// Whole-stream content verdict (seeded-generator comparison).
-  bool content_ok(const SessionId& id) const;
-  /// MD5 over the stitched stream fed so far.
-  md5::Digest digest(const SessionId& id);
-
- private:
-  struct State {
-    Session s;
-    PayloadVerifier verifier;
-    explicit State(std::uint64_t seed) : verifier(seed) {}
-  };
-  std::uint64_t seed_;
-  std::map<SessionId, State> sessions_;
-};
 
 /// Configuration of one sending application.
 struct SourceConfig {
@@ -96,7 +37,6 @@ struct SourceConfig {
   bool use_header = false;               ///< LSL session (vs. plain TCP)
   SessionHeader header;                  ///< when use_header
   std::uint64_t payload_seed = 1;        ///< real-mode content stream seed
-  std::size_t write_chunk = 64 * 1024;   ///< application write granularity
   /// Reconnect-and-resume on connection failure (the §III mobility story).
   /// Requires use_header and no digest trailer (MD5 cannot rewind across
   /// an unknown retransmission boundary).
@@ -217,35 +157,40 @@ struct SinkConfig {
   bool expect_header = false;   ///< parse an LSL header before the payload
   bool verify_payload = false;  ///< real mode: check content + MD5 trailer
   std::uint64_t payload_seed = 1;
-  std::size_t read_chunk = 64 * 1024;
   /// Cross-connection reassembly for migrated sessions (health plane).
-  /// When set, headered payload additionally flows into the ledger, which
-  /// then owns stream-level verification and completion; per-connection
-  /// verification is skipped (a migrate connection is only a stream
-  /// fragment). Null — the default — changes nothing.
+  /// When set, bounded, digest-free, unstriped sessions flow into the
+  /// ledger, which then owns their stream-level verification and
+  /// completion (a migrate connection is only a stream fragment). Null —
+  /// the default — changes nothing.
   SessionLedger* ledger = nullptr;
 };
 
-/// One accepted receiving connection.
+/// One accepted receiving connection: the simulator's I/O adapter on the
+/// sink core (src/lsl/sink_core.hpp). Real-payload streams are decided
+/// there; virtual-mode streams take their header from the directory and
+/// count bytes.
 class SinkApp {
  public:
-  SinkApp(tcp::TcpSocket* socket, SinkConfig config, SessionDirectory* dir);
+  SinkApp(tcp::TcpSocket* socket, SinkCore& core, bool expect_header,
+          SessionDirectory* dir);
 
   SinkApp(const SinkApp&) = delete;
   SinkApp& operator=(const SinkApp&) = delete;
 
   /// Fires exactly once when the stream has fully arrived (EOF) and, in
-  /// verifying mode, the digest has been checked.
+  /// verifying mode, the digest has been checked. A refused stream (bad
+  /// header, ledger gap) is aborted instead and never fires it.
   std::function<void(SinkApp&)> on_complete;
 
   bool complete() const { return complete_; }
   util::SimTime complete_time() const { return complete_time_; }
   /// Payload bytes received (headers and trailers excluded).
-  std::uint64_t payload_received() const { return payload_received_; }
-  /// Real mode: true when content matched and the MD5 trailer verified.
-  bool verified() const { return content_ok_ && digest_ok_; }
+  std::uint64_t payload_received() const { return stream_.payload_received; }
+  /// The sink core's verdict: exact length, content and MD5 trailer (real
+  /// mode); always true in virtual mode, which carries no bytes to check.
+  bool verified() const { return stream_.ok; }
   /// Parsed session header (when expect_header).
-  const std::optional<SessionHeader>& header() const { return header_; }
+  const std::optional<SessionHeader>& header() const { return stream_.header; }
 
  private:
   void on_readable();
@@ -254,40 +199,40 @@ class SinkApp {
   void finish();
 
   tcp::TcpSocket* socket_;
-  SinkConfig config_;
-  SessionDirectory* dir_;
-
-  std::optional<SessionHeader> header_;
-  std::vector<std::uint8_t> header_buf_;
+  SinkCore& core_;
+  SinkStream stream_;
   std::uint64_t header_virtual_left_ = 0;
-  bool header_done_ = false;
-
-  std::uint64_t payload_received_ = 0;
-  std::optional<PayloadVerifier> verifier_;
-  std::vector<std::uint8_t> trailer_;
-  bool content_ok_ = true;
-  bool digest_ok_ = true;
   bool complete_ = false;
   util::SimTime complete_time_ = 0;
 };
 
-/// Listens on a port and runs a SinkApp per accepted connection.
-class SinkServer {
+/// Listens on a port and runs a SinkApp per accepted connection; owns the
+/// sink core they share.
+class SinkServer : private SinkHost {
  public:
   SinkServer(tcp::TcpStack& stack, sim::PortNum port, SinkConfig config,
              SessionDirectory* dir);
 
-  /// Forwarded to every SinkApp.
+  /// Forwarded from every SinkApp.
   std::function<void(SinkApp&)> on_complete;
+  /// Fires when a ledger session or a stripe group resolves.
+  std::function<void(const SinkVerdict&)> on_verdict;
+
+  /// The shared core (its on_lane hook feeds striped runs).
+  SinkCore& core() { return core_; }
 
   const std::vector<std::unique_ptr<SinkApp>>& sinks() const {
     return sinks_;
   }
 
  private:
+  std::int64_t now() const override { return stack_.sim().now(); }
+  void on_stream_verdict(const SinkVerdict& v) override {
+    if (on_verdict) on_verdict(v);
+  }
+
   tcp::TcpStack& stack_;
-  SinkConfig config_;
-  SessionDirectory* dir_;
+  SinkCore core_;
   std::vector<std::unique_ptr<SinkApp>> sinks_;
 };
 

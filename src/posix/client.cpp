@@ -10,8 +10,6 @@
 #include <random>
 #include <system_error>
 
-#include "stripe/plan.hpp"
-#include "stripe/reassemble.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 
@@ -320,85 +318,32 @@ void PosixSource::finish(bool ok) {
 
 // --- PosixSinkServer ---------------------------------------------------------
 
-struct PosixSinkServer::Conn {
+struct PosixSinkServer::Conn : core::SinkStream {
   Fd sock;
-  std::chrono::steady_clock::time_point accepted_at;
-  std::vector<std::uint8_t> header_buf;
-  std::optional<core::SessionHeader> header;
-  bool header_done = false;
-  std::uint64_t payload_received = 0;
-  core::PayloadVerifier verifier;
-  std::vector<std::uint8_t> trailer;
-  bool failed = false;
-  /// Striped lanes: the session's merge point and this lane's placement
-  /// cursor (unstriped sessions leave both unset and verify per-conn).
-  StripeGroup* group = nullptr;
-  std::optional<stripe::LaneCursor> cursor;
-  /// Lane finished cleanly but the merge hasn't: held open, off the loop,
-  /// until the group resolves and sends every lane its status byte.
+  /// A finished lane held open, off the loop, until its merge resolves.
   bool parked = false;
-  /// Adoption mode: the session ledger this connection feeds, and the
-  /// absolute stream offset its first payload byte lands at (a migrate
-  /// connection's resume_offset; 0 for the original). Unset when the
-  /// connection verifies per-conn as before.
-  SessionState* session = nullptr;
-  std::uint64_t session_base = 0;
-
-  Conn(std::uint64_t seed, bool check_content)
-      : verifier(seed, check_content) {}
 };
 
-struct PosixSinkServer::SessionState {
-  core::SessionId id;
-  std::uint64_t total = 0;     ///< logical session bytes
-  std::uint64_t frontier = 0;  ///< contiguous bytes secured from 0
-  bool completed = false;
-  bool ok = false;
-  bool gap_refused = false;  ///< a connection claimed bytes we lack
-  std::size_t connections = 0;
-  core::PayloadVerifier verifier;
-  std::optional<core::SessionHeader> first_header;
-  std::chrono::steady_clock::time_point first_accept;
-  /// Connections currently attached (live fds feeding this session).
-  std::vector<Conn*> attached;
+namespace {
 
-  SessionState(std::uint64_t seed, bool check_content)
-      : verifier(seed, check_content) {}
-};
+std::uint8_t status_byte(bool ok) {
+  return ok ? core::kStatusOk : core::kStatusFail;
+}
 
-struct PosixSinkServer::StripeGroup {
-  stripe::Reassembler reasm;
-  core::PayloadVerifier verifier;
-  std::optional<md5::Digest> trailer;
-  std::optional<core::SessionHeader> first_header;
-  std::chrono::steady_clock::time_point first_accept;
-  std::vector<Conn*> parked;
-  bool reported = false;
-  bool ok = false;
+double seconds_since(std::int64_t then, std::int64_t now) {
+  return static_cast<double>(now - then) * 1e-9;
+}
 
-  StripeGroup(const core::StripeInfo& info, std::uint64_t seed,
-              bool check_content,
-              std::chrono::steady_clock::time_point accepted)
-      : reasm(stripe::Reassembler::Config{.session_bytes = info.session_bytes,
-                                          .stripe_count = info.stripe_count,
-                                          .metrics = nullptr}),
-        verifier(seed, check_content),
-        first_accept(accepted) {
-    reasm.on_frontier = [this](std::uint64_t,
-                               std::span<const std::uint8_t> data) {
-      verifier.feed(data);
-    };
-  }
-};
+}  // namespace
 
 PosixSinkServer::PosixSinkServer(EpollLoop& loop, const InetAddress& bind,
                                  bool expect_header,
                                  std::uint64_t payload_seed,
                                  bool verify_content)
     : loop_(loop),
-      expect_header_(expect_header),
-      payload_seed_(payload_seed),
-      verify_content_(verify_content) {
+      ledger_(payload_seed, verify_content),
+      core_(*this, expect_header, /*verify=*/true, verify_content,
+            payload_seed, nullptr) {
   listener_ = listen_tcp(bind, 64, &port_);
   if (!listener_.valid()) {
     throw std::system_error(errno, std::generic_category(), "sink: bind");
@@ -413,14 +358,19 @@ PosixSinkServer::~PosixSinkServer() {
   }
 }
 
+std::int64_t PosixSinkServer::now() const {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
 void PosixSinkServer::on_accept() {
   for (;;) {
     Fd conn = accept_connection(listener_.get());
     if (!conn.valid()) return;
-    auto c = std::make_unique<Conn>(payload_seed_, verify_content_);
+    auto c = std::make_unique<Conn>();
     c->sock = std::move(conn);
-    c->accepted_at = std::chrono::steady_clock::now();
-    if (!expect_header_) c->header_done = true;
+    core_.open(*c, now());
     Conn* cp = c.get();
     loop_.add(cp->sock.get(), EPOLLIN,
               [this, cp](std::uint32_t) { on_readable(cp); });
@@ -429,363 +379,63 @@ void PosixSinkServer::on_accept() {
 }
 
 void PosixSinkServer::on_readable(Conn* c) {
-  std::uint8_t buf[64 * 1024];
+  std::uint8_t buf[core::kSinkReadBytes];
   for (;;) {
-    // Header phase reads exactly what the header needs.
-    if (!c->header_done) {
-      std::size_t want = core::kHeaderPrefixBytes > c->header_buf.size()
-                             ? core::kHeaderPrefixBytes - c->header_buf.size()
-                             : 0;
-      if (want == 0) {
-        const auto len = core::header_length(c->header_buf);
-        if (!len) {
-          c->failed = true;
-          finish(c);
-          return;
-        }
-        if (c->header_buf.size() >= *len) {
-          c->header = core::decode_header(c->header_buf);
-          c->header_done = true;
-          if (c->header && c->header->stripe) {
-            const core::StripeInfo& info = *c->header->stripe;
-            // The lane's claimed extent must fit its plan, or reassembly
-            // offers could land outside the session (decode validates the
-            // block itself, not the lengths around it).
-            const std::uint64_t lane_total =
-                c->header->resume_offset + c->header->payload_length;
-            const bool sane =
-                info.mode == core::StripeMode::kContiguous
-                    ? lane_total <= info.session_bytes - info.range_lo
-                    : lane_total <= stripe::round_robin_lane_bytes(info);
-            if (!sane) {
-              c->failed = true;
-              close_conn(c, std::nullopt);
-              return;
-            }
-            auto [it, fresh] = groups_.try_emplace(c->header->session);
-            if (fresh) {
-              it->second = std::make_unique<StripeGroup>(
-                  info, payload_seed_, verify_content_, c->accepted_at);
-              it->second->first_header = c->header;
-            }
-            c->group = it->second.get();
-            // The lane's cursor places its bytes in the merged stream; a
-            // replacement lane's resume_offset skips what the dead lane
-            // already delivered.
-            c->cursor.emplace(info,
-                              c->header->resume_offset +
-                                  c->header->payload_length);
-            c->cursor->skip(c->header->resume_offset);
-          } else if (adopt_migrations_ && c->header &&
-                     (c->header->flags & core::kFlagUnboundedStream) == 0 &&
-                     !c->header->has_digest()) {
-            // Adoption mode: bounded, digest-free sessions (the resumable
-            // kind migration rides) are tracked by id across connections.
-            adopt_session(c);
-          }
-          continue;
-        }
-        want = *len - c->header_buf.size();
-      }
-      const long n =
-          read_some(c->sock.get(), buf, std::min(want, sizeof(buf)));
-      if (n == 0) {
-        c->failed = true;
-        finish(c);
+    const long n = read_some(c->sock.get(), buf, core_.want(*c));
+    if (n < 0 && n != -2) return;  // drained for now
+    const core::SinkAction action =
+        n > 0 ? core_.ingest(*c, std::span<const std::uint8_t>(
+                                     buf, static_cast<std::size_t>(n)))
+              : core_.end(*c, /*failed=*/n == -2);
+    switch (action) {
+      case core::SinkAction::kRead:
+        continue;
+      case core::SinkAction::kReport: {
+        SinkResult res;
+        res.verified = c->ok;
+        res.payload_bytes = c->payload_received;
+        res.seconds = seconds_since(c->accepted, now());
+        res.header = c->header;
+        // End-to-end status byte, then close: the source's completion
+        // signal.
+        close_conn(c, status_byte(res.verified));
+        if (on_complete) on_complete(res);
         return;
       }
-      if (n < 0) {
-        if (n == -2) {
-          c->failed = true;
-          finish(c);
-        }
+      case core::SinkAction::kClose:
+        close_conn(c, status_byte(c->ok));
         return;
-      }
-      c->header_buf.insert(c->header_buf.end(), buf, buf + n);
-      continue;
-    }
-
-    // Payload / trailer phase. With a header, payload_length is exact
-    // (unless the unbounded-stream flag is set); headerless raw transfers
-    // run until FIN.
-    const bool digest = c->header && c->header->has_digest();
-    const bool bounded =
-        c->header &&
-        (c->header->flags & core::kFlagUnboundedStream) == 0;
-    const std::uint64_t payload_total =
-        bounded ? c->header->payload_length : ~std::uint64_t{0};
-    std::size_t want = sizeof(buf);
-    if (c->payload_received < payload_total) {
-      want = static_cast<std::size_t>(std::min<std::uint64_t>(
-          payload_total - c->payload_received, sizeof(buf)));
-    } else if (digest) {
-      want = core::kDigestTrailerBytes - c->trailer.size();
-      if (want == 0) want = sizeof(buf);  // drain unexpected surplus
-    }
-    const long n = read_some(c->sock.get(), buf, want);
-    if (n == 0) {
-      if (c->group) {
-        finish_striped_lane(c);
-      } else if (c->session) {
-        // An adopted connection ending before its session completes is a
-        // husk (the abandoned chain's leftover) or a mid-stream death the
-        // source's resume/migration machinery recovers from: close
-        // silently — the session verdict comes from complete_session.
+      case core::SinkAction::kDrop:
         close_conn(c, std::nullopt);
-      } else {
-        finish(c);
-      }
-      return;
-    }
-    if (n < 0) {
-      if (n == -2) {
-        c->failed = true;
-        if (c->group) {
-          finish_striped_lane(c);
-        } else if (c->session) {
-          close_conn(c, std::nullopt);
-        } else {
-          finish(c);
-        }
-      }
-      return;
-    }
-    if (c->payload_received < payload_total) {
-      const std::span<const std::uint8_t> data(buf,
-                                               static_cast<std::size_t>(n));
-      bytes_received_ += static_cast<std::uint64_t>(n);
-      if (c->group) {
-        feed_stripe(c, data);
-        c->payload_received += static_cast<std::uint64_t>(n);
-      } else if (c->session) {
-        SessionState* s = c->session;
-        if (!feed_session(c, data)) {
-          // The connection opened a gap past the stitched frontier: acked
-          // bytes died with the old chain. Refuse it outright.
-          c->failed = true;
-          close_conn(c, core::kStatusFail);
-          return;
-        }
-        if (s->completed) return;  // complete_session closed this conn
-      } else {
-        c->verifier.feed(data);
-        c->payload_received += static_cast<std::uint64_t>(n);
-      }
-    } else if (digest && c->trailer.size() < core::kDigestTrailerBytes) {
-      c->trailer.insert(c->trailer.end(), buf, buf + n);
-      if (c->group && !c->group->trailer &&
-          c->trailer.size() == core::kDigestTrailerBytes) {
-        md5::Digest d;
-        std::copy(c->trailer.begin(), c->trailer.end(), d.bytes.begin());
-        c->group->trailer = d;
-        maybe_complete_group(c->group);
-      }
+        return;
+      case core::SinkAction::kPark:
+        c->parked = true;
+        loop_.remove(c->sock.get());
+        return;
     }
   }
 }
 
-void PosixSinkServer::feed_stripe(Conn* c, std::span<const std::uint8_t> data) {
-  while (!data.empty()) {
-    const auto r = c->cursor->next(data.size());
-    if (r.length == 0) return;  // lane overran its plan; surplus is dropped
-    c->group->reasm.offer(c->header->stripe->stripe_id, r.global,
-                          data.first(static_cast<std::size_t>(r.length)));
-    data = data.subspan(static_cast<std::size_t>(r.length));
-  }
-  maybe_complete_group(c->group);
-}
-
-PosixSinkServer::SessionState* PosixSinkServer::adopt_session(Conn* c) {
-  const core::SessionHeader& h = *c->header;
-  // A migrate header carries (floor, remaining); the logical total is their
-  // sum. Resume and original headers carry the full payload length.
-  const std::uint64_t base =
-      (h.is_migrate() || h.is_resume()) ? h.resume_offset : 0;
-  const std::uint64_t total = h.is_migrate()
-                                  ? h.resume_offset + h.payload_length
-                                  : h.payload_length;
-  auto [it, fresh] = sessions_.try_emplace(h.session);
-  if (fresh) {
-    it->second =
-        std::make_unique<SessionState>(payload_seed_, verify_content_);
-    SessionState* s = it->second.get();
-    s->id = h.session;
-    s->total = total;
-    s->first_header = c->header;
-    s->first_accept = c->accepted_at;
-  }
-  SessionState* s = it->second.get();
-  ++s->connections;
-  s->attached.push_back(c);
-  c->session = s;
-  c->session_base = base;
-  return s;
-}
-
-bool PosixSinkServer::feed_session(Conn* c, std::span<const std::uint8_t> data) {
-  SessionState* s = c->session;
-  const std::uint64_t off = c->session_base + c->payload_received;
-  c->payload_received += data.size();
-  if (s->completed) return true;  // late husk bytes after the verdict
-  if (off > s->frontier) {
-    s->gap_refused = true;
-    LSL_LOG_WARN("sink: session gap at %llu (frontier %llu); refused",
-                 static_cast<unsigned long long>(off),
-                 static_cast<unsigned long long>(s->frontier));
-    return false;
-  }
-  // Discard the duplicated prefix; feed only frontier-advancing bytes so
-  // the stitched MD5 covers each stream byte exactly once.
-  const std::uint64_t skip = s->frontier - off;
-  if (skip >= data.size()) return true;
-  const auto fresh = data.subspan(static_cast<std::size_t>(skip));
-  s->verifier.feed(fresh);
-  s->frontier += fresh.size();
-  if (s->frontier >= s->total) complete_session(s);
-  return true;
-}
-
-void PosixSinkServer::complete_session(SessionState* s) {
-  s->completed = true;
-  s->ok = !s->gap_refused && s->verifier.ok();
-
+void PosixSinkServer::on_stream_verdict(const core::SinkVerdict& v) {
   SinkResult res;
-  res.verified = s->ok;
-  res.payload_bytes = s->frontier;
-  res.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - s->first_accept)
-                    .count();
-  res.header = s->first_header;
-
-  // One status byte per attached connection, then close them all — the
-  // verdict is a stream property, delivered to whichever connection is
-  // still carrying the session (husks included).
-  const std::uint8_t status = s->ok ? core::kStatusOk : core::kStatusFail;
-  const std::vector<Conn*> attached = s->attached;  // close_conn edits it
-  for (Conn* conn : attached) close_conn(conn, status);
-
-  if (on_complete) on_complete(res);
-}
-
-std::uint64_t PosixSinkServer::session_frontier(
-    const core::SessionId& id) const {
-  const auto it = sessions_.find(id);
-  return it == sessions_.end() ? 0 : it->second->frontier;
-}
-
-bool PosixSinkServer::session_completed(const core::SessionId& id) const {
-  const auto it = sessions_.find(id);
-  return it != sessions_.end() && it->second->completed;
-}
-
-md5::Digest PosixSinkServer::session_digest(const core::SessionId& id) const {
-  const auto it = sessions_.find(id);
-  return it == sessions_.end() ? md5::Digest{} : it->second->verifier.digest();
-}
-
-void PosixSinkServer::maybe_complete_group(StripeGroup* g) {
-  if (g->reported || !g->reasm.complete() || !g->trailer) return;
-  g->reported = true;
-  g->ok = g->verifier.ok() && g->reasm.digest() == *g->trailer;
-
-  SinkResult res;
-  res.verified = g->ok;
-  res.payload_bytes = g->reasm.frontier();
-  res.seconds = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - g->first_accept)
-                    .count();
-  res.header = g->first_header;
-
-  // Release every lane that was waiting on the merge; lanes still
-  // streaming (redundant surplus) get their status at their own EOF.
-  const std::vector<Conn*> parked = std::move(g->parked);
-  g->parked.clear();
-  const std::uint8_t status = g->ok ? core::kStatusOk : core::kStatusFail;
-  for (Conn* c : parked) close_conn(c, status);
-
-  if (on_complete) on_complete(res);
-}
-
-void PosixSinkServer::finish_striped_lane(Conn* c) {
-  StripeGroup* g = c->group;
-  const bool digest = c->header->has_digest();
-  const bool lane_ok = !c->failed &&
-                       c->payload_received == c->header->payload_length &&
-                       (!digest || c->trailer.size() ==
-                                       core::kDigestTrailerBytes);
-  if (!lane_ok) {
-    // A dead lane: close without a status byte so the source sees the
-    // failure and re-stripes. The merge keeps whatever the lane delivered.
-    close_conn(c, std::nullopt);
-    return;
+  res.verified = v.ok;
+  res.payload_bytes = v.payload_bytes;
+  res.seconds = seconds_since(v.first_accept, now());
+  res.header = *v.header;
+  for (core::SinkStream* s : v.release) {
+    close_conn(static_cast<Conn*>(s), status_byte(v.ok));
   }
-  if (g->reported) {
-    close_conn(c, g->ok ? core::kStatusOk : core::kStatusFail);
-    return;
-  }
-  // Lane done, merge not: park until the last lane lands.
-  c->parked = true;
-  loop_.remove(c->sock.get());
-  g->parked.push_back(c);
+  if (on_complete) on_complete(res);
 }
 
 void PosixSinkServer::close_conn(Conn* c, std::optional<std::uint8_t> status) {
-  if (c->group) {
-    auto& parked = c->group->parked;
-    parked.erase(std::remove(parked.begin(), parked.end(), c), parked.end());
-  }
-  if (c->session) {
-    auto& at = c->session->attached;
-    at.erase(std::remove(at.begin(), at.end(), c), at.end());
-  }
+  core_.forget(*c);
   if (c->sock.valid()) {
     if (status) write_some(c->sock.get(), &*status, 1);
     if (!c->parked) loop_.remove(c->sock.get());
     c->sock.reset();
   }
-  conns_.erase(std::remove_if(conns_.begin(), conns_.end(),
-                              [c](const auto& p) { return p.get() == c; }),
-               conns_.end());
-}
-
-void PosixSinkServer::finish(Conn* c) {
-  const auto elapsed = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - c->accepted_at)
-                           .count();
-  SinkResult res;
-  res.payload_bytes = c->payload_received;
-  res.seconds = elapsed;
-  res.header = c->header;
-
-  bool ok = !c->failed && c->verifier.ok();
-  if (ok && c->header) {
-    if ((c->header->flags & core::kFlagUnboundedStream) == 0 &&
-        c->payload_received != c->header->payload_length) {
-      ok = false;
-    }
-    if (c->header->has_digest()) {
-      if (c->trailer.size() == core::kDigestTrailerBytes) {
-        md5::Digest expect;
-        std::copy(c->trailer.begin(), c->trailer.end(), expect.bytes.begin());
-        ok = ok && (c->verifier.digest() == expect);
-      } else {
-        ok = false;
-      }
-    }
-  }
-  res.verified = ok;
-
-  // End-to-end status byte, then close: the source's completion signal.
-  const std::uint8_t status = ok ? core::kStatusOk : core::kStatusFail;
-  write_some(c->sock.get(), &status, 1);
-  loop_.remove(c->sock.get());
-  c->sock.reset();
-
-  if (on_complete) on_complete(res);
-
-  conns_.erase(std::remove_if(conns_.begin(), conns_.end(),
-                              [c](const auto& p) { return p.get() == c; }),
-               conns_.end());
+  std::erase_if(conns_, [c](const auto& p) { return p.get() == c; });
 }
 
 }  // namespace lsl::posix

@@ -9,7 +9,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -17,6 +16,7 @@
 
 #include "lsl/payload.hpp"
 #include "lsl/session_id.hpp"
+#include "lsl/sink_core.hpp"
 #include "lsl/wire.hpp"
 #include "md5/md5.hpp"
 #include "posix/epoll_loop.hpp"
@@ -170,8 +170,11 @@ struct SinkResult {
   std::optional<core::SessionHeader> header;
 };
 
-/// Accepts sessions and verifies their payload streams.
-class PosixSinkServer {
+/// Accepts sessions and verifies their payload streams: the real-socket
+/// I/O adapter on the sink core (src/lsl/sink_core.hpp). It keeps the fds,
+/// the epoll registrations and the status-byte writes; every decision
+/// about a connection's bytes is the core's.
+class PosixSinkServer : private core::SinkHost {
  public:
   /// Binds immediately (throws std::system_error on failure). Sessions are
   /// expected to carry an LSL header iff `expect_header`. With
@@ -189,72 +192,53 @@ class PosixSinkServer {
 
   /// Payload bytes accepted across all sessions so far — a cheap progress
   /// probe for drivers that need "mid-transfer" (chaos tests inject there).
-  std::uint64_t bytes_received() const { return bytes_received_; }
+  std::uint64_t bytes_received() const { return core_.payload_bytes(); }
 
   /// Fires once per completed session.
   std::function<void(const SinkResult&)> on_complete;
 
   // --- Migration adoption ----------------------------------------------------
-  // With adoption on, every headered (non-striped, bounded) session is
-  // tracked by id across connections: a kFlagMigrate connection splices
-  // onto the original stream at its resume_offset, duplicate prefixes are
-  // discarded, gaps are refused, and completion becomes a *stream*
-  // property — on_complete fires exactly once, when the stitched frontier
-  // reaches the session total, and husk connections (the dying chain's
-  // leftovers) close silently. Off (the default), the sink behaves exactly
-  // as before — one verdict per connection.
+  // With adoption on, every headered (non-striped, bounded, digest-free)
+  // session is tracked by id across connections in a core::SessionLedger:
+  // a kFlagMigrate connection splices onto the original stream at its
+  // resume_offset, duplicate prefixes are discarded, gaps are refused, and
+  // completion becomes a *stream* property — on_complete fires exactly
+  // once, when the stitched frontier reaches the session total, and husk
+  // connections (the dying chain's leftovers) close silently. Off (the
+  // default), the sink behaves exactly as before — one verdict per
+  // connection.
 
-  void set_adopt_migrations(bool on) { adopt_migrations_ = on; }
+  void set_adopt_migrations(bool on) { core_.set_ledger(on ? &ledger_ : nullptr); }
 
   /// The session's acknowledged stream frontier — the exact floor a
   /// migrating source must resume from. 0 for unknown sessions.
-  std::uint64_t session_frontier(const core::SessionId& id) const;
-  bool session_completed(const core::SessionId& id) const;
+  std::uint64_t session_frontier(const core::SessionId& id) const {
+    return ledger_.frontier(id);
+  }
+  bool session_completed(const core::SessionId& id) const {
+    return ledger_.completed(id);
+  }
   /// MD5 of the stitched stream so far (frontier-advancing bytes only, in
   /// order) — equals the whole-payload digest once the session completes.
-  md5::Digest session_digest(const core::SessionId& id) const;
+  md5::Digest session_digest(const core::SessionId& id) const {
+    return ledger_.digest(id);
+  }
 
  private:
   struct Conn;
-  /// One adopted session's ledger: the stitched frontier, the in-order
-  /// verifier, and the single-shot completion latch.
-  struct SessionState;
-  /// One striped session's merge point: lanes sharing a session id feed a
-  /// stripe::Reassembler; completed lanes park until the merge finishes,
-  /// then every lane gets the end-to-end status byte at once.
-  struct StripeGroup;
+  std::int64_t now() const override;
+  void on_stream_verdict(const core::SinkVerdict& v) override;
   void on_accept();
   void on_readable(Conn* c);
-  void finish(Conn* c);
-  void feed_stripe(Conn* c, std::span<const std::uint8_t> data);
-  void finish_striped_lane(Conn* c);
-  void maybe_complete_group(StripeGroup* g);
+  /// Send `status` (when set), close, and destroy the connection.
   void close_conn(Conn* c, std::optional<std::uint8_t> status);
-  /// Adoption-mode plumbing: attach the connection to its session ledger
-  /// (creating it on first sight) and feed payload at the stream offset the
-  /// connection is positioned at. feed_session returns false when the
-  /// connection opened a gap and must be refused.
-  SessionState* adopt_session(Conn* c);
-  bool feed_session(Conn* c, std::span<const std::uint8_t> data);
-  /// Stream complete: stamp the verdict, fan the status byte out to every
-  /// connection still attached to this session, and fire on_complete once.
-  void complete_session(SessionState* s);
 
   EpollLoop& loop_;
-  bool expect_header_;
-  std::uint64_t payload_seed_;
-  bool verify_content_;
+  core::SessionLedger ledger_;
+  core::SinkCore core_;
   Fd listener_;
   std::uint16_t port_ = 0;
-  std::uint64_t bytes_received_ = 0;
-  bool adopt_migrations_ = false;
   std::vector<std::unique_ptr<Conn>> conns_;
-  /// Reassembly state per striped session; kept for the server's lifetime
-  /// so a late replacement lane can still join its session.
-  std::map<core::SessionId, std::unique_ptr<StripeGroup>> groups_;
-  /// Adopted-session ledgers (adopt mode only); kept for the server's
-  /// lifetime so frontier/digest stay queryable after completion.
-  std::map<core::SessionId, std::unique_ptr<SessionState>> sessions_;
 };
 
 }  // namespace lsl::posix

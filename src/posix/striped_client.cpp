@@ -3,48 +3,11 @@
 #include <algorithm>
 #include <utility>
 
-#include "lsl/payload.hpp"
 #include "util/contract.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 
 namespace lsl::posix {
-
-namespace {
-
-/// Lane-relative offsets onto merged-stream content, like the simulator's
-/// filler (src/exp/striped.cpp): a LaneCursor maps, the seeded generator
-/// produces.
-struct LaneFiller {
-  core::StripeInfo info;
-  std::uint64_t lane_total;
-  core::PayloadGenerator gen;
-  stripe::LaneCursor cursor;
-  std::uint64_t pos = 0;
-
-  LaneFiller(const core::StripeInfo& i, std::uint64_t total,
-             std::uint64_t seed)
-      : info(i), lane_total(total), gen(seed), cursor(i, total) {}
-
-  void fill(std::uint64_t offset, std::span<std::uint8_t> out) {
-    if (offset != pos) {
-      cursor = stripe::LaneCursor(info, lane_total);
-      cursor.skip(offset);
-      pos = offset;
-    }
-    std::size_t done = 0;
-    while (done < out.size()) {
-      const auto r = cursor.next(out.size() - done);
-      if (r.length == 0) break;
-      gen.seek(r.global);
-      gen.generate(out.subspan(done, static_cast<std::size_t>(r.length)));
-      done += static_cast<std::size_t>(r.length);
-      pos += r.length;
-    }
-  }
-};
-
-}  // namespace
 
 StripedPosixSource::StripedPosixSource(EpollLoop& loop,
                                        StripedPosixSourceConfig config)
@@ -91,8 +54,8 @@ void StripedPosixSource::launch_lane(std::size_t li) {
   scfg.session = session_;
   scfg.stripe = lane.info;
   scfg.trailer_digest = session_digest_;
-  auto filler = std::make_shared<LaneFiller>(lane.info, lane.total,
-                                             config_.payload_seed);
+  auto filler = std::make_shared<stripe::LaneFiller>(
+      lane.info, lane.total, /*base=*/0, config_.payload_seed);
   scfg.payload_fill = [filler](std::uint64_t off,
                                std::span<std::uint8_t> out) {
     filler->fill(off, out);
@@ -124,7 +87,7 @@ void StripedPosixSource::on_lane_done(std::size_t li, bool ok) {
   LSL_LOG_WARN("striped source: lane %zu lost (%s)", li,
                lane.route.empty() ? "direct"
                                   : lane.route.front().to_string().c_str());
-  if (coverage_without_dead()) {
+  if (stripe::survivors_cover(plan_, dead_mask())) {
     lane.settled = true;
     LSL_LOG_INFO("striped source: redundancy covers lane %zu", li);
     maybe_finish();
@@ -161,17 +124,12 @@ void StripedPosixSource::on_lane_done(std::size_t li, bool ok) {
                 .count());
 }
 
-bool StripedPosixSource::coverage_without_dead() const {
-  const std::uint16_t count = plan_.stripe_count();
-  std::vector<bool> covered(count, false);
-  for (const Lane& l : lanes_) {
-    if (l.dead) continue;
-    for (std::uint16_t k = 0; k <= l.info.redundancy; ++k) {
-      covered[(l.info.stripe_id + k) % count] = true;
-    }
+std::uint32_t StripedPosixSource::dead_mask() const {
+  std::uint32_t mask = 0;
+  for (std::size_t j = 0; j < lanes_.size(); ++j) {
+    if (lanes_[j].dead) mask |= 1u << j;
   }
-  return std::all_of(covered.begin(), covered.end(),
-                     [](bool b) { return b; });
+  return mask;
 }
 
 void StripedPosixSource::maybe_finish() {

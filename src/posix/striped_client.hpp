@@ -88,7 +88,8 @@ class StripedPosixSource {
 
   void launch_lane(std::size_t li);
   void on_lane_done(std::size_t li, bool ok);
-  bool coverage_without_dead() const;
+  /// Bit j set: lane j is lost and not (yet) replaced.
+  std::uint32_t dead_mask() const;
   void maybe_finish();
   void fail_all();
 

@@ -1,6 +1,7 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 namespace lsl::sim {
@@ -27,45 +28,39 @@ void EventQueue::cancel(EventId id) {
   --live_count_;
 }
 
-bool EventQueue::pop_next(Entry& out) {
+bool EventQueue::fire_next(util::SimTime deadline) {
   while (!heap_.empty()) {
-    // priority_queue::top() is const; we move via const_cast which is safe
-    // because we pop immediately after.
+    // Skip cancelled tops first: the deadline applies to the earliest
+    // *live* event, or a tombstone due before it would let a later event
+    // run past the deadline.
+    const auto it = cancelled_.find(heap_.top().id);
+    if (it != cancelled_.end()) {
+      cancelled_.erase(it);
+      heap_.pop();
+      continue;
+    }
+    if (heap_.top().time > deadline) return false;
+    // priority_queue::top() is const; moving the callback out is safe
+    // because the entry is popped immediately after.
     Entry& top = const_cast<Entry&>(heap_.top());
     Entry e{top.time, top.id, std::move(top.cb)};
     heap_.pop();
-    const auto it = cancelled_.find(e.id);
-    if (it != cancelled_.end()) {
-      cancelled_.erase(it);
-      continue;
-    }
-    out = std::move(e);
+    now_ = e.time;
+    pending_.erase(e.id);
+    --live_count_;
+    ++executed_;
+    e.cb();
     return true;
   }
   return false;
 }
 
 bool EventQueue::step() {
-  Entry e;
-  if (!pop_next(e)) return false;
-  now_ = e.time;
-  pending_.erase(e.id);
-  --live_count_;
-  ++executed_;
-  e.cb();
-  return true;
+  return fire_next(std::numeric_limits<util::SimTime>::max());
 }
 
 void EventQueue::run_until(util::SimTime deadline) {
-  Entry e;
-  while (!heap_.empty()) {
-    if (heap_.top().time > deadline) break;
-    if (!pop_next(e)) break;
-    now_ = e.time;
-    pending_.erase(e.id);
-    --live_count_;
-    ++executed_;
-    e.cb();
+  while (fire_next(deadline)) {
   }
   now_ = std::max(now_, deadline);
 }

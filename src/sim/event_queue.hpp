@@ -73,7 +73,9 @@ class EventQueue {
     }
   };
 
-  bool pop_next(Entry& out);
+  /// Run the earliest live event if it is due by `deadline`; false when
+  /// none is. The one pop path behind step() and run_until().
+  bool fire_next(util::SimTime deadline);
 
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
   std::unordered_set<EventId> pending_;    ///< scheduled, not yet fired/cancelled

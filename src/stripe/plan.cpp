@@ -101,6 +101,21 @@ StripePlan StripePlan::weighted(std::uint64_t session_bytes,
   return plan;
 }
 
+bool survivors_cover(const StripePlan& plan, std::uint32_t dead_mask) {
+  const std::uint16_t count = plan.stripe_count();
+  if (count == 0) return false;
+  std::vector<bool> covered(count, false);
+  for (std::uint16_t j = 0; j < count; ++j) {
+    if ((dead_mask >> j) & 1u) continue;
+    const core::StripeInfo& info = plan.lanes[j];
+    const std::uint16_t carried =
+        info.mode == core::StripeMode::kContiguous ? 0 : info.redundancy;
+    for (std::uint16_t k = 0; k <= carried; ++k) covered[(j + k) % count] = true;
+  }
+  return std::all_of(covered.begin(), covered.end(),
+                     [](bool b) { return b; });
+}
+
 std::vector<core::CandidateRoute> disjoint_routes(
     const core::RouteSelector& selector,
     const std::vector<core::CandidateRoute>& candidates, std::size_t want,
@@ -198,6 +213,33 @@ LaneCursor::Range LaneCursor::next(std::uint64_t max_len) {
 void LaneCursor::skip(std::uint64_t lane_count) {
   while (lane_count > 0 && !done()) {
     lane_count -= next(lane_count).length;
+  }
+}
+
+LaneFiller::LaneFiller(const core::StripeInfo& info, std::uint64_t lane_total,
+                       std::uint64_t base, std::uint64_t seed)
+    : info_(info),
+      lane_total_(lane_total),
+      base_(base),
+      gen_(seed),
+      cursor_(info, lane_total) {
+  cursor_.skip(base_);
+}
+
+void LaneFiller::fill(std::uint64_t offset, std::span<std::uint8_t> out) {
+  if (offset != conn_off_) {
+    cursor_ = LaneCursor(info_, lane_total_);
+    cursor_.skip(base_ + offset);
+    conn_off_ = offset;
+  }
+  std::size_t done = 0;
+  while (done < out.size()) {
+    const auto r = cursor_.next(out.size() - done);
+    if (r.length == 0) break;  // lane exhausted (caller sized the transfer)
+    gen_.seek(r.global);
+    gen_.generate(out.subspan(done, static_cast<std::size_t>(r.length)));
+    done += static_cast<std::size_t>(r.length);
+    conn_off_ += r.length;
   }
 }
 

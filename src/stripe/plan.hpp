@@ -16,6 +16,7 @@
 #include <span>
 #include <vector>
 
+#include "lsl/payload.hpp"
 #include "lsl/selector.hpp"
 #include "lsl/wire.hpp"
 
@@ -52,6 +53,12 @@ struct StripePlan {
   static StripePlan weighted(std::uint64_t session_bytes,
                              std::span<const double> weights);
 };
+
+/// True when the lanes still alive carry every logical stripe of `plan`:
+/// bit j of `dead_mask` marks lane j lost. A round-robin lane carries
+/// stripes j..j+redundancy (mod count), a contiguous lane only its own
+/// range. An empty plan (an unstriped session) is never covered.
+bool survivors_cover(const StripePlan& plan, std::uint32_t dead_mask);
 
 /// Greedy depot-disjoint route pick: repeatedly take the RouteSelector's
 /// best remaining candidate whose interior depots avoid every depot already
@@ -104,6 +111,27 @@ class LaneCursor {
   std::uint64_t super_ = 0;
   std::size_t carried_idx_ = 0;
   std::uint64_t cell_off_ = 0;
+};
+
+/// Random-access payload filler for one lane connection: maps
+/// connection-relative offsets through a LaneCursor onto merged-stream
+/// offsets and generates the seeded content there. `base` is the lane
+/// offset the connection starts at (a replacement lane's resume point).
+/// Sources fill monotonically; a rewind rebuilds the cursor.
+class LaneFiller {
+ public:
+  LaneFiller(const core::StripeInfo& info, std::uint64_t lane_total,
+             std::uint64_t base, std::uint64_t seed);
+
+  void fill(std::uint64_t offset, std::span<std::uint8_t> out);
+
+ private:
+  core::StripeInfo info_;
+  std::uint64_t lane_total_;
+  std::uint64_t base_;
+  core::PayloadGenerator gen_;
+  LaneCursor cursor_;
+  std::uint64_t conn_off_ = 0;
 };
 
 }  // namespace lsl::stripe

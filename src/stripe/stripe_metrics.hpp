@@ -1,9 +1,9 @@
 // Striping instruments.
 //
 // Flat `stripe.*` names plus a per-lane gauge family: one reassembling sink
-// per striped session, so the bundle is attached at the merge point (the
-// sim StripedSinkServer or the posix reassembling sink) and shared with the
-// Reassembler for buffer/hole gauges. Every name registered here must
+// per striped session. exp::run_striped books the bundle from the sink
+// core's lane reports (merge, duplicate, buffer and hole figures per offer);
+// a Reassembler can also update it directly. Every name registered here must
 // appear in docs/OBSERVABILITY.md — the `stripe-metrics-docs` rule of
 // tools/lsl_lint enforces that for any `stripe.` string literal in this
 // directory.

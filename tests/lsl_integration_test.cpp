@@ -341,6 +341,55 @@ TEST(LslIntegration, UndecodableHeaderFailsWithoutDialing) {
   EXPECT_EQ(out.dials, 0);
 }
 
+// The sink's half of the same rule: a header that passes the length check
+// but fails to decode is refused (the stream is aborted), never read as a
+// headerless raw stream and verified on content alone — with or without
+// a migration ledger attached.
+TEST(LslIntegration, SinkRefusesUndecodableHeader) {
+  for (const bool with_ledger : {false, true}) {
+    tcp::TcpConfig tcp;
+    tcp.carry_data = true;
+    auto t = make_topology(tcp);
+    constexpr std::uint64_t kSeed = 23;
+    core::SessionLedger ledger(kSeed);
+    core::SinkConfig sink_cfg;
+    sink_cfg.expect_header = true;
+    sink_cfg.verify_payload = true;
+    sink_cfg.payload_seed = kSeed;
+    if (with_ledger) sink_cfg.ledger = &ledger;
+    core::SinkServer sink(*t.dst_stack, kSink, sink_cfg, nullptr);
+    bool complete = false;
+    bool verified = false;
+    sink.on_complete = [&](core::SinkApp& app) {
+      complete = true;
+      verified = app.verified();
+    };
+
+    core::SessionHeader h;
+    util::Rng rng(23);
+    h.session = core::SessionId::generate(rng);
+    h.trace_id = 1;  // encodes as version 2 ...
+    h.payload_length = 4096;
+    h.destination = {t.dst->id(), kSink};
+    std::vector<std::uint8_t> wire;
+    core::encode_header(h, wire);
+    std::fill_n(wire.begin() + 40, core::kTraceIdBytes, 0);  // ... id 0
+    std::vector<std::uint8_t> payload(h.payload_length);
+    core::PayloadGenerator(kSeed).generate(payload);
+    wire.insert(wire.end(), payload.begin(), payload.end());
+
+    tcp::TcpSocket* up = t.src_stack->connect({t.dst->id(), kSink});
+    up->on_established = [&] {
+      ASSERT_EQ(up->send(wire), wire.size());
+      up->close();
+    };
+    t.net->sim().events().run_until(30 * util::kSecond);
+    EXPECT_FALSE(complete) << "ledger=" << with_ledger;
+    EXPECT_FALSE(verified) << "ledger=" << with_ledger;
+    EXPECT_FALSE(ledger.find(h.session)) << "ledger=" << with_ledger;
+  }
+}
+
 std::vector<std::uint8_t> bare_header(core::SessionHeader h) {
   h.payload_length = 0;
   std::vector<std::uint8_t> wire;

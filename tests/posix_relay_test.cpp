@@ -7,8 +7,10 @@
 #include <sys/epoll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <chrono>
 #include <optional>
+#include <vector>
 
 #include "metrics/instruments.hpp"
 #include "metrics/metrics.hpp"
@@ -16,6 +18,7 @@
 #include "posix/epoll_loop.hpp"
 #include "posix/lsd.hpp"
 #include "posix/socket_util.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace lsl::test {
@@ -311,6 +314,47 @@ TEST(PosixRelay, TruncatedHeaderClassifiedAsHeaderFailure) {
   EXPECT_EQ(depot.stats().sessions_failed, 1u);
   EXPECT_EQ(depot.stats().fail_header, 1u);
   expect_fail_breakdown_consistent(depot.stats());
+}
+
+// A v2 header whose trace id is zero has a valid length but does not
+// decode. The sink must refuse it, not read it as a headerless raw stream
+// and acknowledge whatever follows — digest-only mode (the lsl_recv
+// default) has no content check to catch that.
+TEST(PosixRelay, SinkRefusesUndecodableHeader) {
+  REQUIRE_LOOPBACK();
+  EpollLoop loop;
+  PosixSinkServer sink(loop, InetAddress::loopback(0), true, 31,
+                       /*verify_content=*/false);
+  bool done = false;
+  SinkResult result;
+  sink.on_complete = [&](const SinkResult& r) {
+    result = r;
+    done = true;
+  };
+
+  core::SessionHeader h;
+  util::Rng rng(31);
+  h.session = core::SessionId::generate(rng);
+  h.trace_id = 1;  // encodes as version 2 ...
+  h.payload_length = 4;
+  h.destination = {0x7f000001, sink.port()};
+  std::vector<std::uint8_t> wire;
+  core::encode_header(h, wire);
+  std::fill_n(wire.begin() + 40, core::kTraceIdBytes, 0);  // ... id 0
+  wire.insert(wire.end(), 4, 0xab);
+
+  posix::Fd conn = raw_connect(loop, sink.port());
+  ASSERT_TRUE(conn.valid());
+  ASSERT_EQ(::send(conn.get(), wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+  ::shutdown(conn.get(), SHUT_WR);
+
+  ASSERT_TRUE(drive(loop, done, 5.0));
+  EXPECT_FALSE(result.verified);
+  EXPECT_FALSE(result.header.has_value());
+  std::uint8_t status = 0;
+  ASSERT_EQ(::recv(conn.get(), &status, 1, 0), 1);
+  EXPECT_EQ(status, core::kStatusFail);
 }
 
 TEST(PosixRelay, UpstreamResetClassifiedAsPeerReset) {

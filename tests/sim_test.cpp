@@ -81,6 +81,23 @@ TEST(EventQueue, RunUntilStopsAtDeadline) {
   EXPECT_EQ(q.size(), 1u);
 }
 
+// A cancelled entry due before the deadline must not let the next live
+// event (due after it) run early.
+TEST(EventQueue, RunUntilSkipsCancelledTopWithoutOvershooting) {
+  EventQueue q;
+  int fired = 0;
+  const EventId early = q.schedule_at(10, [&] { ++fired; });
+  q.schedule_at(30, [&] { ++fired; });
+  q.cancel(early);
+  q.run_until(20);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(q.now(), 20);
+  EXPECT_EQ(q.size(), 1u);
+  q.run_until(30);
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(q.empty());
+}
+
 TEST(EventQueue, EventsScheduledDuringRunExecute) {
   EventQueue q;
   int fired = 0;

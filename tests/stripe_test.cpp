@@ -257,6 +257,31 @@ TEST(StripePlan, RedundancySurvivesAnySingleLaneLoss) {
   }
 }
 
+// The restripe decision both striped sources make: do the surviving lanes
+// still carry every logical stripe?
+TEST(StripePlan, SurvivorsCoverOnlyWithinRedundancy) {
+  const auto bare = stripe::StripePlan::round_robin(777777, 3, 8192, 0);
+  EXPECT_TRUE(stripe::survivors_cover(bare, 0));
+  for (std::uint32_t dead = 0; dead < 3; ++dead) {
+    EXPECT_FALSE(stripe::survivors_cover(bare, 1u << dead)) << dead;
+  }
+
+  const auto masked = stripe::StripePlan::round_robin(777777, 3, 8192, 1);
+  for (std::uint32_t dead = 0; dead < 3; ++dead) {
+    EXPECT_TRUE(stripe::survivors_cover(masked, 1u << dead)) << dead;
+  }
+  // Two deaths leave one lane carrying two of the three stripes.
+  EXPECT_FALSE(stripe::survivors_cover(masked, 0b011));
+  EXPECT_FALSE(stripe::survivors_cover(masked, 0b101));
+
+  const std::vector<double> weights = {1.0, 1.0};
+  const auto weighted = stripe::StripePlan::weighted(4096, weights);
+  EXPECT_TRUE(stripe::survivors_cover(weighted, 0));
+  EXPECT_FALSE(stripe::survivors_cover(weighted, 0b10));
+  // An unstriped session has no plan, so nothing covers for a lost lane.
+  EXPECT_FALSE(stripe::survivors_cover(stripe::StripePlan{}, 0));
+}
+
 TEST(StripePlan, WeightedSplitsContiguouslyByWeight) {
   const std::uint64_t bytes = 10 * util::kMiB;
   const std::vector<double> weights = {1.0, 3.0};
@@ -546,6 +571,19 @@ TEST(StripedRun, SingleLaneDegeneratesToPlainChain) {
   EXPECT_TRUE(r.completed);
   EXPECT_TRUE(r.verified);
   EXPECT_EQ(r.lanes, 1u);
+}
+
+// The degenerate lane has no merge to resume into: its replacement resends
+// the stream from byte 0, and the sink verifies that connection whole.
+TEST(StripedRun, SingleLaneCrashRecoversVerified) {
+  exp::StripedParams p = base_params(1, 2);
+  p.plan = plan_of("crash:depot=depot1,at_bytes=1048576");
+  const exp::StripedResult r = exp::run_striped(p);
+  EXPECT_TRUE(r.completed);
+  EXPECT_TRUE(r.verified);
+  EXPECT_EQ(r.stripes_lost, 1u);
+  EXPECT_EQ(r.stripes_recovered, 1u);
+  EXPECT_EQ(r.retransmitted_bytes, p.bytes);
 }
 
 }  // namespace
