@@ -7,7 +7,6 @@
 #include <array>
 #include <cerrno>
 #include <chrono>
-#include <stdexcept>
 #include <system_error>
 
 namespace lsl::engine {
@@ -102,12 +101,6 @@ void EpollEngine::drain_wakeup() {
   const auto n = ::read(wakeup_fd_.get(), &count, sizeof(count));
   (void)n;  // EFD_NONBLOCK: EAGAIN just means a spurious wake
   if (on_wakeup_) on_wakeup_();
-}
-
-std::unique_ptr<EventEngine> make_engine(std::string_view backend) {
-  if (backend == "epoll") return std::make_unique<EpollEngine>();
-  throw std::invalid_argument("make_engine: unknown backend '" +
-                              std::string(backend) + "'");
 }
 
 }  // namespace lsl::engine

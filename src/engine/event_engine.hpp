@@ -7,9 +7,9 @@
 // primitive, and a thread-safe wakeup. That is exactly the surface an
 // io_uring backend can also provide (submit POLL_ADD SQEs instead of
 // epoll_ctl, reap CQEs instead of epoll_wait, post a NOP SQE for wakeup),
-// so a second backend slots in behind make_engine() without touching the
-// daemon. The first backend is EpollEngine (engine/epoll_engine.hpp),
-// the epoll+eventfd loop the daemon has always run on.
+// so a second backend can implement it without touching the daemon. The
+// one backend is EpollEngine (engine/epoll_engine.hpp), the epoll+eventfd
+// loop the daemon has always run on; callers construct it directly.
 //
 // Threading contract: every method except wakeup() must be called from
 // the thread that drives run()/run_once() — the engine is the shard's
@@ -20,8 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <string>
 #include <string_view>
 
 #include "metrics/instruments.hpp"
@@ -83,10 +81,5 @@ class EventEngine {
   /// may call wakeup(); runs on the dispatch thread.
   virtual void set_wakeup_callback(std::function<void()> cb) = 0;
 };
-
-/// Construct a backend by name. "epoll" is always available; unknown
-/// names throw std::invalid_argument. (An "io_uring" registration will
-/// land here once that backend exists.)
-std::unique_ptr<EventEngine> make_engine(std::string_view backend = "epoll");
 
 }  // namespace lsl::engine

@@ -40,25 +40,20 @@ class StripedRun {
   StripedResult run();
 
  private:
+  /// The adapter's half of a lane; what it carries and whether it is
+  /// lost or settled is the source core's (core::LaneSet).
   struct Lane {
-    std::uint16_t id = 0;
-    std::optional<core::StripeInfo> info;  ///< absent for stripes == 1
-    std::uint64_t total = 0;               ///< full lane byte count
-    std::string depot;                     ///< current chain's depot
+    std::string depot;            ///< current chain's depot
     std::uint64_t delivered = 0;  ///< in-order lane bytes at the sink
     util::SimTime start = -1;
-    bool completed = false;  ///< all lane payload merged
-    bool dead = false;       ///< lost; absorbed or awaiting a restripe
   };
 
   void build_topology();
   void seed_database(core::PathDatabase& db) const;
   void make_plan();
-  void launch_lane(std::size_t li, std::uint64_t resume_at);
+  void launch_lane(std::size_t li, core::SourcePlan plan);
   void on_lane(const core::LaneReport& r);
   void lane_death(std::size_t li);
-  /// Bit j set: lane j is lost and not (yet) replaced.
-  std::uint32_t dead_mask() const;
   void schedule_restripe(std::size_t li);
   void scan_dead_depots();
   double path_rate_mbps(std::size_t path) const;
@@ -86,10 +81,8 @@ class StripedRun {
   std::unique_ptr<fault::RetryPolicy> policy_;
   std::vector<core::CandidateRoute> candidates_;
 
-  stripe::StripePlan plan_;
+  std::optional<core::LaneSet> set_;
   std::vector<Lane> lanes_;
-  core::SessionId session_;
-  md5::Digest session_digest_;
 
   std::optional<stripe::StripeMetrics> stripe_metrics_;
   std::unique_ptr<core::SinkServer> sink_;
@@ -208,6 +201,7 @@ void StripedRun::make_plan() {
   LSL_PRECONDITION(routes.size() == p_.stripes,
                    "striped: not enough disjoint chains for the lane count");
 
+  stripe::StripePlan plan;  // empty: one unstriped lane
   if (p_.stripes >= 2) {
     if (p_.weighted) {
       std::vector<double> weights;
@@ -215,53 +209,29 @@ void StripedRun::make_plan() {
         const double t = selector_->predict_transfer_seconds(r, p_.bytes);
         weights.push_back(t > 0.0 ? 1.0 / t : 1.0);
       }
-      plan_ = stripe::StripePlan::weighted(p_.bytes, weights);
+      plan = stripe::StripePlan::weighted(p_.bytes, weights);
     } else {
-      plan_ = stripe::StripePlan::round_robin(p_.bytes, p_.stripes, p_.chunk,
-                                              p_.redundancy);
+      plan = stripe::StripePlan::round_robin(p_.bytes, p_.stripes, p_.chunk,
+                                             p_.redundancy);
     }
   }
+  util::Rng id_rng(p_.seed);
+  set_.emplace(std::move(plan), p_.bytes, core::SessionId::generate(id_rng),
+               p_.seed);
 
   lanes_.resize(p_.stripes);
   for (std::size_t j = 0; j < p_.stripes; ++j) {
-    Lane& lane = lanes_[j];
-    lane.id = static_cast<std::uint16_t>(j);
-    lane.depot = routes[j].waypoints[1];
-    if (p_.stripes >= 2) {
-      lane.info = plan_.lanes[j];
-      lane.total = plan_.lane_bytes[j];
-    } else {
-      lane.total = p_.bytes;  // degenerate: one unstriped chain
-    }
+    lanes_[j].depot = routes[j].waypoints[1];
   }
 }
 
-void StripedRun::launch_lane(std::size_t li, std::uint64_t resume_at) {
+void StripedRun::launch_lane(std::size_t li, core::SourcePlan plan) {
   Lane& lane = lanes_[li];
   core::SourceConfig scfg;
-  scfg.payload_bytes = lane.total - resume_at;
-  scfg.payload_seed = p_.seed;
-  scfg.use_header = true;
-  scfg.header.session = session_;
-  scfg.header.flags |= core::kFlagDigestTrailer;
-  scfg.header.payload_length = lane.total - resume_at;
-  scfg.header.resume_offset = resume_at;
-  scfg.header.stripe = lane.info;
+  static_cast<core::SourcePlan&>(scfg) = std::move(plan);
   sim::Node* depot_node = net_->find_node(lane.depot);
   scfg.header.hops.push_back({depot_node->id(), kDepotPort});
   scfg.header.destination = {dst_->id(), kSinkPort};
-  // Every lane ships the merged stream's digest: only the reassembling
-  // sink can check it, and a surviving lane's trailer still vouches for
-  // the whole session after another lane died.
-  scfg.trailer_digest = session_digest_;
-  if (lane.info) {
-    auto filler = std::make_shared<stripe::LaneFiller>(
-        *lane.info, lane.total, resume_at, p_.seed);
-    scfg.payload_fill = [filler](std::uint64_t off,
-                                 std::span<std::uint8_t> out) {
-      filler->fill(off, out);
-    };
-  }
 
   const sim::Endpoint first_hop{depot_node->id(), kDepotPort};
   sources_.push_back(std::make_unique<core::SourceApp>(
@@ -277,7 +247,7 @@ void StripedRun::on_lane(const core::LaneReport& r) {
   Lane& lane = lanes_[r.lane];
   switch (r.event) {
     case core::LaneReport::Event::kDone:
-      lane.completed = true;
+      set_->settle(r.lane);
       return;
     case core::LaneReport::Event::kDead:
       lane_death(r.lane);
@@ -297,7 +267,7 @@ void StripedRun::on_lane(const core::LaneReport& r) {
       const double elapsed = util::to_seconds(ev().now() - lane.start);
       if (elapsed > 0.0) {
         stripe_metrics_->on_lane_rate(
-            lane.id, 8.0 * static_cast<double>(lane.delivered) / elapsed);
+            r.lane, 8.0 * static_cast<double>(lane.delivered) / elapsed);
       }
     }
   }
@@ -308,35 +278,19 @@ void StripedRun::on_lane(const core::LaneReport& r) {
 }
 
 void StripedRun::lane_death(std::size_t li) {
-  Lane& lane = lanes_[li];
-  if (lane.dead || lane.completed) return;
-  if (lane.delivered >= lane.total) {
-    // All payload already merged — only the trailer was cut off. Another
-    // lane's (identical) trailer vouches for the session.
-    lane.completed = true;
-    return;
-  }
-  lane.dead = true;
-  ++res_.stripes_lost;
+  const Lane& lane = lanes_[li];
+  const core::LaneSet::Loss loss = set_->lose(li, lane.delivered);
+  if (loss == core::LaneSet::Loss::kSettled) return;
   if (stripe_metrics_) stripe_metrics_->stripes_lost->inc();
-  LSL_LOG_INFO("striped: lane %u died on %s at %llu/%llu lane bytes",
-               static_cast<unsigned>(lane.id), lane.depot.c_str(),
+  LSL_LOG_INFO("striped: lane %zu died on %s at %llu/%llu lane bytes", li,
+               lane.depot.c_str(),
                static_cast<unsigned long long>(lane.delivered),
-               static_cast<unsigned long long>(lane.total));
-  if (stripe::survivors_cover(plan_, dead_mask())) {
-    LSL_LOG_INFO("striped: redundancy covers lane %u, no restripe",
-                 static_cast<unsigned>(lane.id));
+               static_cast<unsigned long long>((*set_)[li].total));
+  if (loss == core::LaneSet::Loss::kAbsorbed) {
+    LSL_LOG_INFO("striped: redundancy covers lane %zu, no restripe", li);
     return;
   }
   schedule_restripe(li);
-}
-
-std::uint32_t StripedRun::dead_mask() const {
-  std::uint32_t mask = 0;
-  for (std::size_t j = 0; j < lanes_.size(); ++j) {
-    if (lanes_[j].dead) mask |= 1u << j;
-  }
-  return mask;
 }
 
 void StripedRun::schedule_restripe(std::size_t li) {
@@ -350,32 +304,29 @@ void StripedRun::schedule_restripe(std::size_t li) {
     Lane& lane = lanes_[li];
     std::set<std::string> excluded = injector_->dead_depots();
     excluded.insert(lane.depot);
-    for (const Lane& l : lanes_) {
-      if (!l.dead && !l.completed) excluded.insert(l.depot);
+    for (std::size_t j = 0; j < lanes_.size(); ++j) {
+      if ((*set_)[j].live()) excluded.insert(lanes_[j].depot);
     }
     fault::RerouteError err = fault::RerouteError::kNone;
     const auto chosen = rerouter_->choose_excluding(
-        candidates_, excluded, lane.total - lane.delivered, &err);
+        candidates_, excluded, (*set_)[li].total - lane.delivered, &err);
     if (!chosen) {
       // A crashed chain may come back (scripted restart): burn the tick
       // and try again while the budget lasts, like run_chaos.
-      LSL_LOG_WARN("striped: no spare chain for lane %u (%s)",
-                   static_cast<unsigned>(lane.id), fault::to_string(err));
+      LSL_LOG_WARN("striped: no spare chain for lane %zu (%s)", li,
+                   fault::to_string(err));
       schedule_restripe(li);
       return;
     }
     lane.depot = chosen->waypoints[1];
-    lane.dead = false;
-    ++res_.stripes_recovered;
     if (stripe_metrics_) stripe_metrics_->stripes_recovered->inc();
-    // A striped lane resumes where the merge stopped; an unstriped one is
-    // verified per connection, so its replacement resends from byte 0.
-    const std::uint64_t resume = lane.info ? lane.delivered : 0;
-    res_.retransmitted_bytes += lane.total - resume;
-    LSL_LOG_INFO("striped: lane %u re-striped onto %s (resume %llu)",
-                 static_cast<unsigned>(lane.id), lane.depot.c_str(),
-                 static_cast<unsigned long long>(resume));
-    launch_lane(li, resume);
+    // The sink's lane position is the floor: the merge holds every byte
+    // below it.
+    core::SourcePlan plan = set_->restripe(li, lane.delivered);
+    LSL_LOG_INFO("striped: lane %zu re-striped onto %s (resume %llu)", li,
+                 lane.depot.c_str(),
+                 static_cast<unsigned long long>(plan.header.resume_offset));
+    launch_lane(li, std::move(plan));
   });
 }
 
@@ -383,8 +334,7 @@ void StripedRun::scan_dead_depots() {
   const std::set<std::string>& dead = injector_->dead_depots();
   if (dead.empty()) return;
   for (std::size_t li = 0; li < lanes_.size(); ++li) {
-    const Lane& lane = lanes_[li];
-    if (!lane.dead && !lane.completed && dead.count(lane.depot) > 0) {
+    if ((*set_)[li].live() && dead.count(lanes_[li].depot) > 0) {
       lane_death(li);
     }
   }
@@ -400,10 +350,6 @@ StripedResult StripedRun::run() {
   build_topology();
   make_plan();
 
-  util::Rng id_rng(p_.seed);
-  session_ = core::SessionId::generate(id_rng);
-  session_digest_ = core::stream_digest(p_.seed, p_.bytes);
-
   if (p_.metrics != nullptr) {
     stripe_metrics_.emplace(*p_.metrics, p_.stripes);
   }
@@ -418,13 +364,15 @@ StripedResult StripedRun::run() {
   // ordinary session.
   sink_->on_verdict = [this](const core::SinkVerdict& v) { verdict_ = v.ok; };
   sink_->on_complete = [this](core::SinkApp& app) {
-    if (!lanes_[0].info && app.payload_received() == p_.bytes) {
+    if (!(*set_)[0].info && app.payload_received() == p_.bytes) {
       verdict_ = app.verified();
     }
   };
 
   injector_->arm();
-  for (std::size_t li = 0; li < lanes_.size(); ++li) launch_lane(li, 0);
+  for (std::size_t li = 0; li < lanes_.size(); ++li) {
+    launch_lane(li, set_->plan(li, 0));
+  }
 
   // Drive until the sink verdicts the merged stream, a restripe ran out of
   // budget, or nothing is left to simulate.
@@ -436,6 +384,9 @@ StripedResult StripedRun::run() {
   res_.attempts = policy_->attempts_made();
   res_.faults_injected = injector_->injected();
   for (const Lane& lane : lanes_) res_.lane_routes.push_back(lane.depot);
+  res_.stripes_lost = set_->lost();
+  res_.stripes_recovered = set_->recovered();
+  res_.retransmitted_bytes = set_->retransmitted();
 
   if (merge_time_ >= 0) {
     res_.completed = true;

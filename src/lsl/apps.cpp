@@ -11,158 +11,67 @@ namespace lsl::core {
 
 SourceApp::SourceApp(tcp::TcpStack& stack, sim::Endpoint first_hop,
                      SourceConfig config, SessionDirectory* dir)
-    : stack_(stack), first_hop_(first_hop), config_(config), dir_(dir) {}
+    : stack_(stack),
+      first_hop_(first_hop),
+      dir_(dir),
+      reconnect_delay_(config.resume_reconnect_delay),
+      reconnect_backoff_(std::move(config.reconnect_backoff)),
+      core_(*this, std::move(config), stack.default_config().carry_data) {}
 
 void SourceApp::start() {
-  assert(socket_ == nullptr && "start() may only be called once");
-  assert((!config_.resumable ||
-          (config_.use_header && !config_.header.has_digest())) &&
-         "resumable sessions need a header and cannot carry a digest "
-         "trailer (MD5 cannot rewind across a resume boundary)");
   start_time_ = stack_.sim().now();
-
-  const bool real = stack_.default_config().carry_data;
-  if (real) {
-    generator_.emplace(config_.payload_seed);
-    // A precomputed trailer (striped lanes ship the merged stream's digest)
-    // replaces per-connection hashing.
-    if (config_.use_header && config_.header.has_digest() &&
-        !config_.trailer_digest) {
-      hasher_.emplace();
-    }
-  }
-  open_connection(0);
+  core_.start();
 }
 
-void SourceApp::open_connection(std::uint64_t resume_offset) {
-  const bool real = stack_.default_config().carry_data;
-  pending_.clear();
-  pending_off_ = 0;
-  header_virtual_left_ = 0;
-  trailer_staged_ = false;
-  payload_left_ = config_.payload_bytes - resume_offset;
-
-  conn_offset_ = resume_offset;
-  SessionHeader wire_header;
-  if (config_.use_header) {
-    // The route's first hop is the endpoint we dial; the header we transmit
-    // carries the *remaining* hops (the depot we connect to must not see
-    // itself in the route, or it would relay to itself).
-    wire_header = config_.header.popped();
-    if (migrated_) {
-      // A migrated session travels a chain that has never seen it:
-      // kFlagMigrate (not kFlagResume — fresh depots would refuse an
-      // unknown-session resume) with the remaining-bytes convention, so
-      // the sink's ledger can splice it at resume_offset.
-      wire_header.flags |= kFlagMigrate;
-      wire_header.resume_offset = resume_offset;
-      wire_header.payload_length = config_.payload_bytes - resume_offset;
-    } else if (resumes_ > 0) {
-      wire_header.flags |= kFlagResume;
-      wire_header.resume_offset = resume_offset;
-    }
-    header_wire_bytes_ = wire_header.encoded_size();
-    if (real) {
-      encode_header(wire_header, pending_);
-    } else {
-      header_virtual_left_ = header_wire_bytes_;
-    }
-  } else {
-    header_wire_bytes_ = 0;
-  }
-  if (real && generator_) generator_->seek(resume_offset);
-
+void SourceApp::dial() {
   socket_ = stack_.connect(first_hop_);
-  if (config_.use_header && dir_ != nullptr && !real) {
-    dir_->publish(socket_->local(), wire_header);
+  if (core_.use_header() && dir_ != nullptr &&
+      !socket_->config().carry_data) {
+    dir_->publish(socket_->local(), core_.wire_header());
   }
-  socket_->on_established = [this] {
-    established_time_ = stack_.sim().now();
-    pump();
-  };
+  socket_->on_established = [this] { pump(); };
   socket_->on_writable = [this] { pump(); };
-  socket_->on_error = [this](tcp::TcpError err) {
+  socket_->on_error = [this, s = socket_](tcp::TcpError err) {
     LSL_LOG_DEBUG("source: connection error %s", tcp::to_string(err));
-    handle_connection_error();
+    core_.acked(s->stats().bytes_acked);
+    core_.lost();
   };
 }
 
-void SourceApp::handle_connection_error() {
-  if (finished_) return;
-  if (!config_.resumable) {
-    finished_ = true;
-    if (on_finished) on_finished();
-    return;
-  }
-  // A backoff policy decides the reconnect delay — and whether to keep
-  // trying at all. Without one, the fixed re-association delay applies.
-  util::SimDuration delay = config_.resume_reconnect_delay;
-  if (config_.reconnect_backoff) {
-    const auto next = config_.reconnect_backoff();
-    if (!next) {
-      // Attempt budget exhausted: abandon the transfer.
-      gave_up_ = true;
-      finished_ = true;
-      socket_->on_closed = nullptr;
-      socket_->on_writable = nullptr;
-      socket_ = nullptr;
-      if (on_finished) on_finished();
-      return;
-    }
-    delay = *next;
-  }
-  // Resume from the highest payload byte the dead connection delivered and
-  // had acknowledged; everything beyond it is retransmitted.
-  const std::uint64_t acked = socket_->stats().bytes_acked;
-  std::uint64_t acked_payload =
-      acked > header_wire_bytes_ ? acked - header_wire_bytes_ : 0;
-  // Post-migration connections start mid-stream, so the conn-relative ack
-  // count must be rebased to a global offset. (Pre-migration resumes keep
-  // the historical conservative floor: the depot rebind path discards the
-  // duplicated prefix either way.)
-  if (migrated_) acked_payload += conn_offset_;
-  acked_payload = std::min(acked_payload, config_.payload_bytes);
-  ++resumes_;
-  // Detach from the dead socket: its on_closed (fired right after this
-  // error callback) must not mark the session finished.
+void SourceApp::hang_up() {
+  ++epoch_;  // void any pending reconnect
+  if (socket_ == nullptr) return;
+  // A dead socket's on_closed fires right after its error callback, and
+  // must not reach the core; a live one is aborted silently.
   socket_->on_closed = nullptr;
   socket_->on_writable = nullptr;
-  socket_ = nullptr;  // the dead socket stays owned by the stack
-  const std::uint64_t epoch = epoch_;
-  stack_.sim().events().schedule_in(delay, [this, acked_payload, epoch] {
-    if (!finished_ && epoch == epoch_) open_connection(acked_payload);
+  if (socket_->state() != tcp::TcpState::kClosed) {
+    socket_->on_error = nullptr;
+    socket_->abort();
+  }
+  socket_ = nullptr;  // the socket stays owned by the stack
+}
+
+std::optional<std::int64_t> SourceApp::backoff() {
+  if (!reconnect_backoff_) return reconnect_delay_;
+  return reconnect_backoff_();
+}
+
+void SourceApp::wait(std::int64_t delay) {
+  stack_.sim().events().schedule_in(delay, [this, epoch = epoch_] {
+    if (epoch == epoch_) core_.redial();
   });
+}
+
+void SourceApp::end(bool) {
+  if (on_finished) on_finished();
 }
 
 bool SourceApp::migrate(sim::Endpoint new_first_hop,
                         std::vector<HopAddress> hops, std::uint64_t floor) {
-  assert(config_.resumable &&
-         "migration rides the resume machinery: the source must be resumable");
-  if (gave_up_ || socket_ == nullptr) return false;
-  if (floor >= config_.payload_bytes) return false;
-  // A source that already queued everything — even one whose FIN handshake
-  // completed — can still migrate: its bytes may be stranded in a dying
-  // chain's buffers downstream. The sink's acknowledged frontier, not our
-  // send counter or FIN, is the truth about delivery.
-  finished_ = false;
-
-  ++epoch_;  // void any pending reconnect event from the old chain
-  migrated_ = true;
-  ++migrations_;
-
-  // Detach and abort the old connection; the old chain's depots will park
-  // or fail the husk on their own (their bytes-in-flight die with it —
-  // that is why the floor comes from the sink, not from our ack counter).
-  socket_->on_error = nullptr;
-  socket_->on_closed = nullptr;
-  socket_->on_writable = nullptr;
-  if (socket_->state() != tcp::TcpState::kClosed) socket_->abort();
-  socket_ = nullptr;
-
+  if (!core_.can_migrate(floor)) return false;
   first_hop_ = new_first_hop;
-  config_.header.hops = std::move(hops);
-  open_connection(floor);
-  return true;
+  return core_.migrate(std::move(hops), floor);
 }
 
 void SourceApp::simulate_disconnect() {
@@ -172,97 +81,41 @@ void SourceApp::simulate_disconnect() {
 }
 
 void SourceApp::pump() {
-  if (finished_ || socket_ == nullptr) return;
-  const bool real = socket_->config().carry_data;
-
-  for (;;) {
-    // 1. Header bytes.
-    if (!real && header_virtual_left_ > 0) {
-      const std::uint64_t took = socket_->send_virtual(header_virtual_left_);
-      header_virtual_left_ -= took;
-      if (header_virtual_left_ > 0) return;  // buffer full; resume on_writable
-    }
-    if (real && pending_off_ < pending_.size()) {
-      const std::size_t took = socket_->send(std::span<const std::uint8_t>(
-          pending_.data() + pending_off_, pending_.size() - pending_off_));
-      pending_off_ += took;
-      if (pending_off_ < pending_.size()) return;
-      if (trailer_staged_) break;  // trailer fully queued: done
-      pending_.clear();
-      pending_off_ = 0;
-    }
-
-    // 2. Payload.
-    if (payload_left_ > 0) {
-      if (real) {
-        std::uint8_t buf[16 * 1024];
-        const std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>({payload_left_, sizeof(buf),
-                                     socket_->send_space()}));
-        if (want == 0) return;
-        if (config_.payload_fill) {
-          config_.payload_fill(config_.payload_bytes - payload_left_,
-                               std::span<std::uint8_t>(buf, want));
-        } else {
-          generator_->generate(std::span<std::uint8_t>(buf, want));
-        }
-        if (hasher_) {
-          hasher_->update(std::span<const std::uint8_t>(buf, want));
-        }
-        // Fault injection: flip one byte after it was digested, so the
-        // wire carries corrupted payload under an honest trailer and the
-        // sink's end-to-end MD5 check fires.
-        if (config_.corrupt_at_byte) {
-          const std::uint64_t position =
-              config_.payload_bytes - payload_left_;
-          const std::uint64_t off = *config_.corrupt_at_byte;
-          if (off >= position && off < position + want) {
-            buf[static_cast<std::size_t>(off - position)] ^= 0x5a;
-            if (config_.on_corrupt) config_.on_corrupt(off);
-          }
-        }
-        const std::size_t took =
-            socket_->send(std::span<const std::uint8_t>(buf, want));
-        assert(took == want);
-        payload_left_ -= took;
-      } else {
-        const std::uint64_t took = socket_->send_virtual(payload_left_);
-        payload_left_ -= took;
-        if (payload_left_ > 0) return;
+  if (socket_ == nullptr || core_.finished() || core_.closing()) return;
+  if (socket_->config().carry_data) {
+    for (;;) {
+      std::uint8_t buf[16 * 1024];
+      const std::size_t room = static_cast<std::size_t>(
+          std::min<std::uint64_t>(sizeof(buf), socket_->send_space()));
+      const std::span<const std::uint8_t> out =
+          core_.next(std::span<std::uint8_t>(buf, room));
+      if (out.empty()) {
+        if (!core_.write_done()) return;  // buffer full; resume on_writable
+        break;
       }
-      continue;
+      const std::size_t took = socket_->send(out);
+      core_.wrote(took);
+      // Payload slices fit send_space(); only header and trailer bytes
+      // can wait for room.
+      assert(took == out.size() || out.data() != buf);
+      if (took < out.size()) return;
     }
-
-    // 3. Digest trailer (real mode with the digest flag): hashed here, or
-    // the caller-supplied merged-stream digest for striped lanes.
-    const bool send_trailer =
-        real && config_.use_header && config_.header.has_digest();
-    if (send_trailer && !trailer_staged_) {
-      const md5::Digest d =
-          hasher_ ? hasher_->finalize() : *config_.trailer_digest;
-      pending_.assign(d.bytes.begin(), d.bytes.end());
-      pending_off_ = 0;
-      trailer_staged_ = true;
-      continue;
+  } else {
+    while (!core_.write_done()) {
+      const std::uint64_t want = core_.next_virtual();
+      const std::uint64_t took = socket_->send_virtual(want);
+      core_.wrote(took);
+      if (took < want) return;  // buffer full; resume on_writable
     }
-    break;
   }
 
   // Everything queued into the socket buffer: half-close.
   socket_->close();
   socket_->on_writable = nullptr;
-  if (config_.resumable) {
-    // Delivery is only certain once the FIN handshake completes; a failure
-    // before that re-enters the resume machinery via on_error.
-    socket_->on_closed = [this] {
-      if (finished_) return;
-      finished_ = true;
-      if (on_finished) on_finished();
-    };
-    return;
-  }
-  finished_ = true;
-  if (on_finished) on_finished();
+  // A resumable session is delivered once the peer closes too (the core
+  // ignores the close of one that already ended).
+  socket_->on_closed = [this] { core_.closed(true); };
+  core_.half_closed();
 }
 
 // --- SinkApp -----------------------------------------------------------------
@@ -393,12 +246,6 @@ ParallelSinkServer::ParallelSinkServer(tcp::TcpStack& stack, sim::PortNum port,
       if (on_complete) on_complete();
     }
   };
-}
-
-std::uint64_t ParallelSinkServer::payload_received() const {
-  std::uint64_t total = 0;
-  for (const auto& s : server_->sinks()) total += s->payload_received();
-  return total;
 }
 
 }  // namespace lsl::core

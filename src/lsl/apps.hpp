@@ -1,9 +1,10 @@
 // Endpoint applications for simulated transfers.
 //
 //  * SourceApp — the sending end system: opens the first-hop connection
-//    (directly to the sink for plain TCP, or to the first depot for LSL),
-//    optionally emits the LSL header, streams the payload, appends the MD5
-//    digest trailer in real-payload mode, and closes.
+//    (directly to the sink for plain TCP, or to the first depot for LSL)
+//    and writes what the source core (src/lsl/source_core.hpp) frames:
+//    the LSL header, the payload and, in real-payload mode, the MD5
+//    digest trailer; then closes.
 //  * SinkApp / SinkServer — the receiving end system: accepts connections,
 //    feeds their bytes to the sink core (src/lsl/sink_core.hpp), which
 //    parses the header and, in real mode, verifies payload and digest, and
@@ -25,22 +26,16 @@
 #include "lsl/directory.hpp"
 #include "lsl/payload.hpp"
 #include "lsl/sink_core.hpp"
+#include "lsl/source_core.hpp"
 #include "lsl/wire.hpp"
 #include "tcp/stack.hpp"
 #include "util/units.hpp"
 
 namespace lsl::core {
 
-/// Configuration of one sending application.
-struct SourceConfig {
-  std::uint64_t payload_bytes = 0;       ///< bytes to transfer
-  bool use_header = false;               ///< LSL session (vs. plain TCP)
-  SessionHeader header;                  ///< when use_header
-  std::uint64_t payload_seed = 1;        ///< real-mode content stream seed
-  /// Reconnect-and-resume on connection failure (the §III mobility story).
-  /// Requires use_header and no digest trailer (MD5 cannot rewind across
-  /// an unknown retransmission boundary).
-  bool resumable = false;
+/// Configuration of one sending application: the session (SourcePlan,
+/// src/lsl/source_core.hpp) plus the simulator's reconnect policy.
+struct SourceConfig : SourcePlan {
   /// Delay before re-dialing after a failure (models re-association).
   util::SimDuration resume_reconnect_delay = util::millis(50);
   /// Policy hook consulted instead of the fixed delay when set (e.g. a
@@ -49,29 +44,11 @@ struct SourceConfig {
   /// unsuccessfully (gave_up() is true). Keeps core free of a dependency
   /// on the policy layer.
   std::function<std::optional<util::SimDuration>()> reconnect_backoff;
-  /// Fault injection (real mode): flip one payload byte at this stream
-  /// offset *after* it entered the digest, so the trailer stays honest and
-  /// the sink's end-to-end MD5 check exposes the corruption.
-  std::optional<std::uint64_t> corrupt_at_byte;
-  /// Fires when corrupt_at_byte is applied (fault accounting).
-  std::function<void(std::uint64_t)> on_corrupt;
-  /// Striping hook (real mode): when set, payload bytes come from this
-  /// filler instead of the seeded generator. `offset` is the absolute
-  /// position within this connection's payload_bytes; the stripe layer maps
-  /// it onto the merged stream through a LaneCursor (src/stripe/plan.hpp).
-  /// Offsets may jump backwards across a resume — fillers must be
-  /// random-access, like PayloadGenerator::seek.
-  std::function<void(std::uint64_t offset, std::span<std::uint8_t> out)>
-      payload_fill;
-  /// With kFlagDigestTrailer: ship this precomputed digest instead of
-  /// hashing this connection's own bytes. Striped lanes carry the *merged
-  /// stream's* digest — identical on every lane — which only the
-  /// reassembling sink can check (docs/STRIPING.md).
-  std::optional<md5::Digest> trailer_digest;
 };
 
-/// The sending end system.
-class SourceApp {
+/// The sending end system: the simulator's I/O adapter on the source core.
+/// It keeps the sim socket, virtual mode and the directory publish.
+class SourceApp : private SourceHost {
  public:
   /// `first_hop` is the transport endpoint this app dials: the sink itself
   /// for direct TCP, or the first depot of the route for LSL. `dir` may be
@@ -85,13 +62,12 @@ class SourceApp {
   /// Initiate the connection; records start_time.
   void start();
 
-  /// Fires when the source has written everything and closed its socket.
+  /// Fires when the source has written everything and closed its socket
+  /// (a resumable session: once the peer closed too), or gave up.
   std::function<void()> on_finished;
 
-  bool started() const { return socket_ != nullptr; }
-  bool finished() const { return finished_; }
+  bool finished() const { return core_.finished(); }
   util::SimTime start_time() const { return start_time_; }
-  util::SimTime established_time() const { return established_time_; }
   tcp::TcpSocket* socket() { return socket_; }
 
   /// Abort the current connection (simulated roaming / address change).
@@ -99,57 +75,48 @@ class SourceApp {
   void simulate_disconnect();
 
   /// Proactive mid-transfer re-selection (health plane, docs/HEALTH.md):
-  /// abandon the current connection and continue the session through
-  /// `new_first_hop` / `hops` (the full new route, first hop included),
-  /// retransmitting from `floor` — the sink's acknowledged frontier. The
-  /// replacement connection carries kFlagMigrate (resume_offset = floor,
-  /// payload_length = remaining), which fresh depots relay as an ordinary
-  /// session and the sink splices via its SessionLedger. Requires
-  /// `resumable`; returns false (and does nothing) when the session has
-  /// already finished or fully queued its payload.
+  /// abandon the current connection — or the reconnect it is waiting for —
+  /// and continue the session through `new_first_hop` / `hops` (the full
+  /// new route, first hop included), retransmitting from `floor`: the
+  /// sink's acknowledged frontier. The replacement connection carries
+  /// kFlagMigrate (resume_offset = floor, payload_length = remaining),
+  /// which fresh depots relay as an ordinary session and the sink splices
+  /// via its SessionLedger. Returns false (and does nothing) unless the
+  /// session is resumable, unfinished, and `floor` is short of the payload.
   bool migrate(sim::Endpoint new_first_hop, std::vector<HopAddress> hops,
                std::uint64_t floor);
 
   /// Number of successful reconnect-and-resume cycles so far.
-  std::size_t resumes() const { return resumes_; }
+  std::size_t resumes() const { return core_.resumes(); }
 
   /// Number of proactive migrations issued so far.
-  std::size_t migrations() const { return migrations_; }
+  std::size_t migrations() const { return core_.migrations(); }
 
   /// True when a reconnect_backoff policy exhausted its attempt budget and
   /// the source abandoned the transfer (finished() is also true then).
-  bool gave_up() const { return gave_up_; }
+  bool gave_up() const { return core_.gave_up(); }
 
  private:
   void pump();
-  void open_connection(std::uint64_t resume_offset);
-  void handle_connection_error();
+  // SourceHost
+  void dial() override;
+  void hang_up() override;
+  std::optional<std::int64_t> backoff() override;
+  void wait(std::int64_t delay) override;
+  bool confirms() const override { return false; }
+  void end(bool ok) override;
 
   tcp::TcpStack& stack_;
   sim::Endpoint first_hop_;
-  SourceConfig config_;
   SessionDirectory* dir_;
+  util::SimDuration reconnect_delay_;
+  std::function<std::optional<util::SimDuration>()> reconnect_backoff_;
+  SourceCore core_;
   tcp::TcpSocket* socket_ = nullptr;
-
-  std::vector<std::uint8_t> pending_;   ///< staged header bytes (real mode)
-  std::size_t pending_off_ = 0;
-  std::uint64_t header_virtual_left_ = 0;
-  std::uint64_t payload_left_ = 0;
-  std::optional<PayloadGenerator> generator_;  // real mode
-  std::optional<md5::Md5> hasher_;             // real mode with digest
-  bool trailer_staged_ = false;
-  bool finished_ = false;
-  bool gave_up_ = false;
-  std::size_t resumes_ = 0;
-  std::size_t migrations_ = 0;
-  bool migrated_ = false;          ///< session left its original chain
-  std::uint64_t conn_offset_ = 0;  ///< stream offset this connection began at
-  /// Bumped on migrate so a pending reconnect event from the abandoned
-  /// chain cannot open a stale connection.
+  /// Bumped on every hang-up so a pending reconnect event from an
+  /// abandoned chain cannot open a stale connection.
   std::uint64_t epoch_ = 0;
-  std::size_t header_wire_bytes_ = 0;
   util::SimTime start_time_ = 0;
-  util::SimTime established_time_ = 0;
 };
 
 /// Configuration of the receiving application.
@@ -182,15 +149,12 @@ class SinkApp {
   /// header, ledger gap) is aborted instead and never fires it.
   std::function<void(SinkApp&)> on_complete;
 
-  bool complete() const { return complete_; }
   util::SimTime complete_time() const { return complete_time_; }
   /// Payload bytes received (headers and trailers excluded).
   std::uint64_t payload_received() const { return stream_.payload_received; }
   /// The sink core's verdict: exact length, content and MD5 trailer (real
   /// mode); always true in virtual mode, which carries no bytes to check.
   bool verified() const { return stream_.ok; }
-  /// Parsed session header (when expect_header).
-  const std::optional<SessionHeader>& header() const { return stream_.header; }
 
  private:
   void on_readable();
@@ -220,10 +184,6 @@ class SinkServer : private SinkHost {
 
   /// The shared core (its on_lane hook feeds striped runs).
   SinkCore& core() { return core_; }
-
-  const std::vector<std::unique_ptr<SinkApp>>& sinks() const {
-    return sinks_;
-  }
 
  private:
   std::int64_t now() const override { return stack_.sim().now(); }
@@ -260,9 +220,7 @@ class ParallelSinkServer {
   /// Fires once, when the last stream completes.
   std::function<void()> on_complete;
 
-  bool complete() const { return completed_ == expected_; }
   util::SimTime complete_time() const { return complete_time_; }
-  std::uint64_t payload_received() const;
 
  private:
   std::unique_ptr<SinkServer> server_;

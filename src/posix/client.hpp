@@ -17,6 +17,7 @@
 #include "lsl/payload.hpp"
 #include "lsl/session_id.hpp"
 #include "lsl/sink_core.hpp"
+#include "lsl/source_core.hpp"
 #include "lsl/wire.hpp"
 #include "md5/md5.hpp"
 #include "posix/epoll_loop.hpp"
@@ -75,9 +76,16 @@ struct PosixSourceConfig {
   std::optional<md5::Digest> trailer_digest;
 };
 
+/// The session id a source derives from its payload seed when its config
+/// names none.
+core::SessionId seeded_session(std::uint64_t seed);
+
 /// Streams one LSL session (or a raw TCP transfer when route is empty and
-/// send_digest is false — then no header is sent either).
-class PosixSource {
+/// send_digest is false — then no header is sent either): the real-socket
+/// I/O adapter on the source core (src/lsl/source_core.hpp). It keeps the
+/// fd, the epoll registration, the timerfd, SIOCOUTQ and the status byte;
+/// every decision about what the session sends is the core's.
+class PosixSource : private core::SourceHost {
  public:
   PosixSource(EpollLoop& loop, PosixSourceConfig config);
   ~PosixSource();
@@ -89,77 +97,59 @@ class PosixSource {
   /// completion by closing the connection after our FIN.
   void start();
 
-  /// Proactive mid-transfer re-selection: abandon the current chain and
-  /// re-send everything past `floor` through `new_route` with kFlagMigrate.
-  /// `floor` must be the sink's acknowledged stream frontier (the driver
-  /// reads it from PosixSinkServer::session_frontier) — never this source's
-  /// own ack counter, which counts bytes that may still be stranded in the
-  /// dying chain's buffers. Fresh depots relay the migrate connection as an
-  /// ordinary session; only a sink in adopt mode splices it (requires
-  /// `resumable`, like the kFlagResume machinery it rides). Returns false
-  /// when the source already gave up or `floor` covers the payload.
+  /// Proactive mid-transfer re-selection: abandon the current chain — or
+  /// the reconnect backoff it is waiting out — and re-send everything past
+  /// `floor` through `new_route` with kFlagMigrate. `floor` must be the
+  /// sink's acknowledged stream frontier (the driver reads it from
+  /// PosixSinkServer::session_frontier) — never this source's own ack
+  /// counter, which counts bytes that may still be stranded in the dying
+  /// chain's buffers. Fresh depots relay the migrate connection as an
+  /// ordinary session; only a sink in adopt mode splices it. Returns false
+  /// unless the session is resumable, unfinished, and `floor` is short of
+  /// the payload.
   bool migrate(std::vector<InetAddress> new_route, std::uint64_t floor);
 
   /// Completion callback: `ok` is false on any socket/protocol error.
   std::function<void(bool ok)> on_done;
 
-  bool finished() const { return finished_; }
+  bool finished() const { return core_.finished(); }
 
   /// Resume cycles performed (reconnects after mid-stream loss).
-  std::size_t resumes() const { return resumes_; }
+  std::size_t resumes() const { return core_.resumes(); }
 
   /// Proactive migrations performed (mid-transfer route re-selections).
-  std::size_t migrations() const { return migrations_; }
+  std::size_t migrations() const { return core_.migrations(); }
 
-  core::SessionId session() const { return session_; }
+  core::SessionId session() const { return core_.wire_header().session; }
 
  private:
   void on_io(std::uint32_t events);
   void pump();
-  void finish(bool ok);
-  /// Connect (or reconnect) and stage the session header; `offset` is the
-  /// first payload byte this connection carries (>0 sets kFlagResume).
-  void open_connection(std::uint64_t offset);
-  /// A connection died mid-session: resume per config, or fail.
-  void handle_connection_error();
-  /// Refresh acked_floor_ from the kernel send-queue depth (SIOCOUTQ):
-  /// bytes the peer's TCP has acknowledged — the safe resume offset.
+  /// Feed the core the acknowledged wire count from the kernel send-queue
+  /// depth (SIOCOUTQ): bytes the peer's TCP has acknowledged.
   void note_acked();
-  /// Arm the (lazily created) timerfd to fire `delay` from now.
-  void arm_timer_in(std::chrono::milliseconds delay);
-  void on_timer();
+  /// Arm the (lazily created) timerfd: `fn` runs `delay_ns` from now.
+  void arm_timer(std::int64_t delay_ns, std::function<void()> fn);
+  // SourceHost
+  void dial() override;
+  void hang_up() override;
+  std::optional<std::int64_t> backoff() override;
+  void wait(std::int64_t delay) override;
+  bool confirms() const override { return true; }
+  void end(bool ok) override;
 
   EpollLoop& loop_;
   PosixSourceConfig config_;
+  core::SourceCore core_;
   Fd sock_;
   /// One timerfd serves both source deadlines: bounding an in-flight dial
-  /// and waking from a reconnect backoff. The purpose tags which one the
-  /// next expiry means.
-  enum class TimerPurpose { kNone, kDial, kBackoff };
+  /// and waking from a reconnect backoff; on_timer_ is the armed one.
   std::unique_ptr<TimerFd> timer_;
-  TimerPurpose timer_purpose_ = TimerPurpose::kNone;
+  std::function<void()> on_timer_;
   bool connecting_ = false;
-  bool write_done_ = false;
-  bool finished_ = false;
-
-  std::vector<std::uint8_t> staged_;  ///< header, then refilled chunks
-  std::size_t staged_off_ = 0;
-  std::uint64_t payload_left_ = 0;
-  core::PayloadGenerator generator_;
-  md5::Md5 hasher_;
-  bool trailer_sent_ = false;
-  bool corrupted_yet_ = false;
+  std::vector<std::uint8_t> chunk_;      ///< reused payload staging buffer
+  std::span<const std::uint8_t> out_;   ///< framed bytes not yet written
   std::uint8_t status_ = 0;  ///< sink's end-to-end status byte
-
-  core::SessionId session_;          ///< stable across resume connections
-  std::uint64_t conn_offset_ = 0;    ///< resume offset of this connection
-  std::uint64_t header_wire_bytes_ = 0;
-  std::uint64_t wire_written_ = 0;   ///< bytes handed to this connection
-  std::uint64_t acked_floor_ = 0;    ///< payload offset known delivered
-  std::size_t resumes_ = 0;
-  std::size_t migrations_ = 0;
-  bool migrated_ = false;  ///< headers carry kFlagMigrate from now on
-  bool gave_up_ = false;   ///< terminal: budget exhausted or hard failure
 };
 
 /// Result of one received session.

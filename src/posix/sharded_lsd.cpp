@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 
+#include "engine/epoll_engine.hpp"
 #include "health/gossip.hpp"
 #include "util/contract.hpp"
 #include "util/log.hpp"
@@ -28,7 +29,7 @@ ShardedLsd::ShardedLsd(const ShardedLsdConfig& config)
     auto shard = std::make_unique<Shard>();
     Shard* s = shard.get();
     s->index = i;
-    s->engine = engine::make_engine("epoll");
+    s->engine = std::make_unique<engine::EpollEngine>();
     s->pool = std::make_unique<buf::ChunkPool>(config_.base.pool, &budget_);
 
     LsdConfig cfg = config_.base;

@@ -1,143 +1,111 @@
 #include "posix/striped_client.hpp"
 
-#include <algorithm>
+#include <string>
 #include <utility>
 
 #include "util/contract.hpp"
 #include "util/log.hpp"
-#include "util/rng.hpp"
 
 namespace lsl::posix {
 
-StripedPosixSource::StripedPosixSource(EpollLoop& loop,
-                                       StripedPosixSourceConfig config)
-    : loop_(loop), config_(std::move(config)) {
-  const std::size_t count = config_.lane_routes.size();
+namespace {
+
+core::LaneSet lane_set(const StripedPosixSourceConfig& c) {
+  const std::size_t count = c.lane_routes.size();
   LSL_PRECONDITION(count >= 2 && count <= core::kMaxStripes,
                    "striped source: lane count out of range");
-  restripes_left_ = config_.max_restripes;
-
-  if (config_.session) {
-    session_ = *config_.session;
-  } else {
-    util::Rng rng(config_.payload_seed ^ 0xabcdef);
-    session_ = core::SessionId::generate(rng);
-  }
-  session_digest_ =
-      core::stream_digest(config_.payload_seed, config_.payload_bytes);
-  plan_ = stripe::StripePlan::round_robin(
-      config_.payload_bytes, static_cast<std::uint16_t>(count),
-      config_.chunk, config_.redundancy);
-
-  lanes_.resize(count);
-  for (std::size_t j = 0; j < count; ++j) {
-    lanes_[j].info = plan_.lanes[j];
-    lanes_[j].total = plan_.lane_bytes[j];
-    lanes_[j].route = config_.lane_routes[j];
-  }
+  return core::LaneSet(
+      stripe::StripePlan::round_robin(c.payload_bytes,
+                                      static_cast<std::uint16_t>(count),
+                                      c.chunk, c.redundancy),
+      c.payload_bytes, c.session.value_or(seeded_session(c.payload_seed)),
+      c.payload_seed, c.max_restripes);
 }
+
+std::string describe(const std::vector<InetAddress>& route) {
+  return route.empty() ? "direct" : route.front().to_string();
+}
+
+}  // namespace
+
+StripedPosixSource::StripedPosixSource(EpollLoop& loop,
+                                       StripedPosixSourceConfig config)
+    : loop_(loop),
+      config_(std::move(config)),
+      set_(lane_set(config_)),
+      sources_(set_.size()) {}
 
 void StripedPosixSource::start() {
-  for (std::size_t j = 0; j < lanes_.size(); ++j) launch_lane(j);
+  for (std::size_t j = 0; j < set_.size(); ++j) launch_lane(j, set_.plan(j, 0));
 }
 
-void StripedPosixSource::launch_lane(std::size_t li) {
-  Lane& lane = lanes_[li];
+void StripedPosixSource::launch_lane(std::size_t li,
+                                     const core::SourcePlan& plan) {
+  // Lane floors are always 0 here (first-hop ACKs cannot see the sink),
+  // so the plan's header is the fresh lane header PosixSource builds.
   PosixSourceConfig scfg;
-  scfg.route = lane.route;
+  scfg.route = config_.lane_routes[li];
   scfg.destination = config_.destination;
-  scfg.payload_bytes = lane.total;
-  scfg.payload_seed = config_.payload_seed;
+  scfg.payload_bytes = plan.payload_bytes;
+  scfg.payload_seed = plan.payload_seed;
   scfg.send_digest = true;
   scfg.dial_timeout = config_.dial_timeout;
   scfg.trace_id = config_.trace_id;
-  scfg.session = session_;
-  scfg.stripe = lane.info;
-  scfg.trailer_digest = session_digest_;
-  auto filler = std::make_shared<stripe::LaneFiller>(
-      lane.info, lane.total, /*base=*/0, config_.payload_seed);
-  scfg.payload_fill = [filler](std::uint64_t off,
-                               std::span<std::uint8_t> out) {
-    filler->fill(off, out);
-  };
-  lane.source = std::make_unique<PosixSource>(loop_, std::move(scfg));
-  lane.source->on_done = [this, li](bool ok) { on_lane_done(li, ok); };
-  lane.source->start();
+  scfg.session = plan.header.session;
+  scfg.stripe = plan.header.stripe;
+  scfg.trailer_digest = plan.trailer_digest;
+  scfg.payload_fill = plan.payload_fill;
+  auto& source = sources_[li];
+  source = std::make_unique<PosixSource>(loop_, std::move(scfg));
+  source->on_done = [this, li](bool ok) { on_lane_done(li, ok); };
+  source->start();
 }
 
 void StripedPosixSource::on_lane_done(std::size_t li, bool ok) {
   if (finished_) return;
-  Lane& lane = lanes_[li];
-  if (ok) {
+  if (ok || session_ok_) {
     // The status byte is group-level: one confirmed lane means the sink
-    // verified the whole merged stream.
-    lane.settled = true;
+    // verified the whole merged stream, and a lane dying afterwards
+    // changes nothing.
     session_ok_ = true;
+    set_.settle(li);
     maybe_finish();
     return;
   }
-  if (session_ok_) {
-    // Merge already confirmed; a lane dying afterwards changes nothing.
-    lane.settled = true;
-    maybe_finish();
-    return;
-  }
-  lane.dead = true;
-  ++stripes_lost_;
+  std::vector<InetAddress>& route = config_.lane_routes[li];
   LSL_LOG_WARN("striped source: lane %zu lost (%s)", li,
-               lane.route.empty() ? "direct"
-                                  : lane.route.front().to_string().c_str());
-  if (stripe::survivors_cover(plan_, dead_mask())) {
-    lane.settled = true;
-    LSL_LOG_INFO("striped source: redundancy covers lane %zu", li);
+               describe(route).c_str());
+  using Loss = core::LaneSet::Loss;
+  const Loss loss = set_.lose(li, 0);
+  if (loss == Loss::kSettled || loss == Loss::kAbsorbed) {
     maybe_finish();
     return;
   }
-  if (restripes_left_ == 0 || config_.spare_routes.empty()) {
+  if (loss == Loss::kGiveUp || config_.spare_routes.empty()) {
     LSL_LOG_WARN("striped source: no spare chain for lane %zu; giving up",
                  li);
     fail_all();
     return;
   }
-  --restripes_left_;
-  lane.route = config_.spare_routes.front();
+  route = config_.spare_routes.front();
   config_.spare_routes.erase(config_.spare_routes.begin());
-  ++stripes_recovered_;
-  // Only first-hop ACKs are visible here, and a crashed depot may have
-  // acked bytes it never relayed — so the replacement resends the whole
-  // lane and the sink's reassembler drops what it already holds.
-  retransmitted_ += lane.total;
-  timers_.push_back(nullptr);
-  auto& slot = timers_.back();
-  slot = std::make_unique<TimerFd>(loop_, [this, li] {
-    Lane& l = lanes_[li];
-    if (finished_ || l.settled) return;
-    l.dead = false;
+  timers_.push_back(std::make_unique<TimerFd>(loop_, [this, li] {
+    if (finished_ || set_[li].settled) return;
     LSL_LOG_INFO("striped source: re-striping lane %zu onto %s", li,
-                 l.route.empty() ? "direct"
-                                 : l.route.front().to_string().c_str());
-    launch_lane(li);
-  });
-  slot->arm(TimerFd::now_ns() +
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                config_.restripe_delay)
-                .count());
-}
-
-std::uint32_t StripedPosixSource::dead_mask() const {
-  std::uint32_t mask = 0;
-  for (std::size_t j = 0; j < lanes_.size(); ++j) {
-    if (lanes_[j].dead) mask |= 1u << j;
-  }
-  return mask;
+                 describe(config_.lane_routes[li]).c_str());
+    launch_lane(li, set_.restripe(li, 0));
+  }));
+  timers_.back()->arm(TimerFd::now_ns() +
+                      std::chrono::duration_cast<std::chrono::nanoseconds>(
+                          config_.restripe_delay)
+                          .count());
 }
 
 void StripedPosixSource::maybe_finish() {
   if (finished_) return;
-  for (const Lane& lane : lanes_) {
-    if (lane.settled) continue;
-    if (lane.dead) return;  // a re-stripe is pending for this lane
-    if (!(lane.source && lane.source->finished())) return;
+  // Every finished lane is settled or awaiting its continuation (dead).
+  for (std::size_t li = 0; li < set_.size(); ++li) {
+    if (!set_[li].settled) return;
   }
   finished_ = true;
   timers_.clear();
@@ -150,7 +118,7 @@ void StripedPosixSource::fail_all() {
   timers_.clear();
   // Tearing the sources down closes their sockets; the sink sees dead
   // lanes and keeps whatever it merged (a later session is a fresh id).
-  for (Lane& lane : lanes_) lane.source.reset();
+  for (auto& source : sources_) source.reset();
   if (on_done) on_done(false);
 }
 

@@ -7,15 +7,17 @@
 // reassembly and answers every lane with one end-to-end status byte when
 // the merged stream's MD5 checks out.
 //
-// Lane death composes with the striping the same way the simulator's
-// driver does (src/exp/striped.cpp): with plan redundancy the surviving
-// lanes already cover the dead lane's logical stripes and nothing is
-// re-sent; without it the lane is re-striped onto the next spare route
-// after a timerfd-paced delay. Unlike the simulator — which reads the
-// sink's lane progress directly — this client only observes first-hop
-// ACKs, which a crashed depot may have issued for bytes it never relayed,
-// so a replacement lane conservatively resends the whole lane and lets the
-// reassembler drop the duplicates (docs/STRIPING.md discusses the trade).
+// What a lane carries and what a lost lane becomes are the source core's
+// decisions (core::LaneSet, src/lsl/source_core.hpp), shared with the
+// simulator's driver (src/exp/striped.cpp): with plan redundancy the
+// surviving lanes already cover the dead lane's logical stripes and nothing
+// is re-sent; without it the lane continues on the next spare route after a
+// timerfd-paced delay. This adapter keeps the spare list and the timers.
+// Unlike the simulator — which reads the sink's lane progress directly —
+// this client only observes first-hop ACKs, which a crashed depot may have
+// issued for bytes it never relayed, so a continuation starts at lane
+// floor 0 and lets the reassembler drop the duplicates (docs/STRIPING.md
+// discusses the trade).
 #pragma once
 
 #include <chrono>
@@ -26,7 +28,6 @@
 #include <vector>
 
 #include "posix/client.hpp"
-#include "stripe/plan.hpp"
 
 namespace lsl::posix {
 
@@ -69,43 +70,26 @@ class StripedPosixSource {
   std::function<void(bool ok)> on_done;
 
   bool finished() const { return finished_; }
-  std::uint16_t lanes() const { return static_cast<std::uint16_t>(lanes_.size()); }
-  std::uint32_t stripes_lost() const { return stripes_lost_; }
-  std::uint32_t stripes_recovered() const { return stripes_recovered_; }
+  std::uint32_t stripes_lost() const { return set_.lost(); }
+  std::uint32_t stripes_recovered() const { return set_.recovered(); }
   /// Bytes handed to replacement lanes (0 when redundancy absorbed every
   /// death).
-  std::uint64_t retransmitted_bytes() const { return retransmitted_; }
+  std::uint64_t retransmitted_bytes() const { return set_.retransmitted(); }
 
  private:
-  struct Lane {
-    core::StripeInfo info;
-    std::uint64_t total = 0;
-    std::vector<InetAddress> route;
-    std::unique_ptr<PosixSource> source;
-    bool settled = false;  ///< ok, absorbed, or abandoned
-    bool dead = false;     ///< lost and not (yet) replaced
-  };
-
-  void launch_lane(std::size_t li);
+  void launch_lane(std::size_t li, const core::SourcePlan& plan);
   void on_lane_done(std::size_t li, bool ok);
-  /// Bit j set: lane j is lost and not (yet) replaced.
-  std::uint32_t dead_mask() const;
   void maybe_finish();
   void fail_all();
 
   EpollLoop& loop_;
   StripedPosixSourceConfig config_;
-  core::SessionId session_;
-  md5::Digest session_digest_;
-  stripe::StripePlan plan_;
-  std::vector<Lane> lanes_;
+  core::LaneSet set_;
+  /// Lane li rides config_.lane_routes[li] over sources_[li].
+  std::vector<std::unique_ptr<PosixSource>> sources_;
   /// One timerfd per pending re-stripe: lane relaunch happens on the event
   /// loop after restripe_delay, never inline in the failure callback.
   std::vector<std::unique_ptr<TimerFd>> timers_;
-  std::uint32_t stripes_lost_ = 0;
-  std::uint32_t stripes_recovered_ = 0;
-  std::uint32_t restripes_left_ = 0;
-  std::uint64_t retransmitted_ = 0;
   bool session_ok_ = false;
   bool finished_ = false;
 };

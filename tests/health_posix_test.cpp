@@ -16,6 +16,7 @@
 #include <cstring>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -215,6 +216,86 @@ TEST(HealthPosixMigration, SinkRefusesMigrationGap) {
   EXPECT_FALSE(done);  // the session never completed, so no verdict fired
   EXPECT_FALSE(sink.session_completed(source.session()));
   EXPECT_LT(sink.session_frontier(source.session()), bogus_floor);
+}
+
+TEST(HealthPosixMigration, MigrateDuringReconnectBackoff) {
+  REQUIRE_LOOPBACK();
+  EpollLoop loop;
+  const std::uint64_t kBytes = 2 * util::kMiB;
+  const std::uint64_t kSeed = 7703;
+
+  // A port nothing listens on: every dial to it is refused.
+  std::uint16_t dead_port = 0;
+  {
+    Lsd gone(loop, LsdConfig{});
+    dead_port = gone.port();
+  }
+  Lsd depot(loop, LsdConfig{});
+  PosixSinkServer sink(loop, InetAddress::loopback(0), /*expect_header=*/true,
+                       kSeed);
+  sink.set_adopt_migrations(true);
+  bool done = false;
+  SinkResult result;
+  sink.on_complete = [&](const SinkResult& r) {
+    result = r;
+    done = true;
+  };
+
+  PosixSourceConfig cfg;
+  cfg.route = {InetAddress::loopback(dead_port)};
+  cfg.destination = InetAddress::loopback(sink.port());
+  cfg.payload_bytes = kBytes;
+  cfg.payload_seed = kSeed;
+  cfg.resumable = true;
+  cfg.reconnect_backoff = [] {
+    return std::optional<std::chrono::milliseconds>(
+        std::chrono::milliseconds(500));
+  };
+  PosixSource source(loop, cfg);
+  bool src_ok = false;
+  source.on_done = [&](bool ok) { src_ok = ok; };
+  source.start();
+
+  // The dead first hop puts the source into its reconnect backoff; migrate
+  // from there onto the live depot.
+  ASSERT_TRUE(wait_until(loop, [&] { return source.resumes() >= 1; }, 10.0));
+  ASSERT_TRUE(source.migrate({InetAddress::loopback(depot.port())}, 0));
+  EXPECT_EQ(source.migrations(), 1u);
+
+  ASSERT_TRUE(wait_until(loop, [&] { return done && source.finished(); },
+                         30.0));
+  EXPECT_TRUE(result.verified);
+  EXPECT_EQ(result.payload_bytes, kBytes);
+  EXPECT_TRUE(sink.session_completed(source.session()));
+  EXPECT_TRUE(src_ok);
+}
+
+TEST(HealthPosixMigration, NonResumableSourceRefusesMigrate) {
+  REQUIRE_LOOPBACK();
+  EpollLoop loop;
+  const std::uint64_t kBytes = 256 * util::kKiB;
+  const std::uint64_t kSeed = 7704;
+
+  Lsd depot(loop, LsdConfig{});
+  PosixSinkServer sink(loop, InetAddress::loopback(0), /*expect_header=*/true,
+                       kSeed);
+  PosixSourceConfig cfg;
+  cfg.route = {InetAddress::loopback(depot.port())};
+  cfg.destination = InetAddress::loopback(sink.port());
+  cfg.payload_bytes = kBytes;
+  cfg.payload_seed = kSeed;
+  PosixSource source(loop, cfg);
+  bool src_done = false;
+  bool src_ok = false;
+  source.on_done = [&](bool ok) {
+    src_ok = ok;
+    src_done = true;
+  };
+  source.start();
+  EXPECT_FALSE(source.migrate({InetAddress::loopback(depot.port())}, 0));
+  EXPECT_EQ(source.migrations(), 0u);
+  ASSERT_TRUE(wait_until(loop, [&] { return src_done; }, 20.0));
+  EXPECT_TRUE(src_ok);
 }
 
 // --- Daemon-side HealthBoard through Lsd ----------------------------------

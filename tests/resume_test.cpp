@@ -10,6 +10,7 @@
 #include "lsl/apps.hpp"
 #include "lsl/depot.hpp"
 #include "lsl/directory.hpp"
+#include "lsl/payload.hpp"
 #include "lsl/session_id.hpp"
 #include "sim/network.hpp"
 #include "tcp/stack.hpp"
@@ -39,7 +40,8 @@ struct World {
 
 std::unique_ptr<World> make_world(bool real, std::uint64_t bytes,
                                   util::SimDuration grace,
-                                  std::uint64_t seed = 1) {
+                                  std::uint64_t seed = 1,
+                                  core::SessionLedger* ledger = nullptr) {
   auto w = std::make_unique<World>();
   w->net = std::make_unique<sim::Network>(seed);
   w->src = &w->net->add_host("src");
@@ -74,6 +76,7 @@ std::unique_ptr<World> make_world(bool real, std::uint64_t bytes,
   sink_cfg.expect_header = true;
   sink_cfg.verify_payload = real;
   sink_cfg.payload_seed = 60;
+  sink_cfg.ledger = ledger;
   w->sink = std::make_unique<core::SinkServer>(*w->dst_stack, kSink, sink_cfg,
                                                dirp);
   World* wp = w.get();
@@ -254,6 +257,83 @@ TEST(Resume, GapFailsResumeAndParkedSessionAtOnce) {
   EXPECT_EQ(failed_after, 2u);
   EXPECT_EQ(st.sessions_resumed, 0u);
   EXPECT_FALSE(w->sink_complete);
+}
+
+TEST(Resume, DeathBeforeTheHeaderRedialsAFreshSession) {
+  // The first connection dies 1 ms in, long before the depot can have read
+  // a header. Nothing was acked, so the re-dial is a fresh session at 0: a
+  // kFlagResume would name a session the depot never held, and be refused
+  // on every attempt.
+  auto w = make_world(/*real=*/true, 2 * util::kMiB,
+                      /*grace=*/30 * util::kSecond, 17);
+  w->source->start();
+  w->net->sim().events().schedule_in(util::millis(1), [&] {
+    w->source->simulate_disconnect();
+  });
+  auto& ev = w->net->sim().events();
+  while (!w->sink_complete && ev.now() <= 30 * util::kSecond && ev.step()) {
+  }
+
+  ASSERT_TRUE(w->sink_complete);
+  EXPECT_TRUE(w->verified);
+  EXPECT_EQ(w->received, 2 * util::kMiB);
+  EXPECT_EQ(w->source->resumes(), 1u);
+  EXPECT_EQ(w->depot_app->stats().sessions_resumed, 0u);
+}
+
+TEST(Resume, MigrateDuringReconnectBackoff) {
+  // A source waiting out its reconnect delay has no connection, but its
+  // session is live: migrate abandons the wait and continues from the
+  // sink's frontier.
+  core::SessionLedger ledger(60);
+  auto w = make_world(/*real=*/true, 2 * util::kMiB,
+                      /*grace=*/30 * util::kSecond, 19, &ledger);
+  util::Rng rng(9);  // make_world's session id
+  const core::SessionId id = core::SessionId::generate(rng);
+  auto& ev = w->net->sim().events();
+  w->source->start();
+  bool migrated = false;
+  ev.schedule_in(util::millis(400), [&] { w->source->simulate_disconnect(); });
+  // Inside the default 50 ms reconnect delay.
+  ev.schedule_in(util::millis(420), [&] {
+    const std::uint64_t floor = ledger.frontier(id);
+    migrated = w->source->migrate({w->depot->id(), kDepot},
+                                  {{w->depot->id(), kDepot}}, floor);
+  });
+  while (!ledger.completed(id) && ev.now() <= 600 * util::kSecond &&
+         ev.step()) {
+  }
+  EXPECT_TRUE(migrated);
+  EXPECT_EQ(w->source->migrations(), 1u);
+  ASSERT_TRUE(ledger.completed(id));
+  EXPECT_TRUE(ledger.content_ok(id));
+  EXPECT_EQ(ledger.digest(id), core::stream_digest(60, 2 * util::kMiB));
+}
+
+TEST(Resume, NonResumableSourceRefusesMigrate) {
+  auto w = make_world(/*real=*/true, util::kMiB, 30 * util::kSecond, 23);
+  core::SourceConfig scfg;
+  scfg.payload_bytes = util::kMiB;
+  scfg.payload_seed = 60;
+  scfg.use_header = true;
+  util::Rng rng(23);
+  scfg.header.session = core::SessionId::generate(rng);
+  scfg.header.payload_length = scfg.payload_bytes;
+  scfg.header.hops = {{w->depot->id(), kDepot}};
+  scfg.header.destination = {w->dst->id(), kSink};
+  w->source = std::make_unique<core::SourceApp>(
+      *w->src_stack, sim::Endpoint{w->depot->id(), kDepot}, scfg, nullptr);
+  w->source->start();
+  bool migrated = true;
+  w->net->sim().events().schedule_in(util::millis(200), [&] {
+    migrated = w->source->migrate({w->depot->id(), kDepot},
+                                  {{w->depot->id(), kDepot}}, 0);
+  });
+  run_until_complete(*w);
+  EXPECT_FALSE(migrated);
+  EXPECT_EQ(w->source->migrations(), 0u);
+  ASSERT_TRUE(w->sink_complete);
+  EXPECT_TRUE(w->verified);
 }
 
 }  // namespace
