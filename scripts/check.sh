@@ -12,7 +12,9 @@
 # threads, the gossip poller, and admin snapshots, so its lock discipline
 # earns a dedicated pass under the race detector. The bench configuration
 # runs the benchmark's gate self-test (perfbench/run.py --selftest): its
-# `corrupt` case is the gate that rejects a wrong sink verdict. Usage:
+# `corrupt` case is the gate that rejects a wrong sink verdict; it then
+# builds bench/micro_core and runs its MD5 throughput case once, with no
+# threshold, so the micro benchmarks cannot rot unbuilt. Usage:
 #
 #   scripts/check.sh [--quick] [--only CONFIG]
 #
@@ -82,7 +84,13 @@ for config in "${configs[@]}"; do
     shard)  label_tier shard tsan ;;  # SO_REUSEPORT shard threads
     stripe) label_tier stripe tsan ;; # striped lanes: reassembly + re-striping
     health) label_tier health tsan ;; # HealthBoard shared by shards, gossip, admin
-    bench)  python3 perfbench/run.py --selftest ;;  # benchmark gate self-test
+    bench)  python3 perfbench/run.py --selftest    # benchmark gate self-test
+            # Execute-and-exit smoke of the micro benchmarks: no threshold,
+            # it only proves micro_core builds and runs.
+            cmake -B build-check -S . -DLSL_WERROR=ON >/dev/null
+            cmake --build build-check -j "$jobs" --target micro_core
+            build-check/bench/micro_core --benchmark_filter=BM_Md5Throughput \
+                --benchmark_min_time=0.01 ;;
     *) echo "check.sh: unknown config '$config'" >&2; exit 2 ;;
   esac
 done

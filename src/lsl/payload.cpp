@@ -1,6 +1,8 @@
 #include "lsl/payload.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <vector>
 
 namespace lsl::core {
@@ -25,22 +27,23 @@ void PayloadGenerator::generate(std::span<std::uint8_t> out) {
   position_ += out.size();
 }
 
+bool PayloadCheck::feed(std::span<const std::uint8_t> data) {
+  std::array<std::uint8_t, 4096> expected{};
+  while (ok_ && !data.empty()) {
+    const std::size_t n = std::min(data.size(), expected.size());
+    const std::span<std::uint8_t> block(expected.data(), n);
+    expect_.generate(block);
+    ok_ = std::memcmp(data.data(), block.data(), n) == 0;
+    data = data.subspan(n);
+  }
+  return ok_;
+}
+
 bool PayloadVerifier::feed(std::span<const std::uint8_t> data) {
   hasher_.update(data);
-  if (!check_content_ || !ok_) {
-    verified_ += data.size();
-    return ok_;
-  }
-  std::vector<std::uint8_t> expected(data.size());
-  expect_.generate(expected);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (data[i] != expected[i]) {
-      ok_ = false;
-      break;
-    }
-  }
+  if (check_) check_->feed(data);
   verified_ += data.size();
-  return ok_;
+  return ok();
 }
 
 md5::Digest PayloadVerifier::hash_copy_digest() const {

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 
 #include "md5/md5.hpp"
@@ -36,22 +37,41 @@ class PayloadGenerator {
   std::uint64_t position_ = 0;
 };
 
-/// Sequential verifier for the same stream: feeds received bytes, checks
-/// them against the expected generator output, and accumulates the MD5 the
-/// sender will ship in the digest trailer.
+/// Sequential content check against the same stream: compares received
+/// bytes with the generator's output through a fixed-size stack block, so a
+/// chunk of any size costs no allocation.
+class PayloadCheck {
+ public:
+  explicit PayloadCheck(std::uint64_t seed) : expect_(seed) {}
+
+  /// Compare the next received chunk. Returns false (and latches failure)
+  /// on the first mismatching byte.
+  bool feed(std::span<const std::uint8_t> data);
+
+  bool ok() const { return ok_; }
+
+ private:
+  PayloadGenerator expect_;
+  bool ok_ = true;
+};
+
+/// Sequential verifier for the same stream: feeds received bytes through a
+/// PayloadCheck and accumulates the MD5 the sender will ship in the digest
+/// trailer.
 class PayloadVerifier {
  public:
   /// With `check_content` false, feed() only accumulates the MD5 (for the
   /// digest trailer) without comparing bytes against the generator — the
   /// mode used for arbitrary (non-generated) payloads such as files.
   explicit PayloadVerifier(std::uint64_t seed, bool check_content = true)
-      : expect_(seed), check_content_(check_content) {}
+      : check_(check_content ? std::optional<PayloadCheck>(seed)
+                             : std::nullopt) {}
 
   /// Check the next received chunk. Returns false (and latches failure) on
   /// the first mismatching byte.
   bool feed(std::span<const std::uint8_t> data);
 
-  bool ok() const { return ok_; }
+  bool ok() const { return !check_ || check_->ok(); }
   std::uint64_t verified_bytes() const { return verified_; }
 
   /// MD5 over everything fed so far (mirrors the sender's stream digest).
@@ -60,10 +80,8 @@ class PayloadVerifier {
  private:
   md5::Digest hash_copy_digest() const;
 
-  PayloadGenerator expect_;
+  std::optional<PayloadCheck> check_;  ///< empty: digest only
   md5::Md5 hasher_;
-  bool check_content_ = true;
-  bool ok_ = true;
   std::uint64_t verified_ = 0;
 };
 

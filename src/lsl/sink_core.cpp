@@ -103,12 +103,13 @@ md5::Digest SessionLedger::digest(const SessionId& id) const {
 
 // --- SinkCore ----------------------------------------------------------------
 
-/// Lanes sharing a session id feed one Reassembler; content is checked as
-/// its in-order frontier advances, and the first complete trailer is the
-/// digest the merged stream must match. Finished lanes park until then.
+/// Lanes sharing a session id feed one Reassembler, whose digest of the
+/// merged stream must match the first complete trailer; with content
+/// checking on, the in-order frontier is also compared with the seeded
+/// stream as it advances. Finished lanes park until the verdict.
 struct SinkGroup {
   stripe::Reassembler reasm;
-  PayloadVerifier verifier;
+  std::optional<PayloadCheck> content;
   std::optional<md5::Digest> trailer;
   SessionHeader first_header;
   std::int64_t first_accept;
@@ -121,12 +122,13 @@ struct SinkGroup {
       : reasm({.session_bytes = h.stripe->session_bytes,
                .stripe_count = h.stripe->stripe_count,
                .metrics = nullptr}),
-        verifier(seed, check_content),
         first_header(h),
         first_accept(accepted) {
+    if (!check_content) return;
+    content.emplace(seed);
     reasm.on_frontier = [this](std::uint64_t,
                                std::span<const std::uint8_t> data) {
-      verifier.feed(data);
+      content->feed(data);
     };
   }
 };
@@ -333,7 +335,7 @@ SinkAction SinkCore::feed_ledger(SinkStream& s,
 void SinkCore::maybe_resolve(SinkGroup& g) {
   if (g.reported || !g.reasm.complete() || !g.trailer) return;
   g.reported = true;
-  g.ok = g.verifier.ok() && g.reasm.digest() == *g.trailer;
+  g.ok = (!g.content || g.content->ok()) && g.reasm.digest() == *g.trailer;
   SinkVerdict v;
   v.header = &g.first_header;
   v.ok = g.ok;

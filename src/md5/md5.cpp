@@ -5,27 +5,6 @@
 namespace lsl::md5 {
 namespace {
 
-// Per-round shift amounts (RFC 1321 section 3.4).
-constexpr std::uint32_t kShift[64] = {
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
-    5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20,
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21};
-
-// K[i] = floor(2^32 * |sin(i + 1)|), precomputed (RFC 1321 section 3.4).
-constexpr std::uint32_t kSine[64] = {
-    0xd76aa478, 0xe8c7b756, 0x242070db, 0xc1bdceee, 0xf57c0faf, 0x4787c62a,
-    0xa8304613, 0xfd469501, 0x698098d8, 0x8b44f7af, 0xffff5bb1, 0x895cd7be,
-    0x6b901122, 0xfd987193, 0xa679438e, 0x49b40821, 0xf61e2562, 0xc040b340,
-    0x265e5a51, 0xe9b6c7aa, 0xd62f105d, 0x02441453, 0xd8a1e681, 0xe7d3fbc8,
-    0x21e1cde6, 0xc33707d6, 0xf4d50d87, 0x455a14ed, 0xa9e3e905, 0xfcefa3f8,
-    0x676f02d9, 0x8d2a4c8a, 0xfffa3942, 0x8771f681, 0x6d9d6122, 0xfde5380c,
-    0xa4beea44, 0x4bdecfa9, 0xf6bb4b60, 0xbebfbc70, 0x289b7ec6, 0xeaa127fa,
-    0xd4ef3085, 0x04881d05, 0xd9d4d039, 0xe6db99e5, 0x1fa27cf8, 0xc4ac5665,
-    0xf4292244, 0x432aff97, 0xab9423a7, 0xfc93a039, 0x655b59c3, 0x8f0ccc92,
-    0xffeff47d, 0x85845dd1, 0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1,
-    0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391};
-
 constexpr std::uint32_t rotl(std::uint32_t x, std::uint32_t c) {
   return (x << c) | (x >> (32 - c));
 }
@@ -44,6 +23,39 @@ void store_le32(std::uint8_t* p, std::uint32_t v) {
   p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
+// The four step functions of RFC 1321 section 3.4. `xk` is the message
+// word plus the sine constant: it is added to `a` before the round
+// function, so that sum is off the b -> a dependency chain. F and G are the
+// RFC's bit selections written with fewer dependent operations; G's two
+// terms are disjoint, so they add instead of OR.
+inline void ff(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
+               std::uint32_t d, std::uint32_t xk, std::uint32_t s) {
+  a += xk;
+  a += d ^ (b & (c ^ d));
+  a = rotl(a, s) + b;
+}
+
+inline void gg(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
+               std::uint32_t d, std::uint32_t xk, std::uint32_t s) {
+  a += xk;
+  a += (~d & c) + (d & b);
+  a = rotl(a, s) + b;
+}
+
+inline void hh(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
+               std::uint32_t d, std::uint32_t xk, std::uint32_t s) {
+  a += xk;
+  a += b ^ c ^ d;
+  a = rotl(a, s) + b;
+}
+
+inline void ii(std::uint32_t& a, std::uint32_t b, std::uint32_t c,
+               std::uint32_t d, std::uint32_t xk, std::uint32_t s) {
+  a += xk;
+  a += c ^ (b | ~d);
+  a = rotl(a, s) + b;
+}
+
 }  // namespace
 
 void Md5::reset() {
@@ -58,28 +70,77 @@ void Md5::process_block(const std::uint8_t* block) {
 
   std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
 
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t f;
-    int g;
-    if (i < 16) {
-      f = (b & c) | (~b & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | (~d & c);
-      g = (5 * i + 1) & 15;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) & 15;
-    } else {
-      f = c ^ (b | ~d);
-      g = (7 * i) & 15;
-    }
-    const std::uint32_t tmp = d;
-    d = c;
-    c = b;
-    b = b + rotl(a + f + kSine[i] + m[g], kShift[i]);
-    a = tmp;
-  }
+  // Round 1.
+  ff(a, b, c, d, m[0] + 0xd76aa478u, 7);
+  ff(d, a, b, c, m[1] + 0xe8c7b756u, 12);
+  ff(c, d, a, b, m[2] + 0x242070dbu, 17);
+  ff(b, c, d, a, m[3] + 0xc1bdceeeu, 22);
+  ff(a, b, c, d, m[4] + 0xf57c0fafu, 7);
+  ff(d, a, b, c, m[5] + 0x4787c62au, 12);
+  ff(c, d, a, b, m[6] + 0xa8304613u, 17);
+  ff(b, c, d, a, m[7] + 0xfd469501u, 22);
+  ff(a, b, c, d, m[8] + 0x698098d8u, 7);
+  ff(d, a, b, c, m[9] + 0x8b44f7afu, 12);
+  ff(c, d, a, b, m[10] + 0xffff5bb1u, 17);
+  ff(b, c, d, a, m[11] + 0x895cd7beu, 22);
+  ff(a, b, c, d, m[12] + 0x6b901122u, 7);
+  ff(d, a, b, c, m[13] + 0xfd987193u, 12);
+  ff(c, d, a, b, m[14] + 0xa679438eu, 17);
+  ff(b, c, d, a, m[15] + 0x49b40821u, 22);
+
+  // Round 2.
+  gg(a, b, c, d, m[1] + 0xf61e2562u, 5);
+  gg(d, a, b, c, m[6] + 0xc040b340u, 9);
+  gg(c, d, a, b, m[11] + 0x265e5a51u, 14);
+  gg(b, c, d, a, m[0] + 0xe9b6c7aau, 20);
+  gg(a, b, c, d, m[5] + 0xd62f105du, 5);
+  gg(d, a, b, c, m[10] + 0x02441453u, 9);
+  gg(c, d, a, b, m[15] + 0xd8a1e681u, 14);
+  gg(b, c, d, a, m[4] + 0xe7d3fbc8u, 20);
+  gg(a, b, c, d, m[9] + 0x21e1cde6u, 5);
+  gg(d, a, b, c, m[14] + 0xc33707d6u, 9);
+  gg(c, d, a, b, m[3] + 0xf4d50d87u, 14);
+  gg(b, c, d, a, m[8] + 0x455a14edu, 20);
+  gg(a, b, c, d, m[13] + 0xa9e3e905u, 5);
+  gg(d, a, b, c, m[2] + 0xfcefa3f8u, 9);
+  gg(c, d, a, b, m[7] + 0x676f02d9u, 14);
+  gg(b, c, d, a, m[12] + 0x8d2a4c8au, 20);
+
+  // Round 3.
+  hh(a, b, c, d, m[5] + 0xfffa3942u, 4);
+  hh(d, a, b, c, m[8] + 0x8771f681u, 11);
+  hh(c, d, a, b, m[11] + 0x6d9d6122u, 16);
+  hh(b, c, d, a, m[14] + 0xfde5380cu, 23);
+  hh(a, b, c, d, m[1] + 0xa4beea44u, 4);
+  hh(d, a, b, c, m[4] + 0x4bdecfa9u, 11);
+  hh(c, d, a, b, m[7] + 0xf6bb4b60u, 16);
+  hh(b, c, d, a, m[10] + 0xbebfbc70u, 23);
+  hh(a, b, c, d, m[13] + 0x289b7ec6u, 4);
+  hh(d, a, b, c, m[0] + 0xeaa127fau, 11);
+  hh(c, d, a, b, m[3] + 0xd4ef3085u, 16);
+  hh(b, c, d, a, m[6] + 0x04881d05u, 23);
+  hh(a, b, c, d, m[9] + 0xd9d4d039u, 4);
+  hh(d, a, b, c, m[12] + 0xe6db99e5u, 11);
+  hh(c, d, a, b, m[15] + 0x1fa27cf8u, 16);
+  hh(b, c, d, a, m[2] + 0xc4ac5665u, 23);
+
+  // Round 4.
+  ii(a, b, c, d, m[0] + 0xf4292244u, 6);
+  ii(d, a, b, c, m[7] + 0x432aff97u, 10);
+  ii(c, d, a, b, m[14] + 0xab9423a7u, 15);
+  ii(b, c, d, a, m[5] + 0xfc93a039u, 21);
+  ii(a, b, c, d, m[12] + 0x655b59c3u, 6);
+  ii(d, a, b, c, m[3] + 0x8f0ccc92u, 10);
+  ii(c, d, a, b, m[10] + 0xffeff47du, 15);
+  ii(b, c, d, a, m[1] + 0x85845dd1u, 21);
+  ii(a, b, c, d, m[8] + 0x6fa87e4fu, 6);
+  ii(d, a, b, c, m[15] + 0xfe2ce6e0u, 10);
+  ii(c, d, a, b, m[6] + 0xa3014314u, 15);
+  ii(b, c, d, a, m[13] + 0x4e0811a1u, 21);
+  ii(a, b, c, d, m[4] + 0xf7537e82u, 6);
+  ii(d, a, b, c, m[11] + 0xbd3af235u, 10);
+  ii(c, d, a, b, m[2] + 0x2ad7d2bbu, 15);
+  ii(b, c, d, a, m[9] + 0xeb86d391u, 21);
 
   state_[0] += a;
   state_[1] += b;
@@ -88,6 +149,8 @@ void Md5::process_block(const std::uint8_t* block) {
 }
 
 void Md5::update(std::span<const std::uint8_t> data) {
+  // An empty span may carry a null pointer, which memcpy must not see.
+  if (data.empty()) return;
   total_len_ += data.size();
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();

@@ -38,8 +38,8 @@ class Reassembler {
   explicit Reassembler(const Config& config);
 
   /// Sink of in-order merged bytes, invoked as the frontier advances.
-  /// Tests hook content verification here; production sinks leave it unset
-  /// and rely on the digest.
+  /// Sinks that compare content against a known stream hook it here; the
+  /// verdict on integrity still rests on digest().
   std::function<void(std::uint64_t offset, std::span<const std::uint8_t>)>
       on_frontier;
 

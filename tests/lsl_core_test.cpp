@@ -178,6 +178,20 @@ TEST(Payload, VerifierDetectsSingleBitFlip) {
   EXPECT_FALSE(ver.ok());
 }
 
+TEST(PayloadCheck, FlipInLastByteOfChunkLargerThanItsBlockIsRejected) {
+  // The compare walks the chunk in fixed-size blocks; the flip sits in the
+  // final, partial one.
+  std::vector<std::uint8_t> buf(3 * 4096 + 123);
+  PayloadGenerator(8).generate(buf);
+  buf.back() ^= 0x80;
+  PayloadCheck check(8);
+  EXPECT_FALSE(check.feed(buf));
+  EXPECT_FALSE(check.ok());
+  PayloadVerifier ver(8);
+  EXPECT_FALSE(ver.feed(buf));
+  EXPECT_FALSE(ver.ok());
+}
+
 TEST(Payload, StreamDigestMatchesIncrementalHash) {
   PayloadGenerator gen(123);
   md5::Md5 h;

@@ -270,5 +270,50 @@ TEST(SinkCore, LaneWithForeignGeometryIsRefused) {
   EXPECT_TRUE(second.refused);
 }
 
+// The merged stream as lane `j` of `plan` carries it.
+std::vector<std::uint8_t> lane_slice(const stripe::StripePlan& plan,
+                                     std::size_t j,
+                                     const std::vector<std::uint8_t>& merged) {
+  stripe::LaneCursor cursor(plan.lanes[j], plan.lane_bytes[j]);
+  std::vector<std::uint8_t> out;
+  for (auto r = cursor.next(merged.size()); r.length != 0;
+       r = cursor.next(merged.size())) {
+    const auto piece = slice(merged, r.global, r.global + r.length);
+    out.insert(out.end(), piece.begin(), piece.end());
+  }
+  return out;
+}
+
+// Merged bytes that match their trailer but not the seeded stream fail a
+// striped session only when content checking is on: the Reassembler's
+// digest decides integrity, the content check decides content.
+TEST(SinkCore, StripedGroupChecksContentOnlyWhenAsked) {
+  const auto plan = stripe::StripePlan::round_robin(8192, 2, 1024);
+  auto merged = stream(8192);
+  merged.back() ^= 1;
+  const md5::Digest trailer = md5::compute(merged);
+  for (const bool check : {true, false}) {
+    FakeHost host;
+    core::SinkCore core(host, true, true, check, kSeed, nullptr);
+    core::SinkStream lanes[2];
+    for (std::size_t j = 0; j < 2; ++j) {
+      SessionHeader h = header(plan.lane_bytes[j], core::kFlagDigestTrailer);
+      h.stripe = plan.lanes[j];
+      std::vector<std::uint8_t> wire;
+      core::encode_header(h, wire);
+      const auto bytes = lane_slice(plan, j, merged);
+      wire.insert(wire.end(), bytes.begin(), bytes.end());
+      wire.insert(wire.end(), trailer.bytes.begin(), trailer.bytes.end());
+      core.open(lanes[j], 0);
+      EXPECT_EQ(drive(core, lanes[j], wire), core::SinkAction::kRead);
+      // The first lane parks until the merge completes under the second.
+      EXPECT_EQ(core.end(lanes[j], false),
+                j == 0 ? core::SinkAction::kPark : core::SinkAction::kClose);
+    }
+    ASSERT_EQ(host.verdicts.size(), 1u) << "check=" << check;
+    EXPECT_EQ(host.verdicts[0], !check) << "check=" << check;
+  }
+}
+
 }  // namespace
 }  // namespace lsl
