@@ -30,6 +30,27 @@ void BM_Md5Throughput(benchmark::State& state) {
 }
 BENCHMARK(BM_Md5Throughput)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
 
+// Two streams of Arg bytes each, compressed two blocks per pass
+// (Md5::update_pair): bytes processed counts both streams.
+void BM_Md5PairThroughput(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<std::uint8_t> a(n), b(n);
+  lsl::util::Rng rng(1);
+  for (auto& byte : a) byte = static_cast<std::uint8_t>(rng());
+  for (auto& byte : b) byte = static_cast<std::uint8_t>(rng());
+  for (auto _ : state) {
+    lsl::md5::Md5 x, y;
+    lsl::md5::Md5::update_pair(x, a, y, b);
+    auto dx = x.finalize();
+    auto dy = y.finalize();
+    benchmark::DoNotOptimize(dx);
+    benchmark::DoNotOptimize(dy);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 2 *
+                          state.range(0));
+}
+BENCHMARK(BM_Md5PairThroughput)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
+
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   for (auto _ : state) {

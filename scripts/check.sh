@@ -13,8 +13,9 @@
 # earns a dedicated pass under the race detector. The bench configuration
 # runs the benchmark's gate self-test (perfbench/run.py --selftest): its
 # `corrupt` case is the gate that rejects a wrong sink verdict; it then
-# builds bench/micro_core and runs its MD5 throughput case once, with no
-# threshold, so the micro benchmarks cannot rot unbuilt. Usage:
+# builds bench/micro_core and runs its MD5 throughput cases (one stream and
+# a pair) once, with no threshold, so the micro benchmarks cannot rot
+# unbuilt. Usage:
 #
 #   scripts/check.sh [--quick] [--only CONFIG]
 #
@@ -89,7 +90,7 @@ for config in "${configs[@]}"; do
             # it only proves micro_core builds and runs.
             cmake -B build-check -S . -DLSL_WERROR=ON >/dev/null
             cmake --build build-check -j "$jobs" --target micro_core
-            build-check/bench/micro_core --benchmark_filter=BM_Md5Throughput \
+            build-check/bench/micro_core --benchmark_filter=BM_Md5 \
                 --benchmark_min_time=0.01 ;;
     *) echo "check.sh: unknown config '$config'" >&2; exit 2 ;;
   esac

@@ -41,9 +41,22 @@ bool PayloadCheck::feed(std::span<const std::uint8_t> data) {
 
 bool PayloadVerifier::feed(std::span<const std::uint8_t> data) {
   hasher_.update(data);
+  count(data);
+  return ok();
+}
+
+void PayloadVerifier::feed_pair(PayloadVerifier& x,
+                                std::span<const std::uint8_t> a,
+                                PayloadVerifier& y,
+                                std::span<const std::uint8_t> b) {
+  md5::Md5::update_pair(x.hasher_, a, y.hasher_, b);
+  x.count(a);
+  y.count(b);
+}
+
+void PayloadVerifier::count(std::span<const std::uint8_t> data) {
   if (check_) check_->feed(data);
   verified_ += data.size();
-  return ok();
 }
 
 md5::Digest PayloadVerifier::hash_copy_digest() const {

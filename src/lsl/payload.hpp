@@ -71,6 +71,11 @@ class PayloadVerifier {
   /// the first mismatching byte.
   bool feed(std::span<const std::uint8_t> data);
 
+  /// Exactly `x.feed(a); y.feed(b)`, with the two MD5s compressed in one
+  /// pass (md5::Md5::update_pair). The verifiers must be distinct.
+  static void feed_pair(PayloadVerifier& x, std::span<const std::uint8_t> a,
+                        PayloadVerifier& y, std::span<const std::uint8_t> b);
+
   bool ok() const { return !check_ || check_->ok(); }
   std::uint64_t verified_bytes() const { return verified_; }
 
@@ -79,6 +84,8 @@ class PayloadVerifier {
 
  private:
   md5::Digest hash_copy_digest() const;
+  /// The content check and byte count for data already hashed.
+  void count(std::span<const std::uint8_t> data);
 
   std::optional<PayloadCheck> check_;  ///< empty: digest only
   md5::Md5 hasher_;

@@ -150,7 +150,7 @@ void SinkCore::open(SinkStream& s, std::int64_t now) {
   if (expect_header_) return;
   // A headerless raw stream: unbounded, verified per connection.
   s.header_done = true;
-  if (verify_) s.verifier.emplace(seed_, check_content_);
+  if (verify_) start_verifier(s);
 }
 
 std::size_t SinkCore::want(const SinkStream& s) const {
@@ -233,15 +233,13 @@ SinkAction SinkCore::on_header(SinkStream& s) {
     attached_[h.session].push_back(&s);
     return SinkAction::kRead;
   }
-  if (verify_) s.verifier.emplace(seed_, check_content_);
+  if (verify_) start_verifier(s);
   return SinkAction::kRead;
 }
 
 SinkAction SinkCore::feed_payload(SinkStream& s,
                                   std::span<const std::uint8_t> data) {
-  const bool in_payload =
-      !bounded(s) || s.payload_received < s.header->payload_length;
-  if (in_payload) {
+  if (wants_payload(s)) {
     payload_bytes_ += data.size();
     if (s.group != nullptr) {
       s.payload_received += data.size();
@@ -249,7 +247,7 @@ SinkAction SinkCore::feed_payload(SinkStream& s,
       return SinkAction::kRead;
     }
     if (s.ledger != nullptr) return feed_ledger(s, data);
-    if (s.verifier) s.verifier->feed(data);
+    if (s.verifier) verify(s, data);
     s.payload_received += data.size();
     report(s, LaneReport::Event::kProgress, data.size());
     return SinkAction::kRead;
@@ -266,6 +264,34 @@ SinkAction SinkCore::feed_payload(SinkStream& s,
   }
   LSL_LOG_DEBUG("sink: %zu unexpected trailing bytes", data.size());
   return SinkAction::kRead;
+}
+
+bool SinkCore::wants_payload(const SinkStream& s) const {
+  return s.header_done &&
+         (!bounded(s) || s.payload_received < s.header->payload_length);
+}
+
+void SinkCore::start_verifier(SinkStream& s) {
+  s.verifier.emplace(seed_, check_content_);
+  ++verifying_;
+}
+
+void SinkCore::verify(SinkStream& s, std::span<const std::uint8_t> data) {
+  if (held_by_ == &s) flush_held();  // its bytes stay in order
+  if (held_by_ != nullptr) {
+    PayloadVerifier::feed_pair(*held_by_->verifier, held_, *s.verifier, data);
+    held_by_ = nullptr;
+  } else if (verifying_ >= 2) {
+    held_.assign(data.begin(), data.end());
+    held_by_ = &s;
+  } else {
+    s.verifier->feed(data);
+  }
+}
+
+void SinkCore::flush_held() {
+  held_by_->verifier->feed(held_);
+  held_by_ = nullptr;
 }
 
 void SinkCore::feed_lane(SinkStream& s, std::span<const std::uint8_t> data) {
@@ -365,6 +391,10 @@ void SinkCore::report(const SinkStream& s, LaneReport::Event e,
 SinkAction SinkCore::end(SinkStream& s, bool failed) {
   if (s.ended) return SinkAction::kDrop;
   s.ended = true;
+  if (s.verifier) {
+    if (held_by_ == &s) flush_held();  // the verdict covers every byte
+    --verifying_;
+  }
   if (!s.header_done) {
     s.ok = false;  // the connection died inside its header
     return SinkAction::kReport;
@@ -400,6 +430,8 @@ SinkAction SinkCore::end(SinkStream& s, bool failed) {
 }
 
 void SinkCore::forget(SinkStream& s) {
+  if (held_by_ == &s) held_by_ = nullptr;
+  if (s.verifier && !s.ended) --verifying_;
   if (s.group != nullptr) std::erase(s.group->parked, &s);
   if (s.ledger != nullptr) {
     const auto it = attached_.find(s.header->session);

@@ -13,6 +13,11 @@
 //    trailer, and surplus bytes past it;
 //  * the per-connection verdict — exact length for bounded sessions, seeded
 //    content, and the trailer MD5;
+//  * paired hashing — while two or more per-connection verifying streams
+//    are open, one stream's chunk is held back (a copy) until a chunk of a
+//    different stream arrives, and the two are hashed in one two-lane MD5
+//    pass; a stream's held bytes are always hashed before its next chunk
+//    and before its verdict;
 //  * migration adoption — bounded, digest-free, unstriped sessions join the
 //    SessionLedger by id; resume and migrate headers land at resume_offset;
 //  * the striped-lane merge — lane extent sanity, LaneCursor placement, one
@@ -215,8 +220,13 @@ class SinkCore {
   SinkAction ingest(SinkStream& s, std::span<const std::uint8_t> data);
   /// The connection hit EOF (or, `failed`, an error). Idempotent.
   SinkAction end(SinkStream& s, bool failed);
-  /// The adapter is destroying `s`: forget it.
+  /// The adapter is destroying `s`: forget it (and any chunk it has held).
   void forget(SinkStream& s);
+
+  /// More payload bytes are due on `s` (its header is in and its payload
+  /// is not): an adapter that takes turns between streams yields after a
+  /// payload read only while this holds.
+  bool wants_payload(const SinkStream& s) const;
 
   /// Payload bytes ingested across every connection.
   std::uint64_t payload_bytes() const { return payload_bytes_; }
@@ -226,6 +236,13 @@ class SinkCore {
   SinkAction feed_payload(SinkStream& s, std::span<const std::uint8_t> data);
   void feed_lane(SinkStream& s, std::span<const std::uint8_t> data);
   SinkAction feed_ledger(SinkStream& s, std::span<const std::uint8_t> data);
+  /// Give `s` its per-connection verifier.
+  void start_verifier(SinkStream& s);
+  /// Hash `data` into `s`'s verifier: paired with the held chunk of another
+  /// stream, held itself while another verifying stream is open, or at once.
+  void verify(SinkStream& s, std::span<const std::uint8_t> data);
+  /// Hash the held chunk (there must be one) on its own.
+  void flush_held();
   void maybe_resolve(SinkGroup& g);
   /// Lane report for an unstriped stream's progress, or any stream's end.
   void report(const SinkStream& s, LaneReport::Event e,
@@ -238,6 +255,11 @@ class SinkCore {
   std::uint64_t seed_;
   SessionLedger* ledger_;
   std::uint64_t payload_bytes_ = 0;
+  /// Streams with a per-connection verifier that have not ended.
+  std::size_t verifying_ = 0;
+  /// The stream whose chunk waits in held_ for a partner, or null.
+  SinkStream* held_by_ = nullptr;
+  std::vector<std::uint8_t> held_;  ///< at most kSinkReadBytes
   /// Striped sessions' merges, kept for the sink's lifetime so a late
   /// replacement lane can still join its session.
   std::map<SessionId, std::unique_ptr<SinkGroup>> groups_;

@@ -46,6 +46,12 @@ class Md5 {
   /// Absorb the next `data.size()` bytes of the message.
   void update(std::span<const std::uint8_t> data);
 
+  /// Absorb `a` into `x` and `b` into `y`, exactly as `x.update(a);
+  /// y.update(b)`, compressing whole blocks of the two messages in one
+  /// pass. The two hashers must be distinct.
+  static void update_pair(Md5& x, std::span<const std::uint8_t> a, Md5& y,
+                          std::span<const std::uint8_t> b);
+
   /// Convenience overload for character data.
   void update(std::string_view data);
 
@@ -58,6 +64,12 @@ class Md5 {
 
  private:
   void process_block(const std::uint8_t* block);
+  /// Complete a buffered partial block from the head of `data`; returns
+  /// the rest, which starts on a block boundary unless it is empty.
+  std::span<const std::uint8_t> top_up(std::span<const std::uint8_t> data);
+  /// Compress whole blocks of `data` and buffer its tail. The buffer must
+  /// be empty (after top_up) unless `data` is.
+  void absorb(std::span<const std::uint8_t> data);
 
   std::array<std::uint32_t, 4> state_{};
   std::array<std::uint8_t, 64> buffer_{};

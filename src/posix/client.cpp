@@ -285,6 +285,7 @@ void PosixSinkServer::on_accept() {
 void PosixSinkServer::on_readable(Conn* c) {
   std::uint8_t buf[core::kSinkReadBytes];
   for (;;) {
+    const std::uint64_t payload_before = core_.payload_bytes();
     const long n = read_some(c->sock.get(), buf, core_.want(*c));
     if (n < 0 && n != -2) return;  // drained for now
     const core::SinkAction action =
@@ -293,6 +294,16 @@ void PosixSinkServer::on_readable(Conn* c) {
               : core_.end(*c, /*failed=*/n == -2);
     switch (action) {
       case core::SinkAction::kRead:
+        // One payload read per readiness callback; header and trailer
+        // reads go on, so the read that completes a payload is followed
+        // by its trailer and verdict at once. The loop is level-triggered:
+        // a socket with more queued is called again after the other ready
+        // sockets had their turn, so sessions take turns and the core can
+        // hash two sessions' chunks in one pass.
+        if (core_.payload_bytes() != payload_before &&
+            core_.wants_payload(*c)) {
+          return;
+        }
         continue;
       case core::SinkAction::kReport: {
         SinkResult res;

@@ -281,5 +281,123 @@ TEST(Md5, UnalignedInputMatchesAlignedDigest) {
   }
 }
 
+// Pattern digests past the short table, pinned with the same command:
+// the pair grid's long messages with 0, 1 or 63 bytes already held.
+struct PinnedLong {
+  std::size_t len;
+  const char* hex;
+};
+constexpr PinnedLong kLongPatternDigests[] = {
+    {4095, "53de317667ca40d9642e2d859bfbfd16"},
+    {4096, "d105289f5617c241f52a191c6b2fc809"},
+    {4097, "c7cfb8a6d3d4929f9035e0918250b62d"},
+    {4158, "9901290b9ee52809ab8d4a972050021d"},
+    {4159, "4df25f3d684c9a132f4ca3416601cf09"},
+    {4160, "8ebbcdfec1dec142cedb2a9554cc2489"},
+    {65536, "55f3da07043d8f6f30808f9309120b1d"},
+    {65537, "8bbe2ba9b420c53493027ed87dbc57c8"},
+    {65599, "2a50a4d41f6af867178685e0f05a470e"},
+};
+
+// The coreutils digest of the first `len` pattern bytes, when pinned.
+const char* pinned_pattern_digest(std::size_t len) {
+  if (len < std::size(kPatternDigests)) return kPatternDigests[len];
+  for (const PinnedLong& p : kLongPatternDigests) {
+    if (p.len == len) return p.hex;
+  }
+  return nullptr;
+}
+
+// Hashes the first `held + len` pattern bytes twice — `held` bytes first,
+// then the rest through update_pair() with the other side — and checks the
+// paired hasher against the sequential one and, when pinned, coreutils.
+struct PairSide {
+  std::size_t held;
+  std::size_t len;
+};
+
+void expect_pair_matches(const std::vector<std::uint8_t>& data, PairSide x,
+                         PairSide y) {
+  const auto rest = [&](PairSide side) {
+    return std::span<const std::uint8_t>(data.data() + side.held, side.len);
+  };
+  Md5 px, py, sx, sy;
+  for (Md5* h : {&px, &sx}) h->update(std::span(data.data(), x.held));
+  for (Md5* h : {&py, &sy}) h->update(std::span(data.data(), y.held));
+  Md5::update_pair(px, rest(x), py, rest(y));
+  sx.update(rest(x));
+  sy.update(rest(y));
+  const auto label = ::testing::Message()
+                     << "x held " << x.held << " len " << x.len << ", y held "
+                     << y.held << " len " << y.len;
+  EXPECT_EQ(px.message_length(), x.held + x.len) << label;
+  EXPECT_EQ(py.message_length(), y.held + y.len) << label;
+  const Digest dx = px.finalize(), dy = py.finalize();
+  EXPECT_EQ(dx, sx.finalize()) << label;
+  EXPECT_EQ(dy, sy.finalize()) << label;
+  if (const char* want = pinned_pattern_digest(x.held + x.len)) {
+    EXPECT_EQ(dx.hex(), want) << label << " (x)";
+  }
+  if (const char* want = pinned_pattern_digest(y.held + y.len)) {
+    EXPECT_EQ(dy.hex(), want) << label << " (y)";
+  }
+}
+
+std::vector<std::size_t> pair_grid_lengths() {
+  std::vector<std::size_t> lens;
+  for (std::size_t n = 0; n <= 130; ++n) lens.push_back(n);
+  for (std::size_t n : {4095u, 4096u, 4097u, 65536u}) lens.push_back(n);
+  return lens;
+}
+
+constexpr std::size_t kHeldBytes[] = {0, 1, 63};
+
+TEST(Md5, PairMatchesTwoSequentialUpdates) {
+  // Both sides hash the same pattern; when they hold different prefixes
+  // their paired blocks differ, so a pass that crossed the lanes' message
+  // words would miss the pinned digests.
+  const std::vector<std::uint8_t> data = pattern(65536 + 63);
+  for (std::size_t len : pair_grid_lengths()) {
+    for (std::size_t hx : kHeldBytes) {
+      for (std::size_t hy : kHeldBytes) {
+        expect_pair_matches(data, {hx, len}, {hy, len});
+      }
+    }
+  }
+}
+
+TEST(Md5, PairOfUnequalLengths) {
+  const std::vector<std::uint8_t> data = pattern(65536 + 63);
+  const std::size_t lens[] = {0, 1, 55, 63, 64, 65, 127, 128, 130, 4097, 65536};
+  for (std::size_t lx : lens) {
+    for (std::size_t ly : lens) {
+      for (std::size_t held : kHeldBytes) {
+        expect_pair_matches(data, {held, lx}, {0, ly});
+      }
+    }
+  }
+}
+
+std::span<const std::uint8_t> bytes_of(std::string_view s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+TEST(Md5, PairWithEmptySpans) {
+  // Empty spans may carry a null pointer; with partial blocks buffered
+  // they must not reach memcpy (the ubsan build aborts if they do).
+  const std::span<const std::uint8_t> none{};
+  Md5 x, y;
+  x.update("ab");
+  y.update("a");
+  Md5::update_pair(x, none, y, none);
+  Md5::update_pair(x, bytes_of("c"), y, none);
+  Md5::update_pair(x, none, y, bytes_of("bc"));
+  Md5::update_pair(x, none, y, none);
+  EXPECT_EQ(x.message_length(), 3u);
+  EXPECT_EQ(y.message_length(), 3u);
+  EXPECT_EQ(x.finalize().hex(), "900150983cd24fb0d6963f7d28e17f72");
+  EXPECT_EQ(y.finalize().hex(), "900150983cd24fb0d6963f7d28e17f72");
+}
+
 }  // namespace
 }  // namespace lsl::md5

@@ -12,6 +12,7 @@
 #include <optional>
 #include <vector>
 
+#include "lsl/payload.hpp"
 #include "metrics/instruments.hpp"
 #include "metrics/metrics.hpp"
 #include "posix/client.hpp"
@@ -451,6 +452,91 @@ TEST(PosixRelay, ConcurrentSessionsThroughOneDepot) {
             static_cast<std::uint64_t>(kSessions));
 }
 
+
+// A raw client's whole session on the wire: header, payload, digest
+// trailer, written without an event loop as far as the socket takes it.
+struct RawSession {
+  posix::Fd conn;
+  std::vector<std::uint8_t> wire;
+  std::size_t sent = 0;
+
+  /// Write what the socket accepts now; half-close once everything is out.
+  void push() {
+    while (sent < wire.size()) {
+      const long n =
+          posix::write_some(conn.get(), wire.data() + sent, wire.size() - sent);
+      if (n <= 0) return;
+      sent += static_cast<std::size_t>(n);
+    }
+    ::shutdown(conn.get(), SHUT_WR);
+  }
+};
+
+// The sink makes one payload read per readiness callback: with two
+// sessions' bytes queued, one loop turn reads at most one chunk of each
+// instead of draining the first socket while the second waits.
+TEST(PosixRelay, SinkReadsOnePayloadChunkPerReadinessCallback) {
+  REQUIRE_LOOPBACK();
+  EpollLoop loop;
+  constexpr std::uint64_t kSeed = 61;
+  PosixSinkServer sink(loop, InetAddress::loopback(0), true, kSeed);
+  int verified = 0;
+  int completed = 0;
+  sink.on_complete = [&](const SinkResult& r) {
+    ++completed;
+    if (r.verified) ++verified;
+  };
+
+  constexpr std::uint64_t kPayload = 512 * util::kKiB;
+  std::vector<std::uint8_t> payload(kPayload);
+  core::PayloadGenerator(kSeed).generate(payload);
+  const md5::Digest digest = core::stream_digest(kSeed, kPayload);
+  util::Rng rng(61);
+  RawSession sessions[2];
+  for (RawSession& r : sessions) {
+    core::SessionHeader h;
+    h.session = core::SessionId::generate(rng);
+    h.flags = core::kFlagDigestTrailer;
+    h.payload_length = kPayload;
+    h.destination = {0x7f000001, sink.port()};
+    core::encode_header(h, r.wire);
+    r.wire.insert(r.wire.end(), payload.begin(), payload.end());
+    r.wire.insert(r.wire.end(), digest.bytes.begin(), digest.bytes.end());
+    r.conn = raw_connect(loop, sink.port());
+    ASSERT_TRUE(r.conn.valid());
+  }
+  // Let the sink accept both before any byte is sent.
+  for (int i = 0; i < 5; ++i) loop.run_once(20);
+  ASSERT_EQ(sink.bytes_received(), 0u);
+  for (RawSession& r : sessions) {
+    r.push();
+    ASSERT_GE(r.sent, 256 * util::kKiB);
+  }
+
+  loop.run_once();
+  EXPECT_GT(sink.bytes_received(), 0u);
+  EXPECT_LE(sink.bytes_received(), 2 * core::kSinkReadBytes);
+
+  for (RawSession& r : sessions) {
+    if (r.sent == r.wire.size()) continue;
+    loop.add(r.conn.get(), EPOLLOUT, [&r, &loop](std::uint32_t) {
+      r.push();
+      if (r.sent == r.wire.size()) loop.remove(r.conn.get());
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (completed < 2 && std::chrono::steady_clock::now() < deadline) {
+    loop.run_once(50);
+  }
+  ASSERT_EQ(completed, 2);
+  EXPECT_EQ(verified, 2);
+  for (RawSession& r : sessions) {
+    std::uint8_t status = 0;
+    ASSERT_EQ(::recv(r.conn.get(), &status, 1, 0), 1);
+    EXPECT_EQ(status, core::kStatusOk);
+  }
+}
 
 TEST(PosixRelay, DigestOnlyModeAcceptsForeignContent) {
   REQUIRE_LOOPBACK();

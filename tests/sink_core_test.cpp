@@ -3,6 +3,8 @@
 // framing and verdict decisions driven byte by byte through a fake host.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "lsl/payload.hpp"
@@ -313,6 +315,147 @@ TEST(SinkCore, StripedGroupChecksContentOnlyWhenAsked) {
     ASSERT_EQ(host.verdicts.size(), 1u) << "check=" << check;
     EXPECT_EQ(host.verdicts[0], !check) << "check=" << check;
   }
+}
+
+// --- Paired hashing ----------------------------------------------------------
+// With two per-connection verifying streams open, the core holds one
+// stream's chunk and hashes it with the next chunk of the other stream in
+// one two-lane MD5 pass.
+
+constexpr std::uint64_t kPairBytes = 150'000;
+
+/// Feed the rest of each stream's `wire` (past `done[i]` bytes) in turns of
+/// at most `chunk` bytes, one turn per stream, until both are through.
+void alternate(core::SinkCore& core, core::SinkStream* (&s)[2],
+               const std::vector<std::uint8_t> (&wire)[2],
+               std::size_t (&done)[2], std::size_t chunk) {
+  while (done[0] < wire[0].size() || done[1] < wire[1].size()) {
+    for (std::size_t i = 0; i < 2; ++i) {
+      if (done[i] == wire[i].size()) continue;
+      const std::size_t n =
+          std::min({core.want(*s[i]), chunk, wire[i].size() - done[i]});
+      ASSERT_EQ(core.ingest(*s[i], slice(wire[i], done[i], done[i] + n)),
+                core::SinkAction::kRead);
+      done[i] += n;
+    }
+  }
+}
+
+TEST(SinkCore, InterleavedSessionsBothVerify) {
+  FakeHost host;
+  core::SinkCore core(host, true, true, true, kSeed, nullptr);
+  const SessionHeader h = header(kPairBytes, core::kFlagDigestTrailer);
+  const std::vector<std::uint8_t> wire[2] = {session_wire(h, kPairBytes),
+                                             session_wire(h, kPairBytes)};
+  core::SinkStream a, b;
+  core::SinkStream* s[2] = {&a, &b};
+  std::size_t done[2] = {0, 0};
+  core.open(a, 0);
+  core.open(b, 0);
+  // Turns of a size off the block grid, so pairs start mid-block.
+  alternate(core, s, wire, done, 5000);
+  EXPECT_EQ(core.end(a, false), core::SinkAction::kReport);
+  EXPECT_EQ(core.end(b, false), core::SinkAction::kReport);
+  EXPECT_TRUE(a.ok);
+  EXPECT_TRUE(b.ok);
+}
+
+TEST(SinkCore, FlipInTheSecondStreamOfAPairFailsOnlyThatStream) {
+  for (const bool check : {true, false}) {
+    FakeHost host;
+    core::SinkCore core(host, true, true, check, kSeed, nullptr);
+    const SessionHeader h = header(kPairBytes, core::kFlagDigestTrailer);
+    std::vector<std::uint8_t> wire[2] = {session_wire(h, kPairBytes),
+                                         session_wire(h, kPairBytes)};
+    // The first stream's turn is held; the second's arrives to pair with
+    // it. Its trailer stays honest, so with content checking off only the
+    // paired pass's digest can catch the flip.
+    wire[1][h.encoded_size() + 7000] ^= 0x10;
+    core::SinkStream a, b;
+    core::SinkStream* s[2] = {&a, &b};
+    std::size_t done[2] = {0, 0};
+    core.open(a, 0);
+    core.open(b, 0);
+    alternate(core, s, wire, done, 8192);
+    EXPECT_EQ(core.end(a, false), core::SinkAction::kReport);
+    EXPECT_EQ(core.end(b, false), core::SinkAction::kReport);
+    EXPECT_TRUE(a.ok) << "check=" << check;
+    EXPECT_FALSE(b.ok) << "check=" << check;
+  }
+}
+
+TEST(SinkCore, StreamEndingWithItsChunkHeldCountsThoseBytes) {
+  FakeHost host;
+  // Content checking off: only the MD5 trailer decides.
+  core::SinkCore core(host, true, true, false, kSeed, nullptr);
+  const SessionHeader h = header(kPairBytes, core::kFlagDigestTrailer);
+  const auto wire = session_wire(h, kPairBytes);
+  core::SinkStream a, b;
+  core.open(a, 0);
+  core.open(b, 0);
+  ASSERT_EQ(drive(core, b, slice(wire, 0, h.encoded_size())),
+            core::SinkAction::kRead);
+  // With b open, a's last payload chunk is still held when its trailer
+  // arrives and its connection ends.
+  ASSERT_EQ(drive(core, a, wire), core::SinkAction::kRead);
+  EXPECT_EQ(core.end(a, false), core::SinkAction::kReport);
+  EXPECT_TRUE(a.ok);
+  ASSERT_EQ(drive(core, b, slice(wire, h.encoded_size(), wire.size())),
+            core::SinkAction::kRead);
+  EXPECT_EQ(core.end(b, false), core::SinkAction::kReport);
+  EXPECT_TRUE(b.ok);
+}
+
+TEST(SinkCore, ForgettingTheHoldingStreamDropsItsChunk) {
+  FakeHost host;
+  core::SinkCore core(host, true, true, true, kSeed, nullptr);
+  const SessionHeader h = header(kPairBytes, core::kFlagDigestTrailer);
+  const auto wire = session_wire(h, kPairBytes);
+  const std::size_t payload = h.encoded_size();
+  auto a = std::make_unique<core::SinkStream>();
+  core::SinkStream b;
+  core.open(*a, 0);
+  core.open(b, 0);
+  ASSERT_EQ(drive(core, b, slice(wire, 0, payload)), core::SinkAction::kRead);
+  ASSERT_EQ(drive(core, *a, slice(wire, 0, payload + 4096)),
+            core::SinkAction::kRead);
+  // a holds its chunk and goes away mid-stream; b's next chunk must not
+  // pair with it.
+  core.forget(*a);
+  a.reset();
+  ASSERT_EQ(drive(core, b, slice(wire, payload, wire.size())),
+            core::SinkAction::kRead);
+  EXPECT_EQ(core.end(b, false), core::SinkAction::kReport);
+  EXPECT_TRUE(b.ok);
+}
+
+TEST(SinkCore, ConsecutiveChunksOfOneStreamKeepTheirOrder) {
+  FakeHost host;
+  core::SinkCore core(host, true, true, false, kSeed, nullptr);
+  const SessionHeader h = header(kPairBytes, core::kFlagDigestTrailer);
+  const auto wire = session_wire(h, kPairBytes);
+  const std::size_t payload = h.encoded_size();
+  core::SinkStream a, b;
+  core.open(a, 0);
+  core.open(b, 0);
+  ASSERT_EQ(drive(core, b, slice(wire, 0, payload + 3000)),
+            core::SinkAction::kRead);
+  // Chunks of a in a row: each flushes the one held before it.
+  const std::size_t cut[] = {0, payload + 1000, payload + 70'000,
+                             payload + 100'001};
+  for (std::size_t i = 0; i + 1 < std::size(cut); ++i) {
+    ASSERT_EQ(drive(core, a, slice(wire, cut[i], cut[i + 1])),
+              core::SinkAction::kRead);
+  }
+  // Then the two alternate again to the end.
+  core::SinkStream* s[2] = {&a, &b};
+  const std::vector<std::uint8_t> wires[2] = {wire, wire};
+  std::size_t done[2] = {payload + 100'001, payload + 3000};
+  alternate(core, s, wires, done, 4096);
+  EXPECT_EQ(core.end(a, false), core::SinkAction::kReport);
+  EXPECT_EQ(core.end(b, false), core::SinkAction::kReport);
+  EXPECT_TRUE(a.ok);
+  EXPECT_TRUE(b.ok);
 }
 
 }  // namespace
