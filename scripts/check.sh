@@ -14,8 +14,8 @@
 # runs the benchmark's gate self-test (perfbench/run.py --selftest): its
 # `corrupt` case is the gate that rejects a wrong sink verdict; it then
 # builds bench/micro_core and runs its MD5 throughput cases (one stream and
-# a pair) once, with no threshold, so the micro benchmarks cannot rot
-# unbuilt. Usage:
+# a pair) and its simulator event-queue cases once, with no threshold, so
+# the micro benchmarks cannot rot unbuilt. Usage:
 #
 #   scripts/check.sh [--quick] [--only CONFIG]
 #
@@ -90,7 +90,8 @@ for config in "${configs[@]}"; do
             # it only proves micro_core builds and runs.
             cmake -B build-check -S . -DLSL_WERROR=ON >/dev/null
             cmake --build build-check -j "$jobs" --target micro_core
-            build-check/bench/micro_core --benchmark_filter=BM_Md5 \
+            build-check/bench/micro_core \
+                --benchmark_filter='BM_Md5|BM_EventQueue' \
                 --benchmark_min_time=0.01 ;;
     *) echo "check.sh: unknown config '$config'" >&2; exit 2 ;;
   esac

@@ -474,6 +474,13 @@ ChaosResult run_chaos(const ChaosParams& params) {
   res.faults_injected = injector.injected();
   res.final_route = route;
   if (health_on) res.health_transitions = board->transitions();
+  const auto count_retx = [&res](const tcp::TcpSocket& s) {
+    res.retransmits += s.stats().retransmits;
+  };
+  src_stack.for_each_connection(count_retx);
+  dst_stack.for_each_connection(count_retx);
+  for (const auto& s : depot_stacks) s->for_each_connection(count_retx);
+  res.events = ev.executed_count();
   if (res.completed) {
     const util::SimDuration elapsed = sink_time - first_start;
     res.seconds = util::to_seconds(elapsed);

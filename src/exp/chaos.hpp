@@ -81,6 +81,8 @@ struct ChaosResult {
   std::vector<std::string> final_route;  ///< depot names of the last attempt
   double seconds = 0.0;  ///< source start (first attempt) -> verified sink
   double mbps = 0.0;
+  std::uint64_t retransmits = 0;  ///< every connection of every attempt
+  std::uint64_t events = 0;       ///< simulator events executed
   // --- Health plane (all zero when ChaosParams::health is disabled) ------
   std::size_t migrations = 0;  ///< proactive mid-transfer re-selections
   /// Stream offset the first migration resumed from (the sink's exact

@@ -178,6 +178,7 @@ TransferResult run_transfer(const PathParams& path, const RunConfig& cfg) {
   const sim::LinkStats link_totals = net.total_link_stats();
   res.drops_wire = link_totals.drops_wire;
   res.drops_queue = link_totals.drops_queue;
+  res.events = ev.executed_count();
   for (const auto& rec : res.traces) {
     res.rtt_ms.push_back(trace::average_rtt_ms(*rec));
     res.retx_per_link.push_back(trace::retransmission_count(*rec));

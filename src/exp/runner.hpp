@@ -66,6 +66,7 @@ struct TransferResult {
   std::uint64_t timeouts = 0;     ///< RTO events across sending sockets
   std::uint64_t drops_wire = 0;   ///< loss-model drops, all links
   std::uint64_t drops_queue = 0;  ///< drop-tail discards, all links
+  std::uint64_t events = 0;       ///< simulator events executed
 
   // Sender-side traces (when capture_traces): index 0 is the end-to-end
   // connection in direct mode, or sublink 1 in LSL mode; subsequent entries

@@ -387,6 +387,13 @@ StripedResult StripedRun::run() {
   res_.stripes_lost = set_->lost();
   res_.stripes_recovered = set_->recovered();
   res_.retransmitted_bytes = set_->retransmitted();
+  const auto count_retx = [this](const tcp::TcpSocket& s) {
+    res_.retransmits += s.stats().retransmits;
+  };
+  src_stack_->for_each_connection(count_retx);
+  dst_stack_->for_each_connection(count_retx);
+  for (const auto& s : depot_stacks_) s->for_each_connection(count_retx);
+  res_.events = ev().executed_count();
 
   if (merge_time_ >= 0) {
     res_.completed = true;

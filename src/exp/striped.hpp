@@ -96,6 +96,8 @@ struct StripedResult {
   std::vector<std::string> lane_routes;  ///< final depot of each lane
   double seconds = 0.0;  ///< first source start -> merge completion
   double mbps = 0.0;
+  std::uint64_t retransmits = 0;  ///< every connection of every lane
+  std::uint64_t events = 0;       ///< simulator events executed
 };
 
 /// Run one striped transfer; recover lane deaths per the policies.

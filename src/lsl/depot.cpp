@@ -195,11 +195,8 @@ void DepotApp::pull_payload(Relay& r, bool ignore_space) {
     r.in_copy_bytes += got;
     stats_.max_buffered = std::max(stats_.max_buffered, buffered(r));
     note_occupancy(r);
-    Relay* rp = &r;
-    ev.schedule_at(ready_at,
-                   [this, rp, got, c = std::move(chunk)]() mutable {
-                     copy_complete(*rp, got, std::move(c));
-                   });
+    in_copy_.push_back(CopyJob{&r, got, std::move(chunk)});
+    ev.schedule_at(ready_at, [this] { copy_complete(); });
   }
 }
 
@@ -231,12 +228,14 @@ void DepotApp::dial_downstream(Relay& r) {
   if (on_downstream_open) on_downstream_open(r.down);
 }
 
-void DepotApp::copy_complete(Relay& r, std::uint64_t bytes,
-                             std::vector<std::uint8_t> chunk) {
+void DepotApp::copy_complete() {
+  CopyJob job = std::move(in_copy_.front());
+  in_copy_.pop_front();
+  Relay& r = *job.relay;
   if (r.done()) return;
-  r.in_copy_bytes -= bytes;
-  r.ready_bytes += bytes;
-  if (!chunk.empty()) r.ready_chunks.push_back(std::move(chunk));
+  r.in_copy_bytes -= job.bytes;
+  r.ready_bytes += job.bytes;
+  if (!job.chunk.empty()) r.ready_chunks.push_back(std::move(job.chunk));
   note_occupancy(r);
   pump_downstream(r);
 }

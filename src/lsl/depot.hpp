@@ -219,8 +219,8 @@ class DepotApp : private RelayHost {
   /// Re-bind the parked session the fresh relay's resume header names.
   /// Returns false when the core refuses (the fresh relay is then failed).
   bool try_resume(Relay& fresh);
-  void copy_complete(Relay& r, std::uint64_t bytes,
-                     std::vector<std::uint8_t> chunk);
+  /// The front of in_copy_ has finished copying: make it ready downstream.
+  void copy_complete();
   void pump_downstream(Relay& r);
   /// Account `took` ready bytes sent downstream.
   void relayed(Relay& r, std::uint64_t took);
@@ -253,6 +253,15 @@ class DepotApp : private RelayHost {
   /// user-level process has one CPU, so concurrent sessions contend for
   /// copy bandwidth (paper §VII's scalability concern).
   util::SimTime copy_busy_until_ = 0;
+  /// Chunks in the copy resource, in completion order. The resource is
+  /// serial (copy_busy_until_), so completions are FIFO and each completion
+  /// event takes the front job; no event callback owns a chunk.
+  struct CopyJob {
+    Relay* relay;
+    std::uint64_t bytes;
+    std::vector<std::uint8_t> chunk;  ///< empty in virtual mode
+  };
+  std::deque<CopyJob> in_copy_;
   sim::EventId live_event_ = sim::kInvalidEvent;
   util::SimTime live_event_due_ = -1;
   /// Declared before relays_ so relay destructors (which cancel wheel

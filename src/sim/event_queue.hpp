@@ -4,12 +4,19 @@
 // broken by insertion order, which — together with integral nanosecond
 // timestamps and explicitly seeded RNG streams — makes every simulation in
 // this repository bit-for-bit reproducible.
+//
+// The heap holds plain {time, id} keys; callbacks live in a slot table that
+// the id indexes, and freed slots are reused, so the per-event path neither
+// hashes nor allocates once the table has grown to the run's peak. An id is
+// (sequence << kSlotBits) | slot: the sequence keeps ids strictly
+// increasing in scheduling order (the tie-break), and a heap key whose id no
+// longer matches its slot — cancelled, or the slot reused since — is a
+// tombstone skipped when it surfaces.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "util/units.hpp"
@@ -61,27 +68,38 @@ class EventQueue {
   std::uint64_t executed_count() const { return executed_; }
 
  private:
-  struct Entry {
+  /// Low id bits naming the slot: up to 2^24 events pending at once.
+  static constexpr unsigned kSlotBits = 24;
+  static constexpr std::uint64_t kSlotMask =
+      (std::uint64_t{1} << kSlotBits) - 1;
+
+  struct Key {
     util::SimTime time;
     EventId id;
-    Callback cb;
   };
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.id > b.id;
     }
   };
+  struct Slot {
+    EventId id = kInvalidEvent;  ///< the live event here; kInvalidEvent if free
+    Callback cb;
+  };
+
+  /// Return a slot to the free list.
+  void release(std::uint32_t slot);
 
   /// Run the earliest live event if it is due by `deadline`; false when
   /// none is. The one pop path behind step() and run_until().
   bool fire_next(util::SimTime deadline);
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  std::unordered_set<EventId> pending_;    ///< scheduled, not yet fired/cancelled
-  std::unordered_set<EventId> cancelled_;  ///< tombstones awaiting heap pop
+  std::priority_queue<Key, std::vector<Key>, Later> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   util::SimTime now_ = 0;
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 1;  ///< never 0, so no id is kInvalidEvent
   std::size_t live_count_ = 0;
   std::uint64_t executed_ = 0;
 };

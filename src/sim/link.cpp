@@ -73,13 +73,17 @@ void Link::finish_transmission() {
     util::SimTime deliver_at = sim_.now() + prop;
     deliver_at = std::max(deliver_at, last_delivery_);
     last_delivery_ = deliver_at;
-    // The callback owns the packet; shared payload buffers make this cheap.
-    sim_.events().schedule_at(
-        deliver_at,
-        [this, pkt = std::move(p)]() mutable { deliver_(std::move(pkt)); });
+    in_flight_.push_back(std::move(p));
+    sim_.events().schedule_at(deliver_at, [this] { deliver_front(); });
   }
 
   start_transmission();
+}
+
+void Link::deliver_front() {
+  Packet p = std::move(in_flight_.front());
+  in_flight_.pop_front();
+  deliver_(std::move(p));
 }
 
 }  // namespace lsl::sim

@@ -73,6 +73,7 @@ class Link {
  private:
   void start_transmission();
   void finish_transmission();
+  void deliver_front();
   bool wire_drops(const Packet& p);
 
   Simulator& sim_;
@@ -82,6 +83,10 @@ class Link {
   util::Rng rng_;
 
   std::deque<Packet> queue_;
+  /// Packets on the wire, in delivery order. Delivery is FIFO (see
+  /// last_delivery_), so each delivery event takes the front packet and no
+  /// event callback owns a packet.
+  std::deque<Packet> in_flight_;
   std::size_t queued_bytes_ = 0;
   bool transmitting_ = false;
   bool ge_bad_state_ = false;

@@ -45,9 +45,12 @@ void Node::send(Packet&& p) {
   if (p.dst == id_) {
     // Loopback: model a small host-internal latency so local connections
     // still order events sensibly.
-    net_.sim().events().schedule_in(
-        util::micros(20),
-        [this, pkt = std::move(p)]() mutable { deliver(std::move(pkt)); });
+    loopback_.push_back(std::move(p));
+    net_.sim().events().schedule_in(util::micros(20), [this] {
+      Packet pkt = std::move(loopback_.front());
+      loopback_.pop_front();
+      deliver(std::move(pkt));
+    });
     return;
   }
   if (!net_.forward_from(id_, std::move(p))) ++dropped_;

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <string>
 #include <unordered_map>
@@ -54,6 +55,9 @@ class Node {
   std::string name_;
   bool is_router_;
   std::unordered_map<std::uint8_t, ProtocolHandler> handlers_;
+  /// Packets on the loopback hop. Its delay is fixed, so deliveries are
+  /// FIFO and each loopback event takes the front packet.
+  std::deque<Packet> loopback_;
   std::uint64_t dropped_ = 0;
 };
 

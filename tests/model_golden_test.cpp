@@ -1,0 +1,98 @@
+// Golden values that pin the simulated model across builds.
+//
+// Each case runs one seeded transfer down a path that cancels and
+// reschedules heavily (fault injection, cross traffic, jitter plus bursty
+// loss, the striped sink) and compares its throughput, retransmissions and
+// executed event count with values recorded from an earlier build. A change
+// to the simulator's internals (event queue, links, depot copy pipeline)
+// must leave every one of them unchanged: the same events at the same
+// times in the same order. A change that moves the model on purpose
+// updates these numbers and says why.
+#include <gtest/gtest.h>
+
+#include <string>
+
+#include "exp/chaos.hpp"
+#include "exp/runner.hpp"
+#include "exp/scenarios.hpp"
+#include "exp/striped.hpp"
+#include "fault/spec.hpp"
+#include "util/units.hpp"
+
+namespace lsl::exp {
+namespace {
+
+struct Golden {
+  double mbps;
+  std::uint64_t retransmits;
+  std::uint64_t events;
+};
+
+void expect_golden(double mbps, std::uint64_t retransmits,
+                   std::uint64_t events, const Golden& want) {
+  EXPECT_DOUBLE_EQ(mbps, want.mbps);
+  EXPECT_EQ(retransmits, want.retransmits);
+  EXPECT_EQ(events, want.events);
+}
+
+// The EXPERIMENTS.md chaos run (its first iteration): `lsl_sim chain:3 2M
+// lsl --seed 11 --fault-spec crash:depot=depot2,at_bytes=838860`.
+TEST(ModelGolden, ChaosChainDepotCrash) {
+  std::string err;
+  const auto plan =
+      fault::parse_fault_spec("crash:depot=depot2,at_bytes=838860", &err);
+  ASSERT_TRUE(plan.has_value()) << err;
+  ChaosParams qp;
+  qp.chain.depots = 3;
+  qp.chain.bytes = 2 * util::kMiB;
+  qp.chain.seed = 11;
+  qp.plan = *plan;
+  const ChaosResult r = run_chaos(qp);
+  ASSERT_TRUE(r.completed && r.verified);
+  EXPECT_EQ(r.faults_injected, 1u);
+  expect_golden(r.mbps, r.retransmits, r.events,
+                {11.07426463283263, 0, 105031});
+}
+
+// Case 3: jittered WAN plus a Gilbert–Elliott wireless last hop.
+TEST(ModelGolden, Case3WirelessLsl) {
+  RunConfig cfg;
+  cfg.mode = Mode::kLsl;
+  cfg.bytes = 4 * util::kMiB;
+  cfg.seed = 3;
+  const TransferResult r = run_transfer(case3_utk_wireless(), cfg);
+  ASSERT_TRUE(r.completed);
+  expect_golden(r.mbps, r.retransmits, r.events,
+                {4.1167773329865343, 19, 118679});
+}
+
+// Case 1 with on/off UDP cross traffic on both WAN segments.
+TEST(ModelGolden, Case1CrossTrafficLsl) {
+  PathParams path = case1_ucsb_uiuc();
+  path.cross_traffic_mbps = 4.0;
+  RunConfig cfg;
+  cfg.mode = Mode::kLsl;
+  cfg.bytes = 2 * util::kMiB;
+  cfg.seed = 5;
+  const TransferResult r = run_transfer(path, cfg);
+  ASSERT_TRUE(r.completed);
+  expect_golden(r.mbps, r.retransmits, r.events,
+                {11.641898227751328, 1, 49985});
+}
+
+// Four lanes over a four-path braid, real payload merged and verified at
+// the striped sink.
+TEST(ModelGolden, StripedFourLanes) {
+  StripedParams sp;
+  sp.paths = 4;
+  sp.stripes = 4;
+  sp.bytes = 4 * util::kMiB;
+  sp.seed = 7;
+  const StripedResult r = run_striped(sp);
+  ASSERT_TRUE(r.completed && r.verified);
+  expect_golden(r.mbps, r.retransmits, r.events,
+                {25.339627899612374, 3, 87552});
+}
+
+}  // namespace
+}  // namespace lsl::exp

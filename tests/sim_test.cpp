@@ -118,6 +118,97 @@ TEST(EventQueue, PastScheduleClampsToNow) {
   q.run();
 }
 
+// A freed callback slot is reused by the next schedule; the old id must no
+// longer reach it.
+TEST(EventQueue, StaleCancelAfterSlotReuseLeavesNewEventAlone) {
+  EventQueue q;
+  std::vector<int> fired;
+  const EventId a = q.schedule_at(10, [&] { fired.push_back(1); });
+  ASSERT_TRUE(q.step());  // a fires; its slot is free again
+  q.schedule_at(20, [&] { fired.push_back(2); });
+  q.cancel(a);  // fired id
+  EXPECT_EQ(q.size(), 1u);
+
+  const EventId c = q.schedule_at(30, [&] { fired.push_back(3); });
+  q.cancel(c);
+  q.schedule_at(40, [&] { fired.push_back(4); });
+  q.cancel(c);  // cancelled id, slot since reused
+  EXPECT_EQ(q.size(), 2u);
+  q.run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 4}));
+}
+
+TEST(EventQueue, SameTimeTiesKeepSchedulingOrderAcrossCancelAndReuse) {
+  EventQueue q;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 8; ++i) {
+    ids.push_back(q.schedule_at(100, [&order, i] { order.push_back(i); }));
+  }
+  // Free the low slots, then schedule more at the same time: the newcomers
+  // take the freed slots but must still fire after every earlier event.
+  for (int i : {0, 2, 3}) q.cancel(ids[static_cast<std::size_t>(i)]);
+  for (int i = 8; i < 12; ++i) {
+    q.schedule_at(100, [&order, i] { order.push_back(i); });
+  }
+  q.cancel(ids[5]);
+  q.schedule_at(100, [&order] { order.push_back(12); });
+  q.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 4, 6, 7, 8, 9, 10, 11, 12}));
+}
+
+// The running callback's storage must survive the slot table growing under
+// it (the asan leg checks the use after the loop).
+TEST(EventQueue, CallbackSchedulingManyEventsGrowsTableSafely) {
+  EventQueue q;
+  int fired = 0;
+  const std::vector<int> payload(64, 7);  // forces a heap-held callback
+  q.schedule_at(1, [&q, &fired, payload] {
+    for (int i = 0; i < 10000; ++i) {
+      q.schedule_in(i % 7, [&fired, payload] { fired += payload[0] - 6; });
+    }
+    EXPECT_EQ(payload.size(), 64u);
+    EXPECT_EQ(payload[63], 7);
+  });
+  q.run();
+  EXPECT_EQ(fired, 10000);
+  EXPECT_EQ(q.executed_count(), 10001u);
+}
+
+TEST(EventQueue, SizeCountsOnlyLiveEventsWhileTombstonesWait) {
+  EventQueue q;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 5; ++i) ids.push_back(q.schedule_at(10 + i, [] {}));
+  q.cancel(ids[0]);
+  q.cancel(ids[1]);
+  q.cancel(ids[3]);
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_FALSE(q.empty());
+  q.cancel(ids[2]);
+  q.cancel(ids[4]);
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.step());  // only tombstones were left
+  EXPECT_EQ(q.executed_count(), 0u);
+}
+
+TEST(EventQueue, IdsAreValidAndStrictlyIncreasing) {
+  EventQueue q;
+  EventId last = kInvalidEvent;
+  for (int round = 0; round < 50; ++round) {
+    std::vector<EventId> ids;
+    for (int i = 0; i < 20; ++i) {
+      const EventId id = q.schedule_in(i, [] {});
+      EXPECT_NE(id, kInvalidEvent);
+      EXPECT_GT(id, last);
+      last = id;
+      ids.push_back(id);
+    }
+    for (std::size_t i = 0; i < ids.size(); i += 3) q.cancel(ids[i]);
+    q.run_until(q.now() + 10);
+  }
+}
+
 // --- link --------------------------------------------------------------------
 
 Packet make_packet(NodeId src, NodeId dst, std::uint32_t payload) {
