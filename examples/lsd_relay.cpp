@@ -6,9 +6,10 @@
 // the paper's prototype in miniature: unprivileged user-level processes
 // cascading standard TCP connections.
 //
-// Daemon mode: `lsd_relay --daemon <port> [buffer_bytes]` runs a single
-// forwarding daemon on the given port until killed — usable as a real relay
-// for any LSL client on the network. Daemon options:
+// Daemon mode: `lsd_relay --daemon <port> [buffer_bytes]` runs a
+// forwarding daemon (a posix::ShardedLsd, one shard by default) on the
+// given port until killed — usable as a real relay for any LSL client on
+// the network. Daemon options:
 //
 //   --resume-grace=DUR  park sessions whose upstream dies and accept a
 //                       kFlagResume reconnect for DUR (e.g. 2s, 500ms);
@@ -31,17 +32,15 @@
 //                       cascade's timeline (docs/OBSERVABILITY.md)
 //   --admin-socket=PATH serve live introspection (stats|spans|health line
 //                       protocol) on a Unix-domain socket at PATH, answered
-//                       from the daemon's own event loop (with --shards>1:
-//                       from the control thread, aggregating every shard)
+//                       from the control thread, aggregating every shard
 //   --shards=N          run N SO_REUSEPORT shard daemons — one acceptor +
 //                       event loop + OS thread each — behind the one port,
 //                       drawing on one shared memory budget (docs/ENGINE.md).
-//                       Default 1: the classic single-threaded daemon,
-//                       byte-identical to previous releases
-//   --health            attach a depot HealthBoard (one per shard with
-//                       --shards>1): the daemon scores every next hop it
-//                       dials, and the admin `health` response gains
-//                       per-depot rows (docs/HEALTH.md)
+//                       Default 1
+//   --health            attach a depot HealthBoard to every shard: the
+//                       daemon scores every next hop it dials, and the
+//                       admin `health` response gains per-depot rows
+//                       (docs/HEALTH.md)
 //   --gossip-peers=P1,P2  admin-socket paths of peer daemons to poll with
 //                       the `gossip` command; their rows merge into the
 //                       local board(s) by judgement blending. Implies
@@ -50,7 +49,7 @@
 //
 // SIGTERM (or Ctrl-C) in daemon mode triggers a graceful drain: the daemon
 // refuses new sessions, lets in-flight ones finish, then exits printing a
-// drain report (with --shards>1, merged across shards).
+// drain report merged across shards.
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -60,13 +59,11 @@
 #include <string>
 #include <vector>
 
+#include "engine/epoll_engine.hpp"
 #include "fault/spec.hpp"
 #include "live/liveness.hpp"
-#include "health/board.hpp"
 #include "posix/admin.hpp"
 #include "posix/client.hpp"
-#include "posix/epoll_loop.hpp"
-#include "posix/fault_driver.hpp"
 #include "posix/gossip_poller.hpp"
 #include "posix/lsd.hpp"
 #include "posix/sharded_lsd.hpp"
@@ -81,9 +78,17 @@ volatile std::sig_atomic_t g_drain_requested = 0;
 
 void on_terminate_signal(int) { g_drain_requested = 1; }
 
-/// Health-plane options shared by the classic and sharded daemon paths.
-struct HealthOptions {
-  bool enabled = false;                   ///< --health (or implied)
+/// Everything `--daemon` accepts.
+struct DaemonOptions {
+  std::uint16_t port = 4000;
+  std::size_t buffer = 1024 * 1024;
+  std::chrono::milliseconds resume_grace{0};
+  std::string fault_spec;
+  std::string spans_out;
+  std::string admin_socket;
+  live::LivenessConfig liveness;  // all-zero: deadlines off
+  int shards = 1;
+  bool health = false;                    ///< --health (or implied)
   std::vector<std::string> gossip_peers;  ///< --gossip-peers admin paths
   std::chrono::milliseconds gossip_interval{1000};
 };
@@ -102,157 +107,27 @@ std::vector<std::string> split_commas(const std::string& list) {
   return out;
 }
 
-int run_daemon(std::uint16_t port, std::size_t buffer,
-               std::chrono::milliseconds resume_grace,
-               const std::string& fault_spec,
-               const live::LivenessConfig& liveness,
-               const std::string& spans_out,
-               const std::string& admin_socket, const HealthOptions& health) {
-  posix::EpollLoop loop;
-  posix::LsdConfig cfg;
-  cfg.bind = posix::InetAddress{0, port};  // INADDR_ANY
-  cfg.buffer_bytes = buffer;
-  cfg.resume_grace = resume_grace;
-  cfg.liveness = liveness;
-  // Declared before the daemon: Lsd teardown flushes open stream windows
-  // through the tracer, so it must outlive the Lsd; the health board must
-  // outlive it too (finish() scores next hops through it).
-  std::unique_ptr<span::Tracer> tracer;
-  std::unique_ptr<health::HealthBoard> board;
-  posix::Lsd daemon(loop, cfg);
-
-  std::unique_ptr<posix::GossipPoller> gossip;
-  if (health.enabled) {
-    board = std::make_unique<health::HealthBoard>();
-    daemon.set_health_board(board.get());
-    if (!health.gossip_peers.empty()) {
-      posix::GossipPollerConfig gcfg;
-      gcfg.peers = health.gossip_peers;
-      gcfg.interval = health.gossip_interval;
-      gossip = std::make_unique<posix::GossipPoller>(
-          loop, std::vector<health::HealthBoard*>{board.get()}, gcfg);
-      std::printf("lsd: health plane on, gossiping with %zu peer(s) every "
-                  "%lld ms\n",
-                  health.gossip_peers.size(),
-                  static_cast<long long>(health.gossip_interval.count()));
-    } else {
-      std::printf("lsd: health plane on\n");
-    }
-  }
-
-  if (!spans_out.empty()) {
-    tracer = std::make_unique<span::Tracer>("lsd." +
-                                            std::to_string(daemon.port()));
-    daemon.set_tracer(tracer.get());
-    // If a contract aborts the daemon, the flight recorder's last moments
-    // still reach the file.
-    span::install_post_mortem(tracer.get(), spans_out);
-    std::printf("lsd: tracing to %s (source %s)\n", spans_out.c_str(),
-                tracer->source().c_str());
-  }
-
-  std::unique_ptr<posix::AdminServer> admin;
-  if (!admin_socket.empty()) {
-    admin = std::make_unique<posix::AdminServer>(loop, admin_socket, daemon);
-    if (tracer) admin->set_tracer(tracer.get());
-    std::printf("lsd: admin socket at %s\n", admin_socket.c_str());
-  }
-
-  std::unique_ptr<posix::LsdFaultDriver> driver;
-  if (!fault_spec.empty()) {
-    std::string err;
-    const auto plan = fault::parse_fault_spec(fault_spec, &err);
-    if (!plan) {
-      std::fprintf(stderr, "lsd: bad --fault-spec: %s\n", err.c_str());
-      return 2;
-    }
-    driver = std::make_unique<posix::LsdFaultDriver>(daemon, *plan);
-    driver->arm();
-    std::printf("lsd: fault plan armed: %s\n", plan->to_spec().c_str());
-  }
-
-  std::printf("lsd: forwarding daemon on port %u (buffer %zu bytes, "
-              "resume grace %lld ms)\n",
-              daemon.port(), buffer,
-              static_cast<long long>(resume_grace.count()));
-  std::fflush(stdout);  // scripts and tests read the port from a pipe
-  std::signal(SIGTERM, on_terminate_signal);
-  std::signal(SIGINT, on_terminate_signal);
-  // Bounded waits instead of loop.run(): the fault driver's timed events,
-  // parked-session expiry and the SIGTERM flag all need the loop to wake
-  // up periodically; liveness deadlines ride the daemon's own timerfd.
-  while (true) {
-    if (g_drain_requested && !daemon.draining()) {
-      std::printf("lsd: termination requested; draining...\n");
-      daemon.begin_drain();
-    }
-    if (daemon.draining() && daemon.drain_done()) break;
-    int wait = driver ? driver->next_timeout_ms() : daemon.next_timeout_ms();
-    if (gossip) {
-      const int g = gossip->next_timeout_ms();
-      if (g >= 0 && (wait < 0 || g < wait)) wait = g;
-    }
-    if (wait < 0 || wait > 500) wait = 500;
-    // run_once returns -1 only on EINTR — which is exactly how SIGTERM
-    // announces itself mid-epoll_wait. Loop around so the drain flag is
-    // seen; breaking here would exit without draining.
-    if (loop.run_once(wait) < 0) continue;
-    if (driver) {
-      driver->poll();
-    } else {
-      daemon.expire_parked();
-    }
-    if (gossip) gossip->poll();
-  }
-  int rc = 0;
-  if (daemon.draining()) {
-    const live::DrainReport& rep = daemon.drain_report();
-    std::printf("lsd: %s\n", rep.summary().c_str());  // "drain <state>: ..."
-    rc = rep.expired ? 1 : 0;
-  }
-  if (tracer) {
-    span::install_post_mortem(nullptr, "");  // normal exit: no crash hook
-    if (span::dump_file(*tracer, spans_out)) {
-      std::printf("lsd: dumped %llu spans to %s\n",
-                  static_cast<unsigned long long>(
-                      tracer->recorder().recorded()),
-                  spans_out.c_str());
-    } else {
-      std::fprintf(stderr, "lsd: cannot write %s\n", spans_out.c_str());
-    }
-  }
-  return rc;
-}
-
-int run_sharded(std::uint16_t port, std::size_t buffer,
-                std::chrono::milliseconds resume_grace,
-                const std::string& fault_spec,
-                const live::LivenessConfig& liveness,
-                const std::string& spans_out,
-                const std::string& admin_socket, int shards,
-                const HealthOptions& health) {
+int run_daemon(const DaemonOptions& opt) {
   posix::ShardedLsdConfig scfg;
-  scfg.base.bind = posix::InetAddress{0, port};  // INADDR_ANY
-  scfg.base.buffer_bytes = buffer;
-  scfg.base.resume_grace = resume_grace;
-  scfg.base.liveness = liveness;
-  scfg.shards = shards;
-  scfg.health_plane = health.enabled;
+  scfg.base.bind = posix::InetAddress{0, opt.port};  // INADDR_ANY
+  scfg.base.buffer_bytes = opt.buffer;
+  scfg.base.resume_grace = opt.resume_grace;
+  scfg.base.liveness = opt.liveness;
+  scfg.shards = opt.shards;
+  scfg.health_plane = opt.health;
 
   // Declared before the daemon: shard teardown flushes open stream windows
   // through the tracer, so it must outlive the ShardedLsd. The recorder is
-  // multi-writer safe, so all shards share one tracer.
+  // multi-writer safe, so all shards share one tracer. It is named after
+  // the bound port once the daemon has bound it.
   std::unique_ptr<span::Tracer> tracer;
-  if (!spans_out.empty()) {
-    tracer = std::make_unique<span::Tracer>("lsd." + std::to_string(port));
+  if (!opt.spans_out.empty()) {
+    tracer = std::make_unique<span::Tracer>("lsd");
     scfg.tracer = tracer.get();
-    span::install_post_mortem(tracer.get(), spans_out);
-    std::printf("lsd: tracing to %s (source %s)\n", spans_out.c_str(),
-                tracer->source().c_str());
   }
-  if (!fault_spec.empty()) {
+  if (!opt.fault_spec.empty()) {
     std::string err;
-    const auto plan = fault::parse_fault_spec(fault_spec, &err);
+    const auto plan = fault::parse_fault_spec(opt.fault_spec, &err);
     if (!plan) {
       std::fprintf(stderr, "lsd: bad --fault-spec: %s\n", err.c_str());
       return 2;
@@ -264,75 +139,90 @@ int run_sharded(std::uint16_t port, std::size_t buffer,
 
   posix::ShardedLsd daemon(scfg);
 
-  // The main thread becomes the control plane: it owns an engine of its
-  // own for the admin socket and watches the drain flag; the shards do
+  if (tracer) {
+    tracer->set_source("lsd." + std::to_string(daemon.port()));
+    // If a contract aborts the daemon, the flight recorder's last moments
+    // still reach the file.
+    span::install_post_mortem(tracer.get(), opt.spans_out);
+    std::printf("lsd: tracing to %s (source %s)\n", opt.spans_out.c_str(),
+                tracer->source().c_str());
+  }
+
+  // The main thread is the control plane: it owns an engine of its own for
+  // the admin socket and gossip and watches the drain flag; the shards do
   // all the relaying on their threads.
-  posix::EpollLoop control;
+  engine::EpollEngine control;
   std::unique_ptr<posix::AdminServer> admin;
-  if (!admin_socket.empty()) {
-    admin = std::make_unique<posix::AdminServer>(control, admin_socket,
+  if (!opt.admin_socket.empty()) {
+    admin = std::make_unique<posix::AdminServer>(control, opt.admin_socket,
                                                  daemon);
     if (tracer) admin->set_tracer(tracer.get());
-    std::printf("lsd: admin socket at %s\n", admin_socket.c_str());
+    std::printf("lsd: admin socket at %s\n", opt.admin_socket.c_str());
   }
 
   // Gossip rides the control loop: remote rows merge into every shard's
   // (mutex-guarded) board, so each shard routes on the fleet's judgement.
   std::unique_ptr<posix::GossipPoller> gossip;
-  if (health.enabled && !health.gossip_peers.empty()) {
+  if (opt.health && !opt.gossip_peers.empty()) {
     posix::GossipPollerConfig gcfg;
-    gcfg.peers = health.gossip_peers;
-    gcfg.interval = health.gossip_interval;
+    gcfg.peers = opt.gossip_peers;
+    gcfg.interval = opt.gossip_interval;
     gossip = std::make_unique<posix::GossipPoller>(
         control, daemon.health_boards(), gcfg);
     std::printf("lsd: health plane on, gossiping with %zu peer(s) every "
                 "%lld ms\n",
-                health.gossip_peers.size(),
-                static_cast<long long>(health.gossip_interval.count()));
-  } else if (health.enabled) {
+                opt.gossip_peers.size(),
+                static_cast<long long>(opt.gossip_interval.count()));
+  } else if (opt.health) {
     std::printf("lsd: health plane on\n");
   }
 
-  std::printf("lsd: sharded forwarding daemon on port %u "
-              "(%d shards, buffer %zu bytes, resume grace %lld ms)\n",
-              daemon.port(), daemon.shard_count(), buffer,
-              static_cast<long long>(resume_grace.count()));
-  std::fflush(stdout);  // scripts and tests read the port from a pipe
+  // Handlers go in before the banner: a script may signal as soon as it
+  // has read the port.
   std::signal(SIGTERM, on_terminate_signal);
   std::signal(SIGINT, on_terminate_signal);
+  const char* plural = daemon.shard_count() == 1 ? "" : "s";
+  std::printf("lsd: forwarding daemon on port %u (%d shard%s, buffer %zu "
+              "bytes, resume grace %lld ms)\n",
+              daemon.port(), daemon.shard_count(), plural, opt.buffer,
+              static_cast<long long>(opt.resume_grace.count()));
+  std::fflush(stdout);  // scripts and tests read the port from a pipe
   while (true) {
     if (g_drain_requested && !daemon.draining()) {
-      std::printf("lsd: termination requested; draining %d shards...\n",
-                  daemon.shard_count());
+      std::printf("lsd: termination requested; draining %d shard%s...\n",
+                  daemon.shard_count(), plural);
       daemon.begin_drain();
     }
     if (daemon.draining() && daemon.drain_done()) break;
-    // run_once returns -1 only on EINTR — how SIGTERM announces itself.
-    if (control.run_once(200) < 0) continue;
+    int wait = 200;
+    if (gossip) {
+      const int g = gossip->next_timeout_ms();
+      if (g >= 0 && g < wait) wait = g;
+    }
+    // run_once returns -1 only on EINTR — which is exactly how SIGTERM
+    // announces itself mid-epoll_wait. Loop around so the drain flag is
+    // seen; breaking here would exit without draining.
+    if (control.run_once(wait) < 0) continue;
     if (gossip) gossip->poll();
   }
-  int rc = 0;
-  if (daemon.draining()) {
-    const live::DrainReport rep = daemon.drain_report();
-    std::printf("lsd: %s\n", rep.summary().c_str());
-    rc = rep.expired ? 1 : 0;
-  }
+  const live::DrainReport rep = daemon.drain_report();
+  std::printf("lsd: %s\n", rep.summary().c_str());  // "drain <state>: ..."
   if (tracer) {
     span::install_post_mortem(nullptr, "");  // normal exit: no crash hook
-    if (span::dump_file(*tracer, spans_out)) {
+    if (span::dump_file(*tracer, opt.spans_out)) {
       std::printf("lsd: dumped %llu spans to %s\n",
                   static_cast<unsigned long long>(
                       tracer->recorder().recorded()),
-                  spans_out.c_str());
+                  opt.spans_out.c_str());
     } else {
-      std::fprintf(stderr, "lsd: cannot write %s\n", spans_out.c_str());
+      std::fprintf(stderr, "lsd: cannot write %s\n", opt.spans_out.c_str());
     }
   }
-  return rc;
+  return rep.expired ? 1 : 0;
 }
 
 int run_demo(std::uint64_t bytes) {
-  posix::EpollLoop loop;
+  engine::EpollEngine loop;
 
   posix::Lsd depot1(loop, posix::LsdConfig{});
   posix::Lsd depot2(loop, posix::LsdConfig{});
@@ -390,15 +280,7 @@ int run_demo(std::uint64_t bytes) {
 int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
   if (argc > 1 && std::strcmp(argv[1], "--daemon") == 0) {
-    std::uint16_t port = 4000;
-    std::size_t buffer = 1024 * 1024;
-    std::chrono::milliseconds grace{0};
-    std::string fault_spec;
-    std::string spans_out;
-    std::string admin_socket;
-    live::LivenessConfig liveness;  // all-zero: deadlines off
-    int shards = 1;
-    HealthOptions health;
+    DaemonOptions opt;
     bool have_port = false;
     for (int i = 2; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -408,59 +290,51 @@ int main(int argc, char** argv) {
           std::fprintf(stderr, "lsd: bad --resume-grace duration\n");
           return 2;
         }
-        grace = std::chrono::milliseconds(*d / util::kMillisecond);
+        opt.resume_grace = std::chrono::milliseconds(*d / util::kMillisecond);
       } else if (arg.rfind("--fault-spec=", 0) == 0) {
-        fault_spec = arg.substr(13);
+        opt.fault_spec = arg.substr(13);
       } else if (arg.rfind("--spans-out=", 0) == 0) {
-        spans_out = arg.substr(12);
+        opt.spans_out = arg.substr(12);
       } else if (arg.rfind("--admin-socket=", 0) == 0) {
-        admin_socket = arg.substr(15);
+        opt.admin_socket = arg.substr(15);
       } else if (arg.rfind("--shards=", 0) == 0) {
-        shards = std::atoi(arg.c_str() + 9);
-        if (shards < 1) {
+        opt.shards = std::atoi(arg.c_str() + 9);
+        if (opt.shards < 1) {
           std::fprintf(stderr, "lsd: bad --shards (need >= 1)\n");
           return 2;
         }
       } else if (arg == "--health") {
-        health.enabled = true;
+        opt.health = true;
       } else if (arg.rfind("--gossip-peers=", 0) == 0) {
-        health.gossip_peers = split_commas(arg.substr(15));
-        health.enabled = true;  // gossip without a board is meaningless
+        opt.gossip_peers = split_commas(arg.substr(15));
+        opt.health = true;  // gossip without a board is meaningless
       } else if (arg.rfind("--gossip-interval=", 0) == 0) {
         const auto d = fault::parse_duration(arg.substr(18));
         if (!d || *d <= 0) {
           std::fprintf(stderr, "lsd: bad --gossip-interval duration\n");
           return 2;
         }
-        health.gossip_interval =
+        opt.gossip_interval =
             std::chrono::milliseconds(*d / util::kMillisecond);
       } else if (arg == "--liveness") {
-        const auto drain = liveness.drain_deadline;  // may be set already
-        liveness = live::LivenessConfig::recommended();
-        if (drain > 0) liveness.drain_deadline = drain;
+        const auto drain = opt.liveness.drain_deadline;  // may be set already
+        opt.liveness = live::LivenessConfig::recommended();
+        if (drain > 0) opt.liveness.drain_deadline = drain;
       } else if (arg.rfind("--drain-deadline=", 0) == 0) {
         const auto d = fault::parse_duration(arg.substr(17));
         if (!d || *d < 0) {
           std::fprintf(stderr, "lsd: bad --drain-deadline duration\n");
           return 2;
         }
-        liveness.drain_deadline = *d;
+        opt.liveness.drain_deadline = *d;
       } else if (!have_port) {
-        port = static_cast<std::uint16_t>(std::atoi(arg.c_str()));
+        opt.port = static_cast<std::uint16_t>(std::atoi(arg.c_str()));
         have_port = true;
       } else {
-        buffer = static_cast<std::size_t>(std::atoll(arg.c_str()));
+        opt.buffer = static_cast<std::size_t>(std::atoll(arg.c_str()));
       }
     }
-    // --shards=1 (the default) takes the classic single-threaded path —
-    // not a one-shard ShardedLsd — so default behavior (and its metric
-    // exports) stays byte-identical to previous releases.
-    if (shards > 1) {
-      return run_sharded(port, buffer, grace, fault_spec, liveness,
-                         spans_out, admin_socket, shards, health);
-    }
-    return run_daemon(port, buffer, grace, fault_spec, liveness, spans_out,
-                      admin_socket, health);
+    return run_daemon(opt);
   }
   std::uint64_t bytes = 8 * util::kMiB;
   if (argc > 1) bytes = std::strtoull(argv[1], nullptr, 10);

@@ -3,9 +3,9 @@
 // The sharded daemon gives every shard its own ChunkPool (freelists and
 // counters stay contention-free on the relay fast path) but the operator
 // still configures ONE memory ceiling for the process. This facade wraps
-// the deliberately-not-thread-safe MemoryBudget in a Sync-policy mutex —
-// the same pattern as live::BasicSharedDeadlineWheel — so N pools can
-// reserve() and release() against the same watermarked accounting.
+// the deliberately-not-thread-safe MemoryBudget in a Sync-policy mutex so
+// N pools can reserve() and release() against the same watermarked
+// accounting.
 //
 // Lock order: a pool calls in with its own mu_ already held, so the
 // repository-wide order is pool mutex → budget mutex; the budget never

@@ -10,7 +10,6 @@
 #include "engine/drain_gate.hpp"
 #include "engine/post_queue.hpp"
 #include "health/board.hpp"
-#include "live/shared_wheel.hpp"
 #include "metrics/metrics.hpp"
 #include "span/span.hpp"
 #include "util/contract.hpp"
@@ -23,7 +22,6 @@ using MS = ModelSync;
 using ModelPool = buf::BasicChunkPool<MS>;
 using ModelRef = buf::BasicChunkRef<MS>;
 using ModelRecorder = span::BasicFlightRecorder<MS>;
-using ModelWheel = live::BasicSharedDeadlineWheel<MS>;
 using ModelCounter = metrics::BasicCounter<MS>;
 using ModelGauge = metrics::BasicGauge<MS>;
 using ModelCounterMap = metrics::BasicInstrumentMap<MS, ModelCounter>;
@@ -310,36 +308,6 @@ void recorder_wrap() {
 }
 
 // ---------------------------------------------------------------------------
-// live: SharedDeadlineWheel
-// ---------------------------------------------------------------------------
-
-// Two firers race a canceller. cancel()==true must mean the callback never
-// runs; either way it runs at most once, and the callback's reentrant
-// schedule() must not self-deadlock (it would, if fire_due held the wheel
-// lock across callbacks — the model mutex detects exactly that).
-void wheel_cancel() {
-  ModelWheel wheel;
-  int ran = 0;
-  ModelWheel::Token tok = wheel.schedule(100, [&] {
-    ++ran;
-    wheel.schedule(200, [] {});
-  });
-  bool cancelled = false;
-  spawn([&] { wheel.fire_due(100); });
-  spawn([&] { wheel.fire_due(100); });
-  spawn([&] { cancelled = wheel.cancel(tok); });
-  run_threads();
-  check_that(ran <= 1, "a deadline fired more than once");
-  if (cancelled) {
-    check_that(ran == 0, "cancel()==true but the callback ran");
-  } else {
-    check_that(ran == 1, "cancel()==false yet the due callback never ran");
-  }
-  check_that(wheel.size() == static_cast<std::size_t>(ran),
-             "reentrant schedule pending iff the callback ran");
-}
-
-// ---------------------------------------------------------------------------
 // metrics: registration + extreme tracking
 // ---------------------------------------------------------------------------
 
@@ -576,10 +544,6 @@ const std::vector<ScenarioDef>& defs() {
         "3 writers lap a 2-slot ring: claim contention drops, never tears",
         false, budgets(60000, 2, 20000)},
        &recorder_wrap},
-      {{"wheel_cancel", "live",
-        "2 firers vs cancel on SharedDeadlineWheel; reentrant schedule",
-        false, budgets(60000, 2, 20000)},
-       &wheel_cancel},
       {{"metrics_register", "metrics",
         "racing get_or_create() interns one instrument, loses no update",
         false, budgets(20000, 2, 20000)},

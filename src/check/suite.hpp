@@ -1,9 +1,10 @@
 // The named model-check suite: scenarios over the ModelSync instantiations
-// of the four riskiest concurrent protocols (buf::ChunkPool+MemoryBudget,
-// span::FlightRecorder, live::SharedDeadlineWheel, metrics registration),
-// plus deliberately seeded bug fixtures that prove the checker catches the
-// classes of bug it exists for. tools/lsl_mc runs the suite;
-// tests/mcheck_test.cpp pins its outcomes and census determinism.
+// of the riskiest concurrent protocols (buf::ChunkPool+MemoryBudget and the
+// shared budget, span::FlightRecorder, the engine's post queue and drain
+// gate, metrics registration, the health board), plus deliberately seeded
+// bug fixtures that prove the checker catches the classes of bug it exists
+// for. tools/lsl_mc runs the suite; tests/mcheck_test.cpp pins its
+// outcomes and census determinism.
 #pragma once
 
 #include <string>
@@ -16,7 +17,7 @@ namespace lsl::check {
 /// One registered scenario.
 struct ScenarioInfo {
   std::string name;
-  std::string subsystem;    ///< buf | span | live | metrics | check
+  std::string subsystem;    ///< buf | engine | span | metrics | health | check
   std::string description;
   /// Bug fixtures: the checker MUST find a violation (a clean pass is the
   /// failure). Pass scenarios: any violation is a real protocol bug.

@@ -91,15 +91,20 @@ void EpollEngine::run() {
 void EpollEngine::wakeup() {
   // write(2) on an eventfd is atomic and thread-safe; the counter adds up
   // and the dispatch thread drains it in one read, so wakeups coalesce.
+  // EFD_NONBLOCK: the write never blocks; EAGAIN means the counter is
+  // saturated and a wakeup is already pending.
   const std::uint64_t one = 1;
-  const auto n = ::write(wakeup_fd_.get(), &one, sizeof(one));
-  (void)n;  // EAGAIN means the counter is saturated — a wakeup is pending
+  const int fd = wakeup_fd_.get();
+  const auto n = ::write(fd, &one, sizeof one);  // lsl-lint: allow(blocking-io)
+  (void)n;
 }
 
 void EpollEngine::drain_wakeup() {
-  std::uint64_t count = 0;
-  const auto n = ::read(wakeup_fd_.get(), &count, sizeof(count));
-  (void)n;  // EFD_NONBLOCK: EAGAIN just means a spurious wake
+  // EFD_NONBLOCK: the read never blocks; EAGAIN just means a spurious wake.
+  std::uint64_t got = 0;  // the coalesced wakeup count
+  const int fd = wakeup_fd_.get();
+  const auto n = ::read(fd, &got, sizeof got);  // lsl-lint: allow(blocking-io)
+  (void)n;
   if (on_wakeup_) on_wakeup_();
 }
 

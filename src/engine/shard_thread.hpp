@@ -3,7 +3,7 @@
 // The repository-wide thread-discipline rule (tools/lsl_lint) bans bare
 // std::thread under src/ so cross-thread protocols are forced through the
 // model-checked Sync seam rather than grown ad hoc. Shards still need a
-// real OS thread to run their EventEngine on, and this wrapper is the
+// real OS thread to run their EpollEngine on, and this wrapper is the
 // single carve-out the lint rule grants: join-on-destruction semantics
 // (no detached threads, no std::terminate from a forgotten join), nothing
 // else. Everything the shard thread *shares* — post queues, drain gates,

@@ -10,7 +10,7 @@
 
 namespace lsl::engine {
 
-EngineTimer::EngineTimer(EventEngine& engine, std::function<void()> on_fire)
+EngineTimer::EngineTimer(EpollEngine& engine, std::function<void()> on_fire)
     : engine_(engine), on_fire_(std::move(on_fire)) {
   fd_.reset(::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC));
   if (!fd_.valid()) {

@@ -2,7 +2,7 @@
 //
 // The daemon's deadlines must fire even when no socket is ready — a silent
 // peer generates no events, which is exactly the case liveness exists to
-// catch. An EngineTimer registers in the same EventEngine as the sockets;
+// catch. An EngineTimer registers in the same EpollEngine as the sockets;
 // arming it at the wheel's next_due() makes the engine's plain run() wake
 // for deadlines with no host-side polling and no computed-timeout plumbing.
 // Each daemon (shard) owns its own timer, so several daemons can share one
@@ -12,18 +12,18 @@
 #include <cstdint>
 #include <functional>
 
-#include "engine/event_engine.hpp"
+#include "engine/epoll_engine.hpp"
 #include "engine/fd.hpp"
 
 namespace lsl::engine {
 
-/// A CLOCK_MONOTONIC timerfd registered in an EventEngine.
+/// A CLOCK_MONOTONIC timerfd registered in an EpollEngine.
 class EngineTimer {
  public:
   /// Creates the timerfd (disarmed) and registers it for EPOLLIN; `on_fire`
   /// runs whenever the armed instant passes. Throws std::system_error if
   /// the timer cannot be created.
-  EngineTimer(EventEngine& engine, std::function<void()> on_fire);
+  EngineTimer(EpollEngine& engine, std::function<void()> on_fire);
   ~EngineTimer();
 
   EngineTimer(const EngineTimer&) = delete;
@@ -48,7 +48,7 @@ class EngineTimer {
  private:
   void on_readable();
 
-  EventEngine& engine_;
+  EpollEngine& engine_;
   Fd fd_;
   std::function<void()> on_fire_;
   bool armed_ = false;

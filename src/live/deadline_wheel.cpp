@@ -31,20 +31,6 @@ int DeadlineWheel::next_timeout_ms(std::int64_t now) const {
   return static_cast<int>(ms < kMaxTimeout ? ms : kMaxTimeout);
 }
 
-void DeadlineWheel::take_due(std::int64_t now, std::vector<Callback>* out) {
-  LSL_PRECONDITION(out != nullptr, "DeadlineWheel::take_due: null out");
-  // The batch is what was due at entry. Unlike fire_due — which re-checks
-  // the queue after each callback and so also runs deadlines a callback
-  // schedules in the past — a take_due batch never grows; the caller's
-  // next pass picks such late arrivals up.
-  while (!queue_.empty() && queue_.begin()->first.first <= now) {
-    auto it = queue_.begin();
-    out->push_back(std::move(it->second));
-    due_by_token_.erase(it->first.second);
-    queue_.erase(it);
-  }
-}
-
 std::size_t DeadlineWheel::fire_due(std::int64_t now) {
   std::size_t fired = 0;
   while (!queue_.empty() && queue_.begin()->first.first <= now) {

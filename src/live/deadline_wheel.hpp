@@ -24,7 +24,6 @@
 #include <functional>
 #include <map>
 #include <utility>
-#include <vector>
 
 namespace lsl::live {
 
@@ -61,15 +60,6 @@ class DeadlineWheel {
   /// the number fired. Reentrant-safe: each callback is detached from the
   /// queue before it runs.
   std::size_t fire_due(std::int64_t now);
-
-  /// Detach every deadline with due <= now into `out` (appended, same
-  /// deterministic order fire_due would use) WITHOUT running them. This is
-  /// the lock-friendly half of fire_due: a caller serializing the wheel
-  /// behind a mutex (live::SharedDeadlineWheel) pops the batch under the
-  /// lock and runs the callbacks outside it, so callbacks may re-enter
-  /// schedule()/cancel() without self-deadlocking. Deadlines scheduled by
-  /// those callbacks are not part of the batch even if already due.
-  void take_due(std::int64_t now, std::vector<Callback>* out);
 
  private:
   using Key = std::pair<std::int64_t, Token>;  // (due, token)

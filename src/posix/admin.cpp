@@ -22,30 +22,31 @@ namespace lsl::posix {
 
 namespace {
 
-Fd listen_unix(const std::string& path) {
+engine::Fd listen_unix(const std::string& path) {
   sockaddr_un sa{};
   sa.sun_family = AF_UNIX;
   if (path.size() >= sizeof(sa.sun_path)) {
     errno = ENAMETOOLONG;
-    return Fd{};
+    return engine::Fd{};
   }
   std::memcpy(sa.sun_path, path.c_str(), path.size() + 1);
-  Fd sock(::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
-  if (!sock.valid()) return Fd{};
+  engine::Fd sock(
+      ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0));
+  if (!sock.valid()) return engine::Fd{};
   // A stale socket file from a previous (crashed) daemon would make bind
   // fail with EADDRINUSE even though nobody is listening; remove it first.
   ::unlink(path.c_str());
   if (::bind(sock.get(), reinterpret_cast<const sockaddr*>(&sa),
              sizeof(sa)) != 0) {
-    return Fd{};
+    return engine::Fd{};
   }
-  if (::listen(sock.get(), 8) != 0) return Fd{};
+  if (::listen(sock.get(), 8) != 0) return engine::Fd{};
   return sock;
 }
 
 }  // namespace
 
-AdminServer::AdminServer(engine::EventEngine& loop, std::string socket_path,
+AdminServer::AdminServer(engine::EpollEngine& loop, std::string socket_path,
                          AdminSource& source)
     : loop_(loop), source_(source), path_(std::move(socket_path)) {
   listener_ = listen_unix(path_);
@@ -69,7 +70,7 @@ AdminServer::~AdminServer() {
 
 void AdminServer::on_accept() {
   for (;;) {
-    Fd sock(::accept4(listener_.get(), nullptr, nullptr,
+    engine::Fd sock(::accept4(listener_.get(), nullptr, nullptr,
                       SOCK_NONBLOCK | SOCK_CLOEXEC));
     if (!sock.valid()) return;  // EAGAIN or error: nothing (more) pending
     auto conn = std::make_unique<Conn>();
@@ -165,8 +166,8 @@ std::string AdminServer::cmd_health() const {
   std::ostringstream out;
   out << "{\"port\":" << h.port << ",\"live_relays\":" << h.live_relays
       << ",\"parked_relays\":" << h.parked_relays;
-  // Sharded daemons report their width; the classic daemon's output stays
-  // byte-identical (no new field).
+  // A ShardedLsd (every lsd_relay daemon) reports its width; a bare Lsd
+  // omits the field.
   if (h.shards > 0) out << ",\"shards\":" << h.shards;
   // Likewise striped sessions: the field appears only while striped (wire
   // v3) relays are live, so unstriped daemons keep the historical output.

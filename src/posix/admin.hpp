@@ -22,8 +22,8 @@
 #include <string>
 #include <vector>
 
-#include "posix/epoll_loop.hpp"
-#include "posix/fd.hpp"
+#include "engine/epoll_engine.hpp"
+#include "engine/fd.hpp"
 
 namespace lsl::metrics {
 class Registry;
@@ -44,7 +44,7 @@ class AdminSource;
 /// destruction.
 class AdminServer {
  public:
-  AdminServer(engine::EventEngine& loop, std::string socket_path,
+  AdminServer(engine::EpollEngine& loop, std::string socket_path,
               AdminSource& source);
   ~AdminServer();
 
@@ -63,7 +63,7 @@ class AdminServer {
 
  private:
   struct Conn {
-    Fd sock;
+    engine::Fd sock;
     std::string in;        ///< bytes read, scanned for newlines
     std::string out;       ///< staged response bytes
     std::size_t out_off = 0;
@@ -85,10 +85,10 @@ class AdminServer {
   bool flush(Conn* c);
   void close_conn(Conn* c);
 
-  engine::EventEngine& loop_;
+  engine::EpollEngine& loop_;
   AdminSource& source_;
   std::string path_;
-  Fd listener_;
+  engine::Fd listener_;
   const metrics::Registry* registry_ = nullptr;
   const span::Tracer* tracer_ = nullptr;
   std::vector<std::unique_ptr<Conn>> conns_;

@@ -58,7 +58,7 @@ core::SourcePlan plan_of(const PosixSourceConfig& c) {
 
 }  // namespace
 
-PosixSource::PosixSource(EpollLoop& loop, PosixSourceConfig config)
+PosixSource::PosixSource(engine::EpollEngine& loop, PosixSourceConfig config)
     : loop_(loop),
       config_(std::move(config)),
       core_(*this, plan_of(config_)),
@@ -134,14 +134,14 @@ void PosixSource::end(bool ok) {
 void PosixSource::arm_timer(std::int64_t delay_ns,
                             std::function<void()> fn) {
   if (!timer_) {
-    timer_ = std::make_unique<TimerFd>(loop_, [this] {
+    timer_ = std::make_unique<engine::EngineTimer>(loop_, [this] {
       // An expiry queued behind a disarm (the dial resolved) finds none.
       const std::function<void()> due = std::exchange(on_timer_, nullptr);
       if (due) due();
     });
   }
   on_timer_ = std::move(fn);
-  timer_->arm(TimerFd::now_ns() + delay_ns);
+  timer_->arm(engine::EngineTimer::now_ns() + delay_ns);
 }
 
 void PosixSource::on_io(std::uint32_t events) {
@@ -223,7 +223,7 @@ void PosixSource::pump() {
 // --- PosixSinkServer ---------------------------------------------------------
 
 struct PosixSinkServer::Conn : core::SinkStream {
-  Fd sock;
+  engine::Fd sock;
   /// A finished lane held open, off the loop, until its merge resolves.
   bool parked = false;
 };
@@ -240,7 +240,8 @@ double seconds_since(std::int64_t then, std::int64_t now) {
 
 }  // namespace
 
-PosixSinkServer::PosixSinkServer(EpollLoop& loop, const InetAddress& bind,
+PosixSinkServer::PosixSinkServer(engine::EpollEngine& loop,
+                                 const InetAddress& bind,
                                  bool expect_header,
                                  std::uint64_t payload_seed,
                                  bool verify_content)
@@ -270,7 +271,7 @@ std::int64_t PosixSinkServer::now() const {
 
 void PosixSinkServer::on_accept() {
   for (;;) {
-    Fd conn = accept_connection(listener_.get());
+    engine::Fd conn = accept_connection(listener_.get());
     if (!conn.valid()) return;
     auto c = std::make_unique<Conn>();
     c->sock = std::move(conn);

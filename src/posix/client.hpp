@@ -1,7 +1,7 @@
 // Real-socket LSL endpoints: a session source that streams a deterministic
 // payload through a depot route with an MD5 trailer, and a sink server that
 // receives, verifies and timestamps sessions. Both are nonblocking apps on
-// an EpollLoop, so a full cascade (source -> lsd -> lsd -> sink) runs in a
+// an EpollEngine, so a full cascade (source -> lsd -> lsd -> sink) runs in a
 // single process over loopback — which is exactly how the posix integration
 // tests and the lsd_relay example drive them.
 #pragma once
@@ -14,15 +14,15 @@
 #include <span>
 #include <vector>
 
+#include "engine/epoll_engine.hpp"
+#include "engine/timer.hpp"
 #include "lsl/payload.hpp"
 #include "lsl/session_id.hpp"
 #include "lsl/sink_core.hpp"
 #include "lsl/source_core.hpp"
 #include "lsl/wire.hpp"
 #include "md5/md5.hpp"
-#include "posix/epoll_loop.hpp"
 #include "posix/socket_util.hpp"
-#include "posix/timer_fd.hpp"
 
 namespace lsl::posix {
 
@@ -87,7 +87,7 @@ core::SessionId seeded_session(std::uint64_t seed);
 /// every decision about what the session sends is the core's.
 class PosixSource : private core::SourceHost {
  public:
-  PosixSource(EpollLoop& loop, PosixSourceConfig config);
+  PosixSource(engine::EpollEngine& loop, PosixSourceConfig config);
   ~PosixSource();
 
   PosixSource(const PosixSource&) = delete;
@@ -138,13 +138,13 @@ class PosixSource : private core::SourceHost {
   bool confirms() const override { return true; }
   void end(bool ok) override;
 
-  EpollLoop& loop_;
+  engine::EpollEngine& loop_;
   PosixSourceConfig config_;
   core::SourceCore core_;
-  Fd sock_;
+  engine::Fd sock_;
   /// One timerfd serves both source deadlines: bounding an in-flight dial
   /// and waking from a reconnect backoff; on_timer_ is the armed one.
-  std::unique_ptr<TimerFd> timer_;
+  std::unique_ptr<engine::EngineTimer> timer_;
   std::function<void()> on_timer_;
   bool connecting_ = false;
   std::vector<std::uint8_t> chunk_;      ///< reused payload staging buffer
@@ -171,8 +171,9 @@ class PosixSinkServer : private core::SinkHost {
   /// `verify_content` false, only the MD5 trailer is checked (arbitrary
   /// payloads); otherwise bytes are also compared against the generator
   /// stream seeded with `payload_seed`.
-  PosixSinkServer(EpollLoop& loop, const InetAddress& bind, bool expect_header,
-                  std::uint64_t payload_seed, bool verify_content = true);
+  PosixSinkServer(engine::EpollEngine& loop, const InetAddress& bind,
+                  bool expect_header, std::uint64_t payload_seed,
+                  bool verify_content = true);
   ~PosixSinkServer();
 
   PosixSinkServer(const PosixSinkServer&) = delete;
@@ -223,10 +224,10 @@ class PosixSinkServer : private core::SinkHost {
   /// Send `status` (when set), close, and destroy the connection.
   void close_conn(Conn* c, std::optional<std::uint8_t> status);
 
-  EpollLoop& loop_;
+  engine::EpollEngine& loop_;
   core::SessionLedger ledger_;
   core::SinkCore core_;
-  Fd listener_;
+  engine::Fd listener_;
   std::uint16_t port_ = 0;
   std::vector<std::unique_ptr<Conn>> conns_;
 };

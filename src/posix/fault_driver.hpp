@@ -4,7 +4,7 @@
 // clock from arm(); byte-keyed events ride the daemon's on_progress hook.
 //
 // The driver has no thread of its own: the host's event loop drives it by
-// calling poll() after every EpollLoop::run_once(), bounding the wait with
+// calling poll() after every EpollEngine::run_once(), bounding the wait with
 // next_timeout_ms() so due events fire promptly. poll() also expires the
 // daemon's parked sessions, which an idle epoll loop would never revisit.
 #pragma once
@@ -39,7 +39,7 @@ class LsdFaultDriver {
   /// Milliseconds until the next due deadline — the sooner of this plan's
   /// time-keyed events and the daemon's own wheel (liveness deadlines,
   /// park expiries, the drain bound) — 0 when one is already overdue, or
-  /// -1 when nothing is scheduled anywhere. Feed to EpollLoop::run_once
+  /// -1 when nothing is scheduled anywhere. Feed to EpollEngine::run_once
   /// so the loop wakes in time.
   int next_timeout_ms() const;
 

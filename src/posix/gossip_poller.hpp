@@ -9,10 +9,10 @@
 // with a configurable weight (judgement blending — see
 // BasicHealthBoard::merge for why counters are never added).
 //
-// Everything runs on the daemon's own event loop: connects, writes and
-// reads are nonblocking and edge-driven, so a dead or wedged peer can
-// never stall the relay path — its poll simply times out at the next
-// cadence tick and the connection is abandoned.
+// Everything runs on one event loop (lsd_relay's control loop): connects,
+// writes and reads are nonblocking and edge-driven, so a dead or wedged
+// peer can never stall the relay path — its poll simply times out at the
+// next cadence tick and the connection is abandoned.
 #pragma once
 
 #include <chrono>
@@ -21,9 +21,9 @@
 #include <string>
 #include <vector>
 
-#include "engine/event_engine.hpp"
+#include "engine/epoll_engine.hpp"
+#include "engine/fd.hpp"
 #include "health/board.hpp"
-#include "posix/fd.hpp"
 
 namespace lsl::posix {
 
@@ -45,10 +45,10 @@ struct GossipPollerConfig {
 class GossipPoller {
  public:
   /// Every row a peer reports is merged into every board in `boards` —
-  /// one for the classic daemon, one per shard for ShardedLsd (each board
-  /// is mutex-guarded, so merging from the control thread is safe). The
+  /// one per ShardedLsd shard (each board is mutex-guarded, so merging
+  /// from the control thread is safe). The
   /// boards must outlive the poller; the loop drives all socket IO.
-  GossipPoller(engine::EventEngine& loop,
+  GossipPoller(engine::EpollEngine& loop,
                std::vector<health::HealthBoard*> boards,
                GossipPollerConfig config);
   ~GossipPoller();
@@ -72,7 +72,7 @@ class GossipPoller {
  private:
   struct Peer {
     std::string path;
-    Fd sock;
+    engine::Fd sock;
     bool connecting = false;
     std::size_t sent = 0;    ///< bytes of the "gossip\n" command written
     std::string in;          ///< response bytes; complete at "\n\n"
@@ -87,7 +87,7 @@ class GossipPoller {
   void finish_poll(Peer& p, bool ok);
   void abandon(Peer& p);
 
-  engine::EventEngine& loop_;
+  engine::EpollEngine& loop_;
   std::vector<health::HealthBoard*> boards_;
   GossipPollerConfig config_;
   std::vector<std::unique_ptr<Peer>> peers_;

@@ -20,8 +20,8 @@ struct Lsd::Relay : core::RelaySession {
   Relay(buf::ChunkPool& pool, std::size_t buffer_bytes)
       : ring(pool, buffer_bytes) {}
 
-  Fd up;
-  Fd down;
+  engine::Fd up;
+  engine::Fd down;
 
   // Forwarded header.
   std::vector<std::uint8_t> fwd;
@@ -39,8 +39,8 @@ struct Lsd::Relay : core::RelaySession {
   // the pipe and the ring are never simultaneously nonempty — splicing in
   // requires an empty ring, ring fills require an empty pipe — so relative
   // byte order between the two stores never arises.
-  Fd pipe_r;
-  Fd pipe_w;
+  engine::Fd pipe_r;
+  engine::Fd pipe_w;
   std::size_t pipe_capacity = 0;
   std::size_t pipe_bytes = 0;     ///< bytes currently inside the pipe
   bool splice_ok = true;          ///< per-relay fallback latch
@@ -117,7 +117,7 @@ LsdStats operator+(const LsdStats& a, const LsdStats& b) {
   return s;
 }
 
-Lsd::Lsd(engine::EventEngine& loop, const LsdConfig& config)
+Lsd::Lsd(engine::EpollEngine& loop, const LsdConfig& config)
     : loop_(loop),
       config_(config),
       core_("lsd", *this, stats_, config_.liveness,
@@ -159,7 +159,7 @@ void Lsd::on_accept() {
   reap_finished();
   core_.expire_parked();
   for (;;) {
-    Fd conn = accept_connection(listener_.get());
+    engine::Fd conn = accept_connection(listener_.get());
     if (!conn.valid()) break;
     const auto verdict = core_.admit(pool_->under_pressure());
     if (verdict != core::RelayCore::Admission::kAccept) {
@@ -872,7 +872,7 @@ void Lsd::rearm() {
     return;
   }
   if (!timer_) {
-    timer_ = std::make_unique<TimerFd>(loop_, [this] {
+    timer_ = std::make_unique<engine::EngineTimer>(loop_, [this] {
       core_.fire_due();
       reap_finished();  // deadline callbacks finish relays
       rearm();

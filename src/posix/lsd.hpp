@@ -11,7 +11,7 @@
 // sublink — the hop-by-hop buffering the paper replaces end-to-end
 // buffering with.
 //
-// Single-threaded, nonblocking, driven by an EpollLoop; multiple relays
+// Single-threaded, nonblocking, driven by an EpollEngine; multiple relays
 // multiplex over one loop, and several Lsd instances (a cascade) can share
 // a loop in one process for testing.
 #pragma once
@@ -25,14 +25,18 @@
 
 #include "buf/chunk_ring.hpp"
 #include "buf/pool.hpp"
+#include "engine/epoll_engine.hpp"
+#include "engine/timer.hpp"
 #include "health/board.hpp"
 #include "lsl/relay_core.hpp"
 #include "metrics/instruments.hpp"
-#include "posix/epoll_loop.hpp"
 #include "posix/socket_util.hpp"
-#include "posix/timer_fd.hpp"
 
 namespace lsl::posix {
+
+/// The engine's earlier name, kept for perfbench/src/loopback.cpp, which
+/// still spells it; everything else says engine::EpollEngine.
+using EpollLoop = engine::EpollEngine;
 
 /// Daemon configuration.
 struct LsdConfig {
@@ -69,7 +73,7 @@ struct LsdConfig {
   live::LivenessConfig liveness;
   /// Bind the listener with SO_REUSEPORT so several daemons (the shards
   /// of a posix::ShardedLsd) can share one port and let the kernel
-  /// load-balance accepts. Off for the classic single daemon.
+  /// load-balance accepts. Off for a bare Lsd.
   bool reuse_port = false;
 };
 
@@ -118,8 +122,8 @@ struct AdminHealth {
   std::size_t parked_relays = 0;
   bool draining = false;
   bool drain_done = false;
-  /// Shard count; 0 = classic single daemon (the field is then omitted
-  /// from the health JSON, keeping the historical output byte-identical).
+  /// Shard count of a posix::ShardedLsd (lsd_relay always runs one); 0
+  /// for a bare Lsd, which omits the field from the health JSON.
   int shards = 0;
   /// Live relays that are lanes of striped (wire v3) sessions; 0 also
   /// omits the field from the health JSON, same bargain as `shards`.
@@ -149,10 +153,8 @@ class AdminSource {
 class Lsd : public AdminSource, private core::RelayHost {
  public:
   /// Binds and starts listening immediately; throws std::system_error if
-  /// the socket cannot be bound. The daemon is written against the
-  /// abstract EventEngine, so any backend (epoll today, io_uring later)
-  /// can drive it.
-  Lsd(engine::EventEngine& loop, const LsdConfig& config);
+  /// the socket cannot be bound.
+  Lsd(engine::EpollEngine& loop, const LsdConfig& config);
   ~Lsd();
 
   Lsd(const Lsd&) = delete;
@@ -288,8 +290,8 @@ class Lsd : public AdminSource, private core::RelayHost {
   struct Relay;
 
   // RelayHost.
-  /// Monotonic nanoseconds — the wheel's timebase (TimerFd::now_ns).
-  std::int64_t now() const override { return TimerFd::now_ns(); }
+  /// Monotonic nanoseconds — the wheel's timebase (EngineTimer::now_ns).
+  std::int64_t now() const override { return engine::EngineTimer::now_ns(); }
   /// Point the timerfd at the wheel's earliest deadline (created lazily;
   /// disarmed when the wheel empties).
   void rearm() override;
@@ -362,9 +364,9 @@ class Lsd : public AdminSource, private core::RelayHost {
   /// (stall watchdog) or not (idle deadline); call after any pump.
   void sync_liveness(Relay* r);
 
-  engine::EventEngine& loop_;
+  engine::EpollEngine& loop_;
   LsdConfig config_;
-  Fd listener_;
+  engine::Fd listener_;
   std::uint16_t port_ = 0;
   LsdStats stats_;
   metrics::LsdMetrics* metrics_ = nullptr;
@@ -378,7 +380,8 @@ class Lsd : public AdminSource, private core::RelayHost {
   bool stalled_ = false;
   bool dial_blackhole_ = false;
   health::HealthBoard* health_ = nullptr;
-  std::unique_ptr<TimerFd> timer_;  ///< lazily created on first deadline
+  /// Lazily created on the first deadline.
+  std::unique_ptr<engine::EngineTimer> timer_;
   /// Declared before the relay containers so relay destructors (which
   /// cancel wheel tokens) run while the core's wheel is still alive.
   core::RelayCore core_;

@@ -3,7 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "engine/epoll_engine.hpp"
 #include "health/gossip.hpp"
 #include "util/contract.hpp"
 #include "util/log.hpp"
@@ -29,14 +28,13 @@ ShardedLsd::ShardedLsd(const ShardedLsdConfig& config)
     auto shard = std::make_unique<Shard>();
     Shard* s = shard.get();
     s->index = i;
-    s->engine = std::make_unique<engine::EpollEngine>();
     s->pool = std::make_unique<buf::ChunkPool>(config_.base.pool, &budget_);
 
     LsdConfig cfg = config_.base;
     cfg.shared_pool = s->pool.get();
     cfg.reuse_port = true;
     if (i > 0) cfg.bind.port = port_;
-    s->lsd = std::make_unique<Lsd>(*s->engine, cfg);
+    s->lsd = std::make_unique<Lsd>(s->engine, cfg);
     if (i == 0) port_ = s->lsd->port();
 
     if (config_.registry != nullptr) {
@@ -46,7 +44,7 @@ ShardedLsd::ShardedLsd(const ShardedLsdConfig& config)
       s->lsd->set_metrics(s->lsd_metrics.get());
       s->loop_metrics = std::make_unique<metrics::LoopMetrics>(
           *config_.registry, "loop." + tag);
-      s->engine->set_metrics(s->loop_metrics.get());
+      s->engine.set_metrics(s->loop_metrics.get());
     }
     if (config_.tracer != nullptr) s->lsd->set_tracer(config_.tracer);
     if (config_.health_plane) {
@@ -54,11 +52,10 @@ ShardedLsd::ShardedLsd(const ShardedLsdConfig& config)
       s->lsd->set_health_board(s->health_board.get());
     }
 
-    // The drain rendezvous: the report is written on the shard thread
-    // before the gate arrival's RMW publishes it.
+    // The drain rendezvous: the report is published on the shard thread
+    // before the gate arrival's RMW makes it visible.
     s->lsd->on_drain_done = [this, s](const live::DrainReport& rep) {
-      s->report = rep;
-      s->drained.store(true, std::memory_order_release);
+      s->report.publish(rep);
       gate_.arrive();
     };
 
@@ -68,7 +65,7 @@ ShardedLsd::ShardedLsd(const ShardedLsdConfig& config)
       s->fault->arm();
     }
 
-    s->engine->set_wakeup_callback([s] { s->posts.drain(); });
+    s->engine.set_wakeup_callback([s] { s->posts.drain(); });
     publish(*s);
     shards_.push_back(std::move(shard));
   }
@@ -86,7 +83,7 @@ ShardedLsd::ShardedLsd(const ShardedLsdConfig& config)
 ShardedLsd::~ShardedLsd() {
   for (auto& s : shards_) {
     s->stop.store(true, std::memory_order_release);
-    s->engine->wakeup();
+    s->engine.wakeup();
   }
   // Shard destruction joins each thread first (member order), then tears
   // down daemon → pools → engines; the shared budget outlives them all.
@@ -94,19 +91,19 @@ ShardedLsd::~ShardedLsd() {
 }
 
 void ShardedLsd::post(Shard& s, engine::PostQueue::Task task) {
-  if (s.posts.post(std::move(task))) s.engine->wakeup();
+  if (s.posts.post(std::move(task))) s.engine.wakeup();
 }
 
 void ShardedLsd::shard_main(Shard& s) {
-  // The same drive pattern as lsd_relay's single-daemon loop: bounded
-  // waits so the fault driver's timed events and the parked-session
-  // backstop run even while no socket is ready (liveness deadlines ride
-  // the daemon's own timerfd regardless).
+  // Bounded waits so the fault driver's timed events and the
+  // parked-session backstop run even while no socket is ready (liveness
+  // deadlines ride the daemon's own timerfd regardless). run_once returns
+  // -1 only on EINTR; the round is then simply retried.
   while (!s.stop.load(std::memory_order_acquire)) {
     int wait = s.fault ? s.fault->next_timeout_ms()
                        : s.lsd->next_timeout_ms();
     if (wait < 0 || wait > 500) wait = 500;
-    if (s.engine->run_once(wait) >= 0) {
+    if (s.engine.run_once(wait) >= 0) {
       if (s.fault) {
         s.fault->poll();
       } else {
@@ -127,6 +124,7 @@ void ShardedLsd::publish(Shard& s) {
   h.draining = s.lsd->draining() ? 1 : 0;
   h.drain_done = s.lsd->drain_done() ? 1 : 0;
   s.health.publish(h);
+  s.report.publish(s.lsd->drain_report());
 }
 
 LsdStats ShardedLsd::stats() const {
@@ -170,13 +168,13 @@ void ShardedLsd::begin_drain() {
 live::DrainReport ShardedLsd::drain_report() const {
   live::DrainReport merged;
   for (const auto& s : shards_) {
-    if (!s->drained.load(std::memory_order_acquire)) continue;
-    merged.in_flight_at_start += s->report.in_flight_at_start;
-    merged.completed += s->report.completed;
-    merged.parked += s->report.parked;
-    merged.aborted += s->report.aborted;
-    merged.refused += s->report.refused;
-    merged.expired = merged.expired || s->report.expired;
+    const live::DrainReport rep = s->report.snapshot();
+    merged.in_flight_at_start += rep.in_flight_at_start;
+    merged.completed += rep.completed;
+    merged.parked += rep.parked;
+    merged.aborted += rep.aborted;
+    merged.refused += rep.refused;
+    merged.expired = merged.expired || rep.expired;
   }
   return merged;
 }

@@ -1,11 +1,12 @@
 // ShardedLsd: one forwarding daemon per core, one port, one budget.
 //
-// The classic posix::Lsd is a single epoll thread — correct, but it leaves
-// every other core idle (the paper's §VII scalability concern, restated
-// for 2020s hardware). ShardedLsd launches N shards, each a complete
-// single-threaded daemon on its own EventEngine and OS thread, all bound
+// A posix::Lsd is a single epoll thread — correct, but it leaves every
+// other core idle (the paper's §VII scalability concern, restated for
+// 2020s hardware). ShardedLsd launches N shards, each a complete
+// single-threaded daemon on its own EpollEngine and OS thread, all bound
 // to the *same* TCP port via SO_REUSEPORT so the kernel load-balances
-// accepted sessions across them. Nothing on the relay fast path is shared:
+// accepted sessions across them. It is the runtime every lsd_relay daemon
+// runs, N = 1 included. Nothing on the relay fast path is shared:
 // each shard owns its ChunkPool freelist, its deadline wheel + timerfd,
 // its LsdStats counters, and its `lsd.shard<i>.*` metrics bundle. What IS
 // shared is exactly the set of protocols PR 7 model-checked:
@@ -14,13 +15,13 @@
 //     so the operator's memory ceiling and the admission-pressure
 //     hysteresis are process-wide (scenario "buf_shared_budget");
 //   * work injection — closures posted to a shard's PostQueue, then
-//     EventEngine::wakeup() (scenario "engine_post_queue");
+//     EpollEngine::wakeup() (scenario "engine_post_queue");
 //   * drain — a DrainGate rendezvous: request once, every shard finishes
 //     its in-flight sessions and arrives once (scenario
 //     "engine_drain_gate");
-//   * stats export — per-shard StatsBoards published after every dispatch
-//     round and summed by readers, so `stats`/`health` aggregation never
-//     takes a shard lock.
+//   * stats export — per-shard StatsBoards (counters and drain report)
+//     published after every dispatch round and summed by readers, so
+//     `stats`/`health`/drain-report aggregation never takes a shard lock.
 //
 // Park/salvage/resume stays shard-local: a kFlagResume reconnect lands on
 // a kernel-chosen shard, and one that misses its parked session is refused
@@ -37,7 +38,7 @@
 #include "buf/pool.hpp"
 #include "buf/shared_budget.hpp"
 #include "engine/drain_gate.hpp"
-#include "engine/event_engine.hpp"
+#include "engine/epoll_engine.hpp"
 #include "engine/post_queue.hpp"
 #include "engine/shard_thread.hpp"
 #include "engine/stats_board.hpp"
@@ -118,8 +119,9 @@ class ShardedLsd : public AdminSource {
   bool draining() const { return gate_.requested(); }
   /// True once every shard's drain has resolved (merged report final).
   bool drain_done() const { return gate_.all_done(); }
-  /// Element-wise merge of the shard reports; call only after
-  /// drain_done().
+  /// Element-wise merge of the shard reports; final once drain_done().
+  /// A shard keeps counting refusals after its own drain resolved, and
+  /// its published report carries them.
   live::DrainReport drain_report() const;
 
   // --- AdminSource (safe from the admin engine's thread) ------------------
@@ -143,24 +145,25 @@ class ShardedLsd : public AdminSource {
 
   struct Shard {
     int index = 0;
-    std::unique_ptr<engine::EventEngine> engine;
+    engine::EpollEngine engine;
     std::unique_ptr<buf::ChunkPool> pool;  ///< draws on the shared budget
     std::unique_ptr<metrics::LsdMetrics> lsd_metrics;
     std::unique_ptr<metrics::LoopMetrics> loop_metrics;
-    std::unique_ptr<Lsd> lsd;
-    std::unique_ptr<LsdFaultDriver> fault;
     /// Per-shard scorecard (mutex-guarded, so the admin thread may read
     /// rows() while the shard thread observes); null unless
-    /// config.health_plane.
+    /// config.health_plane. Declared before the daemon, which scores
+    /// through it until it is gone.
     std::unique_ptr<health::HealthBoard> health_board;
+    std::unique_ptr<Lsd> lsd;
+    std::unique_ptr<LsdFaultDriver> fault;
     engine::PostQueue posts;
     engine::StatsBoard<LsdStats> board;
     engine::StatsBoard<HealthWords> health;
+    /// The shard's drain report, also published right before its
+    /// DrainGate arrival (whose RMW makes it visible to all_done()
+    /// readers).
+    engine::StatsBoard<live::DrainReport> report;
     std::atomic<bool> stop{false};
-    std::atomic<bool> drained{false};
-    /// Written by the shard thread before its DrainGate arrival (the
-    /// arrival's RMW publishes it to readers of all_done()).
-    live::DrainReport report;
     /// Declared last: joined first when the Shard is destroyed, so every
     /// member above outlives the thread that uses it.
     engine::ShardThread thread;

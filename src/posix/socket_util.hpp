@@ -10,7 +10,7 @@
 #include <optional>
 #include <string>
 
-#include "posix/fd.hpp"
+#include "engine/fd.hpp"
 
 namespace lsl::posix {
 
@@ -42,19 +42,19 @@ bool set_nodelay(int fd);
 /// daemon shard) bind the same address and the kernel load-balances
 /// accepted connections across them. Invalid Fd on failure (errno is
 /// preserved).
-Fd listen_tcp(const InetAddress& bind_addr, int backlog = 64,
+engine::Fd listen_tcp(const InetAddress& bind_addr, int backlog = 64,
               std::uint16_t* bound_port = nullptr, bool reuse_port = false);
 
 /// Begin a nonblocking connect to `remote`. On return the socket is either
 /// connected or connecting (EINPROGRESS) — wait for EPOLLOUT and check
 /// connect_result(). Invalid Fd on immediate failure.
-Fd connect_tcp(const InetAddress& remote);
+engine::Fd connect_tcp(const InetAddress& remote);
 
 /// After EPOLLOUT on a connecting socket: 0 on success, else the errno.
 int connect_result(int fd);
 
-/// Accept one connection (nonblocking); invalid Fd when none pending.
-Fd accept_connection(int listen_fd);
+/// Accept one connection (nonblocking); invalid engine::Fd when none pending.
+engine::Fd accept_connection(int listen_fd);
 
 /// write() as much of [data, data+len) as the socket accepts.
 /// Returns bytes written (possibly 0 on EAGAIN), or -1 on fatal error.
@@ -75,7 +75,7 @@ long read_some(int fd, std::uint8_t* data, std::size_t len);
 /// On success fills rd/wr and returns the pipe's capacity in bytes
 /// (F_GETPIPE_SZ, or a conservative default when unavailable); 0 on
 /// failure.
-std::size_t make_pipe(Fd* rd, Fd* wr);
+std::size_t make_pipe(engine::Fd* rd, engine::Fd* wr);
 
 /// splice() up to `len` bytes from `in_fd` to `out_fd` without copying
 /// through user space. Returns bytes moved, 0 on EOF at `in_fd`, -1 on

@@ -28,7 +28,7 @@ std::string describe(const std::vector<InetAddress>& route) {
 
 }  // namespace
 
-StripedPosixSource::StripedPosixSource(EpollLoop& loop,
+StripedPosixSource::StripedPosixSource(engine::EpollEngine& loop,
                                        StripedPosixSourceConfig config)
     : loop_(loop),
       config_(std::move(config)),
@@ -89,13 +89,13 @@ void StripedPosixSource::on_lane_done(std::size_t li, bool ok) {
   }
   route = config_.spare_routes.front();
   config_.spare_routes.erase(config_.spare_routes.begin());
-  timers_.push_back(std::make_unique<TimerFd>(loop_, [this, li] {
+  timers_.push_back(std::make_unique<engine::EngineTimer>(loop_, [this, li] {
     if (finished_ || set_[li].settled) return;
     LSL_LOG_INFO("striped source: re-striping lane %zu onto %s", li,
                  describe(config_.lane_routes[li]).c_str());
     launch_lane(li, set_.restripe(li, 0));
   }));
-  timers_.back()->arm(TimerFd::now_ns() +
+  timers_.back()->arm(engine::EngineTimer::now_ns() +
                       std::chrono::duration_cast<std::chrono::nanoseconds>(
                           config_.restripe_delay)
                           .count());

@@ -60,7 +60,8 @@ struct StripedPosixSourceConfig {
 /// confirmed the merged stream (ok) or recovery ran out of options.
 class StripedPosixSource {
  public:
-  StripedPosixSource(EpollLoop& loop, StripedPosixSourceConfig config);
+  StripedPosixSource(engine::EpollEngine& loop,
+                     StripedPosixSourceConfig config);
 
   StripedPosixSource(const StripedPosixSource&) = delete;
   StripedPosixSource& operator=(const StripedPosixSource&) = delete;
@@ -82,14 +83,14 @@ class StripedPosixSource {
   void maybe_finish();
   void fail_all();
 
-  EpollLoop& loop_;
+  engine::EpollEngine& loop_;
   StripedPosixSourceConfig config_;
   core::LaneSet set_;
   /// Lane li rides config_.lane_routes[li] over sources_[li].
   std::vector<std::unique_ptr<PosixSource>> sources_;
   /// One timerfd per pending re-stripe: lane relaunch happens on the event
   /// loop after restripe_delay, never inline in the failure callback.
-  std::vector<std::unique_ptr<TimerFd>> timers_;
+  std::vector<std::unique_ptr<engine::EngineTimer>> timers_;
   bool session_ok_ = false;
   bool finished_ = false;
 };

@@ -227,6 +227,10 @@ class Tracer {
       : source_(std::move(source)), recorder_(capacity) {}
 
   const std::string& source() const { return source_; }
+  /// Rename the source, e.g. once the daemon's ephemeral port is bound.
+  /// Emitters never read the name, so this is safe while they run; only
+  /// dumps and the post-mortem hook (which read it) must come after.
+  void set_source(std::string source) { source_ = std::move(source); }
   FlightRecorder& recorder() { return recorder_; }
   const FlightRecorder& recorder() const { return recorder_; }
 

@@ -16,15 +16,15 @@
 #include <memory>
 #include <string>
 
+#include "engine/epoll_engine.hpp"
 #include "posix/admin.hpp"
-#include "posix/epoll_loop.hpp"
 #include "posix/lsd.hpp"
 #include "span/span.hpp"
 
 namespace lsl::test {
 namespace {
 
-using posix::EpollLoop;
+using engine::EpollEngine;
 using posix::Lsd;
 using posix::LsdConfig;
 
@@ -95,7 +95,7 @@ class AdminRobustness : public ::testing::Test {
  protected:
   void SetUp() override {
     try {
-      loop_ = std::make_unique<EpollLoop>();
+      loop_ = std::make_unique<EpollEngine>();
       lsd_ = std::make_unique<Lsd>(*loop_, LsdConfig{});
       sock_path_ = temp_path("admin_rob.sock");
       admin_ = std::make_unique<posix::AdminServer>(*loop_, sock_path_, *lsd_);
@@ -138,7 +138,7 @@ class AdminRobustness : public ::testing::Test {
     return n;
   }
 
-  std::unique_ptr<EpollLoop> loop_;
+  std::unique_ptr<EpollEngine> loop_;
   std::unique_ptr<Lsd> lsd_;
   std::unique_ptr<posix::AdminServer> admin_;
   std::string sock_path_;

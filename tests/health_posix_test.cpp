@@ -20,12 +20,12 @@
 #include <string>
 #include <vector>
 
+#include "engine/epoll_engine.hpp"
 #include "health/board.hpp"
 #include "health/gossip.hpp"
 #include "lsl/payload.hpp"
 #include "posix/admin.hpp"
 #include "posix/client.hpp"
-#include "posix/epoll_loop.hpp"
 #include "posix/gossip_poller.hpp"
 #include "posix/lsd.hpp"
 #include "posix/sharded_lsd.hpp"
@@ -36,7 +36,7 @@
 namespace lsl::test {
 namespace {
 
-using posix::EpollLoop;
+using engine::EpollEngine;
 using posix::InetAddress;
 using posix::Lsd;
 using posix::LsdConfig;
@@ -47,7 +47,7 @@ using posix::SinkResult;
 
 bool loopback_available() {
   try {
-    EpollLoop loop;
+    EpollEngine loop;
     PosixSinkServer probe(loop, InetAddress::loopback(0), false, 1);
     return probe.port() != 0;
   } catch (const std::exception&) {
@@ -73,7 +73,7 @@ std::uint64_t steady_ms() {
 
 /// One admin-socket round trip, driven through `loop` so the daemon can
 /// answer: send a command line, collect until the blank-line frame end.
-std::string admin_command(EpollLoop& loop, const std::string& path,
+std::string admin_command(EpollEngine& loop, const std::string& path,
                           const std::string& cmd) {
   const int fd =
       ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
@@ -109,7 +109,7 @@ std::string admin_command(EpollLoop& loop, const std::string& path,
 
 TEST(HealthPosixMigration, ResumesFromSinkFrontierWithContentIntact) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   // Large enough that kernel socket buffers cannot swallow the whole
   // stream: the migration must land mid-transfer or there is nothing to
   // prove about the seam.
@@ -173,7 +173,7 @@ TEST(HealthPosixMigration, ResumesFromSinkFrontierWithContentIntact) {
 
 TEST(HealthPosixMigration, SinkRefusesMigrationGap) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   const std::uint64_t kBytes = 8 * util::kMiB;
   const std::uint64_t kSeed = 7702;
 
@@ -220,7 +220,7 @@ TEST(HealthPosixMigration, SinkRefusesMigrationGap) {
 
 TEST(HealthPosixMigration, MigrateDuringReconnectBackoff) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   const std::uint64_t kBytes = 2 * util::kMiB;
   const std::uint64_t kSeed = 7703;
 
@@ -272,7 +272,7 @@ TEST(HealthPosixMigration, MigrateDuringReconnectBackoff) {
 
 TEST(HealthPosixMigration, NonResumableSourceRefusesMigrate) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   const std::uint64_t kBytes = 256 * util::kKiB;
   const std::uint64_t kSeed = 7704;
 
@@ -302,7 +302,7 @@ TEST(HealthPosixMigration, NonResumableSourceRefusesMigrate) {
 
 TEST(HealthPosixBoard, CompletedRelayPromotesNextHop) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   health::HealthBoard board;
   Lsd depot(loop, LsdConfig{});
   depot.set_health_board(&board);
@@ -339,7 +339,7 @@ TEST(HealthPosixBoard, CompletedRelayPromotesNextHop) {
 
 TEST(HealthPosixBoard, DialFailuresDemoteNextHop) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   health::HealthBoard board;
   Lsd depot(loop, LsdConfig{});
   depot.set_health_board(&board);
@@ -347,7 +347,7 @@ TEST(HealthPosixBoard, DialFailuresDemoteNextHop) {
   // Reserve a port nobody listens on by binding-and-closing a listener.
   std::uint16_t dead_port = 0;
   {
-    EpollLoop probe_loop;
+    EpollEngine probe_loop;
     PosixSinkServer probe(probe_loop, InetAddress::loopback(0), false, 1);
     dead_port = probe.port();
   }
@@ -381,7 +381,7 @@ TEST(HealthPosixBoard, DialFailuresDemoteNextHop) {
 
 TEST(HealthPosixAdmin, HealthReportsDepotRowsAndGossipServesThem) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   health::HealthBoard board;
   Lsd depot(loop, LsdConfig{});
   depot.set_health_board(&board);
@@ -430,7 +430,7 @@ TEST(HealthPosixAdmin, HealthReportsDepotRowsAndGossipServesThem) {
 
 TEST(HealthPosixAdmin, GossipPollerMergesPeerJudgement) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   // Peer daemon A: its board has condemned a depot the hard way.
   health::HealthBoard board_a;
   Lsd depot_a(loop, LsdConfig{});
@@ -473,7 +473,7 @@ TEST(HealthPosixAdmin, GossipPollerMergesPeerJudgement) {
 
 TEST(HealthPosixAdmin, GossipPollerSurvivesMissingPeer) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   health::HealthBoard board;
   posix::GossipPollerConfig gcfg;
   gcfg.peers = {temp_path("no_such_admin.sock")};
@@ -501,7 +501,7 @@ TEST(HealthPosixSharded, AdminHealthMergesShardRows) {
   }
   ASSERT_EQ(daemon->health_boards().size(), 2u);
 
-  EpollLoop loop;
+  EpollEngine loop;
   PosixSinkServer sink(loop, InetAddress::loopback(0), /*expect_header=*/true,
                        33);
   std::size_t completed = 0;

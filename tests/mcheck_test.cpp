@@ -124,14 +124,14 @@ TEST(Explorer, DeadlockIsReportedWithASeed) {
 // --- the registered suite keeps its registered outcomes --------------------
 
 TEST(Suite, CoversAllFourSubsystems) {
-  bool buf = false, span = false, live = false, metrics = false;
+  bool buf = false, span = false, engine = false, metrics = false;
   for (const ScenarioInfo& s : lsl::check::scenarios()) {
     if (s.subsystem == "buf") buf = true;
     if (s.subsystem == "span") span = true;
-    if (s.subsystem == "live") live = true;
+    if (s.subsystem == "engine") engine = true;
     if (s.subsystem == "metrics") metrics = true;
   }
-  EXPECT_TRUE(buf && span && live && metrics);
+  EXPECT_TRUE(buf && span && engine && metrics);
   EXPECT_GE(lsl::check::scenarios().size(), 8u);
 }
 
@@ -178,7 +178,7 @@ TEST(Suite, BudgetLeakNeedsAPreemption) {
 
 TEST(Census, ByteIdenticalAcrossRuns) {
   for (const char* name :
-       {"pool_refcount", "recorder_claim", "wheel_cancel",
+       {"pool_refcount", "recorder_claim", "engine_drain_gate",
         "metrics_register", "cv_handoff"}) {
     SCOPED_TRACE(name);
     const Outcome a = lsl::check::run_scenario(name, Options{});
@@ -190,10 +190,12 @@ TEST(Census, ByteIdenticalAcrossRuns) {
 }
 
 TEST(Census, HashDistinguishesBudgets) {
-  const Outcome wide = lsl::check::run_scenario("wheel_cancel", Options{});
+  const Outcome wide =
+      lsl::check::run_scenario("engine_drain_gate", Options{});
   Options narrow;
   narrow.preemption_bound = 0;
-  const Outcome serial = lsl::check::run_scenario("wheel_cancel", narrow);
+  const Outcome serial =
+      lsl::check::run_scenario("engine_drain_gate", narrow);
   EXPECT_NE(wide.census(), serial.census())
       << "different schedule spaces must not collide on the census line";
 }

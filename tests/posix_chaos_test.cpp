@@ -17,13 +17,13 @@
 #include <string>
 #include <thread>
 
+#include "engine/epoll_engine.hpp"
 #include "fault/policy.hpp"
 #include "fault/spec.hpp"
 #include "lsl/session_id.hpp"
 #include "lsl/wire.hpp"
 #include "metrics/metrics.hpp"
 #include "posix/client.hpp"
-#include "posix/epoll_loop.hpp"
 #include "posix/fault_driver.hpp"
 #include "posix/lsd.hpp"
 #include "posix/socket_util.hpp"
@@ -34,7 +34,7 @@
 namespace lsl::test {
 namespace {
 
-using posix::EpollLoop;
+using engine::EpollEngine;
 using posix::InetAddress;
 using posix::Lsd;
 using posix::LsdConfig;
@@ -47,7 +47,7 @@ using posix::SinkResult;
 /// True when loopback sockets are available in this environment.
 bool loopback_available() {
   try {
-    EpollLoop loop;
+    EpollEngine loop;
     PosixSinkServer probe(loop, InetAddress::loopback(0), false, 1);
     return probe.port() != 0;
   } catch (const std::exception&) {
@@ -68,7 +68,7 @@ fault::FaultPlan plan_of(const std::string& spec) {
 }
 
 /// Drive the loop (and the fault driver) until `done` or timeout.
-bool drive(EpollLoop& loop, LsdFaultDriver& driver, const bool& done,
+bool drive(EpollEngine& loop, LsdFaultDriver& driver, const bool& done,
            double timeout_s = 30.0) {
   return wait_until(
       loop, [&done] { return done; }, timeout_s,
@@ -94,7 +94,7 @@ std::function<std::optional<std::chrono::milliseconds>()> backoff_of(
 // sink must still verify the full stream byte-for-byte.
 TEST(PosixChaos, KillAndResumeCycle) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   // Large enough that kernel socket buffers cannot swallow the whole
   // stream: the reset must land while the source still has bytes to send,
   // or there is nothing to resume.
@@ -153,7 +153,7 @@ TEST(PosixChaos, KillAndResumeCycle) {
 // through once the drop budget is spent.
 TEST(PosixChaos, DroppedAcceptIsRecoveredByRetry) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   const std::uint64_t bytes = 256 * util::kKiB;
 
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 9);
@@ -199,7 +199,7 @@ TEST(PosixChaos, DroppedAcceptIsRecoveredByRetry) {
 // the retransfer path of the recovery story on real sockets.
 TEST(PosixChaos, CrashRestartWindowAllowsRetransfer) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   const std::uint64_t bytes = 4 * util::kMiB;
 
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 21);
@@ -255,7 +255,7 @@ TEST(PosixChaos, CrashRestartWindowAllowsRetransfer) {
 // window and count as a failed session — not linger forever.
 TEST(PosixChaos, UnresumedParkedSessionExpires) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
 
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 33);
   LsdConfig dcfg;
@@ -302,7 +302,7 @@ TEST(PosixChaos, UnresumedParkedSessionExpires) {
 // back to the pool.
 TEST(PosixChaos, ResumeGapFailsParkedSessionAtOnce) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 53,
                        /*verify_content=*/false);
   LsdConfig dcfg;
@@ -321,7 +321,7 @@ TEST(PosixChaos, ResumeGapFailsParkedSessionAtOnce) {
   const std::size_t sent_payload = 64 * util::kKiB;
   wire.resize(wire.size() + sent_payload, 0x5a);
 
-  posix::Fd client = posix::connect_tcp(InetAddress::loopback(lsd.port()));
+  engine::Fd client = posix::connect_tcp(InetAddress::loopback(lsd.port()));
   ASSERT_TRUE(client.valid());
   std::size_t off = 0;
   ASSERT_TRUE(wait_until(loop, [&] {
@@ -341,7 +341,7 @@ TEST(PosixChaos, ResumeGapFailsParkedSessionAtOnce) {
   rh.resume_offset = 8 * sent_payload;  // more than the depot ever pulled
   wire.clear();
   core::encode_header(rh, wire);
-  posix::Fd again = posix::connect_tcp(InetAddress::loopback(lsd.port()));
+  engine::Fd again = posix::connect_tcp(InetAddress::loopback(lsd.port()));
   ASSERT_TRUE(again.valid());
   ASSERT_TRUE(wait_until(
       loop, [&lsd] { return lsd.stats().sessions_accepted == 2; }));
@@ -366,12 +366,12 @@ TEST(PosixChaos, ResumeGapFailsParkedSessionAtOnce) {
 // the header-read deadline, not held forever.
 TEST(PosixChaos, HeaderDeadlineReapsSilentClient) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   LsdConfig dcfg;
   dcfg.liveness.header_timeout = 150 * util::kMillisecond;
   Lsd lsd(loop, dcfg);
 
-  posix::Fd client = posix::connect_tcp(InetAddress::loopback(lsd.port()));
+  engine::Fd client = posix::connect_tcp(InetAddress::loopback(lsd.port()));
   ASSERT_TRUE(client.valid());
   // Never send a byte; the daemon's own timerfd must fire the deadline
   // with no help from the host loop beyond ordinary epoll waits.
@@ -386,7 +386,7 @@ TEST(PosixChaos, HeaderDeadlineReapsSilentClient) {
 // never resolves, so the dial deadline must bound it and fail the session.
 TEST(PosixChaos, DialDeadlineFiresOnBlackholedNextHop) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 41);
   LsdConfig dcfg;
   dcfg.liveness.dial_timeout = 150 * util::kMillisecond;
@@ -420,7 +420,7 @@ TEST(PosixChaos, DialDeadlineFiresOnBlackholedNextHop) {
 // then goes silent mid-payload: the idle deadline must reap it.
 TEST(PosixChaos, IdleDeadlineReapsSilentStream) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 43);
   LsdConfig dcfg;
   dcfg.liveness.idle_timeout = 150 * util::kMillisecond;
@@ -435,7 +435,7 @@ TEST(PosixChaos, IdleDeadlineReapsSilentStream) {
   std::vector<std::uint8_t> wire;
   core::encode_header(h, wire);
 
-  posix::Fd client = posix::connect_tcp(InetAddress::loopback(lsd.port()));
+  engine::Fd client = posix::connect_tcp(InetAddress::loopback(lsd.port()));
   ASSERT_TRUE(client.valid());
   ASSERT_TRUE(wait_until(
       loop, [&lsd] { return lsd.stats().sessions_accepted > 0; }, 5.0));
@@ -454,7 +454,7 @@ TEST(PosixChaos, IdleDeadlineReapsSilentStream) {
 // merely slow stream and fail the session.
 TEST(PosixChaos, StallWatchdogFailsStalledRelay) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   // Large enough that the stall lands with bytes still buffered (kernel
   // socket buffers cannot swallow the remainder).
   const std::uint64_t bytes = 64 * util::kMiB;
@@ -499,7 +499,7 @@ TEST(PosixChaos, StallWatchdogFailsStalledRelay) {
 // accounts for both.
 TEST(PosixChaos, GracefulDrainFinishesInFlightAndRefusesNew) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   const std::uint64_t bytes = 64 * util::kMiB;
 
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 53);
@@ -569,7 +569,7 @@ TEST(PosixChaos, GracefulDrainFinishesInFlightAndRefusesNew) {
 // must still terminate: the drain deadline expires and aborts stragglers.
 TEST(PosixChaos, DrainDeadlineAbortsStragglers) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   const std::uint64_t bytes = 64 * util::kMiB;
 
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 59);
@@ -615,7 +615,7 @@ TEST(PosixChaos, DrainDeadlineAbortsStragglers) {
 
 TEST(PosixChaos, FaultDriverNextTimeoutEdgeCases) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   Lsd lsd(loop, LsdConfig{});
   {
     // Empty plan, empty wheel: nothing scheduled anywhere, armed or not.
@@ -638,7 +638,7 @@ TEST(PosixChaos, FaultDriverNextTimeoutEdgeCases) {
 
 TEST(PosixChaos, FaultDriverNextTimeoutComposesDaemonWheel) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   LsdConfig dcfg;
   dcfg.liveness.header_timeout = 5ll * util::kSecond;
   Lsd lsd(loop, dcfg);
@@ -650,7 +650,7 @@ TEST(PosixChaos, FaultDriverNextTimeoutComposesDaemonWheel) {
 
   // A silent client arms the daemon's 5s header deadline on the wheel;
   // the composed wait must now track the sooner daemon-side deadline.
-  posix::Fd client = posix::connect_tcp(InetAddress::loopback(lsd.port()));
+  engine::Fd client = posix::connect_tcp(InetAddress::loopback(lsd.port()));
   ASSERT_TRUE(client.valid());
   ASSERT_TRUE(wait_until(
       loop, [&lsd] { return lsd.stats().sessions_accepted > 0; }, 5.0,
@@ -684,7 +684,7 @@ DaemonRun sigterm_daemon(const std::string& drain_deadline,
   // Wait for the daemon to accept, proving the listener is up. connect_tcp
   // is non-blocking (EINPROGRESS), so a valid fd alone proves nothing —
   // poll for writability and check the handshake actually completed.
-  posix::Fd probe;
+  engine::Fd probe;
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(10);
   while (std::chrono::steady_clock::now() < deadline) {
@@ -695,12 +695,12 @@ DaemonRun sigterm_daemon(const std::string& drain_deadline,
           posix::connect_result(probe.get()) == 0) {
         break;
       }
-      probe = posix::Fd();
+      probe = engine::Fd();
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   EXPECT_TRUE(probe.valid());
-  if (!hold_silent_session) probe = posix::Fd();  // hang up the probe
+  if (!hold_silent_session) probe = engine::Fd();  // hang up the probe
   // Give the daemon a beat to install its signal handlers and reap the
   // probe hangup, then deliver the signal mid-epoll_wait.
   std::this_thread::sleep_for(std::chrono::milliseconds(200));

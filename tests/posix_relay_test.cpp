@@ -12,11 +12,11 @@
 #include <optional>
 #include <vector>
 
+#include "engine/epoll_engine.hpp"
 #include "lsl/payload.hpp"
 #include "metrics/instruments.hpp"
 #include "metrics/metrics.hpp"
 #include "posix/client.hpp"
-#include "posix/epoll_loop.hpp"
 #include "posix/lsd.hpp"
 #include "posix/socket_util.hpp"
 #include "util/rng.hpp"
@@ -25,7 +25,7 @@
 namespace lsl::test {
 namespace {
 
-using posix::EpollLoop;
+using engine::EpollEngine;
 using posix::InetAddress;
 using posix::Lsd;
 using posix::LsdConfig;
@@ -35,7 +35,7 @@ using posix::PosixSourceConfig;
 using posix::SinkResult;
 
 /// Drive the loop until `done` or the wall deadline passes.
-bool drive(EpollLoop& loop, const bool& done, double timeout_s = 20.0) {
+bool drive(EpollEngine& loop, const bool& done, double timeout_s = 20.0) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::duration<double>(timeout_s);
   while (!done && std::chrono::steady_clock::now() < deadline) {
@@ -47,7 +47,7 @@ bool drive(EpollLoop& loop, const bool& done, double timeout_s = 20.0) {
 /// True when loopback sockets are available in this environment.
 bool loopback_available() {
   try {
-    EpollLoop loop;
+    EpollEngine loop;
     PosixSinkServer probe(loop, InetAddress::loopback(0), false, 1);
     return probe.port() != 0;
   } catch (const std::exception&) {
@@ -67,8 +67,8 @@ void expect_fail_breakdown_consistent(const posix::LsdStats& s) {
 }
 
 /// Connect a raw TCP socket to `port` and wait for the handshake.
-posix::Fd raw_connect(EpollLoop& loop, std::uint16_t port) {
-  posix::Fd conn = posix::connect_tcp(InetAddress::loopback(port));
+engine::Fd raw_connect(EpollEngine& loop, std::uint16_t port) {
+  engine::Fd conn = posix::connect_tcp(InetAddress::loopback(port));
   if (!conn.valid()) return conn;
   bool writable = false;
   loop.add(conn.get(), EPOLLOUT, [&](std::uint32_t) { writable = true; });
@@ -80,7 +80,7 @@ posix::Fd raw_connect(EpollLoop& loop, std::uint16_t port) {
 
 TEST(PosixRelay, DirectSessionWithDigestVerifies) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 42);
 
   bool done = false;
@@ -107,7 +107,7 @@ TEST(PosixRelay, DirectSessionWithDigestVerifies) {
 
 TEST(PosixRelay, SingleDepotRelayVerifies) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 7);
   Lsd depot(loop, LsdConfig{});
 
@@ -158,7 +158,7 @@ TEST(PosixRelay, SingleDepotRelayVerifies) {
 
 TEST(PosixRelay, ThreeDepotCascadeVerifies) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 99);
   Lsd d1(loop, LsdConfig{});
   Lsd d2(loop, LsdConfig{});
@@ -190,7 +190,7 @@ TEST(PosixRelay, ThreeDepotCascadeVerifies) {
 
 TEST(PosixRelay, CorruptedPayloadFailsDigest) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 5);
   Lsd depot(loop, LsdConfig{});
 
@@ -217,7 +217,7 @@ TEST(PosixRelay, CorruptedPayloadFailsDigest) {
 
 TEST(PosixRelay, TinyBufferDepotStillRelaysCorrectly) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 3);
   LsdConfig dcfg;
   dcfg.buffer_bytes = 4096;  // aggressive backpressure
@@ -245,7 +245,7 @@ TEST(PosixRelay, TinyBufferDepotStillRelaysCorrectly) {
 
 TEST(PosixRelay, DepotToDeadNextHopFailsSession) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   Lsd depot(loop, LsdConfig{});
 
   bool done = false;
@@ -270,10 +270,10 @@ TEST(PosixRelay, DepotToDeadNextHopFailsSession) {
 
 TEST(PosixRelay, MalformedHeaderClassifiedAsHeaderFailure) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   Lsd depot(loop, LsdConfig{});
 
-  posix::Fd conn = raw_connect(loop, depot.port());
+  engine::Fd conn = raw_connect(loop, depot.port());
   ASSERT_TRUE(conn.valid());
   const std::uint8_t junk[16] = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
                                  0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
@@ -295,12 +295,12 @@ TEST(PosixRelay, MalformedHeaderClassifiedAsHeaderFailure) {
 
 TEST(PosixRelay, TruncatedHeaderClassifiedAsHeaderFailure) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   Lsd depot(loop, LsdConfig{});
 
   // A valid header prefix is 8 bytes; send 4 and close cleanly — the depot
   // sees EOF mid-header (a truncated session).
-  posix::Fd conn = raw_connect(loop, depot.port());
+  engine::Fd conn = raw_connect(loop, depot.port());
   ASSERT_TRUE(conn.valid());
   const std::uint8_t partial[4] = {0x4C, 0x53, 0x4C, 0x31};
   ASSERT_EQ(::send(conn.get(), partial, sizeof(partial), 0), 4);
@@ -323,7 +323,7 @@ TEST(PosixRelay, TruncatedHeaderClassifiedAsHeaderFailure) {
 // default) has no content check to catch that.
 TEST(PosixRelay, SinkRefusesUndecodableHeader) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 31,
                        /*verify_content=*/false);
   bool done = false;
@@ -344,7 +344,7 @@ TEST(PosixRelay, SinkRefusesUndecodableHeader) {
   std::fill_n(wire.begin() + 40, core::kTraceIdBytes, 0);  // ... id 0
   wire.insert(wire.end(), 4, 0xab);
 
-  posix::Fd conn = raw_connect(loop, sink.port());
+  engine::Fd conn = raw_connect(loop, sink.port());
   ASSERT_TRUE(conn.valid());
   ASSERT_EQ(::send(conn.get(), wire.data(), wire.size(), 0),
             static_cast<ssize_t>(wire.size()));
@@ -360,7 +360,7 @@ TEST(PosixRelay, SinkRefusesUndecodableHeader) {
 
 TEST(PosixRelay, UpstreamResetClassifiedAsPeerReset) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   Lsd depot(loop, LsdConfig{});
   metrics::Registry reg;
   metrics::LsdMetrics m(reg, "lsd.1");
@@ -368,7 +368,7 @@ TEST(PosixRelay, UpstreamResetClassifiedAsPeerReset) {
 
   // Abort the connection (SO_LINGER 0 close sends RST instead of FIN): the
   // depot's read fails with ECONNRESET mid-header.
-  posix::Fd conn = raw_connect(loop, depot.port());
+  engine::Fd conn = raw_connect(loop, depot.port());
   ASSERT_TRUE(conn.valid());
   const linger lg{1, 0};
   ASSERT_EQ(::setsockopt(conn.get(), SOL_SOCKET, SO_LINGER, &lg, sizeof(lg)),
@@ -389,7 +389,7 @@ TEST(PosixRelay, UpstreamResetClassifiedAsPeerReset) {
 
 TEST(PosixRelay, ZeroByteSessionCompletes) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 11);
   Lsd depot(loop, LsdConfig{});
 
@@ -415,7 +415,7 @@ TEST(PosixRelay, ZeroByteSessionCompletes) {
 
 TEST(PosixRelay, ConcurrentSessionsThroughOneDepot) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 21);
   Lsd depot(loop, LsdConfig{});
 
@@ -456,7 +456,7 @@ TEST(PosixRelay, ConcurrentSessionsThroughOneDepot) {
 // A raw client's whole session on the wire: header, payload, digest
 // trailer, written without an event loop as far as the socket takes it.
 struct RawSession {
-  posix::Fd conn;
+  engine::Fd conn;
   std::vector<std::uint8_t> wire;
   std::size_t sent = 0;
 
@@ -477,7 +477,7 @@ struct RawSession {
 // instead of draining the first socket while the second waits.
 TEST(PosixRelay, SinkReadsOnePayloadChunkPerReadinessCallback) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   constexpr std::uint64_t kSeed = 61;
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, kSeed);
   int verified = 0;
@@ -540,7 +540,7 @@ TEST(PosixRelay, SinkReadsOnePayloadChunkPerReadinessCallback) {
 
 TEST(PosixRelay, DigestOnlyModeAcceptsForeignContent) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   // Sink seeded differently from the source: content comparison would fail,
   // but in digest-only mode (verify_content = false) the MD5 trailer is the
   // authority and it matches the bytes actually sent.

@@ -12,10 +12,10 @@
 #include <optional>
 #include <vector>
 
+#include "engine/epoll_engine.hpp"
 #include "fault/policy.hpp"
 #include "fault/spec.hpp"
 #include "posix/client.hpp"
-#include "posix/epoll_loop.hpp"
 #include "posix/fault_driver.hpp"
 #include "posix/lsd.hpp"
 #include "posix/socket_util.hpp"
@@ -24,7 +24,7 @@
 namespace lsl::test {
 namespace {
 
-using posix::EpollLoop;
+using engine::EpollEngine;
 using posix::InetAddress;
 using posix::Lsd;
 using posix::LsdConfig;
@@ -36,7 +36,7 @@ using posix::SinkResult;
 
 bool loopback_available() {
   try {
-    EpollLoop loop;
+    EpollEngine loop;
     PosixSinkServer probe(loop, InetAddress::loopback(0), false, 1);
     return probe.port() != 0;
   } catch (const std::exception&) {
@@ -49,7 +49,7 @@ bool loopback_available() {
     GTEST_SKIP() << "loopback sockets unavailable in sandbox"; \
   }
 
-bool drive(EpollLoop& loop, const bool& done, double timeout_s = 60.0) {
+bool drive(EpollEngine& loop, const bool& done, double timeout_s = 60.0) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(timeout_s);
   while (!done && std::chrono::steady_clock::now() < deadline) {
@@ -59,7 +59,7 @@ bool drive(EpollLoop& loop, const bool& done, double timeout_s = 60.0) {
 }
 
 /// Drive until an arbitrary condition holds (pool levels, stats counters).
-bool drive_until(EpollLoop& loop, const std::function<bool()>& cond,
+bool drive_until(EpollEngine& loop, const std::function<bool()>& cond,
                  double timeout_s = 30.0) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(timeout_s);
@@ -76,7 +76,7 @@ fault::FaultPlan plan_of(const std::string& spec) {
   return plan.value_or(fault::FaultPlan{});
 }
 
-bool drive(EpollLoop& loop, LsdFaultDriver& driver, const bool& done,
+bool drive(EpollEngine& loop, LsdFaultDriver& driver, const bool& done,
            double timeout_s = 60.0) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(timeout_s);
@@ -103,12 +103,12 @@ std::function<std::optional<std::chrono::milliseconds>()> backoff_of(
 /// end of a wedged path, for exercising backpressure deterministically.
 class BlackholeServer {
  public:
-  explicit BlackholeServer(EpollLoop& loop) : loop_(loop) {
+  explicit BlackholeServer(EpollEngine& loop) : loop_(loop) {
     listener_ = posix::listen_tcp(InetAddress::loopback(0), 16, &port_);
     if (!listener_.valid()) return;
     loop_.add(listener_.get(), EPOLLIN, [this](std::uint32_t) {
       while (true) {
-        posix::Fd conn = posix::accept_connection(listener_.get());
+        engine::Fd conn = posix::accept_connection(listener_.get());
         if (!conn.valid()) break;
         conns_.push_back(std::move(conn));
       }
@@ -120,10 +120,10 @@ class BlackholeServer {
   std::uint16_t port() const { return port_; }
 
  private:
-  EpollLoop& loop_;
-  posix::Fd listener_;
+  EpollEngine& loop_;
+  engine::Fd listener_;
   std::uint16_t port_ = 0;
-  std::vector<posix::Fd> conns_;
+  std::vector<engine::Fd> conns_;
 };
 
 /// Relay `bytes` through one depot and return (verified, depot stats).
@@ -136,7 +136,7 @@ struct RunResult {
 
 RunResult relay_once(std::uint64_t bytes, bool use_splice,
                      std::uint32_t seed) {
-  EpollLoop loop;
+  EpollEngine loop;
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, seed);
   LsdConfig dcfg;
   dcfg.buffer_bytes = 256 * util::kKiB;
@@ -207,7 +207,7 @@ TEST(PosixSplice, ChunkFallbackParity) {
 // kill-and-resume cycle, on the zero-copy path.
 TEST(PosixSplice, MidStreamResetResumesOnFastPath) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
 
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 13);
   bool sink_done = false;
@@ -276,7 +276,7 @@ TEST(PosixSplice, GraveyardEntryReleasesPoolBuffers) {
 // backs off on) instead of deepening the overcommit.
 TEST(PosixSplice, PoolPressureRefusesNewSessions) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   BlackholeServer blackhole(loop);
   ASSERT_NE(blackhole.port(), 0);
 

@@ -1,5 +1,5 @@
 // Shared helpers for the real-socket (posix) tests: deadline-polling waits
-// that drive an EpollLoop with bounded run_once() slices until a condition
+// that drive an EpollEngine with bounded run_once() slices until a condition
 // holds, instead of fixed sleeps. A fixed sleep is both slow (it always
 // pays the worst case) and flaky (the worst case moves with machine load);
 // polling against a generous deadline is neither. Also: spawning the
@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "posix/epoll_loop.hpp"
+#include "engine/epoll_engine.hpp"
 
 namespace lsl::test {
 
@@ -26,7 +26,7 @@ namespace lsl::test {
 /// set, runs after every loop slice — the place for fault-driver poll(),
 /// parked-session expiry, or any other per-iteration chore. Returns the
 /// final cond() so callers can ASSERT_TRUE the wait succeeded.
-inline bool wait_until(posix::EpollLoop& loop,
+inline bool wait_until(engine::EpollEngine& loop,
                        const std::function<bool()>& cond,
                        double timeout_s = 5.0,
                        const std::function<void()>& tick = nullptr,

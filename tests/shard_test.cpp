@@ -23,9 +23,9 @@
 #include <thread>
 #include <vector>
 
+#include "engine/epoll_engine.hpp"
 #include "posix/admin.hpp"
 #include "posix/client.hpp"
-#include "posix/epoll_loop.hpp"
 #include "posix/lsd.hpp"
 #include "posix/sharded_lsd.hpp"
 #include "posix/socket_util.hpp"
@@ -35,7 +35,7 @@
 namespace lsl::test {
 namespace {
 
-using posix::EpollLoop;
+using engine::EpollEngine;
 using posix::InetAddress;
 using posix::PosixSinkServer;
 using posix::PosixSource;
@@ -46,7 +46,7 @@ using posix::SinkResult;
 
 bool loopback_available() {
   try {
-    EpollLoop loop;
+    EpollEngine loop;
     PosixSinkServer probe(loop, InetAddress::loopback(0), false, 1);
     return probe.port() != 0;
   } catch (const std::exception&) {
@@ -94,7 +94,7 @@ struct ClientWorld {
     return n;
   }
 
-  EpollLoop loop;
+  EpollEngine loop;
   PosixSinkServer sink;
   PosixSourceConfig base;
   std::vector<std::unique_ptr<PosixSource>> sources;
@@ -206,6 +206,30 @@ TEST(ShardTest, DrainFinishesInFlightAcrossShardsWithDigestsIntact) {
       [&] { return daemon.stats().sessions_refused_drain >= 1; }, 5.0));
 }
 
+// A shard whose drain resolved at once (nothing in flight) keeps refusing
+// late arrivals, and the merged report must carry those refusals too.
+TEST(ShardTest, RefusalAfterShardDrainResolvedReachesDrainReport) {
+  REQUIRE_LOOPBACK();
+  ShardedLsdConfig dcfg;
+  dcfg.shards = 1;
+  ShardedLsd daemon(dcfg);
+  EpollEngine loop;  // only paces the waits below
+
+  daemon.begin_drain();
+  ASSERT_TRUE(wait_until(loop, [&] { return daemon.drain_done(); }, 5.0));
+  EXPECT_EQ(daemon.drain_report().refused, 0u);
+
+  engine::Fd late = posix::connect_tcp(InetAddress::loopback(daemon.port()));
+  ASSERT_TRUE(late.valid());
+  // Board words are published relaxed: wait for each, then pin the count.
+  EXPECT_TRUE(wait_until(
+      loop, [&] { return daemon.drain_report().refused >= 1; }, 5.0));
+  EXPECT_TRUE(wait_until(
+      loop, [&] { return daemon.stats().sessions_refused_drain >= 1; }, 5.0));
+  EXPECT_EQ(daemon.drain_report().refused, 1u);
+  EXPECT_EQ(daemon.stats().sessions_refused_drain, 1u);
+}
+
 /// Raw nonblocking Unix-domain client (the admin protocol is line-based).
 class RawClient {
  public:
@@ -281,7 +305,7 @@ TEST(ShardTest, AdminHealthAndStatsSumShardCounters) {
       [&] { return daemon.stats().sessions_completed >= kSessions; }, 5.0));
 
   const std::string path = ::testing::TempDir() + "/shard_admin.sock";
-  EpollLoop control;
+  EpollEngine control;
   posix::AdminServer admin(control, path, daemon);
   RawClient c(path);
   ASSERT_TRUE(c.valid());
@@ -365,7 +389,7 @@ TEST(ShardTest, SigtermDrainsShardedDaemonProcessCleanly) {
 
   // Prove a listener is up before signalling (connect_tcp is nonblocking,
   // so poll for the handshake result).
-  posix::Fd probe;
+  engine::Fd probe;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (std::chrono::steady_clock::now() < deadline) {
@@ -376,12 +400,12 @@ TEST(ShardTest, SigtermDrainsShardedDaemonProcessCleanly) {
           posix::connect_result(probe.get()) == 0) {
         break;
       }
-      probe = posix::Fd();
+      probe = engine::Fd();
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   ASSERT_TRUE(probe.valid());
-  probe = posix::Fd();  // hang up; nothing in flight, drain is instant
+  probe = engine::Fd();  // hang up; nothing in flight, drain is instant
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   const int exit_code = reap_daemon(d, SIGTERM);
   EXPECT_EQ(exit_code, 0);

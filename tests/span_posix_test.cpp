@@ -22,17 +22,18 @@
 #include <thread>
 #include <vector>
 
+#include "engine/epoll_engine.hpp"
 #include "posix/admin.hpp"
 #include "posix/client.hpp"
-#include "posix/epoll_loop.hpp"
 #include "posix/lsd.hpp"
+#include "posix_test_util.hpp"
 #include "span/span.hpp"
 #include "util/units.hpp"
 
 namespace lsl::test {
 namespace {
 
-using posix::EpollLoop;
+using engine::EpollEngine;
 using posix::InetAddress;
 using posix::Lsd;
 using posix::LsdConfig;
@@ -41,7 +42,7 @@ using posix::PosixSource;
 using posix::PosixSourceConfig;
 using posix::SinkResult;
 
-bool drive(EpollLoop& loop, const bool& done, double timeout_s = 30.0) {
+bool drive(EpollEngine& loop, const bool& done, double timeout_s = 30.0) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(timeout_s);
   while (!done && std::chrono::steady_clock::now() < deadline) {
@@ -52,7 +53,7 @@ bool drive(EpollLoop& loop, const bool& done, double timeout_s = 30.0) {
 
 bool loopback_available() {
   try {
-    EpollLoop loop;
+    EpollEngine loop;
     PosixSinkServer probe(loop, InetAddress::loopback(0), false, 1);
     return probe.port() != 0;
   } catch (const std::exception&) {
@@ -96,7 +97,7 @@ std::pair<bool, std::string> run_tool(const std::string& cmd) {
 
 TEST(SpanPosix, ThreeHopCascadeMergesIntoOneTimeline) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 99);
 
   // Tracers outlive the daemons (Lsd teardown flushes through them).
@@ -193,7 +194,7 @@ TEST(SpanPosix, ThreeHopCascadeMergesIntoOneTimeline) {
 /// Nonblocking Unix-domain client for the admin protocol: sends one
 /// command line, drives the shared loop until the blank-line terminator
 /// arrives, returns the response (without the terminator).
-std::string admin_query(EpollLoop& loop, const std::string& socket_path,
+std::string admin_query(EpollEngine& loop, const std::string& socket_path,
                         const std::string& command) {
   const int fd =
       ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
@@ -233,7 +234,7 @@ std::string admin_query(EpollLoop& loop, const std::string& socket_path,
 
 TEST(SpanPosix, AdminSocketAnswersDuringLiveTransfer) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 5);
   span::Tracer tracer("lsd.admin");
   Lsd depot(loop, LsdConfig{});
@@ -295,51 +296,31 @@ TEST(SpanPosix, AdminSocketAnswersDuringLiveTransfer) {
   EXPECT_EQ(result.payload_bytes, 48 * util::kMiB);
 }
 
+// The daemon binary, asked for an ephemeral port with two shards, dumps
+// its flight recorder on SIGTERM under the source name of the port it
+// actually bound — so per-depot dumps of ephemeral-port daemons stay
+// distinct tracks when tools/lsl_spans merges them.
 TEST(SpanPosix, SigtermedDaemonDumpsFlightRecorder) {
   REQUIRE_LOOPBACK();
   const std::string dump = temp_path("lsd_sigterm_spans.jsonl");
   std::remove(dump.c_str());
 
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    // Child: a real lsd_relay daemon on an ephemeral port, tracing. Quiet
-    // its chatter so test output stays readable.
-    ::freopen("/dev/null", "w", stdout);
-    const std::string spans_arg = "--spans-out=" + dump;
-    ::execl(LSD_RELAY_BIN, LSD_RELAY_BIN, "--daemon", "0",
-            spans_arg.c_str(), static_cast<char*>(nullptr));
-    _exit(127);  // exec failed
-  }
-
-  // Give the daemon a moment to come up, then ask it to drain.
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
-  ASSERT_EQ(::kill(pid, SIGTERM), 0);
-
-  int status = 0;
-  pid_t waited = 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(15);
-  while (std::chrono::steady_clock::now() < deadline) {
-    waited = ::waitpid(pid, &status, WNOHANG);
-    if (waited == pid) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  }
-  if (waited != pid) {
-    ::kill(pid, SIGKILL);
-    ::waitpid(pid, &status, 0);
-    FAIL() << "lsd_relay did not exit after SIGTERM";
-  }
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);  // clean drain
+  SpawnedDaemon d =
+      spawn_daemon(LSD_RELAY_BIN, {"--spans-out=" + dump, "--shards=2"});
+  ASSERT_NE(d.port, 0) << d.output;
+  const std::uint16_t port = d.port;
+  EXPECT_EQ(reap_daemon(d, SIGTERM), 0) << d.output;  // clean drain
 
   // The exit path dumped the flight recorder: an idle daemon still emits
-  // the node-scope drain span (trace id 0).
+  // the node-scope drain span (trace id 0), one per shard.
   const std::string dumped = slurp(dump);
   ASSERT_FALSE(dumped.empty()) << "no span dump at " << dump;
   EXPECT_NE(dumped.find("span.drain"), std::string::npos) << dumped;
   EXPECT_NE(dumped.find("\"trace\":\"0000000000000000\""), std::string::npos)
       << dumped;
+  const std::string src = "\"src\":\"lsd." + std::to_string(port) + "\"";
+  EXPECT_NE(dumped.find(src), std::string::npos) << dumped;
+  EXPECT_EQ(dumped.find("\"src\":\"lsd.0\""), std::string::npos) << dumped;
 }
 
 }  // namespace

@@ -20,10 +20,10 @@
 #include <thread>
 #include <vector>
 
+#include "engine/epoll_engine.hpp"
 #include "fault/spec.hpp"
 #include "posix/admin.hpp"
 #include "posix/client.hpp"
-#include "posix/epoll_loop.hpp"
 #include "posix/fault_driver.hpp"
 #include "posix/lsd.hpp"
 #include "posix/socket_util.hpp"
@@ -34,7 +34,7 @@
 namespace lsl::test {
 namespace {
 
-using posix::EpollLoop;
+using engine::EpollEngine;
 using posix::InetAddress;
 using posix::Lsd;
 using posix::LsdConfig;
@@ -46,7 +46,7 @@ using posix::StripedPosixSourceConfig;
 
 bool loopback_available() {
   try {
-    EpollLoop loop;
+    EpollEngine loop;
     PosixSinkServer probe(loop, InetAddress::loopback(0), false, 1);
     return probe.port() != 0;
   } catch (const std::exception&) {
@@ -67,7 +67,7 @@ fault::FaultPlan plan_of(const std::string& spec) {
 }
 
 struct StripedHarness {
-  EpollLoop& loop;
+  EpollEngine& loop;
   PosixSinkServer sink;
   bool sink_done = false;
   SinkResult sink_res;
@@ -75,7 +75,7 @@ struct StripedHarness {
   bool src_done = false;
   bool src_ok = false;
 
-  StripedHarness(EpollLoop& l, std::uint64_t seed)
+  StripedHarness(EpollEngine& l, std::uint64_t seed)
       : loop(l), sink(l, InetAddress::loopback(0), true, seed) {
     sink.on_complete = [this](const SinkResult& r) {
       sink_res = r;
@@ -98,7 +98,7 @@ struct StripedHarness {
 // v3 connections by session id, reassemble, and verify the merged MD5.
 TEST(StripePosix, StripedTransferReassemblesAndVerifies) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   const std::uint64_t bytes = 8 * util::kMiB;
   StripedHarness h(loop, 61);
 
@@ -131,7 +131,7 @@ TEST(StripePosix, StripedTransferReassemblesAndVerifies) {
 // so retransmitted bytes equal one full lane.
 TEST(StripePosix, CrashedLaneRestripesOntoSpareChain) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   // Big enough that the crash at 2 MiB lands with lane bytes still in
   // flight even with kernel socket buffering.
   const std::uint64_t bytes = 48 * util::kMiB;
@@ -175,7 +175,7 @@ TEST(StripePosix, CrashedLaneRestripesOntoSpareChain) {
 // the issue's acceptance bar, real-socket half.
 TEST(StripePosix, RedundancyAbsorbsCrashedLaneWithZeroRetransmit) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   const std::uint64_t bytes = 32 * util::kMiB;
   StripedHarness h(loop, 71);
 
@@ -211,7 +211,7 @@ TEST(StripePosix, RedundancyAbsorbsCrashedLaneWithZeroRetransmit) {
 // in flight, and drops the field (historical output) once they drain.
 TEST(StripePosix, AdminHealthReportsLiveStripeLanes) {
   REQUIRE_LOOPBACK();
-  EpollLoop loop;
+  EpollEngine loop;
   const std::uint64_t bytes = 48 * util::kMiB;
   StripedHarness h(loop, 73);
 
@@ -297,7 +297,7 @@ bool daemon_ready(std::uint16_t port) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (std::chrono::steady_clock::now() < deadline) {
-    posix::Fd probe = posix::connect_tcp(InetAddress::loopback(port));
+    engine::Fd probe = posix::connect_tcp(InetAddress::loopback(port));
     if (probe.valid()) {
       pollfd pf{probe.get(), POLLOUT, 0};
       if (::poll(&pf, 1, 200) == 1 &&
@@ -320,7 +320,7 @@ TEST(StripePosix, SigkilledDaemonLaneRecoversViaSpareProcess) {
     ASSERT_TRUE(daemon_ready(d.port)) << "port " << d.port;
   }
 
-  EpollLoop loop;
+  EpollEngine loop;
   // Big enough that a kill ~0.2 s in is mid-transfer on a fast loopback.
   const std::uint64_t bytes = 96 * util::kMiB;
   StripedHarness h(loop, 79);

@@ -501,7 +501,7 @@ void rule_raw_new_delete(const SourceFile& f, std::vector<Violation>* out) {
 // ---------------------------------------------------------------------------
 
 void rule_blocking_io(const SourceFile& f, std::vector<Violation>* out) {
-  if (f.rel != "src/posix/epoll_loop.cpp" && f.rel != "src/posix/lsd.cpp") {
+  if (f.rel != "src/engine/epoll_engine.cpp" && f.rel != "src/posix/lsd.cpp") {
     return;
   }
   static const std::set<std::string> kBlocking = {

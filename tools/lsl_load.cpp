@@ -60,14 +60,14 @@
 #include <vector>
 
 #include "buf/pool.hpp"
+#include "engine/epoll_engine.hpp"
 #include "fault/spec.hpp"
 #include "health/board.hpp"
+#include "lsl/session_id.hpp"
 #include "metrics/export.hpp"
 #include "metrics/instruments.hpp"
 #include "metrics/metrics.hpp"
-#include "lsl/session_id.hpp"
 #include "posix/client.hpp"
-#include "posix/epoll_loop.hpp"
 #include "posix/fault_driver.hpp"
 #include "posix/lsd.hpp"
 #include "posix/sharded_lsd.hpp"
@@ -193,7 +193,7 @@ DriverResult drive_slots(std::uint16_t daemon_port, const Options& opt,
                          metrics::Histogram* session_ms) {
   DriverResult res;
   if (count == 0) return res;
-  posix::EpollLoop loop;
+  engine::EpollEngine loop;
   posix::PosixSinkServer sink(loop, posix::InetAddress::loopback(0),
                               /*expect_header=*/true,
                               static_cast<std::uint32_t>(opt.seed));
@@ -545,7 +545,7 @@ int main(int argc, char** argv) {
   metrics::Histogram& session_ms =
       registry.histogram("load.session_ms", metrics::latency_ms_bounds());
 
-  posix::EpollLoop loop;
+  engine::EpollEngine loop;
   posix::PosixSinkServer sink(loop, posix::InetAddress::loopback(0),
                               /*expect_header=*/true,
                               static_cast<std::uint32_t>(opt.seed));

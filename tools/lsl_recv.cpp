@@ -19,11 +19,11 @@
 #include <memory>
 #include <string>
 
+#include "engine/epoll_engine.hpp"
 #include "metrics/export.hpp"
 #include "metrics/instruments.hpp"
 #include "metrics/metrics.hpp"
 #include "posix/client.hpp"
-#include "posix/epoll_loop.hpp"
 #include "posix/socket_util.hpp"
 #include "util/log.hpp"
 
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
         &registry.histogram("recv.session_ms", metrics::latency_ms_bounds());
   }
 
-  posix::EpollLoop loop;
+  engine::EpollEngine loop;
   if (loop_metrics) loop.set_metrics(loop_metrics.get());
   posix::PosixSinkServer sink(
       loop,

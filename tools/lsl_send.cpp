@@ -46,6 +46,7 @@
 #include <chrono>
 #include <thread>
 
+#include "engine/epoll_engine.hpp"
 #include "fault/policy.hpp"
 #include "fault/spec.hpp"
 #include "lsl/payload.hpp"
@@ -55,7 +56,6 @@
 #include "metrics/export.hpp"
 #include "metrics/instruments.hpp"
 #include "metrics/metrics.hpp"
-#include "posix/epoll_loop.hpp"
 #include "posix/socket_util.hpp"
 #include "posix/striped_client.hpp"
 #include "util/log.hpp"
@@ -261,7 +261,7 @@ int main(int argc, char** argv) {
     cfg.chunk = static_cast<std::uint32_t>(stripe_chunk);
     cfg.redundancy = static_cast<std::uint8_t>(redundancy);
     cfg.session = core::SessionId::generate(session_rng);
-    posix::EpollLoop loop;
+    engine::EpollEngine loop;
     posix::StripedPosixSource src(loop, std::move(cfg));
     std::fprintf(stderr,
                  "lsl_send: striping %llu bytes over %lu lanes "
@@ -294,13 +294,13 @@ int main(int argc, char** argv) {
   const auto attempt = [&]() -> int {
     // Connect (blocking via a tiny epoll wait for writability).
     const posix::InetAddress first = hops.empty() ? dest : hops[0];
-    posix::Fd sock = posix::connect_tcp(first);
+    engine::Fd sock = posix::connect_tcp(first);
     if (!sock.valid()) {
       std::perror("lsl_send: connect");
       return 1;
     }
     {
-      posix::EpollLoop loop;
+      engine::EpollEngine loop;
       bool ready = false;
       loop.add(sock.get(), EPOLLOUT, [&](std::uint32_t) { ready = true; });
       while (!ready) {
