@@ -13,9 +13,10 @@
 # >= TRACING_OVERHEAD_FRACTION (default 0.95) of the spans-off rate —
 # any miss fails the script.
 #
-# Shard scaling: a --cores=2 splice run (the sharded runtime: 2
-# SO_REUSEPORT daemon shards + 2 client driver threads) is always recorded
-# as a 1 -> 2 curve. The >= SHARD_SPEEDUP_FLOOR (default 1.3) aggregate
+# Shard scaling: every lsl_load depot is a ShardedLsd with --cores shards,
+# driven by --cores client threads. A --cores=2 splice run (2 SO_REUSEPORT
+# daemon shards + 2 client driver threads) is always recorded as a 1 -> 2
+# curve. The >= SHARD_SPEEDUP_FLOOR (default 1.3) aggregate
 # speedup gate is only *enforced* when the machine has >= 4 CPUs — 2 shard
 # threads + 2 driver threads need real parallelism to show a speedup, and
 # on fewer cores the legs just time-slice one another. Below that the
@@ -64,9 +65,9 @@ trap 'rm -rf "$tmp"' EXIT
 ./build/tools/lsl_load --sessions=64 --bytes=2m --budget=64m --trace \
   --json="$tmp/traced.json"
 
-# Shard scaling leg: the same splice workload against the sharded runtime
-# (--cores=2: 2 SO_REUSEPORT shards, 2 driver threads). The cores=1 point
-# of the curve is the splice run above — --cores=1 IS the classic daemon.
+# Shard scaling leg: the same splice workload at --cores=2 (2 SO_REUSEPORT
+# shards, 2 driver threads). The cores=1 point of the curve is the splice
+# run above: the same runtime with 1 shard and 1 driver thread.
 ./build/tools/lsl_load --sessions=64 --bytes=2m --budget=64m --cores=2 \
   --json="$tmp/shard2.json"
 

@@ -123,6 +123,7 @@ void ShardedLsd::publish(Shard& s) {
   h.striped_relays = s.lsd->striped_relays();
   h.draining = s.lsd->draining() ? 1 : 0;
   h.drain_done = s.lsd->drain_done() ? 1 : 0;
+  h.faults_injected = s.fault ? s.fault->injected() : 0;
   s.health.publish(h);
   s.report.publish(s.lsd->drain_report());
 }
@@ -137,6 +138,12 @@ LsdStats ShardedLsd::shard_stats(int shard) const {
   LSL_PRECONDITION(shard >= 0 && shard < shard_count(),
                    "sharded lsd: shard index out of range");
   return shards_[static_cast<std::size_t>(shard)]->board.snapshot();
+}
+
+std::uint64_t ShardedLsd::faults_injected() const {
+  std::uint64_t sum = 0;
+  for (const auto& s : shards_) sum += s->health.snapshot().faults_injected;
+  return sum;
 }
 
 buf::PoolStats ShardedLsd::pool_stats() const {

@@ -106,6 +106,9 @@ class ShardedLsd : public AdminSource {
   LsdStats stats() const;
   /// One shard's counters (same publication caveat).
   LsdStats shard_stats(int shard) const;
+  /// Faults the config.fault_plan drivers have injected, summed over the
+  /// shards (0 without a plan); published every round like stats().
+  std::uint64_t faults_injected() const;
 
   /// Aggregate pool counters (sums the shard pools' thread-safe stats;
   /// pressure_episodes reports the shared budget's process-wide count).
@@ -134,13 +137,15 @@ class ShardedLsd : public AdminSource {
   std::vector<health::HealthBoard*> health_boards() const;
 
  private:
-  /// Cross-thread health words published alongside the stats board.
+  /// Cross-thread health words (and the fault plan's injection count)
+  /// published alongside the stats board.
   struct HealthWords {
     std::uint64_t live_relays = 0;
     std::uint64_t parked_relays = 0;
     std::uint64_t striped_relays = 0;
     std::uint64_t draining = 0;
     std::uint64_t drain_done = 0;
+    std::uint64_t faults_injected = 0;
   };
 
   struct Shard {

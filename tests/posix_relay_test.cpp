@@ -19,6 +19,7 @@
 #include "posix/client.hpp"
 #include "posix/lsd.hpp"
 #include "posix/socket_util.hpp"
+#include "posix_test_util.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -582,6 +583,37 @@ TEST(PosixRelay, DigestOnlyModeAcceptsForeignContent) {
   ASSERT_TRUE(drive(loop, done2));
   EXPECT_FALSE(result2.verified);
 }
+
+#ifdef LSL_RECV_BIN
+// `lsl_recv 0` binds a kernel-chosen port and names it in its banner, so a
+// script puts the sink on a free port instead of guessing one.
+TEST(PosixRelay, RecvToolOnPortZeroVerifiesOneSession) {
+  REQUIRE_LOOPBACK();
+  SpawnedDaemon recv =
+      spawn_process(LSL_RECV_BIN, {"lsl_recv", "0", "-1"},
+                    "lsl_recv: listening on port ", /*with_stderr=*/true);
+  ASSERT_NE(recv.port, 0) << recv.output;
+
+  EpollEngine loop;
+  PosixSourceConfig cfg;
+  cfg.destination = InetAddress::loopback(recv.port);
+  cfg.payload_bytes = 256 * util::kKiB;
+  cfg.payload_seed = 7;
+  PosixSource src(loop, cfg);
+  bool done = false;
+  bool ok = false;
+  src.on_done = [&](bool good) {
+    ok = good;
+    done = true;
+  };
+  src.start();
+  ASSERT_TRUE(drive(loop, done));
+  EXPECT_TRUE(ok);
+
+  EXPECT_EQ(wait_process(recv), 0) << recv.output;
+  EXPECT_NE(recv.output.find("digest OK"), std::string::npos) << recv.output;
+}
+#endif  // LSL_RECV_BIN
 
 }  // namespace
 }  // namespace lsl::test

@@ -3,7 +3,7 @@
 // holds, instead of fixed sleeps. A fixed sleep is both slow (it always
 // pays the worst case) and flaky (the worst case moves with machine load);
 // polling against a generous deadline is neither. Also: spawning the
-// lsd_relay binary on a kernel-chosen port.
+// lsd_relay and lsl_recv binaries on a kernel-chosen port.
 #pragma once
 
 #include <poll.h>
@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/epoll_engine.hpp"
@@ -40,22 +41,24 @@ inline bool wait_until(engine::EpollEngine& loop,
   return cond();
 }
 
-/// An lsd_relay process started as `--daemon 0`: the kernel picks a free
-/// port (no fixed range that could collide with ephemeral ports under
-/// `ctest -j`), and the daemon reports it in its startup banner.
+/// A child process that reports a kernel-chosen port in a startup banner
+/// (an lsd_relay `--daemon 0`, an `lsl_recv 0`): no fixed range that could
+/// collide with ephemeral ports under `ctest -j`.
 struct SpawnedDaemon {
   pid_t pid = -1;
   std::uint16_t port = 0;  ///< 0 when the banner never arrived
-  int out = -1;            ///< read end of the daemon's stdout pipe
-  std::string output;      ///< stdout captured so far
+  int out = -1;            ///< read end of the child's output pipe
+  std::string output;      ///< output captured so far
 };
 
-/// Fork/exec `bin --daemon 0 <args...>` with stdout on a pipe and wait up
-/// to 10 s for its "forwarding daemon on port N" line.
-inline SpawnedDaemon spawn_daemon(const char* bin,
-                                  std::vector<std::string> args = {}) {
+/// Fork/exec `bin` with `argv` (argv[0] first) and stdout on a pipe —
+/// stderr too when `with_stderr` — and wait up to 10 s for a line holding
+/// `banner` followed by the port number.
+inline SpawnedDaemon spawn_process(const char* bin,
+                                   std::vector<std::string> args,
+                                   const std::string& banner,
+                                   bool with_stderr = false) {
   SpawnedDaemon d;
-  args.insert(args.begin(), {"lsd_relay", "--daemon", "0"});
   std::vector<char*> argv;
   for (std::string& a : args) argv.push_back(a.data());
   argv.push_back(nullptr);
@@ -64,6 +67,7 @@ inline SpawnedDaemon spawn_daemon(const char* bin,
   d.pid = ::fork();
   if (d.pid == 0) {
     ::dup2(fds[1], STDOUT_FILENO);
+    if (with_stderr) ::dup2(fds[1], STDERR_FILENO);
     ::close(fds[0]);
     ::close(fds[1]);
     ::execv(bin, argv.data());
@@ -71,7 +75,6 @@ inline SpawnedDaemon spawn_daemon(const char* bin,
   }
   ::close(fds[1]);
   d.out = fds[0];
-  static constexpr char kBanner[] = "forwarding daemon on port ";
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (d.port == 0 && std::chrono::steady_clock::now() < deadline) {
@@ -81,21 +84,28 @@ inline SpawnedDaemon spawn_daemon(const char* bin,
     const long n = ::read(d.out, buf, sizeof buf);
     if (n <= 0) break;
     d.output.append(buf, static_cast<std::size_t>(n));
-    const auto at = d.output.find(kBanner);
+    const auto at = d.output.find(banner);
     if (at != std::string::npos &&
         d.output.find('\n', at) != std::string::npos) {
       d.port = static_cast<std::uint16_t>(
-          std::atoi(d.output.c_str() + at + sizeof(kBanner) - 1));
+          std::atoi(d.output.c_str() + at + banner.size()));
     }
   }
   return d;
 }
 
-/// Send `sig`, wait for the process, and collect the rest of its stdout.
-/// Returns the exit status, or -1 when it did not exit normally.
-inline int reap_daemon(SpawnedDaemon& d, int sig) {
+/// Fork/exec `bin --daemon 0 <args...>` with stdout on a pipe and wait up
+/// to 10 s for its "forwarding daemon on port N" line.
+inline SpawnedDaemon spawn_daemon(const char* bin,
+                                  std::vector<std::string> args = {}) {
+  args.insert(args.begin(), {"lsd_relay", "--daemon", "0"});
+  return spawn_process(bin, std::move(args), "forwarding daemon on port ");
+}
+
+/// Wait for the process to exit on its own, collecting the rest of its
+/// output. Returns the exit status, or -1 when it did not exit normally.
+inline int wait_process(SpawnedDaemon& d) {
   if (d.pid <= 0) return -1;
-  ::kill(d.pid, sig);
   int status = 0;
   ::waitpid(d.pid, &status, 0);
   d.pid = -1;
@@ -107,6 +117,14 @@ inline int reap_daemon(SpawnedDaemon& d, int sig) {
   ::close(d.out);
   d.out = -1;
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/// Send `sig`, wait for the process, and collect the rest of its stdout.
+/// Returns the exit status, or -1 when it did not exit normally.
+inline int reap_daemon(SpawnedDaemon& d, int sig) {
+  if (d.pid <= 0) return -1;
+  ::kill(d.pid, sig);
+  return wait_process(d);
 }
 
 }  // namespace lsl::test

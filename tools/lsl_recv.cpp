@@ -6,6 +6,8 @@
 //
 //   lsl_recv PORT [-g SEED] [-1] [--metrics-out FILE] [--log-level LEVEL]
 //
+//   PORT     0 binds a kernel-chosen port; the "listening on port N"
+//            banner on stderr names it
 //   -g SEED  additionally verify content against the deterministic
 //            generator stream with SEED (for lsl_send -n payloads)
 //   -1       exit after the first completed session
@@ -37,8 +39,9 @@ int main(int argc, char** argv) {
                  "[--log-level LEVEL]\n");
     return 2;
   }
-  const long port = std::strtol(argv[1], nullptr, 10);
-  if (port <= 0 || port > 65535) {
+  char* end = nullptr;
+  const long port = std::strtol(argv[1], &end, 10);
+  if (end == argv[1] || *end != '\0' || port < 0 || port > 65535) {
     std::fprintf(stderr, "lsl_recv: bad port\n");
     return 2;
   }
