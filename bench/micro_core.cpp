@@ -83,6 +83,49 @@ void BM_EventQueueCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueCancel)->Arg(1 << 12)->Arg(1 << 16);
 
+// The BM_EventQueueScheduleRun stream through one FIFO lane: a link's
+// deliveries or a depot's copy completions. Only the lane's head is in the
+// heap, so each event costs a ring push and pop plus one sift.
+void BM_EventQueueLane(benchmark::State& state) {
+  const std::int64_t n = state.range(0);
+  for (auto _ : state) {
+    lsl::sim::EventQueue q;
+    std::uint64_t sum = 0;
+    lsl::sim::EventLane lane(q, [&sum] { ++sum; });
+    for (std::int64_t i = 0; i < n; ++i) lane.push_at(i * 10);
+    q.run();
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
+}
+BENCHMARK(BM_EventQueueLane)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
+
+// TcpSocket::arm_rto's pattern: every event (an ACK arriving) cancels one
+// of `live` pending retransmission timers and re-arms it a full RTO out,
+// so the live set stays steady while each event cancels one key.
+void BM_EventQueueRearm(benchmark::State& state) {
+  const auto live = static_cast<std::size_t>(state.range(0));
+  constexpr std::int64_t kEvents = 1 << 14;
+  constexpr lsl::util::SimDuration kRto = 1000000;
+  constexpr lsl::util::SimDuration kAckGap = 10;
+  for (auto _ : state) {
+    lsl::sim::EventQueue q;
+    std::vector<lsl::sim::EventId> timers(live);
+    for (auto& t : timers) t = q.schedule_in(kRto, [] {});
+    for (std::int64_t i = 0; i < kEvents; ++i) {
+      auto& t = timers[static_cast<std::size_t>(i) % live];
+      q.cancel(t);
+      t = q.schedule_in(kRto, [] {});
+      q.schedule_in(kAckGap, [] {});
+      q.step();
+    }
+    benchmark::DoNotOptimize(q.size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          kEvents);
+}
+BENCHMARK(BM_EventQueueRearm)->Arg(8)->Arg(64);
+
 void BM_IntervalSetSackPattern(benchmark::State& state) {
   // Emulates a SACK scoreboard: scattered inserts then gap scans.
   const std::int64_t n = state.range(0);

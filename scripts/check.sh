@@ -12,10 +12,12 @@
 # threads, the gossip poller, and admin snapshots, so its lock discipline
 # earns a dedicated pass under the race detector. The bench configuration
 # runs the benchmark's gate self-test (perfbench/run.py --selftest): its
-# `corrupt` case is the gate that rejects a wrong sink verdict; it then
-# builds bench/micro_core and runs its MD5 throughput cases (one stream and
-# a pair) and its simulator event-queue cases once, with no threshold, so
-# the micro benchmarks cannot rot unbuilt. Usage:
+# `corrupt` case is the gate that rejects a wrong sink verdict; then a short
+# `sim` workload run, whose per-seed fidelity gate fails when a simulator
+# change moves any recorded figure point; it then builds bench/micro_core
+# and runs its MD5 throughput cases (one stream and a pair) and its
+# simulator event-queue cases once, with no threshold, so the micro
+# benchmarks cannot rot unbuilt. Usage:
 #
 #   scripts/check.sh [--quick] [--only CONFIG]
 #
@@ -86,6 +88,9 @@ for config in "${configs[@]}"; do
     stripe) label_tier stripe tsan ;; # striped lanes: reassembly + re-striping
     health) label_tier health tsan ;; # HealthBoard shared by shards, gossip, admin
     bench)  python3 perfbench/run.py --selftest    # benchmark gate self-test
+            # Every simulated point must equal its recorded value.
+            python3 perfbench/run.py --workload sim --seed 1 --seconds 3 \
+                --trace 0
             # Execute-and-exit smoke of the micro benchmarks: no threshold,
             # it only proves micro_core builds and runs.
             cmake -B build-check -S . -DLSL_WERROR=ON >/dev/null

@@ -14,6 +14,7 @@ DepotApp::DepotApp(tcp::TcpStack& stack, DepotConfig config,
       dir_(dir),
       budget_(config.pool_budget_bytes, config.pool_low_watermark,
               config.pool_high_watermark),
+      copy_done_(stack.sim().events(), [this] { copy_complete(); }),
       core_("depot", *this, stats_, config_.liveness, config_.resume_grace,
             config_.max_sessions) {
   stack_.listen(config_.port,
@@ -171,7 +172,6 @@ void DepotApp::pull_payload(Relay& r, bool ignore_space) {
     // become downstream-eligible in FIFO order after the wakeup latency and
     // the proportional copy time, and concurrent sessions queue behind one
     // another for the host's copy bandwidth.
-    auto& ev = stack_.sim().events();
     const util::SimTime start =
         std::max(stack_.sim().now() + config_.wakeup_latency,
                  copy_busy_until_);
@@ -196,7 +196,7 @@ void DepotApp::pull_payload(Relay& r, bool ignore_space) {
     stats_.max_buffered = std::max(stats_.max_buffered, buffered(r));
     note_occupancy(r);
     in_copy_.push_back(CopyJob{&r, got, std::move(chunk)});
-    ev.schedule_at(ready_at, [this] { copy_complete(); });
+    copy_done_.push_at(ready_at);
   }
 }
 
@@ -229,8 +229,7 @@ void DepotApp::dial_downstream(Relay& r) {
 }
 
 void DepotApp::copy_complete() {
-  CopyJob job = std::move(in_copy_.front());
-  in_copy_.pop_front();
+  CopyJob job = in_copy_.pop_front();
   Relay& r = *job.relay;
   if (r.done()) return;
   r.in_copy_bytes -= job.bytes;

@@ -27,6 +27,7 @@
 #include "lsl/relay_core.hpp"
 #include "metrics/instruments.hpp"
 #include "tcp/stack.hpp"
+#include "util/ring.hpp"
 #include "util/units.hpp"
 
 namespace lsl::core {
@@ -254,14 +255,15 @@ class DepotApp : private RelayHost {
   /// copy bandwidth (paper §VII's scalability concern).
   util::SimTime copy_busy_until_ = 0;
   /// Chunks in the copy resource, in completion order. The resource is
-  /// serial (copy_busy_until_), so completions are FIFO and each completion
-  /// event takes the front job; no event callback owns a chunk.
+  /// serial (copy_busy_until_), so completions are FIFO: each run of the
+  /// copy lane takes the front job, and no event callback owns a chunk.
   struct CopyJob {
-    Relay* relay;
-    std::uint64_t bytes;
+    Relay* relay = nullptr;
+    std::uint64_t bytes = 0;
     std::vector<std::uint8_t> chunk;  ///< empty in virtual mode
   };
-  std::deque<CopyJob> in_copy_;
+  util::Ring<CopyJob> in_copy_;
+  sim::EventLane copy_done_;
   sim::EventId live_event_ = sim::kInvalidEvent;
   util::SimTime live_event_due_ = -1;
   /// Declared before relays_ so relay destructors (which cancel wheel

@@ -72,7 +72,12 @@ void AdminServer::on_accept() {
   for (;;) {
     engine::Fd sock(::accept4(listener_.get(), nullptr, nullptr,
                       SOCK_NONBLOCK | SOCK_CLOEXEC));
-    if (!sock.valid()) return;  // EAGAIN or error: nothing (more) pending
+    if (!sock.valid()) {
+      // Out of descriptors: shed the connection (see SpareFd); otherwise
+      // EAGAIN or an error, and nothing (more) is pending.
+      if (!spare_.shed(listener_.get(), errno)) return;
+      continue;
+    }
     auto conn = std::make_unique<Conn>();
     Conn* c = conn.get();
     c->sock = std::move(sock);

@@ -24,6 +24,7 @@
 
 #include "engine/epoll_engine.hpp"
 #include "engine/fd.hpp"
+#include "posix/socket_util.hpp"
 
 namespace lsl::metrics {
 class Registry;
@@ -89,6 +90,7 @@ class AdminServer {
   AdminSource& source_;
   std::string path_;
   engine::Fd listener_;
+  SpareFd spare_;  ///< sheds connections at the descriptor limit
   const metrics::Registry* registry_ = nullptr;
   const span::Tracer* tracer_ = nullptr;
   std::vector<std::unique_ptr<Conn>> conns_;

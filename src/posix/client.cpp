@@ -272,7 +272,11 @@ std::int64_t PosixSinkServer::now() const {
 void PosixSinkServer::on_accept() {
   for (;;) {
     engine::Fd conn = accept_connection(listener_.get());
-    if (!conn.valid()) return;
+    if (!conn.valid()) {
+      // Out of descriptors: shed the connection (see SpareFd).
+      if (!spare_.shed(listener_.get(), errno)) return;
+      continue;
+    }
     auto c = std::make_unique<Conn>();
     c->sock = std::move(conn);
     core_.open(*c, now());

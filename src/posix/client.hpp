@@ -228,6 +228,7 @@ class PosixSinkServer : private core::SinkHost {
   core::SessionLedger ledger_;
   core::SinkCore core_;
   engine::Fd listener_;
+  SpareFd spare_;  ///< sheds connections at the descriptor limit
   std::uint16_t port_ = 0;
   std::vector<std::unique_ptr<Conn>> conns_;
 };

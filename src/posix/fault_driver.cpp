@@ -19,8 +19,21 @@ LsdFaultDriver::LsdFaultDriver(Lsd& lsd, fault::FaultPlan plan,
                                fault::FaultMetrics* metrics)
     : lsd_(lsd), plan_(std::move(plan)), metrics_(metrics) {}
 
+LsdFaultDriver::LsdFaultDriver(Lsd& lead, EachDaemon each,
+                               fault::FaultPlan plan)
+    : lsd_(lead), each_(std::move(each)), plan_(std::move(plan)),
+      metrics_(nullptr) {}
+
 LsdFaultDriver::~LsdFaultDriver() {
-  if (armed_) lsd_.on_progress = nullptr;
+  if (armed_ && !each_) lsd_.on_progress = nullptr;
+}
+
+void LsdFaultDriver::each(const std::function<void(Lsd&)>& knob) {
+  if (each_) {
+    each_(knob);
+  } else {
+    knob(lsd_);
+  }
 }
 
 void LsdFaultDriver::arm() {
@@ -49,7 +62,7 @@ void LsdFaultDriver::arm() {
       timed_.push_back({start_ + wall(e.at), e, false});
     }
   }
-  if (hook_needed) {
+  if (hook_needed && !each_) {
     lsd_.on_progress = [this](std::uint64_t bytes) { on_bytes(bytes); };
   }
 }
@@ -110,6 +123,12 @@ void LsdFaultDriver::on_bytes(std::uint64_t bytes_relayed) {
   for (const fault::FaultEvent& e : due) apply(e);
 }
 
+std::uint64_t LsdFaultDriver::next_byte_trigger() const {
+  std::uint64_t next = ~std::uint64_t{0};
+  for (const fault::FaultEvent& e : by_bytes_) next = std::min(next, e.at_bytes);
+  return next;
+}
+
 void LsdFaultDriver::note_injected(fault::FaultKind kind) {
   ++injected_;
   if (metrics_) {
@@ -124,7 +143,7 @@ void LsdFaultDriver::apply(const fault::FaultEvent& e) {
   LSL_LOG_INFO("fault-driver: applying %s", e.describe().c_str());
   switch (e.kind) {
     case fault::FaultKind::kCrash:
-      lsd_.crash();
+      each([](Lsd& d) { d.crash(); });
       note_injected(e.kind);
       if (e.duration > 0) {
         timed_.push_back(
@@ -132,18 +151,18 @@ void LsdFaultDriver::apply(const fault::FaultEvent& e) {
       }
       break;
     case fault::FaultKind::kRestart:
-      lsd_.restart();  // a repair, not a fault: not counted
+      each([](Lsd& d) { d.restart(); });  // a repair: not counted
       break;
     case fault::FaultKind::kSynDrop:
-      lsd_.set_accept_drops(e.count);
+      each([n = e.count](Lsd& d) { d.set_accept_drops(n); });
       note_injected(e.kind);
       break;
     case fault::FaultKind::kReset:
-      lsd_.inject_upstream_reset();
+      each([](Lsd& d) { d.inject_upstream_reset(); });
       note_injected(e.kind);
       break;
     case fault::FaultKind::kSlow:
-      lsd_.set_stalled(true);
+      each([](Lsd& d) { d.set_stalled(true); });
       note_injected(e.kind);
       timed_.push_back(
           {std::chrono::steady_clock::now() + wall(e.duration), e, true});
@@ -152,7 +171,7 @@ void LsdFaultDriver::apply(const fault::FaultEvent& e) {
       // Against a single daemon, a blackholed link means its next hop
       // stops answering: dials launch but never complete, which is
       // exactly what the dial deadline exists to bound.
-      lsd_.set_dial_blackhole(true);
+      each([](Lsd& d) { d.set_dial_blackhole(true); });
       note_injected(e.kind);
       if (e.duration > 0) {
         timed_.push_back(
@@ -167,13 +186,13 @@ void LsdFaultDriver::apply(const fault::FaultEvent& e) {
 void LsdFaultDriver::apply_repair(const fault::FaultEvent& e) {
   switch (e.kind) {
     case fault::FaultKind::kCrash:
-      lsd_.restart();
+      each([](Lsd& d) { d.restart(); });
       break;
     case fault::FaultKind::kSlow:
-      lsd_.set_stalled(false);
+      each([](Lsd& d) { d.set_stalled(false); });
       break;
     case fault::FaultKind::kBlackhole:
-      lsd_.set_dial_blackhole(false);
+      each([](Lsd& d) { d.set_dial_blackhole(false); });
       break;
     default:
       break;  // only crash, slow and blackhole schedule repairs

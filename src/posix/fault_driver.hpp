@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "fault/fault_metrics.hpp"
@@ -19,15 +20,25 @@
 
 namespace lsl::posix {
 
-/// Applies a FaultPlan to one Lsd instance.
+/// Applies a FaultPlan to one depot: a single Lsd, or every shard of one.
 class LsdFaultDriver {
  public:
+  /// Turns one daemon knob (`knob(daemon)`) on every daemon of the depot.
+  using EachDaemon = std::function<void(const std::function<void(Lsd&)>&)>;
+
   /// Events targeting any depot name apply to `lsd` — a single daemon
   /// cannot tell depot names apart; run one driver per daemon with a
   /// pre-filtered plan when cascading several. `metrics` (optional) gets
   /// the `fault.*` instruments; must outlive the driver.
   LsdFaultDriver(Lsd& lsd, fault::FaultPlan plan,
                  fault::FaultMetrics* metrics = nullptr);
+
+  /// A depot of several daemons (the shards of one ShardedLsd), driven
+  /// from `lead`'s loop thread. Each event fires once and turns its knob
+  /// on every daemon through `each`; byte-keyed events fire on the
+  /// depot-wide counts the owner passes to on_bytes(), so arm() installs
+  /// no progress hook.
+  LsdFaultDriver(Lsd& lead, EachDaemon each, fault::FaultPlan plan);
   ~LsdFaultDriver();
 
   LsdFaultDriver(const LsdFaultDriver&) = delete;
@@ -46,6 +57,13 @@ class LsdFaultDriver {
   /// Apply every due event; call after each run_once().
   void poll();
 
+  /// Apply every pending byte-keyed event due at `bytes_relayed`.
+  void on_bytes(std::uint64_t bytes_relayed);
+
+  /// The smallest relayed-byte count at which a pending byte-keyed event
+  /// fires; UINT64_MAX when none is pending.
+  std::uint64_t next_byte_trigger() const;
+
   /// Faults applied so far (repairs — restarts, unstalls — not counted).
   std::uint64_t injected() const { return injected_; }
 
@@ -58,10 +76,12 @@ class LsdFaultDriver {
 
   void apply(const fault::FaultEvent& e);
   void apply_repair(const fault::FaultEvent& e);
-  void on_bytes(std::uint64_t bytes_relayed);
   void note_injected(fault::FaultKind kind);
+  /// Turn `knob` on every daemon of the depot.
+  void each(const std::function<void(Lsd&)>& knob);
 
   Lsd& lsd_;
+  EachDaemon each_;  ///< empty: the depot is lsd_ alone
   fault::FaultPlan plan_;
   fault::FaultMetrics* metrics_;
   std::chrono::steady_clock::time_point start_;

@@ -160,7 +160,13 @@ void Lsd::on_accept() {
   core_.expire_parked();
   for (;;) {
     engine::Fd conn = accept_connection(listener_.get());
-    if (!conn.valid()) break;
+    if (!conn.valid()) {
+      // Out of descriptors: shed the connection rather than leave the
+      // listener readable for the loop to spin on.
+      if (!spare_.shed(listener_.get(), errno)) break;
+      ++stats_.accepts_dropped;
+      continue;
+    }
     const auto verdict = core_.admit(pool_->under_pressure());
     if (verdict != core::RelayCore::Admission::kAccept) {
       // A hard reset, not a slow header timeout: the source goes elsewhere

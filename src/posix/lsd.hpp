@@ -109,7 +109,9 @@ struct LsdStats : core::RelayStats {
   std::uint64_t fail_peer_reset = 0;
   std::uint64_t fail_timeout = 0;
   std::uint64_t fail_other = 0;
-  std::uint64_t accepts_dropped = 0;  ///< injected accept refusals
+  /// Injected accept refusals, and connections shed at the descriptor
+  /// limit.
+  std::uint64_t accepts_dropped = 0;
 };
 
 /// Element-wise sum (aggregating per-shard counters at export).
@@ -367,6 +369,7 @@ class Lsd : public AdminSource, private core::RelayHost {
   engine::EpollEngine& loop_;
   LsdConfig config_;
   engine::Fd listener_;
+  SpareFd spare_;  ///< sheds connections at the descriptor limit
   std::uint16_t port_ = 0;
   LsdStats stats_;
   metrics::LsdMetrics* metrics_ = nullptr;

@@ -1,5 +1,6 @@
 #include "posix/sharded_lsd.hpp"
 
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -59,16 +60,12 @@ ShardedLsd::ShardedLsd(const ShardedLsdConfig& config)
       gate_.arrive();
     };
 
-    if (config_.fault_plan) {
-      s->fault = std::make_unique<LsdFaultDriver>(*s->lsd,
-                                                  *config_.fault_plan);
-      s->fault->arm();
-    }
-
     s->engine.set_wakeup_callback([s] { s->posts.drain(); });
     publish(*s);
     shards_.push_back(std::move(shard));
   }
+
+  if (config_.fault_plan) arm_fault_plan();
 
   LSL_LOG_INFO("sharded lsd: %d shards on port %u", config_.shards,
                static_cast<unsigned>(port_));
@@ -85,9 +82,61 @@ ShardedLsd::~ShardedLsd() {
     s->stop.store(true, std::memory_order_release);
     s->engine.wakeup();
   }
-  // Shard destruction joins each thread first (member order), then tears
-  // down daemon → pools → engines; the shared budget outlives them all.
+  // Join every thread before any shard goes: a shard's progress hook may
+  // post to shard 0. Shard destruction then tears down daemon → pools →
+  // engines; the shared budget outlives them all.
+  for (auto& s : shards_) s->thread.join();
+  for (auto& s : shards_) s->lsd->on_progress = nullptr;
+  fault_.reset();
   shards_.clear();
+}
+
+void ShardedLsd::arm_fault_plan() {
+  // Shard 0 turns its own knob at once; the others turn theirs on their
+  // next wakeup.
+  fault_ = std::make_unique<LsdFaultDriver>(
+      *shards_.front()->lsd,
+      [this](const std::function<void(Lsd&)>& knob) {
+        for (auto& s : shards_) {
+          if (s->index == 0) {
+            knob(*s->lsd);
+          } else {
+            post(*s, [knob, lsd = s->lsd.get()] { knob(*lsd); });
+          }
+        }
+      },
+      *config_.fault_plan);
+  fault_->arm();
+  next_fault_bytes_.store(fault_->next_byte_trigger());
+  if (next_fault_bytes_.load() == ~std::uint64_t{0}) return;
+  for (auto& sp : shards_) {
+    Shard* s = sp.get();
+    s->lsd->on_progress = [this, s](std::uint64_t bytes) {
+      s->relayed.store(bytes, std::memory_order_relaxed);
+      if (relayed_total() < next_fault_bytes_.load(std::memory_order_relaxed)) {
+        return;
+      }
+      if (s->index == 0) {
+        fire_byte_faults();
+      } else {
+        post(*shards_.front(), [this] { fire_byte_faults(); });
+      }
+    };
+  }
+}
+
+void ShardedLsd::fire_byte_faults() {
+  fault_->on_bytes(relayed_total());
+  next_fault_bytes_.store(fault_->next_byte_trigger(),
+                          std::memory_order_relaxed);
+}
+
+std::uint64_t ShardedLsd::relayed_total() const {
+  std::uint64_t sum = 0;
+  for (const auto& s : shards_) {
+    sum += s->relayed.load(std::memory_order_relaxed);
+  }
+  return sum;
 }
 
 void ShardedLsd::post(Shard& s, engine::PostQueue::Task task) {
@@ -99,13 +148,13 @@ void ShardedLsd::shard_main(Shard& s) {
   // parked-session backstop run even while no socket is ready (liveness
   // deadlines ride the daemon's own timerfd regardless). run_once returns
   // -1 only on EINTR; the round is then simply retried.
+  LsdFaultDriver* fault = s.index == 0 ? fault_.get() : nullptr;
   while (!s.stop.load(std::memory_order_acquire)) {
-    int wait = s.fault ? s.fault->next_timeout_ms()
-                       : s.lsd->next_timeout_ms();
+    int wait = fault ? fault->next_timeout_ms() : s.lsd->next_timeout_ms();
     if (wait < 0 || wait > 500) wait = 500;
     if (s.engine.run_once(wait) >= 0) {
-      if (s.fault) {
-        s.fault->poll();
+      if (fault) {
+        fault->poll();
       } else {
         s.lsd->expire_parked();
       }
@@ -123,7 +172,7 @@ void ShardedLsd::publish(Shard& s) {
   h.striped_relays = s.lsd->striped_relays();
   h.draining = s.lsd->draining() ? 1 : 0;
   h.drain_done = s.lsd->drain_done() ? 1 : 0;
-  h.faults_injected = s.fault ? s.fault->injected() : 0;
+  h.faults_injected = s.index == 0 && fault_ ? fault_->injected() : 0;
   s.health.publish(h);
   s.report.publish(s.lsd->drain_report());
 }

@@ -67,8 +67,9 @@ struct ShardedLsdConfig {
   /// Optional shared tracer (the flight recorder is multi-writer safe;
   /// must outlive the runtime).
   span::Tracer* tracer = nullptr;
-  /// Optional fault plan, applied to every shard (each shard runs its own
-  /// LsdFaultDriver over a copy, mirroring one-driver-per-daemon).
+  /// Optional fault plan for the depot as a whole: one LsdFaultDriver on
+  /// shard 0's thread fires each event once, turns its knob on every
+  /// shard, and keys byte offsets on the shards' summed relayed bytes.
   std::optional<fault::FaultPlan> fault_plan;
   /// Build a per-shard HealthBoard and attach it to each shard daemon.
   /// The admin `health`/`gossip` responses then carry one fleet row set —
@@ -106,8 +107,8 @@ class ShardedLsd : public AdminSource {
   LsdStats stats() const;
   /// One shard's counters (same publication caveat).
   LsdStats shard_stats(int shard) const;
-  /// Faults the config.fault_plan drivers have injected, summed over the
-  /// shards (0 without a plan); published every round like stats().
+  /// Faults the config.fault_plan driver has injected (0 without a
+  /// plan); published every round like stats().
   std::uint64_t faults_injected() const;
 
   /// Aggregate pool counters (sums the shard pools' thread-safe stats;
@@ -160,7 +161,9 @@ class ShardedLsd : public AdminSource {
     /// through it until it is gone.
     std::unique_ptr<health::HealthBoard> health_board;
     std::unique_ptr<Lsd> lsd;
-    std::unique_ptr<LsdFaultDriver> fault;
+    /// The daemon's relayed bytes at its last progress hook (only kept
+    /// while a byte-keyed fault is pending).
+    std::atomic<std::uint64_t> relayed{0};
     engine::PostQueue posts;
     engine::StatsBoard<LsdStats> board;
     engine::StatsBoard<HealthWords> health;
@@ -179,12 +182,23 @@ class ShardedLsd : public AdminSource {
   /// The shard thread: dispatch, apply fault/park timers, publish boards.
   void shard_main(Shard& s);
   void publish(Shard& s);
+  /// Build the depot's one fault driver and hook every shard's progress
+  /// into its byte-keyed events.
+  void arm_fault_plan();
+  /// On shard 0's thread: fire the byte-keyed faults the summed relayed
+  /// bytes have reached.
+  void fire_byte_faults();
+  std::uint64_t relayed_total() const;
 
   ShardedLsdConfig config_;
   buf::SharedBudget budget_;
   engine::DrainGate gate_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::uint16_t port_ = 0;
+  /// The depot's fault driver (null without a plan); runs on shard 0.
+  std::unique_ptr<LsdFaultDriver> fault_;
+  /// fault_->next_byte_trigger(), readable from every shard's hook.
+  std::atomic<std::uint64_t> next_fault_bytes_{~std::uint64_t{0}};
 };
 
 }  // namespace lsl::posix

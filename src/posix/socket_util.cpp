@@ -98,6 +98,35 @@ engine::Fd accept_connection(int listen_fd) {
   return out;
 }
 
+namespace {
+
+engine::Fd open_spare() {
+  return engine::Fd(::open("/dev/null", O_RDONLY | O_CLOEXEC));
+}
+
+}  // namespace
+
+SpareFd::SpareFd() : fd_(open_spare()) {}
+
+bool SpareFd::shed(int listen_fd, int err) {
+  if (err != EMFILE && err != ENFILE) return false;
+  if (!fd_.valid()) {
+    fd_ = open_spare();  // a descriptor may have freed since
+    if (!fd_.valid()) return false;
+  }
+  fd_.reset();
+  const int conn = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
+  if (conn >= 0) {
+    // Linger 0: close sends RST, so the peer fails at once instead of
+    // waiting on a connection nobody serves.
+    struct linger lg {1, 0};
+    ::setsockopt(conn, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
+    ::close(conn);
+  }
+  fd_ = open_spare();
+  return conn >= 0;
+}
+
 long write_some(int fd, const std::uint8_t* data, std::size_t len) {
   std::size_t total = 0;
   while (total < len) {

@@ -53,8 +53,28 @@ engine::Fd connect_tcp(const InetAddress& remote);
 /// After EPOLLOUT on a connecting socket: 0 on success, else the errno.
 int connect_result(int fd);
 
-/// Accept one connection (nonblocking); invalid engine::Fd when none pending.
+/// Accept one connection (nonblocking); invalid engine::Fd when none
+/// pending or on error (errno is preserved).
 engine::Fd accept_connection(int listen_fd);
+
+/// A descriptor held in reserve so a listener can shed connections when
+/// the process is out of descriptors. There accept() fails with EMFILE (or
+/// ENFILE) and leaves the connection in the backlog: the listener stays
+/// readable, and a level-triggered loop wakes for it again at once and
+/// spins until some descriptor frees. shed() closes the spare, accepts the
+/// connection into the freed slot, resets it, and reopens the spare.
+class SpareFd {
+ public:
+  SpareFd();
+
+  /// After an accept() on `listen_fd` failed with `err`: when `err` is
+  /// EMFILE or ENFILE, reset one pending connection. True when one was
+  /// shed (call again: more may be pending); false otherwise.
+  bool shed(int listen_fd, int err);
+
+ private:
+  engine::Fd fd_;
+};
 
 /// write() as much of [data, data+len) as the socket accepts.
 /// Returns bytes written (possibly 0 on EAGAIN), or -1 on fatal error.

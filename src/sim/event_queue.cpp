@@ -8,29 +8,74 @@
 
 namespace lsl::sim {
 
-EventId EventQueue::schedule_at(util::SimTime t, Callback cb) {
-  // Both limits abort in every build (not only with contracts on): an
-  // aliased slot or a wrapped sequence would silently misorder events.
+std::uint32_t EventQueue::acquire_slot() {
+  if (!free_slots_.empty()) {
+    const std::uint32_t slot = free_slots_.back();
+    free_slots_.pop_back();
+    return slot;
+  }
+  // Aborts in every build (not only with contracts on): an aliased slot
+  // would silently misorder events.
+  if (slots_.size() > kSlotMask) {
+    util::contract_fail("invariant", __FILE__, __LINE__, "slots_.size()",
+                        "more events pending than the slot table holds");
+  }
+  slots_.emplace_back();
+  pos_.push_back(0);
+  return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+void EventQueue::release(std::uint32_t slot) {
+  slots_[slot].id = kInvalidEvent;
+  free_slots_.push_back(slot);
+}
+
+EventId EventQueue::next_id(std::uint32_t slot) {
+  // Aborts in every build: a wrapped sequence would misorder events.
   if (next_seq_ > (~std::uint64_t{0} >> kSlotBits)) {
     util::contract_fail("invariant", __FILE__, __LINE__, "next_seq_",
                         "event sequence exhausted");
   }
-  std::uint32_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    if (slots_.size() > kSlotMask) {
-      util::contract_fail("invariant", __FILE__, __LINE__, "slots_.size()",
-                          "more events pending than the slot table holds");
-    }
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
+  return (next_seq_++ << kSlotBits) | slot;
+}
+
+void EventQueue::sift_up(std::size_t i, Key k) {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / 2;
+    if (!before(k, heap_[parent])) break;
+    place(i, heap_[parent]);
+    i = parent;
   }
-  const EventId id = (next_seq_++ << kSlotBits) | slot;
+  place(i, k);
+}
+
+void EventQueue::replace(std::size_t i, Key k) {
+  const std::size_t n = heap_.size();
+  for (std::size_t child = 2 * i + 1; child < n; child = 2 * i + 1) {
+    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+    place(i, heap_[child]);
+    i = child;
+  }
+  sift_up(i, k);
+}
+
+void EventQueue::heap_push(const Key& k) {
+  heap_.push_back(k);
+  sift_up(heap_.size() - 1, k);
+}
+
+void EventQueue::heap_erase(std::size_t i) {
+  const Key last = heap_.back();
+  heap_.pop_back();
+  if (i < heap_.size()) replace(i, last);
+}
+
+EventId EventQueue::schedule_at(util::SimTime t, Callback cb) {
+  const std::uint32_t slot = acquire_slot();
+  const EventId id = next_id(slot);
   slots_[slot].id = id;
   slots_[slot].cb = std::move(cb);
-  heap_.push(Key{std::max(t, now_), id});
+  heap_push(Key{std::max(t, now_), id});
   ++live_count_;
   return id;
 }
@@ -40,51 +85,74 @@ EventId EventQueue::schedule_in(util::SimDuration delay, Callback cb) {
                      std::move(cb));
 }
 
-void EventQueue::release(std::uint32_t slot) {
-  slots_[slot].id = kInvalidEvent;
-  free_slots_.push_back(slot);
-}
-
 void EventQueue::cancel(EventId id) {
   // An id that never existed, has already fired, or whose slot now holds a
-  // later event names no live slot: a no-op.
+  // later event names no live slot: a no-op. Lane slots never hold an id,
+  // so lane events cannot be cancelled.
   const auto slot = static_cast<std::uint32_t>(id & kSlotMask);
   if (id == kInvalidEvent || slot >= slots_.size() || slots_[slot].id != id) {
     return;
   }
-  // The heap key stays behind as a tombstone; the callback goes now. It is
-  // destroyed after the bookkeeping, in case its captures reach back here.
+  heap_erase(pos_[slot]);
+  // The callback is destroyed after the bookkeeping, in case its captures
+  // reach back here.
   Callback dead;
   dead.swap(slots_[slot].cb);
   release(slot);
   --live_count_;
 }
 
+std::uint32_t EventQueue::add_lane(Callback cb) {
+  const std::uint32_t slot = acquire_slot();
+  slots_[slot].lane = std::make_unique<Lane>();
+  slots_[slot].lane->cb = std::move(cb);
+  return slot;
+}
+
+void EventQueue::push_lane(std::uint32_t slot, util::SimTime t) {
+  Lane& l = *slots_[slot].lane;
+  const Key k{std::max(t, now_), next_id(slot)};
+  LSL_INVARIANT(l.keys.empty() || l.keys.back().time <= k.time,
+                "lane events must be pushed in time order");
+  l.keys.push_back(k);
+  if (l.keys.size() == 1) heap_push(k);
+  ++live_count_;
+}
+
+void EventQueue::remove_lane(std::uint32_t slot) {
+  const Lane& l = *slots_[slot].lane;
+  if (!l.keys.empty()) heap_erase(pos_[slot]);
+  live_count_ -= l.keys.size();
+  slots_[slot].lane.reset();
+  release(slot);
+}
+
 bool EventQueue::fire_next(util::SimTime deadline) {
-  while (!heap_.empty()) {
-    const Key top = heap_.top();
-    const auto slot = static_cast<std::uint32_t>(top.id & kSlotMask);
-    // Skip tombstones first: the deadline applies to the earliest *live*
-    // event, or a tombstone due before it would let a later event run past
-    // the deadline.
-    if (slots_[slot].id != top.id) {
-      heap_.pop();
-      continue;
+  if (heap_.empty() || heap_.front().time > deadline) return false;
+  const Key top = heap_.front();
+  const auto slot = static_cast<std::uint32_t>(top.id & kSlotMask);
+  now_ = top.time;
+  --live_count_;
+  ++executed_;
+  if (Lane* lane = slots_[slot].lane.get()) {
+    // Refill in place: the lane's next key replaces the one firing.
+    lane->keys.pop_front();
+    if (lane->keys.empty()) {
+      heap_erase(0);
+    } else {
+      replace(0, lane->keys.front());
     }
-    if (top.time > deadline) return false;
-    heap_.pop();
-    // Move the callback out before running it: it may schedule events and
-    // so grow (reallocate) the slot table.
-    Callback cb;
-    cb.swap(slots_[slot].cb);
-    release(slot);
-    now_ = top.time;
-    --live_count_;
-    ++executed_;
-    cb();
+    lane->cb();
     return true;
   }
-  return false;
+  heap_erase(0);
+  // Move the callback out before running it: it may schedule events and
+  // so grow (reallocate) the slot table.
+  Callback cb;
+  cb.swap(slots_[slot].cb);
+  release(slot);
+  cb();
+  return true;
 }
 
 bool EventQueue::step() {

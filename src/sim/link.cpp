@@ -11,7 +11,9 @@ Link::Link(Simulator& sim, std::string name, const LinkConfig& config,
       name_(std::move(name)),
       config_(config),
       deliver_(std::move(deliver)),
-      rng_(sim.make_rng()) {}
+      rng_(sim.make_rng()),
+      transmit_done_(sim.events(), [this] { finish_transmission(); }),
+      delivered_(sim.events(), [this] { deliver_front(); }) {}
 
 void Link::send(Packet&& p) {
   const std::size_t size = p.wire_bytes();
@@ -33,7 +35,7 @@ void Link::start_transmission() {
   transmitting_ = true;
   const auto& head = queue_.front();
   const util::SimDuration tx = config_.rate.transmission_time(head.wire_bytes());
-  sim_.events().schedule_in(tx, [this] { finish_transmission(); });
+  transmit_done_.push_in(tx);
 }
 
 bool Link::wire_drops(const Packet& p) {
@@ -54,8 +56,7 @@ bool Link::wire_drops(const Packet& p) {
 }
 
 void Link::finish_transmission() {
-  Packet p = std::move(queue_.front());
-  queue_.pop_front();
+  Packet p = queue_.pop_front();
   queued_bytes_ -= p.wire_bytes();
 
   ++stats_.packets_sent;
@@ -74,16 +75,14 @@ void Link::finish_transmission() {
     deliver_at = std::max(deliver_at, last_delivery_);
     last_delivery_ = deliver_at;
     in_flight_.push_back(std::move(p));
-    sim_.events().schedule_at(deliver_at, [this] { deliver_front(); });
+    delivered_.push_at(deliver_at);
   }
 
   start_transmission();
 }
 
 void Link::deliver_front() {
-  Packet p = std::move(in_flight_.front());
-  in_flight_.pop_front();
-  deliver_(std::move(p));
+  deliver_(in_flight_.pop_front());
 }
 
 }  // namespace lsl::sim

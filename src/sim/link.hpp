@@ -8,12 +8,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 
 #include "sim/packet.hpp"
 #include "sim/simulator.hpp"
+#include "util/ring.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -82,11 +82,15 @@ class Link {
   DeliverFn deliver_;
   util::Rng rng_;
 
-  std::deque<Packet> queue_;
+  util::Ring<Packet> queue_;
   /// Packets on the wire, in delivery order. Delivery is FIFO (see
   /// last_delivery_), so each delivery event takes the front packet and no
   /// event callback owns a packet.
-  std::deque<Packet> in_flight_;
+  util::Ring<Packet> in_flight_;
+  /// One transmit completion is pending at a time; deliveries come out in
+  /// time order. Both are lanes: no per-packet callback or slot.
+  EventLane transmit_done_;
+  EventLane delivered_;
   std::size_t queued_bytes_ = 0;
   bool transmitting_ = false;
   bool ge_bad_state_ = false;

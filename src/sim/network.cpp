@@ -67,7 +67,7 @@ Link* Network::link_between(NodeId a, NodeId b) {
 
 void Network::compute_routes() {
   const std::size_t n = nodes_.size();
-  next_hop_.assign(n, std::vector<NodeId>(n, kInvalidNode));
+  next_link_.assign(n * n, nullptr);
 
   // Dijkstra from every node over the propagation-delay metric. Topologies
   // here are tiny (tens of nodes), so O(n * E log E) is irrelevant.
@@ -102,7 +102,7 @@ void Network::compute_routes() {
       // Walk back from dst to find the first hop out of src.
       NodeId hop = dst;
       while (prev[hop] != src) hop = prev[hop];
-      next_hop_[src][dst] = hop;
+      next_link_[src * n + dst] = link_between(src, hop);
     }
   }
   routes_dirty_ = false;
@@ -125,14 +125,13 @@ LinkStats Network::total_link_stats() const {
 
 bool Network::forward_from(NodeId at, Packet&& p) {
   if (routes_dirty_) compute_routes();
-  if (at >= next_hop_.size() || p.dst >= next_hop_.size()) return false;
-  const NodeId hop = next_hop_[at][p.dst];
-  if (hop == kInvalidNode) {
+  const std::size_t n = nodes_.size();
+  if (at >= n || p.dst >= n) return false;
+  Link* link = next_link_[at * n + p.dst];
+  if (link == nullptr) {
     LSL_LOG_WARN("%s: no route to node %u", nodes_[at]->name().c_str(), p.dst);
     return false;
   }
-  Link* link = link_between(at, hop);
-  if (link == nullptr) return false;
   link->send(std::move(p));
   return true;
 }

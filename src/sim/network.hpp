@@ -82,8 +82,9 @@ class Network {
   // adjacency_[a][b] = link a->b
   std::unordered_map<NodeId, std::unordered_map<NodeId, std::unique_ptr<Link>>>
       adjacency_;
-  // next_hop_[src][dst] = neighbour to forward through
-  std::vector<std::vector<NodeId>> next_hop_;
+  // next_link_[src * node_count() + dst] = link to forward through, or
+  // nullptr when dst is unreachable (or src itself)
+  std::vector<Link*> next_link_;
   bool routes_dirty_ = true;
 };
 

@@ -8,7 +8,12 @@
 namespace lsl::sim {
 
 Node::Node(Network& net, NodeId id, std::string name, bool is_router)
-    : net_(net), id_(id), name_(std::move(name)), is_router_(is_router) {}
+    : net_(net),
+      id_(id),
+      name_(std::move(name)),
+      is_router_(is_router),
+      loopback_done_(net.sim().events(),
+                     [this] { deliver(loopback_.pop_front()); }) {}
 
 void Node::set_protocol_handler(Protocol proto, ProtocolHandler handler) {
   handlers_[static_cast<std::uint8_t>(proto)] = std::move(handler);
@@ -46,11 +51,7 @@ void Node::send(Packet&& p) {
     // Loopback: model a small host-internal latency so local connections
     // still order events sensibly.
     loopback_.push_back(std::move(p));
-    net_.sim().events().schedule_in(util::micros(20), [this] {
-      Packet pkt = std::move(loopback_.front());
-      loopback_.pop_front();
-      deliver(std::move(pkt));
-    });
+    loopback_done_.push_in(util::micros(20));
     return;
   }
   if (!net_.forward_from(id_, std::move(p))) ++dropped_;

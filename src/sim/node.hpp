@@ -3,13 +3,14 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <unordered_map>
 
+#include "sim/event_queue.hpp"
 #include "sim/packet.hpp"
 #include "sim/types.hpp"
+#include "util/ring.hpp"
 
 namespace lsl::sim {
 
@@ -56,8 +57,9 @@ class Node {
   bool is_router_;
   std::unordered_map<std::uint8_t, ProtocolHandler> handlers_;
   /// Packets on the loopback hop. Its delay is fixed, so deliveries are
-  /// FIFO and each loopback event takes the front packet.
-  std::deque<Packet> loopback_;
+  /// FIFO: each run of the loopback lane takes the front packet.
+  util::Ring<Packet> loopback_;
+  EventLane loopback_done_;
   std::uint64_t dropped_ = 0;
 };
 

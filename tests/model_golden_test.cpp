@@ -94,5 +94,24 @@ TEST(ModelGolden, StripedFourLanes) {
                 {25.339627899612374, 3, 87552});
 }
 
+// The first figure point of perfbench's `sim` workload (seed 1 of its
+// fidelity table): Case 1, 16 MiB, direct TCP and LSL. The depot's serial
+// copy queues hundreds of chunks here, so this pins the copy lane.
+TEST(ModelGolden, Case1PerfbenchPointDirectAndLsl) {
+  RunConfig cfg;
+  cfg.bytes = 16 * util::kMiB;
+  cfg.seed = 1;
+  cfg.mode = Mode::kDirectTcp;
+  const TransferResult direct = run_transfer(case1_ucsb_uiuc(), cfg);
+  ASSERT_TRUE(direct.completed);
+  expect_golden(direct.mbps, direct.retransmits, direct.events,
+                {11.102199246482387, 4, 236166});
+  cfg.mode = Mode::kLsl;
+  const TransferResult lsl = run_transfer(case1_ucsb_uiuc(), cfg);
+  ASSERT_TRUE(lsl.completed);
+  expect_golden(lsl.mbps, lsl.retransmits, lsl.events,
+                {14.964271441790991, 3, 356855});
+}
+
 }  // namespace
 }  // namespace lsl::exp

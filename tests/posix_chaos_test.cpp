@@ -7,15 +7,24 @@
 
 #include <csignal>
 #include <cstdio>
+#include <fcntl.h>
 #include <poll.h>
+#include <pthread.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <ctime>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "engine/epoll_engine.hpp"
 #include "fault/policy.hpp"
@@ -658,6 +667,148 @@ TEST(PosixChaos, FaultDriverNextTimeoutComposesDaemonWheel) {
   const int composed = driver.next_timeout_ms();
   EXPECT_GT(composed, 0);
   EXPECT_LE(composed, 5001);
+}
+
+/// Runs an engine on its own thread until destroyed.
+class LoopThread {
+ public:
+  LoopThread(EpollEngine& loop, std::function<void()> after_turn)
+      : thread_([this, &loop, after_turn = std::move(after_turn)] {
+          while (!stop_.load()) {
+            loop.run_once(50);
+            after_turn();
+          }
+        }) {}
+  ~LoopThread() {
+    stop_.store(true);
+    thread_.join();
+  }
+  LoopThread(const LoopThread&) = delete;
+  LoopThread& operator=(const LoopThread&) = delete;
+
+  /// CPU milliseconds the thread has used so far.
+  double cpu_ms() {
+    clockid_t clock;
+    timespec ts{};
+    if (pthread_getcpuclockid(thread_.native_handle(), &clock) != 0 ||
+        clock_gettime(clock, &ts) != 0) {
+      return -1.0;
+    }
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) / 1e6;
+  }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::thread thread_;  ///< last: started after stop_ exists
+};
+
+/// Holds RLIMIT_NOFILE a little above the lowest free descriptor and
+/// takes every descriptor left under it; restores both when destroyed.
+class DescriptorExhaustion {
+ public:
+  DescriptorExhaustion() {
+    if (getrlimit(RLIMIT_NOFILE, &saved_) != 0) return;
+    const int lowest_free = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+    if (lowest_free < 0) return;
+    ::close(lowest_free);
+    rlimit low = saved_;
+    low.rlim_cur = static_cast<rlim_t>(lowest_free) + 16;
+    if (setrlimit(RLIMIT_NOFILE, &low) != 0) return;
+    lowered_ = true;
+    for (;;) {
+      const int fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+      if (fd < 0) {
+        exhausted_ = errno == EMFILE;
+        break;
+      }
+      fillers_.emplace_back(fd);
+    }
+  }
+  ~DescriptorExhaustion() {
+    fillers_.clear();
+    if (lowered_) setrlimit(RLIMIT_NOFILE, &saved_);
+  }
+  DescriptorExhaustion(const DescriptorExhaustion&) = delete;
+  DescriptorExhaustion& operator=(const DescriptorExhaustion&) = delete;
+
+  /// True when the limit dropped and no descriptor is left under it.
+  bool exhausted() const { return exhausted_; }
+
+ private:
+  rlimit saved_{};
+  bool lowered_ = false;
+  bool exhausted_ = false;
+  std::vector<engine::Fd> fillers_;
+};
+
+// At the descriptor limit accept() fails with EMFILE and leaves the
+// connection in the backlog, so the level-triggered listener stays
+// readable. The daemon must shed such connections (reset, counted in
+// accepts_dropped) instead of spinning its thread until a descriptor
+// frees, and must serve again once the limit lifts.
+TEST(PosixChaos, DescriptorLimitShedsConnectionsWithoutSpinning) {
+  REQUIRE_LOOPBACK();
+  EpollEngine depot_loop;
+  LsdConfig cfg;
+  cfg.bind = InetAddress::loopback(0);
+  Lsd lsd(depot_loop, cfg);
+  const sockaddr_in to = InetAddress::loopback(lsd.port()).to_sockaddr();
+  const auto connect_to_depot = [&to](int fd) {
+    return ::connect(fd, reinterpret_cast<const sockaddr*>(&to), sizeof(to));
+  };
+
+  // Client sockets exist before the limit drops; connect() needs none.
+  constexpr int kClients = 4;
+  std::vector<engine::Fd> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+    ASSERT_TRUE(clients.back().valid());
+  }
+
+  double busy_ms = 0.0;
+  {
+    // The depot thread fails one throwaway connection before the limit
+    // drops, so its accept and relay paths have run once: UBSan's vptr
+    // check validates a type on first use through a pipe, which needs a
+    // free descriptor.
+    engine::Fd warmup(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+    ASSERT_EQ(connect_to_depot(warmup.get()), 0);
+    warmup = engine::Fd();
+    std::atomic<bool> warmed{false};
+    LoopThread depot(depot_loop, [&] {
+      if (lsd.stats().sessions_failed > 0) warmed.store(true);
+    });
+    const auto warm_by =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!warmed.load() && std::chrono::steady_clock::now() < warm_by) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_TRUE(warmed.load());
+
+    DescriptorExhaustion full;
+    ASSERT_TRUE(full.exhausted());
+    for (auto& c : clients) ASSERT_EQ(connect_to_depot(c.get()), 0);
+    const double cpu0 = depot.cpu_ms();
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    busy_ms = depot.cpu_ms() - cpu0;
+  }  // the depot thread stops, then the limit and descriptors come back
+
+  // A spinning loop burns the whole window; shedding leaves it idle.
+  EXPECT_LT(busy_ms, 60.0) << "depot thread spun at the descriptor limit";
+  EXPECT_EQ(lsd.stats().accepts_dropped, static_cast<std::uint64_t>(kClients));
+  for (auto& c : clients) {
+    char byte = 0;
+    EXPECT_EQ(::recv(c.get(), &byte, 1, MSG_DONTWAIT), -1);
+    EXPECT_EQ(errno, ECONNRESET);
+  }
+
+  // With descriptors back, the daemon accepts again.
+  engine::Fd late(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  ASSERT_EQ(connect_to_depot(late.get()), 0);
+  ASSERT_TRUE(wait_until(
+      depot_loop, [&lsd] { return lsd.stats().sessions_accepted == 2; }));
+  EXPECT_EQ(lsd.stats().accepts_dropped, static_cast<std::uint64_t>(kClients));
 }
 
 #ifdef LSD_RELAY_BIN

@@ -8,7 +8,9 @@
 // publication protocols face the race detector with real shard threads.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
 #include <csignal>
+#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -24,6 +26,7 @@
 #include <vector>
 
 #include "engine/epoll_engine.hpp"
+#include "fault/spec.hpp"
 #include "posix/admin.hpp"
 #include "posix/client.hpp"
 #include "posix/lsd.hpp"
@@ -145,6 +148,52 @@ TEST(ShardTest, ReuseportSpreadsAcceptsAcrossShards) {
   EXPECT_GE(active_shards, 2)
       << "SO_REUSEPORT delivered every session to one shard";
   EXPECT_EQ(daemon.stats().sessions_accepted, kSessions);
+}
+
+/// errno of a blocking connect to loopback `port`; 0 when it connects.
+int connect_errno(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return errno;
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_port = htons(port);
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const int rc =
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa));
+  const int err = rc == 0 ? 0 : errno;
+  ::close(fd);
+  return err;
+}
+
+// A depot-level fault fires once for the whole sharded depot: a byte-keyed
+// crash triggers on the shards' summed relayed bytes, is counted once, and
+// takes every shard down together (no listener is left to connect to).
+TEST(ShardTest, DepotFaultPlanFiresOnceAndCrashesEveryShard) {
+  REQUIRE_LOOPBACK();
+  std::string err;
+  const auto plan =
+      fault::parse_fault_spec("crash:depot=d1,at_bytes=262144", &err);
+  ASSERT_TRUE(plan.has_value()) << err;
+  ShardedLsdConfig dcfg;
+  dcfg.shards = 2;
+  dcfg.fault_plan = *plan;
+  ShardedLsd daemon(dcfg);
+
+  constexpr std::size_t kSessions = 16;
+  ClientWorld client(73, daemon.port());
+  for (std::size_t i = 0; i < kSessions; ++i) {
+    client.launch(256 * util::kKiB);
+  }
+  ASSERT_TRUE(wait_until(
+      client.loop, [&] { return client.done == kSessions; }, 30.0));
+  ASSERT_TRUE(wait_until(
+      client.loop, [&] { return daemon.faults_injected() >= 1; }, 5.0));
+  // The other shard applies the crash on its next wakeup.
+  ASSERT_TRUE(wait_until(
+      client.loop,
+      [&] { return connect_errno(daemon.port()) == ECONNREFUSED; }, 5.0));
+  EXPECT_EQ(daemon.faults_injected(), 1u);
+  EXPECT_LT(client.succeeded, kSessions);
 }
 
 // Cross-shard graceful drain: sessions in flight on both shards when the

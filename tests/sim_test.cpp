@@ -1,13 +1,22 @@
-// Unit tests of the discrete-event simulator: event queue semantics, link
-// timing/loss/queueing, routing, and the cross-traffic generator.
+// Unit tests of the discrete-event simulator: event queue semantics (FIFO
+// lanes included, and a differential check against a naive reference
+// queue), link timing/loss/queueing, routing, and the cross-traffic
+// generator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/cross_traffic.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/link.hpp"
 #include "sim/network.hpp"
+#include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace lsl::sim {
@@ -175,7 +184,7 @@ TEST(EventQueue, CallbackSchedulingManyEventsGrowsTableSafely) {
   EXPECT_EQ(q.executed_count(), 10001u);
 }
 
-TEST(EventQueue, SizeCountsOnlyLiveEventsWhileTombstonesWait) {
+TEST(EventQueue, SizeCountsOnlyLiveEventsAfterCancels) {
   EventQueue q;
   std::vector<EventId> ids;
   for (int i = 0; i < 5; ++i) ids.push_back(q.schedule_at(10 + i, [] {}));
@@ -188,7 +197,7 @@ TEST(EventQueue, SizeCountsOnlyLiveEventsWhileTombstonesWait) {
   q.cancel(ids[4]);
   EXPECT_EQ(q.size(), 0u);
   EXPECT_TRUE(q.empty());
-  EXPECT_FALSE(q.step());  // only tombstones were left
+  EXPECT_FALSE(q.step());  // every event was cancelled
   EXPECT_EQ(q.executed_count(), 0u);
 }
 
@@ -206,6 +215,249 @@ TEST(EventQueue, IdsAreValidAndStrictlyIncreasing) {
     }
     for (std::size_t i = 0; i < ids.size(); i += 3) q.cancel(ids[i]);
     q.run_until(q.now() + 10);
+  }
+}
+
+// --- event lanes -------------------------------------------------------------
+
+TEST(EventLane, RunsInPushOrderAndTiesWithOrdinaryEventsBySchedulingOrder) {
+  EventQueue q;
+  std::vector<int> order;
+  int lane_runs = 0;
+  EventLane lane(q, [&] { order.push_back(100 + lane_runs++); });
+  q.schedule_at(10, [&] { order.push_back(1); });
+  lane.push_at(10);  // ties with the event above, scheduled after it
+  q.schedule_at(10, [&] { order.push_back(2); });
+  lane.push_at(10);
+  lane.push_at(20);
+  q.schedule_at(15, [&] { order.push_back(3); });
+  EXPECT_EQ(q.size(), 6u);
+  q.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 100, 2, 101, 3, 102}));
+  EXPECT_EQ(q.executed_count(), 6u);
+  EXPECT_EQ(q.now(), 20);
+}
+
+TEST(EventLane, DestroyingTheLaneDropsItsPendingEvents) {
+  EventQueue q;
+  int lane_runs = 0;
+  int other = 0;
+  {
+    EventLane lane(q, [&] { ++lane_runs; });
+    lane.push_at(5);
+    lane.push_at(7);
+    q.schedule_at(6, [&] { ++other; });
+    q.run_until(5);
+    EXPECT_EQ(q.size(), 2u);
+  }
+  EXPECT_EQ(q.size(), 1u);
+  q.run();
+  EXPECT_EQ(lane_runs, 1);
+  EXPECT_EQ(other, 1);
+  // The freed lane slot serves ordinary events again.
+  q.schedule_at(50, [&] { ++other; });
+  q.run();
+  EXPECT_EQ(other, 2);
+}
+
+TEST(EventLane, CallbackMayPushOntoItsOwnLane) {
+  EventQueue q;
+  std::vector<util::SimTime> at;
+  std::unique_ptr<EventLane> lane;
+  lane = std::make_unique<EventLane>(q, [&] {
+    at.push_back(q.now());
+    if (at.size() < 4) lane->push_in(3);
+  });
+  lane->push_at(1);
+  q.run();
+  EXPECT_EQ(at, (std::vector<util::SimTime>{1, 4, 7, 10}));
+}
+
+// --- differential check against a naive reference queue ----------------------
+
+/// The queue's contract, implemented the obvious way: a vector sorted by
+/// (time, scheduling order), cancel by search, lanes as tagged entries.
+class ReferenceQueue {
+ public:
+  class Lane {
+   public:
+    Lane(ReferenceQueue& q, std::function<void()> cb)
+        : q_(q), id_(static_cast<int>(q.lane_cbs_.size())) {
+      q.lane_cbs_.push_back(std::move(cb));
+    }
+    ~Lane() {
+      std::erase_if(q_.pending_, [this](const Entry& e) { return e.lane == id_; });
+    }
+    void push_at(util::SimTime t) { q_.insert(t, id_, nullptr); }
+
+   private:
+    ReferenceQueue& q_;
+    int id_;
+  };
+
+  util::SimTime now() const { return now_; }
+  EventId schedule_at(util::SimTime t, std::function<void()> cb) {
+    return insert(t, -1, std::move(cb));
+  }
+  EventId schedule_in(util::SimDuration d, std::function<void()> cb) {
+    return schedule_at(now_ + std::max<util::SimDuration>(d, 0), std::move(cb));
+  }
+  void cancel(EventId id) {
+    std::erase_if(pending_,
+                  [id](const Entry& e) { return e.lane < 0 && e.id == id; });
+  }
+  std::size_t size() const { return pending_.size(); }
+  std::uint64_t executed_count() const { return executed_; }
+  bool step() { return fire_next(std::numeric_limits<util::SimTime>::max()); }
+  void run_until(util::SimTime deadline) {
+    while (fire_next(deadline)) {
+    }
+    now_ = std::max(now_, deadline);
+  }
+  void run() {
+    while (step()) {
+    }
+  }
+
+ private:
+  struct Entry {
+    util::SimTime time;
+    std::uint64_t seq;
+    EventId id;
+    int lane;  ///< -1 for an ordinary event
+    std::function<void()> cb;
+  };
+
+  EventId insert(util::SimTime t, int lane, std::function<void()> cb) {
+    const std::uint64_t seq = next_seq_++;
+    Entry e{std::max(t, now_), seq, seq, lane, std::move(cb)};
+    const auto at = std::upper_bound(
+        pending_.begin(), pending_.end(), e, [](const Entry& a, const Entry& b) {
+          return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+        });
+    const EventId id = e.id;
+    pending_.insert(at, std::move(e));
+    return id;
+  }
+  bool fire_next(util::SimTime deadline) {
+    if (pending_.empty() || pending_.front().time > deadline) return false;
+    Entry e = std::move(pending_.front());
+    pending_.erase(pending_.begin());
+    now_ = e.time;
+    ++executed_;
+    if (e.lane >= 0) {
+      lane_cbs_[static_cast<std::size_t>(e.lane)]();
+    } else {
+      e.cb();
+    }
+    return true;
+  }
+
+  std::vector<Entry> pending_;
+  std::vector<std::function<void()>> lane_cbs_;
+  util::SimTime now_ = 0;
+  std::uint64_t next_seq_ = 1;
+  std::uint64_t executed_ = 0;
+};
+
+/// What a driven queue did: every run as (tag, time), and after every
+/// operation its (now, size, executed_count).
+struct QueueTrace {
+  std::vector<std::pair<int, util::SimTime>> fired;
+  std::vector<std::tuple<util::SimTime, std::size_t, std::uint64_t>> checks;
+};
+
+/// A seeded random mix of schedule_at/schedule_in (past times included),
+/// cancels of any id ever issued (live, fired, cancelled, slot reused),
+/// lane pushes that tie with ordinary events, lanes created and destroyed
+/// with events pending, events scheduled from inside callbacks, step() and
+/// run_until(). Both queues see the same operations as long as they fire
+/// the same events in the same order.
+template <typename Q, typename L>
+QueueTrace drive_queue(std::uint64_t seed) {
+  Q q;
+  util::Rng rng(seed);
+  QueueTrace trace;
+  std::vector<EventId> ids;
+  std::vector<std::unique_ptr<L>> lanes;
+  std::vector<util::SimTime> lane_last;
+  int next_tag = 0;
+
+  std::function<void(int)> on_fire;
+  const auto schedule = [&](util::SimTime at, bool relative) {
+    const int tag = next_tag++;
+    auto cb = [&on_fire, tag] { on_fire(tag); };
+    ids.push_back(relative ? q.schedule_in(at, cb) : q.schedule_at(at, cb));
+  };
+  on_fire = [&](int tag) {
+    trace.fired.emplace_back(tag, q.now());
+    if (rng.uniform_int(0, 3) == 0) {
+      schedule(static_cast<util::SimDuration>(rng.uniform_int(0, 6)), true);
+    }
+  };
+
+  for (int op = 0; op < 600; ++op) {
+    const auto pick = [&](std::size_t n) {
+      return static_cast<std::size_t>(rng.uniform_int(0, n - 1));
+    };
+    switch (rng.uniform_int(0, 9)) {
+      case 0:
+      case 1:
+        schedule(q.now() + static_cast<util::SimTime>(rng.uniform_int(0, 24)) - 4,
+                 false);
+        break;
+      case 2:
+        schedule(static_cast<util::SimDuration>(rng.uniform_int(0, 20)) - 2,
+                 true);
+        break;
+      case 3:
+      case 4:
+        if (!ids.empty()) q.cancel(ids[pick(ids.size())]);
+        break;
+      case 5:
+      case 6: {
+        if (lanes.size() < 8 && rng.uniform_int(0, 4) == 0) {
+          const int li = static_cast<int>(lanes.size());
+          lanes.push_back(std::make_unique<L>(q, [&trace, &q, li] {
+            trace.fired.emplace_back(-1 - li, q.now());
+          }));
+          lane_last.push_back(0);
+        }
+        if (lanes.empty()) break;
+        const std::size_t li = pick(lanes.size());
+        if (!lanes[li]) break;
+        const util::SimTime t = std::max(
+            lane_last[li],
+            q.now() + static_cast<util::SimTime>(rng.uniform_int(0, 5)));
+        lane_last[li] = t;
+        lanes[li]->push_at(t);
+        break;
+      }
+      case 7:
+        if (!lanes.empty()) lanes[pick(lanes.size())].reset();
+        break;
+      case 8:
+        q.run_until(q.now() + static_cast<util::SimTime>(rng.uniform_int(0, 12)));
+        break;
+      default:
+        q.step();
+        break;
+    }
+    trace.checks.emplace_back(q.now(), q.size(), q.executed_count());
+  }
+  q.run();
+  trace.checks.emplace_back(q.now(), q.size(), q.executed_count());
+  return trace;
+}
+
+TEST(EventQueue, MatchesNaiveReferenceOnRandomMixes) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const QueueTrace got = drive_queue<EventQueue, EventLane>(seed);
+    const QueueTrace want =
+        drive_queue<ReferenceQueue, ReferenceQueue::Lane>(seed);
+    ASSERT_EQ(got.fired, want.fired) << "seed " << seed;
+    ASSERT_EQ(got.checks, want.checks) << "seed " << seed;
+    ASSERT_GT(got.fired.size(), 100u) << "seed " << seed;
   }
 }
 

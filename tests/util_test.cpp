@@ -6,10 +6,12 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <utility>
 
 #include "util/interval_set.hpp"
+#include "util/ring.hpp"
 #include "util/rng.hpp"
 #include "util/series.hpp"
 #include "util/stats.hpp"
@@ -118,6 +120,31 @@ TEST(Rng, SplitProducesIndependentStream) {
   for (int i = 0; i < 20; ++i) EXPECT_EQ(child(), child2());
   // Parent stream continues deterministically after the split.
   for (int i = 0; i < 20; ++i) EXPECT_EQ(a(), a2());
+}
+
+// --- ring --------------------------------------------------------------------
+
+// The ring keeps FIFO order while it wraps, and when it grows while
+// wrapped; popped elements are moved out, so move-only payloads work.
+TEST(Ring, FifoAcrossWrapAndGrowth) {
+  Ring<std::unique_ptr<int>> ring;
+  int next_in = 0;
+  int next_out = 0;
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < round % 7 + 3; ++i) {
+      ring.push_back(std::make_unique<int>(next_in++));
+    }
+    for (int i = 0; i < round % 5 + 1 && !ring.empty(); ++i) {
+      EXPECT_EQ(*ring.front(), next_out);
+      EXPECT_EQ(*ring.pop_front(), next_out++);
+    }
+    if (!ring.empty()) {
+      EXPECT_EQ(*ring.back(), next_in - 1);
+    }
+    EXPECT_EQ(ring.size(), static_cast<std::size_t>(next_in - next_out));
+  }
+  while (!ring.empty()) EXPECT_EQ(*ring.pop_front(), next_out++);
+  EXPECT_EQ(next_out, next_in);
 }
 
 // --- stats -------------------------------------------------------------------
