@@ -194,16 +194,12 @@ int run_daemon(const DaemonOptions& opt) {
       daemon.begin_drain();
     }
     if (daemon.draining() && daemon.drain_done()) break;
-    int wait = 200;
-    if (gossip) {
-      const int g = gossip->next_timeout_ms();
-      if (g >= 0 && g < wait) wait = g;
-    }
-    // run_once returns -1 only on EINTR — which is exactly how SIGTERM
-    // announces itself mid-epoll_wait. Loop around so the drain flag is
-    // seen; breaking here would exit without draining.
-    if (control.run_once(wait) < 0) continue;
-    if (gossip) gossip->poll();
+    // The admin socket and the gossip cadence ride the control engine;
+    // the 200 ms bound is only for watching the signal and drain flags.
+    // run_once returns -1 on EINTR — which is exactly how SIGTERM
+    // announces itself mid-epoll_wait — and the loop simply comes round
+    // to see the flag.
+    control.run_once(200);
   }
   const live::DrainReport rep = daemon.drain_report();
   std::printf("lsd: %s\n", rep.summary().c_str());  // "drain <state>: ..."

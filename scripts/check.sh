@@ -3,7 +3,8 @@
 # (warnings-as-errors) configuration and again under each sanitizer, run
 # the lsl-lint static analyzer, the clang-tidy semantic tier (skips where
 # the binary is absent), the mcheck (deterministic model-checker) test
-# label, the chaos (scripted fault-injection) label, the shard
+# label, the chaos (scripted fault-injection) label — run plain and under
+# tsan, since the fault plans ride shard threads — the shard
 # (SO_REUSEPORT multi-shard runtime) label — run both plain and again
 # under tsan, where the cross-shard publication protocols face the race
 # detector — the stripe (striped multipath session) label, likewise run
@@ -83,7 +84,7 @@ for config in "${configs[@]}"; do
     # Label tiers reuse (or create) the plain tree; the cross-thread ones
     # run again under tsan.
     mcheck) label_tier mcheck ;;      # deterministic model checker + lsl_mc suite
-    chaos)  label_tier chaos ;;       # scripted fault injection
+    chaos)  label_tier chaos tsan ;;  # scripted faults on shard threads
     shard)  label_tier shard tsan ;;  # SO_REUSEPORT shard threads
     stripe) label_tier stripe tsan ;; # striped lanes: reassembly + re-striping
     health) label_tier health tsan ;; # HealthBoard shared by shards, gossip, admin

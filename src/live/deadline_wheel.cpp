@@ -20,17 +20,6 @@ bool DeadlineWheel::cancel(Token token) {
   return true;
 }
 
-int DeadlineWheel::next_timeout_ms(std::int64_t now) const {
-  if (queue_.empty()) return -1;
-  const std::int64_t due = next_due();
-  if (due <= now) return 0;
-  const std::int64_t ns = due - now;
-  constexpr std::int64_t kNsPerMs = 1'000'000;
-  const std::int64_t ms = (ns + kNsPerMs - 1) / kNsPerMs;  // round up
-  constexpr std::int64_t kMaxTimeout = 1'000'000'000;  // well past any test
-  return static_cast<int>(ms < kMaxTimeout ? ms : kMaxTimeout);
-}
-
 std::size_t DeadlineWheel::fire_due(std::int64_t now) {
   std::size_t fired = 0;
   while (!queue_.empty() && queue_.begin()->first.first <= now) {

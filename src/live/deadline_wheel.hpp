@@ -3,15 +3,10 @@
 //
 // The wheel is clock-agnostic: deadlines are int64 nanosecond instants on
 // whatever timebase the host supplies (util::SimTime in the simulator,
-// steady-clock nanoseconds in the posix daemon). The host drives it in one
-// of two ways:
-//
-//  * pull — ask `next_timeout_ms(now)` how long the host may sleep (the
-//    epoll_wait / LsdFaultDriver convention: -1 = nothing scheduled,
-//    0 = something already due), then call `fire_due(now)` after waking;
-//  * push — schedule one host-side wakeup (a sim event or a timerfd) at
-//    `next_due()` and call `fire_due(now)` when it lands, re-arming when
-//    the earliest deadline changes.
+// CLOCK_MONOTONIC nanoseconds in the posix daemon). The host schedules one
+// wakeup of its own (a sim event, or an engine::EngineTimer) at
+// `next_due()`, calls `fire_due(now)` when it lands, and re-arms whenever
+// the earliest deadline changes.
 //
 // Expiry order is deterministic: by due instant, ties broken by schedule
 // order (monotonic token). No wall clock is ever read here, so the same
@@ -49,12 +44,6 @@ class DeadlineWheel {
 
   /// Earliest due instant; only meaningful when !empty().
   std::int64_t next_due() const { return queue_.begin()->first.first; }
-
-  /// Milliseconds a host may block before the next deadline is due:
-  /// -1 when nothing is scheduled, 0 when a deadline is already due at
-  /// `now`, otherwise the remaining time rounded up to whole ms (so a
-  /// host that sleeps the full bound never wakes early).
-  int next_timeout_ms(std::int64_t now) const;
 
   /// Run every deadline with due <= now, in deterministic order. Returns
   /// the number fired. Reentrant-safe: each callback is detached from the

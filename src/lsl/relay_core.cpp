@@ -73,9 +73,14 @@ RelayCore::Admission RelayCore::admit(bool under_pressure) {
     ++report_.refused;
     return Admission::kDrain;
   }
-  if (accept_drops_ > 0) {
-    --accept_drops_;  // injected SYN/accept failure
-    return Admission::kDrop;
+  // Injected SYN/accept failure: claim one drop if any is left (the
+  // count may be shared with other shards of the depot).
+  std::uint32_t drops = accept_drops_->load(std::memory_order_relaxed);
+  while (drops > 0) {
+    if (accept_drops_->compare_exchange_weak(drops, drops - 1,
+                                             std::memory_order_relaxed)) {
+      return Admission::kDrop;
+    }
   }
   if (max_sessions_ > 0 && live_ >= max_sessions_) return Admission::kCap;
   // Memory admission control: refusing with a hard reset (not a slow

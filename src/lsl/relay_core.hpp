@@ -24,6 +24,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <span>
@@ -186,7 +187,15 @@ class RelayCore {
   /// Decide a new connection (drain, then injected drop, then the session
   /// cap, then memory pressure). Drain refusals are counted here.
   Admission admit(bool under_pressure);
-  void add_accept_drops(std::uint32_t n) { accept_drops_ += n; }
+  void add_accept_drops(std::uint32_t n) {
+    accept_drops_->fetch_add(n, std::memory_order_relaxed);
+  }
+  /// Claim injected drops from `depot` instead of this core's own count,
+  /// so the cores of one depot (the shards of a posix::ShardedLsd) refuse
+  /// `n` connections between them, not `n` each. Must outlive the core.
+  void share_accept_drops(std::atomic<std::uint32_t>& depot) {
+    accept_drops_ = &depot;
+  }
   /// Adopt an admitted connection: counts it and arms its deadlines.
   void accept(RelaySession& s);
   /// The header is in (s.header set): adopt its trace id and stripe lane,
@@ -280,7 +289,10 @@ class RelayCore {
   live::DeadlineWheel wheel_;
   live::LiveMetrics* live_metrics_ = nullptr;
   span::Tracer* tracer_ = nullptr;
-  std::uint32_t accept_drops_ = 0;
+  /// Injected accept refusals still owed; claimed by decrement-if-positive
+  /// so several cores may share one count (share_accept_drops()).
+  std::atomic<std::uint32_t> own_accept_drops_{0};
+  std::atomic<std::uint32_t>* accept_drops_ = &own_accept_drops_;
   std::size_t live_ = 0;  ///< accepted, not finished; parked included
   std::size_t parked_ = 0;
   /// Parked sessions by id; last writer wins on a duplicate id.

@@ -14,7 +14,7 @@
 #include "health/gossip.hpp"
 #include "metrics/export.hpp"
 #include "metrics/metrics.hpp"
-#include "posix/lsd.hpp"
+#include "posix/sharded_lsd.hpp"
 #include "span/span.hpp"
 #include "util/log.hpp"
 
@@ -47,8 +47,8 @@ engine::Fd listen_unix(const std::string& path) {
 }  // namespace
 
 AdminServer::AdminServer(engine::EpollEngine& loop, std::string socket_path,
-                         AdminSource& source)
-    : loop_(loop), source_(source), path_(std::move(socket_path)) {
+                         const ShardedLsd& daemon)
+    : loop_(loop), daemon_(daemon), path_(std::move(socket_path)) {
   listener_ = listen_unix(path_);
   if (!listener_.valid()) {
     throw std::system_error(errno, std::generic_category(),
@@ -142,7 +142,7 @@ std::string AdminServer::cmd_stats() const {
   if (registry_) {
     metrics::write_jsonl(*registry_, out);
   } else {
-    const LsdStats s = source_.admin_stats();
+    const LsdStats s = daemon_.stats();
     out << "{\"sessions_accepted\":" << s.sessions_accepted
         << ",\"sessions_completed\":" << s.sessions_completed
         << ",\"sessions_failed\":" << s.sessions_failed
@@ -166,16 +166,14 @@ std::string AdminServer::cmd_spans() const {
 }
 
 std::string AdminServer::cmd_health() const {
-  const AdminHealth h = source_.admin_health();
+  const AdminHealth h = daemon_.admin_health();
   const LsdStats& s = h.stats;
   std::ostringstream out;
   out << "{\"port\":" << h.port << ",\"live_relays\":" << h.live_relays
-      << ",\"parked_relays\":" << h.parked_relays;
-  // A ShardedLsd (every lsd_relay daemon) reports its width; a bare Lsd
-  // omits the field.
-  if (h.shards > 0) out << ",\"shards\":" << h.shards;
-  // Likewise striped sessions: the field appears only while striped (wire
-  // v3) relays are live, so unstriped daemons keep the historical output.
+      << ",\"parked_relays\":" << h.parked_relays
+      << ",\"shards\":" << h.shards;
+  // Striped sessions: the field appears only while striped (wire v3)
+  // relays are live, so unstriped daemons keep the historical output.
   if (h.stripes > 0) out << ",\"stripes\":" << h.stripes;
   out << ",\"draining\":" << (h.draining ? "true" : "false")
       << ",\"drain_done\":" << (h.drain_done ? "true" : "false")
@@ -188,7 +186,7 @@ std::string AdminServer::cmd_health() const {
       << ",\"bytes_spliced\":" << s.bytes_spliced;
   // Depot scorecard rows appear only when a HealthBoard is attached and
   // has observed something — a board-less daemon's output stays
-  // byte-identical (same bargain as "shards"/"stripes" above).
+  // byte-identical (same bargain as "stripes" above).
   if (!h.depots.empty()) {
     out << ",\"depots\":[";
     bool first = true;
@@ -210,7 +208,7 @@ std::string AdminServer::cmd_health() const {
 }
 
 std::string AdminServer::cmd_gossip() const {
-  const AdminHealth h = source_.admin_health();
+  const AdminHealth h = daemon_.admin_health();
   if (h.depots.empty()) {
     // An empty scorecard must still yield a response line (same framing
     // argument as `spans`); decode_gossip skips `#` comments, so a poller

@@ -1,8 +1,8 @@
 // Live daemon introspection over a Unix-domain socket.
 //
 // `lsd_relay --admin-socket=PATH` serves a one-line-command protocol on the
-// daemon's own epoll loop — no extra thread, so every answer is a coherent
-// snapshot taken between event-loop turns:
+// daemon's control loop, answered from the boards the shards publish after
+// every dispatch turn:
 //
 //   stats   ->  the attached metrics registry as JSONL (the same format
 //               --metrics-out writes), or a single LsdStats JSON object
@@ -35,18 +35,17 @@ class Tracer;
 
 namespace lsl::posix {
 
-class AdminSource;
+class ShardedLsd;
 
-/// One admin endpoint bound to one daemon — the single-threaded Lsd or
-/// the sharded runtime, via the AdminSource seam (posix/lsd.hpp); the
-/// sharded daemon's `stats` and `health` sum per-shard counters. Binds
-/// (and unlinks any stale socket file) in the constructor; throws
-/// std::system_error on failure. Removes the socket file again on
-/// destruction.
+/// One admin endpoint bound to one daemon; `stats` and `health` sum the
+/// per-shard counters, so the server may run on any engine's thread (the
+/// daemon's control loop). Binds (and unlinks any stale socket file) in
+/// the constructor; throws std::system_error on failure. Removes the
+/// socket file again on destruction.
 class AdminServer {
  public:
   AdminServer(engine::EpollEngine& loop, std::string socket_path,
-              AdminSource& source);
+              const ShardedLsd& daemon);
   ~AdminServer();
 
   AdminServer(const AdminServer&) = delete;
@@ -87,7 +86,7 @@ class AdminServer {
   void close_conn(Conn* c);
 
   engine::EpollEngine& loop_;
-  AdminSource& source_;
+  const ShardedLsd& daemon_;
   std::string path_;
   engine::Fd listener_;
   SpareFd spare_;  ///< sheds connections at the descriptor limit

@@ -3,44 +3,20 @@
 #include <algorithm>
 
 #include "util/log.hpp"
-#include "util/units.hpp"
 
 namespace lsl::posix {
 
-namespace {
-
-std::chrono::steady_clock::duration wall(util::SimDuration d) {
-  return std::chrono::nanoseconds(d);
-}
-
-}  // namespace
-
-LsdFaultDriver::LsdFaultDriver(Lsd& lsd, fault::FaultPlan plan,
+LsdFaultDriver::LsdFaultDriver(Lsd& lead, engine::EpollEngine& engine,
+                               EachDaemon each, fault::FaultPlan plan,
                                fault::FaultMetrics* metrics)
-    : lsd_(lsd), plan_(std::move(plan)), metrics_(metrics) {}
-
-LsdFaultDriver::LsdFaultDriver(Lsd& lead, EachDaemon each,
-                               fault::FaultPlan plan)
-    : lsd_(lead), each_(std::move(each)), plan_(std::move(plan)),
-      metrics_(nullptr) {}
-
-LsdFaultDriver::~LsdFaultDriver() {
-  if (armed_ && !each_) lsd_.on_progress = nullptr;
-}
-
-void LsdFaultDriver::each(const std::function<void(Lsd&)>& knob) {
-  if (each_) {
-    each_(knob);
-  } else {
-    knob(lsd_);
-  }
-}
+    : lead_(lead),
+      each_(std::move(each)),
+      plan_(std::move(plan)),
+      metrics_(metrics),
+      timer_(engine, [this] { fire_due(); }) {}
 
 void LsdFaultDriver::arm() {
-  if (armed_) return;
-  armed_ = true;
-  start_ = std::chrono::steady_clock::now();
-  bool hook_needed = false;
+  start_ns_ = engine::EngineTimer::now_ns();
   for (const fault::FaultEvent& e : plan_.events) {
     switch (e.kind) {
       case fault::FaultKind::kFlap:
@@ -57,56 +33,26 @@ void LsdFaultDriver::arm() {
     }
     if (e.byte_keyed()) {
       by_bytes_.push_back(e);
-      hook_needed = true;
     } else {
-      timed_.push_back({start_ + wall(e.at), e, false});
+      wheel_.schedule(start_ns_ + e.at, [this, e] { apply(e); });
     }
   }
-  if (hook_needed && !each_) {
-    lsd_.on_progress = [this](std::uint64_t bytes) { on_bytes(bytes); };
+  fire_due();
+}
+
+void LsdFaultDriver::fire_due() {
+  wheel_.fire_due(engine::EngineTimer::now_ns());
+  if (wheel_.empty()) {
+    timer_.disarm();
+  } else {
+    timer_.arm(wheel_.next_due());
   }
 }
 
-int LsdFaultDriver::next_timeout_ms() const {
-  // The daemon's own wheel (liveness deadlines, park expiries, the drain
-  // bound) composes in, so a host bounding run_once() by this value wakes
-  // for whichever is due first.
-  const int daemon = lsd_.next_timeout_ms();
-  if (!armed_ || timed_.empty()) return daemon;
-  const auto now = std::chrono::steady_clock::now();
-  auto soonest = timed_.front().due;
-  for (const Pending& p : timed_) soonest = std::min(soonest, p.due);
-  int mine = 0;
-  if (soonest > now) {
-    mine = static_cast<int>(
-        std::chrono::duration_cast<std::chrono::milliseconds>(soonest - now)
-            .count() + 1);
-  }
-  if (daemon < 0) return mine;
-  return std::min(mine, daemon);
-}
-
-void LsdFaultDriver::poll() {
-  if (!armed_) return;
-  const auto now = std::chrono::steady_clock::now();
-  // Collect-then-apply: applying an event may schedule a repair into
-  // timed_, which must not be visited mid-iteration.
-  std::vector<Pending> due;
-  timed_.erase(std::remove_if(timed_.begin(), timed_.end(),
-                              [&](const Pending& p) {
-                                if (p.due > now) return false;
-                                due.push_back(p);
-                                return true;
-                              }),
-               timed_.end());
-  for (const Pending& p : due) {
-    if (p.repair) {
-      apply_repair(p.event);
-    } else {
-      apply(p.event);
-    }
-  }
-  lsd_.expire_parked();
+void LsdFaultDriver::schedule_repair(const fault::FaultEvent& e) {
+  wheel_.schedule(engine::EngineTimer::now_ns() + e.duration,
+                  [this, e] { apply_repair(e); });
+  timer_.arm(wheel_.next_due());
 }
 
 void LsdFaultDriver::on_bytes(std::uint64_t bytes_relayed) {
@@ -132,9 +78,8 @@ std::uint64_t LsdFaultDriver::next_byte_trigger() const {
 void LsdFaultDriver::note_injected(fault::FaultKind kind) {
   ++injected_;
   if (metrics_) {
-    const double t = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start_)
-                         .count();
+    const double t =
+        static_cast<double>(engine::EngineTimer::now_ns() - start_ns_) / 1e9;
     metrics_->on_injected(t, kind);
   }
 }
@@ -143,40 +88,33 @@ void LsdFaultDriver::apply(const fault::FaultEvent& e) {
   LSL_LOG_INFO("fault-driver: applying %s", e.describe().c_str());
   switch (e.kind) {
     case fault::FaultKind::kCrash:
-      each([](Lsd& d) { d.crash(); });
+      each_([](Lsd& d) { d.crash(); });
       note_injected(e.kind);
-      if (e.duration > 0) {
-        timed_.push_back(
-            {std::chrono::steady_clock::now() + wall(e.duration), e, true});
-      }
+      if (e.duration > 0) schedule_repair(e);
       break;
     case fault::FaultKind::kRestart:
-      each([](Lsd& d) { d.restart(); });  // a repair: not counted
+      each_([](Lsd& d) { d.restart(); });  // a repair: not counted
       break;
     case fault::FaultKind::kSynDrop:
-      each([n = e.count](Lsd& d) { d.set_accept_drops(n); });
+      lead_.set_accept_drops(e.count);  // the depot-wide count
       note_injected(e.kind);
       break;
     case fault::FaultKind::kReset:
-      each([](Lsd& d) { d.inject_upstream_reset(); });
+      each_([](Lsd& d) { d.inject_upstream_reset(); });
       note_injected(e.kind);
       break;
     case fault::FaultKind::kSlow:
-      each([](Lsd& d) { d.set_stalled(true); });
+      each_([](Lsd& d) { d.set_stalled(true); });
       note_injected(e.kind);
-      timed_.push_back(
-          {std::chrono::steady_clock::now() + wall(e.duration), e, true});
+      schedule_repair(e);
       break;
     case fault::FaultKind::kBlackhole:
-      // Against a single daemon, a blackholed link means its next hop
-      // stops answering: dials launch but never complete, which is
-      // exactly what the dial deadline exists to bound.
-      each([](Lsd& d) { d.set_dial_blackhole(true); });
+      // Against a daemon, a blackholed link means its next hop stops
+      // answering: dials launch but never complete, which is exactly what
+      // the dial deadline exists to bound.
+      each_([](Lsd& d) { d.set_dial_blackhole(true); });
       note_injected(e.kind);
-      if (e.duration > 0) {
-        timed_.push_back(
-            {std::chrono::steady_clock::now() + wall(e.duration), e, true});
-      }
+      if (e.duration > 0) schedule_repair(e);
       break;
     default:
       break;  // filtered at arm()
@@ -186,13 +124,13 @@ void LsdFaultDriver::apply(const fault::FaultEvent& e) {
 void LsdFaultDriver::apply_repair(const fault::FaultEvent& e) {
   switch (e.kind) {
     case fault::FaultKind::kCrash:
-      each([](Lsd& d) { d.restart(); });
+      each_([](Lsd& d) { d.restart(); });
       break;
     case fault::FaultKind::kSlow:
-      each([](Lsd& d) { d.set_stalled(false); });
+      each_([](Lsd& d) { d.set_stalled(false); });
       break;
     case fault::FaultKind::kBlackhole:
-      each([](Lsd& d) { d.set_dial_blackhole(false); });
+      each_([](Lsd& d) { d.set_dial_blackhole(false); });
       break;
     default:
       break;  // only crash, slow and blackhole schedule repairs

@@ -53,14 +53,16 @@ std::uint64_t steady_ms() {
 GossipPoller::GossipPoller(engine::EpollEngine& loop,
                            std::vector<health::HealthBoard*> boards,
                            GossipPollerConfig config)
-    : loop_(loop), boards_(std::move(boards)), config_(std::move(config)) {
-  const auto now = std::chrono::steady_clock::now();
+    : loop_(loop),
+      boards_(std::move(boards)),
+      config_(std::move(config)),
+      timer_(loop, [this] { tick(); }) {
   for (const std::string& path : config_.peers) {
     auto p = std::make_unique<Peer>();
     p->path = path;
-    p->next_due = now;  // first poll() sweeps everyone immediately
     peers_.push_back(std::move(p));
   }
+  if (!peers_.empty()) timer_.arm(engine::EngineTimer::now_ns());
 }
 
 GossipPoller::~GossipPoller() {
@@ -69,35 +71,20 @@ GossipPoller::~GossipPoller() {
   }
 }
 
-void GossipPoller::poll() {
-  const auto now = std::chrono::steady_clock::now();
+void GossipPoller::tick() {
   for (auto& p : peers_) {
-    if (now < p->next_due) continue;
-    // A poll still in flight at its own next tick is wedged; drop it and
+    // A poll still in flight at the next tick is wedged; drop it and
     // start fresh (the peer may have restarted with a new socket file).
     if (p->sock.valid()) abandon(*p);
-    p->next_due = now + config_.interval;
     start_poll(*p);
   }
-}
-
-int GossipPoller::next_timeout_ms() const {
-  if (peers_.empty()) return -1;
-  const auto now = std::chrono::steady_clock::now();
-  auto due = peers_.front()->next_due;
-  for (const auto& p : peers_) {
-    if (p->next_due < due) due = p->next_due;
-  }
-  if (due <= now) return 0;
-  return static_cast<int>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(due - now)
-          .count());
+  timer_.arm(engine::EngineTimer::now_ns() +
+             std::chrono::nanoseconds(config_.interval).count());
 }
 
 void GossipPoller::start_poll(Peer& p) {
   p.sent = 0;
   p.in.clear();
-  p.started = std::chrono::steady_clock::now();
   p.sock = connect_unix(p.path, &p.connecting);
   if (!p.sock.valid()) {
     // Peer not up (yet): quietly count it and retry next tick — gossip is

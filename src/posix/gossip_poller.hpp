@@ -9,10 +9,11 @@
 // with a configurable weight (judgement blending — see
 // BasicHealthBoard::merge for why counters are never added).
 //
-// Everything runs on one event loop (lsd_relay's control loop): connects,
-// writes and reads are nonblocking and edge-driven, so a dead or wedged
-// peer can never stall the relay path — its poll simply times out at the
-// next cadence tick and the connection is abandoned.
+// Everything runs on one event loop (lsd_relay's control loop): the
+// cadence is an EngineTimer in that loop, and connects, writes and reads
+// are nonblocking and edge-driven, so a dead or wedged peer can never
+// stall the relay path — its poll simply times out at the next cadence
+// tick and the connection is abandoned. The host only runs the loop.
 #pragma once
 
 #include <chrono>
@@ -23,6 +24,7 @@
 
 #include "engine/epoll_engine.hpp"
 #include "engine/fd.hpp"
+#include "engine/timer.hpp"
 #include "health/board.hpp"
 
 namespace lsl::posix {
@@ -30,8 +32,9 @@ namespace lsl::posix {
 struct GossipPollerConfig {
   /// Admin Unix-socket paths of the peers to poll.
   std::vector<std::string> peers;
-  /// Cadence per peer; a poll still in flight when the next tick arrives
-  /// is abandoned (counted as a failure) and restarted.
+  /// Cadence: every tick polls every peer, the first at once. A poll
+  /// still in flight when the next tick arrives is abandoned (counted as
+  /// a failure) and restarted.
   std::chrono::milliseconds interval{1000};
   /// Merge weight in (0, 1]: how far the local score shifts toward the
   /// remote judgement per poll.
@@ -56,15 +59,6 @@ class GossipPoller {
   GossipPoller(const GossipPoller&) = delete;
   GossipPoller& operator=(const GossipPoller&) = delete;
 
-  /// Drive the cadence: start polls that are due, abandon ones that
-  /// overstayed an interval. Call from the daemon's idle turn (the same
-  /// place expire_parked()/fault poll() run); sub-interval precision is
-  /// not needed.
-  void poll();
-
-  /// Milliseconds until the next poll is due (for bounded run_once waits).
-  int next_timeout_ms() const;
-
   std::uint64_t polls_completed() const { return completed_; }
   std::uint64_t polls_failed() const { return failed_; }
   std::uint64_t rows_merged() const { return merged_; }
@@ -76,10 +70,10 @@ class GossipPoller {
     bool connecting = false;
     std::size_t sent = 0;    ///< bytes of the "gossip\n" command written
     std::string in;          ///< response bytes; complete at "\n\n"
-    std::chrono::steady_clock::time_point next_due;
-    std::chrono::steady_clock::time_point started;
   };
 
+  /// One cadence tick: restart every peer's poll, then re-arm the timer.
+  void tick();
   void start_poll(Peer& p);
   void on_event(Peer& p, std::uint32_t events);
   /// Write any unsent command bytes; false = peer closed/error.
@@ -91,6 +85,7 @@ class GossipPoller {
   std::vector<health::HealthBoard*> boards_;
   GossipPollerConfig config_;
   std::vector<std::unique_ptr<Peer>> peers_;
+  engine::EngineTimer timer_;
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
   std::uint64_t merged_ = 0;

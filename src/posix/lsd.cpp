@@ -785,11 +785,6 @@ void Lsd::try_resume(Relay* fresh) {
   pump_upstream(p);
 }
 
-void Lsd::expire_parked() {
-  core_.expire_parked();
-  rearm();
-}
-
 void Lsd::crash() {
   if (crashed_) return;
   crashed_ = true;
@@ -858,8 +853,14 @@ void Lsd::inject_upstream_reset() {
     }
   }
   for (Relay* r : targets) {
-    // park/finish salvages the recv queue first, then the armed close
-    // emits RST so the source sees a hard mid-stream reset.
+    // Shut the socket down before the salvage: once it is, the kernel
+    // answers any further upstream byte with a reset instead of acking
+    // it, so the salvage reads everything the source saw acknowledged.
+    // Without it a segment acked between the salvage's last read and the
+    // close is lost, and the source resumes past a gap the depot must
+    // refuse. park/finish then salvages the recv queue, and the armed
+    // close emits RST so the source sees a hard mid-stream reset.
+    ::shutdown(r->up.get(), SHUT_RDWR);
     arm_reset(r->up.get());
     handle_upstream_failure(r);
   }
@@ -867,10 +868,6 @@ void Lsd::inject_upstream_reset() {
 }
 
 // --- Liveness / drain --------------------------------------------------------
-
-int Lsd::next_timeout_ms() const {
-  return core_.wheel().next_timeout_ms(now());
-}
 
 void Lsd::rearm() {
   if (core_.wheel().empty()) {

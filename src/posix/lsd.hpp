@@ -13,9 +13,12 @@
 //
 // Single-threaded, nonblocking, driven by an EpollEngine; multiple relays
 // multiplex over one loop, and several Lsd instances (a cascade) can share
-// a loop in one process for testing.
+// a loop in one process for testing. An Lsd is one shard: the daemon that
+// ships — with its fault plan, admin endpoint and health boards — is
+// posix::ShardedLsd, which runs N of them.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -117,42 +120,9 @@ struct LsdStats : core::RelayStats {
 /// Element-wise sum (aggregating per-shard counters at export).
 LsdStats operator+(const LsdStats& a, const LsdStats& b);
 
-/// The `health` snapshot an admin endpoint reports.
-struct AdminHealth {
-  std::uint16_t port = 0;
-  std::size_t live_relays = 0;
-  std::size_t parked_relays = 0;
-  bool draining = false;
-  bool drain_done = false;
-  /// Shard count of a posix::ShardedLsd (lsd_relay always runs one); 0
-  /// for a bare Lsd, which omits the field from the health JSON.
-  int shards = 0;
-  /// Live relays that are lanes of striped (wire v3) sessions; 0 also
-  /// omits the field from the health JSON, same bargain as `shards`.
-  std::size_t stripes = 0;
-  LsdStats stats;
-  /// Per-depot scorecard rows (next hops this daemon has dialed, scored by
-  /// its HealthBoard). Empty — and omitted from the health JSON, keeping
-  /// the historical output byte-identical — when no board is attached.
-  /// The sharded daemon merges its shards' rows pessimistically
-  /// (health::merge_rows). Also what the admin `gossip` command serves.
-  std::vector<health::DepotHealth> depots;
-};
-
-/// What an admin endpoint needs from the daemon behind it — implemented by
-/// the single-threaded Lsd directly and by posix::ShardedLsd as a
-/// cross-shard aggregation. Both methods must be safe to call from the
-/// thread running the AdminServer's engine.
-class AdminSource {
- public:
-  virtual ~AdminSource() = default;
-  virtual LsdStats admin_stats() const = 0;
-  virtual AdminHealth admin_health() const = 0;
-};
-
 /// One forwarding daemon instance: the real-socket adapter around the
 /// shared RelayCore.
-class Lsd : public AdminSource, private core::RelayHost {
+class Lsd : private core::RelayHost {
  public:
   /// Binds and starts listening immediately; throws std::system_error if
   /// the socket cannot be bound.
@@ -166,21 +136,6 @@ class Lsd : public AdminSource, private core::RelayHost {
   std::uint16_t port() const { return port_; }
 
   const LsdStats& stats() const { return stats_; }
-
-  // AdminSource (the single-daemon admin endpoint reads straight through).
-  LsdStats admin_stats() const override { return stats_; }
-  AdminHealth admin_health() const override {
-    AdminHealth h;
-    h.port = port_;
-    h.live_relays = live_relays();
-    h.parked_relays = parked_relays();
-    h.draining = draining();
-    h.drain_done = drain_done();
-    h.stripes = striped_relays();
-    h.stats = stats_;
-    if (health_ != nullptr) h.depots = health_->rows();
-    return h;
-  }
 
   /// The chunk pool relays buffer through (daemon-owned or shared).
   buf::ChunkPool& pool() { return *pool_; }
@@ -219,14 +174,6 @@ class Lsd : public AdminSource, private core::RelayHost {
   /// "stripes" field on a striped daemon.
   std::size_t striped_relays() const;
 
-  /// Milliseconds until the daemon's next internal deadline (liveness,
-  /// park expiry, drain bound) is due — the DeadlineWheel convention:
-  /// -1 when nothing is scheduled, 0 when one is already overdue. The
-  /// daemon's own timerfd wakes the loop anyway; this exists for hosts
-  /// that bound their own run_once() waits (LsdFaultDriver composes it
-  /// into its next_timeout_ms()).
-  int next_timeout_ms() const;
-
   // --- Graceful drain ------------------------------------------------------
 
   /// SIGTERM semantics: keep the listener but refuse new sessions (RST,
@@ -259,23 +206,22 @@ class Lsd : public AdminSource, private core::RelayHost {
   void crash();
   /// Undo crash(): re-bind the listener on the original port.
   void restart();
-  bool crashed() const { return crashed_; }
   /// Refuse (RST-close) the next `n` accepted connections.
   void set_accept_drops(std::uint32_t n) { core_.add_accept_drops(n); }
+  /// Claim refusals from `depot`, a count every shard of one depot shares,
+  /// instead of this daemon's own (must outlive the daemon).
+  void share_accept_drops(std::atomic<std::uint32_t>& depot) {
+    core_.share_accept_drops(depot);
+  }
   /// Stall/unstall relaying: a stalled daemon keeps its connections but
   /// stops moving bytes (the "slow depot" fault).
   void set_stalled(bool stalled);
   bool stalled() const { return stalled_; }
   /// Hard-reset every live upstream connection mid-stream. With
   /// resume_grace set, the sessions park (their buffered bytes salvaged
-  /// first) and await a kFlagResume reconnect; otherwise they fail.
+  /// first, every byte the source saw acknowledged among them) and await
+  /// a kFlagResume reconnect; otherwise they fail.
   void inject_upstream_reset();
-  /// Fail parked sessions whose grace deadline has passed. Parked sessions
-  /// also carry a DeadlineWheel entry, so expiry normally fires from the
-  /// daemon's own timerfd; this lazy sweep remains for hosts that drive
-  /// the daemon without running its loop long enough (and as the fault
-  /// drivers' poll-time backstop).
-  void expire_parked();
   /// Simulate a blackholed next hop: while set, newly-dialed downstream
   /// connections are never observed completing (their EPOLLOUT is
   /// suppressed), so the dial deadline — if configured — is what resolves

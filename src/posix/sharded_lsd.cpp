@@ -36,6 +36,7 @@ ShardedLsd::ShardedLsd(const ShardedLsdConfig& config)
     cfg.reuse_port = true;
     if (i > 0) cfg.bind.port = port_;
     s->lsd = std::make_unique<Lsd>(s->engine, cfg);
+    s->lsd->share_accept_drops(accept_drops_);
     if (i == 0) port_ = s->lsd->port();
 
     if (config_.registry != nullptr) {
@@ -61,11 +62,11 @@ ShardedLsd::ShardedLsd(const ShardedLsdConfig& config)
     };
 
     s->engine.set_wakeup_callback([s] { s->posts.drain(); });
-    publish(*s);
     shards_.push_back(std::move(shard));
   }
 
   if (config_.fault_plan) arm_fault_plan();
+  for (auto& s : shards_) publish(*s);
 
   LSL_LOG_INFO("sharded lsd: %d shards on port %u", config_.shards,
                static_cast<unsigned>(port_));
@@ -92,10 +93,14 @@ ShardedLsd::~ShardedLsd() {
 }
 
 void ShardedLsd::arm_fault_plan() {
+  if (config_.registry != nullptr) {
+    fault_metrics_ = std::make_unique<fault::FaultMetrics>(*config_.registry);
+  }
   // Shard 0 turns its own knob at once; the others turn theirs on their
   // next wakeup.
+  Shard& lead = *shards_.front();
   fault_ = std::make_unique<LsdFaultDriver>(
-      *shards_.front()->lsd,
+      *lead.lsd, lead.engine,
       [this](const std::function<void(Lsd&)>& knob) {
         for (auto& s : shards_) {
           if (s->index == 0) {
@@ -105,8 +110,11 @@ void ShardedLsd::arm_fault_plan() {
           }
         }
       },
-      *config_.fault_plan);
+      *config_.fault_plan, fault_metrics_.get());
   fault_->arm();
+  // No shard thread runs yet: apply what arm() posted to the other shards
+  // here, so no connection reaches a shard ahead of an `at=0s` event.
+  for (auto& s : shards_) s->posts.drain();
   next_fault_bytes_.store(fault_->next_byte_trigger());
   if (next_fault_bytes_.load() == ~std::uint64_t{0}) return;
   for (auto& sp : shards_) {
@@ -144,24 +152,15 @@ void ShardedLsd::post(Shard& s, engine::PostQueue::Task task) {
 }
 
 void ShardedLsd::shard_main(Shard& s) {
-  // Bounded waits so the fault driver's timed events and the
-  // parked-session backstop run even while no socket is ready (liveness
-  // deadlines ride the daemon's own timerfd regardless). run_once returns
-  // -1 only on EINTR; the round is then simply retried.
-  LsdFaultDriver* fault = s.index == 0 ? fault_.get() : nullptr;
+  // Every timed action rides a timer in this engine (liveness and park
+  // deadlines on the daemon's, fault events on the driver's), and posts
+  // and the destructor's stop request arrive as wakeups, so the shard
+  // sleeps until one is due. run_once returns -1 only on EINTR; the round
+  // is then simply retried.
   while (!s.stop.load(std::memory_order_acquire)) {
-    int wait = fault ? fault->next_timeout_ms() : s.lsd->next_timeout_ms();
-    if (wait < 0 || wait > 500) wait = 500;
-    if (s.engine.run_once(wait) >= 0) {
-      if (fault) {
-        fault->poll();
-      } else {
-        s.lsd->expire_parked();
-      }
-    }
+    s.engine.run_once(-1);
     publish(s);
   }
-  publish(s);
 }
 
 void ShardedLsd::publish(Shard& s) {

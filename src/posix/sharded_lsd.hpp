@@ -42,6 +42,7 @@
 #include "engine/post_queue.hpp"
 #include "engine/shard_thread.hpp"
 #include "engine/stats_board.hpp"
+#include "fault/fault_metrics.hpp"
 #include "fault/spec.hpp"
 #include "health/board.hpp"
 #include "live/liveness.hpp"
@@ -62,7 +63,8 @@ struct ShardedLsdConfig {
   /// Number of shards (>= 1); one acceptor + event loop + OS thread each.
   int shards = 2;
   /// Optional: per-shard `lsd.shard<i>.*` / `loop.shard<i>.*` bundles are
-  /// registered here (must outlive the runtime).
+  /// registered here (must outlive the runtime), and the depot's one
+  /// `fault.*` bundle when `fault_plan` is set.
   metrics::Registry* registry = nullptr;
   /// Optional shared tracer (the flight recorder is multi-writer safe;
   /// must outlive the runtime).
@@ -70,6 +72,8 @@ struct ShardedLsdConfig {
   /// Optional fault plan for the depot as a whole: one LsdFaultDriver on
   /// shard 0's thread fires each event once, turns its knob on every
   /// shard, and keys byte offsets on the shards' summed relayed bytes.
+  /// Events due at once (`at=0s`) have applied when the constructor
+  /// returns.
   std::optional<fault::FaultPlan> fault_plan;
   /// Build a per-shard HealthBoard and attach it to each shard daemon.
   /// The admin `health`/`gossip` responses then carry one fleet row set —
@@ -81,14 +85,34 @@ struct ShardedLsdConfig {
   health::HealthConfig health;
 };
 
+/// The `health` snapshot the admin endpoint reports: counters and
+/// relay census summed over the shards.
+struct AdminHealth {
+  std::uint16_t port = 0;
+  std::size_t live_relays = 0;
+  std::size_t parked_relays = 0;
+  bool draining = false;
+  bool drain_done = false;
+  int shards = 1;
+  /// Live relays that are lanes of striped (wire v3) sessions; 0 omits
+  /// the field from the health JSON.
+  std::size_t stripes = 0;
+  LsdStats stats;
+  /// Per-depot scorecard rows (next hops the shards have dialed, merged
+  /// pessimistically across shards by health::merge_rows). Empty — and
+  /// omitted from the health JSON — without a health plane. Also what
+  /// the admin `gossip` command serves.
+  std::vector<health::DepotHealth> depots;
+};
+
 /// N SO_REUSEPORT shard daemons behind one port. Threads start in the
 /// constructor and are joined in the destructor.
-class ShardedLsd : public AdminSource {
+class ShardedLsd {
  public:
   /// Binds every shard (throws std::system_error if any bind fails) and
   /// starts the shard threads.
   explicit ShardedLsd(const ShardedLsdConfig& config);
-  ~ShardedLsd() override;
+  ~ShardedLsd();
 
   ShardedLsd(const ShardedLsd&) = delete;
   ShardedLsd& operator=(const ShardedLsd&) = delete;
@@ -128,9 +152,9 @@ class ShardedLsd : public AdminSource {
   /// its published report carries them.
   live::DrainReport drain_report() const;
 
-  // --- AdminSource (safe from the admin engine's thread) ------------------
-  LsdStats admin_stats() const override { return stats(); }
-  AdminHealth admin_health() const override;
+  /// The admin `health` snapshot (published like stats(); safe from any
+  /// thread).
+  AdminHealth admin_health() const;
 
   /// The per-shard health boards (empty unless config.health_plane). Each
   /// board is mutex-guarded, so a gossip poller on the control thread may
@@ -179,7 +203,8 @@ class ShardedLsd : public AdminSource {
 
   /// Run `task` on the shard's dispatch thread (next wakeup).
   void post(Shard& s, engine::PostQueue::Task task);
-  /// The shard thread: dispatch, apply fault/park timers, publish boards.
+  /// The shard thread: block in epoll until something is ready (a socket,
+  /// a timer, a post), dispatch, publish the boards.
   void shard_main(Shard& s);
   void publish(Shard& s);
   /// Build the depot's one fault driver and hook every shard's progress
@@ -193,8 +218,14 @@ class ShardedLsd : public AdminSource {
   ShardedLsdConfig config_;
   buf::SharedBudget budget_;
   engine::DrainGate gate_;
+  /// Injected accept refusals owed by the depot; every shard claims from
+  /// this one count.
+  std::atomic<std::uint32_t> accept_drops_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
   std::uint16_t port_ = 0;
+  /// The depot's `fault.*` instruments (null without a registry and a
+  /// plan); outlive the driver that records into them.
+  std::unique_ptr<fault::FaultMetrics> fault_metrics_;
   /// The depot's fault driver (null without a plan); runs on shard 0.
   std::unique_ptr<LsdFaultDriver> fault_;
   /// fault_->next_byte_trigger(), readable from every shard's hook.

@@ -18,15 +18,15 @@
 
 #include "engine/epoll_engine.hpp"
 #include "posix/admin.hpp"
-#include "posix/lsd.hpp"
+#include "posix/sharded_lsd.hpp"
 #include "span/span.hpp"
 
 namespace lsl::test {
 namespace {
 
 using engine::EpollEngine;
-using posix::Lsd;
-using posix::LsdConfig;
+using posix::ShardedLsd;
+using posix::ShardedLsdConfig;
 
 std::string temp_path(const std::string& leaf) {
   return ::testing::TempDir() + "/" + leaf;
@@ -95,8 +95,12 @@ class AdminRobustness : public ::testing::Test {
  protected:
   void SetUp() override {
     try {
+      // The endpoint runs on this test's loop, like lsd_relay's control
+      // loop; the one-shard daemon behind it relays on its own thread.
       loop_ = std::make_unique<EpollEngine>();
-      lsd_ = std::make_unique<Lsd>(*loop_, LsdConfig{});
+      ShardedLsdConfig cfg;
+      cfg.shards = 1;
+      lsd_ = std::make_unique<ShardedLsd>(cfg);
       sock_path_ = temp_path("admin_rob.sock");
       admin_ = std::make_unique<posix::AdminServer>(*loop_, sock_path_, *lsd_);
     } catch (const std::exception& e) {
@@ -139,7 +143,7 @@ class AdminRobustness : public ::testing::Test {
   }
 
   std::unique_ptr<EpollEngine> loop_;
-  std::unique_ptr<Lsd> lsd_;
+  std::unique_ptr<ShardedLsd> lsd_;
   std::unique_ptr<posix::AdminServer> admin_;
   std::string sock_path_;
 };

@@ -1,9 +1,10 @@
 // Real-socket tests for the posix half of the depot health plane
 // (docs/HEALTH.md): proactive mid-transfer migration resuming from the
 // sink's acknowledged frontier with the stream content intact, the
-// daemon-side HealthBoard scoring the depots Lsd dials, per-depot rows
-// and the `gossip` command on the admin socket, the GossipPoller merging
-// a peer's judgement, and ShardedLsd's pessimistic cross-shard row merge.
+// daemon-side HealthBoard scoring the depots a one-shard ShardedLsd dials,
+// per-depot rows and the `gossip` command on the admin socket, the
+// GossipPoller merging a peer's judgement on its own timer, and
+// ShardedLsd's pessimistic cross-shard row merge.
 // Runs under the `health` ctest label (plain + tsan via scripts/check.sh).
 #include <gtest/gtest.h>
 
@@ -62,6 +63,15 @@ bool loopback_available() {
 
 std::string temp_path(const std::string& leaf) {
   return ::testing::TempDir() + "/" + leaf;
+}
+
+/// The shipping daemon with one shard and a health board, relaying on its
+/// own thread.
+std::unique_ptr<posix::ShardedLsd> scored_depot() {
+  posix::ShardedLsdConfig cfg;
+  cfg.shards = 1;
+  cfg.health_plane = true;
+  return std::make_unique<posix::ShardedLsd>(cfg);
 }
 
 std::uint64_t steady_ms() {
@@ -298,14 +308,13 @@ TEST(HealthPosixMigration, NonResumableSourceRefusesMigrate) {
   EXPECT_TRUE(src_ok);
 }
 
-// --- Daemon-side HealthBoard through Lsd ----------------------------------
+// --- Daemon-side HealthBoard ----------------------------------------------
 
 TEST(HealthPosixBoard, CompletedRelayPromotesNextHop) {
   REQUIRE_LOOPBACK();
   EpollEngine loop;
-  health::HealthBoard board;
-  Lsd depot(loop, LsdConfig{});
-  depot.set_health_board(&board);
+  const auto depot = scored_depot();
+  health::HealthBoard& board = *depot->health_boards()[0];
   PosixSinkServer sink(loop, InetAddress::loopback(0), /*expect_header=*/true,
                        31);
   bool done = false;
@@ -315,7 +324,7 @@ TEST(HealthPosixBoard, CompletedRelayPromotesNextHop) {
   };
 
   PosixSourceConfig cfg;
-  cfg.route = {InetAddress::loopback(depot.port())};
+  cfg.route = {InetAddress::loopback(depot->port())};
   cfg.destination = InetAddress::loopback(sink.port());
   cfg.payload_bytes = 512 * util::kKiB;
   cfg.payload_seed = 31;
@@ -325,24 +334,29 @@ TEST(HealthPosixBoard, CompletedRelayPromotesNextHop) {
   ASSERT_TRUE(wait_until(loop, [&] { return done; }, 10.0));
   // The depot dialed the sink and the relay completed cleanly: exactly one
   // healthy row, named by the dialed address, carrying a success and a
-  // delivered-rate sample.
-  ASSERT_TRUE(wait_until(loop, [&] { return !board.rows().empty(); }, 5.0));
+  // delivered-rate sample. The shard scores the success and the rate as
+  // two board updates on its own thread; wait for the second.
+  ASSERT_TRUE(wait_until(
+      loop,
+      [&] {
+        const auto rows = board.rows();
+        return !rows.empty() && rows[0].ewma_bps > 0.0;
+      },
+      5.0));
   const auto rows = board.rows();
   ASSERT_EQ(rows.size(), 1u);
   const std::string sink_name = InetAddress::loopback(sink.port()).to_string();
   EXPECT_EQ(rows[0].name, sink_name);
   EXPECT_EQ(rows[0].state, health::DepotState::kHealthy);
   EXPECT_GE(rows[0].successes, 1u);
-  EXPECT_GT(rows[0].ewma_bps, 0.0);
   EXPECT_EQ(rows[0].failures, 0u);
 }
 
 TEST(HealthPosixBoard, DialFailuresDemoteNextHop) {
   REQUIRE_LOOPBACK();
   EpollEngine loop;
-  health::HealthBoard board;
-  Lsd depot(loop, LsdConfig{});
-  depot.set_health_board(&board);
+  const auto depot = scored_depot();
+  health::HealthBoard& board = *depot->health_boards()[0];
 
   // Reserve a port nobody listens on by binding-and-closing a listener.
   std::uint16_t dead_port = 0;
@@ -355,7 +369,7 @@ TEST(HealthPosixBoard, DialFailuresDemoteNextHop) {
 
   for (int i = 0; i < 4; ++i) {
     PosixSourceConfig cfg;
-    cfg.route = {InetAddress::loopback(depot.port()), dead};
+    cfg.route = {InetAddress::loopback(depot->port()), dead};
     cfg.destination = dead;  // never reached
     cfg.payload_bytes = util::kKiB;
     cfg.payload_seed = 1;
@@ -368,8 +382,10 @@ TEST(HealthPosixBoard, DialFailuresDemoteNextHop) {
     source.start();
     ASSERT_TRUE(wait_until(loop, [&] { return finished; }, 10.0));
   }
+  // The shard scores each failure on its own thread.
+  ASSERT_TRUE(wait_until(
+      loop, [&] { return board.row(dead.to_string()).failures >= 4; }, 5.0));
   const health::DepotHealth row = board.row(dead.to_string());
-  EXPECT_GE(row.failures, 4u);
   // Four straight dial failures burn through the whole hysteresis ladder.
   EXPECT_GE(static_cast<int>(row.state),
             static_cast<int>(health::DepotState::kDegraded));
@@ -382,13 +398,12 @@ TEST(HealthPosixBoard, DialFailuresDemoteNextHop) {
 TEST(HealthPosixAdmin, HealthReportsDepotRowsAndGossipServesThem) {
   REQUIRE_LOOPBACK();
   EpollEngine loop;
-  health::HealthBoard board;
-  Lsd depot(loop, LsdConfig{});
-  depot.set_health_board(&board);
+  const auto depot = scored_depot();
+  const health::HealthBoard& board = *depot->health_boards()[0];
   const std::string sock_path = temp_path("health_admin.sock");
   std::unique_ptr<posix::AdminServer> admin;
   try {
-    admin = std::make_unique<posix::AdminServer>(loop, sock_path, depot);
+    admin = std::make_unique<posix::AdminServer>(loop, sock_path, *depot);
   } catch (const std::exception& e) {
     GTEST_SKIP() << "unix sockets unavailable in sandbox: " << e.what();
   }
@@ -405,7 +420,7 @@ TEST(HealthPosixAdmin, HealthReportsDepotRowsAndGossipServesThem) {
   bool done = false;
   sink.on_complete = [&](const SinkResult&) { done = true; };
   PosixSourceConfig cfg;
-  cfg.route = {InetAddress::loopback(depot.port())};
+  cfg.route = {InetAddress::loopback(depot->port())};
   cfg.destination = InetAddress::loopback(sink.port());
   cfg.payload_bytes = 64 * util::kKiB;
   cfg.payload_seed = 32;
@@ -432,13 +447,12 @@ TEST(HealthPosixAdmin, GossipPollerMergesPeerJudgement) {
   REQUIRE_LOOPBACK();
   EpollEngine loop;
   // Peer daemon A: its board has condemned a depot the hard way.
-  health::HealthBoard board_a;
-  Lsd depot_a(loop, LsdConfig{});
-  depot_a.set_health_board(&board_a);
+  const auto depot_a = scored_depot();
+  health::HealthBoard& board_a = *depot_a->health_boards()[0];
   const std::string sock_path = temp_path("health_gossip.sock");
   std::unique_ptr<posix::AdminServer> admin;
   try {
-    admin = std::make_unique<posix::AdminServer>(loop, sock_path, depot_a);
+    admin = std::make_unique<posix::AdminServer>(loop, sock_path, *depot_a);
   } catch (const std::exception& e) {
     GTEST_SKIP() << "unix sockets unavailable in sandbox: " << e.what();
   }
@@ -449,7 +463,9 @@ TEST(HealthPosixAdmin, GossipPollerMergesPeerJudgement) {
   ASSERT_GE(static_cast<int>(board_a.state("10.9.9.9:4000")),
             static_cast<int>(health::DepotState::kSuspect));
 
-  // Local daemon B: knows nothing of that depot until gossip lands.
+  // Local daemon B: knows nothing of that depot until gossip lands. The
+  // poller's cadence is a timer in `loop`: running the loop is all it
+  // takes.
   health::HealthBoard board_b;
   posix::GossipPollerConfig gcfg;
   gcfg.peers = {sock_path};
@@ -462,7 +478,7 @@ TEST(HealthPosixAdmin, GossipPollerMergesPeerJudgement) {
       [&] {
         return poller.polls_completed() >= 1 && poller.rows_merged() >= 1;
       },
-      10.0, [&] { poller.poll(); }));
+      10.0));
   // Judgement blended; counters NOT copied (they would double-count once
   // gossip cycles back).
   const health::DepotHealth merged = board_b.row("10.9.9.9:4000");
@@ -480,8 +496,7 @@ TEST(HealthPosixAdmin, GossipPollerSurvivesMissingPeer) {
   gcfg.interval = std::chrono::milliseconds(20);
   posix::GossipPoller poller(loop, {&board}, gcfg);
   ASSERT_TRUE(wait_until(
-      loop, [&] { return poller.polls_failed() >= 2; }, 10.0,
-      [&] { poller.poll(); }));
+      loop, [&] { return poller.polls_failed() >= 2; }, 10.0));
   EXPECT_EQ(poller.polls_completed(), 0u);
   EXPECT_TRUE(board.rows().empty());
 }

@@ -61,21 +61,6 @@ TEST(DeadlineWheel, CancelIsBenignOnDeadTokens) {
   EXPECT_FALSE(wheel.cancel(f));  // already fired
 }
 
-TEST(DeadlineWheel, NextTimeoutMsContract) {
-  DeadlineWheel wheel;
-  EXPECT_EQ(wheel.next_timeout_ms(0), -1);  // nothing scheduled
-
-  wheel.schedule(5'000'000, [] {});  // 5 ms from t=0
-  EXPECT_EQ(wheel.next_timeout_ms(0), 5);
-  EXPECT_EQ(wheel.next_timeout_ms(4'999'999), 1);  // rounds up, never early
-  EXPECT_EQ(wheel.next_timeout_ms(5'000'000), 0);  // due now
-  EXPECT_EQ(wheel.next_timeout_ms(9'000'000), 0);  // overdue clamps to 0
-
-  DeadlineWheel frac;
-  frac.schedule(1'500'000, [] {});  // 1.5 ms → ceil to 2
-  EXPECT_EQ(frac.next_timeout_ms(0), 2);
-}
-
 TEST(DeadlineWheel, CallbackMayReenterSchedule) {
   DeadlineWheel wheel;
   std::vector<int> order;

@@ -1,8 +1,11 @@
 // Chaos tier, real-socket half: scripted faults (lsd --fault-spec grammar)
-// applied to a live lsd daemon over loopback TCP — kill-and-resume cycles,
-// refused accepts, crash/restart windows — with the posix source recovering
-// via the same fault policies the simulator uses. Runs under the `chaos`
-// ctest label alongside tests/chaos_test.cpp.
+// applied to a live one-shard ShardedLsd — the daemon lsd_relay runs —
+// over loopback TCP: kill-and-resume cycles, refused accepts, crash/restart
+// windows, with the posix source recovering via the same fault policies
+// the simulator uses. Liveness and drain cases drive a bare Lsd on the
+// test's own loop. Runs under the `chaos` ctest label alongside
+// tests/chaos_test.cpp; scripts/check.sh runs the label plain and under
+// tsan, since the fault plan runs on a shard thread.
 #include <gtest/gtest.h>
 
 #include <csignal>
@@ -33,8 +36,8 @@
 #include "lsl/wire.hpp"
 #include "metrics/metrics.hpp"
 #include "posix/client.hpp"
-#include "posix/fault_driver.hpp"
 #include "posix/lsd.hpp"
+#include "posix/sharded_lsd.hpp"
 #include "posix/socket_util.hpp"
 #include "posix_test_util.hpp"
 #include "util/rng.hpp"
@@ -47,10 +50,11 @@ using engine::EpollEngine;
 using posix::InetAddress;
 using posix::Lsd;
 using posix::LsdConfig;
-using posix::LsdFaultDriver;
 using posix::PosixSinkServer;
 using posix::PosixSource;
 using posix::PosixSourceConfig;
+using posix::ShardedLsd;
+using posix::ShardedLsdConfig;
 using posix::SinkResult;
 
 /// True when loopback sockets are available in this environment.
@@ -76,12 +80,20 @@ fault::FaultPlan plan_of(const std::string& spec) {
   return plan.value_or(fault::FaultPlan{});
 }
 
-/// Drive the loop (and the fault driver) until `done` or timeout.
-bool drive(EpollEngine& loop, LsdFaultDriver& driver, const bool& done,
-           double timeout_s = 30.0) {
-  return wait_until(
-      loop, [&done] { return done; }, timeout_s,
-      [&driver] { driver.poll(); });
+/// The shipping daemon with one shard, running `spec` from construction
+/// on its own thread.
+std::unique_ptr<ShardedLsd> faulty_depot(const LsdConfig& base,
+                                         const std::string& spec) {
+  ShardedLsdConfig cfg;
+  cfg.base = base;
+  cfg.shards = 1;
+  cfg.fault_plan = plan_of(spec);
+  return std::make_unique<ShardedLsd>(cfg);
+}
+
+/// Drive the client loop until `done` or timeout.
+bool drive(EpollEngine& loop, const bool& done, double timeout_s = 30.0) {
+  return wait_until(loop, [&done] { return done; }, timeout_s);
 }
 
 /// Backoff bridge: the deterministic fault::RetryPolicy delays, converted
@@ -120,16 +132,14 @@ TEST(PosixChaos, KillAndResumeCycle) {
   LsdConfig dcfg;
   dcfg.buffer_bytes = 256 * util::kKiB;
   dcfg.resume_grace = std::chrono::milliseconds(3000);
-  Lsd lsd(loop, dcfg);
-  LsdFaultDriver driver(lsd, plan_of("reset:depot=d1,at_bytes=4194304"));
-  driver.arm();
+  const auto depot = faulty_depot(dcfg, "reset:depot=d1,at_bytes=4194304");
 
   fault::RetryConfig rcfg;
   rcfg.base_delay = 20 * util::kMillisecond;
   fault::RetryPolicy policy(rcfg, 7);
 
   PosixSourceConfig scfg;
-  scfg.route = {InetAddress::loopback(lsd.port())};
+  scfg.route = {InetAddress::loopback(depot->port())};
   scfg.destination = InetAddress::loopback(sink.port());
   scfg.payload_bytes = bytes;
   scfg.payload_seed = 7;
@@ -144,17 +154,19 @@ TEST(PosixChaos, KillAndResumeCycle) {
   };
   source.start();
 
-  ASSERT_TRUE(drive(loop, driver, sink_done));
-  drive(loop, driver, src_done, 5.0);
+  ASSERT_TRUE(drive(loop, sink_done));
+  drive(loop, src_done, 5.0);
 
   EXPECT_TRUE(src_ok);
   EXPECT_TRUE(sink_res.verified);
   EXPECT_EQ(sink_res.payload_bytes, bytes);
   EXPECT_GE(source.resumes(), 1u);
-  EXPECT_EQ(driver.injected(), 1u);
-  EXPECT_EQ(lsd.stats().sessions_parked, 1u);
-  EXPECT_EQ(lsd.stats().sessions_resumed, 1u);
-  EXPECT_EQ(lsd.stats().sessions_completed, 1u);
+  // The boards publish a loop turn behind the event.
+  ASSERT_TRUE(wait_until(
+      loop, [&] { return depot->stats().sessions_completed == 1; }));
+  EXPECT_EQ(depot->faults_injected(), 1u);
+  EXPECT_EQ(depot->stats().sessions_parked, 1u);
+  EXPECT_EQ(depot->stats().sessions_resumed, 1u);
 }
 
 // An injected accept refusal: the first session dies at the handshake
@@ -166,13 +178,12 @@ TEST(PosixChaos, DroppedAcceptIsRecoveredByRetry) {
   const std::uint64_t bytes = 256 * util::kKiB;
 
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 9);
-  Lsd lsd(loop, LsdConfig{});
-  LsdFaultDriver driver(lsd, plan_of("syndrop:depot=d1,at=0s,count=1"));
-  driver.arm();
-  driver.poll();  // due immediately: arm the drop before anyone connects
+  // Due at once: the drop is armed before the constructor returns.
+  const auto depot =
+      faulty_depot(LsdConfig{}, "syndrop:depot=d1,at=0s,count=1");
 
   PosixSourceConfig scfg;
-  scfg.route = {InetAddress::loopback(lsd.port())};
+  scfg.route = {InetAddress::loopback(depot->port())};
   scfg.destination = InetAddress::loopback(sink.port());
   scfg.payload_bytes = bytes;
   scfg.payload_seed = 9;
@@ -185,9 +196,10 @@ TEST(PosixChaos, DroppedAcceptIsRecoveredByRetry) {
     done1 = true;
   };
   first.start();
-  ASSERT_TRUE(drive(loop, driver, done1));
+  ASSERT_TRUE(drive(loop, done1));
   EXPECT_FALSE(ok1);
-  EXPECT_EQ(lsd.stats().accepts_dropped, 1u);
+  ASSERT_TRUE(wait_until(
+      loop, [&] { return depot->stats().accepts_dropped == 1; }));
 
   bool done2 = false;
   bool ok2 = false;
@@ -197,10 +209,12 @@ TEST(PosixChaos, DroppedAcceptIsRecoveredByRetry) {
     done2 = true;
   };
   second.start();
-  ASSERT_TRUE(drive(loop, driver, done2));
+  ASSERT_TRUE(drive(loop, done2));
   EXPECT_TRUE(ok2);
-  EXPECT_EQ(lsd.stats().sessions_completed, 1u);
-  EXPECT_EQ(driver.injected(), 1u);
+  ASSERT_TRUE(wait_until(
+      loop, [&] { return depot->stats().sessions_completed == 1; }));
+  EXPECT_EQ(depot->stats().accepts_dropped, 1u);
+  EXPECT_EQ(depot->faults_injected(), 1u);
 }
 
 // A byte-keyed crash with a scripted restart: the in-flight session dies,
@@ -214,11 +228,9 @@ TEST(PosixChaos, CrashRestartWindowAllowsRetransfer) {
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 21);
   LsdConfig dcfg;
   dcfg.buffer_bytes = 128 * util::kKiB;
-  Lsd lsd(loop, dcfg);
-  const std::uint16_t port = lsd.port();
-  LsdFaultDriver driver(
-      lsd, plan_of("crash:depot=d1,at_bytes=1048576,for=200ms"));
-  driver.arm();
+  const auto depot =
+      faulty_depot(dcfg, "crash:depot=d1,at_bytes=1048576,for=200ms");
+  const std::uint16_t port = depot->port();
 
   PosixSourceConfig scfg;
   scfg.route = {InetAddress::loopback(port)};
@@ -234,15 +246,15 @@ TEST(PosixChaos, CrashRestartWindowAllowsRetransfer) {
     done1 = true;
   };
   first.start();
-  ASSERT_TRUE(drive(loop, driver, done1));
+  ASSERT_TRUE(drive(loop, done1));
   EXPECT_FALSE(ok1);
-  EXPECT_TRUE(lsd.crashed());
-
-  // Wait out the restart window, then retransfer.
   ASSERT_TRUE(wait_until(
-      loop, [&lsd] { return !lsd.crashed(); }, 5.0,
-      [&driver] { driver.poll(); }));
-  EXPECT_EQ(lsd.port(), port);  // same endpoint after restart
+      loop, [&] { return depot->faults_injected() == 1; }));
+
+  // Wait out the restart window — the shard's own timer brings the
+  // listener back on the same endpoint — then retransfer.
+  ASSERT_TRUE(wait_until(
+      loop, [port] { return connect_errno(port) == 0; }, 5.0));
 
   bool done2 = false;
   bool ok2 = false;
@@ -254,14 +266,16 @@ TEST(PosixChaos, CrashRestartWindowAllowsRetransfer) {
     done2 = true;
   };
   second.start();
-  ASSERT_TRUE(drive(loop, driver, done2));
+  ASSERT_TRUE(drive(loop, done2));
   EXPECT_TRUE(ok2);
   EXPECT_TRUE(sink_ok);
-  EXPECT_EQ(driver.injected(), 1u);
+  EXPECT_EQ(depot->faults_injected(), 1u);
 }
 
 // A parked session whose source never returns must expire after the grace
-// window and count as a failed session — not linger forever.
+// window and count as a failed session — not linger forever. Nothing else
+// happens on the depot meanwhile: the park's own deadline, on the shard's
+// timer, is what wakes the shard.
 TEST(PosixChaos, UnresumedParkedSessionExpires) {
   REQUIRE_LOOPBACK();
   EpollEngine loop;
@@ -269,12 +283,10 @@ TEST(PosixChaos, UnresumedParkedSessionExpires) {
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 33);
   LsdConfig dcfg;
   dcfg.resume_grace = std::chrono::milliseconds(100);
-  Lsd lsd(loop, dcfg);
-  LsdFaultDriver driver(lsd, plan_of("reset:depot=d1,at_bytes=1048576"));
-  driver.arm();
+  const auto depot = faulty_depot(dcfg, "reset:depot=d1,at_bytes=1048576");
 
   PosixSourceConfig scfg;
-  scfg.route = {InetAddress::loopback(lsd.port())};
+  scfg.route = {InetAddress::loopback(depot->port())};
   scfg.destination = InetAddress::loopback(sink.port());
   scfg.payload_bytes = 8 * util::kMiB;
   scfg.payload_seed = 33;
@@ -284,25 +296,13 @@ TEST(PosixChaos, UnresumedParkedSessionExpires) {
   bool done = false;
   source.on_done = [&](bool) { done = true; };
   source.start();
-  ASSERT_TRUE(drive(loop, driver, done));
-  EXPECT_EQ(lsd.stats().sessions_parked, 1u);
+  ASSERT_TRUE(drive(loop, done));
+  ASSERT_TRUE(wait_until(
+      loop, [&] { return depot->stats().sessions_parked == 1; }));
 
-  // The parked session's grace expiry also sits on the daemon wheel, so
-  // the driver's composed timeout reflects it even though the plan has no
-  // timed events left (satellite: next_timeout_ms × park-expiry). Under
-  // sanitizer slowdown the 100 ms grace may already have lapsed by now —
-  // the bound only holds while the park is still pending.
-  const int park_wait = driver.next_timeout_ms();
-  if (lsd.stats().sessions_failed == 0) {
-    EXPECT_GE(park_wait, 0);
-    EXPECT_LE(park_wait, 101);  // resume_grace is 100 ms
-  }
-
-  // poll() expires parked sessions.
   EXPECT_TRUE(wait_until(
-      loop, [&lsd] { return lsd.stats().sessions_failed > 0; }, 5.0,
-      [&driver] { driver.poll(); }));
-  EXPECT_EQ(lsd.stats().sessions_resumed, 0u);
+      loop, [&] { return depot->stats().sessions_failed > 0; }, 5.0));
+  EXPECT_EQ(depot->stats().sessions_resumed, 0u);
 }
 
 // PROTOCOL.md §6: a resume offset beyond what the depot pulled is a gap.
@@ -399,13 +399,11 @@ TEST(PosixChaos, DialDeadlineFiresOnBlackholedNextHop) {
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 41);
   LsdConfig dcfg;
   dcfg.liveness.dial_timeout = 150 * util::kMillisecond;
-  Lsd lsd(loop, dcfg);
-  LsdFaultDriver driver(lsd, plan_of("blackhole:link=d1-sink,at=0s"));
-  driver.arm();
-  driver.poll();  // due immediately: dials stop resolving from the start
+  // Due at once: dials stop resolving from the start.
+  const auto depot = faulty_depot(dcfg, "blackhole:link=d1-sink,at=0s");
 
   PosixSourceConfig scfg;
-  scfg.route = {InetAddress::loopback(lsd.port())};
+  scfg.route = {InetAddress::loopback(depot->port())};
   scfg.destination = InetAddress::loopback(sink.port());
   scfg.payload_bytes = 256 * util::kKiB;
   scfg.payload_seed = 41;
@@ -418,11 +416,13 @@ TEST(PosixChaos, DialDeadlineFiresOnBlackholedNextHop) {
   };
   source.start();
 
-  ASSERT_TRUE(drive(loop, driver, done));
+  ASSERT_TRUE(drive(loop, done));
   EXPECT_FALSE(ok);
-  EXPECT_EQ(lsd.stats().timeouts_dial, 1u);
-  EXPECT_EQ(lsd.stats().fail_timeout, 1u);
-  EXPECT_EQ(driver.injected(), 1u);
+  ASSERT_TRUE(wait_until(
+      loop, [&] { return depot->stats().sessions_failed == 1; }));
+  EXPECT_EQ(depot->stats().timeouts_dial, 1u);
+  EXPECT_EQ(depot->stats().fail_timeout, 1u);
+  EXPECT_EQ(depot->faults_injected(), 1u);
 }
 
 // A client that completes the header, lets the relay dial through, and
@@ -473,17 +473,15 @@ TEST(PosixChaos, StallWatchdogFailsStalledRelay) {
   dcfg.buffer_bytes = 256 * util::kKiB;
   dcfg.liveness.stall_window = 200 * util::kMillisecond;
   dcfg.liveness.min_bytes_per_window = 1024;
-  Lsd lsd(loop, dcfg);
   // Byte-keyed so the stall lands mid-stream on any machine: a wall-clock
   // trigger can fire while the relay is still reading the header under
   // sanitizer slowdown, and a pre-stream stall is the header deadline's
   // territory, not the watchdog's.
-  LsdFaultDriver driver(lsd,
-                        plan_of("slow:depot=d1,at_bytes=1048576,for=30s"));
-  driver.arm();
+  const auto depot =
+      faulty_depot(dcfg, "slow:depot=d1,at_bytes=1048576,for=30s");
 
   PosixSourceConfig scfg;
-  scfg.route = {InetAddress::loopback(lsd.port())};
+  scfg.route = {InetAddress::loopback(depot->port())};
   scfg.destination = InetAddress::loopback(sink.port());
   scfg.payload_bytes = bytes;
   scfg.payload_seed = 47;
@@ -496,11 +494,13 @@ TEST(PosixChaos, StallWatchdogFailsStalledRelay) {
   };
   source.start();
 
-  ASSERT_TRUE(drive(loop, driver, done));
+  ASSERT_TRUE(drive(loop, done));
   EXPECT_FALSE(ok);
-  EXPECT_GE(lsd.stats().timeouts_stall, 1u);
-  EXPECT_EQ(lsd.stats().fail_timeout, lsd.stats().timeouts_stall);
-  EXPECT_EQ(driver.injected(), 1u);
+  ASSERT_TRUE(wait_until(
+      loop, [&] { return depot->stats().sessions_failed >= 1; }));
+  EXPECT_GE(depot->stats().timeouts_stall, 1u);
+  EXPECT_EQ(depot->stats().fail_timeout, depot->stats().timeouts_stall);
+  EXPECT_EQ(depot->faults_injected(), 1u);
 }
 
 // SIGTERM-style graceful drain: in-flight sessions finish (MD5 intact at
@@ -618,55 +618,54 @@ TEST(PosixChaos, DrainDeadlineAbortsStragglers) {
 }
 
 // ---------------------------------------------------------------------------
-// LsdFaultDriver::next_timeout_ms edge cases (satellite #3): the composed
-// wait must clamp due-now to 0, report -1 for nothing-anywhere, and pick
-// the sooner of plan events and the daemon's own wheel.
+// The fault plan on its timer: the shard blocks in epoll and the plan's own
+// timer, not a host poll, decides when an event lands.
 
-TEST(PosixChaos, FaultDriverNextTimeoutEdgeCases) {
+// An event due at once applies inside the constructor: on every fresh
+// daemon, the very first connection is the one refused.
+TEST(PosixChaos, SynDropAtZeroRefusesFirstConnectionOfFreshDaemons) {
   REQUIRE_LOOPBACK();
-  EpollEngine loop;
-  Lsd lsd(loop, LsdConfig{});
-  {
-    // Empty plan, empty wheel: nothing scheduled anywhere, armed or not.
-    LsdFaultDriver driver(lsd, fault::FaultPlan{});
-    EXPECT_EQ(driver.next_timeout_ms(), -1);
-    driver.arm();
-    EXPECT_EQ(driver.next_timeout_ms(), -1);
-  }
-  {
-    // A plan event due at t=0 is overdue the moment the driver arms:
-    // clamp to 0 (poll immediately), never negative.
-    LsdFaultDriver driver(lsd, plan_of("syndrop:depot=d1,at=0s,count=1"));
-    driver.arm();
-    EXPECT_EQ(driver.next_timeout_ms(), 0);
-    driver.poll();
-    // Consumed; back to "nothing scheduled".
-    EXPECT_EQ(driver.next_timeout_ms(), -1);
+  EpollEngine idle;
+  for (int i = 0; i < 20; ++i) {
+    const auto depot =
+        faulty_depot(LsdConfig{}, "syndrop:depot=d1,at=0s,count=1");
+    ASSERT_EQ(depot->faults_injected(), 1u) << "daemon " << i;
+    engine::Fd first(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+    const sockaddr_in to = InetAddress::loopback(depot->port()).to_sockaddr();
+    ASSERT_EQ(::connect(first.get(), reinterpret_cast<const sockaddr*>(&to),
+                        sizeof(to)),
+              0);
+    pollfd pf{first.get(), POLLIN, 0};
+    ASSERT_EQ(::poll(&pf, 1, 5000), 1) << "daemon " << i;
+    char byte = 0;
+    EXPECT_EQ(::recv(first.get(), &byte, 1, 0), -1) << "daemon " << i;
+    EXPECT_EQ(errno, ECONNRESET) << "daemon " << i;
+    ASSERT_TRUE(wait_until(
+        idle, [&] { return depot->stats().accepts_dropped == 1; }));
+    EXPECT_EQ(depot->stats().sessions_accepted, 0u);
   }
 }
 
-TEST(PosixChaos, FaultDriverNextTimeoutComposesDaemonWheel) {
+// A distant event stays pending: nothing fires early.
+TEST(PosixChaos, DistantResetFiresNothingEarly) {
   REQUIRE_LOOPBACK();
-  EpollEngine loop;
-  LsdConfig dcfg;
-  dcfg.liveness.header_timeout = 5ll * util::kSecond;
-  Lsd lsd(loop, dcfg);
-  // The only plan event is a distant 60s away.
-  LsdFaultDriver driver(lsd, plan_of("reset:depot=d1,at=60s"));
-  driver.arm();
-  const int plan_only = driver.next_timeout_ms();
-  EXPECT_GT(plan_only, 55'000);  // far-future plan event dominates
+  const auto depot = faulty_depot(LsdConfig{}, "reset:depot=d1,at=60s");
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  EXPECT_EQ(depot->faults_injected(), 0u);
+}
 
-  // A silent client arms the daemon's 5s header deadline on the wheel;
-  // the composed wait must now track the sooner daemon-side deadline.
-  engine::Fd client = posix::connect_tcp(InetAddress::loopback(lsd.port()));
-  ASSERT_TRUE(client.valid());
-  ASSERT_TRUE(wait_until(
-      loop, [&lsd] { return lsd.stats().sessions_accepted > 0; }, 5.0,
-      [&driver] { driver.poll(); }));
-  const int composed = driver.next_timeout_ms();
-  EXPECT_GT(composed, 0);
-  EXPECT_LE(composed, 5001);
+// A timed crash on a depot nobody talks to still restarts on schedule:
+// the repair rides the shard's timer, not traffic.
+TEST(PosixChaos, IdleDepotCrashRestartsOnItsOwn) {
+  REQUIRE_LOOPBACK();
+  EpollEngine idle;
+  const auto depot =
+      faulty_depot(LsdConfig{}, "crash:depot=d1,at=0s,for=200ms");
+  const std::uint16_t port = depot->port();
+  EXPECT_EQ(depot->faults_injected(), 1u);
+  EXPECT_EQ(connect_errno(port), ECONNREFUSED);  // down from the start
+  EXPECT_TRUE(wait_until(
+      idle, [port] { return connect_errno(port) == 0; }, 5.0));
 }
 
 /// Runs an engine on its own thread until destroyed.

@@ -6,9 +6,14 @@
 // lsd_relay and lsl_recv binaries on a kernel-chosen port.
 #pragma once
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <poll.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
+
+#include <cerrno>
 
 #include <chrono>
 #include <csignal>
@@ -23,22 +28,32 @@
 
 namespace lsl::test {
 
-/// Drive `loop` until `cond()` holds or `timeout_s` elapses. `tick`, when
-/// set, runs after every loop slice — the place for fault-driver poll(),
-/// parked-session expiry, or any other per-iteration chore. Returns the
+/// Drive `loop` until `cond()` holds or `timeout_s` elapses. Returns the
 /// final cond() so callers can ASSERT_TRUE the wait succeeded.
 inline bool wait_until(engine::EpollEngine& loop,
                        const std::function<bool()>& cond,
-                       double timeout_s = 5.0,
-                       const std::function<void()>& tick = nullptr,
-                       int slice_ms = 20) {
+                       double timeout_s = 5.0) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::duration<double>(timeout_s);
   while (!cond() && std::chrono::steady_clock::now() < deadline) {
-    loop.run_once(slice_ms);
-    if (tick) tick();
+    loop.run_once(20);
   }
   return cond();
+}
+
+/// errno of a blocking connect to loopback `port`; 0 when it connects.
+inline int connect_errno(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return errno;
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_port = htons(port);
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  const int rc =
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa));
+  const int err = rc == 0 ? 0 : errno;
+  ::close(fd);
+  return err;
 }
 
 /// A child process that reports a kernel-chosen port in a startup banner

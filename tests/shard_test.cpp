@@ -27,6 +27,7 @@
 
 #include "engine/epoll_engine.hpp"
 #include "fault/spec.hpp"
+#include "metrics/metrics.hpp"
 #include "posix/admin.hpp"
 #include "posix/client.hpp"
 #include "posix/lsd.hpp"
@@ -150,21 +151,6 @@ TEST(ShardTest, ReuseportSpreadsAcceptsAcrossShards) {
   EXPECT_EQ(daemon.stats().sessions_accepted, kSessions);
 }
 
-/// errno of a blocking connect to loopback `port`; 0 when it connects.
-int connect_errno(std::uint16_t port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd < 0) return errno;
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_port = htons(port);
-  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  const int rc =
-      ::connect(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa));
-  const int err = rc == 0 ? 0 : errno;
-  ::close(fd);
-  return err;
-}
-
 // A depot-level fault fires once for the whole sharded depot: a byte-keyed
 // crash triggers on the shards' summed relayed bytes, is counted once, and
 // takes every shard down together (no listener is left to connect to).
@@ -194,6 +180,77 @@ TEST(ShardTest, DepotFaultPlanFiresOnceAndCrashesEveryShard) {
       [&] { return connect_errno(daemon.port()) == ECONNREFUSED; }, 5.0));
   EXPECT_EQ(daemon.faults_injected(), 1u);
   EXPECT_LT(client.succeeded, kSessions);
+}
+
+// `syndrop` counts per depot, as the simulator's FaultInjector does: the
+// shards claim from one count, so count=3 refuses exactly 3 of 10 dials
+// however the kernel spreads them (not up to 3 per shard).
+TEST(ShardTest, SynDropCountIsDepotWide) {
+  REQUIRE_LOOPBACK();
+  std::string err;
+  const auto plan =
+      fault::parse_fault_spec("syndrop:depot=d1,at=0s,count=3", &err);
+  ASSERT_TRUE(plan.has_value()) << err;
+  ShardedLsdConfig dcfg;
+  dcfg.shards = 2;
+  dcfg.fault_plan = *plan;
+  ShardedLsd daemon(dcfg);
+
+  constexpr std::uint64_t kDials = 10;
+  std::vector<engine::Fd> dials;
+  const sockaddr_in to = InetAddress::loopback(daemon.port()).to_sockaddr();
+  for (std::uint64_t i = 0; i < kDials; ++i) {
+    dials.emplace_back(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+    ASSERT_EQ(::connect(dials.back().get(),
+                        reinterpret_cast<const sockaddr*>(&to), sizeof(to)),
+              0);
+  }
+  EpollEngine idle;
+  ASSERT_TRUE(wait_until(
+      idle,
+      [&] {
+        const posix::LsdStats s = daemon.stats();
+        return s.accepts_dropped + s.sessions_accepted == kDials;
+      },
+      5.0));
+  EXPECT_EQ(daemon.stats().accepts_dropped, 3u);
+  EXPECT_EQ(daemon.faults_injected(), 1u);
+}
+
+// With a registry, the depot's fault plan records into the one `fault.*`
+// bundle: a crash on a two-shard depot is counted once.
+TEST(ShardTest, FaultPlanRecordsIntoRegistry) {
+  REQUIRE_LOOPBACK();
+  std::string err;
+  const auto plan =
+      fault::parse_fault_spec("crash:depot=d1,at=0s,for=100ms", &err);
+  ASSERT_TRUE(plan.has_value()) << err;
+  metrics::Registry registry;
+  ShardedLsdConfig dcfg;
+  dcfg.shards = 2;
+  dcfg.registry = &registry;
+  dcfg.fault_plan = *plan;
+  ShardedLsd daemon(dcfg);
+  const metrics::Counter* injected = registry.find_counter("fault.injected");
+  ASSERT_NE(injected, nullptr);
+  EXPECT_EQ(injected->value(), 1u);  // due at once: applied already
+  EXPECT_EQ(daemon.faults_injected(), 1u);
+}
+
+// A shard blocks in epoll until something is due: an idle daemon does not
+// wake on a cadence of its own.
+TEST(ShardTest, IdleShardDoesNotWake) {
+  REQUIRE_LOOPBACK();
+  metrics::Registry registry;
+  ShardedLsdConfig dcfg;
+  dcfg.shards = 1;
+  dcfg.registry = &registry;
+  ShardedLsd daemon(dcfg);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1500));
+  const metrics::Counter* iterations =
+      registry.find_counter("loop.shard0.iterations");
+  ASSERT_NE(iterations, nullptr);
+  EXPECT_LE(iterations->value(), 1u);
 }
 
 // Cross-shard graceful drain: sessions in flight on both shards when the

@@ -26,6 +26,7 @@
 #include "posix/admin.hpp"
 #include "posix/client.hpp"
 #include "posix/lsd.hpp"
+#include "posix/sharded_lsd.hpp"
 #include "posix_test_util.hpp"
 #include "span/span.hpp"
 #include "util/units.hpp"
@@ -237,8 +238,13 @@ TEST(SpanPosix, AdminSocketAnswersDuringLiveTransfer) {
   EpollEngine loop;
   PosixSinkServer sink(loop, InetAddress::loopback(0), true, 5);
   span::Tracer tracer("lsd.admin");
-  Lsd depot(loop, LsdConfig{});
-  depot.set_tracer(&tracer);
+  // The shipping daemon, one shard relaying on its own thread; the admin
+  // endpoint answers from this test's loop, as from lsd_relay's control
+  // loop.
+  posix::ShardedLsdConfig dcfg;
+  dcfg.shards = 1;
+  dcfg.tracer = &tracer;
+  posix::ShardedLsd depot(dcfg);
 
   const std::string sock_path = temp_path("lsd_admin.sock");
   posix::AdminServer admin(loop, sock_path, depot);
@@ -270,11 +276,11 @@ TEST(SpanPosix, AdminSocketAnswersDuringLiveTransfer) {
   // Wait for the relay to go live, then interrogate it mid-transfer.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (depot.live_relays() == 0 &&
+  while (depot.admin_health().live_relays == 0 &&
          std::chrono::steady_clock::now() < deadline) {
     loop.run_once(20);
   }
-  ASSERT_GE(depot.live_relays(), 1u);
+  ASSERT_GE(depot.admin_health().live_relays, 1u);
 
   const std::string health = admin_query(loop, sock_path, "health");
   ASSERT_FALSE(health.empty());

@@ -1,7 +1,8 @@
 // Stripe tier, real-socket half: a StripedPosixSource striping one session
 // over several in-process lsd daemons into the reassembling
-// PosixSinkServer, lane-death recovery (fault-driver crashes and a real
-// subprocess SIGKILL), and the admin `health` endpoint's "stripes" field.
+// PosixSinkServer, lane-death recovery (fault-plan crashes on one-shard
+// ShardedLsd daemons and a real subprocess SIGKILL), and the admin
+// `health` endpoint's "stripes" field.
 // Carries the `stripe` ctest label; scripts/check.sh runs the label as its
 // own column, plain and under TSan.
 #include <gtest/gtest.h>
@@ -24,8 +25,8 @@
 #include "fault/spec.hpp"
 #include "posix/admin.hpp"
 #include "posix/client.hpp"
-#include "posix/fault_driver.hpp"
 #include "posix/lsd.hpp"
+#include "posix/sharded_lsd.hpp"
 #include "posix/socket_util.hpp"
 #include "posix/striped_client.hpp"
 #include "posix_test_util.hpp"
@@ -38,8 +39,9 @@ using engine::EpollEngine;
 using posix::InetAddress;
 using posix::Lsd;
 using posix::LsdConfig;
-using posix::LsdFaultDriver;
 using posix::PosixSinkServer;
+using posix::ShardedLsd;
+using posix::ShardedLsdConfig;
 using posix::SinkResult;
 using posix::StripedPosixSource;
 using posix::StripedPosixSourceConfig;
@@ -64,6 +66,17 @@ fault::FaultPlan plan_of(const std::string& spec) {
   const auto plan = fault::parse_fault_spec(spec, &err);
   EXPECT_TRUE(plan.has_value()) << err;
   return plan.value_or(fault::FaultPlan{});
+}
+
+/// A one-shard daemon — the runtime lsd_relay ships — relaying on its own
+/// thread through a 256 KiB per-session buffer; a nonempty `spec` is its
+/// fault plan.
+std::unique_ptr<ShardedLsd> lane_depot(const std::string& spec = "") {
+  ShardedLsdConfig cfg;
+  cfg.base.buffer_bytes = 256 * util::kKiB;
+  cfg.shards = 1;
+  if (!spec.empty()) cfg.fault_plan = plan_of(spec);
+  return std::make_unique<ShardedLsd>(cfg);
 }
 
 struct StripedHarness {
@@ -125,7 +138,7 @@ TEST(StripePosix, StripedTransferReassemblesAndVerifies) {
   }
 }
 
-// A fault-driver crash kills one lane's daemon mid-transfer; the source
+// A fault-plan crash kills one lane's daemon mid-transfer; the source
 // re-stripes the lane onto the spare chain and the merge still verifies.
 // The conservative posix resume resends the whole lane (docs/STRIPING.md),
 // so retransmitted bytes equal one full lane.
@@ -137,12 +150,12 @@ TEST(StripePosix, CrashedLaneRestripesOntoSpareChain) {
   const std::uint64_t bytes = 48 * util::kMiB;
   StripedHarness h(loop, 67);
 
-  std::vector<std::unique_ptr<Lsd>> depots;
+  // Lane 1's daemon crashes for good once it has relayed 2 MiB.
+  std::vector<std::unique_ptr<ShardedLsd>> depots;
   StripedPosixSourceConfig cfg;
   for (int i = 0; i < 3; ++i) {
-    LsdConfig dcfg;
-    dcfg.buffer_bytes = 256 * util::kKiB;
-    depots.push_back(std::make_unique<Lsd>(loop, dcfg));
+    depots.push_back(
+        lane_depot(i == 1 ? "crash:depot=d1,at_bytes=2097152" : ""));
     cfg.lane_routes.push_back({InetAddress::loopback(depots.back()->port())});
   }
   auto spare = std::make_unique<Lsd>(loop, LsdConfig{});
@@ -152,21 +165,15 @@ TEST(StripePosix, CrashedLaneRestripesOntoSpareChain) {
   cfg.restripe_delay = std::chrono::milliseconds(20);
   h.launch(std::move(cfg));
 
-  // Permanent byte-keyed crash of lane 1's daemon.
-  LsdFaultDriver driver(*depots[1],
-                        plan_of("crash:depot=d1,at_bytes=2097152"));
-  driver.arm();
-
   ASSERT_TRUE(wait_until(
-      loop, [&] { return h.sink_done && h.src_done; }, 60.0,
-      [&driver] { driver.poll(); }));
+      loop, [&] { return h.sink_done && h.src_done; }, 60.0));
   EXPECT_TRUE(h.src_ok);
   EXPECT_TRUE(h.sink_res.verified);
   EXPECT_EQ(h.sink_res.payload_bytes, bytes);
   EXPECT_EQ(h.source->stripes_lost(), 1u);
   EXPECT_EQ(h.source->stripes_recovered(), 1u);
   EXPECT_GT(h.source->retransmitted_bytes(), 0u);
-  EXPECT_EQ(driver.injected(), 1u);
+  EXPECT_EQ(depots[1]->faults_injected(), 1u);
   EXPECT_EQ(spare->stats().sessions_completed, 1u);
 }
 
@@ -179,12 +186,12 @@ TEST(StripePosix, RedundancyAbsorbsCrashedLaneWithZeroRetransmit) {
   const std::uint64_t bytes = 32 * util::kMiB;
   StripedHarness h(loop, 71);
 
-  std::vector<std::unique_ptr<Lsd>> depots;
+  // Lane 2's daemon crashes for good once it has relayed 2 MiB.
+  std::vector<std::unique_ptr<ShardedLsd>> depots;
   StripedPosixSourceConfig cfg;
   for (int i = 0; i < 4; ++i) {
-    LsdConfig dcfg;
-    dcfg.buffer_bytes = 256 * util::kKiB;
-    depots.push_back(std::make_unique<Lsd>(loop, dcfg));
+    depots.push_back(
+        lane_depot(i == 2 ? "crash:depot=d1,at_bytes=2097152" : ""));
     cfg.lane_routes.push_back({InetAddress::loopback(depots.back()->port())});
   }
   cfg.payload_bytes = bytes;
@@ -192,19 +199,14 @@ TEST(StripePosix, RedundancyAbsorbsCrashedLaneWithZeroRetransmit) {
   cfg.redundancy = 1;
   h.launch(std::move(cfg));
 
-  LsdFaultDriver driver(*depots[2],
-                        plan_of("crash:depot=d1,at_bytes=2097152"));
-  driver.arm();
-
   ASSERT_TRUE(wait_until(
-      loop, [&] { return h.sink_done && h.src_done; }, 60.0,
-      [&driver] { driver.poll(); }));
+      loop, [&] { return h.sink_done && h.src_done; }, 60.0));
   EXPECT_TRUE(h.src_ok);
   EXPECT_TRUE(h.sink_res.verified);
   EXPECT_EQ(h.source->stripes_lost(), 1u);
   EXPECT_EQ(h.source->stripes_recovered(), 0u);
   EXPECT_EQ(h.source->retransmitted_bytes(), 0u);
-  EXPECT_EQ(driver.injected(), 1u);
+  EXPECT_EQ(depots[2]->faults_injected(), 1u);
 }
 
 // The admin `health` endpoint reports live striped relays while lanes are
@@ -215,25 +217,23 @@ TEST(StripePosix, AdminHealthReportsLiveStripeLanes) {
   const std::uint64_t bytes = 48 * util::kMiB;
   StripedHarness h(loop, 73);
 
-  LsdConfig dcfg;
-  dcfg.buffer_bytes = 256 * util::kKiB;
-  Lsd lsd(loop, dcfg);
+  const auto depot = lane_depot();
   const std::string sock_path = ::testing::TempDir() + "/stripe_admin.sock";
-  posix::AdminServer admin(loop, sock_path, lsd);
+  posix::AdminServer admin(loop, sock_path, *depot);
 
   // All three lanes ride the same daemon: disjointness is the caller's
   // routing choice, not a protocol requirement, and one daemon makes the
   // census deterministic (3 striped relays while the session runs).
   StripedPosixSourceConfig cfg;
   for (int i = 0; i < 3; ++i) {
-    cfg.lane_routes.push_back({InetAddress::loopback(lsd.port())});
+    cfg.lane_routes.push_back({InetAddress::loopback(depot->port())});
   }
   cfg.payload_bytes = bytes;
   cfg.payload_seed = 73;
   h.launch(std::move(cfg));
 
   ASSERT_TRUE(wait_until(
-      loop, [&] { return lsd.striped_relays() == 3; }, 30.0));
+      loop, [&] { return depot->admin_health().stripes == 3; }, 30.0));
 
   const auto query = [&loop](const std::string& path) -> std::string {
     const int fd =
@@ -280,6 +280,8 @@ TEST(StripePosix, AdminHealthReportsLiveStripeLanes) {
   EXPECT_TRUE(h.sink_res.verified);
 
   // Lanes drained: the conditional field disappears entirely.
+  ASSERT_TRUE(wait_until(
+      loop, [&] { return depot->admin_health().stripes == 0; }, 5.0));
   const std::string idle = query(sock_path);
   ASSERT_FALSE(idle.empty());
   EXPECT_EQ(idle.find("\"stripes\""), std::string::npos) << idle;
