@@ -3,7 +3,8 @@
 // loop's RTT — but adds a handshake, a copy stage and per-session setup.
 // The gain should grow with diminishing returns and eventually flatten.
 #include "bench_common.hpp"
-#include "exp/chain.hpp"
+#include "exp/runner.hpp"
+#include "exp/scenarios.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
 
@@ -14,13 +15,16 @@ int main() {
       {"depots", "mbps", "sd", "gain_vs_direct_%"});
   double direct = 0.0;
   for (std::size_t depots : {0u, 1u, 2u, 3u, 4u}) {
+    exp::ChainParams p;
+    p.depots = depots;
+    exp::RunConfig cfg;
+    cfg.mode = depots == 0 ? exp::Mode::kDirectTcp : exp::Mode::kLsl;
+    cfg.bytes = 32 * util::kMiB;
+    cfg.seed = bench::base_seed();
     util::RunningStats s;
-    for (std::size_t i = 0; i < bench::iterations(4); ++i) {
-      exp::ChainParams p;
-      p.depots = depots;
-      p.bytes = 32 * util::kMiB;
-      p.seed = bench::base_seed() + i;
-      const auto r = exp::run_chain(p);
+    for (const exp::TransferResult& r : exp::run_many(
+             [&p](std::uint64_t seed) { return exp::build_chain(p, seed); },
+             cfg, bench::iterations(4))) {
       if (r.completed) s.add(r.mbps);
     }
     if (depots == 0) direct = s.mean();

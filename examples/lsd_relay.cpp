@@ -47,6 +47,10 @@
 //                       --health; requires --admin-socket on the peers
 //   --gossip-interval=DUR  poll cadence (default 1s)
 //
+// Any other `--option`, a third positional argument, or a port, buffer
+// size or shard count that is not a whole number in range exits 2 with a
+// message naming it, before anything binds.
+//
 // SIGTERM (or Ctrl-C) in daemon mode triggers a graceful drain: the daemon
 // refuses new sessions, lets in-flight ones finish, then exits printing a
 // drain report merged across shards.
@@ -77,6 +81,9 @@ namespace {
 volatile std::sig_atomic_t g_drain_requested = 0;
 
 void on_terminate_signal(int) { g_drain_requested = 1; }
+
+constexpr int kMaxShards = 256;
+constexpr std::uint64_t kMaxBuffer = util::kGiB;
 
 /// Everything `--daemon` accepts.
 struct DaemonOptions {
@@ -278,6 +285,7 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--daemon") == 0) {
     DaemonOptions opt;
     bool have_port = false;
+    bool have_buffer = false;
     for (int i = 2; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg.rfind("--resume-grace=", 0) == 0) {
@@ -294,11 +302,13 @@ int main(int argc, char** argv) {
       } else if (arg.rfind("--admin-socket=", 0) == 0) {
         opt.admin_socket = arg.substr(15);
       } else if (arg.rfind("--shards=", 0) == 0) {
-        opt.shards = std::atoi(arg.c_str() + 9);
-        if (opt.shards < 1) {
-          std::fprintf(stderr, "lsd: bad --shards (need >= 1)\n");
+        const auto n = util::parse_count(arg.substr(9));
+        if (!n || *n < 1 || *n > kMaxShards) {
+          std::fprintf(stderr, "lsd: bad --shards (need 1..%d)\n",
+                       kMaxShards);
           return 2;
         }
+        opt.shards = static_cast<int>(*n);
       } else if (arg == "--health") {
         opt.health = true;
       } else if (arg.rfind("--gossip-peers=", 0) == 0) {
@@ -323,11 +333,30 @@ int main(int argc, char** argv) {
           return 2;
         }
         opt.liveness.drain_deadline = *d;
+      } else if (arg.rfind("--", 0) == 0) {
+        std::fprintf(stderr, "lsd: unknown option %s\n", arg.c_str());
+        return 2;
       } else if (!have_port) {
-        opt.port = static_cast<std::uint16_t>(std::atoi(arg.c_str()));
+        const auto port = util::parse_count(arg);
+        if (!port || *port > 65535) {
+          std::fprintf(stderr, "lsd: bad port %s (need 0..65535)\n",
+                       arg.c_str());
+          return 2;
+        }
+        opt.port = static_cast<std::uint16_t>(*port);
         have_port = true;
+      } else if (!have_buffer) {
+        const auto buffer = util::parse_count(arg);
+        if (!buffer || *buffer < 1 || *buffer > kMaxBuffer) {
+          std::fprintf(stderr, "lsd: bad buffer size %s (need 1..%llu)\n",
+                       arg.c_str(), static_cast<unsigned long long>(kMaxBuffer));
+          return 2;
+        }
+        opt.buffer = static_cast<std::size_t>(*buffer);
+        have_buffer = true;
       } else {
-        opt.buffer = static_cast<std::size_t>(std::atoll(arg.c_str()));
+        std::fprintf(stderr, "lsd: unexpected argument %s\n", arg.c_str());
+        return 2;
       }
     }
     return run_daemon(opt);

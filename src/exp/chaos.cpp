@@ -88,73 +88,39 @@ void seed_path_database(core::PathDatabase& db, const ChainParams& p) {
 ChaosResult run_chaos(const ChaosParams& params) {
   ChaosResult res;
   const ChainParams& cp = params.chain;
-  const std::uint64_t bytes = cp.bytes;
+  const std::uint64_t bytes = params.bytes;
+  const std::uint64_t seed = params.seed;
 
-  // --- Topology: identical to run_chain ---------------------------------
-  sim::Network net(cp.seed);
-  sim::Node& src = net.add_host("src");
-  sim::Node& dst = net.add_host("dst");
-  sim::Node& gw_a = net.add_router("gw_a");
-  sim::Node& gw_b = net.add_router("gw_b");
-
-  sim::LinkConfig access;
-  access.rate = util::DataRate::mbps(100);
-  access.delay = cp.access_delay;
-  access.queue_bytes = 512 * util::kKiB;
-  net.connect(src, gw_a, access);
-  net.connect(gw_b, dst, access);
-
-  const std::size_t segments = cp.depots + 1;
-  sim::LinkConfig seg;
-  seg.rate = cp.wan_rate;
-  seg.delay =
-      cp.total_one_way_delay / static_cast<util::SimDuration>(segments);
-  seg.loss_rate = cp.total_loss / static_cast<double>(segments);
-  seg.queue_bytes = cp.wan_queue_bytes;
-
-  std::vector<sim::Node*> depot_hosts;
-  sim::Node* prev = &gw_a;
-  for (std::size_t i = 0; i < cp.depots; ++i) {
-    sim::Node& j = net.add_router("J" + std::to_string(i + 1));
-    net.connect(*prev, j, seg);
-    sim::Node& d = net.add_host("depot" + std::to_string(i + 1));
-    sim::LinkConfig dlink;
-    dlink.rate = util::DataRate::mbps(100);
-    dlink.delay = util::millis(0.5);
-    dlink.queue_bytes = 512 * util::kKiB;
-    net.connect(j, d, dlink);
-    depot_hosts.push_back(&d);
-    prev = &j;
-  }
-  net.connect(*prev, gw_b, seg);
-  net.compute_routes();
+  Scenario sc = build_chain(cp, seed);
+  sim::Network& net = *sc.net;
 
   // Chaos transfers always carry real bytes: end-to-end verification (the
   // recovery trigger for corruption) needs actual content on the wire.
-  tcp::TcpConfig tcpc = cp.tcp;
+  tcp::TcpConfig tcpc;
+  tcpc.initial_ssthresh = sc.initial_ssthresh;
   tcpc.carry_data = true;
 
-  tcp::TcpStack src_stack(net, src, tcpc);
-  tcp::TcpStack dst_stack(net, dst, tcpc);
+  tcp::TcpStack src_stack(net, *sc.src, tcpc);
+  tcp::TcpStack dst_stack(net, *sc.dst, tcpc);
   std::vector<std::unique_ptr<tcp::TcpStack>> depot_stacks;
-  for (sim::Node* d : depot_hosts) {
+  for (sim::Node* d : sc.depots) {
     depot_stacks.push_back(std::make_unique<tcp::TcpStack>(net, *d, tcpc));
   }
 
   // --- Depots + instruments ---------------------------------------------
   std::optional<fault::FaultMetrics> fm;
   std::vector<std::unique_ptr<metrics::DepotMetrics>> depot_bundles;
-  if (cp.metrics != nullptr) fm.emplace(*cp.metrics);
+  if (params.metrics != nullptr) fm.emplace(*params.metrics);
 
   core::SessionDirectory dir;
   std::vector<std::unique_ptr<core::DepotApp>> depot_apps;
   for (std::size_t i = 0; i < depot_stacks.size(); ++i) {
-    core::DepotConfig dcfg = cp.depot;
+    core::DepotConfig dcfg = sc.depot;
     dcfg.port = kDepotPort;
     auto app = std::make_unique<core::DepotApp>(*depot_stacks[i], dcfg, &dir);
-    if (cp.metrics != nullptr) {
+    if (params.metrics != nullptr) {
       depot_bundles.push_back(std::make_unique<metrics::DepotMetrics>(
-          *cp.metrics, "depot." + std::to_string(i + 1)));
+          *params.metrics, "depot." + std::to_string(i + 1)));
       app->set_metrics(depot_bundles.back().get());
     }
     depot_apps.push_back(std::move(app));
@@ -178,13 +144,13 @@ ChaosResult run_chaos(const ChaosParams& params) {
   core::PathDatabase db;
   seed_path_database(db, cp);
   core::RouteSelector selector(
-      db, 1448.0, util::to_seconds(cp.depot.session_setup_latency));
+      db, 1448.0, util::to_seconds(sc.depot.session_setup_latency));
   fault::ReroutePolicy rerouter(selector);
   const std::vector<core::CandidateRoute> candidates =
       chain_candidates(cp.depots);
   // The policy's jitter stream is derived from the run seed, split so it
   // never aliases the simulator's own RNG consumers.
-  fault::RetryPolicy policy(params.retry, cp.seed ^ 0x9e3779b97f4a7c15ull);
+  fault::RetryPolicy policy(params.retry, seed ^ 0x9e3779b97f4a7c15ull);
 
   // --- Health plane (fully inert when disabled: no board, no events, no
   // instruments — same-seed exports stay byte-identical) -------------------
@@ -194,13 +160,13 @@ ChaosResult run_chaos(const ChaosParams& params) {
   std::optional<core::SessionLedger> ledger;
   if (health_on) {
     board.emplace(params.health.board);
-    if (cp.metrics != nullptr) {
-      hm.emplace(*cp.metrics);
+    if (params.metrics != nullptr) {
+      hm.emplace(*params.metrics);
       board->set_metrics(&*hm);
     }
     selector.set_health(&*board);
     rerouter.set_health_board(&*board);
-    ledger.emplace(cp.seed);
+    ledger.emplace(seed);
   }
 
   // --- Sink --------------------------------------------------------------
@@ -211,7 +177,7 @@ ChaosResult run_chaos(const ChaosParams& params) {
   core::SinkConfig sink_cfg;
   sink_cfg.expect_header = true;
   sink_cfg.verify_payload = true;
-  sink_cfg.payload_seed = cp.seed;
+  sink_cfg.payload_seed = seed;
   if (health_on) sink_cfg.ledger = &*ledger;
   core::SinkServer sink(dst_stack, kSinkPort, sink_cfg, &dir);
   if (health_on) {
@@ -237,7 +203,7 @@ ChaosResult run_chaos(const ChaosParams& params) {
   auto& ev = net.sim().events();
   injector.arm();
 
-  util::Rng id_rng(cp.seed);
+  util::Rng id_rng(seed);
   std::vector<std::unique_ptr<core::SourceApp>> sources;
   std::vector<std::string> route;  // depot names of the current attempt
   for (std::size_t i = 0; i < cp.depots; ++i) {
@@ -346,7 +312,7 @@ ChaosResult run_chaos(const ChaosParams& params) {
     // Build this attempt's session over `route`.
     core::SourceConfig scfg;
     scfg.payload_bytes = bytes;
-    scfg.payload_seed = cp.seed;
+    scfg.payload_seed = seed;
     scfg.use_header = true;
     scfg.header.session = core::SessionId::generate(id_rng);
     scfg.header.payload_length = bytes;
@@ -354,7 +320,7 @@ ChaosResult run_chaos(const ChaosParams& params) {
       sim::Node* host = net.find_node(name);
       scfg.header.hops.push_back({host->id(), kDepotPort});
     }
-    scfg.header.destination = {dst.id(), kSinkPort};
+    scfg.header.destination = {sc.dst->id(), kSinkPort};
     scfg.resumable = params.resumable_attempts;
     if (params.resumable_attempts) {
       // In-session reconnects draw from the same retry budget as
@@ -398,7 +364,7 @@ ChaosResult run_chaos(const ChaosParams& params) {
 
     // Drive until the sink verdicts, the source abandons, or — a dead
     // attempt with nothing in flight — the event queue drains.
-    while (!sink_done && !source->gave_up() && ev.now() <= cp.deadline &&
+    while (!sink_done && !source->gave_up() && ev.now() <= kRunDeadline &&
            ev.step()) {
     }
     res.resumes += source->resumes();
@@ -409,7 +375,7 @@ ChaosResult run_chaos(const ChaosParams& params) {
       // MD5 — the proof that a migration resumed from the exact floor.
       res.stream_digest_ok =
           ledger->digest(completed_session) ==
-          core::stream_digest(cp.seed, bytes);
+          core::stream_digest(seed, bytes);
       sink_verified =
           ledger->content_ok(completed_session) && res.stream_digest_ok;
     }
@@ -418,7 +384,7 @@ ChaosResult run_chaos(const ChaosParams& params) {
       res.verified = true;
       break;
     }
-    if (ev.now() > cp.deadline) {
+    if (ev.now() > kRunDeadline) {
       LSL_LOG_WARN("chaos: deadline exceeded");
       break;
     }

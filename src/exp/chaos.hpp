@@ -1,7 +1,7 @@
 // Chaos experiments: scripted faults against a cascaded chain transfer,
 // recovered by the policy layer.
 //
-// run_chaos builds the same N-depot chain topology as run_chain, arms a
+// run_chaos builds an N-depot chain (exp::build_chain), arms a
 // fault::FaultInjector with a scripted FaultPlan, and then drives transfer
 // *attempts* under a fault::RetryPolicy: when an attempt fails (depot
 // crash, refused accept, end-to-end verification mismatch), the harness
@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "exp/chain.hpp"
+#include "exp/scenarios.hpp"
 #include "fault/policy.hpp"
 #include "fault/spec.hpp"
 #include "health/board.hpp"
@@ -49,10 +49,15 @@ struct ChaosHealth {
 
 /// Parameters of one chaos run.
 struct ChaosParams {
-  /// Topology, payload size, seed, depot tuning (set depot.resume_grace
-  /// for reset-style scenarios). capture_traces is ignored; chain.metrics
-  /// doubles as the registry for `fault.*` / `recovery.*` instruments.
+  /// Topology and depot tuning (set depot.resume_grace for reset-style
+  /// scenarios).
   ChainParams chain;
+  std::uint64_t bytes = 16 * util::kMiB;
+  std::uint64_t seed = 1;
+  /// When set, the run registers per-depot `depot.<i>.*` instruments here,
+  /// plus `fault.*` / `recovery.*` (and `health.*` with the health plane).
+  /// Must outlive the call.
+  metrics::Registry* metrics = nullptr;
   fault::FaultPlan plan;
   fault::RetryConfig retry;
   /// Resumable attempts survive mid-stream connection resets in-session

@@ -1,10 +1,11 @@
 #include "exp/runner.hpp"
 
-#include <cassert>
+#include <string>
 
 #include "lsl/directory.hpp"
 #include "lsl/session_id.hpp"
 #include "tcp/stack.hpp"
+#include "util/contract.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 
@@ -15,32 +16,47 @@ constexpr sim::PortNum kSinkPort = 5001;
 constexpr sim::PortNum kDepotPort = 4000;
 }  // namespace
 
-TransferResult run_transfer(const PathParams& path, const RunConfig& cfg) {
+TransferResult run_transfer(const ScenarioBuilder& build,
+                            const RunConfig& cfg) {
   TransferResult res;
   res.bytes = cfg.bytes;
 
-  Scenario sc = build_scenario(path, cfg.seed);
+  Scenario sc = build(cfg.seed);
   sim::Network& net = *sc.net;
+  LSL_PRECONDITION(cfg.mode != Mode::kLsl || !sc.depots.empty(),
+                   "run_transfer: LSL mode needs at least one depot");
 
   tcp::TcpConfig tcpc = cfg.tcp;
   tcpc.carry_data = cfg.carry_data;
-  if (tcpc.initial_ssthresh == 0) tcpc.initial_ssthresh = path.initial_ssthresh;
+  if (tcpc.initial_ssthresh == 0) tcpc.initial_ssthresh = sc.initial_ssthresh;
 
   // Metric bundles, declared before the stacks so they outlive every socket
   // holding a pointer to them.
   std::vector<std::unique_ptr<metrics::TcpConnMetrics>> tcp_bundles;
-  std::unique_ptr<metrics::DepotMetrics> depot_bundle;
-  auto meter_socket = [&](tcp::TcpSocket* s, const std::string& label) {
-    if (!cfg.metrics) return;
-    tcp_bundles.push_back(
-        std::make_unique<metrics::TcpConnMetrics>(*cfg.metrics,
-                                                  "tcp." + label));
-    s->set_metrics(tcp_bundles.back().get());
+  std::vector<std::unique_ptr<metrics::DepotMetrics>> depot_bundles;
+  // Sending sockets, in path order, for stats collection.
+  std::vector<tcp::TcpSocket*> senders;
+  auto instrument = [&](tcp::TcpSocket* s, const std::string& label) {
+    senders.push_back(s);
+    if (cfg.metrics) {
+      tcp_bundles.push_back(
+          std::make_unique<metrics::TcpConnMetrics>(*cfg.metrics,
+                                                    "tcp." + label));
+      s->set_metrics(tcp_bundles.back().get());
+    }
+    if (cfg.capture_traces) {
+      auto rec = std::make_unique<trace::TraceRecorder>(label);
+      rec->attach(s);
+      res.traces.push_back(std::move(rec));
+    }
   };
 
   tcp::TcpStack src_stack(net, *sc.src, tcpc);
   tcp::TcpStack dst_stack(net, *sc.dst, tcpc);
-  tcp::TcpStack depot_stack(net, *sc.depot, tcpc);
+  std::vector<std::unique_ptr<tcp::TcpStack>> depot_stacks;
+  for (sim::Node* d : sc.depots) {
+    depot_stacks.push_back(std::make_unique<tcp::TcpStack>(net, *d, tcpc));
+  }
 
   core::SessionDirectory dir;
   core::SessionDirectory* dirp = cfg.carry_data ? nullptr : &dir;
@@ -48,9 +64,6 @@ TransferResult run_transfer(const PathParams& path, const RunConfig& cfg) {
   bool done = false;
   util::SimTime done_time = 0;
   bool verified = true;
-
-  // Sending sockets, in path order, for stats collection.
-  std::vector<tcp::TcpSocket*> senders;
 
   // --- Receiving side --------------------------------------------------------
   std::unique_ptr<core::SinkServer> sink_server;
@@ -76,35 +89,24 @@ TransferResult run_transfer(const PathParams& path, const RunConfig& cfg) {
     };
   }
 
-  // --- Depot (LSL mode) ------------------------------------------------------
-  std::unique_ptr<core::DepotApp> depot_app;
+  // --- Depots (LSL mode) -----------------------------------------------------
+  std::vector<std::unique_ptr<core::DepotApp>> depot_apps;
   if (cfg.mode == Mode::kLsl) {
-    core::DepotConfig dcfg;
-    if (cfg.depot_override) {
-      dcfg = *cfg.depot_override;
-    } else {
-      dcfg.buffer_bytes = path.depot_relay_buffer;
-      dcfg.copy_rate = path.depot_relay_rate;
-      dcfg.wakeup_latency = path.depot_wakeup;
-      dcfg.session_setup_latency = path.depot_setup;
-    }
+    core::DepotConfig dcfg = cfg.depot_override.value_or(sc.depot);
     dcfg.port = kDepotPort;
-    if (cfg.resume_grace > 0) dcfg.resume_grace = cfg.resume_grace;
-    depot_app = std::make_unique<core::DepotApp>(depot_stack, dcfg, dirp);
-    if (cfg.metrics) {
-      depot_bundle =
-          std::make_unique<metrics::DepotMetrics>(*cfg.metrics, "depot.1");
-      depot_app->set_metrics(depot_bundle.get());
-    }
-    depot_app->on_downstream_open = [&](tcp::TcpSocket* s) {
-      senders.push_back(s);
-      meter_socket(s, "sublink2");
-      if (cfg.capture_traces) {
-        auto rec = std::make_unique<trace::TraceRecorder>("sublink2");
-        rec->attach(s);
-        res.traces.push_back(std::move(rec));
+    for (std::size_t i = 0; i < depot_stacks.size(); ++i) {
+      auto app = std::make_unique<core::DepotApp>(*depot_stacks[i], dcfg, dirp);
+      if (cfg.metrics) {
+        depot_bundles.push_back(std::make_unique<metrics::DepotMetrics>(
+            *cfg.metrics, "depot." + std::to_string(i + 1)));
+        app->set_metrics(depot_bundles.back().get());
       }
-    };
+      // Depot i's downstream connection is sublink i+2 of the cascade.
+      app->on_downstream_open = [&instrument, i](tcp::TcpSocket* s) {
+        instrument(s, "sublink" + std::to_string(i + 2));
+      };
+      depot_apps.push_back(std::move(app));
+    }
   }
 
   // --- Sending side ----------------------------------------------------------
@@ -127,9 +129,11 @@ TransferResult run_transfer(const PathParams& path, const RunConfig& cfg) {
       scfg.header.session = core::SessionId::generate(id_rng);
       if (cfg.carry_data) scfg.header.flags |= core::kFlagDigestTrailer;
       scfg.header.payload_length = cfg.bytes;
-      scfg.header.hops = {{sc.depot->id(), kDepotPort}};
+      for (sim::Node* d : sc.depots) {
+        scfg.header.hops.push_back({d->id(), kDepotPort});
+      }
       scfg.header.destination = {sc.dst->id(), kSinkPort};
-      first_hop = {sc.depot->id(), kDepotPort};
+      first_hop = {sc.depots.front()->id(), kDepotPort};
     }
     source = std::make_unique<core::SourceApp>(src_stack, first_hop, scfg,
                                                dirp);
@@ -140,22 +144,17 @@ TransferResult run_transfer(const PathParams& path, const RunConfig& cfg) {
   if (source) {
     source->start();
     start_time = source->start_time();
-    senders.insert(senders.begin(), source->socket());
-    meter_socket(source->socket(),
-                 cfg.mode == Mode::kLsl ? "sublink1" : "direct");
-    if (cfg.capture_traces) {
-      auto rec = std::make_unique<trace::TraceRecorder>(
-          cfg.mode == Mode::kLsl ? "sublink1" : "direct");
-      rec->attach(source->socket());
-      res.traces.insert(res.traces.begin(), std::move(rec));
-    }
+    // Nothing has reached a depot yet, so the source's connection is the
+    // first sender and the first trace.
+    instrument(source->socket(),
+               cfg.mode == Mode::kLsl ? "sublink1" : "direct");
   } else {
     parallel_source->start();
     start_time = parallel_source->start_time();
   }
 
   auto& ev = net.sim().events();
-  while (!done && ev.now() <= cfg.deadline && ev.step()) {
+  while (!done && ev.now() <= kRunDeadline && ev.step()) {
   }
   sc.stop_cross_traffic();
 
@@ -166,7 +165,7 @@ TransferResult run_transfer(const PathParams& path, const RunConfig& cfg) {
     res.verified = verified;
   } else {
     LSL_LOG_WARN("run_transfer(%s): transfer did not complete (%llu bytes)",
-                 path.name.c_str(),
+                 sc.name.c_str(),
                  static_cast<unsigned long long>(cfg.bytes));
     res.verified = false;
   }
@@ -190,7 +189,12 @@ TransferResult run_transfer(const PathParams& path, const RunConfig& cfg) {
   return res;
 }
 
-std::vector<TransferResult> run_many(const PathParams& path,
+TransferResult run_transfer(const PathParams& path, const RunConfig& cfg) {
+  return run_transfer(
+      [&path](std::uint64_t seed) { return build_scenario(path, seed); }, cfg);
+}
+
+std::vector<TransferResult> run_many(const ScenarioBuilder& build,
                                      const RunConfig& cfg,
                                      std::size_t iterations) {
   std::vector<TransferResult> out;
@@ -198,9 +202,17 @@ std::vector<TransferResult> run_many(const PathParams& path,
   for (std::size_t i = 0; i < iterations; ++i) {
     RunConfig c = cfg;
     c.seed = cfg.seed + i;
-    out.push_back(run_transfer(path, c));
+    out.push_back(run_transfer(build, c));
   }
   return out;
+}
+
+std::vector<TransferResult> run_many(const PathParams& path,
+                                     const RunConfig& cfg,
+                                     std::size_t iterations) {
+  return run_many(
+      [&path](std::uint64_t seed) { return build_scenario(path, seed); }, cfg,
+      iterations);
 }
 
 double mean_mbps(const std::vector<TransferResult>& results) {

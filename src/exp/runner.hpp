@@ -1,6 +1,7 @@
 // The experiment runner: executes one transfer (direct TCP, LSL through the
-// depot, or PSockets-style parallel streams) over a scenario and reports the
-// paper's measurement quantities — host-to-host wall-clock throughput
+// scenario's depots, or PSockets-style parallel streams) over a scenario
+// (one of the paper's paths or an N-depot chain) and reports the paper's
+// measurement quantities — host-to-host wall-clock throughput
 // (connection setup and depot overheads included), per-connection
 // sender-side traces, ACK-derived RTTs and retransmission counts.
 #pragma once
@@ -37,22 +38,13 @@ struct RunConfig {
   bool carry_data = false;       ///< real payload bytes + MD5 end-to-end
   std::size_t parallel_streams = 4;
   tcp::TcpConfig tcp;              ///< applied to every stack
-  /// Depot tuning; when unset, derived from the scenario's PathParams
-  /// (depot_relay_rate / depot_relay_buffer / depot_wakeup).
+  /// Depot tuning; when unset, every depot takes the scenario's.
   std::optional<core::DepotConfig> depot_override;
-  /// Park window for sessions whose upstream died awaiting a kFlagResume
-  /// reconnect, applied to every depot the run builds (also on top of
-  /// depot_override). The simulator's default is 0 = resumption off — the
-  /// same default the real daemon's `lsd --resume-grace` knob documents in
-  /// docs/PROTOCOL.md §6.
-  util::SimDuration resume_grace = 0;
   /// When set, the run registers live instruments here: per-connection TCP
-  /// metrics under `tcp.<label>.*`, depot metrics under `depot.1.*`, and —
-  /// with capture_traces — a trace::analysis bridge under `trace.<label>.*`.
-  /// Must outlive the call.
+  /// metrics under `tcp.<label>.*`, per-depot metrics under `depot.<i>.*`,
+  /// and — with capture_traces — a trace::analysis bridge under
+  /// `trace.<label>.*`. Must outlive the call.
   metrics::Registry* metrics = nullptr;
-  /// Hard simulated-time ceiling; a run that exceeds it reports failure.
-  util::SimDuration deadline = 4ull * 3600 * util::kSecond;
 };
 
 /// Everything measured from one transfer.
@@ -79,11 +71,19 @@ struct TransferResult {
   std::vector<std::uint64_t> retx_per_link;
 };
 
-/// Run a single transfer over a freshly built scenario.
+/// Run a single transfer over the scenario `build` makes from cfg.seed.
+/// Connection labels follow the path: "direct", or "sublink1" from the
+/// source and "sublink<i+1>" downstream of depot i. LSL mode needs at least
+/// one depot.
+TransferResult run_transfer(const ScenarioBuilder& build, const RunConfig& cfg);
+/// The same over one of the paper's paths.
 TransferResult run_transfer(const PathParams& path, const RunConfig& cfg);
 
 /// Run `iterations` transfers with seeds seed, seed+1, ... and return each
 /// result (the paper runs 10 iterations per size, 120 for the OSU study).
+std::vector<TransferResult> run_many(const ScenarioBuilder& build,
+                                     const RunConfig& cfg,
+                                     std::size_t iterations);
 std::vector<TransferResult> run_many(const PathParams& path,
                                      const RunConfig& cfg,
                                      std::size_t iterations);

@@ -12,6 +12,7 @@ void Scenario::stop_cross_traffic() {
 
 Scenario build_scenario(const PathParams& p, std::uint64_t seed) {
   Scenario sc;
+  sc.name = p.name;
   sc.net = std::make_unique<sim::Network>(seed);
   sim::Network& net = *sc.net;
 
@@ -24,8 +25,12 @@ Scenario build_scenario(const PathParams& p, std::uint64_t seed) {
 
   sc.src = &src;
   sc.dst = &dst;
-  sc.depot = &depot;
-  sc.pop = &pop;
+  sc.depots = {&depot};
+  sc.depot.buffer_bytes = p.depot_relay_buffer;
+  sc.depot.copy_rate = p.depot_relay_rate;
+  sc.depot.wakeup_latency = p.depot_wakeup;
+  sc.depot.session_setup_latency = p.depot_setup;
+  sc.initial_ssthresh = p.initial_ssthresh;
 
   sim::LinkConfig access;
   access.rate = p.access_rate;
@@ -90,6 +95,53 @@ Scenario build_scenario(const PathParams& p, std::uint64_t seed) {
         std::make_unique<sim::OnOffUdpSource>(net, xb, xa.id(), ct));
   }
 
+  net.compute_routes();
+  return sc;
+}
+
+Scenario build_chain(const ChainParams& p, std::uint64_t seed) {
+  Scenario sc;
+  sc.name = "chain:" + std::to_string(p.depots);
+  sc.net = std::make_unique<sim::Network>(seed);
+  sim::Network& net = *sc.net;
+  sc.depot = p.depot;
+  sc.initial_ssthresh = 64 * util::kKiB;
+
+  sim::Node& src = net.add_host("src");
+  sim::Node& dst = net.add_host("dst");
+  sim::Node& gw_a = net.add_router("gw_a");
+  sim::Node& gw_b = net.add_router("gw_b");
+  sc.src = &src;
+  sc.dst = &dst;
+
+  sim::LinkConfig access;
+  access.rate = util::DataRate::mbps(100);
+  access.delay = p.access_delay;
+  access.queue_bytes = 512 * util::kKiB;
+  net.connect(src, gw_a, access);
+  net.connect(gw_b, dst, access);
+
+  const std::size_t segments = p.depots + 1;
+  sim::LinkConfig seg;
+  seg.rate = p.wan_rate;
+  seg.delay = p.total_one_way_delay / static_cast<util::SimDuration>(segments);
+  seg.loss_rate = p.total_loss / static_cast<double>(segments);
+  seg.queue_bytes = p.wan_queue_bytes;
+
+  sim::Node* prev = &gw_a;
+  for (std::size_t i = 0; i < p.depots; ++i) {
+    sim::Node& j = net.add_router("J" + std::to_string(i + 1));
+    net.connect(*prev, j, seg);
+    sim::Node& d = net.add_host("depot" + std::to_string(i + 1));
+    sim::LinkConfig dlink;
+    dlink.rate = util::DataRate::mbps(100);
+    dlink.delay = util::millis(0.5);
+    dlink.queue_bytes = 512 * util::kKiB;
+    net.connect(j, d, dlink);
+    sc.depots.push_back(&d);
+    prev = &j;
+  }
+  net.connect(*prev, gw_b, seg);
   net.compute_routes();
   return sc;
 }

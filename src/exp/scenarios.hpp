@@ -18,17 +18,32 @@
 // bursty model on a wireless last hop (Case 3). On/off UDP cross-traffic
 // across the shared segments supplies the queueing variance real traces
 // show.
+//
+// The N-depot chain generalizes the single-depot setup: a source and sink
+// joined by N+1 WAN segments with a depot at each junction, holding the
+// *total* path delay and loss constant while varying how many times the
+// path is articulated. It answers the design question the paper leaves
+// open: how the LSL effect scales with the number of cascaded TCP
+// connections, and where per-depot costs (setup latency, copy rate) eat
+// the gains.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "lsl/depot.hpp"
 #include "sim/cross_traffic.hpp"
 #include "sim/network.hpp"
 #include "util/units.hpp"
 
 namespace lsl::exp {
+
+/// Hard simulated-time ceiling of every run; a run that exceeds it reports
+/// failure.
+inline constexpr util::SimDuration kRunDeadline = 4 * 3600 * util::kSecond;
 
 /// Parameters of one measurement path.
 struct PathParams {
@@ -79,13 +94,37 @@ struct PathParams {
   std::uint64_t initial_ssthresh = 112 * util::kKiB;
 };
 
+/// Parameters of an N-depot chain.
+struct ChainParams {
+  std::size_t depots = 1;  ///< cascaded depots (0 = the bare backbone)
+
+  /// Total one-way propagation delay of the backbone, split evenly across
+  /// the depots+1 segments.
+  util::SimDuration total_one_way_delay = util::millis(28);
+  /// Total one-way per-packet loss probability of the backbone, split
+  /// evenly across the segments.
+  double total_loss = 2.8e-4;
+  util::DataRate wan_rate = util::DataRate::mbps(40);
+  std::size_t wan_queue_bytes = 256 * util::kKiB;
+  util::SimDuration access_delay = util::millis(0.5);
+
+  core::DepotConfig depot{.buffer_bytes = util::kMiB,
+                          .copy_rate = util::DataRate::mbps(60),
+                          .session_setup_latency = util::millis(40)};
+};
+
 /// A constructed topology ready to host transport stacks.
 struct Scenario {
+  std::string name;
   std::unique_ptr<sim::Network> net;
   sim::Node* src = nullptr;
   sim::Node* dst = nullptr;
-  sim::Node* depot = nullptr;
-  sim::Node* pop = nullptr;
+  /// Depot hosts in path order: one on the paper's paths, N on a chain.
+  std::vector<sim::Node*> depots;
+  /// Tuning every depot of a run starts from.
+  core::DepotConfig depot;
+  /// Warmed ssthresh for every connection (see PathParams).
+  std::uint64_t initial_ssthresh = 0;
   std::vector<std::unique_ptr<sim::OnOffUdpSource>> cross_sources;
 
   /// Start all configured cross-traffic sources.
@@ -97,6 +136,15 @@ struct Scenario {
 /// Build the topology for `p`, seeding all simulation randomness from
 /// `seed` (distinct seeds give statistically independent iterations).
 Scenario build_scenario(const PathParams& p, std::uint64_t seed);
+
+/// Build the N-depot chain for `p`: src and dst behind access links, and
+/// junction routers J1..JN along the backbone, each with a depot host
+/// ("depot1".."depotN") on a short link. Every connection starts from a
+/// 64 KiB warmed ssthresh.
+Scenario build_chain(const ChainParams& p, std::uint64_t seed);
+
+/// Builds a run's topology from the run's seed.
+using ScenarioBuilder = std::function<Scenario(std::uint64_t seed)>;
 
 /// Case 1 (§IV.A, Figures 3, 5, 6, 11–25): UCSB -> UIUC via a Denver depot.
 /// Direct path: ~57 ms RTT, ~11 Mbit/s at 64 MB.

@@ -6,6 +6,7 @@
 #include <set>
 #include <utility>
 
+#include "exp/scenarios.hpp"
 #include "fault/fault_metrics.hpp"
 #include "fault/injector.hpp"
 #include "lsl/apps.hpp"
@@ -376,7 +377,7 @@ StripedResult StripedRun::run() {
 
   // Drive until the sink verdicts the merged stream, a restripe ran out of
   // budget, or nothing is left to simulate.
-  while (!verdict_ && !restripe_failed_ && ev().now() <= p_.deadline &&
+  while (!verdict_ && !restripe_failed_ && ev().now() <= kRunDeadline &&
          ev().step()) {
     scan_dead_depots();
   }

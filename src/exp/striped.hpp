@@ -68,8 +68,6 @@ struct StripedParams {
                           .copy_rate = util::DataRate::mbps(60),
                           .session_setup_latency = util::millis(40)};
 
-  util::SimDuration deadline = 4ull * 3600 * util::kSecond;
-
   /// When set, the run registers `stripe.*` instruments (and the per-lane
   /// `stripe.lane<i>.bps` gauges) here. Must outlive the call.
   metrics::Registry* metrics = nullptr;

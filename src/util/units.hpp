@@ -7,7 +7,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace lsl::util {
 
@@ -108,6 +110,15 @@ constexpr double throughput_mbps(std::uint64_t bytes, SimDuration elapsed) {
 
 /// Format a byte count with a human-readable suffix, e.g. "64M", "256K".
 std::string format_bytes(std::uint64_t bytes);
+
+/// Parse a byte count: a decimal number, optionally fractional, with an
+/// optional binary K/M/G suffix ("4096", "64k", "1.5M"). Anything else is
+/// rejected: trailing characters, signs, exponents, hex, inf/nan, and
+/// values that do not fit in 64 bits. A fraction of a byte is truncated.
+std::optional<std::uint64_t> parse_size(std::string_view text);
+
+/// Parse a whole decimal count ("12"): digits only, fitting in 64 bits.
+std::optional<std::uint64_t> parse_count(std::string_view text);
 
 /// Format a simulated duration, e.g. "57.3ms".
 std::string format_duration(SimDuration d);

@@ -26,8 +26,8 @@ fault::FaultPlan plan_of(const std::string& spec) {
 exp::ChaosParams base_params(std::size_t depots, std::uint64_t bytes) {
   exp::ChaosParams p;
   p.chain.depots = depots;
-  p.chain.bytes = bytes;
-  p.chain.seed = 11;
+  p.bytes = bytes;
+  p.seed = 11;
   p.retry.base_delay = 100 * util::kMillisecond;
   p.retry.max_delay = util::kSecond;
   return p;
@@ -64,7 +64,7 @@ TEST(Chaos, SameSeedExportsByteIdenticalMetrics) {
     metrics::Registry reg;
     exp::ChaosParams p = base_params(3, 2 * util::kMiB);
     p.plan = plan_of("crash:depot=depot2,at_bytes=838860");
-    p.chain.metrics = &reg;
+    p.metrics = &reg;
     const exp::ChaosResult r = exp::run_chaos(p);
     std::ostringstream out;
     metrics::write_jsonl(reg, out);

@@ -4,9 +4,11 @@
 // are shorter than end-to-end; the sum exceeds end-to-end slightly).
 #include <gtest/gtest.h>
 
-#include "exp/chain.hpp"
+#include <string>
+
 #include "exp/runner.hpp"
 #include "exp/scenarios.hpp"
+#include "metrics/metrics.hpp"
 #include "util/units.hpp"
 
 namespace lsl::exp {
@@ -16,9 +18,9 @@ TEST(Scenarios, Case1TopologyWellFormed) {
   Scenario sc = build_scenario(case1_ucsb_uiuc(), 1);
   ASSERT_NE(sc.src, nullptr);
   ASSERT_NE(sc.dst, nullptr);
-  ASSERT_NE(sc.depot, nullptr);
+  ASSERT_EQ(sc.depots.size(), 1u);
   EXPECT_FALSE(sc.src->is_router());
-  EXPECT_FALSE(sc.depot->is_router());
+  EXPECT_FALSE(sc.depots[0]->is_router());
   EXPECT_GE(sc.net->node_count(), 6u);
   EXPECT_EQ(sc.cross_sources.size(), 2u);
 }
@@ -145,30 +147,57 @@ TEST(Runner, SameSeedIsDeterministic) {
   EXPECT_EQ(a.retransmits, b.retransmits);
 }
 
+ScenarioBuilder chain_of(std::size_t depots) {
+  return [depots](std::uint64_t seed) {
+    ChainParams p;
+    p.depots = depots;
+    return build_chain(p, seed);
+  };
+}
+
 TEST(Chain, ZeroDepotsIsDirect) {
-  ChainParams p;
-  p.depots = 0;
-  p.bytes = 2 * util::kMiB;
-  const ChainResult r = run_chain(p);
+  RunConfig cfg;
+  cfg.bytes = 2 * util::kMiB;
+  const TransferResult r = run_transfer(chain_of(0), cfg);
   ASSERT_TRUE(r.completed);
   EXPECT_GT(r.mbps, 1.0);
 }
 
 TEST(Chain, CascadingImprovesLossLimitedPath) {
-  ChainParams base;
-  base.bytes = 8 * util::kMiB;
-  base.seed = 12;
-
-  ChainParams direct = base;
-  direct.depots = 0;
-  ChainParams two = base;
-  two.depots = 2;
-
-  const ChainResult d = run_chain(direct);
-  const ChainResult t = run_chain(two);
+  RunConfig cfg;
+  cfg.bytes = 8 * util::kMiB;
+  cfg.seed = 12;
+  const TransferResult d = run_transfer(chain_of(0), cfg);
+  cfg.mode = Mode::kLsl;
+  const TransferResult t = run_transfer(chain_of(2), cfg);
   ASSERT_TRUE(d.completed);
   ASSERT_TRUE(t.completed);
   EXPECT_GT(t.mbps, d.mbps * 1.3);
+}
+
+// A lossy chain times out on some sublinks; the result counts the RTOs of
+// every sending socket, as the live per-socket counters do.
+TEST(Chain, CountsTimeoutsOfEverySublink) {
+  ChainParams lossy;
+  lossy.depots = 2;
+  lossy.total_loss = 3e-2;
+  metrics::Registry reg;
+  RunConfig cfg;
+  cfg.mode = Mode::kLsl;
+  cfg.bytes = 4 * util::kMiB;
+  cfg.seed = 40;
+  cfg.metrics = &reg;
+  const TransferResult r = run_transfer(
+      [&lossy](std::uint64_t seed) { return build_chain(lossy, seed); }, cfg);
+  ASSERT_TRUE(r.completed);
+  std::uint64_t live = 0;
+  for (const char* label : {"sublink1", "sublink2", "sublink3"}) {
+    const auto* c = reg.find_counter(std::string("tcp.") + label + ".timeouts");
+    ASSERT_NE(c, nullptr) << label;
+    live += c->value();
+  }
+  EXPECT_GT(r.timeouts, 0u);
+  EXPECT_EQ(r.timeouts, live);
 }
 
 TEST(Runner, MeanMbpsIgnoresIncompleteRuns) {

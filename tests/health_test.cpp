@@ -428,9 +428,9 @@ fault::FaultPlan plan_of(const std::string& spec) {
 exp::ChaosParams migration_params(metrics::Registry* reg) {
   exp::ChaosParams p;
   p.chain.depots = 3;
-  p.chain.bytes = 2 * util::kMiB;
-  p.chain.seed = 11;
-  p.chain.metrics = reg;
+  p.bytes = 2 * util::kMiB;
+  p.seed = 11;
+  p.metrics = reg;
   p.retry.base_delay = 100 * util::kMillisecond;
   p.retry.max_delay = util::kSecond;
   p.retry.jitter = 0.0;
@@ -460,7 +460,7 @@ TEST(HealthChaos, MidTransferMigrationResumesFromExactAckedFloor) {
   // The migration resumed from the sink's exact acknowledged frontier —
   // a real mid-stream offset, not a restart (0) and not the full payload.
   EXPECT_GT(r.migration_floor, 0u);
-  EXPECT_LT(r.migration_floor, p.chain.bytes);
+  EXPECT_LT(r.migration_floor, p.bytes);
   // The ledger stitched the pre- and post-migration connections into one
   // stream whose MD5 matches the seeded generator end to end.
   EXPECT_TRUE(r.stream_digest_ok);
@@ -502,9 +502,9 @@ TEST(HealthChaos, DisabledPlaneLeavesSeededExportsUntouched) {
     metrics::Registry reg;
     exp::ChaosParams p;
     p.chain.depots = 3;
-    p.chain.bytes = 2 * util::kMiB;
-    p.chain.seed = 11;
-    p.chain.metrics = &reg;
+    p.bytes = 2 * util::kMiB;
+    p.seed = 11;
+    p.metrics = &reg;
     p.plan = fault::parse_fault_spec("crash:depot=depot2,at_bytes=838860")
                  .value();
     if (health_structs_touched) {

@@ -10,7 +10,8 @@
 #include <sstream>
 #include <string>
 
-#include "exp/chain.hpp"
+#include "exp/runner.hpp"
+#include "exp/scenarios.hpp"
 #include "metrics/export.hpp"
 #include "metrics/instruments.hpp"
 #include "metrics/metrics.hpp"
@@ -151,16 +152,20 @@ TEST(TraceBridge, EmptyTraceExportsZeroes) {
 // capture, must produce registry values that agree with trace::analysis on
 // the same run.
 TEST(MetricsIntegration, ChainMetricsAgreeWithTraceAnalysis) {
-  exp::ChainParams params;
-  params.depots = 2;
+  exp::ChainParams chain;
+  chain.depots = 2;
+  chain.total_loss = 2e-3;  // enough loss that retransmissions occur
+  exp::RunConfig params;
+  params.mode = exp::Mode::kLsl;
   params.bytes = 4 * util::kMiB;
   params.seed = 42;
-  params.total_loss = 2e-3;  // enough loss that retransmissions occur
   params.capture_traces = true;
   metrics::Registry reg;
   params.metrics = &reg;
 
-  const exp::ChainResult r = exp::run_chain(params);
+  const exp::TransferResult r = exp::run_transfer(
+      [&chain](std::uint64_t seed) { return exp::build_chain(chain, seed); },
+      params);
   ASSERT_TRUE(r.completed);
   ASSERT_EQ(r.traces.size(), 3u);  // sublink1..3 across 2 depots
 
@@ -218,7 +223,7 @@ TEST(MetricsIntegration, ChainMetricsAgreeWithTraceAnalysis) {
     const auto* ring = reg.find_gauge(d + ".ring_occupancy_bytes");
     ASSERT_NE(ring, nullptr);
     EXPECT_LE(ring->max(),
-              static_cast<double>(params.depot.buffer_bytes));
+              static_cast<double>(chain.depot.buffer_bytes));
   }
 }
 

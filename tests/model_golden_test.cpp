@@ -11,12 +11,14 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "exp/chaos.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenarios.hpp"
 #include "exp/striped.hpp"
 #include "fault/spec.hpp"
+#include "metrics/metrics.hpp"
 #include "util/units.hpp"
 
 namespace lsl::exp {
@@ -44,8 +46,8 @@ TEST(ModelGolden, ChaosChainDepotCrash) {
   ASSERT_TRUE(plan.has_value()) << err;
   ChaosParams qp;
   qp.chain.depots = 3;
-  qp.chain.bytes = 2 * util::kMiB;
-  qp.chain.seed = 11;
+  qp.bytes = 2 * util::kMiB;
+  qp.seed = 11;
   qp.plan = *plan;
   const ChaosResult r = run_chaos(qp);
   ASSERT_TRUE(r.completed && r.verified);
@@ -111,6 +113,57 @@ TEST(ModelGolden, Case1PerfbenchPointDirectAndLsl) {
   ASSERT_TRUE(lsl.completed);
   expect_golden(lsl.mbps, lsl.retransmits, lsl.events,
                 {14.964271441790991, 3, 356855});
+}
+
+// The depot-count sweep's cascade at 0, 1 and 3 depots (seed 9, 4 MiB),
+// with traces and a registry attached: end-to-end figures plus each
+// sublink's trace-derived retransmissions and average RTT.
+struct ChainGolden {
+  double mbps;
+  double seconds;
+  std::uint64_t retransmits;
+  std::vector<std::uint64_t> retx_per_link;
+  std::vector<double> rtt_ms;
+};
+
+void expect_chain_golden(std::size_t depots, const ChainGolden& want) {
+  SCOPED_TRACE(depots);
+  metrics::Registry reg;
+  ChainParams p;
+  p.depots = depots;
+  RunConfig cfg;
+  cfg.mode = depots == 0 ? Mode::kDirectTcp : Mode::kLsl;
+  cfg.bytes = 4 * util::kMiB;
+  cfg.seed = 9;
+  cfg.capture_traces = true;
+  cfg.metrics = &reg;
+  const TransferResult r = run_transfer(
+      [&p](std::uint64_t seed) { return build_chain(p, seed); }, cfg);
+  ASSERT_TRUE(r.completed);
+  EXPECT_NEAR(r.mbps, want.mbps, 1e-9);
+  EXPECT_NEAR(r.seconds, want.seconds, 1e-9);
+  EXPECT_EQ(r.retransmits, want.retransmits);
+  EXPECT_EQ(r.retx_per_link, want.retx_per_link);
+  ASSERT_EQ(r.rtt_ms.size(), want.rtt_ms.size());
+  for (std::size_t i = 0; i < want.rtt_ms.size(); ++i) {
+    EXPECT_NEAR(r.rtt_ms[i], want.rtt_ms[i], 1e-9) << "sublink " << i + 1;
+  }
+}
+
+TEST(ModelGolden, ChainZeroDepots) {
+  expect_chain_golden(0, {7.0404707756200091, 4.76593584, 2, {2},
+                          {58.771973340153252}});
+}
+
+TEST(ModelGolden, ChainOneDepot) {
+  expect_chain_golden(1, {13.389090223567171, 2.506102464, 2, {2, 0},
+                          {30.890545753674626, 30.794313803037596}});
+}
+
+TEST(ModelGolden, ChainThreeDepots) {
+  expect_chain_golden(3, {27.704019136448917, 1.2111756, 1, {1, 0, 0, 0},
+                          {17.895908670539001, 18.536469259016247,
+                           19.496178980087382, 19.452985928466443}});
 }
 
 }  // namespace

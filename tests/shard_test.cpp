@@ -23,6 +23,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/epoll_engine.hpp"
@@ -518,6 +519,36 @@ TEST(ShardTest, SigtermDrainsShardedDaemonProcessCleanly) {
   const std::string& output = d.output;
   EXPECT_NE(output.find("draining 2 shards"), std::string::npos) << output;
   EXPECT_NE(output.find("drain complete"), std::string::npos) << output;
+}
+
+// An argument the daemon does not know must stop it before it binds: an
+// unknown option used to become the buffer size ("--log-level=info" ->
+// buffer 0), and the first session then aborted the daemon.
+TEST(ShardTest, DaemonRejectsBadArgumentsBeforeBinding) {
+  const std::vector<std::pair<std::vector<std::string>, std::string>> cases =
+      {{{"0", "--log-level=info"}, "unknown option --log-level=info"},
+       {{"0", "--shards=2x"}, "bad --shards"},
+       {{"0", "--shards=0"}, "bad --shards"},
+       {{"65536"}, "bad port 65536"},
+       {{"4000x"}, "bad port 4000x"},
+       {{"0", "0"}, "bad buffer size 0"},
+       {{"0", "64k"}, "bad buffer size 64k"},
+       {{"0", "65536", "7"}, "unexpected argument 7"}};
+  for (const auto& [args, message] : cases) {
+    std::vector<std::string> argv = {"lsd_relay", "--daemon"};
+    argv.insert(argv.end(), args.begin(), args.end());
+    SCOPED_TRACE(argv.back());
+    SpawnedDaemon d = spawn_process(LSD_RELAY_BIN, argv,
+                                    "forwarding daemon on port ",
+                                    /*with_stderr=*/true);
+    if (d.port != 0) {
+      reap_daemon(d, SIGKILL);
+      ADD_FAILURE() << "daemon started: " << d.output;
+      continue;
+    }
+    EXPECT_EQ(wait_process(d), 2) << d.output;
+    EXPECT_NE(d.output.find(message), std::string::npos) << d.output;
+  }
 }
 #endif  // LSD_RELAY_BIN
 

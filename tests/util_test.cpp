@@ -7,7 +7,9 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <utility>
 
 #include "util/interval_set.hpp"
@@ -56,6 +58,43 @@ TEST(Units, FormatDuration) {
 }
 
 // --- rng ---------------------------------------------------------------------
+
+TEST(Units, ParseSizeAcceptsNumbersWithBinarySuffixes) {
+  EXPECT_EQ(util::parse_size("4096"), 4096u);
+  EXPECT_EQ(util::parse_size("0"), 0u);
+  EXPECT_EQ(util::parse_size("64k"), 64 * util::kKiB);
+  EXPECT_EQ(util::parse_size("1M"), util::kMiB);
+  EXPECT_EQ(util::parse_size("2g"), 2 * util::kGiB);
+  EXPECT_EQ(util::parse_size("1.5K"), 1536u);
+  EXPECT_EQ(util::parse_size("0.5"), 0u);  // a fraction of a byte truncates
+  EXPECT_EQ(util::parse_size("17179869183G"), 17179869183 * util::kGiB);
+}
+
+TEST(Units, ParseSizeRejectsAnythingButAPlainNumber) {
+  for (const char* bad :
+       {"", "k", ".", ".M", "1mx", "64kx", "1 M", " 1M", "1M ", "-1", "+1",
+        "1e6", "0x10", "1..5", "1.2.3", "inf", "nan", "infinity", "INF",
+        "1KM"}) {
+    EXPECT_EQ(util::parse_size(bad), std::nullopt) << '"' << bad << '"';
+  }
+}
+
+TEST(Units, ParseSizeRejectsValuesBeyond64Bits) {
+  EXPECT_EQ(util::parse_size("18446744073709551616"), std::nullopt);
+  EXPECT_EQ(util::parse_size("17179869184G"), std::nullopt);  // exactly 2^64
+  EXPECT_EQ(util::parse_size(std::string(400, '9')), std::nullopt);
+}
+
+TEST(Units, ParseCountTakesWholeDecimalsOnly) {
+  EXPECT_EQ(util::parse_count("0"), 0u);
+  EXPECT_EQ(util::parse_count("12"), 12u);
+  EXPECT_EQ(util::parse_count("18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad : {"", "2x", "x2", "-1", "+1", " 1", "1.0", "1k",
+                          "18446744073709551616"}) {
+    EXPECT_EQ(util::parse_count(bad), std::nullopt) << '"' << bad << '"';
+  }
+}
 
 TEST(Rng, DeterministicForSeed) {
   Rng a(42), b(42);

@@ -103,24 +103,6 @@ struct Options {
   bool health = false;
 };
 
-bool parse_size(const char* s, std::uint64_t* out) {
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s || v < 0) return false;
-  std::uint64_t mult = 1;
-  if (*end == 'k' || *end == 'K') {
-    mult = util::kKiB;
-  } else if (*end == 'm' || *end == 'M') {
-    mult = util::kMiB;
-  } else if (*end == 'g' || *end == 'G') {
-    mult = util::kGiB;
-  } else if (*end != '\0') {
-    return false;
-  }
-  *out = static_cast<std::uint64_t>(v * static_cast<double>(mult));
-  return true;
-}
-
 /// Split "--name=value" / "--name value" argument forms.
 const char* arg_value(const char* name, int argc, char** argv, int* i) {
   const std::size_t n = std::strlen(name);
@@ -426,22 +408,22 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
   Options opt;
   for (int i = 1; i < argc; ++i) {
-    std::uint64_t size = 0;
+    std::optional<std::uint64_t> size;
     const char* v = nullptr;
     if ((v = arg_value("--sessions", argc, argv, &i)) != nullptr) {
       opt.sessions = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
     } else if ((v = arg_value("--bytes", argc, argv, &i)) != nullptr &&
-               parse_size(v, &size)) {
-      opt.bytes = size;
+               (size = util::parse_size(v))) {
+      opt.bytes = *size;
     } else if ((v = arg_value("--budget", argc, argv, &i)) != nullptr &&
-               parse_size(v, &size)) {
-      opt.budget = size;
+               (size = util::parse_size(v))) {
+      opt.budget = *size;
     } else if ((v = arg_value("--chunk", argc, argv, &i)) != nullptr &&
-               parse_size(v, &size)) {
-      opt.chunk = static_cast<std::size_t>(size);
+               (size = util::parse_size(v))) {
+      opt.chunk = static_cast<std::size_t>(*size);
     } else if ((v = arg_value("--buffer", argc, argv, &i)) != nullptr &&
-               parse_size(v, &size)) {
-      opt.buffer = static_cast<std::size_t>(size);
+               (size = util::parse_size(v))) {
+      opt.buffer = static_cast<std::size_t>(*size);
     } else if (std::strcmp(argv[i], "--no-splice") == 0) {
       opt.splice = false;
     } else if ((v = arg_value("--seed", argc, argv, &i)) != nullptr) {

@@ -3,10 +3,12 @@
 //   lsl_sim SCENARIO SIZE MODE [options]
 //
 //   SCENARIO  case1 | case2 | case3 | osu | chain[:N]
-//             chain:N is an N-depot cascade (total path delay/loss held
-//             constant); N defaults to 2, and MODE direct runs the same
-//             backbone with 0 depots
-//   SIZE      bytes, with optional K/M/G suffix (e.g. 64M)
+//             chain:N is an N-depot cascade (exp::build_chain: total path
+//             delay/loss held constant); N defaults to 2, and MODE direct
+//             runs the same backbone with 0 depots. Every scenario runs
+//             through exp::run_transfer (exp::run_chaos with --fault-spec)
+//   SIZE      bytes, with optional K/M/G suffix (e.g. 64M, 1.5k); anything
+//             else after the number is rejected
 //   MODE      direct | lsl | parallel[:N]   (chain supports direct|lsl)
 //
 //   --iters N          iterations (default 5)
@@ -27,17 +29,14 @@
 //
 // Example:  lsl_sim chain:2 16M lsl --traces --metrics-out out.jsonl
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
 
-#include "exp/chain.hpp"
 #include "exp/chaos.hpp"
 #include "exp/runner.hpp"
-#include "fault/spec.hpp"
 #include "exp/scenarios.hpp"
+#include "fault/spec.hpp"
 #include "metrics/export.hpp"
 #include "metrics/metrics.hpp"
 #include "trace/analysis.hpp"
@@ -60,19 +59,15 @@ int usage() {
   return 2;
 }
 
-bool parse_size(const std::string& s, std::uint64_t* out) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || v < 0) return false;
-  double mult = 1;
-  switch (*end) {
-    case 'k': case 'K': mult = 1024; break;
-    case 'm': case 'M': mult = 1024.0 * 1024; break;
-    case 'g': case 'G': mult = 1024.0 * 1024 * 1024; break;
-    case '\0': break;
-    default: return false;
-  }
-  *out = static_cast<std::uint64_t>(v * mult);
+/// "NAME" or "NAME:N" with N a positive whole number; false otherwise.
+/// `*n` keeps its default when there is no ":N".
+bool parse_counted(const std::string& arg, const std::string& name,
+                   std::size_t* n) {
+  if (arg == name) return true;
+  if (arg.rfind(name + ":", 0) != 0) return false;
+  const auto v = util::parse_count(arg.substr(name.size() + 1));
+  if (!v || *v == 0) return false;
+  *n = static_cast<std::size_t>(*v);
   return true;
 }
 
@@ -82,7 +77,7 @@ int main(int argc, char** argv) {
   if (argc < 4) return usage();
 
   exp::PathParams path;
-  bool use_chain = false;
+  std::optional<exp::ChainParams> chain;
   std::size_t chain_depots = 2;
   const std::string scen = argv[1];
   if (scen == "case1") {
@@ -93,41 +88,31 @@ int main(int argc, char** argv) {
     path = exp::case3_utk_wireless();
   } else if (scen == "osu") {
     path = exp::case_osu_steady();
-  } else if (scen.rfind("chain", 0) == 0) {
-    use_chain = true;
-    path.name = scen;
-    const auto colon = scen.find(':');
-    if (colon != std::string::npos) {
-      chain_depots =
-          static_cast<std::size_t>(std::atoi(scen.c_str() + colon + 1));
-      if (chain_depots == 0) return usage();
-    }
+  } else if (parse_counted(scen, "chain", &chain_depots)) {
+    chain.emplace();
   } else {
     return usage();
   }
 
-  std::uint64_t bytes = 0;
-  if (!parse_size(argv[2], &bytes)) return usage();
+  const auto bytes = util::parse_size(argv[2]);
+  if (!bytes) return usage();
 
   exp::RunConfig cfg;
-  cfg.bytes = bytes;
+  cfg.bytes = *bytes;
   const std::string mode = argv[3];
   if (mode == "direct") {
     cfg.mode = exp::Mode::kDirectTcp;
   } else if (mode == "lsl") {
     cfg.mode = exp::Mode::kLsl;
-  } else if (mode.rfind("parallel", 0) == 0) {
+  } else if (parse_counted(mode, "parallel", &cfg.parallel_streams)) {
     cfg.mode = exp::Mode::kParallelTcp;
-    const auto colon = mode.find(':');
-    if (colon != std::string::npos) {
-      cfg.parallel_streams =
-          static_cast<std::size_t>(std::atoi(mode.c_str() + colon + 1));
-      if (cfg.parallel_streams == 0) return usage();
-    }
   } else {
     return usage();
   }
-  if (use_chain && cfg.mode == exp::Mode::kParallelTcp) return usage();
+  if (chain) {
+    if (cfg.mode == exp::Mode::kParallelTcp) return usage();
+    chain->depots = cfg.mode == exp::Mode::kLsl ? chain_depots : 0;
+  }
 
   std::size_t iters = 5;
   cfg.seed = 42;
@@ -138,9 +123,13 @@ int main(int argc, char** argv) {
   for (int i = 4; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--iters" && i + 1 < argc) {
-      iters = static_cast<std::size_t>(std::atoi(argv[++i]));
+      const auto n = util::parse_count(argv[++i]);
+      if (!n) return usage();
+      iters = static_cast<std::size_t>(*n);
     } else if (arg == "--seed" && i + 1 < argc) {
-      cfg.seed = std::strtoull(argv[++i], nullptr, 10);
+      const auto n = util::parse_count(argv[++i]);
+      if (!n) return usage();
+      cfg.seed = *n;
     } else if (arg == "--traces") {
       cfg.capture_traces = true;
     } else if (arg == "--csv" && i + 1 < argc) {
@@ -162,7 +151,7 @@ int main(int argc, char** argv) {
 
   std::optional<fault::FaultPlan> plan;
   if (!fault_spec.empty()) {
-    if (!use_chain || cfg.mode != exp::Mode::kLsl) return usage();
+    if (!chain || cfg.mode != exp::Mode::kLsl) return usage();
     std::string err;
     plan = fault::parse_fault_spec(fault_spec, &err);
     if (!plan) {
@@ -175,7 +164,8 @@ int main(int argc, char** argv) {
   if (!metrics_file.empty()) cfg.metrics = &registry;
 
   std::printf("scenario %s, %s, mode %s, %zu iteration(s)\n",
-              path.name.c_str(), util::format_bytes(bytes).c_str(),
+              chain ? scen.c_str() : path.name.c_str(),
+              util::format_bytes(cfg.bytes).c_str(),
               mode.c_str(), iters);
   std::printf("%6s %10s %10s %8s %8s\n", "iter", "time_s", "mbps", "retx",
               "rto");
@@ -192,10 +182,10 @@ int main(int argc, char** argv) {
     std::string recovery_note;
     if (plan) {
       exp::ChaosParams qp;
-      qp.chain.depots = chain_depots;
-      qp.chain.bytes = cfg.bytes;
-      qp.chain.seed = cfg.seed + i;
-      qp.chain.metrics = cfg.metrics;
+      qp.chain = *chain;
+      qp.bytes = cfg.bytes;
+      qp.seed = cfg.seed + i;
+      qp.metrics = cfg.metrics;
       qp.plan = *plan;
       qp.resumable_attempts = resumable;
       if (resumable) qp.chain.depot.resume_grace = 2 * util::kSecond;
@@ -214,26 +204,15 @@ int main(int argc, char** argv) {
         recovery_note += std::string(" (gave up: ") +
                          fault::to_string(qr.reroute_error) + ")";
       }
-    } else if (use_chain) {
-      exp::ChainParams cp;
-      cp.depots = cfg.mode == exp::Mode::kLsl ? chain_depots : 0;
-      cp.bytes = cfg.bytes;
-      cp.seed = cfg.seed + i;
-      cp.capture_traces = cfg.capture_traces;
-      cp.metrics = cfg.metrics;
-      exp::ChainResult cr = exp::run_chain(cp);
-      r.completed = cr.completed;
-      r.bytes = cp.bytes;
-      r.seconds = cr.seconds;
-      r.mbps = cr.mbps;
-      r.retransmits = cr.retransmits;
-      r.traces = std::move(cr.traces);
-      r.rtt_ms = std::move(cr.rtt_ms);
-      r.retx_per_link = std::move(cr.retx_per_link);
     } else {
       exp::RunConfig c = cfg;
       c.seed = cfg.seed + i;
-      r = exp::run_transfer(path, c);
+      r = chain ? exp::run_transfer(
+                      [&chain](std::uint64_t seed) {
+                        return exp::build_chain(*chain, seed);
+                      },
+                      c)
+                : exp::run_transfer(path, c);
     }
     if (!r.completed) {
       std::printf("%6zu   (did not complete)\n", i);
