@@ -1,14 +1,20 @@
 // Micro-benchmarks (google-benchmark) of the core building blocks: MD5
-// hashing, the discrete-event queue, the SACK interval set, the payload
-// generator, trace analysis, and the PRNG. These bound the simulator's own
-// overheads so the figure benches' wall-clock behaviour is explainable.
+// hashing, the discrete-event queue, the simulated packet path, the SACK
+// interval set, the payload generator, trace analysis, and the PRNG. These
+// bound the simulator's own overheads so the figure benches' wall-clock
+// behaviour is explainable.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "lsl/payload.hpp"
 #include "md5/md5.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/network.hpp"
+#include "tcp/stack.hpp"
 #include "trace/analysis.hpp"
 #include "util/interval_set.hpp"
 #include "util/rng.hpp"
@@ -125,6 +131,59 @@ void BM_EventQueueRearm(benchmark::State& state) {
                           kEvents);
 }
 BENCHMARK(BM_EventQueueRearm)->Arg(8)->Arg(64);
+
+// The simulator's packet path end to end: a virtual-payload TCP stream
+// from a host through Arg routers into a sink socket that drains it, on
+// loss-free links. Each iteration moves 1 MiB more of the one stream;
+// items are packet hops (data segments and ACKs, each counted once per
+// link it crosses).
+void BM_PacketHop(benchmark::State& state) {
+  namespace sim = lsl::sim;
+  namespace tcp = lsl::tcp;
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 20;
+  sim::Network net(1);
+  sim::LinkConfig link;
+  link.rate = lsl::util::DataRate::mbps(100);
+  link.delay = lsl::util::millis(2);
+  link.queue_bytes = 1 << 20;
+  sim::Node& src = net.add_host("src");
+  sim::Node* prev = &src;
+  for (std::int64_t i = 0; i < state.range(0); ++i) {
+    sim::Node& r = net.add_router("r" + std::to_string(i));
+    net.connect(*prev, r, link);
+    prev = &r;
+  }
+  sim::Node& dst = net.add_host("dst");
+  net.connect(*prev, dst, link);
+
+  tcp::TcpConfig cfg;
+  cfg.carry_data = false;
+  tcp::TcpStack src_stack(net, src, cfg);
+  tcp::TcpStack dst_stack(net, dst, cfg);
+  std::uint64_t drained = 0;
+  dst_stack.listen(80, [&drained](tcp::TcpSocket* s) {
+    s->on_readable = [s, &drained] {
+      drained += s->recv_virtual(std::numeric_limits<std::uint64_t>::max());
+    };
+  });
+  tcp::TcpSocket* tx = src_stack.connect({dst.id(), 80});
+
+  auto& ev = net.sim().events();
+  std::uint64_t written = 0;
+  std::uint64_t target = 0;
+  const std::uint64_t hops_before = net.total_link_stats().packets_sent;
+  for (auto _ : state) {
+    target += kChunk;
+    while (drained < target) {
+      if (written < target) written += tx->send_virtual(target - written);
+      if (!ev.step()) break;
+    }
+    benchmark::DoNotOptimize(drained);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(
+      net.total_link_stats().packets_sent - hops_before));
+}
+BENCHMARK(BM_PacketHop)->Arg(1)->Arg(4);
 
 void BM_IntervalSetSackPattern(benchmark::State& state) {
   // Emulates a SACK scoreboard: scattered inserts then gap scans.

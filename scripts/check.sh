@@ -16,9 +16,9 @@
 # `corrupt` case is the gate that rejects a wrong sink verdict; then a short
 # `sim` workload run, whose per-seed fidelity gate fails when a simulator
 # change moves any recorded figure point; it then builds bench/micro_core
-# and runs its MD5 throughput cases (one stream and a pair) and its
-# simulator event-queue cases once, with no threshold, so the micro
-# benchmarks cannot rot unbuilt. Usage:
+# and runs its MD5 throughput cases (one stream and a pair), its
+# simulator event-queue cases and its packet-path case (BM_PacketHop) once,
+# with no threshold, so the micro benchmarks cannot rot unbuilt. Usage:
 #
 #   scripts/check.sh [--quick] [--only CONFIG]
 #
@@ -97,7 +97,7 @@ for config in "${configs[@]}"; do
             cmake -B build-check -S . -DLSL_WERROR=ON >/dev/null
             cmake --build build-check -j "$jobs" --target micro_core
             build-check/bench/micro_core \
-                --benchmark_filter='BM_Md5|BM_EventQueue' \
+                --benchmark_filter='BM_Md5|BM_EventQueue|BM_PacketHop' \
                 --benchmark_min_time=0.01 ;;
     *) echo "check.sh: unknown config '$config'" >&2; exit 2 ;;
   esac

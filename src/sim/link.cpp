@@ -17,29 +17,27 @@ Link::Link(Simulator& sim, std::string name, const LinkConfig& config,
 
 void Link::send(Packet&& p) {
   const std::size_t size = p.wire_bytes();
-  if (queued_bytes_ + size > config_.queue_bytes && !queue_.empty()) {
+  const bool idle = fifo_.size() == on_wire_;
+  if (queued_bytes_ + size > config_.queue_bytes && !idle) {
     ++stats_.drops_queue;
     return;
   }
   queued_bytes_ += size;
   stats_.max_queue_bytes = std::max(stats_.max_queue_bytes, queued_bytes_);
-  queue_.push_back(std::move(p));
-  if (!transmitting_) start_transmission();
+  Entry& e = fifo_.push_back_slot();
+  e.packet = std::move(p);
+  e.lost = false;
+  if (idle) start_transmission();
 }
 
 void Link::start_transmission() {
-  if (queue_.empty()) {
-    transmitting_ = false;
-    return;
-  }
-  transmitting_ = true;
-  const auto& head = queue_.front();
+  if (fifo_.size() == on_wire_) return;
+  const Packet& head = fifo_[on_wire_].packet;
   const util::SimDuration tx = config_.rate.transmission_time(head.wire_bytes());
   transmit_done_.push_in(tx);
 }
 
-bool Link::wire_drops(const Packet& p) {
-  (void)p;
+bool Link::wire_drops() {
   if (config_.gilbert_elliott) {
     // State transition is evaluated per packet, then loss is drawn from the
     // current state's loss probability.
@@ -56,14 +54,17 @@ bool Link::wire_drops(const Packet& p) {
 }
 
 void Link::finish_transmission() {
-  Packet p = queue_.pop_front();
-  queued_bytes_ -= p.wire_bytes();
+  Entry& e = fifo_[on_wire_++];
+  const std::size_t size = e.packet.wire_bytes();
+  queued_bytes_ -= size;
 
   ++stats_.packets_sent;
-  stats_.bytes_sent += p.wire_bytes();
+  stats_.bytes_sent += size;
 
-  if (wire_drops(p)) {
+  if (wire_drops()) {
     ++stats_.drops_wire;
+    e.lost = true;
+    drop_lost_front();
   } else {
     util::SimDuration prop = config_.delay;
     if (config_.jitter > 0) {
@@ -74,15 +75,26 @@ void Link::finish_transmission() {
     util::SimTime deliver_at = sim_.now() + prop;
     deliver_at = std::max(deliver_at, last_delivery_);
     last_delivery_ = deliver_at;
-    in_flight_.push_back(std::move(p));
     delivered_.push_at(deliver_at);
   }
 
   start_transmission();
 }
 
+void Link::drop_lost_front() {
+  while (on_wire_ > 0 && fifo_.front().lost) {
+    fifo_.pop_front();
+    --on_wire_;
+  }
+}
+
 void Link::deliver_front() {
-  deliver_(in_flight_.pop_front());
+  // Each delivery event belongs to the oldest unlost packet on the wire,
+  // and losses ahead of it were dropped as soon as they reached the front.
+  Entry e = fifo_.pop_front();
+  --on_wire_;
+  drop_lost_front();
+  deliver_(std::move(e.packet));
 }
 
 }  // namespace lsl::sim

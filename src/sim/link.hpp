@@ -71,10 +71,17 @@ class Link {
   void set_loss_rate(double p) { config_.loss_rate = p; }
 
  private:
+  /// A packet from enqueue to delivery; `lost` marks a wire loss.
+  struct Entry {
+    Packet packet;
+    bool lost = false;
+  };
+
   void start_transmission();
   void finish_transmission();
   void deliver_front();
-  bool wire_drops(const Packet& p);
+  void drop_lost_front();
+  bool wire_drops();
 
   Simulator& sim_;
   std::string name_;
@@ -82,17 +89,19 @@ class Link {
   DeliverFn deliver_;
   util::Rng rng_;
 
-  util::Ring<Packet> queue_;
-  /// Packets on the wire, in delivery order. Delivery is FIFO (see
-  /// last_delivery_), so each delivery event takes the front packet and no
-  /// event callback owns a packet.
-  util::Ring<Packet> in_flight_;
+  /// Every packet the link holds, in arrival order: the first `on_wire_`
+  /// entries have been serialized (delivered in this order, since delivery
+  /// is FIFO; see last_delivery_), the rest wait in the drop-tail queue. A
+  /// packet is stored here once, from send() until it is handed on, and no
+  /// event callback owns one. Wire losses stay in place, marked, until they
+  /// reach the front.
+  util::Ring<Entry> fifo_;
+  std::size_t on_wire_ = 0;
   /// One transmit completion is pending at a time; deliveries come out in
   /// time order. Both are lanes: no per-packet callback or slot.
   EventLane transmit_done_;
   EventLane delivered_;
   std::size_t queued_bytes_ = 0;
-  bool transmitting_ = false;
   bool ge_bad_state_ = false;
   util::SimTime last_delivery_ = 0;  ///< FIFO guard under jitter
   LinkStats stats_;

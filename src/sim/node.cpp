@@ -16,19 +16,20 @@ Node::Node(Network& net, NodeId id, std::string name, bool is_router)
                      [this] { deliver(loopback_.pop_front()); }) {}
 
 void Node::set_protocol_handler(Protocol proto, ProtocolHandler handler) {
-  handlers_[static_cast<std::uint8_t>(proto)] = std::move(handler);
+  handlers_[static_cast<std::size_t>(proto)] = std::move(handler);
 }
 
 void Node::deliver(Packet&& p) {
   if (p.dst == id_) {
-    const auto it = handlers_.find(static_cast<std::uint8_t>(p.proto));
-    if (it == handlers_.end()) {
+    const ProtocolHandler& handler =
+        handlers_[static_cast<std::size_t>(p.proto)];
+    if (!handler) {
       ++dropped_;
       LSL_LOG_DEBUG("%s: no handler for protocol %u", name_.c_str(),
                     static_cast<unsigned>(p.proto));
       return;
     }
-    it->second(std::move(p));
+    handler(std::move(p));
     return;
   }
   if (!is_router_) {

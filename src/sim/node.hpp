@@ -2,10 +2,10 @@
 // (store-and-forward packet switches with static forwarding tables).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 
 #include "sim/event_queue.hpp"
 #include "sim/packet.hpp"
@@ -55,7 +55,7 @@ class Node {
   NodeId id_;
   std::string name_;
   bool is_router_;
-  std::unordered_map<std::uint8_t, ProtocolHandler> handlers_;
+  std::array<ProtocolHandler, kProtocolCount> handlers_;  ///< by Protocol
   /// Packets on the loopback hop. Its delay is fixed, so deliveries are
   /// FIFO: each run of the loopback lane takes the front packet.
   util::Ring<Packet> loopback_;

@@ -9,11 +9,14 @@
 // MD5 integrity path verify content end-to-end through depots.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hpp"
+#include "util/contract.hpp"
 
 namespace lsl::sim {
 
@@ -23,6 +26,31 @@ enum TcpFlags : std::uint8_t {
   kFlagAck = 1u << 1,
   kFlagFin = 1u << 2,
   kFlagRst = 1u << 3,
+};
+
+/// SACK option blocks (RFC 2018): up to 3 [start, end) sequence ranges,
+/// most recently changed first. Stored inline, so a packet never allocates
+/// for its options and moving one is a flat copy.
+class SackBlocks {
+ public:
+  using Block = std::pair<std::uint64_t, std::uint64_t>;
+  static constexpr std::size_t kMax = 3;
+
+  bool empty() const { return count_ == 0; }
+  std::size_t size() const { return count_; }
+  bool full() const { return count_ == kMax; }
+
+  void push_back(const Block& b) {
+    LSL_PRECONDITION(count_ < kMax, "more than 3 SACK blocks");
+    blocks_[count_++] = b;
+  }
+
+  const Block* begin() const { return blocks_.data(); }
+  const Block* end() const { return blocks_.data() + count_; }
+
+ private:
+  std::array<Block, kMax> blocks_{};
+  std::uint8_t count_ = 0;
 };
 
 /// Simulated TCP header. Sequence numbers are 64-bit stream offsets — the
@@ -36,9 +64,8 @@ struct TcpHeader {
   std::uint8_t flags = 0;
   std::uint64_t window = 0;  ///< advertised receive window, bytes
 
-  /// SACK option blocks (RFC 2018): up to 3 [start, end) sequence ranges,
-  /// most recently changed first. Counted in the wire size.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> sack;
+  /// SACK option blocks, counted in the wire size.
+  SackBlocks sack;
 };
 
 /// Bytes of IP + TCP header on the wire (20 IP + 20 TCP + 12 timestamp

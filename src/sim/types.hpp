@@ -2,6 +2,7 @@
 // the session layer.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -31,6 +32,9 @@ enum class Protocol : std::uint8_t {
   kTcp,  ///< the full TCP model in src/tcp
   kUdp,  ///< datagram traffic (cross-traffic generators)
 };
+
+/// Number of Protocol values (nodes index their handlers by protocol).
+inline constexpr std::size_t kProtocolCount = 2;
 
 }  // namespace lsl::sim
 

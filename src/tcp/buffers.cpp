@@ -66,7 +66,7 @@ bool RecvBuffer::insert(std::uint64_t offset, std::uint32_t len,
   std::uint64_t start = std::max(offset, rcv_nxt_);
   // Never buffer beyond the space we could ever have advertised; a correct
   // sender respects the window, so this only trims pathological input.
-  std::uint64_t end = std::min(offset + len, app_read_ + capacity_);
+  const std::uint64_t end = std::min(offset + len, app_read_ + capacity_);
   if (end <= start) {
     // Entirely duplicate (or empty): frontier unchanged.
     return false;
@@ -74,24 +74,32 @@ bool RecvBuffer::insert(std::uint64_t offset, std::uint32_t len,
 
   const std::uint64_t old_frontier = rcv_nxt_;
 
-  // Gap-fill: walk existing chunks in [start, end) and insert only the
-  // missing ranges, so chunks_ stays non-overlapping.
-  auto it = chunks_.lower_bound(start);
+  // Gap-fill: walk the out-of-order chunks in [start, end) and keep only the
+  // missing ranges, so the buffer stays non-overlapping. A missing range at
+  // the frontier is taken in order at once; one beyond it gets a map node.
+  auto it = ooo_.lower_bound(start);
   // A predecessor chunk may cover the beginning of our range.
-  if (it != chunks_.begin()) {
-    auto prev = std::prev(it);
+  if (it != ooo_.begin()) {
+    const auto prev = std::prev(it);
     const std::uint64_t prev_end = prev->first + prev->second.len;
     if (prev_end > start) start = prev_end;
   }
   while (start < end) {
-    std::uint64_t next_start = (it != chunks_.end()) ? it->first : end;
-    if (next_start <= start) {
-      // Existing chunk covers [next_start, ...); skip past it.
+    if (it != ooo_.end() && it->first <= start) {
+      // An existing chunk covers [it->first, ...); skip past it, taking it
+      // in order if the frontier has reached it.
       start = std::max(start, it->first + it->second.len);
-      ++it;
+      if (it->first == rcv_nxt_) {
+        ooo_bytes_ -= it->second.len;
+        take_in_order(std::move(it->second));
+        it = ooo_.erase(it);
+      } else {
+        ++it;
+      }
       continue;
     }
-    const std::uint64_t gap_end = std::min(end, next_start);
+    const std::uint64_t gap_end =
+        it != ooo_.end() ? std::min(end, it->first) : end;
     Chunk c;
     c.len = static_cast<std::uint32_t>(gap_end - start);
     if (real_) {
@@ -101,9 +109,13 @@ bool RecvBuffer::insert(std::uint64_t offset, std::uint32_t len,
       c.data = data;
       c.trim_front = static_cast<std::uint32_t>(start - offset);
     }
-    ooo_bytes_ += c.len;
-    it = chunks_.emplace_hint(it, start, std::move(c));
-    ++it;
+    if (start == rcv_nxt_) {
+      take_in_order(std::move(c));
+    } else {
+      ooo_bytes_ += c.len;
+      it = ooo_.emplace_hint(it, start, std::move(c));
+      ++it;
+    }
     start = gap_end;
   }
 
@@ -111,79 +123,71 @@ bool RecvBuffer::insert(std::uint64_t offset, std::uint32_t len,
   return rcv_nxt_ != old_frontier;
 }
 
+void RecvBuffer::take_in_order(Chunk&& c) {
+  rcv_nxt_ += c.len;
+  if (real_) ready_.push_back(std::move(c));
+}
+
 void RecvBuffer::advance_frontier() {
-  while (true) {
-    const auto it = chunks_.find(rcv_nxt_);
-    if (it == chunks_.end()) break;
-    rcv_nxt_ += it->second.len;
+  for (auto it = ooo_.begin(); it != ooo_.end() && it->first == rcv_nxt_;
+       it = ooo_.erase(it)) {
     ooo_bytes_ -= it->second.len;
-    // The chunk stays in the map until the application reads it.
+    take_in_order(std::move(it->second));
   }
 }
 
-std::size_t RecvBuffer::read(std::span<std::uint8_t> out) {
-  std::size_t copied = 0;
-  while (copied < out.size() && app_read_ < rcv_nxt_) {
-    // Find the chunk containing app_read_ (contiguity below the frontier
-    // guarantees it exists).
-    auto it = chunks_.upper_bound(app_read_);
-    assert(it != chunks_.begin());
-    --it;
-    const std::uint64_t chunk_start = it->first;
-    const Chunk& c = it->second;
-    assert(chunk_start <= app_read_ && app_read_ < chunk_start + c.len);
-    const std::uint64_t within = app_read_ - chunk_start;
-    const std::uint64_t avail =
-        std::min<std::uint64_t>(c.len - within, out.size() - copied);
-    if (real_) {
-      assert(c.data);
-      std::memcpy(out.data() + copied,
-                  c.data->data() + c.trim_front + within, avail);
-    } else {
-      // Virtual chunks read as zero bytes.
-      std::memset(out.data() + copied, 0, avail);
-    }
-    copied += static_cast<std::size_t>(avail);
-    app_read_ += avail;
-    if (app_read_ >= chunk_start + c.len) chunks_.erase(it);
+std::uint64_t RecvBuffer::consume(std::uint64_t max, std::uint8_t* out) {
+  const std::uint64_t n = std::min(max, readable());
+  app_read_ += n;
+  if (!real_) {
+    // Virtual bytes read as zeros.
+    if (out != nullptr) std::memset(out, 0, n);
+    return n;
   }
-  return copied;
+  for (std::uint64_t done = 0; done < n;) {
+    Chunk& c = ready_.front();
+    const std::uint32_t take =
+        static_cast<std::uint32_t>(std::min<std::uint64_t>(c.len, n - done));
+    if (out != nullptr) {
+      std::memcpy(out + done, c.data->data() + c.trim_front, take);
+    }
+    done += take;
+    c.trim_front += take;
+    c.len -= take;
+    if (c.len == 0) ready_.pop_front();
+  }
+  return n;
+}
+
+std::size_t RecvBuffer::read(std::span<std::uint8_t> out) {
+  return static_cast<std::size_t>(consume(out.size(), out.data()));
+}
+
+std::uint64_t RecvBuffer::read_virtual(std::uint64_t max) {
+  return consume(max, nullptr);
 }
 
 std::optional<std::pair<std::uint64_t, std::uint64_t>>
 RecvBuffer::ooo_block_containing(std::uint64_t offset) const {
   if (offset < rcv_nxt_) return std::nullopt;
-  auto it = chunks_.upper_bound(offset);
-  if (it == chunks_.begin()) return std::nullopt;
+  auto it = ooo_.upper_bound(offset);
+  if (it == ooo_.begin()) return std::nullopt;
   --it;
   if (offset >= it->first + it->second.len) return std::nullopt;
   // Extend left across adjacent chunks.
   auto lo = it;
-  while (lo != chunks_.begin()) {
+  while (lo != ooo_.begin()) {
     auto prev = std::prev(lo);
     if (prev->first + prev->second.len != lo->first) break;
     lo = prev;
   }
   // Extend right across adjacent chunks.
-  auto hi = it;
-  std::uint64_t end = hi->first + hi->second.len;
-  for (auto next = std::next(hi); next != chunks_.end() && next->first == end;
+  std::uint64_t end = it->first + it->second.len;
+  for (auto next = std::next(it); next != ooo_.end() && next->first == end;
        ++next) {
     end = next->first + next->second.len;
   }
   return std::pair{lo->first, end};
-}
-
-std::uint64_t RecvBuffer::read_virtual(std::uint64_t max) {
-  const std::uint64_t n = std::min(max, readable());
-  app_read_ += n;
-  // Prune chunks that are now fully consumed.
-  while (!chunks_.empty()) {
-    auto it = chunks_.begin();
-    if (it->first + it->second.len > app_read_) break;
-    chunks_.erase(it);
-  }
-  return n;
 }
 
 }  // namespace lsl::tcp

@@ -19,6 +19,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/ring.hpp"
+
 namespace lsl::tcp {
 
 /// Sender-side stream buffer: a sliding window of unacknowledged data.
@@ -68,7 +70,9 @@ class SendBuffer {
 /// Receiver-side reassembly buffer.
 ///
 /// Accepts segments at arbitrary offsets, tracks the contiguous frontier
-/// (rcv_nxt), and serves in-order reads to the application. The advertised
+/// (rcv_nxt), and serves in-order reads to the application. Only
+/// out-of-order segments take a map node; an in-order arrival just moves the
+/// frontier (and, in real mode, queues its payload for read()). The advertised
 /// window shrinks by both unread in-order bytes and buffered out-of-order
 /// bytes, which is what closes the upstream window when an LSL depot's relay
 /// buffer fills (hop-by-hop backpressure).
@@ -113,22 +117,31 @@ class RecvBuffer {
  private:
   struct Chunk {
     std::uint32_t len = 0;
-    /// Real payload; may be shorter-lived than len if trimmed (trim_front
-    /// tracks the skip). Null in virtual mode.
+    /// Real payload, of which `len` bytes from `trim_front` on belong to
+    /// this chunk. Null in virtual mode.
     std::shared_ptr<const std::vector<std::uint8_t>> data;
-    std::uint32_t trim_front = 0;  ///< bytes of `data` to skip (overlap trim)
+    std::uint32_t trim_front = 0;  ///< bytes of `data` to skip
   };
 
+  /// `c` starts at the frontier: advance past it (real mode queues it for
+  /// read()).
+  void take_in_order(Chunk&& c);
+  /// Advance over out-of-order chunks the frontier has reached.
   void advance_frontier();
+  /// Consume up to `max` in-order bytes, copying them to `out` if non-null.
+  std::uint64_t consume(std::uint64_t max, std::uint8_t* out);
 
   std::uint64_t capacity_;
   bool real_;
   std::uint64_t rcv_nxt_ = 0;
   std::uint64_t app_read_ = 0;
   std::uint64_t ooo_bytes_ = 0;
-  /// All buffered segments keyed by start offset, both in-order-unread and
-  /// out-of-order. Non-overlapping after insert() normalization.
-  std::map<std::uint64_t, Chunk> chunks_;
+  /// Out-of-order segments beyond the frontier, keyed by start offset.
+  /// Non-overlapping after insert() normalization.
+  std::map<std::uint64_t, Chunk> ooo_;
+  /// Real mode: the unread in-order bytes [app_read_, rcv_nxt_), in order.
+  /// The front chunk's trim_front/len shrink as read() consumes it.
+  util::Ring<Chunk> ready_;
 };
 
 }  // namespace lsl::tcp

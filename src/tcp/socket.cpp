@@ -653,7 +653,7 @@ void TcpSocket::send_segment(std::uint64_t seq, std::uint32_t payload_len,
       for (const auto& b : rcv_sack_blocks_) {
         if (b.second <= ack) continue;  // already cumulatively acked
         p.tcp.sack.push_back(b);
-        if (p.tcp.sack.size() == 3) break;
+        if (p.tcp.sack.full()) break;
       }
     }
     // Any segment carries the current ACK: piggybacking cancels delayed ACK.
@@ -675,7 +675,8 @@ void TcpSocket::send_segment(std::uint64_t seq, std::uint32_t payload_len,
       if (metrics_) metrics_->on_retransmit();
       // Refresh (or re-add) bookkeeping for the retransmitted range.
       bool found = false;
-      for (auto& seg : inflight_) {
+      for (std::size_t i = 0; i < inflight_.size(); ++i) {
+        Segment& seg = inflight_[i];
         if (seg.seq == seq) {
           seg.retransmitted = true;
           seg.send_time = stack_.sim().now();
@@ -686,7 +687,8 @@ void TcpSocket::send_segment(std::uint64_t seq, std::uint32_t payload_len,
       if (!found) {
         inflight_.push_front(
             Segment{seq, slen, stack_.sim().now(), true});
-        std::sort(inflight_.begin(), inflight_.end(),
+        const std::span<Segment> segs = inflight_.contiguous();
+        std::sort(segs.begin(), segs.end(),
                   [](const Segment& a, const Segment& b) {
                     return a.seq < b.seq;
                   });

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -27,6 +26,7 @@
 #include "tcp/buffers.hpp"
 #include "tcp/tcp.hpp"
 #include "util/interval_set.hpp"
+#include "util/ring.hpp"
 #include "util/units.hpp"
 
 namespace lsl::metrics {
@@ -205,7 +205,7 @@ class TcpSocket {
   std::uint64_t snd_una_ = 0;  ///< oldest unacknowledged
   std::uint64_t snd_nxt_ = 0;  ///< next to send
   std::uint64_t snd_max_ = 0;  ///< highest ever sent + 1
-  std::deque<Segment> inflight_;
+  util::Ring<Segment> inflight_;
 
   // Congestion control.
   std::uint64_t cwnd_ = 0;

@@ -580,6 +580,78 @@ TEST(Link, JitterNeverReorders) {
   }
 }
 
+// Loss, jitter and a standing queue together: the link holds each packet
+// from enqueue to delivery, and a wire loss stays in place until it reaches
+// the front. Survivors must come out in send order, all of them, and none
+// later than its own queueing, serialization and propagation allow, so a
+// lost packet ahead never stalls the ones behind it.
+TEST(Link, LossJitterAndStandingQueueDeliverEverySurvivorInOrder) {
+  Simulator sim(5);
+  LinkConfig cfg;
+  cfg.rate = util::DataRate::mbps(8);  // 1 us per byte: 128 us per packet
+  cfg.delay = 2 * kMillisecond;
+  cfg.jitter = 3 * kMillisecond;  // far beyond the serialization gap
+  cfg.queue_bytes = 16 * 128;     // a 16-packet drop-tail buffer
+  cfg.loss_rate = 0.2;
+  std::vector<util::SimTime> sent_at(1);  // indexed by serial
+  std::vector<std::uint64_t> serials;
+  Link link(sim, "l", cfg, [&](Packet&& p) {
+    // The newest packet could have waited behind a full queue, then
+    // serialized, then taken the longest propagation delay.
+    const util::SimTime bound =
+        sent_at[p.serial] + (cfg.queue_bytes + 128) * kMicrosecond +
+        cfg.delay + cfg.jitter;
+    EXPECT_LE(sim.now(), bound) << "packet " << p.serial << " stalled";
+    serials.push_back(p.serial);
+  });
+  // Bursts of 6 packets every 500 us offer 1.5x the line rate: the queue
+  // stands, overflows, and drains between bursts of bursts.
+  std::uint64_t next_serial = 1;
+  for (int burst = 0; burst < 400; ++burst) {
+    const util::SimTime at = burst * 500 * kMicrosecond +
+                             (burst / 50) * 20 * kMillisecond;
+    sim.events().schedule_at(at, [&] {
+      for (int i = 0; i < 6; ++i) {
+        Packet p = make_packet(0, 1, 100);  // 128 bytes on the wire
+        p.serial = next_serial++;
+        sent_at.push_back(sim.now());
+        link.send(std::move(p));
+      }
+    });
+  }
+  sim.events().run();
+
+  const std::uint64_t sent = next_serial - 1;
+  const LinkStats& st = link.stats();
+  EXPECT_GT(st.drops_queue, 0u);
+  EXPECT_GT(st.drops_wire, 0u);
+  EXPECT_EQ(st.packets_sent, sent - st.drops_queue);
+  ASSERT_EQ(serials.size(), sent - st.drops_wire - st.drops_queue);
+  for (std::size_t i = 1; i < serials.size(); ++i) {
+    ASSERT_LT(serials[i - 1], serials[i]) << "reordered at " << i;
+  }
+  EXPECT_EQ(link.queued_bytes(), 0u);
+}
+
+// --- packet ------------------------------------------------------------------
+
+// SACK options cost 2 + 8 bytes per block, padded to 4-byte alignment.
+TEST(Packet, WireBytesCountSackBlocks) {
+  Packet p;
+  p.proto = Protocol::kTcp;
+  p.payload_bytes = 100;
+  const std::uint32_t expected[] = {152, 164, 172, 180};
+  for (std::uint64_t blocks = 0; blocks <= 3; ++blocks) {
+    EXPECT_EQ(p.wire_bytes(), expected[blocks]) << blocks << " blocks";
+    if (blocks < 3) p.tcp.sack.push_back({1000 * blocks, 1000 * blocks + 10});
+  }
+  Packet ack;
+  ack.proto = Protocol::kTcp;
+  EXPECT_EQ(ack.wire_bytes(), kTcpIpHeaderBytes);
+  ack.tcp.sack.push_back({5, 9});
+  EXPECT_EQ(ack.wire_bytes(), kTcpIpHeaderBytes + 12);
+}
+
 // --- network / routing -------------------------------------------------------
 
 TEST(Network, RoutesAcrossMultipleHops) {

@@ -197,6 +197,83 @@ TEST_P(RecvBufferProperty, ReassemblesAnyArrivalOrder) {
   EXPECT_EQ(rb.out_of_order_bytes(), 0u);
 }
 
+/// Property: a virtual-mode buffer fed the same arrivals as a real-mode
+/// one, with the same reads in between, agrees with it after every insert
+/// (frontier, readable bytes, window, out-of-order bytes, SACK blocks), and
+/// the real one reads back exactly the original stream. Arrivals overlap at
+/// arbitrary offsets and the capacity is small, so the window closes and
+/// the capacity clip trims segments.
+TEST_P(RecvBufferProperty, VirtualTwinAgreesWithRealModeBetweenReads) {
+  util::Rng rng(GetParam());
+  constexpr std::uint64_t kLen = 20000;
+  constexpr std::uint64_t kCapacity = 3000;
+  std::vector<std::uint8_t> original(kLen);
+  for (auto& b : original) b = static_cast<std::uint8_t>(rng());
+
+  RecvBuffer real(kCapacity, true);
+  RecvBuffer virt(kCapacity, false);
+  std::uint64_t read_pos = 0;
+  int inserts = 0;
+  while (read_pos < kLen) {
+    ASSERT_LT(inserts, 100000) << "no progress";
+    if (real.rcv_nxt() == kLen) {
+      std::vector<std::uint8_t> rest(kLen - read_pos);
+      ASSERT_EQ(real.read(rest), rest.size());
+      ASSERT_EQ(virt.read_virtual(rest.size()), rest.size());
+      ASSERT_TRUE(std::equal(rest.begin(), rest.end(),
+                             original.begin() + static_cast<long>(read_pos)));
+      read_pos = kLen;
+      break;
+    }
+    // A third of the arrivals land at the frontier; the rest anywhere from
+    // a little below it to past the end of the window.
+    const std::uint64_t lo = real.rcv_nxt() > 500 ? real.rcv_nxt() - 500 : 0;
+    const std::uint64_t off =
+        rng.bernoulli(0.33)
+            ? real.rcv_nxt()
+            : rng.uniform_int(lo, std::min(kLen - 1, read_pos + kCapacity));
+    const std::uint64_t len =
+        std::min<std::uint64_t>(1 + rng.uniform_int(0, 900), kLen - off);
+    auto payload = std::make_shared<std::vector<std::uint8_t>>(
+        original.begin() + static_cast<long>(off),
+        original.begin() + static_cast<long>(off + len));
+    const auto n = static_cast<std::uint32_t>(len);
+    const bool ra = real.insert(off, n, payload);
+    const bool va = virt.insert(off, n, nullptr);
+    ++inserts;
+    ASSERT_EQ(ra, va) << "insert " << inserts;
+    ASSERT_EQ(real.rcv_nxt(), virt.rcv_nxt()) << "insert " << inserts;
+    ASSERT_EQ(real.readable(), virt.readable());
+    ASSERT_EQ(real.window(), virt.window());
+    ASSERT_EQ(real.out_of_order_bytes(), virt.out_of_order_bytes());
+    for (const std::uint64_t probe :
+         {off, off + len / 2, off + len - 1, real.rcv_nxt(),
+          real.rcv_nxt() + 1 + rng.uniform_int(0, kCapacity)}) {
+      ASSERT_EQ(real.ooo_block_containing(probe),
+                virt.ooo_block_containing(probe))
+          << "probe " << probe << " after insert " << inserts;
+    }
+
+    if (rng.bernoulli(0.4) && real.readable() > 0) {
+      const std::size_t want =
+          static_cast<std::size_t>(1 + rng.uniform_int(0, 1600));
+      std::vector<std::uint8_t> out(want);
+      const std::size_t got = real.read(out);
+      ASSERT_EQ(virt.read_virtual(want), got);
+      ASSERT_TRUE(std::equal(out.begin(),
+                             out.begin() + static_cast<long>(got),
+                             original.begin() + static_cast<long>(read_pos)))
+          << "bytes at " << read_pos;
+      read_pos += got;
+      ASSERT_EQ(real.readable(), virt.readable());
+      ASSERT_EQ(real.window(), virt.window());
+    }
+  }
+  EXPECT_EQ(real.readable(), 0u);
+  EXPECT_EQ(virt.readable(), 0u);
+  EXPECT_EQ(virt.out_of_order_bytes(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RecvBufferProperty,
                          ::testing::Values(11, 22, 33, 44, 55, 66, 77, 88, 99,
                                            110));

@@ -49,13 +49,16 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <csignal>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -78,6 +81,8 @@
 #include "util/log.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
+
+#include "cli_args.hpp"
 
 using namespace lsl;
 
@@ -110,6 +115,35 @@ const char* arg_value(const char* name, int argc, char** argv, int* i) {
   if (argv[*i][n] == '=') return argv[*i] + n + 1;
   if (argv[*i][n] == '\0' && *i + 1 < argc) return argv[++*i];
   return nullptr;
+}
+
+/// Strict size and duration options, reported by name like cli::read_count.
+template <typename T>
+bool read_size(const char* name, const char* v, T* out) {
+  const auto n = util::parse_size(v);
+  if (n && *n <= std::numeric_limits<T>::max()) {
+    *out = static_cast<T>(*n);
+    return true;
+  }
+  std::fprintf(stderr,
+               "lsl_load: %s must be a size such as 4096, 64k or 1.5m, "
+               "not '%s'\n",
+               name, v);
+  return false;
+}
+
+bool read_seconds(const char* name, const char* v, double* out) {
+  const char* end = v + std::strlen(v);
+  double t = 0;
+  const auto [ptr, ec] = std::from_chars(v, end, t);
+  if (ec == std::errc() && ptr == end && std::isfinite(t) && t > 0) {
+    *out = t;
+    return true;
+  }
+  std::fprintf(stderr,
+               "lsl_load: %s must be a positive number of seconds, not '%s'\n",
+               name, v);
+  return false;
 }
 
 void usage() {
@@ -408,28 +442,25 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
   Options opt;
   for (int i = 1; i < argc; ++i) {
-    std::optional<std::uint64_t> size;
     const char* v = nullptr;
     if ((v = arg_value("--sessions", argc, argv, &i)) != nullptr) {
-      opt.sessions = static_cast<std::size_t>(std::strtoull(v, nullptr, 10));
-    } else if ((v = arg_value("--bytes", argc, argv, &i)) != nullptr &&
-               (size = util::parse_size(v))) {
-      opt.bytes = *size;
-    } else if ((v = arg_value("--budget", argc, argv, &i)) != nullptr &&
-               (size = util::parse_size(v))) {
-      opt.budget = *size;
-    } else if ((v = arg_value("--chunk", argc, argv, &i)) != nullptr &&
-               (size = util::parse_size(v))) {
-      opt.chunk = static_cast<std::size_t>(*size);
-    } else if ((v = arg_value("--buffer", argc, argv, &i)) != nullptr &&
-               (size = util::parse_size(v))) {
-      opt.buffer = static_cast<std::size_t>(*size);
+      if (!cli::read_count("lsl_load", "--sessions", v, &opt.sessions, 1)) {
+        return 2;
+      }
+    } else if ((v = arg_value("--bytes", argc, argv, &i)) != nullptr) {
+      if (!read_size("--bytes", v, &opt.bytes)) return 2;
+    } else if ((v = arg_value("--budget", argc, argv, &i)) != nullptr) {
+      if (!read_size("--budget", v, &opt.budget)) return 2;
+    } else if ((v = arg_value("--chunk", argc, argv, &i)) != nullptr) {
+      if (!read_size("--chunk", v, &opt.chunk)) return 2;
+    } else if ((v = arg_value("--buffer", argc, argv, &i)) != nullptr) {
+      if (!read_size("--buffer", v, &opt.buffer)) return 2;
     } else if (std::strcmp(argv[i], "--no-splice") == 0) {
       opt.splice = false;
     } else if ((v = arg_value("--seed", argc, argv, &i)) != nullptr) {
-      opt.seed = std::strtoull(v, nullptr, 10);
+      if (!cli::read_count("lsl_load", "--seed", v, &opt.seed)) return 2;
     } else if ((v = arg_value("--timeout", argc, argv, &i)) != nullptr) {
-      opt.timeout_s = std::strtod(v, nullptr);
+      if (!read_seconds("--timeout", v, &opt.timeout_s)) return 2;
     } else if ((v = arg_value("--json", argc, argv, &i)) != nullptr) {
       opt.json_file = v;
     } else if ((v = arg_value("--metrics-out", argc, argv, &i)) != nullptr) {
@@ -439,23 +470,16 @@ int main(int argc, char** argv) {
     } else if ((v = arg_value("--spans-out", argc, argv, &i)) != nullptr) {
       opt.spans_file = v;
       opt.trace = true;
-    } else if ((v = arg_value("--cores", argc, argv, &i)) != nullptr ||
-               (v = arg_value("--shards", argc, argv, &i)) != nullptr) {
-      opt.cores = std::atoi(v);
-      if (opt.cores < 1) {
-        std::fprintf(stderr, "lsl_load: --cores must be >= 1\n");
-        return 2;
-      }
+    } else if ((v = arg_value("--cores", argc, argv, &i)) != nullptr) {
+      if (!cli::read_count("lsl_load", "--cores", v, &opt.cores, 1)) return 2;
+    } else if ((v = arg_value("--shards", argc, argv, &i)) != nullptr) {
+      if (!cli::read_count("lsl_load", "--shards", v, &opt.cores, 1)) return 2;
     } else if ((v = arg_value("--stripes", argc, argv, &i)) != nullptr) {
-      opt.stripes = std::atoi(v);
-      if (opt.stripes < 1 || opt.stripes > 16) {
-        std::fprintf(stderr, "lsl_load: --stripes must be in 1..16\n");
+      if (!cli::read_count("lsl_load", "--stripes", v, &opt.stripes, 1, 16)) {
         return 2;
       }
     } else if ((v = arg_value("--depots", argc, argv, &i)) != nullptr) {
-      opt.depots = std::atoi(v);
-      if (opt.depots < 1 || opt.depots > 8) {
-        std::fprintf(stderr, "lsl_load: --depots must be in 1..8\n");
+      if (!cli::read_count("lsl_load", "--depots", v, &opt.depots, 1, 8)) {
         return 2;
       }
     } else if ((v = arg_value("--churn-spec", argc, argv, &i)) != nullptr) {

@@ -27,6 +27,8 @@
 #include "check/sched.hpp"
 #include "check/suite.hpp"
 
+#include "cli_args.hpp"
+
 namespace {
 
 using lsl::check::Options;
@@ -118,17 +120,24 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto need_count = [&](const char* flag) -> int {
+      int n = 0;
+      if (!lsl::cli::read_count("lsl_mc", flag, need_value(flag), &n)) {
+        std::exit(2);
+      }
+      return n;
+    };
     if (arg == "--list") {
       list_scenarios();
       return 0;
     } else if (arg == "--scenario") {
       scenario = need_value("--scenario");
     } else if (arg == "--budget") {
-      overrides.max_schedules = std::atoi(need_value("--budget"));
+      overrides.max_schedules = need_count("--budget");
     } else if (arg == "--preempt") {
-      overrides.preemption_bound = std::atoi(need_value("--preempt"));
+      overrides.preemption_bound = need_count("--preempt");
     } else if (arg == "--steps") {
-      overrides.max_steps = std::atoi(need_value("--steps"));
+      overrides.max_steps = need_count("--steps");
     } else if (arg == "--replay") {
       overrides.replay_seed = need_value("--replay");
     } else if (arg == "--census") {

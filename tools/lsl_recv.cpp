@@ -29,6 +29,8 @@
 #include "posix/socket_util.hpp"
 #include "util/log.hpp"
 
+#include "cli_args.hpp"
+
 using namespace lsl;
 
 int main(int argc, char** argv) {
@@ -53,7 +55,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "-1") == 0) {
       once = true;
     } else if (std::strcmp(argv[i], "-g") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!cli::read_count("lsl_recv", "-g", argv[++i], &seed)) return 2;
       check_content = true;
     } else if (std::strcmp(argv[i], "--metrics-out") == 0 && i + 1 < argc) {
       metrics_file = argv[++i];

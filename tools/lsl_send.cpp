@@ -40,7 +40,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <chrono>
@@ -60,6 +62,9 @@
 #include "posix/striped_client.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
+#include "util/units.hpp"
+
+#include "cli_args.hpp"
 
 using namespace lsl;
 
@@ -70,9 +75,9 @@ bool parse_endpoint(const std::string& s, posix::InetAddress* out) {
   if (colon == std::string::npos) return false;
   const auto ip = posix::parse_ipv4(s.substr(0, colon));
   if (!ip) return false;
-  const long port = std::strtol(s.c_str() + colon + 1, nullptr, 10);
-  if (port <= 0 || port > 65535) return false;
-  *out = {*ip, static_cast<std::uint16_t>(port)};
+  const auto port = util::parse_count(std::string_view(s).substr(colon + 1));
+  if (!port || *port == 0 || *port > 65535) return false;
+  *out = {*ip, static_cast<std::uint16_t>(*port)};
   return true;
 }
 
@@ -137,11 +142,11 @@ int main(int argc, char** argv) {
     } else if (arg == "-n") {
       const char* v = next();
       if (v == nullptr) return usage();
-      gen_bytes = std::strtoull(v, nullptr, 10);
+      if (!cli::read_count("lsl_send", "-n", v, &gen_bytes, 1)) return 2;
     } else if (arg == "-s") {
       const char* v = next();
       if (v == nullptr) return usage();
-      seed = std::strtoull(v, nullptr, 10);
+      if (!cli::read_count("lsl_send", "-s", v, &seed)) return 2;
     } else if (arg == "--metrics-out") {
       const char* v = next();
       if (v == nullptr) return usage();
@@ -149,8 +154,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--retry") {
       const char* v = next();
       if (v == nullptr) return usage();
-      retry_cfg.max_attempts =
-          static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+      if (!cli::read_count("lsl_send", "--retry", v,
+                           &retry_cfg.max_attempts)) {
+        return 2;
+      }
     } else if (arg == "--backoff") {
       const char* v = next();
       if (v == nullptr) return usage();
@@ -160,20 +167,23 @@ int main(int argc, char** argv) {
     } else if (arg == "--stripes") {
       const char* v = next();
       if (v == nullptr) return usage();
-      stripes = std::strtoul(v, nullptr, 10);
-      if (stripes < 2 || stripes > 16) {
-        std::fprintf(stderr, "lsl_send: --stripes must be in 2..16\n");
+      if (!cli::read_count("lsl_send", "--stripes", v, &stripes, 2, 16)) {
         return 2;
       }
     } else if (arg == "--stripe-chunk") {
       const char* v = next();
       if (v == nullptr) return usage();
-      stripe_chunk = std::strtoul(v, nullptr, 10);
-      if (stripe_chunk == 0) return usage();
+      if (!cli::read_count("lsl_send", "--stripe-chunk", v, &stripe_chunk, 1,
+                           std::numeric_limits<std::uint32_t>::max())) {
+        return 2;
+      }
     } else if (arg == "--redundancy") {
       const char* v = next();
       if (v == nullptr) return usage();
-      redundancy = std::strtoul(v, nullptr, 10);
+      if (!cli::read_count("lsl_send", "--redundancy", v, &redundancy, 0,
+                           16)) {
+        return 2;
+      }
     } else if (arg == "--log-level") {
       const char* v = next();
       if (v == nullptr) return usage();
