@@ -12,10 +12,10 @@
 
 #include "lsl/payload.hpp"
 #include "md5/md5.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/network.hpp"
 #include "tcp/stack.hpp"
 #include "trace/analysis.hpp"
+#include "util/event_queue.hpp"
 #include "util/interval_set.hpp"
 #include "util/rng.hpp"
 
@@ -60,7 +60,7 @@ BENCHMARK(BM_Md5PairThroughput)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20);
 void BM_EventQueueScheduleRun(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   for (auto _ : state) {
-    lsl::sim::EventQueue q;
+    lsl::util::EventQueue q;
     std::uint64_t sum = 0;
     for (std::int64_t i = 0; i < n; ++i) {
       q.schedule_at(i * 10, [&sum, i] { sum += static_cast<std::uint64_t>(i); });
@@ -75,8 +75,8 @@ BENCHMARK(BM_EventQueueScheduleRun)->Arg(1 << 10)->Arg(1 << 14)->Arg(1 << 17);
 void BM_EventQueueCancel(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   for (auto _ : state) {
-    lsl::sim::EventQueue q;
-    std::vector<lsl::sim::EventId> ids;
+    lsl::util::EventQueue q;
+    std::vector<lsl::util::EventId> ids;
     ids.reserve(static_cast<std::size_t>(n));
     for (std::int64_t i = 0; i < n; ++i) {
       ids.push_back(q.schedule_at(i, [] {}));
@@ -95,9 +95,9 @@ BENCHMARK(BM_EventQueueCancel)->Arg(1 << 12)->Arg(1 << 16);
 void BM_EventQueueLane(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   for (auto _ : state) {
-    lsl::sim::EventQueue q;
+    lsl::util::EventQueue q;
     std::uint64_t sum = 0;
-    lsl::sim::EventLane lane(q, [&sum] { ++sum; });
+    lsl::util::EventLane lane(q, [&sum] { ++sum; });
     for (std::int64_t i = 0; i < n; ++i) lane.push_at(i * 10);
     q.run();
     benchmark::DoNotOptimize(sum);
@@ -115,8 +115,8 @@ void BM_EventQueueRearm(benchmark::State& state) {
   constexpr lsl::util::SimDuration kRto = 1000000;
   constexpr lsl::util::SimDuration kAckGap = 10;
   for (auto _ : state) {
-    lsl::sim::EventQueue q;
-    std::vector<lsl::sim::EventId> timers(live);
+    lsl::util::EventQueue q;
+    std::vector<lsl::util::EventId> timers(live);
     for (auto& t : timers) t = q.schedule_in(kRto, [] {});
     for (std::int64_t i = 0; i < kEvents; ++i) {
       auto& t = timers[static_cast<std::size_t>(i) % live];

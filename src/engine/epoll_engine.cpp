@@ -2,11 +2,14 @@
 
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
+#include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <chrono>
+#include <limits>
 #include <system_error>
 
 namespace lsl::engine {
@@ -50,7 +53,23 @@ void EpollEngine::remove(int fd) {
   callbacks_.erase(fd);
 }
 
+std::int64_t EpollEngine::now_ns() {
+  struct timespec ts;
+  ::clock_gettime(CLOCK_MONOTONIC, &ts);
+  return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec;
+}
+
 int EpollEngine::run_once(int timeout_ms) {
+  if (!timers_.empty()) {
+    // Rounded up to whole milliseconds, so the wait never ends before the
+    // earliest timer is due.
+    const std::int64_t until =
+        std::max<std::int64_t>(timers_.next_due() - now_ns(), 0);
+    const auto until_ms = static_cast<int>(
+        std::min<std::int64_t>((until + 999'999) / 1'000'000,
+                               std::numeric_limits<int>::max()));
+    if (timeout_ms < 0 || until_ms < timeout_ms) timeout_ms = until_ms;
+  }
   std::array<epoll_event, 64> events;
   const int n = ::epoll_wait(epoll_.get(), events.data(),
                              static_cast<int>(events.size()), timeout_ms);
@@ -78,12 +97,14 @@ int EpollEngine::run_once(int timeout_ms) {
             std::chrono::steady_clock::now() - dispatch_start)
             .count());
   }
-  return n;
+  const std::uint64_t before = timers_.executed_count();
+  timers_.run_until(now_ns());
+  return n + static_cast<int>(timers_.executed_count() - before);
 }
 
 void EpollEngine::run() {
   stopped_ = false;
-  while (!stopped_ && watched_count() > 0) {
+  while (!stopped_ && (watched_count() > 0 || !timers_.empty())) {
     run_once(-1);
   }
 }

@@ -59,7 +59,7 @@ class StripedRun {
   void scan_dead_depots();
   double path_rate_mbps(std::size_t path) const;
 
-  sim::EventQueue& ev() { return net_->sim().events(); }
+  util::EventQueue& ev() { return net_->sim().events(); }
 
   const StripedParams& p_;
   StripedResult res_;

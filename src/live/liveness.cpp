@@ -33,10 +33,11 @@ LivenessConfig LivenessConfig::recommended() {
   return c;
 }
 
-void RelayLiveness::attach(DeadlineWheel* wheel, const LivenessConfig* config,
+void RelayLiveness::attach(util::EventQueue* timers,
+                           const LivenessConfig* config,
                            std::function<void(DeadlineKind)> on_expire) {
   cancel_all();
-  wheel_ = wheel;
+  timers_ = timers;
   config_ = config;
   on_expire_ = std::move(on_expire);
 }
@@ -44,8 +45,8 @@ void RelayLiveness::attach(DeadlineWheel* wheel, const LivenessConfig* config,
 void RelayLiveness::on_accepted(std::int64_t now) {
   last_activity_ = now;
   if (!attached() || config_->header_timeout <= 0) return;
-  header_token_ = wheel_->schedule(now + config_->header_timeout, [this] {
-    header_token_ = DeadlineWheel::kInvalidToken;
+  header_token_ = timers_->schedule_at(now + config_->header_timeout, [this] {
+    header_token_ = util::kInvalidEvent;
     expire(DeadlineKind::kHeader);
   });
 }
@@ -53,11 +54,11 @@ void RelayLiveness::on_accepted(std::int64_t now) {
 void RelayLiveness::on_header_done(std::int64_t now) {
   last_activity_ = now;
   if (!attached()) return;
-  wheel_->cancel(header_token_);
-  header_token_ = DeadlineWheel::kInvalidToken;
+  timers_->cancel(header_token_);
+  header_token_ = util::kInvalidEvent;
   if (config_->dial_timeout <= 0) return;
-  dial_token_ = wheel_->schedule(now + config_->dial_timeout, [this] {
-    dial_token_ = DeadlineWheel::kInvalidToken;
+  dial_token_ = timers_->schedule_at(now + config_->dial_timeout, [this] {
+    dial_token_ = util::kInvalidEvent;
     expire(DeadlineKind::kDial);
   });
 }
@@ -65,8 +66,8 @@ void RelayLiveness::on_header_done(std::int64_t now) {
 void RelayLiveness::on_connected(std::int64_t now) {
   last_activity_ = now;
   if (!attached()) return;
-  wheel_->cancel(dial_token_);
-  dial_token_ = DeadlineWheel::kInvalidToken;
+  timers_->cancel(dial_token_);
+  dial_token_ = util::kInvalidEvent;
   streaming_ = true;
   // The stream phase is watched by exactly one of idle/stall at a time,
   // selected by whether bytes are waiting for downstream.
@@ -81,8 +82,8 @@ void RelayLiveness::set_should_progress(bool should, std::int64_t now) {
   if (should == should_progress_) return;
   should_progress_ = should;
   if (!attached() || !streaming_) return;
-  wheel_->cancel(watch_token_);
-  watch_token_ = DeadlineWheel::kInvalidToken;
+  timers_->cancel(watch_token_);
+  watch_token_ = util::kInvalidEvent;
   if (should) {
     arm_stall_at(now + config_->stall_window);
   } else {
@@ -93,8 +94,8 @@ void RelayLiveness::set_should_progress(bool should, std::int64_t now) {
 void RelayLiveness::arm_idle_at(std::int64_t due) {
   if (config_->idle_timeout <= 0) return;
   watch_due_ = due;
-  watch_token_ = wheel_->schedule(due, [this] {
-    watch_token_ = DeadlineWheel::kInvalidToken;
+  watch_token_ = timers_->schedule_at(due, [this] {
+    watch_token_ = util::kInvalidEvent;
     on_idle_fired();
   });
 }
@@ -103,7 +104,7 @@ void RelayLiveness::on_idle_fired() {
   // Lazy re-arm: activity since the arm only stamped last_activity_. If it
   // pushed the horizon past the instant we were armed for, sleep again
   // until the new horizon instead of expiring — O(1) per byte batch, one
-  // wheel entry per relay.
+  // timer per relay.
   const std::int64_t horizon = last_activity_ + config_->idle_timeout;
   if (horizon > watch_due_) {
     arm_idle_at(horizon);
@@ -116,8 +117,8 @@ void RelayLiveness::arm_stall_at(std::int64_t window_end) {
   if (config_->stall_window <= 0) return;
   window_bytes_ = 0;
   watch_due_ = window_end;
-  watch_token_ = wheel_->schedule(window_end, [this] {
-    watch_token_ = DeadlineWheel::kInvalidToken;
+  watch_token_ = timers_->schedule_at(window_end, [this] {
+    watch_token_ = util::kInvalidEvent;
     on_stall_fired();
   });
 }
@@ -135,12 +136,12 @@ void RelayLiveness::on_stall_fired() {
 }
 
 void RelayLiveness::cancel_all() {
-  if (wheel_ != nullptr) {
-    wheel_->cancel(header_token_);
-    wheel_->cancel(dial_token_);
-    wheel_->cancel(watch_token_);
+  if (timers_ != nullptr) {
+    timers_->cancel(header_token_);
+    timers_->cancel(dial_token_);
+    timers_->cancel(watch_token_);
   }
-  header_token_ = dial_token_ = watch_token_ = DeadlineWheel::kInvalidToken;
+  header_token_ = dial_token_ = watch_token_ = util::kInvalidEvent;
   streaming_ = false;
 }
 

@@ -1,6 +1,6 @@
 // Relay liveness policy: per-relay lifecycle deadlines and the
-// min-progress-rate watchdog, expressed over a DeadlineWheel so the exact
-// same policy runs in the simulator (SimTime) and the posix daemon
+// min-progress-rate watchdog, expressed over the host's util::EventQueue so
+// the exact same policy runs in the simulator (SimTime) and the posix daemon
 // (steady-clock ns).
 //
 // A relay's life has four liveness phases, each guarded by one deadline
@@ -26,7 +26,7 @@
 #include <functional>
 #include <string>
 
-#include "live/deadline_wheel.hpp"
+#include "util/event_queue.hpp"
 #include "util/units.hpp"
 
 namespace lsl::live {
@@ -76,7 +76,7 @@ struct LivenessConfig {
   static LivenessConfig recommended();
 };
 
-/// Per-relay deadline state machine over a host-owned DeadlineWheel.
+/// Per-relay deadline state machine over a host-owned timer queue.
 ///
 /// The host reports lifecycle edges (accepted / header done / connected)
 /// and activity (bytes moved, buffered-state changes); RelayLiveness keeps
@@ -87,7 +87,7 @@ struct LivenessConfig {
 /// The idle deadline is re-armed lazily: activity only stamps
 /// last_activity, and when the armed deadline fires early it re-schedules
 /// at last_activity + idle_timeout instead of expiring (O(1) per byte
-/// batch, one wheel entry per relay).
+/// batch, one timer per relay).
 class RelayLiveness {
  public:
   RelayLiveness() = default;
@@ -96,13 +96,13 @@ class RelayLiveness {
   RelayLiveness(const RelayLiveness&) = delete;
   RelayLiveness& operator=(const RelayLiveness&) = delete;
 
-  /// Bind to a wheel + config. `on_expire` must outlive this object or be
-  /// cancelled first; it is invoked from DeadlineWheel::fire_due. A null
-  /// wheel (or a config with no deadlines) leaves the object inert.
-  void attach(DeadlineWheel* wheel, const LivenessConfig* config,
+  /// Bind to a timer queue + config. `on_expire` must outlive this object
+  /// or be cancelled first; it runs from the queue. A null queue (or a
+  /// config with no deadlines) leaves the object inert.
+  void attach(util::EventQueue* timers, const LivenessConfig* config,
               std::function<void(DeadlineKind)> on_expire);
 
-  bool attached() const { return wheel_ != nullptr && config_ != nullptr; }
+  bool attached() const { return timers_ != nullptr && config_ != nullptr; }
 
   /// Relay accepted at `now`: arm the header deadline.
   void on_accepted(std::int64_t now);
@@ -137,15 +137,15 @@ class RelayLiveness {
   void on_stall_fired();
   void expire(DeadlineKind kind);
 
-  DeadlineWheel* wheel_ = nullptr;
+  util::EventQueue* timers_ = nullptr;
   const LivenessConfig* config_ = nullptr;
   std::function<void(DeadlineKind)> on_expire_;
   std::function<void(double)> rate_hook_;
 
-  DeadlineWheel::Token header_token_ = DeadlineWheel::kInvalidToken;
-  DeadlineWheel::Token dial_token_ = DeadlineWheel::kInvalidToken;
+  util::EventId header_token_ = util::kInvalidEvent;
+  util::EventId dial_token_ = util::kInvalidEvent;
   /// Idle deadline or stall-window end, whichever is watching the stream.
-  DeadlineWheel::Token watch_token_ = DeadlineWheel::kInvalidToken;
+  util::EventId watch_token_ = util::kInvalidEvent;
   std::int64_t watch_due_ = 0;  ///< instant watch_token_ is armed for
 
   bool streaming_ = false;

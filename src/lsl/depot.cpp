@@ -15,8 +15,8 @@ DepotApp::DepotApp(tcp::TcpStack& stack, DepotConfig config,
       budget_(config.pool_budget_bytes, config.pool_low_watermark,
               config.pool_high_watermark),
       copy_done_(stack.sim().events(), [this] { copy_complete(); }),
-      core_("depot", *this, stats_, config_.liveness, config_.resume_grace,
-            config_.max_sessions) {
+      core_("depot", *this, stack.sim().events(), stats_, config_.liveness,
+            config_.resume_grace, config_.max_sessions) {
   stack_.listen(config_.port,
                 [this](tcp::TcpSocket* s) { on_accept(s); });
 }
@@ -474,30 +474,6 @@ void DepotApp::sync_liveness(Relay& r) {
   core_.sync_liveness(r, stalled_,
                       buffered(r) > 0 || r.fwd_virtual_left > 0 ||
                           r.fwd_off < r.fwd_header.size());
-  rearm();
-}
-
-void DepotApp::rearm() {
-  const live::DeadlineWheel& wheel = core_.wheel();
-  if (wheel.empty()) {
-    if (live_event_ != sim::kInvalidEvent) {
-      stack_.sim().events().cancel(live_event_);
-      live_event_ = sim::kInvalidEvent;
-    }
-    return;
-  }
-  const util::SimTime due =
-      std::max<util::SimTime>(wheel.next_due(), stack_.sim().now());
-  if (live_event_ != sim::kInvalidEvent) {
-    if (live_event_due_ == due) return;
-    stack_.sim().events().cancel(live_event_);
-  }
-  live_event_due_ = due;
-  live_event_ = stack_.sim().events().schedule_at(due, [this] {
-    live_event_ = sim::kInvalidEvent;
-    core_.fire_due();
-    rearm();
-  });
 }
 
 void DepotApp::begin_drain() { core_.begin_drain(); }

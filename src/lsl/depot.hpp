@@ -63,7 +63,7 @@ struct DepotConfig {
   /// min-progress watchdog, and the graceful-drain bound — the exact same
   /// LivenessConfig the real daemon takes, run on simulated time. All
   /// durations default to 0 = disabled, which keeps same-seed metric
-  /// exports byte-identical to pre-liveness builds (no wheel events are
+  /// exports byte-identical to pre-liveness builds (no deadline event is
   /// ever scheduled).
   live::LivenessConfig liveness = {};
 };
@@ -195,9 +195,6 @@ class DepotApp : private RelayHost {
 
   // RelayHost.
   std::int64_t now() const override { return stack_.sim().now(); }
-  /// Keep exactly one simulator event armed at the wheel's next deadline —
-  /// the sim-time analogue of the daemon's timerfd.
-  void rearm() override;
   void on_deadline(RelaySession& s, live::DeadlineKind) override {
     fail_relay(static_cast<Relay&>(s));
   }
@@ -263,11 +260,7 @@ class DepotApp : private RelayHost {
     std::vector<std::uint8_t> chunk;  ///< empty in virtual mode
   };
   util::Ring<CopyJob> in_copy_;
-  sim::EventLane copy_done_;
-  sim::EventId live_event_ = sim::kInvalidEvent;
-  util::SimTime live_event_due_ = -1;
-  /// Declared before relays_ so relay destructors (which cancel wheel
-  /// tokens) run while the core's wheel is still alive.
+  util::EventLane copy_done_;
   RelayCore core_;
   std::vector<std::unique_ptr<Relay>> relays_;
 };

@@ -55,7 +55,8 @@ HeaderReader::Status HeaderReader::feed(std::span<const std::uint8_t> bytes,
   return Status::kDone;
 }
 
-RelayCore::RelayCore(const char* name, RelayHost& host, RelayStats& stats,
+RelayCore::RelayCore(const char* name, RelayHost& host,
+                     util::EventQueue& timers, RelayStats& stats,
                      const live::LivenessConfig& liveness,
                      std::int64_t resume_grace, std::size_t max_sessions)
     : name_(name),
@@ -63,7 +64,8 @@ RelayCore::RelayCore(const char* name, RelayHost& host, RelayStats& stats,
       stats_(stats),
       liveness_(liveness),
       resume_grace_(resume_grace),
-      max_sessions_(max_sessions) {}
+      max_sessions_(max_sessions),
+      timers_(timers) {}
 
 RelayCore::Admission RelayCore::admit(bool under_pressure) {
   if (draining_) {
@@ -93,7 +95,7 @@ void RelayCore::accept(RelaySession& s) {
   ++stats_.sessions_accepted;
   ++live_;
   s.accept_ns = host_.now();
-  s.live.attach(&wheel_, &liveness_,
+  s.live.attach(&timers_, &liveness_,
                 [this, &s](live::DeadlineKind k) { on_deadline(s, k); });
   if (live_metrics_ != nullptr) {
     s.live.set_rate_hook([this](double bps) {
@@ -103,7 +105,6 @@ void RelayCore::accept(RelaySession& s) {
     });
   }
   s.live.on_accepted(s.accept_ns);
-  host_.rearm();
 }
 
 void RelayCore::header_done(RelaySession& s) {
@@ -123,13 +124,11 @@ void RelayCore::dialing(RelaySession& s) {
   s.dial_start_ns = host_.now();
   // The dial deadline covers any setup latency + the handshake.
   s.live.on_header_done(s.dial_start_ns);
-  host_.rearm();
 }
 
 void RelayCore::connected(RelaySession& s) {
   s.state.transition(RelayState::kStream);
   s.live.on_connected(host_.now());
-  host_.rearm();
   if (tracer_ != nullptr && s.trace_id != 0) {
     // The same interval the dial liveness deadline bounds.
     tracer_->emit(s.trace_id, span::kSpanDial, span_sec(s.dial_start_ns),
@@ -142,7 +141,6 @@ void RelayCore::finish(RelaySession& s, bool ok) {
   s.state.transition(RelayState::kDone);
   if (s.parked) unpark(s);
   s.live.cancel_all();
-  host_.rearm();
   --live_;
   if (ok) {
     ++stats_.sessions_completed;
@@ -169,11 +167,10 @@ void RelayCore::park(RelaySession& s) {
   // not the liveness deadlines.
   s.live.cancel_all();
   s.park_due = host_.now() + resume_grace_;
-  s.park_token = wheel_.schedule(s.park_due, [this, &s] {
-    s.park_token = live::DeadlineWheel::kInvalidToken;
+  s.park_token = timers_.schedule_at(s.park_due, [this, &s] {
+    s.park_token = util::kInvalidEvent;
     expire(s);
   });
-  host_.rearm();
   if (tracer_ != nullptr && s.trace_id != 0) {
     tracer_->mark(s.trace_id, span::kSpanPark, span_sec(host_.now()),
                   s.payload_pulled);
@@ -188,8 +185,8 @@ void RelayCore::unpark(RelaySession& s) {
   --parked_;
   const auto it = index_.find(s.header.session);
   if (it != index_.end() && it->second == &s) index_.erase(it);
-  wheel_.cancel(s.park_token);
-  s.park_token = live::DeadlineWheel::kInvalidToken;
+  timers_.cancel(s.park_token);
+  s.park_token = util::kInvalidEvent;
 }
 
 RelaySession* RelayCore::resume(RelaySession& fresh) {
@@ -222,7 +219,6 @@ RelaySession* RelayCore::resume(RelaySession& fresh) {
   // The merged relay is streaming again: the idle/stall watchdog restarts
   // from the resume instant.
   p.live.on_connected(host_.now());
-  host_.rearm();
   if (tracer_ != nullptr && p.trace_id != 0) {
     tracer_->mark(p.trace_id, span::kSpanResume, span_sec(host_.now()),
                   offset);
@@ -280,11 +276,10 @@ void RelayCore::begin_drain() {
   if (live_metrics_ != nullptr) live_metrics_->drains_started->inc();
   if (liveness_.drain_deadline > 0) {
     drain_token_ =
-        wheel_.schedule(drain_start_ + liveness_.drain_deadline, [this] {
-          drain_token_ = live::DeadlineWheel::kInvalidToken;
+        timers_.schedule_at(drain_start_ + liveness_.drain_deadline, [this] {
+          drain_token_ = util::kInvalidEvent;
           on_drain_deadline();
         });
-    host_.rearm();
   }
   maybe_finish_drain();
 }
@@ -293,11 +288,8 @@ void RelayCore::maybe_finish_drain() {
   if (!draining_ || drain_done_ || live_ > parked_) return;
   drain_done_ = true;
   report_.parked = parked_;
-  if (drain_token_ != live::DeadlineWheel::kInvalidToken) {
-    wheel_.cancel(drain_token_);
-    drain_token_ = live::DeadlineWheel::kInvalidToken;
-    host_.rearm();
-  }
+  timers_.cancel(drain_token_);
+  drain_token_ = util::kInvalidEvent;
   if (live_metrics_ != nullptr && !report_.expired) {
     live_metrics_->drains_completed->inc();
   }

@@ -19,8 +19,10 @@
 //
 // It is sans-I/O: it never touches a socket or an event loop. Time comes
 // from the adapter (RelayHost::now) as int64 nanoseconds — SimTime in the
-// simulator, CLOCK_MONOTONIC in the daemon — and every action on sockets
-// goes back through RelayHost.
+// simulator, CLOCK_MONOTONIC in the daemon — and its deadlines go on the
+// adapter's timer queue on that same timebase (the simulator's event
+// queue, or the shard engine's timers). Every action on sockets goes back
+// through RelayHost.
 #pragma once
 
 #include <array>
@@ -29,12 +31,12 @@
 #include <map>
 #include <span>
 
-#include "live/deadline_wheel.hpp"
 #include "live/live_metrics.hpp"
 #include "live/liveness.hpp"
 #include "lsl/wire.hpp"
 #include "span/span.hpp"
 #include "util/contract.hpp"
+#include "util/event_queue.hpp"
 #include "util/units.hpp"
 
 namespace lsl::core {
@@ -121,7 +123,7 @@ struct RelaySession {
   std::uint64_t discard_left = 0;
   bool parked = false;
   std::int64_t park_due = 0;
-  live::DeadlineWheel::Token park_token = live::DeadlineWheel::kInvalidToken;
+  util::EventId park_token = util::kInvalidEvent;
 
   // Span tracing (inert unless the header carried a trace id AND a tracer
   // is attached — trace_id stays 0 otherwise).
@@ -148,8 +150,6 @@ class RelayHost {
  public:
   /// Current time, int64 ns on the adapter's timebase.
   virtual std::int64_t now() const = 0;
-  /// The deadline wheel changed: re-aim the adapter's timer at it.
-  virtual void rearm() = 0;
   /// A liveness deadline expired (already counted): fail the session.
   virtual void on_deadline(RelaySession& s, live::DeadlineKind kind) = 0;
   /// A parked session lapsed its grace or lost its resume to a gap.
@@ -168,11 +168,15 @@ class RelayCore {
  public:
   enum class Admission { kAccept, kDrain, kDrop, kCap, kPressure };
 
-  /// `name` prefixes log lines ("depot", "lsd"). `resume_grace` is in ns
-  /// (0 disables parking); `max_sessions` 0 = unlimited.
-  RelayCore(const char* name, RelayHost& host, RelayStats& stats,
-            const live::LivenessConfig& liveness, std::int64_t resume_grace,
-            std::size_t max_sessions = 0);
+  /// `name` prefixes log lines ("depot", "lsd"). Deadlines go on
+  /// `timers`, which runs on host.now()'s timebase and must outlive the
+  /// core; a session's deadlines are disarmed when it finishes, and must
+  /// not run after it is gone. `resume_grace` is in ns (0 disables
+  /// parking); `max_sessions` 0 = unlimited.
+  RelayCore(const char* name, RelayHost& host, util::EventQueue& timers,
+            RelayStats& stats, const live::LivenessConfig& liveness,
+            std::int64_t resume_grace, std::size_t max_sessions = 0);
+  ~RelayCore() { timers_.cancel(drain_token_); }
 
   RelayCore(const RelayCore&) = delete;
   RelayCore& operator=(const RelayCore&) = delete;
@@ -180,7 +184,6 @@ class RelayCore {
   void set_tracer(span::Tracer* t) { tracer_ = t; }
   span::Tracer* tracer() const { return tracer_; }
   void set_live_metrics(live::LiveMetrics* m) { live_metrics_ = m; }
-  const live::DeadlineWheel& wheel() const { return wheel_; }
 
   // --- Admission and lifecycle ------------------------------------------
 
@@ -231,8 +234,8 @@ class RelayCore {
     s.payload_pulled += got - drop;
     return got - drop;
   }
-  /// Fail parked sessions whose grace has passed (a sweep for hosts that
-  /// may not have fired the wheel lately).
+  /// Fail parked sessions whose grace has passed (a sweep for a host whose
+  /// timer queue may not have run a due park deadline yet).
   void expire_parked();
 
   // --- Liveness -----------------------------------------------------------
@@ -240,15 +243,11 @@ class RelayCore {
   /// Tell the watchdog whether `s` should be progressing: streaming with
   /// bytes staged for downstream (`pending`), or the depot stalled by an
   /// injected `slow` fault (the failure the watchdog exists to surface).
-  /// The wheel may change; the adapter re-aims its timer when it suits.
   void sync_liveness(RelaySession& s, bool stalled, bool pending) {
     if (s.done() || s.parked) return;
     s.live.set_should_progress(
         s.state == RelayState::kStream && (stalled || pending), host_.now());
   }
-  /// Fire due wheel entries.
-  void fire_due() { wheel_.fire_due(host_.now()); }
-
   // --- Drain --------------------------------------------------------------
 
   /// Stop admitting; resolve once every live session has finished or
@@ -286,7 +285,7 @@ class RelayCore {
   const live::LivenessConfig& liveness_;
   std::int64_t resume_grace_;
   std::size_t max_sessions_;
-  live::DeadlineWheel wheel_;
+  util::EventQueue& timers_;
   live::LiveMetrics* live_metrics_ = nullptr;
   span::Tracer* tracer_ = nullptr;
   /// Injected accept refusals still owed; claimed by decrement-if-positive
@@ -301,7 +300,7 @@ class RelayCore {
   bool drain_done_ = false;
   std::int64_t drain_start_ = 0;
   live::DrainReport report_;
-  live::DeadlineWheel::Token drain_token_ = live::DeadlineWheel::kInvalidToken;
+  util::EventId drain_token_ = util::kInvalidEvent;
 };
 
 }  // namespace lsl::core

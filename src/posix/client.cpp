@@ -66,6 +66,7 @@ PosixSource::PosixSource(engine::EpollEngine& loop, PosixSourceConfig config)
           std::min(config_.payload_bytes, kChunkBytes))) {}
 
 PosixSource::~PosixSource() {
+  disarm_timer();
   if (sock_.valid()) loop_.remove(sock_.get());
 }
 
@@ -96,8 +97,7 @@ void PosixSource::dial() {
 }
 
 void PosixSource::hang_up() {
-  if (timer_) timer_->disarm();
-  on_timer_ = nullptr;
+  disarm_timer();
   if (sock_.valid()) {
     loop_.remove(sock_.get());
     sock_.reset();
@@ -115,15 +115,14 @@ std::optional<std::int64_t> PosixSource::backoff() {
 }
 
 void PosixSource::wait(std::int64_t delay) {
-  // Wait on the event loop, not in it: a timerfd expiry re-dials, so a
-  // sibling session (or the daemon under test) keeps being serviced while
-  // this source backs off.
+  // Wait on the event loop, not in it: a timer re-dials, so a sibling
+  // session (or the daemon under test) keeps being serviced while this
+  // source backs off.
   arm_timer(delay, [this] { core_.redial(); });
 }
 
 void PosixSource::end(bool ok) {
-  timer_.reset();  // unregister so an idle loop can run dry and exit
-  on_timer_ = nullptr;
+  disarm_timer();  // so an idle loop can run dry and exit
   if (sock_.valid()) {
     loop_.remove(sock_.get());
     sock_.reset();
@@ -133,15 +132,16 @@ void PosixSource::end(bool ok) {
 
 void PosixSource::arm_timer(std::int64_t delay_ns,
                             std::function<void()> fn) {
-  if (!timer_) {
-    timer_ = std::make_unique<engine::EngineTimer>(loop_, [this] {
-      // An expiry queued behind a disarm (the dial resolved) finds none.
-      const std::function<void()> due = std::exchange(on_timer_, nullptr);
-      if (due) due();
-    });
-  }
-  on_timer_ = std::move(fn);
-  timer_->arm(engine::EngineTimer::now_ns() + delay_ns);
+  disarm_timer();
+  timer_ = loop_.schedule_in(delay_ns, [this, fn = std::move(fn)] {
+    timer_ = util::kInvalidEvent;
+    fn();
+  });
+}
+
+void PosixSource::disarm_timer() {
+  loop_.timers().cancel(timer_);
+  timer_ = util::kInvalidEvent;
 }
 
 void PosixSource::on_io(std::uint32_t events) {
@@ -153,8 +153,7 @@ void PosixSource::on_io(std::uint32_t events) {
       return;
     }
     connecting_ = false;
-    if (timer_) timer_->disarm();  // the dial deadline
-    on_timer_ = nullptr;
+    disarm_timer();  // the dial deadline
   }
   if (events & EPOLLERR) {
     core_.lost();

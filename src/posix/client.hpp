@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "engine/epoll_engine.hpp"
-#include "engine/timer.hpp"
 #include "lsl/payload.hpp"
 #include "lsl/session_id.hpp"
 #include "lsl/sink_core.hpp"
@@ -42,8 +41,8 @@ struct PosixSourceConfig {
   /// a depot running with `lsd --resume-grace`). Forces send_digest off:
   /// an MD5 trailer cannot rewind across connections — a seeded sink still
   /// verifies content byte-for-byte. Each reconnect asks reconnect_backoff
-  /// how long to wait first (a timerfd wait on the event loop, not a
-  /// blocking sleep); nullopt means give up.
+  /// how long to wait first (a timer on the event loop, not a blocking
+  /// sleep); nullopt means give up.
   bool resumable = false;
   std::function<std::optional<std::chrono::milliseconds>()>
       reconnect_backoff;
@@ -83,7 +82,7 @@ core::SessionId seeded_session(std::uint64_t seed);
 /// Streams one LSL session (or a raw TCP transfer when route is empty and
 /// send_digest is false — then no header is sent either): the real-socket
 /// I/O adapter on the source core (src/lsl/source_core.hpp). It keeps the
-/// fd, the epoll registration, the timerfd, SIOCOUTQ and the status byte;
+/// fd, the epoll registration, its timer, SIOCOUTQ and the status byte;
 /// every decision about what the session sends is the core's.
 class PosixSource : private core::SourceHost {
  public:
@@ -128,8 +127,9 @@ class PosixSource : private core::SourceHost {
   /// Feed the core the acknowledged wire count from the kernel send-queue
   /// depth (SIOCOUTQ): bytes the peer's TCP has acknowledged.
   void note_acked();
-  /// Arm the (lazily created) timerfd: `fn` runs `delay_ns` from now.
+  /// Run `fn` `delay_ns` from now, replacing any armed timer.
   void arm_timer(std::int64_t delay_ns, std::function<void()> fn);
+  void disarm_timer();
   // SourceHost
   void dial() override;
   void hang_up() override;
@@ -142,10 +142,9 @@ class PosixSource : private core::SourceHost {
   PosixSourceConfig config_;
   core::SourceCore core_;
   engine::Fd sock_;
-  /// One timerfd serves both source deadlines: bounding an in-flight dial
-  /// and waking from a reconnect backoff; on_timer_ is the armed one.
-  std::unique_ptr<engine::EngineTimer> timer_;
-  std::function<void()> on_timer_;
+  /// The one armed source deadline: bounding an in-flight dial, or waking
+  /// from a reconnect backoff.
+  util::EventId timer_ = util::kInvalidEvent;
   bool connecting_ = false;
   std::vector<std::uint8_t> chunk_;      ///< reused payload staging buffer
   std::span<const std::uint8_t> out_;   ///< framed bytes not yet written

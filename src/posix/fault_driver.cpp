@@ -10,13 +10,17 @@ LsdFaultDriver::LsdFaultDriver(Lsd& lead, engine::EpollEngine& engine,
                                EachDaemon each, fault::FaultPlan plan,
                                fault::FaultMetrics* metrics)
     : lead_(lead),
+      engine_(engine),
       each_(std::move(each)),
       plan_(std::move(plan)),
-      metrics_(metrics),
-      timer_(engine, [this] { fire_due(); }) {}
+      metrics_(metrics) {}
+
+LsdFaultDriver::~LsdFaultDriver() {
+  for (const util::EventId id : timers_) engine_.timers().cancel(id);
+}
 
 void LsdFaultDriver::arm() {
-  start_ns_ = engine::EngineTimer::now_ns();
+  start_ns_ = engine::EpollEngine::now_ns();
   for (const fault::FaultEvent& e : plan_.events) {
     switch (e.kind) {
       case fault::FaultKind::kFlap:
@@ -33,26 +37,18 @@ void LsdFaultDriver::arm() {
     }
     if (e.byte_keyed()) {
       by_bytes_.push_back(e);
+    } else if (e.at <= 0) {
+      apply(e);
     } else {
-      wheel_.schedule(start_ns_ + e.at, [this, e] { apply(e); });
+      timers_.push_back(engine_.timers().schedule_at(
+          start_ns_ + e.at, [this, e] { apply(e); }));
     }
-  }
-  fire_due();
-}
-
-void LsdFaultDriver::fire_due() {
-  wheel_.fire_due(engine::EngineTimer::now_ns());
-  if (wheel_.empty()) {
-    timer_.disarm();
-  } else {
-    timer_.arm(wheel_.next_due());
   }
 }
 
 void LsdFaultDriver::schedule_repair(const fault::FaultEvent& e) {
-  wheel_.schedule(engine::EngineTimer::now_ns() + e.duration,
-                  [this, e] { apply_repair(e); });
-  timer_.arm(wheel_.next_due());
+  timers_.push_back(
+      engine_.schedule_in(e.duration, [this, e] { apply_repair(e); }));
 }
 
 void LsdFaultDriver::on_bytes(std::uint64_t bytes_relayed) {
@@ -79,7 +75,7 @@ void LsdFaultDriver::note_injected(fault::FaultKind kind) {
   ++injected_;
   if (metrics_) {
     const double t =
-        static_cast<double>(engine::EngineTimer::now_ns() - start_ns_) / 1e9;
+        static_cast<double>(engine::EpollEngine::now_ns() - start_ns_) / 1e9;
     metrics_->on_injected(t, kind);
   }
 }

@@ -4,9 +4,8 @@
 // owns the driver and runs it on its lead shard's thread.
 //
 // Time-keyed events and their repairs (restart after `for=`, unstall,
-// un-blackhole) sit on a DeadlineWheel measured from arm(), and an
-// EngineTimer on the lead shard's engine wakes the shard when the first
-// is due: the shard just blocks in epoll, with nothing to poll. Byte-keyed
+// un-blackhole) are timers on the lead shard's engine, measured from
+// arm(): the shard just blocks in epoll, with nothing to poll. Byte-keyed
 // events fire when the owner reports the depot's relayed bytes through
 // on_bytes().
 #pragma once
@@ -16,10 +15,8 @@
 #include <vector>
 
 #include "engine/epoll_engine.hpp"
-#include "engine/timer.hpp"
 #include "fault/fault_metrics.hpp"
 #include "fault/spec.hpp"
-#include "live/deadline_wheel.hpp"
 #include "posix/lsd.hpp"
 
 namespace lsl::posix {
@@ -31,7 +28,7 @@ class LsdFaultDriver {
   using EachDaemon = std::function<void(const std::function<void(Lsd&)>&)>;
 
   /// `lead` is the depot's first daemon and `engine` the engine it runs
-  /// on; the driver's timer lives there, so every event runs on that
+  /// on; the driver's timers live there, so every event runs on that
   /// engine's thread. Each event fires once and turns its knob on every
   /// daemon through `each` — except `syndrop`, whose count goes to `lead`
   /// alone: the depot's daemons share one accept-drop count
@@ -40,6 +37,8 @@ class LsdFaultDriver {
   /// instruments; it must outlive the driver.
   LsdFaultDriver(Lsd& lead, engine::EpollEngine& engine, EachDaemon each,
                  fault::FaultPlan plan, fault::FaultMetrics* metrics);
+
+  ~LsdFaultDriver();
 
   LsdFaultDriver(const LsdFaultDriver&) = delete;
   LsdFaultDriver& operator=(const LsdFaultDriver&) = delete;
@@ -63,17 +62,16 @@ class LsdFaultDriver {
   void apply_repair(const fault::FaultEvent& e);
   /// Repair `e` once its `for=` window has passed.
   void schedule_repair(const fault::FaultEvent& e);
-  /// Run whatever is due on the wheel, then aim the timer at the rest.
-  void fire_due();
   void note_injected(fault::FaultKind kind);
 
   Lsd& lead_;
+  engine::EpollEngine& engine_;
   EachDaemon each_;
   fault::FaultPlan plan_;
   fault::FaultMetrics* metrics_;
   std::int64_t start_ns_ = 0;
-  live::DeadlineWheel wheel_;
-  engine::EngineTimer timer_;
+  /// Every timer scheduled, so the destructor can disarm the pending ones.
+  std::vector<util::EventId> timers_;
   std::vector<fault::FaultEvent> by_bytes_;
   std::uint64_t injected_ = 0;
 };

@@ -55,17 +55,17 @@ GossipPoller::GossipPoller(engine::EpollEngine& loop,
                            GossipPollerConfig config)
     : loop_(loop),
       boards_(std::move(boards)),
-      config_(std::move(config)),
-      timer_(loop, [this] { tick(); }) {
+      config_(std::move(config)) {
   for (const std::string& path : config_.peers) {
     auto p = std::make_unique<Peer>();
     p->path = path;
     peers_.push_back(std::move(p));
   }
-  if (!peers_.empty()) timer_.arm(engine::EngineTimer::now_ns());
+  if (!peers_.empty()) tick_ = loop_.schedule_in(0, [this] { tick(); });
 }
 
 GossipPoller::~GossipPoller() {
+  loop_.timers().cancel(tick_);
   for (auto& p : peers_) {
     if (p->sock.valid()) loop_.remove(p->sock.get());
   }
@@ -78,8 +78,8 @@ void GossipPoller::tick() {
     if (p->sock.valid()) abandon(*p);
     start_poll(*p);
   }
-  timer_.arm(engine::EngineTimer::now_ns() +
-             std::chrono::nanoseconds(config_.interval).count());
+  tick_ = loop_.schedule_in(
+      std::chrono::nanoseconds(config_.interval).count(), [this] { tick(); });
 }
 
 void GossipPoller::start_poll(Peer& p) {

@@ -10,7 +10,7 @@
 // BasicHealthBoard::merge for why counters are never added).
 //
 // Everything runs on one event loop (lsd_relay's control loop): the
-// cadence is an EngineTimer in that loop, and connects, writes and reads
+// cadence is a timer on that loop, and connects, writes and reads
 // are nonblocking and edge-driven, so a dead or wedged peer can never
 // stall the relay path — its poll simply times out at the next cadence
 // tick and the connection is abandoned. The host only runs the loop.
@@ -24,7 +24,6 @@
 
 #include "engine/epoll_engine.hpp"
 #include "engine/fd.hpp"
-#include "engine/timer.hpp"
 #include "health/board.hpp"
 
 namespace lsl::posix {
@@ -72,7 +71,7 @@ class GossipPoller {
     std::string in;          ///< response bytes; complete at "\n\n"
   };
 
-  /// One cadence tick: restart every peer's poll, then re-arm the timer.
+  /// One cadence tick: restart every peer's poll, then schedule the next.
   void tick();
   void start_poll(Peer& p);
   void on_event(Peer& p, std::uint32_t events);
@@ -85,7 +84,7 @@ class GossipPoller {
   std::vector<health::HealthBoard*> boards_;
   GossipPollerConfig config_;
   std::vector<std::unique_ptr<Peer>> peers_;
-  engine::EngineTimer timer_;
+  util::EventId tick_ = util::kInvalidEvent;
   std::uint64_t completed_ = 0;
   std::uint64_t failed_ = 0;
   std::uint64_t merged_ = 0;

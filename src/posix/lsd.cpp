@@ -120,7 +120,7 @@ LsdStats operator+(const LsdStats& a, const LsdStats& b) {
 Lsd::Lsd(engine::EpollEngine& loop, const LsdConfig& config)
     : loop_(loop),
       config_(config),
-      core_("lsd", *this, stats_, config_.liveness,
+      core_("lsd", *this, loop.timers(), stats_, config_.liveness,
             std::chrono::nanoseconds(config_.resume_grace).count()) {
   pool_ = config_.shared_pool;
   if (pool_ == nullptr) {
@@ -146,11 +146,10 @@ void Lsd::shutdown() {
   while (!relays_.empty()) {
     finish(relays_.begin()->first, false);
   }
+  // Every relay deadline went with its relay, and finishing the last one
+  // resolved any drain: no timer of this daemon is left, so an otherwise
+  // empty engine's run() returns.
   reap_finished();
-  // Every relay deadline is gone with its relay, and finishing the last
-  // one resolved any drain; release the timerfd so an otherwise-empty loop
-  // can run() to exit.
-  timer_.reset();
 }
 
 void Lsd::reap_finished() { graveyard_.clear(); }
@@ -190,17 +189,14 @@ void Lsd::on_accept() {
     core_.accept(*r);
   }
   service_pool_waiters();  // expire_parked() may have released chunks
-  rearm();
 }
 
 void Lsd::watch_upstream(Relay* r) {
   // Each top-level event turn ends by re-pumping relays that stopped
-  // reading on an empty pool — any turn may have released chunks — and
-  // re-aiming the timerfd at whatever the wheel now holds.
+  // reading on an empty pool — any turn may have released chunks.
   loop_.add(r->up.get(), EPOLLIN, [this, r](std::uint32_t ev) {
     on_upstream(r, ev);
     service_pool_waiters();
-    rearm();
   });
 }
 
@@ -425,7 +421,6 @@ bool Lsd::start_relay(Relay* r) {
   loop_.add(r->down.get(), r->down_events, [this, r](std::uint32_t ev) {
     on_downstream(r, ev);
     service_pool_waiters();
-    rearm();
   });
   return true;
 }
@@ -798,7 +793,6 @@ void Lsd::crash() {
     if (r->down.valid()) arm_reset(r->down.get());
     finish(r, false, LsdFailReason::kOther);
   }
-  rearm();
 }
 
 void Lsd::restart() {
@@ -829,7 +823,6 @@ void Lsd::set_stalled(bool stalled) {
       // `slow` injection that outlives its window.
       sync_liveness(r);
     }
-    rearm();
     return;
   }
   for (Relay* r : live) {  // kick everything that waited out the stall
@@ -842,7 +835,6 @@ void Lsd::set_stalled(bool stalled) {
     }
   }
   service_pool_waiters();
-  rearm();
 }
 
 void Lsd::inject_upstream_reset() {
@@ -864,25 +856,9 @@ void Lsd::inject_upstream_reset() {
     arm_reset(r->up.get());
     handle_upstream_failure(r);
   }
-  rearm();
 }
 
 // --- Liveness / drain --------------------------------------------------------
-
-void Lsd::rearm() {
-  if (core_.wheel().empty()) {
-    if (timer_) timer_->disarm();
-    return;
-  }
-  if (!timer_) {
-    timer_ = std::make_unique<engine::EngineTimer>(loop_, [this] {
-      core_.fire_due();
-      reap_finished();  // deadline callbacks finish relays
-      rearm();
-    });
-  }
-  timer_->arm(core_.wheel().next_due());
-}
 
 void Lsd::sync_liveness(Relay* r) {
   core_.sync_liveness(*r, stalled_,

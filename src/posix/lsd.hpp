@@ -29,7 +29,6 @@
 #include "buf/chunk_ring.hpp"
 #include "buf/pool.hpp"
 #include "engine/epoll_engine.hpp"
-#include "engine/timer.hpp"
 #include "health/board.hpp"
 #include "lsl/relay_core.hpp"
 #include "metrics/instruments.hpp"
@@ -70,9 +69,8 @@ struct LsdConfig {
   bool use_splice = true;
   /// Liveness deadlines (header/dial/idle/stall) and the graceful-drain
   /// bound, all default-off; see src/live/liveness.hpp and the timeout
-  /// table in docs/PROTOCOL.md. When any per-relay deadline is set the
-  /// daemon arms a timerfd in its loop, so deadlines fire even while no
-  /// socket is ready.
+  /// table in docs/PROTOCOL.md. Deadlines are timers on the daemon's
+  /// engine, so they fire even while no socket is ready.
   live::LivenessConfig liveness;
   /// Bind the listener with SO_REUSEPORT so several daemons (the shards
   /// of a posix::ShardedLsd) can share one port and let the kernel
@@ -238,11 +236,8 @@ class Lsd : private core::RelayHost {
   struct Relay;
 
   // RelayHost.
-  /// Monotonic nanoseconds — the wheel's timebase (EngineTimer::now_ns).
-  std::int64_t now() const override { return engine::EngineTimer::now_ns(); }
-  /// Point the timerfd at the wheel's earliest deadline (created lazily;
-  /// disarmed when the wheel empties).
-  void rearm() override;
+  /// Monotonic nanoseconds: the engine timers' timebase.
+  std::int64_t now() const override { return engine::EpollEngine::now_ns(); }
   void on_deadline(core::RelaySession& s, live::DeadlineKind kind) override;
   void fail_parked(core::RelaySession& s) override;
   void abort_stragglers() override;
@@ -329,10 +324,6 @@ class Lsd : private core::RelayHost {
   bool stalled_ = false;
   bool dial_blackhole_ = false;
   health::HealthBoard* health_ = nullptr;
-  /// Lazily created on the first deadline.
-  std::unique_ptr<engine::EngineTimer> timer_;
-  /// Declared before the relay containers so relay destructors (which
-  /// cancel wheel tokens) run while the core's wheel is still alive.
   core::RelayCore core_;
   /// Live relays, keyed by identity for O(1) finish().
   std::unordered_map<Relay*, std::unique_ptr<Relay>> relays_;

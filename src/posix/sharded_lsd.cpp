@@ -152,10 +152,9 @@ void ShardedLsd::post(Shard& s, engine::PostQueue::Task task) {
 }
 
 void ShardedLsd::shard_main(Shard& s) {
-  // Every timed action rides a timer in this engine (liveness and park
-  // deadlines on the daemon's, fault events on the driver's), and posts
-  // and the destructor's stop request arrive as wakeups, so the shard
-  // sleeps until one is due. run_once returns -1 only on EINTR; the round
+  // Every timed action (liveness and park deadlines, fault events) is a
+  // timer on this engine, and posts and the destructor's stop request
+  // arrive as wakeups, so the shard sleeps until one is due. run_once returns -1 only on EINTR; the round
   // is then simply retried.
   while (!s.stop.load(std::memory_order_acquire)) {
     s.engine.run_once(-1);

@@ -7,8 +7,9 @@
 // to the *same* TCP port via SO_REUSEPORT so the kernel load-balances
 // accepted sessions across them. It is the runtime every lsd_relay daemon
 // runs, N = 1 included. Nothing on the relay fast path is shared:
-// each shard owns its ChunkPool freelist, its deadline wheel + timerfd,
-// its LsdStats counters, and its `lsd.shard<i>.*` metrics bundle. What IS
+// each shard owns its ChunkPool freelist, its engine (whose timers carry
+// the shard's deadlines), its LsdStats counters, and its
+// `lsd.shard<i>.*` metrics bundle. What IS
 // shared is exactly the set of protocols PR 7 model-checked:
 //
 //   * byte accounting — every shard pool draws on one buf::SharedBudget,

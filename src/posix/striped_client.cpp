@@ -89,16 +89,13 @@ void StripedPosixSource::on_lane_done(std::size_t li, bool ok) {
   }
   route = config_.spare_routes.front();
   config_.spare_routes.erase(config_.spare_routes.begin());
-  timers_.push_back(std::make_unique<engine::EngineTimer>(loop_, [this, li] {
-    if (finished_ || set_[li].settled) return;
-    LSL_LOG_INFO("striped source: re-striping lane %zu onto %s", li,
-                 describe(config_.lane_routes[li]).c_str());
-    launch_lane(li, set_.restripe(li, 0));
-  }));
-  timers_.back()->arm(engine::EngineTimer::now_ns() +
-                      std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          config_.restripe_delay)
-                          .count());
+  restripes_.push_back(loop_.schedule_in(
+      std::chrono::nanoseconds(config_.restripe_delay).count(), [this, li] {
+        if (finished_ || set_[li].settled) return;
+        LSL_LOG_INFO("striped source: re-striping lane %zu onto %s", li,
+                     describe(config_.lane_routes[li]).c_str());
+        launch_lane(li, set_.restripe(li, 0));
+      }));
 }
 
 void StripedPosixSource::maybe_finish() {
@@ -108,18 +105,23 @@ void StripedPosixSource::maybe_finish() {
     if (!set_[li].settled) return;
   }
   finished_ = true;
-  timers_.clear();
+  cancel_restripes();
   if (on_done) on_done(session_ok_);
 }
 
 void StripedPosixSource::fail_all() {
   if (finished_) return;
   finished_ = true;
-  timers_.clear();
+  cancel_restripes();
   // Tearing the sources down closes their sockets; the sink sees dead
   // lanes and keeps whatever it merged (a later session is a fresh id).
   for (auto& source : sources_) source.reset();
   if (on_done) on_done(false);
+}
+
+void StripedPosixSource::cancel_restripes() {
+  for (const util::EventId id : restripes_) loop_.timers().cancel(id);
+  restripes_.clear();
 }
 
 }  // namespace lsl::posix

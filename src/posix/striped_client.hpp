@@ -12,7 +12,8 @@
 // simulator's driver (src/exp/striped.cpp): with plan redundancy the
 // surviving lanes already cover the dead lane's logical stripes and nothing
 // is re-sent; without it the lane continues on the next spare route after a
-// timerfd-paced delay. This adapter keeps the spare list and the timers.
+// delay timed on the event loop. This adapter keeps the spare list and
+// the timers.
 // Unlike the simulator — which reads the sink's lane progress directly —
 // this client only observes first-hop ACKs, which a crashed depot may have
 // issued for bytes it never relayed, so a continuation starts at lane
@@ -63,6 +64,8 @@ class StripedPosixSource {
   StripedPosixSource(engine::EpollEngine& loop,
                      StripedPosixSourceConfig config);
 
+  ~StripedPosixSource() { cancel_restripes(); }
+
   StripedPosixSource(const StripedPosixSource&) = delete;
   StripedPosixSource& operator=(const StripedPosixSource&) = delete;
 
@@ -82,15 +85,16 @@ class StripedPosixSource {
   void on_lane_done(std::size_t li, bool ok);
   void maybe_finish();
   void fail_all();
+  void cancel_restripes();
 
   engine::EpollEngine& loop_;
   StripedPosixSourceConfig config_;
   core::LaneSet set_;
   /// Lane li rides config_.lane_routes[li] over sources_[li].
   std::vector<std::unique_ptr<PosixSource>> sources_;
-  /// One timerfd per pending re-stripe: lane relaunch happens on the event
-  /// loop after restripe_delay, never inline in the failure callback.
-  std::vector<std::unique_ptr<engine::EngineTimer>> timers_;
+  /// One timer per re-stripe: lane relaunch happens on the event loop
+  /// after restripe_delay, never inline in the failure callback.
+  std::vector<util::EventId> restripes_;
   bool session_ok_ = false;
   bool finished_ = false;
 };

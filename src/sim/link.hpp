@@ -99,8 +99,8 @@ class Link {
   std::size_t on_wire_ = 0;
   /// One transmit completion is pending at a time; deliveries come out in
   /// time order. Both are lanes: no per-packet callback or slot.
-  EventLane transmit_done_;
-  EventLane delivered_;
+  util::EventLane transmit_done_;
+  util::EventLane delivered_;
   std::size_t queued_bytes_ = 0;
   bool ge_bad_state_ = false;
   util::SimTime last_delivery_ = 0;  ///< FIFO guard under jitter

@@ -7,7 +7,7 @@
 #include <functional>
 #include <string>
 
-#include "sim/event_queue.hpp"
+#include "util/event_queue.hpp"
 #include "sim/packet.hpp"
 #include "sim/types.hpp"
 #include "util/ring.hpp"
@@ -59,7 +59,7 @@ class Node {
   /// Packets on the loopback hop. Its delay is fixed, so deliveries are
   /// FIFO: each run of the loopback lane takes the front packet.
   util::Ring<Packet> loopback_;
-  EventLane loopback_done_;
+  util::EventLane loopback_done_;
   std::uint64_t dropped_ = 0;
 };
 

@@ -4,7 +4,7 @@
 
 #include <cstdint>
 
-#include "sim/event_queue.hpp"
+#include "util/event_queue.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -23,8 +23,8 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   /// The discrete-event queue driving this run.
-  EventQueue& events() { return events_; }
-  const EventQueue& events() const { return events_; }
+  util::EventQueue& events() { return events_; }
+  const util::EventQueue& events() const { return events_; }
 
   /// Current simulated time.
   util::SimTime now() const { return events_.now(); }
@@ -36,7 +36,7 @@ class Simulator {
   std::uint64_t next_packet_serial() { return ++packet_serial_; }
 
  private:
-  EventQueue events_;
+  util::EventQueue events_;
   util::Rng root_rng_;
   std::uint64_t packet_serial_ = 0;
 };

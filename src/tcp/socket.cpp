@@ -468,7 +468,7 @@ void TcpSocket::send_in_recovery() {
     send_segment(snd_nxt_, len, sim::kFlagAck, false);
     sent = true;
   }
-  if (sent && rto_timer_ == sim::kInvalidEvent) arm_rto();
+  if (sent && rto_timer_ == util::kInvalidEvent) arm_rto();
 }
 
 void TcpSocket::enter_recovery() {
@@ -628,7 +628,7 @@ void TcpSocket::maybe_send() {
     break;
   }
 
-  if (flight_size() > 0 && rto_timer_ == sim::kInvalidEvent) arm_rto();
+  if (flight_size() > 0 && rto_timer_ == util::kInvalidEvent) arm_rto();
 }
 
 void TcpSocket::send_segment(std::uint64_t seq, std::uint32_t payload_len,
@@ -657,9 +657,9 @@ void TcpSocket::send_segment(std::uint64_t seq, std::uint32_t payload_len,
       }
     }
     // Any segment carries the current ACK: piggybacking cancels delayed ACK.
-    if (delack_timer_ != sim::kInvalidEvent) {
+    if (delack_timer_ != util::kInvalidEvent) {
       stack_.sim().events().cancel(delack_timer_);
-      delack_timer_ = sim::kInvalidEvent;
+      delack_timer_ = util::kInvalidEvent;
     }
     segs_since_ack_ = 0;
   }
@@ -746,15 +746,15 @@ void TcpSocket::arm_rto() {
   cancel_rto();
   rto_timer_ = stack_.sim().events().schedule_in(
       rto(), [this] {
-        rto_timer_ = sim::kInvalidEvent;
+        rto_timer_ = util::kInvalidEvent;
         on_rto_timer();
       });
 }
 
 void TcpSocket::cancel_rto() {
-  if (rto_timer_ != sim::kInvalidEvent) {
+  if (rto_timer_ != util::kInvalidEvent) {
     stack_.sim().events().cancel(rto_timer_);
-    rto_timer_ = sim::kInvalidEvent;
+    rto_timer_ = util::kInvalidEvent;
   }
 }
 
@@ -805,20 +805,20 @@ void TcpSocket::on_rto_timer() {
 }
 
 void TcpSocket::arm_persist() {
-  if (persist_timer_ != sim::kInvalidEvent) return;
+  if (persist_timer_ != util::kInvalidEvent) return;
   const util::SimDuration delay = std::min<util::SimDuration>(
       config_.min_rto << std::min(persist_backoff_, 10u),
       util::seconds(60));
   persist_timer_ = stack_.sim().events().schedule_in(delay, [this] {
-    persist_timer_ = sim::kInvalidEvent;
+    persist_timer_ = util::kInvalidEvent;
     on_persist_timer();
   });
 }
 
 void TcpSocket::cancel_persist() {
-  if (persist_timer_ != sim::kInvalidEvent) {
+  if (persist_timer_ != util::kInvalidEvent) {
     stack_.sim().events().cancel(persist_timer_);
-    persist_timer_ = sim::kInvalidEvent;
+    persist_timer_ = util::kInvalidEvent;
   }
   persist_backoff_ = 0;
 }
@@ -879,19 +879,19 @@ std::uint64_t TcpSocket::current_rcv_ack() const {
 std::uint64_t TcpSocket::current_window() const { return recv_buf_.window(); }
 
 void TcpSocket::send_ack_now() {
-  if (delack_timer_ != sim::kInvalidEvent) {
+  if (delack_timer_ != util::kInvalidEvent) {
     stack_.sim().events().cancel(delack_timer_);
-    delack_timer_ = sim::kInvalidEvent;
+    delack_timer_ = util::kInvalidEvent;
   }
   segs_since_ack_ = 0;
   send_segment(snd_nxt_, 0, sim::kFlagAck, false);
 }
 
 void TcpSocket::schedule_delack() {
-  if (delack_timer_ != sim::kInvalidEvent) return;
+  if (delack_timer_ != util::kInvalidEvent) return;
   delack_timer_ = stack_.sim().events().schedule_in(
       config_.delayed_ack_timeout, [this] {
-        delack_timer_ = sim::kInvalidEvent;
+        delack_timer_ = util::kInvalidEvent;
         on_delack_timer();
       });
 }
@@ -935,9 +935,9 @@ void TcpSocket::maybe_finish_close() {
     cancel_rto();
     cancel_persist();
     auto& ev = stack_.sim().events();
-    if (delack_timer_ != sim::kInvalidEvent) {
+    if (delack_timer_ != util::kInvalidEvent) {
       ev.cancel(delack_timer_);
-      delack_timer_ = sim::kInvalidEvent;
+      delack_timer_ = util::kInvalidEvent;
     }
     if (!closed_notified_) {
       closed_notified_ = true;
@@ -953,9 +953,9 @@ void TcpSocket::fail(TcpError err) {
   cancel_rto();
   cancel_persist();
   auto& ev = stack_.sim().events();
-  if (delack_timer_ != sim::kInvalidEvent) {
+  if (delack_timer_ != util::kInvalidEvent) {
     ev.cancel(delack_timer_);
-    delack_timer_ = sim::kInvalidEvent;
+    delack_timer_ = util::kInvalidEvent;
   }
   if (on_error) on_error(err);
   if (!closed_notified_) {

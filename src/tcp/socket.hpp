@@ -20,7 +20,7 @@
 #include <utility>
 #include <vector>
 
-#include "sim/event_queue.hpp"
+#include "util/event_queue.hpp"
 #include "sim/packet.hpp"
 #include "sim/types.hpp"
 #include "tcp/buffers.hpp"
@@ -225,9 +225,9 @@ class TcpSocket {
   double rttvar_ns_ = 0.0;
   std::uint32_t rto_backoff_ = 0;  ///< consecutive backoffs (shift count)
   std::uint32_t syn_retries_ = 0;
-  sim::EventId rto_timer_ = sim::kInvalidEvent;
-  sim::EventId delack_timer_ = sim::kInvalidEvent;
-  sim::EventId persist_timer_ = sim::kInvalidEvent;
+  util::EventId rto_timer_ = util::kInvalidEvent;
+  util::EventId delack_timer_ = util::kInvalidEvent;
+  util::EventId persist_timer_ = util::kInvalidEvent;
   std::uint32_t persist_backoff_ = 0;
 
   // SACK state.

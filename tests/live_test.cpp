@@ -1,5 +1,5 @@
-// Unit tests for the liveness subsystem (src/live): DeadlineWheel ordering
-// and timeout arithmetic, the RelayLiveness per-relay state machine driven
+// Unit tests for the liveness subsystem (src/live): deadline ordering on
+// util::EventQueue and timeout arithmetic, the RelayLiveness per-relay state machine driven
 // with hand-picked clock values, and the simulated DepotApp's use of both —
 // including the acceptance property that default-off liveness leaves
 // same-seed metric exports byte-identical.
@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "live/deadline_wheel.hpp"
 #include "live/live_metrics.hpp"
 #include "live/liveness.hpp"
 #include "lsl/apps.hpp"
@@ -20,72 +19,84 @@
 #include "metrics/metrics.hpp"
 #include "sim/network.hpp"
 #include "tcp/stack.hpp"
+#include "util/event_queue.hpp"
 #include "util/units.hpp"
 
 namespace lsl::test {
 namespace {
 
 using live::DeadlineKind;
-using live::DeadlineWheel;
 using live::LivenessConfig;
 using live::RelayLiveness;
+using util::EventQueue;
 
 // ---------------------------------------------------------------------------
-// DeadlineWheel
+// util::EventQueue as the relay's deadline queue: run_until(now) is what
+// fires due deadlines, and the ordering, cancel and re-entry guarantees
+// below are the ones RelayLiveness and RelayCore rely on.
 
-TEST(DeadlineWheel, FiresInDueThenInsertionOrder) {
-  DeadlineWheel wheel;
+TEST(DeadlineQueue, FiresInDueThenInsertionOrder) {
+  EventQueue q;
   std::vector<int> order;
-  wheel.schedule(300, [&] { order.push_back(0); });
-  wheel.schedule(100, [&] { order.push_back(1); });
-  wheel.schedule(100, [&] { order.push_back(2); });  // tie: insertion order
-  EXPECT_EQ(wheel.size(), 3u);
-  EXPECT_EQ(wheel.next_due(), 100);
+  q.schedule_at(300, [&] { order.push_back(0); });
+  q.schedule_at(100, [&] { order.push_back(1); });
+  q.schedule_at(100, [&] { order.push_back(2); });  // tie: insertion order
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(q.next_due(), 100);
 
-  EXPECT_EQ(wheel.fire_due(99), 0u);
-  EXPECT_EQ(wheel.fire_due(300), 3u);
+  q.run_until(99);
+  EXPECT_TRUE(order.empty());
+  q.run_until(300);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 0}));
-  EXPECT_TRUE(wheel.empty());
+  EXPECT_TRUE(q.empty());
 }
 
-TEST(DeadlineWheel, CancelIsBenignOnDeadTokens) {
-  DeadlineWheel wheel;
-  const DeadlineWheel::Token t = wheel.schedule(100, [] {});
-  EXPECT_TRUE(wheel.cancel(t));
-  EXPECT_FALSE(wheel.cancel(t));  // already cancelled
-  EXPECT_FALSE(wheel.cancel(DeadlineWheel::kInvalidToken));
-  EXPECT_EQ(wheel.fire_due(1000), 0u);
+TEST(DeadlineQueue, CancelIsBenignOnDeadIds) {
+  EventQueue q;
+  int fired = 0;
+  const util::EventId t = q.schedule_at(100, [&] { ++fired; });
+  q.cancel(t);
+  EXPECT_TRUE(q.empty());
+  q.cancel(t);  // already cancelled
+  q.cancel(util::kInvalidEvent);
+  q.run_until(1000);
+  EXPECT_EQ(fired, 0);
 
-  const DeadlineWheel::Token f = wheel.schedule(100, [] {});
-  EXPECT_EQ(wheel.fire_due(100), 1u);
-  EXPECT_FALSE(wheel.cancel(f));  // already fired
+  const util::EventId f = q.schedule_at(1000, [&] { ++fired; });
+  const util::EventId later = q.schedule_at(2000, [&] { ++fired; });
+  q.run_until(1000);
+  EXPECT_EQ(fired, 1);
+  q.cancel(f);  // already fired: leaves the pending one alone
+  EXPECT_EQ(q.size(), 1u);
+  q.cancel(later);
+  EXPECT_TRUE(q.empty());
 }
 
-TEST(DeadlineWheel, CallbackMayReenterSchedule) {
-  DeadlineWheel wheel;
+TEST(DeadlineQueue, CallbackMayReenterSchedule) {
+  EventQueue q;
   std::vector<int> order;
-  wheel.schedule(100, [&] {
+  q.schedule_at(100, [&] {
     order.push_back(0);
-    wheel.schedule(100, [&] { order.push_back(1); });  // due now: same pass
-    wheel.schedule(500, [&] { order.push_back(2); });  // future: left armed
+    q.schedule_at(100, [&] { order.push_back(1); });  // due now: same pass
+    q.schedule_at(500, [&] { order.push_back(2); });  // future: left armed
   });
-  EXPECT_EQ(wheel.fire_due(100), 2u);
+  q.run_until(100);
   EXPECT_EQ(order, (std::vector<int>{0, 1}));
-  EXPECT_EQ(wheel.size(), 1u);
-  EXPECT_EQ(wheel.next_due(), 500);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.next_due(), 500);
 }
 
 // ---------------------------------------------------------------------------
 // RelayLiveness, driven with explicit clock values (plain int64 ns).
 
 struct LivenessFixture {
-  DeadlineWheel wheel;
+  EventQueue timers;
   LivenessConfig config;
   RelayLiveness relay;
   std::vector<DeadlineKind> expired;
 
   void attach() {
-    relay.attach(&wheel, &config,
+    relay.attach(&timers, &config,
                  [this](DeadlineKind k) { expired.push_back(k); });
   }
 };
@@ -95,10 +106,10 @@ TEST(RelayLiveness, HeaderDeadlineExpiresWhenHeaderNeverLands) {
   f.config.header_timeout = 100;
   f.attach();
   f.relay.on_accepted(0);
-  EXPECT_EQ(f.wheel.size(), 1u);
-  f.wheel.fire_due(99);
+  EXPECT_EQ(f.timers.size(), 1u);
+  f.timers.run_until(99);
   EXPECT_TRUE(f.expired.empty());
-  f.wheel.fire_due(100);
+  f.timers.run_until(100);
   ASSERT_EQ(f.expired.size(), 1u);
   EXPECT_EQ(f.expired[0], DeadlineKind::kHeader);
 }
@@ -112,13 +123,13 @@ TEST(RelayLiveness, LifecycleEdgesRetireEachDeadline) {
 
   f.relay.on_accepted(0);
   f.relay.on_header_done(50);  // header retired, dial armed for t=150
-  f.wheel.fire_due(149);
+  f.timers.run_until(149);
   EXPECT_TRUE(f.expired.empty());
   f.relay.on_connected(120);  // dial retired, idle armed for t=220
-  f.wheel.fire_due(219);
+  f.timers.run_until(219);
   EXPECT_TRUE(f.expired.empty());
-  EXPECT_EQ(f.wheel.size(), 1u);  // exactly one watchdog at a time
-  f.wheel.fire_due(220);
+  EXPECT_EQ(f.timers.size(), 1u);  // exactly one watchdog at a time
+  f.timers.run_until(220);
   ASSERT_EQ(f.expired.size(), 1u);
   EXPECT_EQ(f.expired[0], DeadlineKind::kIdle);
 }
@@ -128,9 +139,9 @@ TEST(RelayLiveness, DialDeadlineExpiresOnUnansweredConnect) {
   f.config.dial_timeout = 100;
   f.attach();
   f.relay.on_accepted(0);  // header class disabled: nothing armed yet
-  EXPECT_TRUE(f.wheel.empty());
+  EXPECT_TRUE(f.timers.empty());
   f.relay.on_header_done(10);
-  f.wheel.fire_due(110);
+  f.timers.run_until(110);
   ASSERT_EQ(f.expired.size(), 1u);
   EXPECT_EQ(f.expired[0], DeadlineKind::kDial);
 }
@@ -141,15 +152,15 @@ TEST(RelayLiveness, IdleDeadlineReArmsLazilyOnActivity) {
   f.attach();
   f.relay.on_connected(0);  // idle armed for t=100
 
-  f.relay.note_activity(60);  // only stamps the horizon, no wheel churn
-  EXPECT_EQ(f.wheel.size(), 1u);
-  f.wheel.fire_due(100);  // fires early, re-arms for 60+100=160
+  f.relay.note_activity(60);  // only stamps the horizon, no timer churn
+  EXPECT_EQ(f.timers.size(), 1u);
+  f.timers.run_until(100);  // fires early, re-arms for 60+100=160
   EXPECT_TRUE(f.expired.empty());
-  EXPECT_EQ(f.wheel.size(), 1u);
+  EXPECT_EQ(f.timers.size(), 1u);
 
-  f.wheel.fire_due(159);
+  f.timers.run_until(159);
   EXPECT_TRUE(f.expired.empty());
-  f.wheel.fire_due(160);
+  f.timers.run_until(160);
   ASSERT_EQ(f.expired.size(), 1u);
   EXPECT_EQ(f.expired[0], DeadlineKind::kIdle);
 }
@@ -166,14 +177,14 @@ TEST(RelayLiveness, StallWatchdogSparesSlowButMovingRelays) {
   f.relay.on_connected(0);  // stall window [0,100)
 
   f.relay.note_progress(50);  // slow but above the floor
-  f.wheel.fire_due(100);      // window closes with movement → next window
+  f.timers.run_until(100);  // window closes with movement → next window
   EXPECT_TRUE(f.expired.empty());
   ASSERT_EQ(rates.size(), 1u);
   // 50 bytes over a 100 ns window.
   EXPECT_DOUBLE_EQ(rates[0], 50.0 * 1e9 / 100.0);
 
   f.relay.note_progress(5);  // below min_bytes_per_window: stalled
-  f.wheel.fire_due(200);
+  f.timers.run_until(200);
   ASSERT_EQ(f.expired.size(), 1u);
   EXPECT_EQ(f.expired[0], DeadlineKind::kStall);
 }
@@ -187,14 +198,14 @@ TEST(RelayLiveness, ShouldProgressSwitchesBetweenWatchdogs) {
   f.relay.on_connected(0);  // idle armed for t=100
 
   f.relay.set_should_progress(true, 50);  // bytes buffered: stall takes over
-  EXPECT_EQ(f.wheel.size(), 1u);
+  EXPECT_EQ(f.timers.size(), 1u);
   f.relay.note_progress(20);
-  f.wheel.fire_due(150);  // moving: window renewed
+  f.timers.run_until(150);  // moving: window renewed
   EXPECT_TRUE(f.expired.empty());
 
   f.relay.set_should_progress(false, 200);  // drained: idle takes over
-  EXPECT_EQ(f.wheel.size(), 1u);
-  f.wheel.fire_due(300);  // no activity since connect → idle expiry
+  EXPECT_EQ(f.timers.size(), 1u);
+  f.timers.run_until(300);  // no activity since connect → idle expiry
   ASSERT_EQ(f.expired.size(), 1u);
   EXPECT_EQ(f.expired[0], DeadlineKind::kIdle);
 }
@@ -209,8 +220,8 @@ TEST(RelayLiveness, AllZeroConfigIsInert) {
   f.relay.note_progress(1000);
   f.relay.set_should_progress(true, 40);
   f.relay.set_should_progress(false, 50);
-  EXPECT_TRUE(f.wheel.empty());
-  f.wheel.fire_due(1'000'000'000);
+  EXPECT_TRUE(f.timers.empty());
+  f.timers.run_until(1'000'000'000);
   EXPECT_TRUE(f.expired.empty());
   f.relay.cancel_all();  // benign with nothing armed
 }
@@ -220,10 +231,10 @@ TEST(RelayLiveness, CancelAllDisarmsEverything) {
   f.config.header_timeout = 100;
   f.attach();
   f.relay.on_accepted(0);
-  EXPECT_EQ(f.wheel.size(), 1u);
+  EXPECT_EQ(f.timers.size(), 1u);
   f.relay.cancel_all();
-  EXPECT_TRUE(f.wheel.empty());
-  f.wheel.fire_due(1000);
+  EXPECT_TRUE(f.timers.empty());
+  f.timers.run_until(1000);
   EXPECT_TRUE(f.expired.empty());
 }
 

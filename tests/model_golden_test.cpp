@@ -56,6 +56,58 @@ TEST(ModelGolden, ChaosChainDepotCrash) {
                 {11.07426463283263, 0, 105031});
 }
 
+// The depot keeps timers on these two paths; they pin how its deadlines
+// interleave with the rest of the simulation. A mid-stream reset with a
+// resume grace parks the session, the source resumes, and the park
+// deadline is cancelled.
+TEST(ModelGolden, ChaosResetParksAndResumes) {
+  std::string err;
+  const auto plan =
+      fault::parse_fault_spec("reset:depot=depot1,at_bytes=419430", &err);
+  ASSERT_TRUE(plan.has_value()) << err;
+  ChaosParams qp;
+  qp.chain.depots = 1;
+  qp.chain.depot.resume_grace = 2 * util::kSecond;
+  qp.bytes = util::kMiB;
+  qp.seed = 11;
+  qp.plan = *plan;
+  qp.resumable_attempts = true;
+  qp.retry.base_delay = 100 * util::kMillisecond;
+  qp.retry.max_delay = util::kSecond;
+  const ChaosResult r = run_chaos(qp);
+  ASSERT_TRUE(r.completed && r.verified);
+  EXPECT_GE(r.resumes, 1u);
+  expect_golden(r.mbps, r.retransmits, r.events,
+                {8.1859683482906203, 1, 21685});
+}
+
+// Header, dial and idle deadlines plus the stall watchdog on every depot;
+// a `slow` depot stops moving bytes long enough for the watchdog to fail
+// the session, and the retry policy retransfers.
+TEST(ModelGolden, ChaosSlowDepotTripsStallWatchdog) {
+  std::string err;
+  const auto plan =
+      fault::parse_fault_spec("slow:depot=depot1,at=50ms,for=500ms", &err);
+  ASSERT_TRUE(plan.has_value()) << err;
+  ChaosParams qp;
+  qp.chain.depots = 2;
+  qp.chain.depot.liveness.header_timeout = 2 * util::kSecond;
+  qp.chain.depot.liveness.dial_timeout = 2 * util::kSecond;
+  qp.chain.depot.liveness.idle_timeout = 2 * util::kSecond;
+  qp.chain.depot.liveness.stall_window = 100 * util::kMillisecond;
+  qp.chain.depot.liveness.min_bytes_per_window = 1024;
+  qp.bytes = util::kMiB;
+  qp.seed = 11;
+  qp.plan = *plan;
+  qp.retry.base_delay = 100 * util::kMillisecond;
+  qp.retry.max_delay = util::kSecond;
+  const ChaosResult r = run_chaos(qp);
+  ASSERT_TRUE(r.completed && r.verified);
+  EXPECT_GE(r.attempts, 1u);  // the watchdog failed the first session
+  expect_golden(r.mbps, r.retransmits, r.events,
+                {6.8676919321516792, 0, 35489});
+}
+
 // Case 3: jittered WAN plus a Gilbert–Elliott wireless last hop.
 TEST(ModelGolden, Case3WirelessLsl) {
   RunConfig cfg;

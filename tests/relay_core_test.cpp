@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "lsl/relay_core.hpp"
+#include "util/event_queue.hpp"
 #include "util/rng.hpp"
 
 namespace lsl::test {
@@ -17,14 +18,14 @@ using core::HeaderReader;
 using core::RelayCore;
 using core::RelaySession;
 
-/// Records what the core asked of its adapter; time is set by the test.
+/// Records what the core asked of its adapter; time is the timer queue's,
+/// which the test runs.
 struct FakeHost : core::RelayHost {
-  std::int64_t t = 0;
+  util::EventQueue timers;
   std::vector<RelaySession*> failed;
   int drains_resolved = 0;
 
-  std::int64_t now() const override { return t; }
-  void rearm() override {}
+  std::int64_t now() const override { return timers.now(); }
   void on_deadline(RelaySession& s, live::DeadlineKind) override {
     failed.push_back(&s);
   }
@@ -99,7 +100,7 @@ struct CoreFixture : ::testing::Test {
   FakeHost host;
   core::RelayStats stats;
   live::LivenessConfig liveness;
-  RelayCore relay_core{"test", host, stats, liveness,
+  RelayCore relay_core{"test", host, host.timers, stats, liveness,
                        /*resume_grace=*/1000, /*max_sessions=*/2};
 
   /// Accept `s` and complete its header (still kHeader, as a resume
@@ -180,15 +181,13 @@ TEST_F(CoreFixture, ParkExpiresAtTheGraceAndResolvesTheDrain) {
   EXPECT_EQ(relay_core.drain_report().parked, 1u);
   EXPECT_EQ(host.drains_resolved, 1);
 
-  host.t = 999;
-  relay_core.fire_due();
+  host.timers.run_until(999);
   EXPECT_TRUE(host.failed.empty());
-  host.t = 1000;
-  relay_core.fire_due();
+  host.timers.run_until(1000);
   ASSERT_EQ(host.failed.size(), 1u);
   relay_core.finish(s, /*ok=*/false);  // what the adapter does
   EXPECT_EQ(relay_core.parked(), 0u);
-  EXPECT_TRUE(relay_core.wheel().empty());
+  EXPECT_TRUE(host.timers.empty());
 }
 
 TEST_F(CoreFixture, DrainWaitsForLiveSessions) {

@@ -12,6 +12,7 @@
 #include <csignal>
 #include <netinet/in.h>
 #include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <sys/wait.h>
@@ -236,6 +237,80 @@ TEST(ShardTest, FaultPlanRecordsIntoRegistry) {
   ASSERT_NE(injected, nullptr);
   EXPECT_EQ(injected->value(), 1u);  // due at once: applied already
   EXPECT_EQ(daemon.faults_injected(), 1u);
+}
+
+// --- Engine timers -----------------------------------------------------------
+// Every deadline on a shard is a timer on its engine; these pin the
+// engine's side of that contract with no sockets at all.
+
+double seconds_since(std::int64_t start_ns) {
+  return static_cast<double>(EpollEngine::now_ns() - start_ns) * 1e-9;
+}
+
+// With no fd ready, a blocking run_once() still returns once the earliest
+// timer is due, and runs it.
+TEST(Engine, PendingTimerWakesBlockingRunOnce) {
+  EpollEngine e;
+  int fired = 0;
+  const std::int64_t start = EpollEngine::now_ns();
+  e.schedule_in(20 * util::kMillisecond, [&] { ++fired; });
+  EXPECT_EQ(e.run_once(-1), 1);
+  EXPECT_EQ(fired, 1);
+  EXPECT_GE(seconds_since(start), 0.020);
+  EXPECT_TRUE(e.timers().empty());
+}
+
+TEST(Engine, CancelledTimerNeverFires) {
+  EpollEngine e;
+  bool cancelled_fired = false;
+  bool kept_fired = false;
+  const util::EventId id =
+      e.schedule_in(5 * util::kMillisecond, [&] { cancelled_fired = true; });
+  e.schedule_in(30 * util::kMillisecond, [&] { kept_fired = true; });
+  e.timers().cancel(id);
+  e.run();  // returns once the kept timer has run: nothing else is left
+  EXPECT_TRUE(kept_fired);
+  EXPECT_FALSE(cancelled_fired);
+}
+
+// A timer a timer callback schedules for "now" is due before the engine
+// could wait again: the next run_once() runs it instead of blocking.
+TEST(Engine, TimerScheduledAtNowFromATimerIsNeverLost) {
+  EpollEngine e;
+  bool second = false;
+  bool gave_up = false;
+  e.schedule_in(0, [&] {
+    e.timers().schedule_at(EpollEngine::now_ns(), [&] { second = true; });
+  });
+  const util::EventId guard =
+      e.schedule_in(5 * util::kSecond, [&] { gave_up = true; });
+  const std::int64_t start = EpollEngine::now_ns();
+  while (!second && !gave_up) e.run_once(-1);
+  EXPECT_TRUE(second);
+  EXPECT_FALSE(gave_up);
+  EXPECT_LT(seconds_since(start), 1.0);
+  e.timers().cancel(guard);
+}
+
+// run() keeps going while either an fd is watched or a timer is pending,
+// and returns once neither is: PosixSource::end and Lsd::shutdown leave an
+// engine in that state for a caller's run() to finish.
+TEST(Engine, RunReturnsOnceNoFdIsWatchedAndNoTimerIsPending) {
+  EpollEngine e;
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  engine::Fd r(fds[0]);
+  engine::Fd w(fds[1]);
+  e.add(r.get(), EPOLLIN, [](std::uint32_t) {});  // never readable
+  bool last_ran = false;
+  e.schedule_in(10 * util::kMillisecond, [&] {
+    e.remove(r.get());  // the last fd goes, but one timer is left
+    e.schedule_in(10 * util::kMillisecond, [&] { last_ran = true; });
+  });
+  e.run();
+  EXPECT_TRUE(last_ran);
+  EXPECT_EQ(e.watched_count(), 0u);
+  EXPECT_TRUE(e.timers().empty());
 }
 
 // A shard blocks in epoll until something is due: an idle daemon does not

@@ -13,15 +13,19 @@
 #include <vector>
 
 #include "sim/cross_traffic.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/link.hpp"
 #include "sim/network.hpp"
+#include "util/event_queue.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
 namespace lsl::sim {
 namespace {
 
+using util::EventId;
+using util::EventLane;
+using util::EventQueue;
+using util::kInvalidEvent;
 using util::kMicrosecond;
 using util::kMillisecond;
 using util::kSecond;

@@ -800,8 +800,8 @@ void rule_lock_order(const std::vector<SourceFile>& files,
 // Rule: thread-discipline
 // ---------------------------------------------------------------------------
 
-// The daemon is event-driven: one epoll loop, deadlines on the
-// DeadlineWheel, and concurrency-to-be behind the check:: sync shims so
+// The daemon is event-driven: one epoll loop, deadlines as that engine's
+// timers, and concurrency-to-be behind the check:: sync shims so
 // the model checker can explore it. A bare std::thread or chrono sleep in
 // src/ bypasses all three (and a sleep in the event loop stalls every
 // session at once). src/check/ is the one sanctioned home — its scheduler
@@ -843,7 +843,7 @@ void rule_thread_discipline(const SourceFile& f, std::vector<Violation>* out) {
       out->push_back({f.rel, line, "thread-discipline",
                       "bare '" + what +
                           "' in src/: the daemon is event-driven — use the "
-                          "epoll loop / DeadlineWheel, or the check:: shims "
+                          "epoll engine and its timers, or the check:: shims "
                           "for model-checked concurrency (src/check/, tests, "
                           "and tools are the sanctioned homes for threads)"});
     }
