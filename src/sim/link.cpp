@@ -12,29 +12,63 @@ Link::Link(Simulator& sim, std::string name, const LinkConfig& config,
       config_(config),
       deliver_(std::move(deliver)),
       rng_(sim.make_rng()),
-      transmit_done_(sim.events(), [this] { finish_transmission(); }),
       delivered_(sim.events(), [this] { deliver_front(); }) {}
 
 void Link::send(Packet&& p) {
+  // Retire the packets that left before now. One departing at exactly now
+  // still holds its place, as if its departure were an event scheduled when
+  // it began serializing: what else runs at this instant (a delivery, a
+  // timer) was scheduled a propagation delay or more ahead, so it ran first.
+  const util::SimTime now = sim_.now();
+  while (!departures_.empty() && departures_.front().at < now) {
+    count_departure(departures_.pop_front(), stats_);
+  }
   const std::size_t size = p.wire_bytes();
-  const bool idle = fifo_.size() == on_wire_;
-  if (queued_bytes_ + size > config_.queue_bytes && !idle) {
+  const std::size_t queued = accepted_bytes_ - stats_.bytes_sent + size;
+  // An idle link always accepts, however large the packet.
+  if (!departures_.empty() && queued > config_.queue_bytes) {
     ++stats_.drops_queue;
     return;
   }
-  queued_bytes_ += size;
-  stats_.max_queue_bytes = std::max(stats_.max_queue_bytes, queued_bytes_);
-  Entry& e = fifo_.push_back_slot();
-  e.packet = std::move(p);
-  e.lost = false;
-  if (idle) start_transmission();
+  accepted_bytes_ += size;
+  stats_.max_queue_bytes = std::max(stats_.max_queue_bytes, queued);
+  // Serialization starts when the packet ahead has left, or now.
+  const util::SimTime start = departures_.empty() ? now : departures_.back().at;
+  const util::SimTime depart = start + config_.rate.transmission_time(size);
+  // Loss, then jitter for a survivor: the link's own RNG in packet order.
+  const bool lost = wire_drops();
+  departures_.push_back({depart, size, lost});
+  if (lost) return;
+  util::SimTime arrive = depart + config_.delay;
+  if (config_.jitter > 0) {
+    arrive += static_cast<util::SimDuration>(
+        rng_.uniform(0.0, static_cast<double>(config_.jitter)));
+  }
+  // A physical link is FIFO: jitter may stretch delays but never reorder.
+  last_delivery_ = std::max(arrive, last_delivery_);
+  fifo_.push_back(std::move(p));
+  delivered_.push_at(last_delivery_);
 }
 
-void Link::start_transmission() {
-  if (fifo_.size() == on_wire_) return;
-  const Packet& head = fifo_[on_wire_].packet;
-  const util::SimDuration tx = config_.rate.transmission_time(head.wire_bytes());
-  transmit_done_.push_in(tx);
+std::size_t Link::departed() const {
+  if (sim_.events().drained()) return departures_.size();
+  std::size_t n = 0;
+  while (n < departures_.size() && departures_[n].at < sim_.now()) ++n;
+  return n;
+}
+
+void Link::count_departure(const Departure& d, LinkStats& stats) {
+  ++stats.packets_sent;
+  stats.bytes_sent += d.bytes;
+  if (d.lost) ++stats.drops_wire;
+}
+
+LinkStats Link::stats() const {
+  LinkStats s = stats_;
+  for (std::size_t i = 0, n = departed(); i < n; ++i) {
+    count_departure(departures_[i], s);
+  }
+  return s;
 }
 
 bool Link::wire_drops() {
@@ -53,48 +87,6 @@ bool Link::wire_drops() {
   return rng_.bernoulli(config_.loss_rate);
 }
 
-void Link::finish_transmission() {
-  Entry& e = fifo_[on_wire_++];
-  const std::size_t size = e.packet.wire_bytes();
-  queued_bytes_ -= size;
-
-  ++stats_.packets_sent;
-  stats_.bytes_sent += size;
-
-  if (wire_drops()) {
-    ++stats_.drops_wire;
-    e.lost = true;
-    drop_lost_front();
-  } else {
-    util::SimDuration prop = config_.delay;
-    if (config_.jitter > 0) {
-      prop += static_cast<util::SimDuration>(
-          rng_.uniform(0.0, static_cast<double>(config_.jitter)));
-    }
-    // A physical link is FIFO: jitter may stretch delays but never reorder.
-    util::SimTime deliver_at = sim_.now() + prop;
-    deliver_at = std::max(deliver_at, last_delivery_);
-    last_delivery_ = deliver_at;
-    delivered_.push_at(deliver_at);
-  }
-
-  start_transmission();
-}
-
-void Link::drop_lost_front() {
-  while (on_wire_ > 0 && fifo_.front().lost) {
-    fifo_.pop_front();
-    --on_wire_;
-  }
-}
-
-void Link::deliver_front() {
-  // Each delivery event belongs to the oldest unlost packet on the wire,
-  // and losses ahead of it were dropped as soon as they reached the front.
-  Entry e = fifo_.pop_front();
-  --on_wire_;
-  drop_lost_front();
-  deliver_(std::move(e.packet));
-}
+void Link::deliver_front() { deliver_(fifo_.pop_front()); }
 
 }  // namespace lsl::sim

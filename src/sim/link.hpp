@@ -5,6 +5,14 @@
 // finite buffering (drop-tail queue in bytes), and packet loss — either
 // i.i.d. Bernoulli (WAN background loss) or a two-state Gilbert–Elliott
 // process (bursty 802.11b loss in the wireless case).
+//
+// The rate is constant, so a packet's departure is known when it is
+// enqueued: send() makes the drop-tail decision, draws loss and then jitter
+// from the link's own RNG in packet order, and schedules the delivery at
+// once. A packet costs one event, its delivery, and none if the queue or
+// the wire drops it. The queue itself is a ring of {departure, bytes, lost}
+// records that send() retires against the clock; stats() and queued_bytes()
+// read it as of now().
 #pragma once
 
 #include <cstdint>
@@ -61,27 +69,39 @@ class Link {
   void send(Packet&& p);
 
   const LinkConfig& config() const { return config_; }
-  const LinkStats& stats() const { return stats_; }
+  /// Counters as of now(): a packet counts as sent (or lost on the wire)
+  /// once it has departed. Once step() or run() has drained the queue,
+  /// every packet counts: the run would have gone on to its departure.
+  LinkStats stats() const;
   const std::string& name() const { return name_; }
 
-  /// Bytes currently waiting in the drop-tail queue.
-  std::size_t queued_bytes() const { return queued_bytes_; }
+  /// Bytes waiting in the drop-tail queue or serializing, as of now().
+  std::size_t queued_bytes() const {
+    return accepted_bytes_ - stats().bytes_sent;
+  }
 
-  /// Adjust the Bernoulli loss rate mid-run (failure injection).
+  /// Adjust the Bernoulli loss rate mid-run (failure injection). Loss is
+  /// drawn at enqueue, so the new rate applies to packets sent from now on;
+  /// packets already queued keep their fate.
   void set_loss_rate(double p) { config_.loss_rate = p; }
 
  private:
-  /// A packet from enqueue to delivery; `lost` marks a wire loss.
-  struct Entry {
-    Packet packet;
+  /// A packet in the drop-tail queue: when it finishes serializing, its
+  /// wire bytes, and whether the loss model took it.
+  struct Departure {
+    util::SimTime at = 0;
+    std::size_t bytes = 0;
     bool lost = false;
   };
 
-  void start_transmission();
-  void finish_transmission();
-  void deliver_front();
-  void drop_lost_front();
+  /// How many queued packets a read counts as departed: those gone before
+  /// now(), as send() retires them, or all of them once the run has drained
+  /// the queue (the clock stops at the last event, which may come before
+  /// the last loss departs).
+  std::size_t departed() const;
+  static void count_departure(const Departure& d, LinkStats& stats);
   bool wire_drops();
+  void deliver_front();
 
   Simulator& sim_;
   std::string name_;
@@ -89,22 +109,19 @@ class Link {
   DeliverFn deliver_;
   util::Rng rng_;
 
-  /// Every packet the link holds, in arrival order: the first `on_wire_`
-  /// entries have been serialized (delivered in this order, since delivery
-  /// is FIFO; see last_delivery_), the rest wait in the drop-tail queue. A
-  /// packet is stored here once, from send() until it is handed on, and no
-  /// event callback owns one. Wire losses stay in place, marked, until they
-  /// reach the front.
-  util::Ring<Entry> fifo_;
-  std::size_t on_wire_ = 0;
-  /// One transmit completion is pending at a time; deliveries come out in
-  /// time order. Both are lanes: no per-packet callback or slot.
-  util::EventLane transmit_done_;
+  /// The drop-tail queue, in arrival order, lost packets included.
+  util::Ring<Departure> departures_;
+  std::uint64_t accepted_bytes_ = 0;  ///< every byte the queue took
+  LinkStats stats_;
+  /// Every packet that will be delivered, from send() until it is handed
+  /// on, in delivery order (FIFO; see last_delivery_). A packet is stored
+  /// here once and no event callback owns one; a lost packet is never
+  /// stored.
+  util::Ring<Packet> fifo_;
+  /// Deliveries come out in time order: a lane, no per-packet callback.
   util::EventLane delivered_;
-  std::size_t queued_bytes_ = 0;
   bool ge_bad_state_ = false;
   util::SimTime last_delivery_ = 0;  ///< FIFO guard under jitter
-  LinkStats stats_;
 };
 
 }  // namespace lsl::sim

@@ -156,7 +156,9 @@ bool EventQueue::fire_next(SimTime deadline) {
 }
 
 bool EventQueue::step() {
-  return fire_next(std::numeric_limits<SimTime>::max());
+  if (fire_next(std::numeric_limits<SimTime>::max())) return true;
+  drained_at_ = executed_;
+  return false;
 }
 
 void EventQueue::run_until(SimTime deadline) {

@@ -15,11 +15,11 @@
 // heap holds only events that can still fire.
 //
 // A component whose events come out in nondecreasing time order (a link's
-// transmit completions and deliveries, a node's loopback hop, a depot's
-// serial copy) owns an EventLane instead: one permanent callback and a FIFO
-// of pending times, of which only the head's key sits in the heap. Every
-// lane event still takes its sequence number when it is pushed, so it runs
-// exactly when the same schedule_at() call would have run it.
+// deliveries, a node's loopback hop, a depot's serial copy) owns an
+// EventLane instead: one permanent callback and a FIFO of pending times, of
+// which only the head's key sits in the heap. Every lane event still takes
+// its sequence number when it is pushed, so it runs exactly when the same
+// schedule_at() call would have run it.
 #pragma once
 
 #include <cstdint>
@@ -67,6 +67,11 @@ class EventQueue {
 
   /// True if no runnable events remain.
   bool empty() const { return live_count_ == 0; }
+
+  /// True once step() or run() has found nothing left to run, and nothing
+  /// has run since: the run is over, not paused by run_until() nor inside
+  /// its last event's callback.
+  bool drained() const { return empty() && drained_at_ == executed_; }
 
   /// Number of pending events, lane events included.
   std::size_t size() const { return live_count_; }
@@ -153,6 +158,8 @@ class EventQueue {
   std::uint64_t next_seq_ = 1;  ///< never 0, so no id is kInvalidEvent
   std::size_t live_count_ = 0;
   std::uint64_t executed_ = 0;
+  /// executed_ when step() last found nothing to run; never a count yet.
+  std::uint64_t drained_at_ = ~std::uint64_t{0};
 };
 
 /// A FIFO lane of events on one EventQueue, all running one callback.

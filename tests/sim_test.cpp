@@ -205,6 +205,30 @@ TEST(EventQueue, SizeCountsOnlyLiveEventsAfterCancels) {
   EXPECT_EQ(q.executed_count(), 0u);
 }
 
+// drained() tells a finished run from one paused by run_until() or inside
+// its last callback.
+TEST(EventQueue, DrainedOnlyOnceStepFindsNothingToRun) {
+  EventQueue q;
+  EXPECT_FALSE(q.drained());
+  bool in_last = true;
+  q.schedule_at(10, [&] { in_last = q.drained(); });
+  q.run_until(20);
+  EXPECT_FALSE(in_last);
+  EXPECT_TRUE(q.empty());
+  EXPECT_FALSE(q.drained());
+  q.run();
+  EXPECT_TRUE(q.drained());
+  const EventId id = q.schedule_at(30, [] {});
+  EXPECT_FALSE(q.drained());
+  q.cancel(id);
+  EXPECT_TRUE(q.drained());
+  q.schedule_at(40, [] {});
+  EXPECT_TRUE(q.step());
+  EXPECT_FALSE(q.drained());
+  EXPECT_FALSE(q.step());
+  EXPECT_TRUE(q.drained());
+}
+
 TEST(EventQueue, IdsAreValidAndStrictlyIncreasing) {
   EventQueue q;
   EventId last = kInvalidEvent;
@@ -584,11 +608,12 @@ TEST(Link, JitterNeverReorders) {
   }
 }
 
-// Loss, jitter and a standing queue together: the link holds each packet
-// from enqueue to delivery, and a wire loss stays in place until it reaches
-// the front. Survivors must come out in send order, all of them, and none
-// later than its own queueing, serialization and propagation allow, so a
-// lost packet ahead never stalls the ones behind it.
+// Loss, jitter and a standing queue together: the link holds each surviving
+// packet from enqueue to delivery, and a wire loss only holds its place in
+// the drop-tail queue until it departs. Survivors must come out in send
+// order, all of them, and none later than its own queueing, serialization
+// and propagation allow, so a lost packet ahead never stalls the ones
+// behind it.
 TEST(Link, LossJitterAndStandingQueueDeliverEverySurvivorInOrder) {
   Simulator sim(5);
   LinkConfig cfg;
@@ -635,6 +660,199 @@ TEST(Link, LossJitterAndStandingQueueDeliverEverySurvivorInOrder) {
     ASSERT_LT(serials[i - 1], serials[i]) << "reordered at " << i;
   }
   EXPECT_EQ(link.queued_bytes(), 0u);
+}
+
+// A packet counts as sent, and a wire loss as dropped, once it has departed;
+// until then it occupies the queue. Reads between enqueue and departure and
+// after the run see exactly that, whenever they are made.
+TEST(Link, StatsAndQueuedBytesReadAsOfNow) {
+  struct Reading {
+    util::SimTime at;
+    std::uint64_t sent, bytes, drops_queue, drops_wire;
+    std::size_t max_queue, queued;
+    bool operator==(const Reading&) const = default;
+  };
+  Simulator sim(6);
+  LinkConfig cfg;
+  cfg.rate = util::DataRate::mbps(8);  // 1 us per byte: 128 us per packet
+  cfg.delay = kMillisecond;
+  cfg.queue_bytes = 4 * 128;
+  cfg.loss_rate = 0.3;
+  int delivered = 0;
+  Link link(sim, "l", cfg, [&](Packet&&) { ++delivered; });
+  std::vector<Reading> got;
+  const auto read = [&] {
+    const LinkStats st = link.stats();
+    got.push_back({sim.now(), st.packets_sent, st.bytes_sent,
+                   st.drops_queue, st.drops_wire, st.max_queue_bytes,
+                   link.queued_bytes()});
+  };
+  // Six packets into a four-packet buffer, two more once two have left.
+  for (int i = 0; i < 6; ++i) link.send(make_packet(0, 1, 100));
+  read();
+  sim.events().schedule_at(300 * kMicrosecond, [&] {
+    link.send(make_packet(0, 1, 100));
+    link.send(make_packet(0, 1, 100));
+  });
+  // 256 us is the second packet's departure instant: it still counts.
+  for (const int us : {100, 256, 300, 500, 700, 900}) {
+    sim.events().schedule_at(us * kMicrosecond, read);
+  }
+  sim.events().run();
+  read();
+
+  const util::SimTime us = kMicrosecond;
+  const std::vector<Reading> want = {
+      {0, 0, 0, 2, 0, 512, 512},          {100 * us, 0, 0, 2, 0, 512, 512},
+      {256 * us, 1, 128, 2, 0, 512, 384}, {300 * us, 2, 256, 2, 1, 512, 512},
+      {500 * us, 3, 384, 2, 1, 512, 384}, {700 * us, 5, 640, 2, 2, 512, 128},
+      {900 * us, 6, 768, 2, 3, 512, 0},   {1512 * us, 6, 768, 2, 3, 512, 0},
+  };
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i], want[i]) << "reading " << i << " at " << got[i].at;
+  }
+  EXPECT_EQ(delivered, 3);
+}
+
+// With no propagation delay the run ends at the last delivery, before the
+// losses queued behind it depart; a read after the run still counts them.
+TEST(Link, StatsAfterDrainedRunCountTrailingLosses) {
+  Simulator sim(6);
+  LinkConfig cfg;
+  cfg.rate = util::DataRate::mbps(8);
+  cfg.delay = 0;
+  cfg.loss_rate = 0.5;
+  util::SimTime last_delivery = 0;
+  Link link(sim, "l", cfg, [&](Packet&&) { last_delivery = sim.now(); });
+  for (int i = 0; i < 8; ++i) link.send(make_packet(0, 1, 100));
+  sim.events().run();
+  // The fourth packet is the last survivor; the four behind it are lost
+  // and depart at 640 to 1024 us, after the clock has stopped.
+  EXPECT_EQ(last_delivery, 512 * kMicrosecond);
+  EXPECT_EQ(link.stats().packets_sent, 8u);
+  EXPECT_EQ(link.stats().drops_wire, 5u);
+  EXPECT_EQ(link.queued_bytes(), 0u);
+}
+
+// The run is over only once step() or run() finds nothing left to run. A
+// read from inside the last delivery's callback, or after run_until() has
+// taken the clock past the last event, counts only the losses departed by
+// now(); the ones still serializing count once the run drains.
+TEST(Link, StatsBeforeTheRunDrainsCountOnlyDepartedLosses) {
+  Simulator sim(6);
+  LinkConfig cfg;
+  cfg.rate = util::DataRate::mbps(8);  // 128 us per packet
+  cfg.delay = 100 * kMicrosecond;
+  cfg.loss_rate = 0.5;
+  Link* link = nullptr;
+  LinkStats last_callback;
+  std::size_t last_callback_queued = 0;
+  Link l(sim, "l", cfg, [&](Packet&&) {
+    last_callback = link->stats();
+    last_callback_queued = link->queued_bytes();
+  });
+  link = &l;
+  for (int i = 0; i < 8; ++i) l.send(make_packet(0, 1, 100));
+  // The fourth packet is the last survivor, delivered at 612 us; the four
+  // behind it are lost and depart at 640 to 1024 us.
+  sim.events().run_until(700 * kMicrosecond);
+  EXPECT_TRUE(sim.events().empty());
+  EXPECT_EQ(last_callback.packets_sent, 4u);
+  EXPECT_EQ(last_callback.drops_wire, 1u);
+  EXPECT_EQ(last_callback_queued, 4u * 128);
+  EXPECT_EQ(l.stats().packets_sent, 5u);
+  EXPECT_EQ(l.stats().drops_wire, 2u);
+  EXPECT_EQ(l.queued_bytes(), 3u * 128);
+  sim.events().run();
+  EXPECT_EQ(l.stats().packets_sent, 8u);
+  EXPECT_EQ(l.stats().drops_wire, 5u);
+  EXPECT_EQ(l.queued_bytes(), 0u);
+}
+
+// The departure of a packet is not an event: each packet costs exactly one,
+// its delivery, and a packet the drop-tail queue refuses costs none.
+TEST(Link, OneEventPerDeliveredPacket) {
+  Simulator sim(7);
+  LinkConfig cfg;
+  cfg.queue_bytes = 64 * 1028;
+  int delivered = 0;
+  Link link(sim, "l", cfg, [&](Packet&&) { ++delivered; });
+  for (int burst = 0; burst < 10; ++burst) {
+    sim.events().schedule_at(burst * 10 * kMillisecond, [&] {
+      for (int i = 0; i < 100; ++i) link.send(make_packet(0, 1, 1000));
+    });
+  }
+  sim.events().run();
+  EXPECT_EQ(delivered, 640);
+  EXPECT_EQ(link.stats().drops_queue, 360u);
+  EXPECT_EQ(sim.events().executed_count(), 10u + 640u);
+}
+
+// Loss is drawn when a packet is enqueued, so a new loss rate (a blackhole
+// or flap fault) decides the fate of packets sent after it is set; packets
+// already queued keep theirs.
+TEST(Link, SetLossRateAppliesToPacketsEnqueuedAfterIt) {
+  Simulator sim(9);
+  LinkConfig cfg;
+  cfg.rate = util::DataRate::mbps(8);  // 128 us per packet
+  cfg.delay = kMillisecond;
+  std::vector<std::uint64_t> serials;
+  Link link(sim, "l", cfg, [&](Packet&& p) { serials.push_back(p.serial); });
+  std::uint64_t next_serial = 1;
+  const auto send = [&] {
+    Packet p = make_packet(0, 1, 100);
+    p.serial = next_serial++;
+    link.send(std::move(p));
+  };
+  for (int i = 0; i < 4; ++i) send();  // queued until 512 us
+  link.set_loss_rate(1.0);
+  for (int i = 0; i < 2; ++i) send();
+  sim.events().schedule_at(2 * kMillisecond, [&] {
+    for (int i = 0; i < 3; ++i) send();  // still queued when the rate drops
+    link.set_loss_rate(0.0);
+    send();
+  });
+  sim.events().run();
+  EXPECT_EQ(serials, (std::vector<std::uint64_t>{1, 2, 3, 4, 10}));
+  EXPECT_EQ(link.stats().drops_wire, 5u);
+  EXPECT_EQ(link.stats().packets_sent, 10u);
+}
+
+// A send at exactly the nanosecond a queued packet departs still finds it in
+// the queue. That is the order a departure event scheduled when the packet
+// began serializing would take against a send scheduled before then, as
+// every delivery or timer due at that instant is (they are scheduled a
+// propagation delay or more ahead).
+TEST(Link, SendAtDepartureInstantSeesPacketStillQueued) {
+  struct Case {
+    int at_us;              ///< a queued packet's departure
+    std::uint32_t payload;  ///< sized so the decision hinges on that packet
+    bool scheduled_before_sends;
+  };
+  for (const Case c : {Case{256, 200, false}, Case{128, 72, true},
+                       Case{128, 72, false}}) {
+    Simulator sim(1);
+    LinkConfig cfg;
+    cfg.rate = util::DataRate::mbps(8);  // 128 us per 128-byte packet
+    cfg.queue_bytes = 3 * 128;
+    Link link(sim, "l", cfg, [](Packet&&) {});
+    const auto schedule_send = [&] {
+      sim.events().schedule_at(c.at_us * kMicrosecond, [&] {
+        link.send(make_packet(0, 1, c.payload));
+      });
+    };
+    if (c.scheduled_before_sends) schedule_send();
+    // Three packets fill the queue; they depart at 128, 256 and 384 us.
+    for (int i = 0; i < 3; ++i) link.send(make_packet(0, 1, 100));
+    if (!c.scheduled_before_sends) schedule_send();
+    sim.events().run();
+    // The packet departing at the send's instant (and any behind it) still
+    // fills the queue, so the timed packet is dropped, even when it was
+    // scheduled after that packet began serializing (the last case).
+    EXPECT_EQ(link.stats().drops_queue, 1u) << "at " << c.at_us << " us";
+    EXPECT_EQ(link.stats().packets_sent, 3u);
+  }
 }
 
 // --- packet ------------------------------------------------------------------
