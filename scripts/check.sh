@@ -18,13 +18,16 @@
 # change moves any recorded figure point; it then builds bench/micro_core
 # and runs its MD5 throughput cases (one stream and a pair), its
 # simulator event-queue cases and its packet-path case (BM_PacketHop) once,
-# with no threshold, so the micro benchmarks cannot rot unbuilt. Usage:
+# with no threshold, so the micro benchmarks cannot rot unbuilt. The
+# release configuration builds -DCMAKE_BUILD_TYPE=Release (-O3) with
+# warnings as errors and runs the suite there: some warnings (g++'s
+# -Wrestrict among them) are only reported by the optimizer. Usage:
 #
 #   scripts/check.sh [--quick] [--only CONFIG]
 #
 #   --quick         plain + lint only (the pre-push subset)
 #   --only CONFIG   run a single configuration:
-#                   plain|asan|ubsan|tsan|lint|tidy|mcheck|chaos|shard|stripe|health|bench
+#                   plain|release|asan|ubsan|tsan|lint|tidy|mcheck|chaos|shard|stripe|health|bench
 #
 # Build trees go to build-check-<config>/ so the default build/ directory
 # is left untouched. Every configuration keeps LSL_WERROR=ON: a warning
@@ -35,12 +38,12 @@ cd "$(dirname "$0")/.."
 
 jobs=$(nproc 2>/dev/null || echo 4)
 
-configs=(plain asan ubsan tsan lint tidy mcheck chaos shard stripe health bench)
+configs=(plain release asan ubsan tsan lint tidy mcheck chaos shard stripe health bench)
 case "${1:-}" in
   --quick) configs=(plain lint) ;;
   --only)  configs=("${2:?--only needs a config}") ;;
   "")      ;;
-  *) echo "usage: scripts/check.sh [--quick] [--only plain|asan|ubsan|tsan|lint|tidy|mcheck|chaos|shard|stripe|health|bench]" >&2
+  *) echo "usage: scripts/check.sh [--quick] [--only plain|release|asan|ubsan|tsan|lint|tidy|mcheck|chaos|shard|stripe|health|bench]" >&2
      exit 2 ;;
 esac
 
@@ -76,6 +79,7 @@ for config in "${configs[@]}"; do
   echo "== $config =="
   case "$config" in
     plain) build_and_test build-check ;;
+    release) build_and_test build-check-release -DCMAKE_BUILD_TYPE=Release ;;
     asan)  build_and_test build-check-asan  -DLSL_SANITIZE=address ;;
     ubsan) build_and_test build-check-ubsan -DLSL_SANITIZE=undefined ;;
     tsan)  build_and_test build-check-tsan  -DLSL_SANITIZE=thread ;;

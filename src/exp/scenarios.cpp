@@ -130,7 +130,11 @@ Scenario build_chain(const ChainParams& p, std::uint64_t seed) {
 
   sim::Node* prev = &gw_a;
   for (std::size_t i = 0; i < p.depots; ++i) {
-    sim::Node& j = net.add_router("J" + std::to_string(i + 1));
+    // Appended, not "J" + std::to_string(...): g++ 12 at -O3 warns a
+    // false -Wrestrict on the one-character prefix insert.
+    std::string router = "J";
+    router += std::to_string(i + 1);
+    sim::Node& j = net.add_router(router);
     net.connect(*prev, j, seg);
     sim::Node& d = net.add_host("depot" + std::to_string(i + 1));
     sim::LinkConfig dlink;

@@ -124,7 +124,11 @@ void StripedRun::build_topology() {
     seg.loss_rate = p_.loss / 2.0;
     seg.queue_bytes = p_.wan_queue_bytes;
 
-    sim::Node& j = net_->add_router("J" + std::to_string(i + 1));
+    // Appended, not "J" + std::to_string(...): g++ 12 at -O3 warns a
+    // false -Wrestrict on the one-character prefix insert.
+    std::string router = "J";
+    router += std::to_string(i + 1);
+    sim::Node& j = net_->add_router(router);
     net_->connect(gw_a, j, seg);
     net_->connect(j, gw_b, seg);
 

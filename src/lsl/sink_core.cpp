@@ -280,6 +280,7 @@ void SinkCore::verify(SinkStream& s, std::span<const std::uint8_t> data) {
   if (held_by_ == &s) flush_held();  // its bytes stay in order
   if (held_by_ != nullptr) {
     PayloadVerifier::feed_pair(*held_by_->verifier, held_, *s.verifier, data);
+    paired_bytes_ += held_.size() + data.size();
     held_by_ = nullptr;
   } else if (verifying_ >= 2) {
     held_.assign(data.begin(), data.end());

@@ -230,6 +230,8 @@ class SinkCore {
 
   /// Payload bytes ingested across every connection.
   std::uint64_t payload_bytes() const { return payload_bytes_; }
+  /// Payload bytes hashed in two-lane MD5 passes (both chunks count).
+  std::uint64_t paired_bytes() const { return paired_bytes_; }
 
  private:
   SinkAction on_header(SinkStream& s);
@@ -255,6 +257,7 @@ class SinkCore {
   std::uint64_t seed_;
   SessionLedger* ledger_;
   std::uint64_t payload_bytes_ = 0;
+  std::uint64_t paired_bytes_ = 0;
   /// Streams with a per-connection verifier that have not ended.
   std::size_t verifying_ = 0;
   /// The stream whose chunk waits in held_ for a partner, or null.

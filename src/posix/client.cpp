@@ -3,11 +3,17 @@
 #include <linux/sockios.h>
 #include <sys/epoll.h>
 #include <sys/ioctl.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
+#include <future>
+#include <memory>
+#include <stdexcept>
 #include <system_error>
+#include <type_traits>
 #include <utility>
 
 #include "util/log.hpp"
@@ -237,29 +243,101 @@ double seconds_since(std::int64_t then, std::int64_t now) {
   return static_cast<double>(now - then) * 1e-9;
 }
 
+/// What a verdict carries across to the owner loop.
+struct Verdict {
+  std::optional<SinkResult> result;
+  std::vector<engine::Fd> fds;
+  std::uint8_t status = 0;
+};
+
 }  // namespace
 
-PosixSinkServer::PosixSinkServer(engine::EpollEngine& loop,
+PosixSinkServer::PosixSinkServer(engine::EpollEngine& owner,
                                  const InetAddress& bind,
                                  bool expect_header,
                                  std::uint64_t payload_seed,
                                  bool verify_content)
-    : loop_(loop),
+    : owner_(owner),
       ledger_(payload_seed, verify_content),
       core_(*this, expect_header, /*verify=*/true, verify_content,
-            payload_seed, nullptr) {
+            payload_seed, nullptr),
+      verdict_fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
   listener_ = listen_tcp(bind, 64, &port_);
   if (!listener_.valid()) {
     throw std::system_error(errno, std::generic_category(), "sink: bind");
   }
-  loop_.add(listener_.get(), EPOLLIN, [this](std::uint32_t) { on_accept(); });
+  if (!verdict_fd_.valid()) {
+    throw std::system_error(errno, std::generic_category(), "sink: eventfd");
+  }
+  // The sink thread is not running yet, so its engine is set up from here.
+  engine_.add(listener_.get(), EPOLLIN,
+              [this](std::uint32_t) { on_accept(); });
+  engine_.set_wakeup_callback([this] { posts_.drain(); });
+  owner_.add(verdict_fd_.get(), EPOLLIN,
+             [this](std::uint32_t) { on_verdicts(); });
+  thread_ = engine::ShardThread([this] {
+    try {
+      while (!stop_.load(std::memory_order_acquire)) engine_.run_once(-1);
+    } catch (...) {
+      // An epoll or accept failure reaches the owner: its run_once
+      // rethrows it.
+      failed_.store(true, std::memory_order_release);
+      post_to_owner(
+          [e = std::current_exception()] { std::rethrow_exception(e); });
+    }
+  });
 }
 
 PosixSinkServer::~PosixSinkServer() {
-  if (listener_.valid()) loop_.remove(listener_.get());
-  for (auto& c : conns_) {
-    if (c->sock.valid()) loop_.remove(c->sock.get());
+  stop_.store(true, std::memory_order_release);
+  engine_.wakeup();
+  thread_.join();
+  owner_.remove(verdict_fd_.get());
+  // Undelivered verdicts and open connections close their fds as the
+  // members go.
+}
+
+template <typename Fn>
+auto PosixSinkServer::on_sink_thread(Fn fn) {
+  using R = std::invoke_result_t<Fn>;
+  auto answer = std::make_shared<std::promise<R>>();
+  std::future<R> result = answer->get_future();
+  const bool wake = posts_.post([answer, fn = std::move(fn)] {
+    if constexpr (std::is_void_v<R>) {
+      fn();
+      answer->set_value();
+    } else {
+      answer->set_value(fn());
+    }
+  });
+  if (wake) engine_.wakeup();
+  while (result.wait_for(std::chrono::milliseconds(100)) !=
+         std::future_status::ready) {
+    if (failed_.load(std::memory_order_acquire)) {
+      throw std::runtime_error("sink: thread stopped on an error");
+    }
   }
+  return result.get();
+}
+
+std::uint64_t PosixSinkServer::paired_bytes() {
+  return on_sink_thread([this] { return core_.paired_bytes(); });
+}
+
+void PosixSinkServer::set_adopt_migrations(bool on) {
+  on_sink_thread([this, on] { core_.set_ledger(on ? &ledger_ : nullptr); });
+}
+
+std::uint64_t PosixSinkServer::session_frontier(const core::SessionId& id) {
+  return on_sink_thread([this, id] { return ledger_.frontier(id); });
+}
+
+bool PosixSinkServer::session_completed(const core::SessionId& id) {
+  return on_sink_thread([this, id] { return ledger_.completed(id); });
+}
+
+md5::Digest PosixSinkServer::session_digest(const core::SessionId& id) {
+  return on_sink_thread([this, id] { return ledger_.digest(id); });
 }
 
 std::int64_t PosixSinkServer::now() const {
@@ -280,8 +358,8 @@ void PosixSinkServer::on_accept() {
     c->sock = std::move(conn);
     core_.open(*c, now());
     Conn* cp = c.get();
-    loop_.add(cp->sock.get(), EPOLLIN,
-              [this, cp](std::uint32_t) { on_readable(cp); });
+    engine_.add(cp->sock.get(), EPOLLIN,
+                [this, cp](std::uint32_t) { on_readable(cp); });
     conns_.push_back(std::move(c));
   }
 }
@@ -296,6 +374,7 @@ void PosixSinkServer::on_readable(Conn* c) {
         n > 0 ? core_.ingest(*c, std::span<const std::uint8_t>(
                                      buf, static_cast<std::size_t>(n)))
               : core_.end(*c, /*failed=*/n == -2);
+    bytes_.store(core_.payload_bytes(), std::memory_order_relaxed);
     switch (action) {
       case core::SinkAction::kRead:
         // One payload read per readiness callback; header and trailer
@@ -315,21 +394,28 @@ void PosixSinkServer::on_readable(Conn* c) {
         res.payload_bytes = c->payload_received;
         res.seconds = seconds_since(c->accepted, now());
         res.header = c->header;
-        // End-to-end status byte, then close: the source's completion
-        // signal.
-        close_conn(c, status_byte(res.verified));
-        if (on_complete) on_complete(res);
+        const std::uint8_t status = status_byte(res.verified);
+        std::vector<engine::Fd> fds;
+        fds.push_back(release(c));
+        post_verdict(std::move(res), std::move(fds), status);
         return;
       }
-      case core::SinkAction::kClose:
-        close_conn(c, status_byte(c->ok));
+      case core::SinkAction::kClose: {
+        // The status may belong to a verdict already posted (the lane
+        // that outlived its merge, the connection that completed a
+        // ledger session), so it follows that verdict to the owner.
+        const std::uint8_t status = status_byte(c->ok);
+        std::vector<engine::Fd> fds;
+        fds.push_back(release(c));
+        post_verdict(std::nullopt, std::move(fds), status);
         return;
+      }
       case core::SinkAction::kDrop:
-        close_conn(c, std::nullopt);
+        release(c);
         return;
       case core::SinkAction::kPark:
         c->parked = true;
-        loop_.remove(c->sock.get());
+        engine_.remove(c->sock.get());
         return;
     }
   }
@@ -341,20 +427,52 @@ void PosixSinkServer::on_stream_verdict(const core::SinkVerdict& v) {
   res.payload_bytes = v.payload_bytes;
   res.seconds = seconds_since(v.first_accept, now());
   res.header = *v.header;
+  std::vector<engine::Fd> fds;
   for (core::SinkStream* s : v.release) {
-    close_conn(static_cast<Conn*>(s), status_byte(v.ok));
+    fds.push_back(release(static_cast<Conn*>(s)));
   }
-  if (on_complete) on_complete(res);
+  post_verdict(std::move(res), std::move(fds), status_byte(v.ok));
 }
 
-void PosixSinkServer::close_conn(Conn* c, std::optional<std::uint8_t> status) {
+engine::Fd PosixSinkServer::release(Conn* c) {
   core_.forget(*c);
-  if (c->sock.valid()) {
-    if (status) write_some(c->sock.get(), &*status, 1);
-    if (!c->parked) loop_.remove(c->sock.get());
-    c->sock.reset();
-  }
+  if (c->sock.valid() && !c->parked) engine_.remove(c->sock.get());
+  engine::Fd fd = std::move(c->sock);
   std::erase_if(conns_, [c](const auto& p) { return p.get() == c; });
+  return fd;
+}
+
+void PosixSinkServer::post_verdict(std::optional<SinkResult> result,
+                                   std::vector<engine::Fd> fds,
+                                   std::uint8_t status) {
+  // A PostQueue task must be copyable and the fds are not, so the task
+  // shares the verdict. An undelivered one closes its fds when the queue
+  // goes.
+  auto v = std::make_shared<Verdict>(
+      Verdict{std::move(result), std::move(fds), status});
+  post_to_owner([this, v] {
+    if (v->result && on_complete) on_complete(*v->result);
+    for (engine::Fd& fd : v->fds) {
+      if (fd.valid()) write_some(fd.get(), &v->status, 1);
+      fd.reset();
+    }
+  });
+}
+
+void PosixSinkServer::post_to_owner(engine::PostQueue::Task task) {
+  if (!verdicts_.post(std::move(task))) return;  // a wakeup is pending
+  const std::uint64_t one = 1;
+  const auto n = ::write(verdict_fd_.get(), &one, sizeof one);
+  (void)n;  // EAGAIN: the counter is saturated, a wakeup is pending
+}
+
+void PosixSinkServer::on_verdicts() {
+  // Read the count before draining: a verdict posted after the drain took
+  // its batch signals again.
+  std::uint64_t count = 0;
+  const auto n = ::read(verdict_fd_.get(), &count, sizeof count);
+  (void)n;
+  verdicts_.drain();
 }
 
 }  // namespace lsl::posix

@@ -1,11 +1,13 @@
 // Real-socket LSL endpoints: a session source that streams a deterministic
 // payload through a depot route with an MD5 trailer, and a sink server that
 // receives, verifies and timestamps sessions. Both are nonblocking apps on
-// an EpollEngine, so a full cascade (source -> lsd -> lsd -> sink) runs in a
-// single process over loopback — which is exactly how the posix integration
-// tests and the lsd_relay example drive them.
+// an EpollEngine (the sink on its own thread, reporting to the caller's
+// loop), so a full cascade (source -> lsd -> lsd -> sink) runs in a single
+// process over loopback — which is exactly how the posix integration tests
+// and the lsd_relay example drive them.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -15,6 +17,9 @@
 #include <vector>
 
 #include "engine/epoll_engine.hpp"
+#include "engine/fd.hpp"
+#include "engine/post_queue.hpp"
+#include "engine/shard_thread.hpp"
 #include "lsl/payload.hpp"
 #include "lsl/session_id.hpp"
 #include "lsl/sink_core.hpp"
@@ -160,19 +165,36 @@ struct SinkResult {
 };
 
 /// Accepts sessions and verifies their payload streams: the real-socket
-/// I/O adapter on the sink core (src/lsl/sink_core.hpp). It keeps the fds,
-/// the epoll registrations and the status-byte writes; every decision
+/// I/O adapter on the sink core (src/lsl/sink_core.hpp). Every decision
 /// about a connection's bytes is the core's.
+///
+/// Threads. The sink runs on a thread of its own (an engine::ShardThread
+/// driving a private EpollEngine). The listener, every connection, the
+/// core, the migration ledger and the stripe groups live there, so the
+/// reads and the MD5 never run on the loop passed to the constructor. That
+/// loop is the *owner*: on_complete runs on it, and it must outlive the
+/// sink. A verdict crosses threads once: the sink thread deregisters the
+/// connections it releases and posts the result with their fds to the
+/// owner (a PostQueue plus an eventfd the sink registers on the owner
+/// loop). The owner runs on_complete and only then writes each status
+/// byte and closes, so a source that holds its status has already been
+/// counted. Every status byte takes that hop, in order behind the verdicts
+/// posted before it; closes without one (a dead lane, an adopted husk)
+/// stay on the sink thread. The queries below are posted to the sink
+/// thread and wait for its answer, which cannot deadlock: the sink thread
+/// never waits on its owner.
 class PosixSinkServer : private core::SinkHost {
  public:
-  /// Binds immediately (throws std::system_error on failure). Sessions are
-  /// expected to carry an LSL header iff `expect_header`. With
-  /// `verify_content` false, only the MD5 trailer is checked (arbitrary
-  /// payloads); otherwise bytes are also compared against the generator
-  /// stream seeded with `payload_seed`.
-  PosixSinkServer(engine::EpollEngine& loop, const InetAddress& bind,
+  /// Binds immediately (throws std::system_error on failure) and starts
+  /// the sink thread. Sessions are expected to carry an LSL header iff
+  /// `expect_header`. With `verify_content` false, only the MD5 trailer is
+  /// checked (arbitrary payloads); otherwise bytes are also compared
+  /// against the generator stream seeded with `payload_seed`.
+  PosixSinkServer(engine::EpollEngine& owner, const InetAddress& bind,
                   bool expect_header, std::uint64_t payload_seed,
                   bool verify_content = true);
+  /// Stops and joins the sink thread; connections and verdicts not yet
+  /// delivered are closed without a status byte.
   ~PosixSinkServer();
 
   PosixSinkServer(const PosixSinkServer&) = delete;
@@ -182,10 +204,20 @@ class PosixSinkServer : private core::SinkHost {
 
   /// Payload bytes accepted across all sessions so far — a cheap progress
   /// probe for drivers that need "mid-transfer" (chaos tests inject there).
-  std::uint64_t bytes_received() const { return core_.payload_bytes(); }
+  /// Published by the sink thread after every read.
+  std::uint64_t bytes_received() const {
+    return bytes_.load(std::memory_order_relaxed);
+  }
 
-  /// Fires once per completed session.
+  /// Fires once per completed session, on the owner loop, before the
+  /// session's status bytes are written.
   std::function<void(const SinkResult&)> on_complete;
+
+  /// Verdicts posted to the owner loop and not yet delivered.
+  std::size_t pending_verdicts() const { return verdicts_.pending(); }
+
+  /// Payload bytes hashed in two-lane MD5 passes (core::SinkCore).
+  std::uint64_t paired_bytes();
 
   // --- Migration adoption ----------------------------------------------------
   // With adoption on, every headered (non-striped, bounded, digest-free)
@@ -196,40 +228,59 @@ class PosixSinkServer : private core::SinkHost {
   // once, when the stitched frontier reaches the session total, and husk
   // connections (the dying chain's leftovers) close silently. Off (the
   // default), the sink behaves exactly as before — one verdict per
-  // connection.
+  // connection. Connections accepted after the call returns see the new
+  // setting.
 
-  void set_adopt_migrations(bool on) { core_.set_ledger(on ? &ledger_ : nullptr); }
+  void set_adopt_migrations(bool on);
 
   /// The session's acknowledged stream frontier — the exact floor a
   /// migrating source must resume from. 0 for unknown sessions.
-  std::uint64_t session_frontier(const core::SessionId& id) const {
-    return ledger_.frontier(id);
-  }
-  bool session_completed(const core::SessionId& id) const {
-    return ledger_.completed(id);
-  }
+  std::uint64_t session_frontier(const core::SessionId& id);
+  bool session_completed(const core::SessionId& id);
   /// MD5 of the stitched stream so far (frontier-advancing bytes only, in
   /// order) — equals the whole-payload digest once the session completes.
-  md5::Digest session_digest(const core::SessionId& id) const {
-    return ledger_.digest(id);
-  }
+  md5::Digest session_digest(const core::SessionId& id);
 
  private:
   struct Conn;
+  /// Run `fn` on the sink thread and wait for its result.
+  template <typename Fn>
+  auto on_sink_thread(Fn fn);
   std::int64_t now() const override;
   void on_stream_verdict(const core::SinkVerdict& v) override;
   void on_accept();
   void on_readable(Conn* c);
-  /// Send `status` (when set), close, and destroy the connection.
-  void close_conn(Conn* c, std::optional<std::uint8_t> status);
+  /// Forget, deregister and destroy the connection; its fd is returned.
+  engine::Fd release(Conn* c);
+  /// Post `fds` to the owner, which reports `result` (when set), then
+  /// writes `status` to each fd and closes it.
+  void post_verdict(std::optional<SinkResult> result,
+                    std::vector<engine::Fd> fds, std::uint8_t status);
+  /// Run `task` on the owner loop.
+  void post_to_owner(engine::PostQueue::Task task);
+  /// Owner loop: deliver every posted verdict.
+  void on_verdicts();
 
-  engine::EpollEngine& loop_;
+  engine::EpollEngine& owner_;
+  engine::EpollEngine engine_;  ///< the sink thread's loop
   core::SessionLedger ledger_;
   core::SinkCore core_;
   engine::Fd listener_;
   SpareFd spare_;  ///< sheds connections at the descriptor limit
   std::uint16_t port_ = 0;
   std::vector<std::unique_ptr<Conn>> conns_;
+  std::atomic<std::uint64_t> bytes_{0};
+  /// Owner -> sink thread: queries, drained on engine_'s wakeup.
+  engine::PostQueue posts_;
+  /// Sink thread -> owner: verdicts, signalled through verdict_fd_.
+  engine::PostQueue verdicts_;
+  engine::Fd verdict_fd_;  ///< eventfd registered on the owner loop
+  std::atomic<bool> stop_{false};
+  /// Set when the sink thread stopped on an exception, which it forwards
+  /// to the owner loop; queries then fail instead of waiting.
+  std::atomic<bool> failed_{false};
+  /// Declared last: joined before any member it uses goes.
+  engine::ShardThread thread_;
 };
 
 }  // namespace lsl::posix

@@ -81,12 +81,22 @@ struct DataRate {
 
   constexpr bool is_zero() const { return bits_per_second == 0; }
 
+  /// Largest byte count whose bit count times 1e9 fits in 64 bits.
+  static constexpr std::uint64_t kMaxBytes64 =
+      ~std::uint64_t{0} / (8u * static_cast<std::uint64_t>(kSecond));
+
   /// Time needed to serialize `bytes` onto a link of this rate.
   constexpr SimDuration transmission_time(std::uint64_t bytes) const {
     if (bits_per_second == 0) return 0;
-    // bytes * 8 * 1e9 / bps, computed with 128-bit intermediate to avoid
-    // overflow for multi-gigabyte payloads on slow links. __int128 is a GCC
-    // extension; __extension__ keeps -Wpedantic quiet about it.
+    // bytes * 8 * 1e9 / bps. Every packet fits the 64-bit product; larger
+    // payloads on slow links take a 128-bit intermediate, whose division
+    // is a library call. Both floor the same exact quotient. __int128 is a
+    // GCC extension; __extension__ keeps -Wpedantic quiet about it.
+    if (bytes <= kMaxBytes64) {
+      return static_cast<SimDuration>(bytes * 8u *
+                                      static_cast<std::uint64_t>(kSecond) /
+                                      bits_per_second);
+    }
     __extension__ using u128 = unsigned __int128;
     const auto bits = static_cast<u128>(bytes) * 8u;
     const auto ns = bits * static_cast<u128>(kSecond) /

@@ -1,7 +1,8 @@
 // Integration tests of the real-socket substrate: the lsd daemon relaying
 // LSL sessions over loopback TCP, single- and multi-depot cascades, MD5
 // end-to-end verification, and failure injection. Everything runs in one
-// process on one epoll loop.
+// process; the sink verifies on its own thread and reports to the test's
+// loop.
 #include <gtest/gtest.h>
 
 #include <sys/epoll.h>
@@ -9,7 +10,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <optional>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include "engine/epoll_engine.hpp"
@@ -457,26 +463,54 @@ TEST(PosixRelay, ConcurrentSessionsThroughOneDepot) {
 // A raw client's whole session on the wire: header, payload, digest
 // trailer, written without an event loop as far as the socket takes it.
 struct RawSession {
+  core::SessionId id;
   engine::Fd conn;
   std::vector<std::uint8_t> wire;
   std::size_t sent = 0;
 
-  /// Write what the socket accepts now; half-close once everything is out.
-  void push() {
-    while (sent < wire.size()) {
-      const long n =
-          posix::write_some(conn.get(), wire.data() + sent, wire.size() - sent);
+  /// Write what the socket accepts now, up to `limit` wire bytes;
+  /// half-close once everything is out.
+  void push(std::size_t limit = SIZE_MAX) {
+    limit = std::min(limit, wire.size());
+    while (sent < limit) {
+      const long n = posix::write_some(conn.get(), wire.data() + sent,
+                                       limit - sent);
       if (n <= 0) return;
       sent += static_cast<std::size_t>(n);
     }
-    ::shutdown(conn.get(), SHUT_WR);
+    if (sent == wire.size()) ::shutdown(conn.get(), SHUT_WR);
   }
 };
 
-// The sink makes one payload read per readiness callback: with two
-// sessions' bytes queued, one loop turn reads at most one chunk of each
-// instead of draining the first socket while the second waits.
-TEST(PosixRelay, SinkReadsOnePayloadChunkPerReadinessCallback) {
+/// A digest-trailed session of `payload` seeded with `seed`; returns the
+/// header's length on the wire.
+std::size_t make_session(RawSession& r, util::Rng& rng, std::uint16_t port,
+                         const std::vector<std::uint8_t>& payload,
+                         std::uint64_t seed) {
+  core::SessionHeader h;
+  h.session = r.id = core::SessionId::generate(rng);
+  h.flags = core::kFlagDigestTrailer;
+  h.payload_length = payload.size();
+  h.destination = {0x7f000001, port};
+  core::encode_header(h, r.wire);
+  const std::size_t header_len = r.wire.size();
+  const md5::Digest digest = core::stream_digest(seed, payload.size());
+  r.wire.insert(r.wire.end(), payload.begin(), payload.end());
+  r.wire.insert(r.wire.end(), digest.bytes.begin(), digest.bytes.end());
+  return header_len;
+}
+
+/// Descriptors this process holds open.
+std::size_t open_fds() {
+  return static_cast<std::size_t>(
+      std::distance(std::filesystem::directory_iterator("/proc/self/fd"),
+                    std::filesystem::directory_iterator{}));
+}
+
+// Two concurrent verifying sessions are hashed mostly in two-lane MD5
+// passes: the sink makes one payload read per readiness callback, so two
+// streams with bytes queued take turns and the core pairs their chunks.
+TEST(PosixRelay, ConcurrentSessionsHashMostlyInPairs) {
   REQUIRE_LOOPBACK();
   EpollEngine loop;
   constexpr std::uint64_t kSeed = 61;
@@ -491,52 +525,152 @@ TEST(PosixRelay, SinkReadsOnePayloadChunkPerReadinessCallback) {
   constexpr std::uint64_t kPayload = 512 * util::kKiB;
   std::vector<std::uint8_t> payload(kPayload);
   core::PayloadGenerator(kSeed).generate(payload);
-  const md5::Digest digest = core::stream_digest(kSeed, kPayload);
   util::Rng rng(61);
   RawSession sessions[2];
+  std::size_t header_len = 0;
   for (RawSession& r : sessions) {
-    core::SessionHeader h;
-    h.session = core::SessionId::generate(rng);
-    h.flags = core::kFlagDigestTrailer;
-    h.payload_length = kPayload;
-    h.destination = {0x7f000001, sink.port()};
-    core::encode_header(h, r.wire);
-    r.wire.insert(r.wire.end(), payload.begin(), payload.end());
-    r.wire.insert(r.wire.end(), digest.bytes.begin(), digest.bytes.end());
+    header_len = make_session(r, rng, sink.port(), payload, kSeed);
     r.conn = raw_connect(loop, sink.port());
     ASSERT_TRUE(r.conn.valid());
   }
-  // Let the sink accept both before any byte is sent.
+  // Both headers first, so both streams verify before a payload byte comes.
+  for (RawSession& r : sessions) r.push(header_len);
   for (int i = 0; i < 5; ++i) loop.run_once(20);
   ASSERT_EQ(sink.bytes_received(), 0u);
-  for (RawSession& r : sessions) {
-    r.push();
-    ASSERT_GE(r.sent, 256 * util::kKiB);
-  }
 
-  loop.run_once();
-  EXPECT_GT(sink.bytes_received(), 0u);
-  EXPECT_LE(sink.bytes_received(), 2 * core::kSinkReadBytes);
-
-  for (RawSession& r : sessions) {
-    if (r.sent == r.wire.size()) continue;
-    loop.add(r.conn.get(), EPOLLOUT, [&r, &loop](std::uint32_t) {
-      r.push();
-      if (r.sent == r.wire.size()) loop.remove(r.conn.get());
-    });
-  }
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
-  while (completed < 2 && std::chrono::steady_clock::now() < deadline) {
-    loop.run_once(50);
+  const auto in_time = [&] {
+    return std::chrono::steady_clock::now() < deadline;
+  };
+  // Both payloads as fast as the sockets take them, in alternating 16 KiB
+  // slices: the writes outrun the hashing, so both streams have bytes
+  // queued, and a sink that drained one socket before reading the other
+  // would hash them one stream at a time.
+  while ((sessions[0].sent < sessions[0].wire.size() ||
+          sessions[1].sent < sessions[1].wire.size()) &&
+         in_time()) {
+    const std::size_t before = sessions[0].sent + sessions[1].sent;
+    for (RawSession& r : sessions) r.push(r.sent + 16 * util::kKiB);
+    if (sessions[0].sent + sessions[1].sent == before) loop.run_once(1);
   }
+  while (completed < 2 && in_time()) loop.run_once(50);
   ASSERT_EQ(completed, 2);
   EXPECT_EQ(verified, 2);
+  const std::uint64_t paired = sink.paired_bytes();
+  EXPECT_GT(paired, kPayload) << "of " << 2 * kPayload << " payload bytes";
   for (RawSession& r : sessions) {
     std::uint8_t status = 0;
     ASSERT_EQ(::recv(r.conn.get(), &status, 1, 0), 1);
     EXPECT_EQ(status, core::kStatusOk);
   }
+}
+
+// The owner runs on_complete before it writes a status byte: a raw client
+// watching its socket on the owner loop finds its session counted by the
+// time the status is readable.
+TEST(PosixRelay, StatusByteIsNeverReadableBeforeOnComplete) {
+  REQUIRE_LOOPBACK();
+  EpollEngine loop;
+  constexpr std::uint64_t kSeed = 67;
+  PosixSinkServer sink(loop, InetAddress::loopback(0), true, kSeed);
+  std::set<core::SessionId> counted;
+  sink.on_complete = [&](const SinkResult& r) {
+    ASSERT_TRUE(r.header.has_value());
+    counted.insert(r.header->session);
+  };
+
+  std::vector<std::uint8_t> payload(16 * util::kKiB);
+  core::PayloadGenerator(kSeed).generate(payload);
+  util::Rng rng(67);
+  constexpr int kSessions = 8;
+  RawSession sessions[kSessions];
+  int statuses = 0;
+  int counted_first = 0;
+  for (RawSession& r : sessions) {
+    make_session(r, rng, sink.port(), payload, kSeed);
+    r.conn = raw_connect(loop, sink.port());
+    ASSERT_TRUE(r.conn.valid());
+  }
+  for (RawSession& r : sessions) {
+    loop.add(r.conn.get(), EPOLLIN, [&, fd = r.conn.get(), id = r.id](
+                                        std::uint32_t) {
+      std::uint8_t status = 0;
+      if (::recv(fd, &status, 1, 0) != 1) return;
+      EXPECT_EQ(status, core::kStatusOk);
+      ++statuses;
+      if (counted.contains(id)) ++counted_first;
+      loop.remove(fd);
+    });
+    r.push();
+    ASSERT_EQ(r.sent, r.wire.size());
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (statuses < kSessions &&
+         std::chrono::steady_clock::now() < deadline) {
+    loop.run_once(50);
+  }
+  ASSERT_EQ(statuses, kSessions);
+  EXPECT_EQ(counted_first, kSessions);
+}
+
+// Destroying the sink mid-payload, with a verdict still queued for the
+// owner loop, joins its thread promptly and closes every descriptor it
+// held: the listener, its loop's, the connections and the queued
+// verdict's. Neither client gets a status byte.
+TEST(PosixRelay, SinkDestroyedWithAVerdictQueuedLeaksNoFd) {
+  REQUIRE_LOOPBACK();
+  EpollEngine loop;
+  constexpr std::uint64_t kSeed = 71;
+  std::vector<std::uint8_t> payload(256 * util::kKiB);
+  core::PayloadGenerator(kSeed).generate(payload);
+  util::Rng rng(71);
+  const std::size_t before = open_fds();
+  {
+    auto sink = std::make_unique<PosixSinkServer>(
+        loop, InetAddress::loopback(0), true, kSeed);
+    bool reported = false;
+    sink->on_complete = [&](const SinkResult&) { reported = true; };
+    RawSession whole, partial;
+    make_session(whole, rng, sink->port(), payload, kSeed);
+    const std::size_t header_len =
+        make_session(partial, rng, sink->port(), payload, kSeed);
+    whole.conn = raw_connect(loop, sink->port());
+    partial.conn = raw_connect(loop, sink->port());
+    ASSERT_TRUE(whole.conn.valid());
+    ASSERT_TRUE(partial.conn.valid());
+
+    // From here the owner loop is not run, so the whole session's verdict
+    // stays queued for it.
+    const std::size_t half = payload.size() / 2;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while ((whole.sent < whole.wire.size() ||
+            partial.sent < header_len + half) &&
+           std::chrono::steady_clock::now() < deadline) {
+      whole.push();
+      partial.push(header_len + half);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    while ((sink->pending_verdicts() == 0 ||
+            sink->bytes_received() < payload.size() + half) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(sink->pending_verdicts(), 1u);
+    ASSERT_EQ(sink->bytes_received(), payload.size() + half);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    sink.reset();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+    EXPECT_FALSE(reported);
+    for (RawSession* r : {&whole, &partial}) {
+      std::uint8_t status = 0;
+      EXPECT_LE(::recv(r->conn.get(), &status, 1, 0), 0);
+    }
+  }
+  EXPECT_EQ(open_fds(), before);
 }
 
 TEST(PosixRelay, DigestOnlyModeAcceptsForeignContent) {

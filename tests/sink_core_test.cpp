@@ -354,6 +354,8 @@ TEST(SinkCore, InterleavedSessionsBothVerify) {
   core.open(b, 0);
   // Turns of a size off the block grid, so pairs start mid-block.
   alternate(core, s, wire, done, 5000);
+  // Strict turns of equal chunks: every payload byte went through a pair.
+  EXPECT_EQ(core.paired_bytes(), 2 * kPairBytes);
   EXPECT_EQ(core.end(a, false), core::SinkAction::kReport);
   EXPECT_EQ(core.end(b, false), core::SinkAction::kReport);
   EXPECT_TRUE(a.ok);

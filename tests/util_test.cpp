@@ -40,6 +40,26 @@ TEST(Units, TransmissionTimeNoOverflowForHugePayloads) {
   EXPECT_NEAR(to_seconds(t), 8.0 * 1024 * 1024 * 1024 * 8 / 9600.0, 1.0);
 }
 
+// The 64-bit path ends where bytes * 8 * 1e9 would overflow; on either
+// side of that edge the result must equal the exact 128-bit quotient.
+TEST(Units, TransmissionTimeAtTheSixtyFourBitEdge) {
+  EXPECT_EQ(DataRate::kMaxBytes64, 2'305'843'009u);
+  __extension__ using u128 = unsigned __int128;
+  const auto exact = [](std::uint64_t bytes, std::uint64_t bps) {
+    return static_cast<SimDuration>(static_cast<u128>(bytes) * 8u *
+                                    1'000'000'000u / bps);
+  };
+  for (const std::uint64_t bps :
+       {std::uint64_t{1}, std::uint64_t{9'600}, std::uint64_t{1'000'003},
+        std::uint64_t{10'000'000'000}, ~std::uint64_t{0}}) {
+    for (std::uint64_t bytes = DataRate::kMaxBytes64 - 2;
+         bytes <= DataRate::kMaxBytes64 + 2; ++bytes) {
+      EXPECT_EQ(DataRate::bps(bps).transmission_time(bytes), exact(bytes, bps))
+          << bytes << " bytes at " << bps << " bit/s";
+    }
+  }
+}
+
 TEST(Units, ThroughputMbps) {
   EXPECT_DOUBLE_EQ(throughput_mbps(1'000'000, kSecond), 8.0);
   EXPECT_DOUBLE_EQ(throughput_mbps(123, 0), 0.0);
