@@ -3,115 +3,49 @@
 // The paper's §III: "Intermittently connected devices could use the session
 // layer to mitigate connection creation overhead and the effects of roaming
 // (in that the ultimate server need not know of an address change)." This
-// example runs a transfer whose client-side sublink is killed twice in
-// flight; each time, the client redials the depot with a resume header and
-// the session continues over the SAME depot-to-server connection. The
-// server's single TCP connection never breaks, and the delivered stream is
-// verified byte for byte.
+// example runs a transfer through one depot (exp::build_chain) whose
+// client-side sublink is torn down twice in flight — the `disconnect` fault
+// at 0.6 s and 1.4 s. Each time, the client redials the depot with a resume
+// header; the depot, which parks a broken session for up to a minute,
+// continues it over the SAME depot-to-server connection, so the server
+// never sees the roam. exp::run_chaos drives the run, and the server
+// verifies the delivered stream byte for byte.
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
+#include <string>
 
-#include "lsl/apps.hpp"
-#include "lsl/depot.hpp"
-#include "lsl/session_id.hpp"
-#include "sim/network.hpp"
-#include "tcp/stack.hpp"
+#include "exp/chaos.hpp"
+#include "fault/spec.hpp"
 #include "util/units.hpp"
 
-using namespace lsl;
-
 int main(int argc, char** argv) {
-  std::uint64_t bytes = 8 * util::kMiB;
-  if (argc > 1) bytes = std::strtoull(argv[1], nullptr, 10);
+  using namespace lsl;
 
-  sim::Network net(2026);
-  sim::Node& client = net.add_host("mobile_client");
-  sim::Node& server = net.add_host("server");
-  sim::Node& depot_host = net.add_host("edge_depot");
-  sim::Node& r = net.add_router("r");
+  exp::ChaosParams p;
+  p.bytes = 8 * util::kMiB;
+  if (argc > 1) p.bytes = std::strtoull(argv[1], nullptr, 10);
+  p.seed = 2026;
+  p.chain.depots = 1;
+  p.chain.depot.resume_grace = 60 * util::kSecond;
+  p.resumable_attempts = true;
+  std::string err;
+  p.plan = *fault::parse_fault_spec(
+      "disconnect:at=600ms;disconnect:at=1400ms", &err);
 
-  sim::LinkConfig wan;
-  wan.rate = util::DataRate::mbps(20);
-  wan.delay = util::millis(15);
-  net.connect(client, r, wan);
-  net.connect(r, server, wan);
-  sim::LinkConfig dlink;
-  dlink.rate = util::DataRate::mbps(100);
-  dlink.delay = util::millis(1);
-  net.connect(r, depot_host, dlink);
-  net.compute_routes();
-
-  tcp::TcpConfig tcp;
-  tcp.carry_data = true;  // real bytes: the far end verifies content
-  tcp::TcpStack client_stack(net, client, tcp);
-  tcp::TcpStack server_stack(net, server, tcp);
-  tcp::TcpStack depot_stack(net, depot_host, tcp);
-
-  core::DepotConfig dcfg;
-  dcfg.port = 4000;
-  dcfg.resume_grace = 60 * util::kSecond;
-  core::DepotApp depot(depot_stack, dcfg, nullptr);
-
-  bool done = false;
-  bool verified = false;
-  std::uint64_t received = 0;
-  util::SimTime done_time = 0;
-  core::SinkConfig sink_cfg;
-  sink_cfg.expect_header = true;
-  sink_cfg.verify_payload = true;
-  sink_cfg.payload_seed = 314;
-  core::SinkServer sink(server_stack, 5001, sink_cfg, nullptr);
-  sink.on_complete = [&](core::SinkApp& app) {
-    done = true;
-    verified = app.verified();
-    received = app.payload_received();
-    done_time = app.complete_time();
-  };
-
-  core::SourceConfig scfg;
-  scfg.payload_bytes = bytes;
-  scfg.payload_seed = 314;
-  scfg.use_header = true;
-  scfg.resumable = true;
-  util::Rng rng(1);
-  scfg.header.session = core::SessionId::generate(rng);
-  scfg.header.payload_length = bytes;
-  scfg.header.hops = {{depot_host.id(), 4000}};
-  scfg.header.destination = {server.id(), 5001};
-  core::SourceApp source(client_stack,
-                         sim::Endpoint{depot_host.id(), 4000}, scfg, nullptr);
-
-  std::printf("session %s: %s from mobile client to server via edge depot\n",
-              scfg.header.session.hex().c_str(),
-              util::format_bytes(bytes).c_str());
-  source.start();
-
-  // Roam twice: the client's connection is torn down mid-transfer.
-  for (double at_s : {0.6, 1.4}) {
-    net.sim().events().schedule_in(util::seconds(at_s), [&source, at_s] {
-      std::printf("t=%.1fs  client roams: sublink torn down\n", at_s);
-      source.simulate_disconnect();
-    });
-  }
-
-  auto& ev = net.sim().events();
-  while (!done && ev.now() <= 3600ll * util::kSecond && ev.step()) {
-  }
-
-  if (!done) {
+  std::printf("%s from a mobile client to a server via one edge depot; "
+              "the client roams at t=0.6 s and t=1.4 s\n",
+              util::format_bytes(p.bytes).c_str());
+  const exp::ChaosResult r = exp::run_chaos(p);
+  if (!r.completed) {
     std::fprintf(stderr, "transfer did not complete\n");
     return 1;
   }
-  std::printf("\ncompleted in %.2f s (simulated), %s delivered\n",
-              util::to_seconds(done_time - source.start_time()),
-              util::format_bytes(received).c_str());
-  std::printf("reconnect/resume cycles : %zu\n", source.resumes());
-  std::printf("duplicate bytes dropped : %llu (unacked in-flight data "
-              "retransmitted after each roam)\n",
-              static_cast<unsigned long long>(depot.stats().bytes_discarded));
-  std::printf("server-side connections : 1 (the server never noticed)\n");
+  std::printf("\ncompleted in %.2f s (simulated), %.2f Mbit/s\n", r.seconds,
+              r.mbps);
+  std::printf("roams (faults injected) : %llu\n",
+              static_cast<unsigned long long>(r.faults_injected));
+  std::printf("reconnect/resume cycles : %zu\n", r.resumes);
   std::printf("content verification    : %s\n",
-              verified ? "EVERY BYTE CORRECT" : "MISMATCH");
-  return verified ? 0 : 1;
+              r.verified ? "EVERY BYTE CORRECT" : "MISMATCH");
+  return r.verified ? 0 : 1;
 }

@@ -43,13 +43,12 @@ core::SourcePlan plan_of(const PosixSourceConfig& c) {
   core::SourcePlan p;
   p.payload_bytes = c.payload_bytes;
   p.payload_seed = c.payload_seed;
-  p.use_header = !c.route.empty() || c.send_digest || c.resumable ||
-                 c.stripe.has_value();
+  p.use_header = true;
   p.resumable = c.resumable;
   p.header.session = c.session.value_or(seeded_session(c.payload_seed));
   p.header.trace_id = c.trace_id;
   p.header.stripe = c.stripe;
-  if (c.send_digest) p.header.flags |= core::kFlagDigestTrailer;
+  p.header.flags = core::kFlagDigestTrailer;
   p.header.payload_length = c.payload_bytes;
   p.header.hops = hops_of(c.route);
   p.header.destination = {c.destination.addr, c.destination.port};

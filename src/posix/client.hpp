@@ -37,13 +37,12 @@ struct PosixSourceConfig {
   InetAddress destination;
   std::uint64_t payload_bytes = 0;
   std::uint64_t payload_seed = 1;
-  bool send_digest = true;
   /// Failure injection: flip one payload byte so the sink's MD5 check must
   /// fail (tests the end-to-end integrity path).
   bool corrupt_one_byte = false;
   /// Survive mid-stream connection loss by reconnecting to the first hop
   /// with kFlagResume from the last acknowledged payload offset (requires
-  /// a depot running with `lsd --resume-grace`). Forces send_digest off:
+  /// a depot running with `lsd --resume-grace`). Drops the digest trailer:
   /// an MD5 trailer cannot rewind across connections — a seeded sink still
   /// verifies content byte-for-byte. Each reconnect asks reconnect_backoff
   /// how long to wait first (a timer on the event loop, not a blocking
@@ -74,7 +73,7 @@ struct PosixSourceConfig {
   /// content through a stripe::LaneCursor.
   std::function<void(std::uint64_t offset, std::span<std::uint8_t> out)>
       payload_fill;
-  /// With send_digest: ship this precomputed digest instead of hashing
+  /// Ship this precomputed digest as the trailer instead of hashing
   /// this connection's own bytes (striped lanes all carry the merged
   /// stream's digest, which only the reassembling sink can check).
   std::optional<md5::Digest> trailer_digest;
@@ -84,11 +83,11 @@ struct PosixSourceConfig {
 /// names none.
 core::SessionId seeded_session(std::uint64_t seed);
 
-/// Streams one LSL session (or a raw TCP transfer when route is empty and
-/// send_digest is false — then no header is sent either): the real-socket
-/// I/O adapter on the source core (src/lsl/source_core.hpp). It keeps the
-/// fd, the epoll registration, its timer, SIOCOUTQ and the status byte;
-/// every decision about what the session sends is the core's.
+/// Streams one LSL session — a header, the payload and, unless resumable,
+/// an MD5 trailer: the real-socket I/O adapter on the source core
+/// (src/lsl/source_core.hpp). It keeps the fd, the epoll registration, its
+/// timer, SIOCOUTQ and the status byte; every decision about what the
+/// session sends is the core's.
 class PosixSource : private core::SourceHost {
  public:
   PosixSource(engine::EpollEngine& loop, PosixSourceConfig config);

@@ -127,9 +127,6 @@ void GossipPoller::on_event(Peer& p, std::uint32_t events) {
     if (p.in.find("\n\n") != std::string::npos) {
       const std::uint64_t now_ms = steady_ms();
       for (const health::DepotHealth& row : health::decode_gossip(p.in)) {
-        if (!config_.self_name.empty() && row.name == config_.self_name) {
-          continue;
-        }
         for (health::HealthBoard* b : boards_) {
           b->merge(row, config_.weight, now_ms);
         }

@@ -38,10 +38,6 @@ struct GossipPollerConfig {
   /// Merge weight in (0, 1]: how far the local score shifts toward the
   /// remote judgement per poll.
   double weight = 0.5;
-  /// When nonempty, rows naming this depot are dropped before merging —
-  /// a daemon must not let a peer's opinion of *itself* feed back into
-  /// the scores it serves back to that peer.
-  std::string self_name;
 };
 
 class GossipPoller {

@@ -48,7 +48,6 @@ void StripedPosixSource::launch_lane(std::size_t li,
   scfg.destination = config_.destination;
   scfg.payload_bytes = plan.payload_bytes;
   scfg.payload_seed = plan.payload_seed;
-  scfg.send_digest = true;
   scfg.dial_timeout = config_.dial_timeout;
   scfg.trace_id = config_.trace_id;
   scfg.session = plan.header.session;

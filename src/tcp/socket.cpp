@@ -328,7 +328,7 @@ void TcpSocket::handle_ack(const sim::Packet& p) {
         // Partial ACK under SACK recovery: the pipe shrank; fill holes.
         send_in_recovery();
         arm_rto();
-      } else if (config_.newreno) {
+      } else {
         // Partial ACK: retransmit the next hole, deflate, stay in recovery.
         retransmit_one(snd_una_);
         const std::uint64_t deflate =
@@ -560,7 +560,7 @@ void TcpSocket::handle_data(const sim::Packet& p) {
   // ACK generation (RFC 5681 §4.2): immediate ACK for out-of-order arrivals
   // and gap fills; otherwise delayed ACK every second full segment.
   const bool out_of_order = !advanced || recv_buf_.out_of_order_bytes() > 0;
-  if (fin_just_consumed || out_of_order || !config_.delayed_ack) {
+  if (fin_just_consumed || out_of_order) {
     send_ack_now();
   } else {
     ++segs_since_ack_;

@@ -28,11 +28,11 @@ struct TcpConfig {
   std::uint64_t initial_ssthresh = 0;
   std::uint32_t dupack_threshold = 3;         ///< fast-retransmit trigger
   /// Selective acknowledgments (RFC 2018 + conservative RFC 6675 recovery).
-  /// On by default — the paper's Linux 2.4 endpoints negotiated SACK; the
+  /// On by default — the paper's Linux 2.4 endpoints negotiated SACK.
+  /// Without it, recovery is NewReno (RFC 2582 partial ACKs); the
   /// SACK-vs-NewReno difference is measured by bench/abl_sack.
   bool sack = true;
-  bool newreno = true;           ///< NewReno partial-ACK recovery (RFC 2582)
-  bool delayed_ack = true;       ///< ACK every 2nd segment / 40 ms
+  /// Delayed ACKs: every 2nd segment, or this long after the first.
   util::SimDuration delayed_ack_timeout = util::millis(40);
   util::SimDuration min_rto = util::millis(200);   ///< Linux floor
   util::SimDuration max_rto = util::seconds(60);

@@ -7,11 +7,14 @@
 
 #include <sys/epoll.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <optional>
 #include <set>
@@ -747,6 +750,173 @@ TEST(PosixRelay, RecvToolOnPortZeroVerifiesOneSession) {
   EXPECT_EQ(wait_process(recv), 0) << recv.output;
   EXPECT_NE(recv.output.find("digest OK"), std::string::npos) << recv.output;
 }
+
+#if defined(LSL_SEND_BIN) && defined(LSD_RELAY_BIN)
+// The lsl_send binary end to end: through `lsd_relay --daemon 0` depots
+// into an `lsl_recv 0 -1` that exits after its one session.
+
+std::string loopback_endpoint(std::uint16_t port) {
+  return "127.0.0.1:" + std::to_string(port);
+}
+
+/// Both ends of one lsl_send run: exit statuses and output.
+struct SendRun {
+  int send_rc = -1;
+  std::string send_out;
+  int recv_rc = -1;
+  std::string recv_out;
+};
+
+/// Run `lsl_send <args...> <sink>` against a fresh `lsl_recv 0 -1
+/// <recv_args...>` and wait for both to exit.
+SendRun send_to_recv(std::vector<std::string> args,
+                     std::vector<std::string> recv_args = {}) {
+  recv_args.insert(recv_args.begin(), {"lsl_recv", "0", "-1"});
+  SpawnedDaemon recv =
+      spawn_process(LSL_RECV_BIN, std::move(recv_args),
+                    "lsl_recv: listening on port ", /*with_stderr=*/true);
+  SendRun run;
+  if (recv.port == 0) {
+    run.recv_out = recv.output;
+    return run;
+  }
+  args.insert(args.begin(), "lsl_send");
+  args.push_back(loopback_endpoint(recv.port));
+  run.send_rc = run_process(LSL_SEND_BIN, std::move(args), &run.send_out);
+  run.recv_rc = wait_process(recv);
+  run.recv_out = recv.output;
+  return run;
+}
+
+TEST(PosixRelay, SendToolThroughDepotVerifiesSeededContent) {
+  REQUIRE_LOOPBACK();
+  SpawnedDaemon depot = spawn_daemon(LSD_RELAY_BIN);
+  ASSERT_NE(depot.port, 0) << depot.output;
+
+  const SendRun r = send_to_recv(
+      {"-v", loopback_endpoint(depot.port), "-n", "1000000", "-s", "5"},
+      {"-g", "5"});
+  EXPECT_EQ(r.send_rc, 0) << r.send_out;
+  EXPECT_NE(r.send_out.find("delivered and verified"), std::string::npos)
+      << r.send_out;
+  EXPECT_EQ(r.recv_rc, 0) << r.recv_out;
+  EXPECT_NE(r.recv_out.find("1000000 bytes"), std::string::npos) << r.recv_out;
+  EXPECT_NE(r.recv_out.find("digest OK"), std::string::npos) << r.recv_out;
+  reap_daemon(depot, SIGTERM);
+}
+
+TEST(PosixRelay, SendToolWithWrongSeedFailsAtTheSink) {
+  REQUIRE_LOOPBACK();
+  SpawnedDaemon depot = spawn_daemon(LSD_RELAY_BIN);
+  ASSERT_NE(depot.port, 0) << depot.output;
+
+  const SendRun r = send_to_recv(
+      {"-v", loopback_endpoint(depot.port), "-n", "1000000", "-s", "6"},
+      {"-g", "5"});
+  EXPECT_EQ(r.send_rc, 1) << r.send_out;
+  EXPECT_NE(r.send_out.find("delivery FAILED"), std::string::npos)
+      << r.send_out;
+  EXPECT_EQ(r.recv_rc, 0) << r.recv_out;
+  EXPECT_NE(r.recv_out.find("MISMATCH"), std::string::npos) << r.recv_out;
+  reap_daemon(depot, SIGTERM);
+}
+
+TEST(PosixRelay, SendToolStreamsAFile) {
+  REQUIRE_LOOPBACK();
+  const std::string path = ::testing::TempDir() + "/lsl_send_300k.bin";
+  {
+    util::Rng rng(29);
+    std::vector<char> bytes(300000);
+    for (char& b : bytes) b = static_cast<char>(rng());
+    std::ofstream f(path, std::ios::binary);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  const SendRun r = send_to_recv({"-f", path});
+  EXPECT_EQ(r.send_rc, 0) << r.send_out;
+  EXPECT_EQ(r.recv_rc, 0) << r.recv_out;
+  EXPECT_NE(r.recv_out.find("300000 bytes"), std::string::npos) << r.recv_out;
+  EXPECT_NE(r.recv_out.find("digest OK"), std::string::npos) << r.recv_out;
+  std::remove(path.c_str());
+}
+
+TEST(PosixRelay, SendToolStreamsAnEmptyFile) {
+  REQUIRE_LOOPBACK();
+  const std::string path = ::testing::TempDir() + "/lsl_send_empty.bin";
+  std::ofstream(path, std::ios::binary).close();
+  const SendRun r = send_to_recv({"-f", path});
+  EXPECT_EQ(r.send_rc, 0) << r.send_out;
+  EXPECT_EQ(r.recv_rc, 0) << r.recv_out;
+  EXPECT_NE(r.recv_out.find(": 0 bytes"), std::string::npos) << r.recv_out;
+  EXPECT_NE(r.recv_out.find("digest OK"), std::string::npos) << r.recv_out;
+  std::remove(path.c_str());
+}
+
+// A file that cannot supply the bytes its size promised ends the run with
+// "short read" before the trailer, so the sink never verifies the session.
+// A directory is such a file: it opens and has a size, and every read of
+// it fails.
+TEST(PosixRelay, SendToolShortReadNeverVerifies) {
+  REQUIRE_LOOPBACK();
+  const std::string dir = ::testing::TempDir() + "/lsl_send_short_read";
+  std::filesystem::create_directories(dir);
+  std::ofstream(dir + "/entry").close();
+  struct stat st {};
+  ASSERT_EQ(::stat(dir.c_str(), &st), 0);
+  if (st.st_size == 0) GTEST_SKIP() << "directories have size 0 here";
+
+  const SendRun r = send_to_recv({"-f", dir});
+  EXPECT_EQ(r.send_rc, 1) << r.send_out;
+  EXPECT_NE(r.send_out.find("short read"), std::string::npos) << r.send_out;
+  EXPECT_EQ(r.recv_rc, 0) << r.recv_out;
+  EXPECT_NE(r.recv_out.find("MISMATCH"), std::string::npos) << r.recv_out;
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PosixRelay, SendToolStripesOverTwoDepots) {
+  REQUIRE_LOOPBACK();
+  SpawnedDaemon d1 = spawn_daemon(LSD_RELAY_BIN);
+  SpawnedDaemon d2 = spawn_daemon(LSD_RELAY_BIN);
+  ASSERT_NE(d1.port, 0) << d1.output;
+  ASSERT_NE(d2.port, 0) << d2.output;
+
+  const SendRun r = send_to_recv(
+      {"-v", loopback_endpoint(d1.port), "-v", loopback_endpoint(d2.port),
+       "--stripes", "2", "-n", "1000000", "-s", "9"},
+      {"-g", "9"});
+  EXPECT_EQ(r.send_rc, 0) << r.send_out;
+  EXPECT_NE(r.send_out.find("delivered and verified"), std::string::npos)
+      << r.send_out;
+  EXPECT_EQ(r.recv_rc, 0) << r.recv_out;
+  EXPECT_NE(r.recv_out.find("digest OK"), std::string::npos) << r.recv_out;
+  reap_daemon(d1, SIGTERM);
+  reap_daemon(d2, SIGTERM);
+}
+
+TEST(PosixRelay, SendToolRetriesAClosedPortThenFails) {
+  REQUIRE_LOOPBACK();
+  // A bound socket that never listens holds the port: every connect to it
+  // is refused.
+  engine::Fd held(::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0));
+  ASSERT_TRUE(held.valid());
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  socklen_t len = sizeof sa;
+  ASSERT_EQ(::bind(held.get(), reinterpret_cast<sockaddr*>(&sa), sizeof sa),
+            0);
+  ASSERT_EQ(::getsockname(held.get(), reinterpret_cast<sockaddr*>(&sa), &len),
+            0);
+
+  std::string out;
+  EXPECT_EQ(run_process(LSL_SEND_BIN,
+                        {"lsl_send", "--retry", "1", "--backoff", "10ms",
+                         loopback_endpoint(ntohs(sa.sin_port)), "-n", "1000"},
+                        &out),
+            1)
+      << out;
+  EXPECT_NE(out.find("retry 1/1"), std::string::npos) << out;
+}
+#endif  // LSL_SEND_BIN && LSD_RELAY_BIN
 #endif  // LSL_RECV_BIN
 
 }  // namespace

@@ -3,7 +3,8 @@
 // holds, instead of fixed sleeps. A fixed sleep is both slow (it always
 // pays the worst case) and flaky (the worst case moves with machine load);
 // polling against a generous deadline is neither. Also: spawning the
-// lsd_relay and lsl_recv binaries on a kernel-chosen port.
+// lsd_relay and lsl_recv binaries on a kernel-chosen port, and running a
+// tool binary to completion.
 #pragma once
 
 #include <arpa/inet.h>
@@ -67,12 +68,10 @@ struct SpawnedDaemon {
 };
 
 /// Fork/exec `bin` with `argv` (argv[0] first) and stdout on a pipe —
-/// stderr too when `with_stderr` — and wait up to 10 s for a line holding
-/// `banner` followed by the port number.
-inline SpawnedDaemon spawn_process(const char* bin,
+/// stderr too when `with_stderr`.
+inline SpawnedDaemon start_process(const char* bin,
                                    std::vector<std::string> args,
-                                   const std::string& banner,
-                                   bool with_stderr = false) {
+                                   bool with_stderr) {
   SpawnedDaemon d;
   std::vector<char*> argv;
   for (std::string& a : args) argv.push_back(a.data());
@@ -90,6 +89,17 @@ inline SpawnedDaemon spawn_process(const char* bin,
   }
   ::close(fds[1]);
   d.out = fds[0];
+  return d;
+}
+
+/// start_process, then wait up to 10 s for a line holding `banner`
+/// followed by the port number.
+inline SpawnedDaemon spawn_process(const char* bin,
+                                   std::vector<std::string> args,
+                                   const std::string& banner,
+                                   bool with_stderr = false) {
+  SpawnedDaemon d = start_process(bin, std::move(args), with_stderr);
+  if (d.out < 0) return d;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (d.port == 0 && std::chrono::steady_clock::now() < deadline) {
@@ -132,6 +142,17 @@ inline int wait_process(SpawnedDaemon& d) {
   ::close(d.out);
   d.out = -1;
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/// Run `bin` with `args` (argv[0] first) to completion, stdout and stderr
+/// captured in `output`. Returns the exit status, or -1 when it did not
+/// exit normally.
+inline int run_process(const char* bin, std::vector<std::string> args,
+                       std::string* output) {
+  SpawnedDaemon p = start_process(bin, std::move(args), /*with_stderr=*/true);
+  const int rc = wait_process(p);
+  *output = std::move(p.output);
+  return rc;
 }
 
 /// Send `sig`, wait for the process, and collect the rest of its stdout.

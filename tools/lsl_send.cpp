@@ -2,17 +2,20 @@
 //
 // Streams a file (or a generated test payload) to an lsl_recv sink, either
 // directly or cascaded through one or more lsd depots, with the MD5 stream
-// digest appended so the receiver verifies integrity end to end.
+// digest appended so the receiver verifies integrity end to end. Each
+// attempt is one posix::PosixSource (striped: one StripedPosixSource) run on
+// an event loop until the sink's verdict; the source core frames the header,
+// the payload and the trailer.
 //
 //   lsl_send [-v HOP]... DEST_IP:PORT (-f FILE | -n BYTES [-s SEED])
 //
 //   -v HOP    add a depot hop (ip:port); repeatable, applied in order
 //   -f FILE   send the contents of FILE
 //   -n BYTES  send BYTES of deterministic generated payload
-//   -s SEED   generator seed (default 1; lsl_recv -s must match to verify
+//   -s SEED   generator seed (default 1; lsl_recv -g must match to verify
 //             content, the MD5 trailer verifies regardless)
-//   --metrics-out FILE  dump send-side metrics (bytes, write-call latency)
-//                       on exit; .csv -> CSV, anything else -> JSONL
+//   --metrics-out FILE  dump send-side metrics (verified payload bytes) on
+//                       exit; .csv -> CSV, anything else -> JSONL
 //   --retry N     re-attempt a failed transfer up to N times (fresh session
 //                 each time) under exponential backoff with seeded jitter
 //   --backoff DUR base retry delay, fault-spec duration syntax (e.g. 200ms,
@@ -22,42 +25,36 @@
 //                 lane (missing hops leave lanes direct), extra hops are
 //                 spare chains consumed when a lane dies mid-transfer.
 //                 Requires -n (the striped source maps generated content
-//                 onto lanes); --retry does not apply (recovery is
-//                 per-lane re-striping, not whole-session retries).
+//                 onto lanes). A lost lane is re-striped within the
+//                 session; --retry retries the whole session only when
+//                 that recovery fails.
 //   --stripe-chunk BYTES   round-robin cell size (default 65536)
 //   --redundancy N         extra carriers per logical stripe (default 0;
 //                          lanes then overlap, and a dead lane needs no
 //                          re-striping at all)
 //   --log-level LEVEL   debug|info|warn|error|off (default warn)
-#include <fcntl.h>
-#include <sys/epoll.h>
-#include <sys/socket.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <limits>
+#include <memory>
+#include <span>
 #include <string>
 #include <string_view>
-#include <vector>
-
-#include <chrono>
 #include <thread>
+#include <vector>
 
 #include "engine/epoll_engine.hpp"
 #include "fault/policy.hpp"
 #include "fault/spec.hpp"
-#include "lsl/payload.hpp"
 #include "lsl/session_id.hpp"
-#include "lsl/wire.hpp"
-#include "md5/md5.hpp"
 #include "metrics/export.hpp"
-#include "metrics/instruments.hpp"
 #include "metrics/metrics.hpp"
+#include "posix/client.hpp"
 #include "posix/socket_util.hpp"
 #include "posix/striped_client.hpp"
 #include "util/log.hpp"
@@ -91,19 +88,28 @@ int usage() {
   return 2;
 }
 
-/// Blocking full write (the CLI has nothing else to do).
-bool write_all(int fd, const std::uint8_t* data, std::size_t len) {
-  std::size_t off = 0;
-  while (off < len) {
-    const ssize_t n = ::write(fd, data + off, len - off);
-    if (n > 0) {
-      off += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EINTR || errno == EAGAIN)) continue;
-    return false;
-  }
-  return true;
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
+
+/// Thrown by the -f filler when the file no longer holds the bytes its
+/// size promised. It unwinds out of the event loop at once, so the source
+/// is dropped before it frames another byte: a trailer over filler bytes
+/// would let the sink verify a stream the file never held.
+struct ShortRead {};
+
+/// Start `src` and run `loop` until the source reports the sink's verdict.
+template <typename Source>
+bool run(engine::EpollEngine& loop, Source& src) {
+  bool done = false;
+  bool ok = false;
+  src.on_done = [&](bool verdict) {
+    done = true;
+    ok = verdict;
+  };
+  src.start();
+  while (!done) loop.run_once(-1);
+  return ok;
 }
 
 }  // namespace
@@ -201,216 +207,132 @@ int main(int argc, char** argv) {
     return usage();
   }
 
+  if (stripes >= 2 && !file.empty()) {
+    std::fprintf(stderr, "lsl_send: --stripes requires -n, not -f\n");
+    return 2;
+  }
+  if (stripes >= 2 && redundancy >= stripes) {
+    std::fprintf(stderr, "lsl_send: --redundancy must be < --stripes\n");
+    return 2;
+  }
+
   // Determine payload length up front (the header carries it).
-  std::ifstream in;
+  std::unique_ptr<std::FILE, FileCloser> in;
   std::uint64_t length = gen_bytes;
   if (!file.empty()) {
-    in.open(file, std::ios::binary | std::ios::ate);
-    if (!in) {
+    in.reset(std::fopen(file.c_str(), "rb"));
+    struct stat st {};
+    if (!in || ::fstat(::fileno(in.get()), &st) != 0) {
       std::fprintf(stderr, "lsl_send: cannot open %s\n", file.c_str());
       return 1;
     }
-    length = static_cast<std::uint64_t>(in.tellg());
-    in.seekg(0);
+    length = static_cast<std::uint64_t>(st.st_size);
   }
-
-  // Send-side metrics (only populated with --metrics-out).
-  metrics::Registry registry;
-  metrics::Counter* m_bytes = nullptr;
-  metrics::Histogram* m_write_ms = nullptr;
-  if (!metrics_file.empty()) {
-    m_bytes = &registry.counter("send.bytes_sent");
-    m_write_ms =
-        &registry.histogram("send.write_ms", metrics::fine_ms_bounds());
-  }
-  auto timed_write = [&](int fd, const std::uint8_t* p, std::size_t len) {
-    if (!m_bytes) return write_all(fd, p, len);
-    const auto t0 = std::chrono::steady_clock::now();
-    const bool ok = write_all(fd, p, len);
-    m_write_ms->observe(std::chrono::duration<double, std::milli>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count());
-    if (ok) m_bytes->inc(len);
-    return ok;
-  };
-  auto dump_metrics = [&] {
-    if (metrics_file.empty()) return;
-    if (!metrics::write_file(registry, metrics_file)) {
-      std::fprintf(stderr, "lsl_send: cannot write %s\n",
-                   metrics_file.c_str());
-    }
-  };
 
   // Session ids draw from one stream: each retry gets a fresh, distinct
   // session, and a fixed seed reproduces the whole sequence.
   util::Rng session_rng(seed ^ 0x1234567);
 
-  // Striped mode: one wire-v3 session over N lanes via StripedPosixSource
-  // (nonblocking, so lane recovery can overlap the surviving lanes).
-  if (stripes >= 2) {
-    if (!file.empty()) {
-      std::fprintf(stderr, "lsl_send: --stripes requires -n, not -f\n");
-      return 2;
+  // One attempt: a fresh session, run until the sink's verdict.
+  const auto attempt = [&]() -> bool {
+    engine::EpollEngine loop;
+    const core::SessionId session = core::SessionId::generate(session_rng);
+    if (stripes >= 2) {
+      // The first `stripes` hops become one single-depot chain per lane
+      // (missing hops leave lanes direct), the rest are spare chains.
+      posix::StripedPosixSourceConfig cfg;
+      for (unsigned long j = 0; j < stripes; ++j) {
+        std::vector<posix::InetAddress> route;
+        if (j < hops.size()) route.push_back(hops[j]);
+        cfg.lane_routes.push_back(std::move(route));
+      }
+      for (std::size_t j = stripes; j < hops.size(); ++j) {
+        cfg.spare_routes.push_back({hops[j]});
+      }
+      cfg.destination = dest;
+      cfg.payload_bytes = length;
+      cfg.payload_seed = seed;
+      cfg.chunk = static_cast<std::uint32_t>(stripe_chunk);
+      cfg.redundancy = static_cast<std::uint8_t>(redundancy);
+      cfg.session = session;
+      posix::StripedPosixSource src(loop, std::move(cfg));
+      std::fprintf(stderr,
+                   "lsl_send: striping %llu bytes over %lu lanes "
+                   "(chunk %lu, redundancy %lu, %zu spare chain(s))\n",
+                   static_cast<unsigned long long>(length), stripes,
+                   stripe_chunk, redundancy,
+                   hops.size() > stripes ? hops.size() - stripes : 0);
+      const bool ok = run(loop, src);
+      std::fprintf(
+          stderr,
+          "lsl_send: %s; %u stripe(s) lost, %u recovered, "
+          "%llu bytes retransmitted\n",
+          ok ? "delivered and verified" : "delivery FAILED",
+          src.stripes_lost(), src.stripes_recovered(),
+          static_cast<unsigned long long>(src.retransmitted_bytes()));
+      return ok;
     }
-    if (redundancy >= stripes) {
-      std::fprintf(stderr, "lsl_send: --redundancy must be < --stripes\n");
-      return 2;
-    }
-    posix::StripedPosixSourceConfig cfg;
-    for (unsigned long j = 0; j < stripes; ++j) {
-      std::vector<posix::InetAddress> route;
-      if (j < hops.size()) route.push_back(hops[j]);
-      cfg.lane_routes.push_back(std::move(route));
-    }
-    for (std::size_t j = stripes; j < hops.size(); ++j) {
-      cfg.spare_routes.push_back({hops[j]});
-    }
+    posix::PosixSourceConfig cfg;
+    cfg.route = hops;
     cfg.destination = dest;
     cfg.payload_bytes = length;
     cfg.payload_seed = seed;
-    cfg.chunk = static_cast<std::uint32_t>(stripe_chunk);
-    cfg.redundancy = static_cast<std::uint8_t>(redundancy);
-    cfg.session = core::SessionId::generate(session_rng);
-    engine::EpollEngine loop;
-    posix::StripedPosixSource src(loop, std::move(cfg));
-    std::fprintf(stderr,
-                 "lsl_send: striping %llu bytes over %lu lanes "
-                 "(chunk %lu, redundancy %lu, %zu spare chain(s))\n",
-                 static_cast<unsigned long long>(length), stripes,
-                 stripe_chunk, redundancy,
-                 hops.size() > stripes ? hops.size() - stripes : 0);
-    bool done = false;
-    bool ok = false;
-    src.on_done = [&](bool o) {
-      done = true;
-      ok = o;
-    };
-    src.start();
-    while (!done) {
-      if (loop.run_once(500) < 0) break;
+    cfg.session = session;
+    if (in) {
+      cfg.payload_fill = [fd = ::fileno(in.get())](
+                             std::uint64_t offset,
+                             std::span<std::uint8_t> out) {
+        std::size_t got = 0;
+        while (got < out.size()) {
+          const ssize_t n = ::pread(fd, out.data() + got, out.size() - got,
+                                    static_cast<off_t>(offset + got));
+          if (n > 0) {
+            got += static_cast<std::size_t>(n);
+          } else if (n == 0 || errno != EINTR) {
+            throw ShortRead{};
+          }
+        }
+      };
     }
-    std::fprintf(stderr,
-                 "lsl_send: %s; %u stripe(s) lost, %u recovered, "
-                 "%llu bytes retransmitted\n",
-                 ok ? "delivered and verified" : "delivery FAILED",
-                 src.stripes_lost(), src.stripes_recovered(),
-                 static_cast<unsigned long long>(src.retransmitted_bytes()));
-    if (ok && m_bytes != nullptr) m_bytes->inc(length);
-    dump_metrics();
-    return ok ? 0 : 1;
-  }
-
-  // One complete transfer attempt: connect, stream, await the status byte.
-  const auto attempt = [&]() -> int {
-    // Connect (blocking via a tiny epoll wait for writability).
-    const posix::InetAddress first = hops.empty() ? dest : hops[0];
-    engine::Fd sock = posix::connect_tcp(first);
-    if (!sock.valid()) {
-      std::perror("lsl_send: connect");
-      return 1;
-    }
-    {
-      engine::EpollEngine loop;
-      bool ready = false;
-      loop.add(sock.get(), EPOLLOUT, [&](std::uint32_t) { ready = true; });
-      while (!ready) {
-        if (loop.run_once(5000) == 0) break;
-      }
-      if (const int err = posix::connect_result(sock.get()); err != 0) {
-        std::fprintf(stderr, "lsl_send: connect: %s\n", std::strerror(err));
-        return 1;
-      }
-    }
-    // Blocking I/O from here on.
-    const int flags = ::fcntl(sock.get(), F_GETFL, 0);
-    ::fcntl(sock.get(), F_SETFL, flags & ~O_NONBLOCK);
-
-    // Header.
-    core::SessionHeader h;
-    h.session = core::SessionId::generate(session_rng);
-    h.flags = core::kFlagDigestTrailer;
-    h.payload_length = length;
-    for (std::size_t i = 1; i < hops.size(); ++i) {
-      h.hops.push_back({hops[i].addr, hops[i].port});
-    }
-    h.destination = {dest.addr, dest.port};
-    std::vector<std::uint8_t> buf;
-    core::encode_header(h, buf);
-    if (!timed_write(sock.get(), buf.data(), buf.size())) {
-      std::perror("lsl_send: write header");
-      return 1;
-    }
+    posix::PosixSource src(loop, std::move(cfg));
     std::fprintf(stderr,
                  "lsl_send: session %s, %llu bytes via %zu depot(s)\n",
-                 h.session.hex().c_str(),
+                 session.hex().c_str(),
                  static_cast<unsigned long long>(length), hops.size());
-
-    // Payload + digest.
-    if (in.is_open()) {
-      in.clear();
-      in.seekg(0);
-    }
-    md5::Md5 hash;
-    core::PayloadGenerator gen(seed);
-    std::vector<std::uint8_t> chunk(256 * 1024);
-    std::uint64_t left = length;
-    while (left > 0) {
-      const std::size_t n = static_cast<std::size_t>(
-          std::min<std::uint64_t>(left, chunk.size()));
-      if (in.is_open()) {
-        in.read(reinterpret_cast<char*>(chunk.data()),
-                static_cast<std::streamsize>(n));
-        if (static_cast<std::size_t>(in.gcount()) != n) {
-          std::fprintf(stderr, "lsl_send: short read from %s\n",
-                       file.c_str());
-          return 1;
-        }
-      } else {
-        gen.generate(std::span<std::uint8_t>(chunk.data(), n));
-      }
-      hash.update(std::span<const std::uint8_t>(chunk.data(), n));
-      if (!timed_write(sock.get(), chunk.data(), n)) {
-        std::perror("lsl_send: write payload");
-        return 1;
-      }
-      left -= n;
-    }
-    const md5::Digest d = hash.finalize();
-    if (!timed_write(sock.get(), d.bytes.data(), d.bytes.size())) {
-      std::perror("lsl_send: write digest");
-      return 1;
-    }
-    ::shutdown(sock.get(), SHUT_WR);
-
-    // Await the end-to-end status byte.
-    std::uint8_t status = 0;
-    ssize_t n;
-    while ((n = ::read(sock.get(), &status, 1)) < 0 && errno == EINTR) {
-    }
-    if (n == 1 && status == core::kStatusOk) {
-      std::fprintf(stderr, "lsl_send: delivered and verified (md5 %s)\n",
-                   d.hex().c_str());
-      return 0;
-    }
-    std::fprintf(stderr, "lsl_send: delivery FAILED (status=%d)\n",
-                 n == 1 ? status : -1);
-    return 1;
+    const bool ok = run(loop, src);
+    std::fprintf(stderr, "lsl_send: %s\n",
+                 ok ? "delivered and verified" : "delivery FAILED");
+    return ok;
   };
 
   // Retry loop (--retry): each failure costs one policy-granted backoff
   // delay; a fresh session retransfers from scratch.
   fault::RetryPolicy policy(retry_cfg, seed);
-  int rc = attempt();
-  while (rc != 0) {
-    const auto delay = policy.next_delay();
-    if (!delay) break;  // budget exhausted (or --retry was never given)
-    std::fprintf(
-        stderr, "lsl_send: retry %u/%u in %lld ms\n", policy.attempts_made(),
-        retry_cfg.max_attempts,
-        static_cast<long long>(*delay / util::kMillisecond));
-    std::this_thread::sleep_for(std::chrono::nanoseconds(*delay));
-    rc = attempt();
+  bool ok = false;
+  try {
+    ok = attempt();
+    while (!ok) {
+      const auto delay = policy.next_delay();
+      if (!delay) break;  // budget exhausted (or --retry was never given)
+      std::fprintf(
+          stderr, "lsl_send: retry %u/%u in %lld ms\n",
+          policy.attempts_made(), retry_cfg.max_attempts,
+          static_cast<long long>(*delay / util::kMillisecond));
+      std::this_thread::sleep_for(std::chrono::nanoseconds(*delay));
+      ok = attempt();
+    }
+  } catch (const ShortRead&) {
+    std::fprintf(stderr, "lsl_send: short read from %s\n", file.c_str());
   }
-  dump_metrics();
-  return rc;
+
+  if (!metrics_file.empty()) {
+    // Payload bytes of the verified delivery; failed attempts count none.
+    metrics::Registry registry;
+    registry.counter("send.bytes_sent").inc(ok ? length : 0);
+    if (!metrics::write_file(registry, metrics_file)) {
+      std::fprintf(stderr, "lsl_send: cannot write %s\n",
+                   metrics_file.c_str());
+    }
+  }
+  return ok ? 0 : 1;
 }
