@@ -12,12 +12,10 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "exp/scenarios.hpp"
 #include "lsl/apps.hpp"
-#include "lsl/depot.hpp"
 #include "lsl/directory.hpp"
 #include "lsl/session_id.hpp"
-#include "sim/network.hpp"
-#include "tcp/stack.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
 
@@ -25,7 +23,75 @@ using namespace lsl;
 
 namespace {
 
-constexpr sim::PortNum kDepotPort = 4000;
+using exp::kDepotPort;
+
+/// One shared POP with `depots` depot daemons ("depot0"..) hanging off it;
+/// each relays about 18 Mbit/s.
+exp::Scenario pooled_pop(std::size_t depots, std::uint64_t seed) {
+  exp::Scenario sc;
+  sc.net = std::make_unique<sim::Network>(seed);
+  sc.depot = {.buffer_bytes = util::kMiB,
+              .copy_rate = util::DataRate::mbps(18),
+              .wakeup_latency = util::micros(200),
+              .session_setup_latency = util::millis(40)};
+  sc.initial_ssthresh = 64 * util::kKiB;
+  sim::Network& net = *sc.net;
+  sc.src = &net.add_host("src");
+  sc.dst = &net.add_host("dst");
+  sim::Node& gw_s = net.add_router("gw_s");
+  sim::Node& pop = net.add_router("pop");
+  sim::Node& gw_d = net.add_router("gw_d");
+
+  sim::LinkConfig access;
+  access.rate = util::DataRate::mbps(200);
+  access.delay = util::millis(0.5);
+  net.connect(*sc.src, gw_s, access);
+  net.connect(gw_d, *sc.dst, access);
+
+  sim::LinkConfig wan;
+  wan.rate = util::DataRate::mbps(60);
+  wan.delay = util::millis(14);
+  wan.loss_rate = 1.4e-4;
+  net.connect(gw_s, pop, wan);
+  net.connect(pop, gw_d, wan);
+
+  for (std::size_t i = 0; i < depots; ++i) {
+    sim::Node& d = net.add_host("depot" + std::to_string(i));
+    sim::LinkConfig dlink;
+    dlink.rate = util::DataRate::mbps(100);
+    dlink.delay = util::millis(1.5);
+    net.connect(pop, d, dlink);
+    sc.depots.push_back(&d);
+  }
+  net.compute_routes();
+  return sc;
+}
+
+/// src -- depot -- dst over 200 Mbit/s, 1 ms links: the depot's 18 Mbit/s
+/// copy is the bottleneck.
+exp::Scenario lone_depot(std::uint64_t seed) {
+  exp::Scenario sc;
+  sc.net = std::make_unique<sim::Network>(seed);
+  sc.depot = {.buffer_bytes = 4 * util::kMiB,
+              .copy_rate = util::DataRate::mbps(18),
+              .wakeup_latency = util::micros(200),
+              .session_setup_latency = util::millis(5),
+              .pool_low_watermark = 0.25,
+              .pool_high_watermark = 0.50};
+  sc.initial_ssthresh = 64 * util::kKiB;
+  sim::Network& net = *sc.net;
+  sc.src = &net.add_host("src");
+  sc.dst = &net.add_host("dst");
+  sc.depots = {&net.add_host("depot")};
+
+  sim::LinkConfig fast;
+  fast.rate = util::DataRate::mbps(200);
+  fast.delay = util::millis(1);
+  net.connect(*sc.src, *sc.depots[0], fast);
+  net.connect(*sc.depots[0], *sc.dst, fast);
+  net.compute_routes();
+  return sc;
+}
 
 struct Result {
   double aggregate_mbps = 0.0;
@@ -35,55 +101,10 @@ struct Result {
 
 Result run_pool(std::size_t sessions, std::size_t depots, std::uint64_t bytes,
                 std::uint64_t seed) {
-  sim::Network net(seed);
-  sim::Node& src = net.add_host("src");
-  sim::Node& dst = net.add_host("dst");
-  sim::Node& gw_s = net.add_router("gw_s");
-  sim::Node& pop = net.add_router("pop");
-  sim::Node& gw_d = net.add_router("gw_d");
-
-  sim::LinkConfig access;
-  access.rate = util::DataRate::mbps(200);
-  access.delay = util::millis(0.5);
-  net.connect(src, gw_s, access);
-  net.connect(gw_d, dst, access);
-
-  sim::LinkConfig wan;
-  wan.rate = util::DataRate::mbps(60);
-  wan.delay = util::millis(14);
-  wan.loss_rate = 1.4e-4;
-  net.connect(gw_s, pop, wan);
-  net.connect(pop, gw_d, wan);
-
-  std::vector<sim::Node*> depot_nodes;
-  for (std::size_t i = 0; i < depots; ++i) {
-    sim::Node& d = net.add_host("depot" + std::to_string(i));
-    sim::LinkConfig dlink;
-    dlink.rate = util::DataRate::mbps(100);
-    dlink.delay = util::millis(1.5);
-    net.connect(pop, d, dlink);
-    depot_nodes.push_back(&d);
-  }
-  net.compute_routes();
-
-  tcp::TcpConfig tcp;
-  tcp.initial_ssthresh = 64 * util::kKiB;
-  tcp::TcpStack s_src(net, src, tcp);
-  tcp::TcpStack s_dst(net, dst, tcp);
-  std::vector<std::unique_ptr<tcp::TcpStack>> depot_stacks;
+  exp::Scenario sc = pooled_pop(depots, seed);
   core::SessionDirectory dir;
-  std::vector<std::unique_ptr<core::DepotApp>> depot_apps;
-  for (sim::Node* d : depot_nodes) {
-    depot_stacks.push_back(std::make_unique<tcp::TcpStack>(net, *d, tcp));
-    core::DepotConfig dcfg;
-    dcfg.port = kDepotPort;
-    dcfg.buffer_bytes = util::kMiB;
-    dcfg.copy_rate = util::DataRate::mbps(18);
-    dcfg.wakeup_latency = util::micros(200);
-    dcfg.session_setup_latency = util::millis(40);
-    depot_apps.push_back(std::make_unique<core::DepotApp>(
-        *depot_stacks.back(), dcfg, &dir));
-  }
+  exp::Hosts hosts(sc, {});
+  hosts.start_depots(sc.depot, &dir);
 
   std::size_t completed = 0;
   util::SimTime last_done = 0;
@@ -93,11 +114,11 @@ Result run_pool(std::size_t sessions, std::size_t depots, std::uint64_t bytes,
   std::vector<util::SimTime> starts(sessions, 0);
 
   for (std::size_t i = 0; i < sessions; ++i) {
-    const sim::PortNum sink_port = static_cast<sim::PortNum>(5001 + i);
+    const auto sink_port = static_cast<sim::PortNum>(exp::kSinkPort + i);
     core::SinkConfig scfg;
     scfg.expect_header = true;
     sinks.push_back(
-        std::make_unique<core::SinkServer>(s_dst, sink_port, scfg, &dir));
+        std::make_unique<core::SinkServer>(hosts.dst, sink_port, scfg, &dir));
     sinks.back()->on_complete = [&, i](core::SinkApp& app) {
       ++completed;
       last_done = std::max(last_done, app.complete_time());
@@ -105,7 +126,7 @@ Result run_pool(std::size_t sessions, std::size_t depots, std::uint64_t bytes,
           app.payload_received(), app.complete_time() - starts[i]));
     };
 
-    sim::Node* depot = depot_nodes[i % depots];
+    sim::Node* depot = sc.depots[i % depots];
     core::SourceConfig cfg;
     cfg.payload_bytes = bytes;
     cfg.use_header = true;
@@ -113,14 +134,14 @@ Result run_pool(std::size_t sessions, std::size_t depots, std::uint64_t bytes,
     cfg.header.session = core::SessionId::generate(rng);
     cfg.header.payload_length = bytes;
     cfg.header.hops = {{depot->id(), kDepotPort}};
-    cfg.header.destination = {dst.id(), sink_port};
+    cfg.header.destination = {sc.dst->id(), sink_port};
     sources.push_back(std::make_unique<core::SourceApp>(
-        s_src, sim::Endpoint{depot->id(), kDepotPort}, cfg, &dir));
+        hosts.src, sim::Endpoint{depot->id(), kDepotPort}, cfg, &dir));
     sources.back()->start();
     starts[i] = sources.back()->start_time();
   }
 
-  auto& ev = net.sim().events();
+  auto& ev = sc.net->sim().events();
   while (completed < sessions && ev.now() <= 3600ll * util::kSecond &&
          ev.step()) {
   }
@@ -148,35 +169,14 @@ struct BudgetResult {
 // sessions) against a hard per-depot memory ceiling.
 BudgetResult run_budget(std::size_t sessions, std::uint64_t budget_bytes,
                         std::uint64_t bytes, std::uint64_t seed) {
-  sim::Network net(seed);
-  sim::Node& src = net.add_host("src");
-  sim::Node& dst = net.add_host("dst");
-  sim::Node& depot = net.add_host("depot");
-
-  sim::LinkConfig fast;
-  fast.rate = util::DataRate::mbps(200);
-  fast.delay = util::millis(1);
-  net.connect(src, depot, fast);
-  net.connect(depot, dst, fast);
-  net.compute_routes();
-
-  tcp::TcpConfig tcp;
-  tcp.initial_ssthresh = 64 * util::kKiB;
-  tcp::TcpStack s_src(net, src, tcp);
-  tcp::TcpStack s_dst(net, dst, tcp);
-  tcp::TcpStack s_depot(net, depot, tcp);
-
+  exp::Scenario sc = lone_depot(seed);
   core::SessionDirectory dir;
-  core::DepotConfig dcfg;
-  dcfg.port = kDepotPort;
-  dcfg.buffer_bytes = 4 * util::kMiB;
-  dcfg.copy_rate = util::DataRate::mbps(18);
-  dcfg.wakeup_latency = util::micros(200);
-  dcfg.session_setup_latency = util::millis(5);
+  exp::Hosts hosts(sc, {});
+  core::DepotConfig dcfg = sc.depot;
   dcfg.pool_budget_bytes = budget_bytes;
-  dcfg.pool_low_watermark = 0.25;
-  dcfg.pool_high_watermark = 0.50;
-  core::DepotApp app(s_depot, dcfg, &dir);
+  hosts.start_depots(dcfg, &dir);
+  const core::DepotApp& app = *hosts.depots[0];
+  sim::Node& depot = *sc.depots[0];
 
   std::size_t completed = 0;
   util::SimTime first_start = 0;
@@ -185,13 +185,13 @@ BudgetResult run_budget(std::size_t sessions, std::uint64_t budget_bytes,
   std::vector<std::unique_ptr<core::SourceApp>> sources;
   sources.reserve(sessions);
 
-  auto& ev = net.sim().events();
+  auto& ev = sc.net->sim().events();
   for (std::size_t i = 0; i < sessions; ++i) {
-    const sim::PortNum sink_port = static_cast<sim::PortNum>(5001 + i);
+    const auto sink_port = static_cast<sim::PortNum>(exp::kSinkPort + i);
     core::SinkConfig scfg;
     scfg.expect_header = true;
     sinks.push_back(
-        std::make_unique<core::SinkServer>(s_dst, sink_port, scfg, &dir));
+        std::make_unique<core::SinkServer>(hosts.dst, sink_port, scfg, &dir));
     sinks.back()->on_complete = [&](core::SinkApp& s) {
       ++completed;
       last_done = std::max(last_done, s.complete_time());
@@ -206,9 +206,9 @@ BudgetResult run_budget(std::size_t sessions, std::uint64_t budget_bytes,
       cfg.header.session = core::SessionId::generate(rng);
       cfg.header.payload_length = bytes;
       cfg.header.hops = {{depot.id(), kDepotPort}};
-      cfg.header.destination = {dst.id(), sink_port};
+      cfg.header.destination = {sc.dst->id(), sink_port};
       sources.push_back(std::make_unique<core::SourceApp>(
-          s_src, sim::Endpoint{depot.id(), kDepotPort}, cfg, &dir));
+          hosts.src, sim::Endpoint{depot.id(), kDepotPort}, cfg, &dir));
       sources.back()->start();
       if (i == 0) first_start = sources.back()->start_time();
     });

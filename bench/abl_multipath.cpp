@@ -19,13 +19,11 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "exp/scenarios.hpp"
 #include "exp/striped.hpp"
 #include "lsl/apps.hpp"
-#include "lsl/depot.hpp"
 #include "lsl/directory.hpp"
 #include "lsl/session_id.hpp"
-#include "sim/network.hpp"
-#include "tcp/stack.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
 
@@ -33,35 +31,31 @@ using namespace lsl;
 
 namespace {
 
-constexpr sim::PortNum kSinkA = 5001;
-constexpr sim::PortNum kSinkB = 5002;
-constexpr sim::PortNum kDepotPort = 4000;
+constexpr sim::PortNum kSinkA = exp::kSinkPort;
+constexpr sim::PortNum kSinkB = exp::kSinkPort + 1;
 
-struct World {
-  std::unique_ptr<sim::Network> net;
-  sim::Node *src, *dst, *depot_a, *depot_b;
-  std::unique_ptr<tcp::TcpStack> s_src, s_dst, s_da, s_db;
-  core::SessionDirectory dir;
-};
-
-std::unique_ptr<World> make_world(std::uint64_t seed) {
-  auto w = std::make_unique<World>();
-  w->net = std::make_unique<sim::Network>(seed);
-  auto& net = *w->net;
-  w->src = &net.add_host("src");
-  w->dst = &net.add_host("dst");
+/// The two disjoint paths above; depot_a is depots[0], depot_b depots[1].
+exp::Scenario two_paths(std::uint64_t seed) {
+  exp::Scenario sc;
+  sc.net = std::make_unique<sim::Network>(seed);
+  sc.depot = {.buffer_bytes = util::kMiB,
+              .copy_rate = util::DataRate::mbps(60),
+              .session_setup_latency = util::millis(40)};
+  sc.initial_ssthresh = 64 * util::kKiB;
+  auto& net = *sc.net;
+  sc.src = &net.add_host("src");
+  sc.dst = &net.add_host("dst");
   sim::Node& gw_s = net.add_router("gw_s");
   sim::Node& gw_d = net.add_router("gw_d");
   sim::Node& pop_a = net.add_router("pop_a");
   sim::Node& pop_b = net.add_router("pop_b");
-  w->depot_a = &net.add_host("depot_a");
-  w->depot_b = &net.add_host("depot_b");
+  sc.depots = {&net.add_host("depot_a"), &net.add_host("depot_b")};
 
   sim::LinkConfig access;
   access.rate = util::DataRate::mbps(100);
   access.delay = util::millis(0.5);
-  net.connect(*w->src, gw_s, access);
-  net.connect(gw_d, *w->dst, access);
+  net.connect(*sc.src, gw_s, access);
+  net.connect(gw_d, *sc.dst, access);
 
   sim::LinkConfig wan_a;  // fast but lossy
   wan_a.rate = util::DataRate::mbps(25);
@@ -80,17 +74,10 @@ std::unique_ptr<World> make_world(std::uint64_t seed) {
   sim::LinkConfig dlink;
   dlink.rate = util::DataRate::mbps(100);
   dlink.delay = util::millis(1);
-  net.connect(pop_a, *w->depot_a, dlink);
-  net.connect(pop_b, *w->depot_b, dlink);
+  net.connect(pop_a, *sc.depots[0], dlink);
+  net.connect(pop_b, *sc.depots[1], dlink);
   net.compute_routes();
-
-  tcp::TcpConfig tcp;
-  tcp.initial_ssthresh = 64 * util::kKiB;
-  w->s_src = std::make_unique<tcp::TcpStack>(net, *w->src, tcp);
-  w->s_dst = std::make_unique<tcp::TcpStack>(net, *w->dst, tcp);
-  w->s_da = std::make_unique<tcp::TcpStack>(net, *w->depot_a, tcp);
-  w->s_db = std::make_unique<tcp::TcpStack>(net, *w->depot_b, tcp);
-  return w;
+  return sc;
 }
 
 struct Stripe {
@@ -99,11 +86,14 @@ struct Stripe {
   std::uint64_t bytes;
 };
 
-/// Run `stripes` concurrent LSL sessions; returns aggregate Mbit/s
-/// (total bytes / time to the LAST sink completion), or 0 on failure.
-double run_striped(std::uint64_t seed, const std::vector<Stripe>& stripes) {
-  auto w = make_world(seed);
-  std::vector<std::unique_ptr<core::DepotApp>> depots;
+/// Run one independent LSL session per entry of `stripes`; returns
+/// aggregate Mbit/s (total bytes / time to the LAST sink completion), or 0
+/// on failure.
+double run_sessions(std::uint64_t seed, const std::vector<Stripe>& stripes) {
+  exp::Scenario sc = two_paths(seed);
+  core::SessionDirectory dir;
+  exp::Hosts hosts(sc, {});
+  hosts.start_depots(sc.depot, &dir);
   std::vector<std::unique_ptr<core::SinkServer>> sinks;
   std::vector<std::unique_ptr<core::SourceApp>> sources;
 
@@ -113,20 +103,10 @@ double run_striped(std::uint64_t seed, const std::vector<Stripe>& stripes) {
   for (const Stripe& st : stripes) total += st.bytes;
 
   for (const Stripe& st : stripes) {
-    tcp::TcpStack& depot_stack =
-        st.path == 'A' ? *w->s_da : *w->s_db;
-    core::DepotConfig dcfg;
-    dcfg.port = kDepotPort;
-    dcfg.buffer_bytes = util::kMiB;
-    dcfg.copy_rate = util::DataRate::mbps(60);
-    dcfg.session_setup_latency = util::millis(40);
-    depots.push_back(
-        std::make_unique<core::DepotApp>(depot_stack, dcfg, &w->dir));
-
     core::SinkConfig scfg;
     scfg.expect_header = true;
-    sinks.push_back(std::make_unique<core::SinkServer>(*w->s_dst, st.sink_port,
-                                                       scfg, &w->dir));
+    sinks.push_back(std::make_unique<core::SinkServer>(hosts.dst, st.sink_port,
+                                                       scfg, &dir));
     sinks.back()->on_complete = [&](core::SinkApp& app) {
       ++completed;
       last_done = std::max(last_done, app.complete_time());
@@ -136,22 +116,22 @@ double run_striped(std::uint64_t seed, const std::vector<Stripe>& stripes) {
   util::SimTime start = 0;
   for (std::size_t i = 0; i < stripes.size(); ++i) {
     const Stripe& st = stripes[i];
-    sim::Node* depot = st.path == 'A' ? w->depot_a : w->depot_b;
+    sim::Node* depot = sc.depots[st.path == 'A' ? 0 : 1];
     core::SourceConfig cfg;
     cfg.payload_bytes = st.bytes;
     cfg.use_header = true;
     util::Rng rng(seed + i);
     cfg.header.session = core::SessionId::generate(rng);
     cfg.header.payload_length = st.bytes;
-    cfg.header.hops = {{depot->id(), kDepotPort}};
-    cfg.header.destination = {w->dst->id(), st.sink_port};
+    cfg.header.hops = {{depot->id(), exp::kDepotPort}};
+    cfg.header.destination = {sc.dst->id(), st.sink_port};
     sources.push_back(std::make_unique<core::SourceApp>(
-        *w->s_src, sim::Endpoint{depot->id(), kDepotPort}, cfg, &w->dir));
+        hosts.src, sim::Endpoint{depot->id(), exp::kDepotPort}, cfg, &dir));
     sources.back()->start();
     start = sources.back()->start_time();
   }
 
-  auto& ev = w->net->sim().events();
+  auto& ev = sc.net->sim().events();
   while (completed < stripes.size() &&
          ev.now() <= 3600ll * util::kSecond && ev.step()) {
   }
@@ -161,9 +141,10 @@ double run_striped(std::uint64_t seed, const std::vector<Stripe>& stripes) {
 
 /// Direct TCP over the (routed) best path.
 double run_direct(std::uint64_t seed, std::uint64_t bytes) {
-  auto w = make_world(seed);
+  exp::Scenario sc = two_paths(seed);
+  exp::Hosts hosts(sc, {});
   core::SinkConfig scfg;  // raw sink
-  core::SinkServer sink(*w->s_dst, kSinkA, scfg, nullptr);
+  core::SinkServer sink(hosts.dst, kSinkA, scfg, nullptr);
   bool done = false;
   util::SimTime done_time = 0;
   sink.on_complete = [&](core::SinkApp& app) {
@@ -172,10 +153,10 @@ double run_direct(std::uint64_t seed, std::uint64_t bytes) {
   };
   core::SourceConfig cfg;
   cfg.payload_bytes = bytes;
-  core::SourceApp src(*w->s_src, sim::Endpoint{w->dst->id(), kSinkA}, cfg,
+  core::SourceApp src(hosts.src, sim::Endpoint{sc.dst->id(), kSinkA}, cfg,
                       nullptr);
   src.start();
-  auto& ev = w->net->sim().events();
+  auto& ev = sc.net->sim().events();
   while (!done && ev.now() <= 3600ll * util::kSecond && ev.step()) {
   }
   return done ? util::throughput_mbps(bytes, done_time - src.start_time())
@@ -194,9 +175,9 @@ int main() {
   for (std::size_t i = 0; i < iters; ++i) {
     const std::uint64_t seed = seed0 + i;
     direct.add(run_direct(seed, bytes));
-    via_a.add(run_striped(seed, {{'A', kSinkA, bytes}}));
-    via_b.add(run_striped(seed, {{'B', kSinkB, bytes}}));
-    stripe_even.add(run_striped(seed, {{'A', kSinkA, bytes / 2},
+    via_a.add(run_sessions(seed, {{'A', kSinkA, bytes}}));
+    via_b.add(run_sessions(seed, {{'B', kSinkB, bytes}}));
+    stripe_even.add(run_sessions(seed, {{'A', kSinkA, bytes / 2},
                                        {'B', kSinkB, bytes - bytes / 2}}));
     // Rate-weighted split using the single-path measurements so far — the
     // decision an NWS-informed splitter would make.
@@ -204,7 +185,7 @@ int main() {
     const double frac = ra + rb > 0 ? ra / (ra + rb) : 0.5;
     const auto ba =
         static_cast<std::uint64_t>(frac * static_cast<double>(bytes));
-    stripe_weighted.add(run_striped(
+    stripe_weighted.add(run_sessions(
         seed, {{'A', kSinkA, ba}, {'B', kSinkB, bytes - ba}}));
   }
 

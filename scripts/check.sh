@@ -18,7 +18,8 @@
 # change moves any recorded figure point; it then builds bench/micro_core
 # and runs its MD5 throughput cases (one stream and a pair), its
 # simulator event-queue cases and its packet-path case (BM_PacketHop) once,
-# with no threshold, so the micro benchmarks cannot rot unbuilt. The
+# with no threshold, so the micro benchmarks cannot rot unbuilt, and runs
+# one iteration of the abl_depot_pool and abl_multipath ablations. The
 # release configuration builds -DCMAKE_BUILD_TYPE=Release (-O3) with
 # warnings as errors and runs the suite there: some warnings (g++'s
 # -Wrestrict among them) are only reported by the optimizer. Usage:
@@ -99,10 +100,19 @@ for config in "${configs[@]}"; do
             # Execute-and-exit smoke of the micro benchmarks: no threshold,
             # it only proves micro_core builds and runs.
             cmake -B build-check -S . -DLSL_WERROR=ON >/dev/null
-            cmake --build build-check -j "$jobs" --target micro_core
+            cmake --build build-check -j "$jobs" \
+                --target micro_core abl_depot_pool abl_multipath
             build-check/bench/micro_core \
                 --benchmark_filter='BM_Md5|BM_EventQueue|BM_PacketHop' \
-                --benchmark_min_time=0.01 ;;
+                --benchmark_min_time=0.01
+            # One iteration each of the two ablations that build their own
+            # scenarios on the shared hosts (~10 s), no threshold. They
+            # write bench_results/ into the working directory: a temp one.
+            bench_dir=$(mktemp -d)
+            (cd "$bench_dir" &&
+             LSL_BENCH_ITERS=1 "$OLDPWD/build-check/bench/abl_depot_pool" &&
+             LSL_BENCH_ITERS=1 "$OLDPWD/build-check/bench/abl_multipath")
+            rm -rf "$bench_dir" ;;
     *) echo "check.sh: unknown config '$config'" >&2; exit 2 ;;
   esac
 done

@@ -1,6 +1,5 @@
 #include "exp/chaos.hpp"
 
-#include <algorithm>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -13,18 +12,13 @@
 #include "lsl/directory.hpp"
 #include "lsl/selector.hpp"
 #include "lsl/session_id.hpp"
-#include "metrics/instruments.hpp"
 #include "sim/network.hpp"
-#include "tcp/stack.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
 
 namespace lsl::exp {
 
 namespace {
-
-constexpr sim::PortNum kSinkPort = 5001;
-constexpr sim::PortNum kDepotPort = 4000;
 
 /// Every order-preserving non-empty subset of the depot chain is a
 /// candidate loose source route (capped: beyond 8 depots only the full
@@ -55,82 +49,30 @@ std::vector<core::CandidateRoute> chain_candidates(std::size_t depots) {
   return out;
 }
 
-/// Seed the selector's PathDatabase from the chain's own geometry: node i
-/// sits at segment position i (src=0, depot_i=i, dst=N+1), a sublink
-/// spanning k segments sees k shares of delay and loss. Deterministic —
-/// no measurement noise — so route choice replays exactly.
-void seed_path_database(core::PathDatabase& db, const ChainParams& p) {
-  const std::size_t positions = p.depots + 2;
-  const auto name_of = [&](std::size_t pos) -> std::string {
-    if (pos == 0) return "src";
-    if (pos + 1 == positions) return "dst";
-    return "depot" + std::to_string(pos);
-  };
-  const double seg_delay_s =
-      util::to_seconds(p.total_one_way_delay) /
-      static_cast<double>(p.depots + 1);
-  const double seg_loss = p.total_loss / static_cast<double>(p.depots + 1);
-  const double access_s = util::to_seconds(p.access_delay);
-  for (std::size_t a = 0; a < positions; ++a) {
-    for (std::size_t b = a + 1; b < positions; ++b) {
-      const auto spans = static_cast<double>(b - a);
-      const double one_way_s = spans * seg_delay_s + 2.0 * access_s;
-      db.observe_rtt_ms(name_of(a), name_of(b), 2.0 * one_way_s * 1e3);
-      db.observe_bandwidth_mbps(name_of(a), name_of(b), p.wan_rate.as_mbps());
-      db.observe_loss_rate(name_of(a), name_of(b),
-                           std::max(spans * seg_loss, 1e-7));
-    }
-  }
-}
-
 }  // namespace
 
 ChaosResult run_chaos(const ChaosParams& params) {
   ChaosResult res;
-  const ChainParams& cp = params.chain;
   const std::uint64_t bytes = params.bytes;
   const std::uint64_t seed = params.seed;
 
-  Scenario sc = build_chain(cp, seed);
+  Scenario sc = build_chain(params.chain, seed);
   sim::Network& net = *sc.net;
 
+  core::SessionDirectory dir;
   // Chaos transfers always carry real bytes: end-to-end verification (the
   // recovery trigger for corruption) needs actual content on the wire.
-  tcp::TcpConfig tcpc;
-  tcpc.initial_ssthresh = sc.initial_ssthresh;
-  tcpc.carry_data = true;
-
-  tcp::TcpStack src_stack(net, *sc.src, tcpc);
-  tcp::TcpStack dst_stack(net, *sc.dst, tcpc);
-  std::vector<std::unique_ptr<tcp::TcpStack>> depot_stacks;
-  for (sim::Node* d : sc.depots) {
-    depot_stacks.push_back(std::make_unique<tcp::TcpStack>(net, *d, tcpc));
-  }
+  Hosts hosts(sc, {.carry_data = true});
 
   // --- Depots + instruments ---------------------------------------------
   std::optional<fault::FaultMetrics> fm;
-  std::vector<std::unique_ptr<metrics::DepotMetrics>> depot_bundles;
   if (params.metrics != nullptr) fm.emplace(*params.metrics);
-
-  core::SessionDirectory dir;
-  std::vector<std::unique_ptr<core::DepotApp>> depot_apps;
-  for (std::size_t i = 0; i < depot_stacks.size(); ++i) {
-    core::DepotConfig dcfg = sc.depot;
-    dcfg.port = kDepotPort;
-    auto app = std::make_unique<core::DepotApp>(*depot_stacks[i], dcfg, &dir);
-    if (params.metrics != nullptr) {
-      depot_bundles.push_back(std::make_unique<metrics::DepotMetrics>(
-          *params.metrics, "depot." + std::to_string(i + 1)));
-      app->set_metrics(depot_bundles.back().get());
-    }
-    depot_apps.push_back(std::move(app));
-  }
+  hosts.start_depots(sc.depot, &dir, params.metrics);
 
   fault::FaultInjector injector(net, params.plan,
                                 fm ? &*fm : nullptr);
-  for (std::size_t i = 0; i < depot_apps.size(); ++i) {
-    injector.register_depot("depot" + std::to_string(i + 1),
-                            depot_apps[i].get());
+  for (std::size_t i = 0; i < hosts.depots.size(); ++i) {
+    injector.register_depot(sc.depots[i]->name(), hosts.depots[i].get());
   }
 
   // The source-side corrupt fault is applied on the *first* attempt only:
@@ -141,13 +83,13 @@ ChaosResult run_chaos(const ChaosParams& params) {
   }
 
   // --- Policies ----------------------------------------------------------
+  const std::vector<core::CandidateRoute> candidates =
+      chain_candidates(sc.depots.size());
   core::PathDatabase db;
-  seed_path_database(db, cp);
+  seed_path_database(db, net, candidates);
   core::RouteSelector selector(
       db, 1448.0, util::to_seconds(sc.depot.session_setup_latency));
   fault::ReroutePolicy rerouter(selector);
-  const std::vector<core::CandidateRoute> candidates =
-      chain_candidates(cp.depots);
   // The policy's jitter stream is derived from the run seed, split so it
   // never aliases the simulator's own RNG consumers.
   fault::RetryPolicy policy(params.retry, seed ^ 0x9e3779b97f4a7c15ull);
@@ -179,7 +121,7 @@ ChaosResult run_chaos(const ChaosParams& params) {
   sink_cfg.verify_payload = true;
   sink_cfg.payload_seed = seed;
   if (health_on) sink_cfg.ledger = &*ledger;
-  core::SinkServer sink(dst_stack, kSinkPort, sink_cfg, &dir);
+  core::SinkServer sink(hosts.dst, kSinkPort, sink_cfg, &dir);
   if (health_on) {
     // Completion is a *stream* property once connections can hand the
     // session to each other: the ledger verdicts when the stitched
@@ -206,9 +148,7 @@ ChaosResult run_chaos(const ChaosParams& params) {
   util::Rng id_rng(seed);
   std::vector<std::unique_ptr<core::SourceApp>> sources;
   std::vector<std::string> route;  // depot names of the current attempt
-  for (std::size_t i = 0; i < cp.depots; ++i) {
-    route.push_back("depot" + std::to_string(i + 1));
-  }
+  for (const sim::Node* d : sc.depots) route.push_back(d->name());
   util::SimTime first_start = -1;
   util::SimTime first_failure = -1;
   bool first_attempt = true;
@@ -223,7 +163,7 @@ ChaosResult run_chaos(const ChaosParams& params) {
     std::uint64_t pressure = 0;
     std::uint64_t failed = 0;
   };
-  std::vector<ProbeCounters> probe_prev(depot_apps.size());
+  std::vector<ProbeCounters> probe_prev(hosts.depots.size());
   bool probe_pending = false;
   std::function<void()> probe_tick = [&] {
     probe_pending = false;
@@ -240,9 +180,9 @@ ChaosResult run_chaos(const ChaosParams& params) {
         static_cast<std::uint64_t>(util::to_millis(ev.now()));
     const double interval_s = util::to_seconds(params.health.probe_interval);
     const std::set<std::string> dead = injector.dead_depots();
-    for (std::size_t i = 0; i < depot_apps.size(); ++i) {
-      const std::string name = "depot" + std::to_string(i + 1);
-      const core::DepotStats& st = depot_apps[i]->stats();
+    for (std::size_t i = 0; i < hosts.depots.size(); ++i) {
+      const std::string& name = sc.depots[i]->name();
+      const core::DepotStats& st = hosts.depots[i]->stats();
       const ProbeCounters cur{
           st.bytes_relayed, st.timeouts_stall,
           st.backpressure_stalls + st.sessions_refused_memory,
@@ -344,7 +284,7 @@ ChaosResult run_chaos(const ChaosParams& params) {
     const sim::Endpoint first_hop{first_depot->id(), kDepotPort};
 
     sources.push_back(std::make_unique<core::SourceApp>(
-        src_stack, first_hop, scfg, &dir));
+        hosts.src, first_hop, scfg, &dir));
     core::SourceApp* source = sources.back().get();
     injector.register_source(source);
     if (health_on) {
@@ -440,12 +380,7 @@ ChaosResult run_chaos(const ChaosParams& params) {
   res.faults_injected = injector.injected();
   res.final_route = route;
   if (health_on) res.health_transitions = board->transitions();
-  const auto count_retx = [&res](const tcp::TcpSocket& s) {
-    res.retransmits += s.stats().retransmits;
-  };
-  src_stack.for_each_connection(count_retx);
-  dst_stack.for_each_connection(count_retx);
-  for (const auto& s : depot_stacks) s->for_each_connection(count_retx);
+  res.retransmits = hosts.retransmits();
   res.events = ev.executed_count();
   if (res.completed) {
     const util::SimDuration elapsed = sink_time - first_start;

@@ -11,11 +11,6 @@
 
 namespace lsl::exp {
 
-namespace {
-constexpr sim::PortNum kSinkPort = 5001;
-constexpr sim::PortNum kDepotPort = 4000;
-}  // namespace
-
 TransferResult run_transfer(const ScenarioBuilder& build,
                             const RunConfig& cfg) {
   TransferResult res;
@@ -28,12 +23,10 @@ TransferResult run_transfer(const ScenarioBuilder& build,
 
   tcp::TcpConfig tcpc = cfg.tcp;
   tcpc.carry_data = cfg.carry_data;
-  if (tcpc.initial_ssthresh == 0) tcpc.initial_ssthresh = sc.initial_ssthresh;
 
   // Metric bundles, declared before the stacks so they outlive every socket
   // holding a pointer to them.
   std::vector<std::unique_ptr<metrics::TcpConnMetrics>> tcp_bundles;
-  std::vector<std::unique_ptr<metrics::DepotMetrics>> depot_bundles;
   // Sending sockets, in path order, for stats collection.
   std::vector<tcp::TcpSocket*> senders;
   auto instrument = [&](tcp::TcpSocket* s, const std::string& label) {
@@ -51,15 +44,9 @@ TransferResult run_transfer(const ScenarioBuilder& build,
     }
   };
 
-  tcp::TcpStack src_stack(net, *sc.src, tcpc);
-  tcp::TcpStack dst_stack(net, *sc.dst, tcpc);
-  std::vector<std::unique_ptr<tcp::TcpStack>> depot_stacks;
-  for (sim::Node* d : sc.depots) {
-    depot_stacks.push_back(std::make_unique<tcp::TcpStack>(net, *d, tcpc));
-  }
-
   core::SessionDirectory dir;
   core::SessionDirectory* dirp = cfg.carry_data ? nullptr : &dir;
+  Hosts hosts(sc, tcpc);
 
   bool done = false;
   util::SimTime done_time = 0;
@@ -70,7 +57,7 @@ TransferResult run_transfer(const ScenarioBuilder& build,
   std::unique_ptr<core::ParallelSinkServer> parallel_sink;
   if (cfg.mode == Mode::kParallelTcp) {
     parallel_sink = std::make_unique<core::ParallelSinkServer>(
-        dst_stack, kSinkPort, cfg.parallel_streams);
+        hosts.dst, kSinkPort, cfg.parallel_streams);
     parallel_sink->on_complete = [&] {
       done = true;
       done_time = parallel_sink->complete_time();
@@ -80,7 +67,7 @@ TransferResult run_transfer(const ScenarioBuilder& build,
     sink_cfg.expect_header = (cfg.mode == Mode::kLsl);
     sink_cfg.verify_payload = cfg.carry_data;
     sink_cfg.payload_seed = cfg.seed ^ 0x5157c0debeefull;
-    sink_server = std::make_unique<core::SinkServer>(dst_stack, kSinkPort,
+    sink_server = std::make_unique<core::SinkServer>(hosts.dst, kSinkPort,
                                                      sink_cfg, dirp);
     sink_server->on_complete = [&](core::SinkApp& app) {
       done = true;
@@ -90,22 +77,15 @@ TransferResult run_transfer(const ScenarioBuilder& build,
   }
 
   // --- Depots (LSL mode) -----------------------------------------------------
-  std::vector<std::unique_ptr<core::DepotApp>> depot_apps;
   if (cfg.mode == Mode::kLsl) {
-    core::DepotConfig dcfg = cfg.depot_override.value_or(sc.depot);
-    dcfg.port = kDepotPort;
-    for (std::size_t i = 0; i < depot_stacks.size(); ++i) {
-      auto app = std::make_unique<core::DepotApp>(*depot_stacks[i], dcfg, dirp);
-      if (cfg.metrics) {
-        depot_bundles.push_back(std::make_unique<metrics::DepotMetrics>(
-            *cfg.metrics, "depot." + std::to_string(i + 1)));
-        app->set_metrics(depot_bundles.back().get());
-      }
+    hosts.start_depots(cfg.depot_override.value_or(sc.depot), dirp,
+                       cfg.metrics);
+    for (std::size_t i = 0; i < hosts.depots.size(); ++i) {
       // Depot i's downstream connection is sublink i+2 of the cascade.
-      app->on_downstream_open = [&instrument, i](tcp::TcpSocket* s) {
+      hosts.depots[i]->on_downstream_open = [&instrument,
+                                             i](tcp::TcpSocket* s) {
         instrument(s, "sublink" + std::to_string(i + 2));
       };
-      depot_apps.push_back(std::move(app));
     }
   }
 
@@ -116,7 +96,7 @@ TransferResult run_transfer(const ScenarioBuilder& build,
 
   if (cfg.mode == Mode::kParallelTcp) {
     parallel_source = std::make_unique<core::ParallelSource>(
-        src_stack, sim::Endpoint{sc.dst->id(), kSinkPort}, cfg.bytes,
+        hosts.src, sim::Endpoint{sc.dst->id(), kSinkPort}, cfg.bytes,
         cfg.parallel_streams);
   } else {
     core::SourceConfig scfg;
@@ -135,7 +115,7 @@ TransferResult run_transfer(const ScenarioBuilder& build,
       scfg.header.destination = {sc.dst->id(), kSinkPort};
       first_hop = {sc.depots.front()->id(), kDepotPort};
     }
-    source = std::make_unique<core::SourceApp>(src_stack, first_hop, scfg,
+    source = std::make_unique<core::SourceApp>(hosts.src, first_hop, scfg,
                                                dirp);
   }
 

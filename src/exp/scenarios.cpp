@@ -1,5 +1,8 @@
 #include "exp/scenarios.hpp"
 
+#include <algorithm>
+#include <limits>
+
 namespace lsl::exp {
 
 void Scenario::start_cross_traffic() {
@@ -148,6 +151,130 @@ Scenario build_chain(const ChainParams& p, std::uint64_t seed) {
   net.connect(*prev, gw_b, seg);
   net.compute_routes();
   return sc;
+}
+
+Scenario build_braid(std::size_t paths, std::uint64_t seed) {
+  Scenario sc;
+  sc.name = "braid:" + std::to_string(paths);
+  sc.net = std::make_unique<sim::Network>(seed);
+  sim::Network& net = *sc.net;
+  sc.depot = {.buffer_bytes = util::kMiB,
+              .copy_rate = util::DataRate::mbps(60),
+              .session_setup_latency = util::millis(40)};
+  sc.initial_ssthresh = 64 * util::kKiB;
+
+  sim::Node& src = net.add_host("src");
+  sim::Node& dst = net.add_host("dst");
+  sim::Node& gw_a = net.add_router("gw_a");
+  sim::Node& gw_b = net.add_router("gw_b");
+  sc.src = &src;
+  sc.dst = &dst;
+
+  // Fat access links: the braid's aggregate must be WAN-limited, or the
+  // multipath sweep would just measure the shared edge.
+  sim::LinkConfig access;
+  access.rate = util::DataRate::mbps(1000);
+  access.delay = util::millis(0.5);
+  access.queue_bytes = util::kMiB;
+  net.connect(src, gw_a, access);
+  net.connect(gw_b, dst, access);
+
+  // Each path: 40 Mbit/s, 28 ms one way and 2.8e-4 loss, split over its
+  // two segments.
+  sim::LinkConfig seg;
+  seg.rate = util::DataRate::mbps(40);
+  seg.delay = util::millis(28) / 2;
+  seg.loss_rate = 2.8e-4 / 2.0;
+  seg.queue_bytes = 256 * util::kKiB;
+
+  sim::LinkConfig dlink;
+  dlink.rate = util::DataRate::mbps(1000);
+  dlink.delay = util::millis(0.5);
+  dlink.queue_bytes = util::kMiB;
+
+  for (std::size_t i = 0; i < paths; ++i) {
+    // Appended, not "J" + std::to_string(...): g++ 12 at -O3 warns a
+    // false -Wrestrict on the one-character prefix insert.
+    std::string router = "J";
+    router += std::to_string(i + 1);
+    sim::Node& j = net.add_router(router);
+    net.connect(gw_a, j, seg);
+    net.connect(j, gw_b, seg);
+    sim::Node& d = net.add_host("depot" + std::to_string(i + 1));
+    net.connect(j, d, dlink);
+    sc.depots.push_back(&d);
+  }
+  net.compute_routes();
+  return sc;
+}
+
+namespace {
+
+/// `tcp` with a zero initial_ssthresh replaced by the scenario's.
+tcp::TcpConfig warmed(tcp::TcpConfig tcp, const Scenario& sc) {
+  if (tcp.initial_ssthresh == 0) tcp.initial_ssthresh = sc.initial_ssthresh;
+  return tcp;
+}
+
+}  // namespace
+
+Hosts::Hosts(Scenario& sc, const tcp::TcpConfig& tcp)
+    : src(*sc.net, *sc.src, warmed(tcp, sc)),
+      dst(*sc.net, *sc.dst, src.default_config()) {
+  for (sim::Node* d : sc.depots) {
+    depot_stacks.push_back(
+        std::make_unique<tcp::TcpStack>(*sc.net, *d, src.default_config()));
+  }
+}
+
+void Hosts::start_depots(core::DepotConfig cfg, core::SessionDirectory* dir,
+                         metrics::Registry* metrics) {
+  cfg.port = kDepotPort;
+  for (std::size_t i = 0; i < depot_stacks.size(); ++i) {
+    auto app = std::make_unique<core::DepotApp>(*depot_stacks[i], cfg, dir);
+    if (metrics != nullptr) {
+      depot_metrics.push_back(std::make_unique<metrics::DepotMetrics>(
+          *metrics, "depot." + std::to_string(i + 1)));
+      app->set_metrics(depot_metrics.back().get());
+    }
+    depots.push_back(std::move(app));
+  }
+}
+
+std::uint64_t Hosts::retransmits() const {
+  std::uint64_t n = 0;
+  const auto count = [&n](const tcp::TcpSocket& s) {
+    n += s.stats().retransmits;
+  };
+  src.for_each_connection(count);
+  dst.for_each_connection(count);
+  for (const auto& s : depot_stacks) s->for_each_connection(count);
+  return n;
+}
+
+void seed_path_database(core::PathDatabase& db, sim::Network& net,
+                        const std::vector<core::CandidateRoute>& candidates) {
+  for (const core::CandidateRoute& route : candidates) {
+    for (std::size_t k = 0; k + 1 < route.waypoints.size(); ++k) {
+      const std::string& from = route.waypoints[k];
+      const std::string& to = route.waypoints[k + 1];
+      if (db.knows(from, to)) continue;
+      const sim::NodeId a = net.find_node(from)->id();
+      const sim::NodeId b = net.find_node(to)->id();
+      util::SimDuration rtt = 0;
+      for (const sim::Link* l : net.route(b, a)) rtt += l->config().delay;
+      double rate_mbps = std::numeric_limits<double>::infinity();
+      double loss = 0.0;
+      for (const sim::Link* l : net.route(a, b)) {
+        rtt += l->config().delay;
+        rate_mbps = std::min(rate_mbps, l->config().rate.as_mbps());
+        loss += l->config().loss_rate;
+      }
+      db.observe_rtt_ms(from, to, util::to_millis(rtt));
+      db.observe_bandwidth_mbps(from, to, rate_mbps);
+      db.observe_loss_rate(from, to, std::max(loss, 1e-7));
+    }
+  }
 }
 
 PathParams case1_ucsb_uiuc() {

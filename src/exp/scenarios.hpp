@@ -26,6 +26,14 @@
 // open: how the LSL effect scales with the number of cascaded TCP
 // connections, and where per-depot costs (setup latency, copy rate) eat
 // the gains.
+//
+// The braid is the striping topology: N disjoint single-depot chains
+// between one source and one sink, for one session striped across them.
+//
+// Every simulated run stands on a built Scenario: Hosts puts a TCP stack
+// on each of its hosts and a DepotApp on each depot, and
+// seed_path_database fills the route selector's forecasts from the links
+// the scenario's network routes each sublink over.
 #pragma once
 
 #include <cstdint>
@@ -35,11 +43,20 @@
 #include <vector>
 
 #include "lsl/depot.hpp"
+#include "lsl/directory.hpp"
+#include "lsl/selector.hpp"
+#include "metrics/instruments.hpp"
 #include "sim/cross_traffic.hpp"
 #include "sim/network.hpp"
+#include "tcp/stack.hpp"
 #include "util/units.hpp"
 
 namespace lsl::exp {
+
+/// The port every simulated sink listens on.
+inline constexpr sim::PortNum kSinkPort = 5001;
+/// The port every simulated depot listens on.
+inline constexpr sim::PortNum kDepotPort = 4000;
 
 /// Hard simulated-time ceiling of every run; a run that exceeds it reports
 /// failure.
@@ -143,6 +160,12 @@ Scenario build_scenario(const PathParams& p, std::uint64_t seed);
 /// 64 KiB warmed ssthresh.
 Scenario build_chain(const ChainParams& p, std::uint64_t seed);
 
+/// Build the striping braid: src and dst behind fat access links, joined
+/// by `paths` disjoint two-segment backbone paths through junction routers
+/// J1..JN, each with a depot host ("depot1".."depotN") on a short link.
+/// Every connection starts from a 64 KiB warmed ssthresh.
+Scenario build_braid(std::size_t paths, std::uint64_t seed);
+
 /// Builds a run's topology from the run's seed.
 using ScenarioBuilder = std::function<Scenario(std::uint64_t seed)>;
 
@@ -162,5 +185,35 @@ PathParams case3_utk_wireless();
 /// Steady-state study (Figures 28, 29): UCSB -> OSU via Denver, transfers
 /// up to 512 MB. Direct path: ~20 Mbit/s at 512 MB.
 PathParams case_osu_steady();
+
+/// The transport hosts of a built Scenario: a TCP stack on src, then dst,
+/// then each depot in path order, and, once start_depots() runs, a
+/// DepotApp on each depot. Must not outlive the Scenario.
+struct Hosts {
+  /// Stacks take `tcp`; a zero initial_ssthresh takes the scenario's.
+  Hosts(Scenario& sc, const tcp::TcpConfig& tcp);
+
+  /// Start a DepotApp tuned by `cfg` on kDepotPort of every depot. With
+  /// `metrics`, depot i reports under `depot.<i>.*` (i from 1).
+  void start_depots(core::DepotConfig cfg, core::SessionDirectory* dir,
+                    metrics::Registry* metrics = nullptr);
+
+  /// Retransmissions of every connection on every host.
+  std::uint64_t retransmits() const;
+
+  // Declared first, so each outlives the depot reporting into it.
+  std::vector<std::unique_ptr<metrics::DepotMetrics>> depot_metrics;
+  tcp::TcpStack src;
+  tcp::TcpStack dst;
+  std::vector<std::unique_ptr<tcp::TcpStack>> depot_stacks;
+  std::vector<std::unique_ptr<core::DepotApp>> depots;
+};
+
+/// Seed `db` with each sublink that `candidates` name, once, from the links
+/// `net` routes it over: RTT is the delay there and back, rate the
+/// bottleneck link's, loss the sum of the links' (at least 1e-7). No
+/// measurement noise, so route choice replays exactly.
+void seed_path_database(core::PathDatabase& db, sim::Network& net,
+                        const std::vector<core::CandidateRoute>& candidates);
 
 }  // namespace lsl::exp

@@ -1,6 +1,5 @@
 #include "exp/striped.hpp"
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 #include <set>
@@ -26,18 +25,20 @@ namespace lsl::exp {
 
 namespace {
 
-constexpr sim::PortNum kSinkPort = 5001;
-constexpr sim::PortNum kDepotPort = 4000;
+/// Round-robin cell size.
+constexpr std::uint32_t kChunk = 64 * util::kKiB;
 
-std::string depot_name(std::size_t path) {
-  return "depot" + std::to_string(path + 1);
-}
-
-/// The whole striped run: braid topology, lane sources, reassembling sink,
-/// and the death/restripe driver. One instance per run_striped call.
+/// The whole striped run: lane sources on the braid's hosts, the
+/// reassembling sink, and the death/restripe driver. One instance per
+/// run_striped call.
 class StripedRun {
  public:
-  explicit StripedRun(const StripedParams& params) : p_(params) {}
+  explicit StripedRun(const StripedParams& params)
+      : p_(params),
+        sc_(build_braid(params.paths, params.seed)),
+        // Lanes carry real bytes: the sink reassembles them and checks
+        // the MD5.
+        hosts_(sc_, {.carry_data = true}) {}
   StripedResult run();
 
  private:
@@ -49,30 +50,22 @@ class StripedRun {
     util::SimTime start = -1;
   };
 
-  void build_topology();
-  void seed_database(core::PathDatabase& db) const;
+  void start_depots();
   void make_plan();
   void launch_lane(std::size_t li, core::SourcePlan plan);
   void on_lane(const core::LaneReport& r);
   void lane_death(std::size_t li);
   void schedule_restripe(std::size_t li);
   void scan_dead_depots();
-  double path_rate_mbps(std::size_t path) const;
 
-  util::EventQueue& ev() { return net_->sim().events(); }
+  util::EventQueue& ev() { return sc_.net->sim().events(); }
 
   const StripedParams& p_;
   StripedResult res_;
 
-  std::unique_ptr<sim::Network> net_;
-  sim::Node* src_ = nullptr;
-  sim::Node* dst_ = nullptr;
-  std::vector<sim::Node*> depot_hosts_;
-  std::unique_ptr<tcp::TcpStack> src_stack_;
-  std::unique_ptr<tcp::TcpStack> dst_stack_;
-  std::vector<std::unique_ptr<tcp::TcpStack>> depot_stacks_;
+  Scenario sc_;
   core::SessionDirectory dir_;
-  std::vector<std::unique_ptr<core::DepotApp>> depot_apps_;
+  Hosts hosts_;
   std::optional<fault::FaultMetrics> fault_metrics_;
   std::unique_ptr<fault::FaultInjector> injector_;
 
@@ -96,110 +89,28 @@ class StripedRun {
   bool restripe_failed_ = false;
 };
 
-double StripedRun::path_rate_mbps(std::size_t path) const {
-  if (path < p_.path_rate_mbps.size()) return p_.path_rate_mbps[path];
-  return p_.wan_rate.as_mbps();
-}
-
-void StripedRun::build_topology() {
-  net_ = std::make_unique<sim::Network>(p_.seed);
-  src_ = &net_->add_host("src");
-  dst_ = &net_->add_host("dst");
-  sim::Node& gw_a = net_->add_router("gw_a");
-  sim::Node& gw_b = net_->add_router("gw_b");
-
-  // Fat access links: the braid's aggregate must be WAN-limited, or the
-  // multipath sweep would just measure the shared edge.
-  sim::LinkConfig access;
-  access.rate = util::DataRate::mbps(1000);
-  access.delay = p_.access_delay;
-  access.queue_bytes = util::kMiB;
-  net_->connect(*src_, gw_a, access);
-  net_->connect(gw_b, *dst_, access);
-
-  for (std::size_t i = 0; i < p_.paths; ++i) {
-    sim::LinkConfig seg;
-    seg.rate = util::DataRate::mbps(path_rate_mbps(i));
-    seg.delay = p_.one_way_delay / 2;
-    seg.loss_rate = p_.loss / 2.0;
-    seg.queue_bytes = p_.wan_queue_bytes;
-
-    // Appended, not "J" + std::to_string(...): g++ 12 at -O3 warns a
-    // false -Wrestrict on the one-character prefix insert.
-    std::string router = "J";
-    router += std::to_string(i + 1);
-    sim::Node& j = net_->add_router(router);
-    net_->connect(gw_a, j, seg);
-    net_->connect(j, gw_b, seg);
-
-    sim::Node& d = net_->add_host(depot_name(i));
-    sim::LinkConfig dlink;
-    dlink.rate = util::DataRate::mbps(1000);
-    dlink.delay = util::millis(0.5);
-    dlink.queue_bytes = util::kMiB;
-    net_->connect(j, d, dlink);
-    depot_hosts_.push_back(&d);
-  }
-  net_->compute_routes();
-
-  tcp::TcpConfig tcpc = p_.tcp;
-  tcpc.carry_data = true;  // reassembly and MD5 need real bytes
-
-  src_stack_ = std::make_unique<tcp::TcpStack>(*net_, *src_, tcpc);
-  dst_stack_ = std::make_unique<tcp::TcpStack>(*net_, *dst_, tcpc);
-  for (sim::Node* d : depot_hosts_) {
-    depot_stacks_.push_back(std::make_unique<tcp::TcpStack>(*net_, *d, tcpc));
-  }
-
+void StripedRun::start_depots() {
   if (p_.metrics != nullptr) fault_metrics_.emplace(*p_.metrics);
-  for (auto& stack : depot_stacks_) {
-    core::DepotConfig dcfg = p_.depot;
-    dcfg.port = kDepotPort;
-    depot_apps_.push_back(
-        std::make_unique<core::DepotApp>(*stack, dcfg, &dir_));
-  }
-
+  hosts_.start_depots(sc_.depot, &dir_);
   injector_ = std::make_unique<fault::FaultInjector>(
-      *net_, p_.plan, fault_metrics_ ? &*fault_metrics_ : nullptr);
-  for (std::size_t i = 0; i < depot_apps_.size(); ++i) {
-    injector_->register_depot(depot_name(i), depot_apps_[i].get());
-  }
-}
-
-void StripedRun::seed_database(core::PathDatabase& db) const {
-  // Deterministic seeding from the braid's own geometry (cf. run_chaos):
-  // each src<->depot_i / depot_i<->dst sublink crosses one access link,
-  // one WAN segment, and the depot's local link.
-  for (std::size_t i = 0; i < p_.paths; ++i) {
-    const double one_way_s = util::to_seconds(p_.access_delay) +
-                             util::to_seconds(p_.one_way_delay) / 2.0 +
-                             0.5e-3;
-    const double rtt_ms = 2.0 * one_way_s * 1e3;
-    const double bw = path_rate_mbps(i);
-    const double loss = std::max(p_.loss / 2.0, 1e-7);
-    const std::string d = depot_name(i);
-    db.observe_rtt_ms("src", d, rtt_ms);
-    db.observe_bandwidth_mbps("src", d, bw);
-    db.observe_loss_rate("src", d, loss);
-    db.observe_rtt_ms(d, "dst", rtt_ms);
-    db.observe_bandwidth_mbps(d, "dst", bw);
-    db.observe_loss_rate(d, "dst", loss);
+      *sc_.net, p_.plan, fault_metrics_ ? &*fault_metrics_ : nullptr);
+  for (std::size_t i = 0; i < hosts_.depots.size(); ++i) {
+    injector_->register_depot(sc_.depots[i]->name(), hosts_.depots[i].get());
   }
 }
 
 void StripedRun::make_plan() {
-  seed_database(db_);
+  for (const sim::Node* d : sc_.depots) {
+    core::CandidateRoute r;
+    r.waypoints = {"src", d->name(), "dst"};
+    candidates_.push_back(std::move(r));
+  }
+  seed_path_database(db_, *sc_.net, candidates_);
   selector_ = std::make_unique<core::RouteSelector>(
-      db_, 1448.0, util::to_seconds(p_.depot.session_setup_latency));
+      db_, 1448.0, util::to_seconds(sc_.depot.session_setup_latency));
   rerouter_ = std::make_unique<fault::ReroutePolicy>(*selector_);
   policy_ = std::make_unique<fault::RetryPolicy>(
       p_.retry, p_.seed ^ 0x9e3779b97f4a7c15ull);
-
-  for (std::size_t i = 0; i < p_.paths; ++i) {
-    core::CandidateRoute r;
-    r.waypoints = {"src", depot_name(i), "dst"};
-    candidates_.push_back(std::move(r));
-  }
 
   const std::vector<core::CandidateRoute> routes = stripe::disjoint_routes(
       *selector_, candidates_, p_.stripes, p_.bytes);
@@ -216,7 +127,7 @@ void StripedRun::make_plan() {
       }
       plan = stripe::StripePlan::weighted(p_.bytes, weights);
     } else {
-      plan = stripe::StripePlan::round_robin(p_.bytes, p_.stripes, p_.chunk,
+      plan = stripe::StripePlan::round_robin(p_.bytes, p_.stripes, kChunk,
                                              p_.redundancy);
     }
   }
@@ -234,13 +145,13 @@ void StripedRun::launch_lane(std::size_t li, core::SourcePlan plan) {
   Lane& lane = lanes_[li];
   core::SourceConfig scfg;
   static_cast<core::SourcePlan&>(scfg) = std::move(plan);
-  sim::Node* depot_node = net_->find_node(lane.depot);
+  sim::Node* depot_node = sc_.net->find_node(lane.depot);
   scfg.header.hops.push_back({depot_node->id(), kDepotPort});
-  scfg.header.destination = {dst_->id(), kSinkPort};
+  scfg.header.destination = {sc_.dst->id(), kSinkPort};
 
   const sim::Endpoint first_hop{depot_node->id(), kDepotPort};
   sources_.push_back(std::make_unique<core::SourceApp>(
-      *src_stack_, first_hop, scfg, &dir_));
+      hosts_.src, first_hop, scfg, &dir_));
   core::SourceApp* app = sources_.back().get();
   app->start();
   if (lane.start < 0) lane.start = app->start_time();
@@ -352,7 +263,7 @@ StripedResult StripedRun::run() {
                    "striped: need at least one path per lane");
   res_.lanes = p_.stripes;
 
-  build_topology();
+  start_depots();
   make_plan();
 
   if (p_.metrics != nullptr) {
@@ -362,7 +273,7 @@ StripedResult StripedRun::run() {
   scfg.expect_header = true;
   scfg.verify_payload = true;
   scfg.payload_seed = p_.seed;
-  sink_ = std::make_unique<core::SinkServer>(*dst_stack_, kSinkPort, scfg,
+  sink_ = std::make_unique<core::SinkServer>(hosts_.dst, kSinkPort, scfg,
                                              nullptr);
   sink_->core().on_lane = [this](const core::LaneReport& r) { on_lane(r); };
   // Lanes merge into one group verdict; an unstriped lane is verified as an
@@ -392,12 +303,7 @@ StripedResult StripedRun::run() {
   res_.stripes_lost = set_->lost();
   res_.stripes_recovered = set_->recovered();
   res_.retransmitted_bytes = set_->retransmitted();
-  const auto count_retx = [this](const tcp::TcpSocket& s) {
-    res_.retransmits += s.stats().retransmits;
-  };
-  src_stack_->for_each_connection(count_retx);
-  dst_stack_->for_each_connection(count_retx);
-  for (const auto& s : depot_stacks_) s->for_each_connection(count_retx);
+  res_.retransmits = hosts_.retransmits();
   res_.events = ev().executed_count();
 
   if (merge_time_ >= 0) {

@@ -1,7 +1,8 @@
 // Striped multipath experiments: one session over N disjoint depot chains.
 //
-// run_striped builds a "braid" topology — `paths` parallel single-depot
-// chains between a shared source and sink — and moves one session over
+// run_striped stands on the braid exp::build_braid makes — `paths`
+// parallel single-depot chains between a shared source and sink, with the
+// hosts and depots exp::Hosts starts on it — and moves one session over
 // `stripes` of them at once: a stripe::StripePlan splits the byte stream
 // into lanes, each lane rides the depot chain stripe::disjoint_routes
 // picked for it, every lane connection carries a version-3 wire header
@@ -27,9 +28,7 @@
 
 #include "fault/policy.hpp"
 #include "fault/spec.hpp"
-#include "lsl/depot.hpp"
 #include "metrics/metrics.hpp"
-#include "tcp/tcp.hpp"
 #include "util/units.hpp"
 
 namespace lsl::exp {
@@ -40,33 +39,15 @@ struct StripedParams {
   std::size_t paths = 4;
   /// Lanes the session is striped over (1 = degenerate single chain).
   std::uint16_t stripes = 2;
-  /// Round-robin cell size (ignored in weighted mode).
-  std::uint32_t chunk = 64 * util::kKiB;
   /// Extra carriers per logical stripe: any `redundancy` lane deaths leave
   /// full coverage (round-robin mode only).
   std::uint8_t redundancy = 0;
   /// Contiguous ranges sized by the RouteSelector's predicted lane speeds
-  /// instead of byte-interleaved round-robin cells.
+  /// instead of byte-interleaved 64 KiB round-robin cells.
   bool weighted = false;
 
   std::uint64_t bytes = 8 * util::kMiB;
   std::uint64_t seed = 1;
-
-  /// Per-path backbone rate; `path_rate_mbps` (when non-empty, one entry
-  /// per path) overrides `wan_rate` for heterogeneous braids.
-  util::DataRate wan_rate = util::DataRate::mbps(40);
-  std::vector<double> path_rate_mbps;
-  /// One-way propagation delay of each path's backbone (split across its
-  /// two segments), and its total one-way loss probability.
-  util::SimDuration one_way_delay = util::millis(28);
-  double loss = 2.8e-4;
-  std::size_t wan_queue_bytes = 256 * util::kKiB;
-  util::SimDuration access_delay = util::millis(0.5);
-
-  tcp::TcpConfig tcp{.initial_ssthresh = 64 * util::kKiB};
-  core::DepotConfig depot{.buffer_bytes = util::kMiB,
-                          .copy_rate = util::DataRate::mbps(60),
-                          .session_setup_latency = util::millis(40)};
 
   /// When set, the run registers `stripe.*` instruments (and the per-lane
   /// `stripe.lane<i>.bps` gauges) here. Must outlive the call.

@@ -165,6 +165,8 @@ class SourceCore {
 
   /// The header the current connection carries.
   const SessionHeader& wire_header() const { return wire_; }
+  /// The session's id, from construction on.
+  const SessionId& session() const { return plan_.header.session; }
   bool use_header() const { return plan_.use_header; }
   /// Payload offset known delivered: where a resume starts.
   std::uint64_t floor() const { return floor_; }

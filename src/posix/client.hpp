@@ -123,7 +123,7 @@ class PosixSource : private core::SourceHost {
   /// Proactive migrations performed (mid-transfer route re-selections).
   std::size_t migrations() const { return core_.migrations(); }
 
-  core::SessionId session() const { return core_.wire_header().session; }
+  core::SessionId session() const { return core_.session(); }
 
  private:
   void on_io(std::uint32_t events);

@@ -65,6 +65,25 @@ Link* Network::link_between(NodeId a, NodeId b) {
   return jt == it->second.end() ? nullptr : jt->second.get();
 }
 
+std::vector<const Link*> Network::route(NodeId from, NodeId to) {
+  if (routes_dirty_) compute_routes();
+  const std::size_t n = nodes_.size();
+  std::vector<const Link*> links;
+  if (from >= n || to >= n) return links;
+  for (NodeId at = from; at != to;) {
+    const Link* link = next_link_[at * n + to];
+    if (link == nullptr) return {};
+    links.push_back(link);
+    for (const auto& [next, out] : adjacency_.at(at)) {
+      if (out.get() == link) {
+        at = next;
+        break;
+      }
+    }
+  }
+  return links;
+}
+
 void Network::compute_routes() {
   const std::size_t n = nodes_.size();
   next_link_.assign(n * n, nullptr);

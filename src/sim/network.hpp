@@ -53,6 +53,10 @@ class Network {
   /// The directed link from `a` to `b`, or nullptr when not adjacent.
   Link* link_between(NodeId a, NodeId b);
 
+  /// The links a packet from `from` to `to` crosses, in order; empty when
+  /// `to` is unreachable (or is `from`).
+  std::vector<const Link*> route(NodeId from, NodeId to);
+
   /// Recompute all forwarding tables (Dijkstra, propagation-delay metric).
   /// Called lazily on first send after a topology change.
   void compute_routes();

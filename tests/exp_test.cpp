@@ -4,10 +4,13 @@
 // are shorter than end-to-end; the sum exceeds end-to-end slightly).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "exp/runner.hpp"
 #include "exp/scenarios.hpp"
+#include "lsl/selector.hpp"
 #include "metrics/metrics.hpp"
 #include "util/units.hpp"
 
@@ -32,6 +35,108 @@ TEST(Scenarios, AllCasesBuild) {
     Scenario sc = build_scenario(p, 7);
     EXPECT_NE(sc.net->find_node("src"), nullptr) << p.name;
     EXPECT_NE(sc.net->find_node("depot"), nullptr) << p.name;
+  }
+}
+
+/// Link names, in order, of the route from node `a` to node `b`.
+std::vector<std::string> route_names(Scenario& sc, const std::string& a,
+                                     const std::string& b) {
+  std::vector<std::string> names;
+  for (const sim::Link* l : sc.net->route(sc.net->find_node(a)->id(),
+                                          sc.net->find_node(b)->id())) {
+    names.push_back(l->name());
+  }
+  return names;
+}
+
+TEST(Scenarios, BraidReachesEachDepotThroughItsOwnJunction) {
+  Scenario sc = build_braid(3, 5);
+  ASSERT_EQ(sc.depots.size(), 3u);
+  for (std::size_t i = 0; i < sc.depots.size(); ++i) {
+    const std::string n = std::to_string(i + 1);
+    const std::string depot = "depot" + n;
+    const std::string j = "J" + n;
+    EXPECT_EQ(sc.depots[i]->name(), depot);
+    EXPECT_FALSE(sc.depots[i]->is_router());
+    EXPECT_EQ(route_names(sc, "src", depot),
+              (std::vector<std::string>{"src->gw_a", "gw_a->" + j,
+                                        j + "->" + depot}));
+    EXPECT_EQ(route_names(sc, depot, "dst"),
+              (std::vector<std::string>{depot + "->" + j, j + "->gw_b",
+                                        "gw_b->dst"}));
+  }
+}
+
+/// The seeder's forecasts for `a` -> `b` match the closed form.
+void expect_seeded(core::PathDatabase& db, const std::string& a,
+                   const std::string& b, double rtt_ms, double mbps,
+                   double loss) {
+  SCOPED_TRACE(a + "->" + b);
+  ASSERT_TRUE(db.knows(a, b));
+  core::SublinkForecast& e = db.edge(a, b);
+  // Integer-ns link delays: a segment of 28 ms / 3 is 1/3 ns short.
+  EXPECT_NEAR(e.rtt_ms.predict(), rtt_ms, 1e-5);
+  EXPECT_DOUBLE_EQ(e.bandwidth_mbps.predict(), mbps);
+  EXPECT_NEAR(e.loss_rate.predict(), loss, 1e-15);
+}
+
+// Walking the built chain gives what its geometry says: node i sits at
+// segment position i (src = 0, depot<i> = i, dst = N+1), and a sublink
+// spanning k segments sees k shares of the backbone's delay and loss plus
+// the two 0.5 ms edge links.
+TEST(PathSeeding, MatchesChainGeometryAtDefaults) {
+  for (std::size_t depots = 1; depots <= 3; ++depots) {
+    SCOPED_TRACE(depots);
+    ChainParams p;
+    p.depots = depots;
+    Scenario sc = build_chain(p, 1);
+    std::vector<std::string> names{"src"};
+    for (std::size_t i = 1; i <= depots; ++i) {
+      names.push_back("depot" + std::to_string(i));
+    }
+    names.push_back("dst");
+    std::vector<core::CandidateRoute> sublinks;
+    for (std::size_t a = 0; a < names.size(); ++a) {
+      for (std::size_t b = a + 1; b < names.size(); ++b) {
+        sublinks.push_back({{names[a], names[b]}});
+      }
+    }
+    core::PathDatabase db;
+    seed_path_database(db, *sc.net, sublinks);
+
+    const double seg_delay_s = util::to_seconds(p.total_one_way_delay) /
+                               static_cast<double>(depots + 1);
+    const double seg_loss = p.total_loss / static_cast<double>(depots + 1);
+    const double access_s = util::to_seconds(p.access_delay);
+    for (std::size_t a = 0; a < names.size(); ++a) {
+      for (std::size_t b = a + 1; b < names.size(); ++b) {
+        const auto spans = static_cast<double>(b - a);
+        const double one_way_s = spans * seg_delay_s + 2.0 * access_s;
+        expect_seeded(db, names[a], names[b], 2.0 * one_way_s * 1e3,
+                      p.wan_rate.as_mbps(), std::max(spans * seg_loss, 1e-7));
+      }
+    }
+  }
+}
+
+// Each braid sublink crosses a 0.5 ms access link, one 14 ms segment of its
+// path (40 Mbit/s, 28 ms and 2.8e-4 loss one way over two segments) and
+// the depot's 0.5 ms link.
+TEST(PathSeeding, MatchesBraidGeometry) {
+  Scenario sc = build_braid(4, 1);
+  std::vector<core::CandidateRoute> candidates;
+  for (const sim::Node* d : sc.depots) {
+    candidates.push_back({{"src", d->name(), "dst"}});
+  }
+  core::PathDatabase db;
+  seed_path_database(db, *sc.net, candidates);
+
+  const double one_way_s = util::to_seconds(util::millis(0.5)) +
+                           util::to_seconds(util::millis(28)) / 2.0 + 0.5e-3;
+  const double loss = std::max(2.8e-4 / 2.0, 1e-7);
+  for (const sim::Node* d : sc.depots) {
+    expect_seeded(db, "src", d->name(), 2.0 * one_way_s * 1e3, 40.0, loss);
+    expect_seeded(db, d->name(), "dst", 2.0 * one_way_s * 1e3, 40.0, loss);
   }
 }
 

@@ -150,6 +150,31 @@ TEST(ModelGolden, StripedFourLanes) {
                 {25.339627899612374, 3, 46046});
 }
 
+// A depot crash kills one of three lanes on a four-path braid, and the
+// driver re-stripes it onto the spare chain. The seeded route database
+// decides which chain that is, so this pins the seeding too.
+TEST(ModelGolden, StripedCrashRestripesOntoSpareChain) {
+  std::string err;
+  const auto plan =
+      fault::parse_fault_spec("crash:depot=depot2,at_bytes=1048576", &err);
+  ASSERT_TRUE(plan.has_value()) << err;
+  StripedParams sp;
+  sp.paths = 4;
+  sp.stripes = 3;
+  sp.bytes = 8 * util::kMiB;
+  sp.seed = 11;
+  sp.plan = *plan;
+  sp.retry.base_delay = 100 * util::kMillisecond;
+  sp.retry.max_delay = util::kSecond;
+  const StripedResult r = run_striped(sp);
+  ASSERT_TRUE(r.completed && r.verified);
+  EXPECT_EQ(r.attempts, 1u);
+  EXPECT_EQ(r.lane_routes,
+            (std::vector<std::string>{"depot1", "depot4", "depot3"}));
+  expect_golden(r.mbps, r.retransmits, r.events,
+                {31.36023638550984, 4, 87610});
+}
+
 // The first figure point of perfbench's `sim` workload (seed 1 of its
 // fidelity table): Case 1, 16 MiB, direct TCP and LSL. The depot's serial
 // copy queues hundreds of chunks here, so this pins the copy lane.

@@ -115,6 +115,29 @@ TEST(PosixRelay, DirectSessionWithDigestVerifies) {
   EXPECT_TRUE(result.header->hops.empty());
 }
 
+// A caller may name the session before starting it: the id is the plan's
+// from construction on, not the all-zero id until the first dial.
+TEST(PosixRelay, SourceNamesItsSessionBeforeStart) {
+  REQUIRE_LOOPBACK();
+  EpollEngine loop;
+  PosixSinkServer sink(loop, InetAddress::loopback(0), true, 42);
+  bool done = false;
+  sink.on_complete = [&](const SinkResult&) { done = true; };
+
+  PosixSourceConfig cfg;
+  cfg.destination = InetAddress::loopback(sink.port());
+  cfg.payload_bytes = 64 * util::kKiB;
+  cfg.payload_seed = 42;
+  PosixSource src(loop, cfg);
+  const core::SessionId before = src.session();
+  EXPECT_TRUE(before.valid()) << before.hex();
+  EXPECT_EQ(before, posix::seeded_session(42));
+  src.start();
+  EXPECT_EQ(src.session(), before);
+  ASSERT_TRUE(drive(loop, done));
+  EXPECT_EQ(src.session(), before);
+}
+
 TEST(PosixRelay, SingleDepotRelayVerifies) {
   REQUIRE_LOOPBACK();
   EpollEngine loop;
