@@ -25,21 +25,13 @@ namespace {
 /// chain is offered — 2^N candidates would swamp the selector).
 std::vector<core::CandidateRoute> chain_candidates(std::size_t depots) {
   std::vector<core::CandidateRoute> out;
-  if (depots > 8) {
-    core::CandidateRoute full;
-    full.waypoints.push_back("src");
+  // Past the cap the one mask 0 stands for the full chain.
+  const bool capped = depots > 8;
+  const std::uint32_t last = capped ? 0 : (1u << depots) - 1;
+  for (std::uint32_t mask = capped ? 0 : 1; mask <= last; ++mask) {
+    core::CandidateRoute r{{"src"}};
     for (std::size_t i = 0; i < depots; ++i) {
-      full.waypoints.push_back("depot" + std::to_string(i + 1));
-    }
-    full.waypoints.push_back("dst");
-    out.push_back(std::move(full));
-    return out;
-  }
-  for (std::uint32_t mask = 1; mask < (1u << depots); ++mask) {
-    core::CandidateRoute r;
-    r.waypoints.push_back("src");
-    for (std::size_t i = 0; i < depots; ++i) {
-      if (mask & (1u << i)) {
+      if (capped || (mask & (1u << i)) != 0) {
         r.waypoints.push_back("depot" + std::to_string(i + 1));
       }
     }
@@ -82,17 +74,17 @@ ChaosResult run_chaos(const ChaosParams& params) {
     if (e.kind == fault::FaultKind::kCorrupt) corrupt_at = e.at_bytes;
   }
 
-  // --- Policies ----------------------------------------------------------
-  const std::vector<core::CandidateRoute> candidates =
+  // --- Policy ------------------------------------------------------------
+  std::vector<core::CandidateRoute> candidates =
       chain_candidates(sc.depots.size());
   core::PathDatabase db;
   seed_path_database(db, net, candidates);
   core::RouteSelector selector(
       db, 1448.0, util::to_seconds(sc.depot.session_setup_latency));
-  fault::ReroutePolicy rerouter(selector);
   // The policy's jitter stream is derived from the run seed, split so it
   // never aliases the simulator's own RNG consumers.
-  fault::RetryPolicy policy(params.retry, seed ^ 0x9e3779b97f4a7c15ull);
+  fault::RoutePolicy policy(params.retry, seed ^ 0x9e3779b97f4a7c15ull,
+                            std::move(candidates), &selector);
 
   // --- Health plane (fully inert when disabled: no board, no events, no
   // instruments — same-seed exports stay byte-identical) -------------------
@@ -107,7 +99,6 @@ ChaosResult run_chaos(const ChaosParams& params) {
       board->set_metrics(&*hm);
     }
     selector.set_health(&*board);
-    rerouter.set_health_board(&*board);
     ledger.emplace(seed);
   }
 
@@ -152,6 +143,8 @@ ChaosResult run_chaos(const ChaosParams& params) {
   util::SimTime first_start = -1;
   util::SimTime first_failure = -1;
   bool first_attempt = true;
+  // The verdict on the in-session loss that ended the current attempt.
+  std::optional<fault::Verdict> session_verdict;
 
   // --- Health sampling + proactive migration (health mode only) ----------
   core::SourceApp* active_source = nullptr;
@@ -214,13 +207,11 @@ ChaosResult run_chaos(const ChaosParams& params) {
     if (migrator) {
       const std::string offender = migrator->should_migrate(route, now_ms);
       if (!offender.empty()) {
-        std::set<std::string> excluded = dead;
-        excluded.insert(offender);
-        const auto chosen =
-            rerouter.choose_excluding(candidates, excluded, bytes);
-        if (chosen) {
-          std::vector<std::string> next(chosen->waypoints.begin() + 1,
-                                        chosen->waypoints.end() - 1);
+        const fault::Verdict v = policy.evacuate(dead, offender, bytes);
+        if (v.route) {
+          const core::CandidateRoute& r = policy.candidates()[*v.route];
+          std::vector<std::string> next(r.waypoints.begin() + 1,
+                                        r.waypoints.end() - 1);
           std::vector<core::HopAddress> hops;
           for (const std::string& n : next) {
             hops.push_back({net.find_node(n)->id(), kDepotPort});
@@ -263,13 +254,17 @@ ChaosResult run_chaos(const ChaosParams& params) {
     scfg.header.destination = {sc.dst->id(), kSinkPort};
     scfg.resumable = params.resumable_attempts;
     if (params.resumable_attempts) {
-      // In-session reconnects draw from the same retry budget as
-      // cross-session retransfers; each granted delay is one recovery
-      // attempt.
-      scfg.reconnect_backoff = [&]() -> std::optional<util::SimDuration> {
-        const auto d = policy.next_delay();
-        if (d && fm) fm->on_attempt();
-        return d;
+      // In-session losses ask the same policy; a verdict other than a
+      // reconnect ends the session, and the attempt loop carries it out.
+      scfg.reconnect_backoff =
+          [&](std::uint64_t floor) -> std::optional<util::SimDuration> {
+        const fault::Verdict v = policy.lost(floor);
+        if (v.kind != fault::Verdict::Kind::kReconnect) {
+          session_verdict = v;
+          return std::nullopt;
+        }
+        if (fm) fm->on_attempt();
+        return v.delay;
       };
     } else {
       scfg.header.flags |= core::kFlagDigestTrailer;
@@ -334,49 +329,34 @@ ChaosResult run_chaos(const ChaosParams& params) {
     sink_done = false;
     sink_verified = false;
 
-    // Plan the next attempt: wait out a backoff tick, then re-route around
-    // depots the injector knows are down. A dead path may come back (a
-    // scripted restart), so a failed reroute is not terminal by itself —
-    // it burns the tick and re-checks on the next one. Only when the
-    // budget dies with still no route does the run fail, carrying the
-    // distinct RerouteError instead of a generic timeout.
-    bool have_route = false;
-    while (!have_route) {
-      const auto delay = policy.next_delay();
-      if (!delay) break;  // retry budget exhausted: give up for good
+    // Carry out the policy's verdicts: wait out each tick on simulated time
+    // (scripted restarts keep firing), then report the depots still down.
+    fault::Verdict v = session_verdict ? *session_verdict : policy.lost();
+    session_verdict.reset();
+    while (v.kind == fault::Verdict::Kind::kMove && !v.route) {
       if (fm) fm->on_attempt();
-
-      // Sit out the backoff on simulated time (scripted restarts and
-      // link restorations keep firing underneath).
       bool waited = false;
-      ev.schedule_in(*delay, [&waited] { waited = true; });
+      ev.schedule_in(v.delay, [&waited] { waited = true; });
       while (!waited && ev.step()) {
       }
-
-      fault::RerouteError rerr = fault::RerouteError::kNone;
-      const auto chosen = rerouter.choose_excluding(
-          candidates, injector.dead_depots(), bytes, &rerr);
-      if (!chosen) {
-        res.reroute_error = rerr;
-        LSL_LOG_WARN("chaos: no viable route this attempt (%s)",
-                     fault::to_string(rerr));
-        continue;
-      }
-      res.reroute_error = fault::RerouteError::kNone;
-      std::vector<std::string> next_route(chosen->waypoints.begin() + 1,
-                                          chosen->waypoints.end() - 1);
-      if (next_route != route) {
-        ++res.reroutes;
-        if (fm) fm->on_reroute();
-        LSL_LOG_INFO("chaos: rerouting via %s", chosen->describe().c_str());
-      }
-      route = std::move(next_route);
-      have_route = true;
+      v = policy.moved(injector.dead_depots(), {}, bytes);
     }
-    if (!have_route) break;
+    if (v.kind == fault::Verdict::Kind::kGiveUp) {
+      res.reroute_error = v.error;
+      break;
+    }
+    const core::CandidateRoute& next = policy.candidates()[*v.route];
+    std::vector<std::string> next_route(next.waypoints.begin() + 1,
+                                        next.waypoints.end() - 1);
+    if (next_route != route) {
+      ++res.reroutes;
+      if (fm) fm->on_reroute();
+      LSL_LOG_INFO("chaos: rerouting via %s", next.describe().c_str());
+    }
+    route = std::move(next_route);
   }
 
-  res.attempts = policy.attempts_made();
+  res.attempts = policy.attempts();
   res.faults_injected = injector.injected();
   res.final_route = route;
   if (health_on) res.health_transitions = board->transitions();

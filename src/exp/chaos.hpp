@@ -3,12 +3,12 @@
 //
 // run_chaos builds an N-depot chain (exp::build_chain), arms a
 // fault::FaultInjector with a scripted FaultPlan, and then drives transfer
-// *attempts* under a fault::RetryPolicy: when an attempt fails (depot
+// *attempts* under one fault::RoutePolicy: when an attempt fails (depot
 // crash, refused accept, end-to-end verification mismatch), the harness
-// backs off per the policy, re-asks fault::ReroutePolicy for the best
-// route excluding crashed depots, and launches a fresh session. Attempts
-// marked resumable additionally survive sublink resets *within* a session
-// via the kFlagResume machinery (depot park + source reconnect).
+// backs off per its verdict, asks it for the best route excluding crashed
+// depots, and launches a fresh session. Resumable attempts also survive
+// sublink resets *within* a session via kFlagResume (depot park + source
+// reconnect, one per ack floor), and move when the chain cannot resume.
 //
 // Everything is deterministic under a fixed seed — faults, backoff jitter,
 // TCP timing — so two identical runs export byte-identical metrics; the
@@ -74,8 +74,8 @@ struct ChaosParams {
 struct ChaosResult {
   bool completed = false;  ///< a sink received the full payload
   bool verified = false;   ///< ... and it checked out end to end
-  /// Recovery attempts granted by the RetryPolicy (in-session reconnects
-  /// plus cross-session retransfers).
+  /// Budget ticks the RoutePolicy granted: in-session reconnects plus
+  /// moves (retransfers, and ticks that found no route and waited).
   std::uint32_t attempts = 0;
   std::uint32_t reroutes = 0;       ///< attempts that switched routes
   std::size_t resumes = 0;          ///< in-session resume cycles (all attempts)

@@ -55,7 +55,7 @@ class StripedRun {
   void launch_lane(std::size_t li, core::SourcePlan plan);
   void on_lane(const core::LaneReport& r);
   void lane_death(std::size_t li);
-  void schedule_restripe(std::size_t li);
+  void schedule_restripe(std::size_t li, const fault::Verdict& v);
   void scan_dead_depots();
 
   util::EventQueue& ev() { return sc_.net->sim().events(); }
@@ -70,10 +70,9 @@ class StripedRun {
   std::unique_ptr<fault::FaultInjector> injector_;
 
   core::PathDatabase db_;
-  std::unique_ptr<core::RouteSelector> selector_;
-  std::unique_ptr<fault::ReroutePolicy> rerouter_;
-  std::unique_ptr<fault::RetryPolicy> policy_;
-  std::vector<core::CandidateRoute> candidates_;
+  core::RouteSelector selector_{
+      db_, 1448.0, util::to_seconds(sc_.depot.session_setup_latency)};
+  std::optional<fault::RoutePolicy> policy_;
 
   std::optional<core::LaneSet> set_;
   std::vector<Lane> lanes_;
@@ -100,20 +99,18 @@ void StripedRun::start_depots() {
 }
 
 void StripedRun::make_plan() {
+  std::vector<core::CandidateRoute> candidates;
   for (const sim::Node* d : sc_.depots) {
     core::CandidateRoute r;
     r.waypoints = {"src", d->name(), "dst"};
-    candidates_.push_back(std::move(r));
+    candidates.push_back(std::move(r));
   }
-  seed_path_database(db_, *sc_.net, candidates_);
-  selector_ = std::make_unique<core::RouteSelector>(
-      db_, 1448.0, util::to_seconds(sc_.depot.session_setup_latency));
-  rerouter_ = std::make_unique<fault::ReroutePolicy>(*selector_);
-  policy_ = std::make_unique<fault::RetryPolicy>(
-      p_.retry, p_.seed ^ 0x9e3779b97f4a7c15ull);
+  seed_path_database(db_, *sc_.net, candidates);
+  policy_.emplace(p_.retry, p_.seed ^ 0x9e3779b97f4a7c15ull,
+                  std::move(candidates), &selector_);
 
   const std::vector<core::CandidateRoute> routes = stripe::disjoint_routes(
-      *selector_, candidates_, p_.stripes, p_.bytes);
+      selector_, policy_->candidates(), p_.stripes, p_.bytes);
   LSL_PRECONDITION(routes.size() == p_.stripes,
                    "striped: not enough disjoint chains for the lane count");
 
@@ -122,7 +119,7 @@ void StripedRun::make_plan() {
     if (p_.weighted) {
       std::vector<double> weights;
       for (const core::CandidateRoute& r : routes) {
-        const double t = selector_->predict_transfer_seconds(r, p_.bytes);
+        const double t = selector_.predict_transfer_seconds(r, p_.bytes);
         weights.push_back(t > 0.0 ? 1.0 / t : 1.0);
       }
       plan = stripe::StripePlan::weighted(p_.bytes, weights);
@@ -206,35 +203,29 @@ void StripedRun::lane_death(std::size_t li) {
     LSL_LOG_INFO("striped: redundancy covers lane %zu, no restripe", li);
     return;
   }
-  schedule_restripe(li);
+  schedule_restripe(li, policy_->lost());
 }
 
-void StripedRun::schedule_restripe(std::size_t li) {
-  const auto delay = policy_->next_delay();
-  if (!delay) {
+void StripedRun::schedule_restripe(std::size_t li, const fault::Verdict& v) {
+  if (v.kind == fault::Verdict::Kind::kGiveUp) {
     restripe_failed_ = true;
     return;
   }
   if (fault_metrics_) fault_metrics_->on_attempt();
-  ev().schedule_in(*delay, [this, li] {
+  ev().schedule_in(v.delay, [this, li] {
     Lane& lane = lanes_[li];
-    std::set<std::string> excluded = injector_->dead_depots();
-    excluded.insert(lane.depot);
+    std::set<std::string> in_use = {lane.depot};
     for (std::size_t j = 0; j < lanes_.size(); ++j) {
-      if ((*set_)[j].live()) excluded.insert(lanes_[j].depot);
+      if ((*set_)[j].live()) in_use.insert(lanes_[j].depot);
     }
-    fault::RerouteError err = fault::RerouteError::kNone;
-    const auto chosen = rerouter_->choose_excluding(
-        candidates_, excluded, (*set_)[li].total - lane.delivered, &err);
-    if (!chosen) {
-      // A crashed chain may come back (scripted restart): burn the tick
-      // and try again while the budget lasts, like run_chaos.
-      LSL_LOG_WARN("striped: no spare chain for lane %zu (%s)", li,
-                   fault::to_string(err));
-      schedule_restripe(li);
+    const fault::Verdict next = policy_->moved(
+        injector_->dead_depots(), in_use, (*set_)[li].total - lane.delivered);
+    if (!next.route) {
+      LSL_LOG_WARN("striped: no spare chain for lane %zu", li);
+      schedule_restripe(li, next);  // another tick, or give up
       return;
     }
-    lane.depot = chosen->waypoints[1];
+    lane.depot = policy_->candidates()[*next.route].waypoints[1];
     if (stripe_metrics_) stripe_metrics_->stripes_recovered->inc();
     // The sink's lane position is the floor: the merge holds every byte
     // below it.
@@ -297,7 +288,7 @@ StripedResult StripedRun::run() {
     scan_dead_depots();
   }
 
-  res_.attempts = policy_->attempts_made();
+  res_.attempts = policy_->attempts();
   res_.faults_injected = injector_->injected();
   for (const Lane& lane : lanes_) res_.lane_routes.push_back(lane.depot);
   res_.stripes_lost = set_->lost();

@@ -15,8 +15,8 @@
 // crash (fault::FaultPlan) kills one lane mid-transfer; with stripe
 // redundancy the surviving lanes already cover the dead lane's logical
 // stripes and the run completes with zero replacement bytes; without
-// redundancy the driver backs off per fault::RetryPolicy, asks
-// fault::ReroutePolicy for a spare disjoint chain, and re-stripes the
+// redundancy run_striped backs off per fault::RoutePolicy's verdict, asks
+// the same policy for a spare disjoint chain, and re-stripes the
 // lane's undelivered suffix onto it (wire resume_offset carries the
 // lane-relative skip). Deterministic under a fixed seed, like run_chaos:
 // same-seed runs export byte-identical metrics.
@@ -70,7 +70,7 @@ struct StripedResult {
   /// Bytes carried by replacement lanes — 0 when redundancy absorbed every
   /// death (the issue's "no retransmission" acceptance bar).
   std::uint64_t retransmitted_bytes = 0;
-  std::uint32_t attempts = 0;  ///< restripe attempts granted by RetryPolicy
+  std::uint32_t attempts = 0;  ///< restripe ticks granted by RoutePolicy
   std::uint64_t faults_injected = 0;
   std::vector<std::string> lane_routes;  ///< final depot of each lane
   double seconds = 0.0;  ///< first source start -> merge completion

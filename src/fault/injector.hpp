@@ -52,7 +52,7 @@ class FaultInjector {
   /// corrupt fault lives in SourceConfig; see exp::run_chaos).
   void note_injected(FaultKind kind);
 
-  /// Depots currently crashed — the exclusion set for ReroutePolicy.
+  /// Depots currently crashed — the dead set RoutePolicy::route excludes.
   const std::set<std::string>& dead_depots() const { return dead_; }
 
   /// Faults applied so far.

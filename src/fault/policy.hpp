@@ -1,14 +1,9 @@
-// Recovery policies: what the session layer does after a fault.
-//
-// The paper's §III mobility story is that depots hold enough state for a
-// session to survive endpoint and sublink failure; this module supplies the
-// client-side half of that story. RetryPolicy decides *when* to try again
-// (exponential backoff with seeded jitter and a capped attempt budget —
-// deterministic under a fixed seed, so chaos runs replay bit-for-bit).
-// ReroutePolicy decides *where*: it re-asks the existing RouteSelector for
-// the best candidate route whose depots are all still alive, and reports a
-// distinct error when no alternative exists so callers can fail cleanly
-// instead of hammering a dead path.
+// The recovery policy (paper §III: a session outlives its connections by
+// reconnecting with RESUME or moving to another depot route), decided once
+// for every caller. RoutePolicy owns the one recovery budget (seeded
+// jitter: chaos runs replay bit-for-bit), the candidate routes and the
+// exclusion rule, and answers each loss: reconnect after d, move after d,
+// or give up with a distinct error.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "health/board.hpp"
 #include "lsl/selector.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -26,7 +20,7 @@ namespace lsl::fault {
 
 /// Backoff knobs (see docs/FAULTS.md for the full table).
 struct RetryConfig {
-  /// Retry budget: how many re-attempts follow the initial try.
+  /// Recovery budget: how many reconnects and moves follow the first try.
   std::uint32_t max_attempts = 4;
   util::SimDuration base_delay = 50 * util::kMillisecond;
   double multiplier = 2.0;
@@ -36,86 +30,80 @@ struct RetryConfig {
   double jitter = 0.2;
 };
 
-/// Exponential backoff with seeded jitter and capped attempts.
-///
-/// delay(k) = min(base * multiplier^k, max) * uniform(1-j, 1+j)
-///
-/// All randomness comes from a util::Rng constructed from the caller's
-/// seed, so a fixed seed yields an identical delay sequence — the property
-/// tests/fault_test.cpp pins down.
-class RetryPolicy {
- public:
-  RetryPolicy(RetryConfig config, std::uint64_t seed)
-      : config_(config), rng_(seed) {}
-
-  /// The delay before the next retry, or nullopt when the attempt budget
-  /// is exhausted (caller should give up and surface the failure).
-  std::optional<util::SimDuration> next_delay();
-
-  std::uint32_t attempts_made() const { return attempts_; }
-  const RetryConfig& config() const { return config_; }
-
-  /// Forget past attempts (a fresh transfer reuses the policy object).
-  /// The RNG stream is deliberately *not* rewound: two transfers in one
-  /// run draw different jitter, while a re-run with the same seed still
-  /// reproduces the whole sequence.
-  void reset() { attempts_ = 0; }
-
- private:
-  RetryConfig config_;
-  util::Rng rng_;
-  std::uint32_t attempts_ = 0;
-};
-
-/// Why a reroute attempt produced no route.
+/// Why a move found no route.
 enum class RerouteError {
   kNone,               ///< a route was found
   kNoCandidates,       ///< the candidate list itself was empty
-  kNoAlternativeRoute, ///< every candidate traverses a dead depot
+  kNoAlternativeRoute, ///< every candidate traverses an excluded depot
 };
 
 const char* to_string(RerouteError e);
 
-/// Route selection under failure: the best candidate avoiding dead depots.
-class ReroutePolicy {
+/// The policy's answer to one loss.
+struct Verdict {
+  enum class Kind {
+    kReconnect,  ///< resume on the same route after `delay`
+    kMove,       ///< move to `route`; unset: ask moved() after `delay`
+    kGiveUp,     ///< recovery is over: the session fails
+  };
+  Kind kind = Kind::kGiveUp;
+  util::SimDuration delay = 0;
+  /// kGiveUp: why the last route choice found nothing (kNone if it did).
+  RerouteError error = RerouteError::kNone;
+  std::optional<std::size_t> route;  ///< kMove: index into candidates()
+};
+
+/// The one recovery policy. Each granted reconnect or move spends a tick:
+///   delay(k) = min(base * multiplier^k, max) * uniform(1-j, 1+j)
+class RoutePolicy {
  public:
-  explicit ReroutePolicy(core::RouteSelector& selector)
-      : selector_(selector) {}
+  /// `candidates` are the routes a session may move to, ranked by
+  /// `selector` (default: one over an empty path database, where all tie
+  /// at +infinity and the shorter, then the earlier route wins).
+  RoutePolicy(RetryConfig budget, std::uint64_t seed,
+              std::vector<core::CandidateRoute> candidates,
+              const core::RouteSelector* selector = nullptr);
 
-  /// The fastest candidate (per RouteSelector::choose) whose *interior*
-  /// waypoints — the depots; endpoints are the session's own hosts — avoid
-  /// `dead_depots` and every depot noted via note_depot_failure() that is
-  /// not yet re-admitted (see set_health_board). Returns nullopt with a
-  /// distinct RerouteError when the candidate list is empty or fully
-  /// eliminated.
-  std::optional<core::CandidateRoute> choose_excluding(
-      const std::vector<core::CandidateRoute>& candidates,
-      const std::set<std::string>& dead_depots, std::uint64_t bytes,
-      RerouteError* error = nullptr) const;
+  RoutePolicy(const RoutePolicy&) = delete;  // selector_ may be our own
 
-  /// Remember a depot this policy saw fail (a dial error, a mid-relay
-  /// death). Noted depots are excluded from future choices. Without a
-  /// health board this memory is sticky for the policy's lifetime — the
-  /// historical behavior that turned one bad afternoon into a permanent
-  /// ban; attach a board to make the exclusion score-driven instead.
-  void note_depot_failure(const std::string& depot) {
-    failed_.insert(depot);
+  /// One loss at the ack floor of a connection that can resume in place
+  /// (nullopt: it cannot). One reconnect per floor: a second loss at an
+  /// unmoved floor means a depot died with the parked state, so the session
+  /// moves. A move with no candidates, or a spent budget, gives up.
+  Verdict lost(std::optional<std::uint64_t> floor = std::nullopt);
+
+  /// A kMove's delay passed: move now to the fastest candidate with no
+  /// depot (interior waypoint) in `dead` or `in_use`. None left is one more
+  /// loss (a dead depot may come back): another tick, or kGiveUp.
+  Verdict moved(const std::set<std::string>& dead,
+                const std::set<std::string>& in_use, std::uint64_t bytes);
+
+  /// A proactive move off `depot` (the health plane): the route avoiding
+  /// it and `dead`, or kGiveUp to stay put. Spends no budget.
+  Verdict evacuate(const std::set<std::string>& dead, const std::string& depot,
+                   std::uint64_t bytes) const;
+
+  const std::vector<core::CandidateRoute>& candidates() const {
+    return candidates_;
   }
-
-  /// Attach a health board for re-admission: a noted depot stays excluded
-  /// only while the board still judges it suspect-or-worse. A depot whose
-  /// score recovered (decay plus probe successes promoting it back to
-  /// degraded or healthy) becomes eligible again — recovered depots must
-  /// not be shunned forever. nullptr reverts to sticky exclusion.
-  void set_health_board(const health::HealthBoard* board) { board_ = board; }
-
-  /// Noted failures still in force (after board-driven re-admission).
-  std::set<std::string> excluded_depots() const;
+  /// Ticks granted so far (reconnects plus moves).
+  std::uint32_t attempts() const { return attempts_; }
 
  private:
-  core::RouteSelector& selector_;
-  std::set<std::string> failed_;
-  const health::HealthBoard* board_ = nullptr;
+  std::optional<std::size_t> choose(const std::set<std::string>& dead,
+                                    const std::set<std::string>& in_use,
+                                    std::uint64_t bytes) const;
+
+  RetryConfig budget_;
+  util::Rng rng_;
+  std::vector<core::CandidateRoute> candidates_;
+  core::PathDatabase empty_db_;
+  core::RouteSelector own_selector_{empty_db_};
+  const core::RouteSelector& selector_;
+  std::uint32_t attempts_ = 0;
+  /// The floor the last reconnect was granted at; cleared by a move.
+  std::optional<std::uint64_t> reconnected_at_;
+  RerouteError error_ = RerouteError::kNone;
 };
 
 }  // namespace lsl::fault

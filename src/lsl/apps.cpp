@@ -14,7 +14,6 @@ SourceApp::SourceApp(tcp::TcpStack& stack, sim::Endpoint first_hop,
     : stack_(stack),
       first_hop_(first_hop),
       dir_(dir),
-      reconnect_delay_(config.resume_reconnect_delay),
       reconnect_backoff_(std::move(config.reconnect_backoff)),
       core_(*this, std::move(config), stack.default_config().carry_data) {}
 
@@ -53,8 +52,7 @@ void SourceApp::hang_up() {
 }
 
 std::optional<std::int64_t> SourceApp::backoff() {
-  if (!reconnect_backoff_) return reconnect_delay_;
-  return reconnect_backoff_();
+  return reconnect_backoff_(core_.floor());
 }
 
 void SourceApp::wait(std::int64_t delay) {

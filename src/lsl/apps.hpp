@@ -36,14 +36,11 @@ namespace lsl::core {
 /// Configuration of one sending application: the session (SourcePlan,
 /// src/lsl/source_core.hpp) plus the simulator's reconnect policy.
 struct SourceConfig : SourcePlan {
-  /// Delay before re-dialing after a failure (models re-association).
-  util::SimDuration resume_reconnect_delay = util::millis(50);
-  /// Policy hook consulted instead of the fixed delay when set (e.g. a
-  /// fault::RetryPolicy's exponential backoff): returns the delay before
-  /// the next reconnect, or nullopt to give up — the source then finishes
-  /// unsuccessfully (gave_up() is true). Keeps core free of a dependency
-  /// on the policy layer.
-  std::function<std::optional<util::SimDuration>()> reconnect_backoff;
+  /// Delay before re-dialing a lost connection at ack floor `floor` (models
+  /// re-association), or nullopt to give up: gave_up() turns true. run_chaos
+  /// plugs in a fault::RoutePolicy's verdicts; core stays free of them.
+  std::function<std::optional<util::SimDuration>(std::uint64_t floor)>
+      reconnect_backoff = [](std::uint64_t) { return util::millis(50); };
 };
 
 /// The sending end system: the simulator's I/O adapter on the source core.
@@ -92,8 +89,8 @@ class SourceApp : private SourceHost {
   /// Number of proactive migrations issued so far.
   std::size_t migrations() const { return core_.migrations(); }
 
-  /// True when a reconnect_backoff policy exhausted its attempt budget and
-  /// the source abandoned the transfer (finished() is also true then).
+  /// True when reconnect_backoff gave up and the source abandoned the
+  /// transfer (finished() is also true then).
   bool gave_up() const { return core_.gave_up(); }
 
  private:
@@ -109,8 +106,8 @@ class SourceApp : private SourceHost {
   tcp::TcpStack& stack_;
   sim::Endpoint first_hop_;
   SessionDirectory* dir_;
-  util::SimDuration reconnect_delay_;
-  std::function<std::optional<util::SimDuration>()> reconnect_backoff_;
+  std::function<std::optional<util::SimDuration>(std::uint64_t)>
+      reconnect_backoff_;
   SourceCore core_;
   tcp::TcpSocket* socket_ = nullptr;
   /// Bumped on every hang-up so a pending reconnect event from an

@@ -74,7 +74,7 @@ struct DepotStats : RelayStats {
   /// Rejections specifically because the memory budget was under pressure
   /// (disjoint from sessions_refused, so capacity sweeps can tell the
   /// operator's session cap from memory backpressure; the source-side
-  /// fault::RetryPolicy backs off on both the same way).
+  /// fault::RoutePolicy backs off on both the same way).
   std::uint64_t sessions_refused_memory = 0;
   std::uint64_t max_buffered = 0;  ///< relay-buffer high-water mark
   /// Times a relay's ring filled and the depot stopped reading upstream

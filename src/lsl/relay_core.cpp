@@ -86,7 +86,7 @@ RelayCore::Admission RelayCore::admit(bool under_pressure) {
   }
   if (max_sessions_ > 0 && live_ >= max_sessions_) return Admission::kCap;
   // Memory admission control: refusing with a hard reset (not a slow
-  // header timeout) lets the source's RetryPolicy back off at once.
+  // header timeout) lets the source's RoutePolicy back off at once.
   if (under_pressure) return Admission::kPressure;
   return Admission::kAccept;
 }

@@ -430,6 +430,10 @@ SinkAction SinkCore::end(SinkStream& s, bool failed) {
   return SinkAction::kReport;
 }
 
+bool SinkCore::owes_status(const SinkStream& s) const {
+  return s.group != nullptr && s.group->reported && !s.ended;
+}
+
 void SinkCore::forget(SinkStream& s) {
   if (held_by_ == &s) held_by_ = nullptr;
   if (s.verifier && !s.ended) --verifying_;

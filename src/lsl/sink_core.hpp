@@ -228,6 +228,9 @@ class SinkCore {
   /// payload read only while this holds.
   bool wants_payload(const SinkStream& s) const;
 
+  /// `s` is a lane still open after its stripe group resolved: owed a status.
+  bool owes_status(const SinkStream& s) const;
+
   /// Payload bytes ingested across every connection.
   std::uint64_t payload_bytes() const { return payload_bytes_; }
   /// Payload bytes hashed in two-lane MD5 passes (both chunks count).

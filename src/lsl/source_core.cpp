@@ -164,13 +164,11 @@ void SourceCore::finish(bool ok) {
 // --- LaneSet -----------------------------------------------------------------
 
 LaneSet::LaneSet(stripe::StripePlan plan, std::uint64_t session_bytes,
-                 SessionId session, std::uint64_t seed,
-                 std::uint32_t max_restripes)
+                 SessionId session, std::uint64_t seed)
     : plan_(std::move(plan)),
       session_(session),
       seed_(seed),
-      digest_(stream_digest(seed, session_bytes)),
-      restripes_left_(max_restripes) {
+      digest_(stream_digest(seed, session_bytes)) {
   for (std::size_t j = 0; j < plan_.lanes.size(); ++j) {
     lanes_.push_back({plan_.lanes[j], plan_.lane_bytes[j]});
   }
@@ -221,8 +219,6 @@ LaneSet::Loss LaneSet::lose(std::size_t li, std::uint64_t delivered) {
     lane.settled = true;
     return Loss::kAbsorbed;
   }
-  if (restripes_left_ == 0) return Loss::kGiveUp;
-  --restripes_left_;
   return Loss::kRestripe;
 }
 

@@ -19,7 +19,7 @@
 //  * recovery — when a connection dies, resume after the host's backoff or
 //    give up; migrate(route, floor) with one set of preconditions; and, for
 //    N lanes over a stripe::StripePlan, whether a lost lane is settled,
-//    absorbed by redundancy, continued on a host-chosen chain, or gives up.
+//    absorbed by redundancy, or continued on a chain the host's policy grants.
 //
 // It is sans-I/O. The adapter asks next() for the bytes to write, reports
 // wrote()/acked()/lost()/closed(), and carries out what comes back through
@@ -220,10 +220,8 @@ class LaneSet {
     bool live() const { return !dead && !settled; }
   };
 
-  /// `max_restripes` bounds the continuations granted over the session.
   LaneSet(stripe::StripePlan plan, std::uint64_t session_bytes,
-          SessionId session, std::uint64_t seed,
-          std::uint32_t max_restripes = UINT32_MAX);
+          SessionId session, std::uint64_t seed);
 
   std::size_t size() const { return lanes_.size(); }
   const Lane& operator[](std::size_t li) const { return lanes_[li]; }
@@ -241,8 +239,7 @@ class LaneSet {
     kSettled,   ///< nothing to recover: already lost or settled, or every
                 ///< lane byte had arrived and only the trailer was cut off
     kAbsorbed,  ///< the surviving lanes carry its stripes (redundancy)
-    kRestripe,  ///< continue it on a host-chosen chain (restripe())
-    kGiveUp,    ///< the restripe budget is spent: the session fails
+    kRestripe,  ///< continue it on a chain the host's policy grants
   };
   /// Lane `li`'s connection died with `delivered` lane bytes known at the
   /// sink (0 when the host cannot see the sink).
@@ -264,7 +261,6 @@ class LaneSet {
   SessionId session_;
   std::uint64_t seed_;
   md5::Digest digest_;
-  std::uint32_t restripes_left_;
   std::uint32_t lost_ = 0;
   std::uint32_t recovered_ = 0;
   std::uint64_t retransmitted_ = 0;

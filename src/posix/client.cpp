@@ -323,6 +323,14 @@ std::uint64_t PosixSinkServer::paired_bytes() {
   return on_sink_thread([this] { return core_.paired_bytes(); });
 }
 
+std::size_t PosixSinkServer::owed_statuses() {
+  return on_sink_thread([this] {
+    return static_cast<std::size_t>(std::count_if(
+        conns_.begin(), conns_.end(),
+        [this](const auto& c) { return core_.owes_status(*c); }));
+  });
+}
+
 void PosixSinkServer::set_adopt_migrations(bool on) {
   on_sink_thread([this, on] { core_.set_ledger(on ? &ledger_ : nullptr); });
 }

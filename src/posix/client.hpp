@@ -215,6 +215,10 @@ class PosixSinkServer : private core::SinkHost {
   /// Verdicts posted to the owner loop and not yet delivered.
   std::size_t pending_verdicts() const { return verdicts_.pending(); }
 
+  /// Lanes open after their merge's verdict, each owed a status byte. An
+  /// owner stopping after on_complete waits for this, then pending_verdicts().
+  std::size_t owed_statuses();
+
   /// Payload bytes hashed in two-lane MD5 passes (core::SinkCore).
   std::uint64_t paired_bytes();
 

@@ -19,7 +19,19 @@ core::LaneSet lane_set(const StripedPosixSourceConfig& c) {
                                       static_cast<std::uint16_t>(count),
                                       c.chunk, c.redundancy),
       c.payload_bytes, c.session.value_or(seeded_session(c.payload_seed)),
-      c.payload_seed, c.max_restripes);
+      c.payload_seed);
+}
+
+/// The spare routes as RoutePolicy candidates, depots named by address.
+std::vector<core::CandidateRoute> spares(const StripedPosixSourceConfig& c) {
+  std::vector<core::CandidateRoute> out;
+  for (const auto& route : c.spare_routes) {
+    std::vector<std::string>& w = out.emplace_back().waypoints;
+    w.push_back("src");
+    for (const InetAddress& hop : route) w.push_back(hop.to_string());
+    w.push_back("dst");
+  }
+  return out;
 }
 
 std::string describe(const std::vector<InetAddress>& route) {
@@ -33,6 +45,8 @@ StripedPosixSource::StripedPosixSource(engine::EpollEngine& loop,
     : loop_(loop),
       config_(std::move(config)),
       set_(lane_set(config_)),
+      policy_({}, config_.payload_seed ^ 0x9e3779b97f4a7c15ull,
+              spares(config_)),
       sources_(set_.size()) {}
 
 void StripedPosixSource::start() {
@@ -54,6 +68,7 @@ void StripedPosixSource::launch_lane(std::size_t li,
   scfg.stripe = plan.header.stripe;
   scfg.trailer_digest = plan.trailer_digest;
   scfg.payload_fill = plan.payload_fill;
+  for (const InetAddress& hop : scfg.route) rode_.insert(hop.to_string());
   auto& source = sources_[li];
   source = std::make_unique<PosixSource>(loop_, std::move(scfg));
   source->on_done = [this, li](bool ok) { on_lane_done(li, ok); };
@@ -71,30 +86,36 @@ void StripedPosixSource::on_lane_done(std::size_t li, bool ok) {
     maybe_finish();
     return;
   }
-  std::vector<InetAddress>& route = config_.lane_routes[li];
   LSL_LOG_WARN("striped source: lane %zu lost (%s)", li,
-               describe(route).c_str());
+               describe(config_.lane_routes[li]).c_str());
   using Loss = core::LaneSet::Loss;
   const Loss loss = set_.lose(li, 0);
   if (loss == Loss::kSettled || loss == Loss::kAbsorbed) {
     maybe_finish();
     return;
   }
-  if (loss == Loss::kGiveUp || config_.spare_routes.empty()) {
-    LSL_LOG_WARN("striped source: no spare chain for lane %zu; giving up",
-                 li);
+  restripe(li, policy_.lost());
+}
+
+void StripedPosixSource::restripe(std::size_t li, const fault::Verdict& v) {
+  if (v.kind == fault::Verdict::Kind::kGiveUp) {
+    LSL_LOG_WARN("striped source: no spare chain for lane %zu (%s); giving up",
+                 li, fault::to_string(v.error));
     fail_all();
     return;
   }
-  route = config_.spare_routes.front();
-  config_.spare_routes.erase(config_.spare_routes.begin());
-  restripes_.push_back(loop_.schedule_in(
-      std::chrono::nanoseconds(config_.restripe_delay).count(), [this, li] {
-        if (finished_ || set_[li].settled) return;
-        LSL_LOG_INFO("striped source: re-striping lane %zu onto %s", li,
-                     describe(config_.lane_routes[li]).c_str());
-        launch_lane(li, set_.restripe(li, 0));
-      }));
+  restripes_.push_back(loop_.schedule_in(v.delay, [this, li] {
+    if (finished_ || set_[li].settled) return;
+    const fault::Verdict next = policy_.moved({}, rode_, set_[li].total);
+    if (!next.route) {
+      restripe(li, next);  // another tick, or give up
+      return;
+    }
+    config_.lane_routes[li] = config_.spare_routes[*next.route];
+    LSL_LOG_INFO("striped source: re-striping lane %zu onto %s", li,
+                 describe(config_.lane_routes[li]).c_str());
+    launch_lane(li, set_.restripe(li, 0));
+  }));
 }
 
 void StripedPosixSource::maybe_finish() {

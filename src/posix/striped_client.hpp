@@ -11,9 +11,9 @@
 // decisions (core::LaneSet, src/lsl/source_core.hpp), shared with the
 // simulator's driver (src/exp/striped.cpp): with plan redundancy the
 // surviving lanes already cover the dead lane's logical stripes and nothing
-// is re-sent; without it the lane continues on the next spare route after a
-// delay timed on the event loop. This adapter keeps the spare list and
-// the timers.
+// is re-sent; without it a fault::RoutePolicy over the spare routes decides
+// the backoff and which spare the lane continues on, skipping every route
+// a lane rode or rides. This adapter keeps the timers.
 // Unlike the simulator — which reads the sink's lane progress directly —
 // this client only observes first-hop ACKs, which a crashed depot may have
 // issued for bytes it never relayed, so a continuation starts at lane
@@ -26,8 +26,11 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <set>
+#include <string>
 #include <vector>
 
+#include "fault/policy.hpp"
 #include "posix/client.hpp"
 
 namespace lsl::posix {
@@ -37,7 +40,7 @@ struct StripedPosixSourceConfig {
   /// One depot route per lane (each usually a single depot; may be empty
   /// for a direct lane). Lane count = lane_routes.size(), in [2, 16].
   std::vector<std::vector<InetAddress>> lane_routes;
-  /// Replacement routes consumed in order when a lane must re-stripe.
+  /// Replacement routes for lanes that must re-stripe, tried in order.
   std::vector<std::vector<InetAddress>> spare_routes;
   InetAddress destination;
   std::uint64_t payload_bytes = 0;
@@ -46,9 +49,6 @@ struct StripedPosixSourceConfig {
   std::uint32_t chunk = 64 * 1024;
   /// Extra carriers per logical stripe (loss masking; see stripe/plan.hpp).
   std::uint8_t redundancy = 0;
-  /// Re-stripe budget and pacing for lanes redundancy cannot absorb.
-  std::uint32_t max_restripes = 4;
-  std::chrono::milliseconds restripe_delay{50};
   std::chrono::milliseconds dial_timeout{0};
   std::uint64_t trace_id = 0;
   /// Session id override: callers running several striped sessions from
@@ -83,6 +83,8 @@ class StripedPosixSource {
  private:
   void launch_lane(std::size_t li, const core::SourcePlan& plan);
   void on_lane_done(std::size_t li, bool ok);
+  /// Carry out the policy's verdict on lost lane `li`: re-stripe or fail.
+  void restripe(std::size_t li, const fault::Verdict& v);
   void maybe_finish();
   void fail_all();
   void cancel_restripes();
@@ -90,10 +92,13 @@ class StripedPosixSource {
   engine::EpollEngine& loop_;
   StripedPosixSourceConfig config_;
   core::LaneSet set_;
+  fault::RoutePolicy policy_;  ///< over the spare routes
+  /// Depots of every route a lane rode (dead or in use): no spare's.
+  std::set<std::string> rode_;
   /// Lane li rides config_.lane_routes[li] over sources_[li].
   std::vector<std::unique_ptr<PosixSource>> sources_;
   /// One timer per re-stripe: lane relaunch happens on the event loop
-  /// after restripe_delay, never inline in the failure callback.
+  /// after the policy's backoff, never inline in the failure callback.
   std::vector<util::EventId> restripes_;
   bool session_ok_ = false;
   bool finished_ = false;

@@ -102,6 +102,34 @@ TEST(Chaos, MidStreamResetResumesInSession) {
   EXPECT_EQ(r.final_route[0], "depot1");
 }
 
+// A resumable session whose chain loses a depot for good (or for longer
+// than the parked state survives) cannot resume: its reconnect lands at an
+// unmoved ack floor, so the policy moves it to a route around the dead
+// depot instead of spending the budget on the chain.
+TEST(Chaos, ResumableRunReroutesAroundADeadDepot) {
+  for (const std::size_t depots : {2u, 3u, 4u}) {
+    for (const char* depot : {"depot1", "depot2"}) {
+      for (const char* outage : {"", ",for=300ms"}) {
+        const std::string spec = std::string("crash:depot=") + depot +
+                                 ",at_bytes=419430" + outage;
+        SCOPED_TRACE("chain:" + std::to_string(depots) + " " + spec);
+        exp::ChaosParams p = base_params(depots, 2 * util::kMiB);
+        p.seed = 13;
+        p.retry = fault::RetryConfig{};  // lsl_sim's budget
+        p.plan = plan_of(spec);
+        p.resumable_attempts = true;
+        p.chain.depot.resume_grace = 2 * util::kSecond;
+
+        const exp::ChaosResult r = exp::run_chaos(p);
+        EXPECT_TRUE(r.completed);
+        EXPECT_TRUE(r.verified);
+        EXPECT_GE(r.reroutes, 1u);
+        for (const std::string& d : r.final_route) EXPECT_NE(d, depot);
+      }
+    }
+  }
+}
+
 // A depot that crashes holding a partial upstream buffer and restarts
 // shortly after: with no alternative route, the retry loop must wait out
 // the outage and retransfer through the restarted depot. (The dead

@@ -1,6 +1,6 @@
 // Unit tests for the fault subsystem's deterministic pieces: the fault-spec
-// grammar, the retry/backoff policy, the reroute policy's dead-depot
-// exclusion, and the SessionDirectory peek/consume split. The end-to-end
+// grammar, the recovery policy's budget, verdicts and route exclusion, and
+// the SessionDirectory peek/consume split. The end-to-end
 // chaos scenarios (scripted crashes against live transfers) live in
 // tests/chaos_test.cpp under the `chaos` ctest label.
 #include <gtest/gtest.h>
@@ -112,85 +112,122 @@ TEST(FaultSpec, ParseDurationUnits) {
   EXPECT_FALSE(fault::parse_duration("1h").has_value());
 }
 
-// --- RetryPolicy -------------------------------------------------------------
+// --- RoutePolicy: the budget --------------------------------------------------
 
-TEST(RetryPolicy, SameSeedSameDelaySequence) {
-  fault::RetryConfig cfg;
-  cfg.max_attempts = 6;
-  fault::RetryPolicy a(cfg, 42);
-  fault::RetryPolicy b(cfg, 42);
-  for (std::uint32_t i = 0; i < cfg.max_attempts; ++i) {
-    const auto da = a.next_delay();
-    const auto db = b.next_delay();
-    ASSERT_TRUE(da.has_value());
-    ASSERT_TRUE(db.has_value());
-    EXPECT_EQ(*da, *db) << "attempt " << i;
-  }
-  EXPECT_FALSE(a.next_delay().has_value());
-  EXPECT_FALSE(b.next_delay().has_value());
+/// A policy over one route: every floor-less loss is a move to it.
+fault::RoutePolicy one_route(const fault::RetryConfig& cfg,
+                             std::uint64_t seed) {
+  return fault::RoutePolicy(cfg, seed, {core::CandidateRoute{{"src", "dst"}}});
 }
 
-TEST(RetryPolicy, DifferentSeedsJitterDifferently) {
+TEST(RoutePolicy, SameSeedSameDelaySequence) {
   fault::RetryConfig cfg;
-  fault::RetryPolicy a(cfg, 1);
-  fault::RetryPolicy b(cfg, 2);
+  cfg.max_attempts = 6;
+  fault::RoutePolicy a = one_route(cfg, 42);
+  fault::RoutePolicy b = one_route(cfg, 42);
+  for (std::uint32_t i = 0; i < cfg.max_attempts; ++i) {
+    const fault::Verdict va = a.lost();
+    const fault::Verdict vb = b.lost();
+    ASSERT_EQ(va.kind, fault::Verdict::Kind::kMove);
+    ASSERT_EQ(vb.kind, fault::Verdict::Kind::kMove);
+    EXPECT_EQ(va.delay, vb.delay) << "attempt " << i;
+  }
+  EXPECT_EQ(a.lost().kind, fault::Verdict::Kind::kGiveUp);
+  EXPECT_EQ(b.lost().kind, fault::Verdict::Kind::kGiveUp);
+}
+
+TEST(RoutePolicy, DifferentSeedsJitterDifferently) {
+  fault::RetryConfig cfg;
+  fault::RoutePolicy a = one_route(cfg, 1);
+  fault::RoutePolicy b = one_route(cfg, 2);
   bool any_difference = false;
   for (std::uint32_t i = 0; i < cfg.max_attempts; ++i) {
-    if (*a.next_delay() != *b.next_delay()) any_difference = true;
+    if (a.lost().delay != b.lost().delay) any_difference = true;
   }
   EXPECT_TRUE(any_difference);
 }
 
-TEST(RetryPolicy, DelaysGrowExponentiallyAndCapWithoutJitter) {
+TEST(RoutePolicy, DelaysGrowExponentiallyAndCapWithoutJitter) {
   fault::RetryConfig cfg;
   cfg.max_attempts = 8;
   cfg.base_delay = 10 * util::kMillisecond;
   cfg.multiplier = 2.0;
   cfg.max_delay = 100 * util::kMillisecond;
   cfg.jitter = 0.0;
-  fault::RetryPolicy p(cfg, 7);
-  EXPECT_EQ(*p.next_delay(), 10 * util::kMillisecond);
-  EXPECT_EQ(*p.next_delay(), 20 * util::kMillisecond);
-  EXPECT_EQ(*p.next_delay(), 40 * util::kMillisecond);
-  EXPECT_EQ(*p.next_delay(), 80 * util::kMillisecond);
-  EXPECT_EQ(*p.next_delay(), 100 * util::kMillisecond);  // capped
-  EXPECT_EQ(*p.next_delay(), 100 * util::kMillisecond);
-  EXPECT_EQ(p.attempts_made(), 6u);
+  fault::RoutePolicy p = one_route(cfg, 7);
+  EXPECT_EQ(p.lost().delay, 10 * util::kMillisecond);
+  EXPECT_EQ(p.lost().delay, 20 * util::kMillisecond);
+  EXPECT_EQ(p.lost().delay, 40 * util::kMillisecond);
+  EXPECT_EQ(p.lost().delay, 80 * util::kMillisecond);
+  EXPECT_EQ(p.lost().delay, 100 * util::kMillisecond);  // capped
+  EXPECT_EQ(p.lost().delay, 100 * util::kMillisecond);
+  EXPECT_EQ(p.attempts(), 6u);
 }
 
-TEST(RetryPolicy, JitteredDelaysStayInsideTheJitterBand) {
+TEST(RoutePolicy, JitteredDelaysStayInsideTheJitterBand) {
   fault::RetryConfig cfg;
   cfg.max_attempts = 32;
   cfg.base_delay = 100 * util::kMillisecond;
   cfg.multiplier = 1.0;  // flat: the band is easy to state
   cfg.max_delay = util::kSecond;
   cfg.jitter = 0.25;
-  fault::RetryPolicy p(cfg, 99);
+  fault::RoutePolicy p = one_route(cfg, 99);
   for (std::uint32_t i = 0; i < cfg.max_attempts; ++i) {
-    const auto d = p.next_delay();
-    ASSERT_TRUE(d.has_value());
-    EXPECT_GE(*d, static_cast<util::SimDuration>(75 * util::kMillisecond));
-    EXPECT_LE(*d, static_cast<util::SimDuration>(125 * util::kMillisecond));
+    const fault::Verdict v = p.lost();
+    ASSERT_EQ(v.kind, fault::Verdict::Kind::kMove);
+    EXPECT_GE(v.delay, static_cast<util::SimDuration>(75 * util::kMillisecond));
+    EXPECT_LE(v.delay, static_cast<util::SimDuration>(125 * util::kMillisecond));
   }
 }
 
-TEST(RetryPolicy, ResetRestoresTheAttemptBudgetButNotTheStream) {
-  fault::RetryConfig cfg;
-  cfg.max_attempts = 2;
-  fault::RetryPolicy p(cfg, 5);
-  ASSERT_TRUE(p.next_delay().has_value());
-  ASSERT_TRUE(p.next_delay().has_value());
-  EXPECT_FALSE(p.next_delay().has_value());
-  p.reset();
-  EXPECT_EQ(p.attempts_made(), 0u);
-  EXPECT_TRUE(p.next_delay().has_value());
+// --- RoutePolicy: the verdicts ------------------------------------------------
+
+// A second loss with the ack floor unmoved means the chain lost its parked
+// state: the policy moves instead of spending the budget on reconnects.
+TEST(RoutePolicy, OneReconnectPerAckFloor) {
+  fault::RoutePolicy p = one_route(fault::RetryConfig{.max_attempts = 10}, 3);
+  using Kind = fault::Verdict::Kind;
+  EXPECT_EQ(p.lost(100).kind, Kind::kReconnect);
+  EXPECT_EQ(p.lost(250).kind, Kind::kReconnect);  // the floor moved
+  EXPECT_EQ(p.lost(250).kind, Kind::kMove);       // it did not
+  // The move starts a fresh chain, whose first loss reconnects again.
+  EXPECT_EQ(p.lost(250).kind, Kind::kReconnect);
+  EXPECT_EQ(p.lost(std::nullopt).kind, Kind::kMove);  // cannot resume
+  EXPECT_EQ(p.attempts(), 5u);
 }
 
-// --- ReroutePolicy -----------------------------------------------------------
+TEST(RoutePolicy, WithNoCandidatesAMoveGivesUpAtOnce) {
+  fault::RoutePolicy p(fault::RetryConfig{}, 3, {});
+  using Kind = fault::Verdict::Kind;
+  EXPECT_EQ(p.lost(100).kind, Kind::kReconnect);
+  const fault::Verdict v = p.lost(100);
+  EXPECT_EQ(v.kind, Kind::kGiveUp);
+  EXPECT_EQ(v.error, fault::RerouteError::kNoCandidates);
+  EXPECT_EQ(p.attempts(), 1u);  // no tick was spent on the give-up
+}
 
-class ReroutePolicyTest : public ::testing::Test {
+TEST(RoutePolicy, SparesInListOrderSkippingDeadAndInUseDepots) {
+  // No selector: every route predicts +infinity, so the list order ranks.
+  fault::RoutePolicy p(fault::RetryConfig{}, 3,
+                       {core::CandidateRoute{{"src", "x", "dst"}},
+                        core::CandidateRoute{{"src", "y", "dst"}},
+                        core::CandidateRoute{{"src", "z", "dst"}}});
+  EXPECT_EQ(p.moved({}, {}, util::kMiB).route, 0u);
+  EXPECT_EQ(p.moved({"x"}, {}, util::kMiB).route, 1u);
+  EXPECT_EQ(p.moved({}, {"x", "y"}, util::kMiB).route, 2u);
+  EXPECT_EQ(p.moved({"x"}, {"y"}, util::kMiB).route, 2u);
+  EXPECT_EQ(p.attempts(), 0u);  // a found route spends no tick
+  // None left: one more loss, so another tick.
+  const fault::Verdict v = p.moved({"x"}, {"y", "z"}, util::kMiB);
+  EXPECT_EQ(v.kind, fault::Verdict::Kind::kMove);
+  EXPECT_FALSE(v.route.has_value());
+  EXPECT_GT(v.delay, 0);
+  EXPECT_EQ(p.attempts(), 1u);
+}
+
+class RoutePolicyTest : public ::testing::Test {
  protected:
-  ReroutePolicyTest() : selector_(db_), policy_(selector_) {
+  RoutePolicyTest() : selector_(db_) {
     // A diamond: src can reach dst via depot a, via depot b, or via both.
     const char* nodes[] = {"src", "a", "b", "dst"};
     for (const char* from : nodes) {
@@ -201,54 +238,67 @@ class ReroutePolicyTest : public ::testing::Test {
         db_.observe_loss_rate(from, to, 1e-4);
       }
     }
-    candidates_ = {
-        core::CandidateRoute{{"src", "a", "dst"}},
-        core::CandidateRoute{{"src", "b", "dst"}},
-        core::CandidateRoute{{"src", "a", "b", "dst"}},
-    };
+  }
+
+  fault::RoutePolicy policy(fault::RetryConfig cfg = {}) {
+    return fault::RoutePolicy(cfg, 5,
+                              {core::CandidateRoute{{"src", "a", "dst"}},
+                               core::CandidateRoute{{"src", "b", "dst"}},
+                               core::CandidateRoute{{"src", "a", "b", "dst"}}},
+                              &selector_);
   }
 
   core::PathDatabase db_;
   core::RouteSelector selector_;
-  fault::ReroutePolicy policy_;
-  std::vector<core::CandidateRoute> candidates_;
 };
 
-TEST_F(ReroutePolicyTest, AvoidsDeadDepots) {
-  fault::RerouteError err = fault::RerouteError::kNoCandidates;
-  const auto route = policy_.choose_excluding(candidates_, {"a"},
-                                              8 * util::kMiB, &err);
-  ASSERT_TRUE(route.has_value());
-  EXPECT_EQ(err, fault::RerouteError::kNone);
-  ASSERT_EQ(route->waypoints.size(), 3u);  // only src-b-dst survives
-  EXPECT_EQ(route->waypoints[1], "b");
+TEST_F(RoutePolicyTest, AvoidsDeadDepots) {
+  fault::RoutePolicy p = policy();
+  EXPECT_EQ(p.moved({"a"}, {}, 8 * util::kMiB).route, 1u);  // src-b-dst
 }
 
-TEST_F(ReroutePolicyTest, EndpointsAreNotDepots) {
+TEST_F(RoutePolicyTest, EndpointsAreNotDepots) {
   // "Dead" endpoints must not eliminate routes: only interior waypoints
   // are depots.
-  fault::RerouteError err = fault::RerouteError::kNone;
-  const auto route = policy_.choose_excluding(candidates_, {"src", "dst"},
-                                              8 * util::kMiB, &err);
-  EXPECT_TRUE(route.has_value());
-  EXPECT_EQ(err, fault::RerouteError::kNone);
+  fault::RoutePolicy p = policy();
+  EXPECT_TRUE(p.moved({"src", "dst"}, {"src"}, 8 * util::kMiB).route);
 }
 
-TEST_F(ReroutePolicyTest, DistinctErrorWhenEveryRouteIsDead) {
-  fault::RerouteError err = fault::RerouteError::kNone;
-  const auto route = policy_.choose_excluding(candidates_, {"a", "b"},
-                                              8 * util::kMiB, &err);
-  EXPECT_FALSE(route.has_value());
-  EXPECT_EQ(err, fault::RerouteError::kNoAlternativeRoute);
-  EXPECT_STREQ(to_string(err), "no-alternative-route");
+TEST_F(RoutePolicyTest, DistinctErrorWhenEveryRouteIsDead) {
+  fault::RoutePolicy p = policy(fault::RetryConfig{.max_attempts = 1});
+  ASSERT_EQ(p.lost().kind, fault::Verdict::Kind::kMove);
+  const fault::Verdict v = p.moved({"a"}, {"b"}, 8 * util::kMiB);
+  EXPECT_EQ(v.kind, fault::Verdict::Kind::kGiveUp);
+  EXPECT_EQ(v.error, fault::RerouteError::kNoAlternativeRoute);
+  EXPECT_STREQ(to_string(v.error), "no-alternative-route");
 }
 
-TEST_F(ReroutePolicyTest, DistinctErrorWhenThereAreNoCandidates) {
-  fault::RerouteError err = fault::RerouteError::kNone;
-  const auto route =
-      policy_.choose_excluding({}, {}, 8 * util::kMiB, &err);
-  EXPECT_FALSE(route.has_value());
-  EXPECT_EQ(err, fault::RerouteError::kNoCandidates);
+TEST_F(RoutePolicyTest, GiveUpAfterAFoundRouteCarriesNoError) {
+  fault::RoutePolicy p = policy(fault::RetryConfig{.max_attempts = 2});
+  ASSERT_EQ(p.lost().kind, fault::Verdict::Kind::kMove);
+  ASSERT_FALSE(p.moved({"a", "b"}, {}, 8 * util::kMiB).route);
+  ASSERT_TRUE(p.moved({"a"}, {}, 8 * util::kMiB).route);
+  const fault::Verdict v = p.lost();
+  EXPECT_EQ(v.kind, fault::Verdict::Kind::kGiveUp);
+  EXPECT_EQ(v.error, fault::RerouteError::kNone);
+}
+
+// The health plane's proactive move: a route off the suspect depot, or
+// none — and either way no budget is spent.
+TEST_F(RoutePolicyTest, EvacuationSpendsNoBudget) {
+  fault::RoutePolicy p = policy();
+  EXPECT_EQ(p.evacuate({}, "a", 8 * util::kMiB).route, 1u);
+  const fault::Verdict v = p.evacuate({"b"}, "a", 8 * util::kMiB);
+  EXPECT_EQ(v.kind, fault::Verdict::Kind::kGiveUp);
+  EXPECT_EQ(v.error, fault::RerouteError::kNoAlternativeRoute);
+  EXPECT_EQ(p.attempts(), 0u);
+}
+
+TEST(RoutePolicy, DistinctErrorWhenThereAreNoCandidates) {
+  fault::RoutePolicy p(fault::RetryConfig{}, 5, {});
+  const fault::Verdict v = p.moved({}, {}, 8 * util::kMiB);
+  EXPECT_EQ(v.kind, fault::Verdict::Kind::kGiveUp);
+  EXPECT_EQ(v.error, fault::RerouteError::kNoCandidates);
 }
 
 // --- SessionDirectory peek/consume ------------------------------------------

@@ -1,5 +1,5 @@
 // Health-plane tier: the depot scorecard (HealthBoard), its gossip codec,
-// load-aware admission in the selector / reroute / stripe planners, the
+// load-aware admission in the selector and stripe planners, the
 // proactive MigrationPolicy, and the end-to-end sim scenario where a live
 // transfer evacuates a stalling depot mid-stream and resumes from the
 // sink's exact acknowledged floor. These carry the `health` ctest label
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "exp/chaos.hpp"
-#include "fault/policy.hpp"
 #include "fault/spec.hpp"
 #include "health/board.hpp"
 #include "health/gossip.hpp"
@@ -344,45 +343,6 @@ TEST_F(HealthAdmissionTest, DisjointRoutesSkipSuspectDepots) {
       stripe::disjoint_routes(selector_, candidates, 3, util::kMiB);
   ASSERT_EQ(routes.size(), 2u);
   for (const auto& r : routes) EXPECT_NE(r.waypoints[1], "b");
-}
-
-// Satellite regression: a depot noted as failed used to be excluded
-// *forever* — ReroutePolicy::failed_ only ever grew. With a health board
-// attached, exclusion is score-driven: once decay + probe successes promote
-// the depot back to degraded-or-better, it is eligible again.
-TEST_F(HealthAdmissionTest, RerouteReAdmitsRecoveredDepots) {
-  fault::ReroutePolicy policy(selector_);
-  const std::vector<core::CandidateRoute> candidates = {
-      core::CandidateRoute{{"src", "a", "dst"}},
-      core::CandidateRoute{{"src", "b", "dst"}},
-  };
-  policy.note_depot_failure("a");
-  // Sticky historical behavior without a board: still excluded.
-  EXPECT_EQ(policy.excluded_depots().count("a"), 1u);
-  auto route = policy.choose_excluding(candidates, {}, util::kMiB);
-  ASSERT_TRUE(route.has_value());
-  EXPECT_EQ(route->waypoints[1], "b");
-
-  // Attach a board that currently judges `a` suspect: still excluded.
-  health::HealthConfig cfg;
-  cfg.decay_half_life_ms = 1000;
-  HealthBoard board(cfg);
-  std::uint64_t t = 1;
-  while (board.state("a") < DepotState::kSuspect) {
-    board.observe_failure("a", t++);
-  }
-  policy.set_health_board(&board);
-  EXPECT_EQ(policy.excluded_depots().count("a"), 1u);
-
-  // The depot recovers (decay drifts the score home, ticks promote it):
-  // the same noted failure no longer excludes it.
-  board.tick(20'000);
-  board.tick(20'001);
-  ASSERT_LE(board.state("a"), DepotState::kDegraded);
-  EXPECT_EQ(policy.excluded_depots().count("a"), 0u);
-  route = policy.choose_excluding(candidates, {}, util::kMiB);
-  ASSERT_TRUE(route.has_value());
-  EXPECT_EQ(route->waypoints[1], "a");  // identical forecasts: ties by order
 }
 
 // --- MigrationPolicy ----------------------------------------------------------

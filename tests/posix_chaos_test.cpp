@@ -96,18 +96,6 @@ bool drive(EpollEngine& loop, const bool& done, double timeout_s = 30.0) {
   return wait_until(loop, [&done] { return done; }, timeout_s);
 }
 
-/// Backoff bridge: the deterministic fault::RetryPolicy delays, converted
-/// to the wall-clock milliseconds the posix source sleeps.
-std::function<std::optional<std::chrono::milliseconds>()> backoff_of(
-    fault::RetryPolicy& policy) {
-  return [&policy]() -> std::optional<std::chrono::milliseconds> {
-    const auto d = policy.next_delay();
-    if (!d) return std::nullopt;
-    return std::chrono::milliseconds(
-        std::max<std::int64_t>(1, *d / util::kMillisecond));
-  };
-}
-
 // The PR's posix acceptance scenario: one real-socket kill-and-resume
 // cycle. The daemon hard-resets the upstream connection mid-stream
 // (fault-spec `reset`), parks the session under --resume-grace semantics,
@@ -136,7 +124,7 @@ TEST(PosixChaos, KillAndResumeCycle) {
 
   fault::RetryConfig rcfg;
   rcfg.base_delay = 20 * util::kMillisecond;
-  fault::RetryPolicy policy(rcfg, 7);
+  fault::RoutePolicy policy = fixed_route_policy(rcfg, 7);
 
   PosixSourceConfig scfg;
   scfg.route = {InetAddress::loopback(depot->port())};

@@ -5,6 +5,8 @@
 // loop.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
@@ -18,17 +20,22 @@
 #include <iterator>
 #include <optional>
 #include <set>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "engine/epoll_engine.hpp"
 #include "lsl/payload.hpp"
+#include "lsl/session_id.hpp"
+#include "lsl/source_core.hpp"
+#include "lsl/wire.hpp"
 #include "metrics/instruments.hpp"
 #include "metrics/metrics.hpp"
 #include "posix/client.hpp"
 #include "posix/lsd.hpp"
 #include "posix/socket_util.hpp"
 #include "posix_test_util.hpp"
+#include "stripe/plan.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -769,6 +776,80 @@ TEST(PosixRelay, RecvToolOnPortZeroVerifiesOneSession) {
   src.start();
   ASSERT_TRUE(drive(loop, done));
   EXPECT_TRUE(ok);
+
+  EXPECT_EQ(wait_process(recv), 0) << recv.output;
+  EXPECT_NE(recv.output.find("digest OK"), std::string::npos) << recv.output;
+}
+
+/// Send all of `bytes` on a blocking socket.
+bool send_all(int fd, std::span<const std::uint8_t> bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    bytes = bytes.subspan(static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+/// One status byte from `fd`, or -1 when it closes (or stays silent for
+/// `timeout_ms`) without one.
+int status_of(int fd, int timeout_ms = 10'000) {
+  pollfd p{fd, POLLIN, 0};
+  if (::poll(&p, 1, timeout_ms) != 1) return -1;
+  std::uint8_t status = 0;
+  return ::recv(fd, &status, 1, 0) == 1 ? status : -1;
+}
+
+// `lsl_recv -1` stops after its session's verdict *and* every status byte
+// the session owes. Two lanes: lane 0 arrives whole, lane 1 holds back its
+// trailer, so the merge resolves (lane 1's payload completes it, lane 0
+// carried the trailer) while lane 1 is still open. Its status is sent when
+// its own trailer arrives — the receiver must still be there to send it.
+TEST(PosixRelay, RecvOnceAnswersALaneThatOutlivesItsMerge) {
+  REQUIRE_LOOPBACK();
+  SpawnedDaemon recv =
+      spawn_process(LSL_RECV_BIN, {"lsl_recv", "0", "-1", "-g", "9"},
+                    "lsl_recv: listening on port ", /*with_stderr=*/true);
+  ASSERT_NE(recv.port, 0) << recv.output;
+
+  const std::uint64_t bytes = 256 * util::kKiB;
+  util::Rng rng(9);
+  core::LaneSet lanes(
+      stripe::StripePlan::round_robin(bytes, 2, 64 * util::kKiB, 0), bytes,
+      core::SessionId::generate(rng), 9);
+  std::vector<std::uint8_t> wire[2];
+  std::span<const std::uint8_t> trailer;
+  md5::Digest digest;
+  for (std::size_t j = 0; j < 2; ++j) {
+    core::SourcePlan p = lanes.plan(j, 0);
+    p.header.destination = {0x7f000001, recv.port};
+    core::encode_header(p.header, wire[j]);
+    std::vector<std::uint8_t> payload(p.payload_bytes);
+    p.payload_fill(0, payload);
+    wire[j].insert(wire[j].end(), payload.begin(), payload.end());
+    digest = *p.trailer_digest;  // the merged stream's, on every lane
+  }
+  trailer = digest.bytes;
+
+  engine::Fd lane0 = posix::connect_tcp(InetAddress::loopback(recv.port));
+  engine::Fd lane1 = posix::connect_tcp(InetAddress::loopback(recv.port));
+  ASSERT_TRUE(lane0.valid() && lane1.valid());
+  for (const int fd : {lane0.get(), lane1.get()}) {
+    const int flags = ::fcntl(fd, F_GETFL);
+    ASSERT_EQ(::fcntl(fd, F_SETFL, flags & ~O_NONBLOCK), 0);
+  }
+  ASSERT_TRUE(send_all(lane0.get(), wire[0]));
+  ASSERT_TRUE(send_all(lane0.get(), trailer));
+  ::shutdown(lane0.get(), SHUT_WR);
+  ASSERT_TRUE(send_all(lane1.get(), wire[1]));
+
+  // The merge resolved: lane 0 has its status and the verdict is printed.
+  EXPECT_EQ(status_of(lane0.get()), core::kStatusOk);
+  // Lane 1 is owed its status, so the receiver keeps it open.
+  EXPECT_EQ(status_of(lane1.get(), 500), -1);
+  ASSERT_TRUE(send_all(lane1.get(), trailer));
+  ::shutdown(lane1.get(), SHUT_WR);
+  EXPECT_EQ(status_of(lane1.get()), core::kStatusOk);
 
   EXPECT_EQ(wait_process(recv), 0) << recv.output;
   EXPECT_NE(recv.output.find("digest OK"), std::string::npos) << recv.output;

@@ -19,6 +19,7 @@
 #include "posix/lsd.hpp"
 #include "posix/sharded_lsd.hpp"
 #include "posix/socket_util.hpp"
+#include "posix_test_util.hpp"
 #include "util/units.hpp"
 
 namespace lsl::test {
@@ -73,16 +74,6 @@ fault::FaultPlan plan_of(const std::string& spec) {
   const auto plan = fault::parse_fault_spec(spec, &err);
   EXPECT_TRUE(plan.has_value()) << err;
   return plan.value_or(fault::FaultPlan{});
-}
-
-std::function<std::optional<std::chrono::milliseconds>()> backoff_of(
-    fault::RetryPolicy& policy) {
-  return [&policy]() -> std::optional<std::chrono::milliseconds> {
-    const auto d = policy.next_delay();
-    if (!d) return std::nullopt;
-    return std::chrono::milliseconds(
-        std::max<std::int64_t>(1, *d / util::kMillisecond));
-  };
 }
 
 /// A destination that accepts connections and then never reads: the far
@@ -214,7 +205,7 @@ TEST(PosixSplice, MidStreamResetResumesOnFastPath) {
 
   fault::RetryConfig rcfg;
   rcfg.base_delay = 20 * util::kMillisecond;
-  fault::RetryPolicy policy(rcfg, 13);
+  fault::RoutePolicy policy = fixed_route_policy(rcfg, 13);
 
   PosixSourceConfig scfg;
   scfg.route = {InetAddress::loopback(depot.port())};
@@ -261,7 +252,7 @@ TEST(PosixSplice, GraveyardEntryReleasesPoolBuffers) {
 }
 
 // Admission control: once a wedged downstream pins the pool over its high
-// watermark, new sessions are refused at accept (RST, which RetryPolicy
+// watermark, new sessions are refused at accept (RST, which RoutePolicy
 // backs off on) instead of deepening the overcommit.
 TEST(PosixSplice, PoolPressureRefusesNewSessions) {
   REQUIRE_LOOPBACK();

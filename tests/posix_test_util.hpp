@@ -3,8 +3,9 @@
 // holds, instead of fixed sleeps. A fixed sleep is both slow (it always
 // pays the worst case) and flaky (the worst case moves with machine load);
 // polling against a generous deadline is neither. Also: spawning the
-// lsd_relay and lsl_recv binaries on a kernel-chosen port, and running a
-// tool binary to completion.
+// lsd_relay and lsl_recv binaries on a kernel-chosen port, running a
+// tool binary to completion, and bridging a fault::RoutePolicy to a
+// PosixSource's reconnect backoff.
 #pragma once
 
 #include <arpa/inet.h>
@@ -14,6 +15,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 
 #include <chrono>
@@ -21,13 +23,36 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "engine/epoll_engine.hpp"
+#include "fault/policy.hpp"
+#include "util/units.hpp"
 
 namespace lsl::test {
+
+/// A recovery policy over one fixed route: each loss is a move back onto
+/// it, which a resumable PosixSource makes as a reconnect.
+inline fault::RoutePolicy fixed_route_policy(const fault::RetryConfig& cfg,
+                                             std::uint64_t seed) {
+  return fault::RoutePolicy(cfg, seed, {core::CandidateRoute{{"src", "dst"}}});
+}
+
+/// Backoff bridge: `policy`'s deterministic verdict delays, converted to
+/// the wall-clock milliseconds a posix source waits; nullopt once it
+/// gives up.
+inline std::function<std::optional<std::chrono::milliseconds>()> backoff_of(
+    fault::RoutePolicy& policy) {
+  return [&policy]() -> std::optional<std::chrono::milliseconds> {
+    const fault::Verdict v = policy.lost();
+    if (v.kind == fault::Verdict::Kind::kGiveUp) return std::nullopt;
+    return std::chrono::milliseconds(
+        std::max<std::int64_t>(1, v.delay / util::kMillisecond));
+  };
+}
 
 /// Drive `loop` until `cond()` holds or `timeout_s` elapses. Returns the
 /// final cond() so callers can ASSERT_TRUE the wait succeeded.

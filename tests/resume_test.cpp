@@ -167,7 +167,7 @@ TEST(Resume, GraceShorterThanReconnectAbortsDownstream) {
   scfg.payload_seed = 60;
   scfg.use_header = true;
   scfg.resumable = true;
-  scfg.resume_reconnect_delay = util::millis(200);
+  scfg.reconnect_backoff = [](std::uint64_t) { return util::millis(200); };
   util::Rng rng(9);
   scfg.header.session = core::SessionId::generate(rng);
   scfg.header.payload_length = scfg.payload_bytes;

@@ -446,7 +446,7 @@ TEST(SourceCore, VirtualModeCountsHeaderThenPayload) {
 
 // --- Lane loss ---------------------------------------------------------------
 
-TEST(LaneSet, LossIsAbsorbedRestripedOrGivesUp) {
+TEST(LaneSet, LossIsSettledAbsorbedOrRestriped) {
   const std::uint64_t bytes = 12'000;
   // Redundancy 1: any one lane's death is covered by its neighbours.
   {
@@ -461,10 +461,11 @@ TEST(LaneSet, LossIsAbsorbedRestripedOrGivesUp) {
     EXPECT_EQ(lanes.lost(), 2u);
     EXPECT_EQ(lanes.retransmitted(), 0u);
   }
-  // No redundancy, a budget of one continuation.
+  // No redundancy: every uncovered death asks for a continuation (the
+  // host's recovery policy decides whether one is granted).
   {
     LaneSet lanes(stripe::StripePlan::round_robin(bytes, 3, 512, 0), bytes,
-                  session_id(), kSeed, /*max_restripes=*/1);
+                  session_id(), kSeed);
     const std::uint64_t total = lanes[0].total;
     EXPECT_EQ(lanes.lose(0, 0), LaneSet::Loss::kRestripe);
     EXPECT_FALSE(lanes[0].live());
@@ -474,7 +475,7 @@ TEST(LaneSet, LossIsAbsorbedRestripedOrGivesUp) {
     EXPECT_EQ(p.payload_bytes, total - 1024);
     EXPECT_EQ(lanes.recovered(), 1u);
     EXPECT_EQ(lanes.retransmitted(), total - 1024);
-    EXPECT_EQ(lanes.lose(0, 0), LaneSet::Loss::kGiveUp);
+    EXPECT_EQ(lanes.lose(0, 0), LaneSet::Loss::kRestripe);
     // A lane whose every byte arrived only lost its trailer.
     EXPECT_EQ(lanes.lose(1, lanes[1].total), LaneSet::Loss::kSettled);
     EXPECT_TRUE(lanes[1].settled);

@@ -162,7 +162,6 @@ TEST(StripePosix, CrashedLaneRestripesOntoSpareChain) {
   cfg.spare_routes.push_back({InetAddress::loopback(spare->port())});
   cfg.payload_bytes = bytes;
   cfg.payload_seed = 67;
-  cfg.restripe_delay = std::chrono::milliseconds(20);
   h.launch(std::move(cfg));
 
   ASSERT_TRUE(wait_until(
@@ -334,7 +333,6 @@ TEST(StripePosix, SigkilledDaemonLaneRecoversViaSpareProcess) {
   cfg.spare_routes.push_back({InetAddress::loopback(daemons[3].port)});
   cfg.payload_bytes = bytes;
   cfg.payload_seed = 79;
-  cfg.restripe_delay = std::chrono::milliseconds(20);
   h.launch(std::move(cfg));
 
   // Let the lanes get properly mid-flight, then SIGKILL lane 1's daemon.

@@ -12,8 +12,10 @@
 #include <vector>
 
 #include "exp/striped.hpp"
+#include "fault/policy.hpp"
 #include "fault/spec.hpp"
 #include "lsl/payload.hpp"
+#include "lsl/source_core.hpp"
 #include "lsl/wire.hpp"
 #include "metrics/export.hpp"
 #include "metrics/metrics.hpp"
@@ -571,6 +573,23 @@ TEST(StripedRun, SingleLaneDegeneratesToPlainChain) {
   EXPECT_TRUE(r.completed);
   EXPECT_TRUE(r.verified);
   EXPECT_EQ(r.lanes, 1u);
+}
+
+// A striped source with no spare route (lsl_load's slots) gives a lost lane
+// up at once: the policy has nowhere to move it, so it spends no backoff
+// tick on waiting for one.
+TEST(StripedLoss, NoSpareRouteGivesUpALostLaneAtOnce) {
+  const std::uint64_t bytes = 1 * util::kMiB;
+  util::Rng rng(3);
+  core::LaneSet lanes(stripe::StripePlan::round_robin(bytes, 2, 64 * util::kKiB, 0),
+                      bytes, core::SessionId::generate(rng), 3);
+  fault::RoutePolicy policy(fault::RetryConfig{}, 3, /*candidates=*/{});
+  ASSERT_EQ(lanes.lose(0, 0), core::LaneSet::Loss::kRestripe);
+  const fault::Verdict v = policy.lost();
+  EXPECT_EQ(v.kind, fault::Verdict::Kind::kGiveUp);
+  EXPECT_EQ(v.delay, 0);
+  EXPECT_EQ(v.error, fault::RerouteError::kNoCandidates);
+  EXPECT_EQ(policy.attempts(), 0u);
 }
 
 // The degenerate lane has no merge to resume into: its replacement resends

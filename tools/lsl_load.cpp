@@ -338,10 +338,8 @@ DriverResult drive_slots(Run& run, std::size_t count,
       cfg.destination = posix::InetAddress::loopback(sink.port());
       cfg.payload_bytes = opt.bytes;
       cfg.payload_seed = static_cast<std::uint32_t>(opt.seed);
-      // Lane recovery here is whole-slot relaunch under backoff (same
-      // contract as unstriped slots); in-session re-striping is for real
-      // multi-depot deployments with spare chains to move to.
-      cfg.max_restripes = 0;
+      // No spare routes: a lost lane fails the slot at once, and recovery
+      // is whole-slot relaunch under backoff, as for unstriped slots.
       cfg.session = core::SessionId::generate(striped_sessions);
       cfg.trace_id = trace_id;
       s.striped = std::make_unique<posix::StripedPosixSource>(

@@ -10,7 +10,7 @@
 //            banner on stderr names it
 //   -g SEED  additionally verify content against the deterministic
 //            generator stream with SEED (for lsl_send -n payloads)
-//   -1       exit after the first completed session
+//   -1       exit after the first completed session (and its status bytes)
 //   --metrics-out FILE  dump receive-side metrics (sessions, bytes, event
 //                       loop timing) on exit; .csv -> CSV, else JSONL
 //   --log-level LEVEL   debug|info|warn|error|off (default warn)
@@ -116,7 +116,9 @@ int main(int argc, char** argv) {
     if (once) stop = true;
   };
 
-  while (!stop) {
+  // A lane that outlived its merge is owed its status byte after the
+  // verdict: exiting before it is sent would close the lane without one.
+  while (!stop || sink.owed_statuses() != 0 || sink.pending_verdicts() != 0) {
     if (loop.run_once(500) < 0) break;
   }
   if (!metrics_file.empty() &&

@@ -305,20 +305,21 @@ int main(int argc, char** argv) {
     return ok;
   };
 
-  // Retry loop (--retry): each failure costs one policy-granted backoff
-  // delay; a fresh session retransfers from scratch.
-  fault::RetryPolicy policy(retry_cfg, seed);
+  // Retry loop (--retry): each failure is a loss the policy answers with a
+  // move back onto the one route given: a fresh session after a backoff.
+  fault::RoutePolicy policy(retry_cfg, seed,
+                            {core::CandidateRoute{{"src", "dst"}}});
   bool ok = false;
   try {
     ok = attempt();
     while (!ok) {
-      const auto delay = policy.next_delay();
-      if (!delay) break;  // budget exhausted (or --retry was never given)
-      std::fprintf(
-          stderr, "lsl_send: retry %u/%u in %lld ms\n",
-          policy.attempts_made(), retry_cfg.max_attempts,
-          static_cast<long long>(*delay / util::kMillisecond));
-      std::this_thread::sleep_for(std::chrono::nanoseconds(*delay));
+      const fault::Verdict v = policy.lost();
+      // Budget exhausted (or --retry was never given).
+      if (v.kind == fault::Verdict::Kind::kGiveUp) break;
+      std::fprintf(stderr, "lsl_send: retry %u/%u in %lld ms\n",
+                   policy.attempts(), retry_cfg.max_attempts,
+                   static_cast<long long>(v.delay / util::kMillisecond));
+      std::this_thread::sleep_for(std::chrono::nanoseconds(v.delay));
       ok = attempt();
     }
   } catch (const ShortRead&) {
